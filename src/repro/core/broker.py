@@ -20,7 +20,7 @@ import itertools
 import random
 import secrets
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, ContextManager, Mapping, cast
+from typing import TYPE_CHECKING, ContextManager, Mapping
 
 from repro import obs, perf
 from repro.core.bank import Ledger
@@ -37,9 +37,12 @@ from repro.core.exceptions import (
 )
 from repro.core.info import CoinInfo
 from repro.core.params import SystemParams
-from repro.core.transcripts import DoubleSpendProof, SignedTranscript
+from repro.core.transcripts import (
+    DoubleSpendProof,
+    SignedTranscript,
+    verify_payment_response,
+)
 from repro.core.witness_ranges import WitnessAssignmentTable, build_table
-from repro.crypto import counters
 from repro.crypto.blind import PartiallyBlindSigner, SignerChallenge, SignerResponse, SignerSession
 from repro.crypto.representation import RepresentationResponse, extract_representations
 from repro.crypto.schnorr import SchnorrKeyPair, verify as schnorr_verify
@@ -100,32 +103,6 @@ class _WithdrawalTicket:
     info: CoinInfo
     session: SignerSession
     paid_by: str | None
-
-
-#: Protocol order of the claim-certified stages in a bulk verification:
-#: a correction at an earlier stage wins because the naive per-item path
-#: would have raised there first and never reached the later checks.
-_DEPOSIT_STAGE_ORDER = {"coin": 0, "wsig": 1}
-
-#: The exception each certified stage raises on the naive path.
-_DEPOSIT_STAGE_ERRORS: dict[str, Callable[[], EcashError]] = {
-    "coin": lambda: InvalidCoinError(
-        "broker signature on deposited coin failed to verify"
-    ),
-    "wsig": lambda: InvalidPaymentError(
-        "witness signature on transcript failed to verify"
-    ),
-}
-
-
-def _earliest_claim_failures(tokens: list[object]) -> dict[int, str]:
-    """Collapse ``(index, stage)`` claim tokens to each item's earliest stage."""
-    worst: dict[int, str] = {}
-    for token in tokens:
-        index, stage = cast("tuple[int, str]", token)
-        if index not in worst or _DEPOSIT_STAGE_ORDER[stage] < _DEPOSIT_STAGE_ORDER[worst[index]]:
-            worst[index] = stage
-    return worst
 
 
 class Broker:
@@ -426,10 +403,7 @@ class Broker:
             InvalidPaymentError: failed verification (step 1).
             DoubleDepositError: the same merchant re-deposited the coin.
         """
-        self._verify_deposit_structure(merchant_id, signed, now)
-        from repro.core.transcripts import verify_payment_response
-
-        verify_payment_response(self.params, signed.transcript)
+        self._verify_deposit(merchant_id, signed, now)
         return self._settle_deposit(merchant_id, signed, now)
 
     def deposit_batch(
@@ -439,27 +413,29 @@ class Broker:
         now: int,
         pool: "perf.CryptoPool | None" = None,
     ) -> list[DepositResult | EcashError]:
-        """Clear many transcripts from one merchant in a single pipeline.
+        """Clear many transcripts from one merchant as one durability unit.
 
-        With the perf engine on, the per-item representation checks
-        ``A_i B_i^{d_i} == g1^{r1_i} g2^{r2_i}`` collapse into one
-        small-random-exponent linear combination evaluated as a single
-        multi-exponentiation (:func:`repro.perf.batch.verify_batch`); if
-        the combined check fails, the broker falls back to per-item
-        verification to name the culprits. Each item still records the
-        same logical operations as an individual :meth:`deposit` (6
-        ``Exp`` + 4 ``Hash`` + 1 ``Ver`` on the happy path), and with the
-        engine off the method is exactly a loop over :meth:`deposit`.
+        Every item is verified and settled by the code :meth:`deposit`
+        runs, in input order — same checks, same exceptions, same 6
+        ``Exp`` + 4 ``Hash`` + 1 ``Ver`` per accepted item — so an
+        in-batch repeat of a coin behaves as two separate deposits would.
+        What the batch shares is the journal: all settlements sit inside
+        one :meth:`_journal_scope`, which costs one fsync per touched
+        shard and one commit marker however many items it holds. A crash
+        before that marker is durable makes recovery discard the whole
+        batch; the caller has seen no result by then and retries it.
+
+        The broker sees each coin once, so nothing is gained by batching
+        the verification itself: a small-exponent combined check needs
+        two subgroup-membership exponentiations per coin where the plain
+        check needs one exponentiation, and measured slower end to end.
 
         When the parallel engine is available (``pool`` given, or the
         shared :func:`repro.perf.shared_pool` on a multi-core host with
-        ``REPRO_PARALLEL`` on), the verification work fans out across
-        worker processes in chunks — identical checks, identical
-        accept/reject outcomes and culprit naming, with each item's
-        logical operations replayed into this process's counter.
-        Settlement always happens here, sequentially in input order, so
-        an in-batch repeat of the same coin behaves identically to two
-        separate deposits.
+        ``REPRO_PARALLEL`` on), step 1 of every item fans out across
+        worker processes — identical checks and verdicts, each item's
+        logical operations replayed into this process's counter — and
+        settlement still happens here, in order, inside the one scope.
 
         Returns:
             Per item, in order: a :class:`DepositResult`, or the
@@ -467,18 +443,13 @@ class Broker:
         """
         items = list(items)
         obs.observe("perf_batch_deposit_size", len(items))
-        results: list[DepositResult | EcashError | None] = [None] * len(items)
-        if not perf.is_enabled():
-            for index, signed in enumerate(items):
-                try:
-                    results[index] = self.deposit(merchant_id, signed, now)
-                except EcashError as exc:
-                    results[index] = exc
-            return results  # type: ignore[return-value]
-
         pool = pool if pool is not None else perf.shared_pool()
-        if pool is not None and pool.active() and len(items) > 1:
-            outcomes = pool.run_deposit_checks(
+        rejected: list[EcashError | None] | None = None
+        if perf.is_enabled() and pool is not None and pool.active() and len(items) > 1:
+            from repro.perf.parallel import replay_ops
+
+            rejected = []
+            for outcome in pool.run_deposit_checks(
                 self.params,
                 self._signer.secret,
                 {m_id: acct.public_key for m_id, acct in self.merchants.items()},
@@ -487,140 +458,44 @@ class Broker:
                 items,
                 now,
                 seed=self._draw_seed(),
-            )
-            from repro.perf.parallel import replay_ops
-
-            for index, outcome in enumerate(outcomes):
+            ):
                 replay_ops(outcome.ops)
-                if outcome.error is not None:
-                    results[index] = outcome.error
-                    continue
+                rejected.append(outcome.error)
+        results: list[DepositResult | EcashError] = []
+        with self._journal_scope():
+            for index, signed in enumerate(items):
                 try:
-                    results[index] = self._settle_deposit(merchant_id, items[index], now)
+                    if rejected is None:
+                        self._verify_deposit(merchant_id, signed, now)
+                    elif (error := rejected[index]) is not None:
+                        raise error
+                    results.append(self._settle_deposit(merchant_id, signed, now))
                 except EcashError as exc:
-                    results[index] = exc
-            return results  # type: ignore[return-value]
+                    results.append(exc)
+        return results
 
-        group = self.params.group
-        claims = perf.ClaimSet()
-        checked: list[tuple[int, SignedTranscript, perf.RepresentationCheck]] = []
-        for index, signed in enumerate(items):
-            try:
-                self._verify_deposit_structure(merchant_id, signed, now, claims, index)
-            except EcashError as exc:
-                results[index] = exc
-                continue
-            transcript = signed.transcript
-            d = transcript.challenge(self.params)
-            # The representation check is 3 logical Exp per transcript
-            # regardless of how the physical batch evaluates it.
-            counters.record_exp(3)
-            checked.append(
-                (
-                    index,
-                    signed,
-                    perf.RepresentationCheck(
-                        commitment_a=transcript.coin.bare.commitment_a,
-                        commitment_b=transcript.coin.bare.commitment_b,
-                        challenge=d,
-                        r1=transcript.response.r1,
-                        r2=transcript.response.r2,
-                    ),
-                )
-            )
-        if checked and not perf.verify_batch(
-            group.p, group.q, group.g1, group.g2, [c for _, _, c in checked], rng=self.rng
-        ):
-            # At least one bad (or non-subgroup) item: fall back to naive
-            # per-item checks to identify it. Logical costs are already
-            # recorded, so the rescue pass runs suppressed.
-            from repro.crypto.representation import verify_response
+    def _verify_deposit(self, merchant_id: str, signed: SignedTranscript, now: int) -> None:
+        """Algorithm 3 step 1: every check a transcript passes before it is paid.
 
-            survivors: list[tuple[int, SignedTranscript, perf.RepresentationCheck]] = []
-            for index, signed, check in checked:
-                with counters.suppressed():
-                    valid = verify_response(
-                        group,
-                        check.commitment_a,
-                        check.commitment_b,
-                        check.challenge,
-                        signed.transcript.response,
-                    )
-                if valid:
-                    survivors.append((index, signed, check))
-                else:
-                    results[index] = InvalidPaymentError(
-                        "representation proof A*B^d == g1^r1*g2^r2 failed"
-                    )
-            checked = survivors
-        # Certify the batch's fast-path signature recoveries (coin and
-        # witness-signature stages) in one combined equation before any
-        # money moves. A definitively-bad token overrides whatever the
-        # glitched fast path concluded — mapped back to the exception the
-        # naive path would have raised at that (earlier) protocol stage.
-        corrected = _earliest_claim_failures(claims.certify(group.p, group.q, self.rng))
-        if corrected:
-            for index, stage in corrected.items():
-                results[index] = _DEPOSIT_STAGE_ERRORS[stage]()
-            checked = [entry for entry in checked if entry[0] not in corrected]
-        for index, signed, _ in checked:
-            try:
-                results[index] = self._settle_deposit(merchant_id, signed, now)
-            except EcashError as exc:
-                results[index] = exc
-        return results  # type: ignore[return-value]
-
-    def _verify_deposit_structure(
-        self,
-        merchant_id: str,
-        signed: SignedTranscript,
-        now: int,
-        claims: "perf.ClaimSet | None" = None,
-        index: int | None = None,
-    ) -> None:
-        """Algorithm 3 step 1 minus the representation check.
-
-        Raises the same exceptions, in the same order, as the front half
-        of :meth:`deposit` always has; shared by the single and batched
-        pipelines. Batched callers pass a claim set and the item's batch
-        ``index``: the coin-signature and witness-signature fast paths
-        then register their recovery claims under ``(index, stage)``
-        tokens for combined certification after the whole batch is
-        structurally checked.
+        Shared by :meth:`deposit` and :meth:`deposit_batch`, so a batched
+        item is held to exactly the single deposit's checks, in its order.
         """
         self._require_merchant(merchant_id)
         transcript = signed.transcript
         coin = transcript.coin
         if transcript.merchant_id != merchant_id:
             raise InvalidPaymentError("transcript names a different depositing merchant")
-        if claims is not None and perf.is_enabled():
-            coin_ok, recovered = self._signer.check_with_secret(
-                coin.info.hash_parts(), coin.bare.message_parts(), coin.bare.signature
-            )
-            if coin_ok and recovered:
-                claims.add(
-                    (index, "coin"),
-                    recovered,
-                    lambda: self._signer.verify_with_secret(
-                        coin.info.hash_parts(),
-                        coin.bare.message_parts(),
-                        coin.bare.signature,
-                    ),
-                )
-        else:
-            coin_ok = self._signer.verify_with_secret(
-                coin.info.hash_parts(), coin.bare.message_parts(), coin.bare.signature
-            )
-        if not coin_ok:
+        if not self._signer.verify_with_secret(
+            coin.info.hash_parts(), coin.bare.message_parts(), coin.bare.signature
+        ):
             raise InvalidCoinError("broker signature on deposited coin failed to verify")
         if not coin.info.is_spendable(now):
             raise ExpiredCoinError("coin is past its soft expiry and no longer cashable")
         self._check_witness_assignment(coin)
         witness = self._require_merchant(coin.witness_id)
-        if not signed.verify_witness_signature(
-            self.params, witness.public_key, claims, (index, "wsig")
-        ):
+        if not signed.verify_witness_signature(self.params, witness.public_key):
             raise InvalidPaymentError("witness signature on transcript failed to verify")
+        verify_payment_response(self.params, transcript)
 
     def _settle_deposit(
         self, merchant_id: str, signed: SignedTranscript, now: int

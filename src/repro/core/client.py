@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -100,35 +101,56 @@ class PendingPayment:
     nonce: int
 
 
-@dataclass
 class Wallet:
-    """The coin file: holds :class:`StoredCoin` objects, JSON-persistable."""
+    """The coin file: holds :class:`StoredCoin` objects, JSON-persistable.
 
-    coins: list[StoredCoin] = field(default_factory=list)
+    Coins are kept in acquisition order in a dict used as an ordered
+    set, so holding, adding and dropping a coin hash it once instead of
+    comparing it field by field against every other coin held.
+    """
+
+    def __init__(self, coins: Iterable[StoredCoin] = ()) -> None:
+        self._coins: dict[StoredCoin, None] = dict.fromkeys(coins)
+
+    @property
+    def coins(self) -> list[StoredCoin]:
+        """The held coins, oldest first (a copy: change the wallet
+        through :meth:`add` and :meth:`remove`)."""
+        return list(self._coins)
+
+    def __contains__(self, stored: object) -> bool:
+        return stored in self._coins
 
     def add(self, stored: StoredCoin) -> None:
         """Put a fresh coin in the wallet."""
-        self.coins.append(stored)
+        self._coins[stored] = None
 
     def remove(self, stored: StoredCoin) -> None:
-        """Drop a spent/renewed coin."""
-        self.coins.remove(stored)
+        """Drop a spent/renewed coin.
+
+        Raises:
+            ValueError: the coin is not in the wallet.
+        """
+        try:
+            del self._coins[stored]
+        except KeyError:
+            raise ValueError("coin is not in the wallet") from None
 
     def spendable(self, now: int) -> list[StoredCoin]:
         """Coins currently within their spendable window."""
-        return [c for c in self.coins if c.coin.info.is_spendable(now)]
+        return [c for c in self._coins if c.coin.info.is_spendable(now)]
 
     def renewable(self, now: int) -> list[StoredCoin]:
         """Coins past soft expiry (or otherwise unusable) but not yet void."""
         return [
             c
-            for c in self.coins
+            for c in self._coins
             if c.coin.info.is_renewable(now) and not c.coin.info.is_spendable(now)
         ]
 
     def total_value(self) -> int:
         """Sum of denominations in the wallet."""
-        return sum(c.denomination for c in self.coins)
+        return sum(c.denomination for c in self._coins)
 
     def select_coins(self, amount: int, now: int) -> list[StoredCoin]:
         """Pick spendable coins summing to exactly ``amount``.
@@ -164,7 +186,7 @@ class Wallet:
 
     def save(self, path: str | Path) -> None:
         """Write the wallet to a JSON file."""
-        payload = {"version": 1, "coins": [c.to_json() for c in self.coins]}
+        payload = {"version": 1, "coins": [c.to_json() for c in self._coins]}
         Path(path).write_text(json.dumps(payload, indent=2))
 
     @classmethod
@@ -387,7 +409,7 @@ class Client:
 
     def mark_spent(self, stored: StoredCoin) -> None:
         """Remove a successfully spent coin from the wallet."""
-        if stored in self.wallet.coins:
+        if stored in self.wallet:
             self.wallet.remove(stored)
             obs.counter_inc("client_coins_spent_total")
 

@@ -71,6 +71,9 @@ class Merchant:
     deposited: list[SignedTranscript] = field(default_factory=list)
     refused_double_spends: list[DoubleSpendProof] = field(default_factory=list)
     _seen_bare_coins: set[object] = field(default_factory=set)
+    #: Accepted-but-undeposited transcripts, in acceptance order (a dict
+    #: used as an ordered set: membership by hash, not by list scan).
+    _pending: dict[SignedTranscript, None] = field(default_factory=dict)
 
     @property
     def public_key(self) -> int:
@@ -129,6 +132,7 @@ class Merchant:
         if not signed.verify_witness_signature(self.params, witness_public):
             raise InvalidPaymentError("witness signature on transcript failed to verify")
         self.accepted.append(signed)
+        self._pending[signed] = None
         self._seen_bare_coins.add(signed.transcript.coin.bare)
 
     def handle_double_spend_proof(self, proof: DoubleSpendProof, coin: Coin) -> None:
@@ -323,12 +327,13 @@ class Merchant:
         return secrets.randbits(64)
 
     def pending_deposits(self) -> list[SignedTranscript]:
-        """Signed transcripts accepted but not yet deposited."""
-        return [signed for signed in self.accepted if signed not in self.deposited]
+        """Signed transcripts accepted but not yet deposited, oldest first."""
+        return list(self._pending)
 
     def mark_deposited(self, signed: SignedTranscript) -> None:
         """Record a successful deposit."""
         self.deposited.append(signed)
+        self._pending.pop(signed, None)
 
     def _witness_public(self, coin: Coin) -> int:
         """Look up the public key of the coin's witness.

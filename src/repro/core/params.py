@@ -11,7 +11,10 @@ embedded:
   code paths but runs the test suite an order of magnitude faster.
 
 Both sets were produced by :func:`repro.crypto.numbers.generate_group_parameters`
-with fixed seeds and are re-validated on first use.
+with fixed seeds. Re-running Miller–Rabin on them in every process costs
+~0.2 s of a daemon's start, so their SHA-256 digests are pinned in
+:data:`PINNED_DIGESTS` and a tuple matching a pin skips the battery; the
+tier-1 suite runs the full battery on every pinned tuple instead.
 """
 
 from __future__ import annotations
@@ -74,6 +77,22 @@ _TEST_G2 = int(
     16,
 )
 
+#: The embedded ``(p, q, g, g1, g2)`` tuples, by the function serving them.
+EMBEDDED_GROUPS: dict[str, tuple[int, int, int, int, int]] = {
+    "default_params": (_DEFAULT_P, _DEFAULT_Q, _DEFAULT_G, _DEFAULT_G1, _DEFAULT_G2),
+    "test_params": (_TEST_P, _TEST_Q, _TEST_G, _TEST_G1, _TEST_G2),
+}
+
+#: :func:`~repro.crypto.group.params_digest` of every embedded tuple. An
+#: edit to a constant above no longer matches its pin, and that tuple
+#: goes back through :func:`~repro.crypto.group.check_parameters`.
+PINNED_DIGESTS = frozenset(
+    {
+        "17ac9c88fab9e5ce847874eab4912664ae1f3922ee85753d459f0e6f116dc7ca",
+        "4b4a509a09f7f48111955915fe72ea4c5ec199de584c5b06c686d59bae3e5e5c",
+    }
+)
+
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -99,19 +118,20 @@ class SystemParams:
         return 1 << self.witness_hash_bits
 
 
+def _embedded(name: str) -> SystemParams:
+    p, q, g, g1, g2 = EMBEDDED_GROUPS[name]
+    group = SchnorrGroup(p=p, q=q, g=g, g1=g1, g2=g2)
+    group.validate(pinned=PINNED_DIGESTS)
+    return SystemParams(group=group)
+
+
 @lru_cache(maxsize=None)
 def default_params() -> SystemParams:
     """The paper's parameter sizes: 1024-bit ``p``, 160-bit ``q``."""
-    group = SchnorrGroup(
-        p=_DEFAULT_P, q=_DEFAULT_Q, g=_DEFAULT_G, g1=_DEFAULT_G1, g2=_DEFAULT_G2
-    )
-    group.validate()
-    return SystemParams(group=group)
+    return _embedded("default_params")
 
 
 @lru_cache(maxsize=None)
 def test_params() -> SystemParams:
     """A 512-bit group for fast tests; identical code paths, smaller field."""
-    group = SchnorrGroup(p=_TEST_P, q=_TEST_Q, g=_TEST_G, g1=_TEST_G1, g2=_TEST_G2)
-    group.validate()
-    return SystemParams(group=group)
+    return _embedded("test_params")

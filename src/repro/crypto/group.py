@@ -13,7 +13,9 @@ Table 1 benchmark counts ``Exp`` events.
 
 from __future__ import annotations
 
+import hashlib
 import random
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 from repro import perf
@@ -26,6 +28,30 @@ from repro.crypto.numbers import inverse_mod, is_probable_prime, random_scalar
 #: groups reconstructed from wire bytes or pickles skip the three
 #: Miller-Rabin runs and three subgroup checks.
 _VALIDATED_PARAMS: set[tuple[int, int, int, int, int]] = set()
+
+
+def params_digest(p: int, q: int, g: int, g1: int, g2: int) -> str:
+    """SHA-256 over a parameter tuple, the form a validated tuple is pinned in."""
+    return hashlib.sha256(f"{p:x}:{q:x}:{g:x}:{g1:x}:{g2:x}".encode("ascii")).hexdigest()
+
+
+def check_parameters(p: int, q: int, g: int, g1: int, g2: int) -> None:
+    """The full validation battery: three primality/divisibility checks
+    and one subgroup-order check per generator.
+
+    Raises:
+        ValueError: if ``p``/``q`` are not prime, ``q`` does not divide
+            ``p - 1``, or any generator does not have order ``q``.
+    """
+    if not is_probable_prime(p):
+        raise ValueError("p is not prime")
+    if not is_probable_prime(q):
+        raise ValueError("q is not prime")
+    if (p - 1) % q != 0:
+        raise ValueError("q does not divide p - 1")
+    for name, gen in (("g", g), ("g1", g1), ("g2", g2)):
+        if gen in (0, 1) or backend.powmod(gen, q, p) != 1:
+            raise ValueError(f"{name} does not generate the order-q subgroup")
 
 
 @dataclass(frozen=True)
@@ -47,7 +73,7 @@ class SchnorrGroup:
     g2: int
     _validated: bool = field(default=False, repr=False, compare=False)
 
-    def validate(self) -> None:
+    def validate(self, pinned: Collection[str] = ()) -> None:
         """Check the group parameters for consistency.
 
         The result is memoized twice over: on the instance, and in a
@@ -57,6 +83,13 @@ class SchnorrGroup:
         memos are backend-independent and survive
         :func:`repro.crypto.backend.set_backend` switches.
 
+        Args:
+            pinned: :func:`params_digest` values of tuples the caller
+                ships with the code and has run :func:`check_parameters`
+                on ahead of time (a tier-1 test re-runs it on each). A
+                tuple whose digest is among them takes the memoized
+                path; any other runs the full battery.
+
         Raises:
             ValueError: if ``p``/``q`` are not prime, ``q`` does not divide
                 ``p - 1``, or any generator does not have order ``q``.
@@ -65,15 +98,8 @@ class SchnorrGroup:
             return
         key = (self.p, self.q, self.g, self.g1, self.g2)
         if key not in _VALIDATED_PARAMS:
-            if not is_probable_prime(self.p):
-                raise ValueError("p is not prime")
-            if not is_probable_prime(self.q):
-                raise ValueError("q is not prime")
-            if (self.p - 1) % self.q != 0:
-                raise ValueError("q does not divide p - 1")
-            for name, gen in (("g", self.g), ("g1", self.g1), ("g2", self.g2)):
-                if gen in (0, 1) or backend.powmod(gen, self.q, self.p) != 1:
-                    raise ValueError(f"{name} does not generate the order-q subgroup")
+            if params_digest(*key) not in pinned:
+                check_parameters(*key)
             _VALIDATED_PARAMS.add(key)
         # A validated group's generators are the hottest fixed bases in the
         # whole system; mark them for the perf engine's comb tables.

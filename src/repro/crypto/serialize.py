@@ -198,16 +198,18 @@ def pack_batch(
 ) -> dict[str, dict[str, object]]:
     """Frame a sequence of wire mappings as ``{f"{prefix}{i}": item}``.
 
-    The batched RPCs (``withdraw/batch-begin``, ``deposit/batch``, the
-    pipelined deposit stream) all carry their per-item payloads under
-    indexed keys inside one message; this is the single place that index
-    scheme is defined. :func:`batch_indices` is its receiving half.
+    The batched RPCs (``withdraw/batch-begin``, ``deposit/batch``) carry
+    their per-item payloads under indexed keys inside one message; this
+    is the single place that index scheme is defined.
+    :func:`split_batch` is its receiving half.
     """
     return {f"{prefix}{index}": dict(item) for index, item in enumerate(items)}
 
 
-def batch_indices(flat: Mapping[str, object], group: str, prefix: str) -> list[int]:
-    """Recover the sorted item indices of a :func:`pack_batch` group.
+def split_batch(
+    flat: Mapping[str, WireValue], group: str, prefix: str
+) -> list[tuple[int, dict[str, str]]]:
+    """Recover the items of a :func:`pack_batch` group in one pass.
 
     Args:
         flat: a flattened (dotted-key) message mapping.
@@ -215,30 +217,34 @@ def batch_indices(flat: Mapping[str, object], group: str, prefix: str) -> list[i
         prefix: the per-item key prefix (e.g. ``"t"``).
 
     Returns:
-        Sorted, de-duplicated integer indices found under
-        ``{group}.{prefix}N`` keys; non-numeric tails are ignored.
+        ``(index, fields)`` per item, sorted by index: the item's keys
+        with the ``{group}.{prefix}N.`` lead removed and its values as
+        wire text (what ``from_wire`` takes). Keys whose index is not
+        numeric are ignored.
     """
     lead = f"{group}.{prefix}"
-    found: set[int] = set()
-    for key in flat:
+    items: dict[int, dict[str, str]] = {}
+    for key, value in flat.items():
         if not key.startswith(lead):
             continue
-        head = key[len(lead):].split(".", 1)[0]
-        if head.isdigit():
-            found.add(int(head))
-    return sorted(found)
+        head, _, field = key[len(lead):].partition(".")
+        if head.isdigit() and field:
+            items.setdefault(int(head), {})[field] = (
+                int_to_text(value) if isinstance(value, int) else value
+            )
+    return sorted(items.items())
 
 
 __all__ = [
     "KEY_ABBREVIATIONS",
     "abbreviate_key",
-    "batch_indices",
     "decode",
     "encode",
     "expand_key",
     "flatten",
     "int_to_text",
     "pack_batch",
+    "split_batch",
     "text_to_int",
     "unflatten",
     "wire_bytes",

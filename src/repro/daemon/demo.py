@@ -8,7 +8,8 @@ drives the full lifecycle at scripted protocol times:
 * ``t=0``   withdraw a 25¢ coin (two broker rounds);
 * ``t=10``  pay it at ``bob-news`` (commitment at the witness, payment
   at the storefront, storefront countersigning at the witness);
-* ``t=100`` the merchant deposits at the broker (``admin/deposit``);
+* ``t=100`` the merchant deposits at the broker (``admin/deposit``,
+  which drives the batched deposit flow: one ``deposit/batch`` message);
 * ``t=500`` the client replays the *same* coin straight at the witness
   for a colluding storefront (``carol-games``) — and is refused with an
   extraction-based double-spend proof.
@@ -279,7 +280,7 @@ def run_sim_twin(seed: int) -> dict[str, Any]:
     outcomes["paid"] = receipt.amount
 
     _advance_to(dep, float(T_DEPOSIT))
-    results = dep.run(dep.deposit_process(MERCHANT))
+    results = dep.run(dep.batch_deposit_process(MERCHANT))
     outcomes["deposited"] = {
         "count": len(results),
         "outcome": str(results[0]["outcome"]),

@@ -10,8 +10,9 @@ simulated hosts). :class:`BrokerDaemon`, :class:`WitnessDaemon` and
 Byte accounting mirrors the sim: every non-admin request/response is
 recorded on the node's :class:`~repro.net.transport.TrafficMeter` as
 ``len(body) + HTTP_FRAMING_BYTES``, and a per-RPC log keeps the exact
-``(method, request bytes, response bytes, kind)`` tuples so a loopback
-run can be checked against a sim replay of the same scenario.
+``(method, request bytes, response bytes, kind)`` tuples of the most
+recent :data:`RPC_LOG_ENTRIES` calls so a loopback run can be checked
+against a sim replay of the same scenario.
 
 The protocol clock is pinnable over the control plane (``admin/clock``)
 — scripted scenarios pin every daemon to the same protocol second before
@@ -25,7 +26,8 @@ import asyncio
 import os
 import random
 import time
-from typing import Any, Awaitable, Callable, Generator, Mapping
+from collections import deque
+from typing import Any, Awaitable, Generator, Mapping
 
 from repro import obs
 from repro.core.exceptions import EcashError
@@ -48,6 +50,10 @@ from repro.daemon.keys import NodeIdentity
 
 #: Control-plane method prefix; see :data:`repro.daemon.client.ADMIN_PREFIX`.
 from repro.daemon.client import ADMIN_PREFIX
+
+#: Per-RPC log entries a daemon keeps (and ``admin/stats`` returns): a
+#: full ring encodes to well under half the 1 MiB frame cap.
+RPC_LOG_ENTRIES = 4096
 
 
 class DaemonClock:
@@ -111,8 +117,9 @@ class DaemonNode:
         self.transport = transport
         self.meter = transport.meter if transport is not None else TrafficMeter()
         #: One ``{method, request_bytes, response_bytes, kind}`` entry per
-        #: protocol RPC served, in completion order.
-        self.rpc_log: list[dict[str, Any]] = []
+        #: protocol RPC served, in completion order; the oldest entries
+        #: fall off once :data:`RPC_LOG_ENTRIES` are held.
+        self.rpc_log: deque[dict[str, Any]] = deque(maxlen=RPC_LOG_ENTRIES)
         self.handlers: dict[str, registry.Handler] = dict(handlers)
         for method, handler in self._admin_handlers().items():
             if method in self.handlers:
@@ -122,6 +129,8 @@ class DaemonNode:
         self._server: asyncio.Server | None = None
         self._shutdown = asyncio.Event()
         self._tasks: set[asyncio.Task[Any]] = set()
+        #: Open connections: the task serving each and its writer.
+        self._connections: dict[asyncio.Task[Any], asyncio.StreamWriter] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -143,13 +152,24 @@ class DaemonNode:
         await self.stop()
 
     async def stop(self) -> None:
-        """Close the listener, open tasks and outbound connections."""
+        """Close the listener, open tasks and outbound connections.
+
+        Returns only once every connection and handler task has ended:
+        a task still pending when the loop closes is cancelled by the
+        loop itself, which the stream machinery reports on stderr.
+        """
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        for task in list(self._tasks):
+        # A closed writer ends its connection's read loop normally.
+        for writer in self._connections.values():
+            writer.close()
+        for task in self._tasks:
             task.cancel()
+        await asyncio.gather(
+            *self._connections, *self._tasks, return_exceptions=True
+        )
         if self.transport is not None:
             await self.transport.close()
 
@@ -159,13 +179,24 @@ class DaemonNode:
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        assert task is not None
+        self._connections[task] = writer
+        try:
+            await self._serve_peer(reader, writer)
+        finally:
+            writer.close()
+            del self._connections[task]
+
+    async def _serve_peer(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
         try:
             peer = await server_handshake(
                 reader, writer, self.identity, self.authorized, self._rng
             )
         except (HandshakeError, FrameError, ConnectionError, ValueError):
             obs.counter_inc("daemon_handshake_rejected_total")
-            writer.close()
             return
         obs.counter_inc("daemon_connections_total", peer=peer)
         send_lock = asyncio.Lock()
@@ -181,8 +212,6 @@ class DaemonNode:
                 task.add_done_callback(self._tasks.discard)
         except (FrameError, ConnectionError):
             pass
-        finally:
-            writer.close()
 
     async def _run_handler(self, handler: registry.Handler, payload: dict[str, Any]) -> Any:
         # Handlers run the synchronous protocol core (journal writes
@@ -408,9 +437,10 @@ class MerchantDaemon:
     together: the dispatch table carries both, and the ``pay`` handler's
     nested ``witness/sign`` call travels over this daemon's outbound
     transport to whichever daemon serves the coin's witness. The
-    control-plane ``admin/deposit`` drives the shared deposit flow to the
-    broker, so settlement bytes land on this node's meter exactly as the
-    sim's deposit process charges its merchant node.
+    control-plane ``admin/deposit`` drives the shared batched deposit flow
+    to the broker (one ``deposit/batch`` per 32 pending transcripts), so
+    settlement bytes land on this node's meter exactly as the sim's
+    batch deposit process charges its merchant node.
     """
 
     def __init__(
@@ -453,9 +483,9 @@ class MerchantDaemon:
         )
 
     async def _admin_deposit(self, payload: dict[str, Any]) -> dict[str, Any]:
-        """Drive the deposit flow to the broker; returns indexed outcomes."""
+        """Drive the batched deposit flow to the broker; returns indexed outcomes."""
         del payload
-        flow = registry.deposit_flow(
+        flow = registry.batch_deposit_flow(
             self._system.merchant(self.merchant_id), self.merchant_id, self._broker_id
         )
         results = await self.transport.run_flow(self.merchant_id, flow)

@@ -280,7 +280,7 @@ def _scenario_corrupt(seed: int) -> ScenarioResult:
     # Wait out the first commitment's lifetime, then retry cleanly.
     deployment.sim.schedule(200.0, lambda: None)
     deployment.sim.run()
-    if stored in deployment.clients[CLIENT].wallet.coins:
+    if stored in deployment.clients[CLIENT].wallet:
         outcomes.append(f"payment-retry: {_pay(deployment, stored, merchant_id)}")
     outcomes.extend(_settle(system, deployment))
     return _finish("corrupt-payment", seed, outcomes, checker, injector)

@@ -54,7 +54,7 @@ _KEY_AWARE_HELPERS: frozenset[str] = frozenset(
         "flatten",
         "unflatten",
         "strip_prefix",
-        "batch_indices",
+        "split_batch",
         "len",
         "sorted",
         "list",
@@ -642,8 +642,8 @@ class _FunctionExtractor:
                 self._record_read(
                     base.id, normalize_pattern(f"{prefix}*"), node.lineno
                 )
-        if terminal == "batch_indices" and len(node.args) >= 3:
-            base = node.args[0]
+        if terminal == "split_batch" and len(node.args) >= 3:
+            base = _unwrap_flatten(node.args[0])
             group_key = string_pattern(node.args[1])
             item_key = string_pattern(node.args[2])
             if isinstance(base, ast.Name) and group_key and item_key is not None:

@@ -31,7 +31,7 @@ accounting against the sim's.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Mapping, Protocol
+from typing import Any, Callable, Generator, Mapping, Protocol, Sequence
 
 from repro.core.broker import Broker
 from repro.core.client import Client, StoredCoin
@@ -50,10 +50,10 @@ from repro.core.witness import WitnessService
 from repro.core.witness_ranges import WitnessAssignmentTable
 from repro.crypto.blind import SignerChallenge, SignerResponse
 from repro.crypto.serialize import (
-    batch_indices,
     flatten,
     int_to_text,
     pack_batch,
+    split_batch,
     text_to_int,
 )
 
@@ -84,6 +84,13 @@ BROKER_METHODS: tuple[str, ...] = (
 )
 WITNESS_METHODS: tuple[str, ...] = ("witness/commit", "witness/sign")
 MERCHANT_METHODS: tuple[str, ...] = ("pay",)
+
+#: Transcripts per ``deposit/batch`` call. A batch is the broker's
+#: durability unit (one WAL commit), so the size bounds both the frame —
+#: about 75 KB at the paper's 1024-bit group against the daemons' 1 MiB
+#: frame cap — and the deposits a merchant redoes when the broker dies
+#: before a batch's commit marker is durable.
+DEPOSIT_BATCH_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -177,17 +184,14 @@ def broker_dispatch(broker: Broker, clock: Clock) -> dict[str, Handler]:
         return {"outcome": result.outcome.value, "amount": result.amount}
 
     def deposit_batch(payload: dict[str, Any]) -> dict[str, Any]:
-        flat = flatten(payload)
-        indices = batch_indices(flat, "batch", "t")
-        signed_items = [
-            SignedTranscript.from_wire(strip_prefix(flat, f"batch.t{index}."))
-            for index in indices
-        ]
+        batch = split_batch(flatten(payload), "batch", "t")
         results = broker.deposit_batch(
-            str(payload["merchant_id"]), signed_items, clock()
+            str(payload["merchant_id"]),
+            [SignedTranscript.from_wire(fields) for _, fields in batch],
+            clock(),
         )
         out: dict[str, Any] = {}
-        for index, result in zip(indices, results):
+        for (index, _), result in zip(batch, results):
             if isinstance(result, Exception):
                 out[f"r{index}"] = {
                     "kind": type(result).__name__,
@@ -201,11 +205,8 @@ def broker_dispatch(broker: Broker, clock: Clock) -> dict[str, Handler]:
         return out
 
     def withdraw_batch_begin(payload: dict[str, Any]) -> dict[str, Any]:
-        flat = flatten(payload)
-        indices = batch_indices(flat, "batch", "i")
-        infos = [
-            CoinInfo.from_wire(strip_prefix(flat, f"batch.i{index}.")) for index in indices
-        ]
+        batch = split_batch(flatten(payload), "batch", "i")
+        infos = [CoinInfo.from_wire(fields) for _, fields in batch]
         ticket, challenges = broker.begin_batch_withdrawal(infos)
         out: dict[str, Any] = {"ticket": ticket}
         for index, challenge in enumerate(challenges):
@@ -432,6 +433,56 @@ def deposit_flow(merchant: Merchant, merchant_id: str, broker_id: str) -> Flow:
     return results
 
 
+def batch_deposit_flow(
+    merchant: Merchant,
+    merchant_id: str,
+    broker_id: str,
+    transcripts: Sequence[SignedTranscript] | None = None,
+) -> Flow:
+    """Algorithm 3 as a merchant drains it: many transcripts per message.
+
+    Packs ``transcripts`` (default: everything the merchant has pending)
+    into ``deposit/batch`` calls of at most :data:`DEPOSIT_BATCH_SIZE`.
+    The broker verifies every item as ``deposit`` would and settles each
+    call as one durability unit, so a call either replies — accepted
+    items are marked deposited, rejected ones stay pending — or fails
+    whole, leaving its transcripts pending for a retry.
+
+    Returns:
+        Per transcript, in order: ``{"outcome", "amount"}`` when the
+        broker credited it, else ``{"error", "kind"}``.
+    """
+    pending = merchant.pending_deposits() if transcripts is None else transcripts
+    results: list[dict[str, Any]] = []
+    for start in range(0, len(pending), DEPOSIT_BATCH_SIZE):
+        chunk = pending[start : start + DEPOSIT_BATCH_SIZE]
+        reply = flatten(
+            (yield RemoteCall(
+                broker_id,
+                "deposit/batch",
+                {
+                    "merchant_id": merchant_id,
+                    "batch": pack_batch("t", [signed.to_wire() for signed in chunk]),
+                },
+            ))
+        )
+        for index, signed in enumerate(chunk):
+            outcome = reply.get(f"r{index}.outcome")
+            if outcome is None:
+                results.append(
+                    {
+                        "error": str(reply.get(f"r{index}.error", "unknown")),
+                        "kind": str(reply.get(f"r{index}.kind", "EcashError")),
+                    }
+                )
+                continue
+            merchant.mark_deposited(signed)
+            results.append(
+                {"outcome": str(outcome), "amount": as_int(reply[f"r{index}.amount"])}
+            )
+    return results
+
+
 def renewal_flow(
     client: Client,
     broker_id: str,
@@ -511,6 +562,7 @@ def as_int(value: Any) -> int:
 __all__ = [
     "BROKER_METHODS",
     "Clock",
+    "DEPOSIT_BATCH_SIZE",
     "Flow",
     "Handler",
     "MERCHANT_METHODS",
@@ -520,6 +572,7 @@ __all__ = [
     "WITNESS_METHODS",
     "as_int",
     "as_text",
+    "batch_deposit_flow",
     "broker_dispatch",
     "deposit_flow",
     "direct_spend_flow",

@@ -319,14 +319,11 @@ class NetworkDeployment:
     def batch_deposit_process(
         self, merchant_id: str
     ) -> Generator[Any, Any, list[dict[str, Any]]]:
-        """Algorithm 3 over the network, batched: one RPC for all pending.
+        """Algorithm 3 over the network, batched: one RPC per 32 pending.
 
-        All of the merchant's pending transcripts travel in a single
-        ``deposit/batch`` message and the broker clears them through
-        :meth:`repro.core.broker.Broker.deposit_batch` (one combined
-        representation check instead of one per transcript). Transcripts
-        the broker rejected stay pending; accepted ones are marked
-        deposited.
+        Drives :func:`repro.net.registry.batch_deposit_flow` — the flow a
+        storefront daemon's ``admin/deposit`` runs. Transcripts the
+        broker rejected stay pending; accepted ones are marked deposited.
         """
         return self._traced(
             "net.batch_deposit",
@@ -335,41 +332,14 @@ class NetworkDeployment:
         )
 
     def _batch_deposit_steps(
-        self, merchant_id: str
+        self,
+        merchant_id: str,
+        transcripts: list[SignedTranscript] | None = None,
     ) -> Generator[Any, Any, list[dict[str, Any]]]:
-        merchant = self.system.merchant(merchant_id)
-        pending = list(merchant.pending_deposits())
-        if not pending:
-            return []
-        reply = flatten(
-            (yield self.network.rpc(
-                merchant_id,
-                BROKER_NODE,
-                "deposit/batch",
-                {
-                    "merchant_id": merchant_id,
-                    "batch": pack_batch("t", [signed.to_wire() for signed in pending]),
-                },
-            ))
+        flow = registry.batch_deposit_flow(
+            self.system.merchant(merchant_id), merchant_id, BROKER_NODE, transcripts
         )
-        results: list[dict[str, Any]] = []
-        for index, signed in enumerate(pending):
-            outcome = reply.get(f"r{index}.outcome")
-            if outcome is not None:
-                merchant.mark_deposited(signed)
-                results.append(
-                    {
-                        "outcome": str(outcome),
-                        "amount": _as_int(reply[f"r{index}.amount"]),
-                    }
-                )
-            else:
-                results.append(
-                    {
-                        "error": str(reply.get(f"r{index}.error", "unknown")),
-                        "kind": str(reply.get(f"r{index}.kind", "EcashError")),
-                    }
-                )
+        results = yield from self._drive(merchant_id, flow)
         return results
 
     # ------------------------------------------------------------------
@@ -466,43 +436,13 @@ class NetworkDeployment:
     def _stream_flush_steps(
         self, merchant_id: str, drain_all: bool = False
     ) -> Generator[Any, Any, list[dict[str, Any]]]:
-        merchant = self.system.merchant(merchant_id)
         pipeline = self.deposit_streams[merchant_id]
         results: list[dict[str, Any]] = []
         while True:
             items = pipeline.drain_all() if drain_all else pipeline.drain()
             if not items:
                 break
-            reply = flatten(
-                (yield self.network.rpc(
-                    merchant_id,
-                    BROKER_NODE,
-                    "deposit/batch",
-                    {
-                        "merchant_id": merchant_id,
-                        "batch": pack_batch(
-                            "t", [signed.to_wire() for signed in items]
-                        ),
-                    },
-                ))
-            )
-            for index, signed in enumerate(items):
-                outcome = reply.get(f"r{index}.outcome")
-                if outcome is not None:
-                    merchant.mark_deposited(signed)
-                    results.append(
-                        {
-                            "outcome": str(outcome),
-                            "amount": _as_int(reply[f"r{index}.amount"]),
-                        }
-                    )
-                else:
-                    results.append(
-                        {
-                            "error": str(reply.get(f"r{index}.error", "unknown")),
-                            "kind": str(reply.get(f"r{index}.kind", "EcashError")),
-                        }
-                    )
+            results.extend((yield from self._batch_deposit_steps(merchant_id, items)))
             if not drain_all and not pipeline.ready(self.sim.now):
                 break
         self.deposit_stream_results.setdefault(merchant_id, []).extend(results)

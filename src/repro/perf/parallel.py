@@ -271,9 +271,9 @@ def _certified_failures(claims: Any, p: int, q: int, rng: Any) -> dict[int, str]
 def run_deposit_chunk(task: DepositChunkTask) -> list[ItemOutcome]:
     """Execute one deposit chunk (worker side, also the serial fallback).
 
-    Mirrors the engine-on path of
-    :meth:`repro.core.broker.Broker.deposit_batch` for everything up to
-    settlement: per-item structure checks, the declared 3-``Exp``
+    Step 1 of Algorithm 3 for every item of the chunk — the checks of
+    :meth:`repro.core.broker.Broker._verify_deposit`, same verdicts and
+    logical op counts: per-item structure checks, the declared 3-``Exp``
     representation cost, one BGR batch over the chunk, and the exact
     per-item rescue naming culprits when the batch fails. Settlement
     (ledger and transcript-database effects) stays with the caller.
@@ -523,11 +523,10 @@ def verify_deposit_structure(
 ) -> None:
     """Algorithm 3 step 1 minus the representation check, state-free.
 
-    The exact logic of
-    :meth:`repro.core.broker.Broker._verify_deposit_structure` expressed
-    over an explicit state snapshot, so the broker process and pool
-    workers run the same checks in the same order (same exceptions, same
-    logical op counts). Chunk runners thread a
+    The checks of :meth:`repro.core.broker.Broker._verify_deposit` ahead
+    of its representation check, expressed over an explicit state
+    snapshot, so the broker process and pool workers run the same checks
+    in the same order (same exceptions, same logical op counts). Chunk runners thread a
     :class:`~repro.perf.batch.ClaimSet` plus the item's chunk ``index``
     through so the signature fast paths register their recovery claims
     under ``(index, stage)`` tokens.

@@ -79,6 +79,25 @@ class TestWallet:
         with pytest.raises(ValueError):
             Wallet.load(path)
 
+    def test_coins_keep_acquisition_order_across_removals(self, system):
+        client = system.new_client()
+        held = [
+            run_withdrawal(client, system.broker, system.standard_info(25, now=0))
+            for _ in range(4)
+        ]
+        assert client.wallet.coins == held
+        client.mark_spent(held[1])
+        client.mark_spent(held[1])  # already gone: not an error
+        assert client.wallet.coins == [held[0], held[2], held[3]]
+        assert held[1] not in client.wallet and held[2] in client.wallet
+        with pytest.raises(ValueError):
+            client.wallet.remove(held[1])
+        client.wallet.add(held[1])
+        assert client.wallet.coins == [held[0], held[2], held[3], held[1]]
+        # The list is a copy: the wallet changes through add/remove only.
+        client.wallet.coins.clear()
+        assert client.wallet.total_value() == 100
+
     def test_spendable_renewable_filters(self, system):
         client = system.new_client()
         stored = run_withdrawal(client, system.broker, system.standard_info(25, now=0))

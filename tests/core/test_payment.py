@@ -12,7 +12,14 @@ from repro.core.exceptions import (
 )
 from repro.core.merchant import PaymentRequest
 from repro.core.protocols import run_payment, run_withdrawal
-from repro.core.transcripts import CommitmentRequest, PaymentTranscript, WitnessCommitment
+from repro.core.transcripts import (
+    CommitmentRequest,
+    PaymentTranscript,
+    SignedTranscript,
+    WitnessCommitment,
+)
+from repro.crypto.serialize import flatten
+from repro.net.registry import strip_prefix
 from tests.conftest import other_merchant
 
 
@@ -30,6 +37,31 @@ def test_happy_path(system, payment_parties):
     assert stored not in client.wallet.coins
     assert merchant.pending_deposits() == [signed]
     assert witness.has_seen(stored.coin.digest(system.params))
+
+
+def test_pending_deposits_keep_acceptance_order_as_deposits_are_marked(system):
+    client = system.new_client()
+    signed = []
+    while len(signed) < 4:
+        stored = run_withdrawal(client, system.broker, system.standard_info(25, now=0))
+        if stored.coin.witness_id == "alice-books":
+            client.wallet.remove(stored)
+            continue
+        signed.append(
+            run_payment(
+                client, stored, system.merchant("alice-books"), system.witness_of(stored), 10
+            )
+        )
+    merchant = system.merchant("alice-books")
+    assert merchant.pending_deposits() == signed
+    # An equal copy (a transcript that came back over the wire) counts.
+    copy = SignedTranscript.from_wire(strip_prefix(flatten(signed[2].to_wire()), ""))
+    assert copy is not signed[2]
+    merchant.mark_deposited(copy)
+    merchant.mark_deposited(signed[0])
+    assert merchant.pending_deposits() == [signed[1], signed[3]]
+    assert merchant.accepted == signed
+    assert merchant.deposited == [signed[2], signed[0]]
 
 
 def test_payment_at_witness_itself(system, funded_client):

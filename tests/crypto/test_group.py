@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.core.params import EMBEDDED_GROUPS, PINNED_DIGESTS
 from repro.core.params import test_params as make_test_params
 from repro.crypto.counters import OpCounter
-from repro.crypto.group import SchnorrGroup
+from repro.crypto.group import SchnorrGroup, check_parameters, params_digest
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +75,27 @@ def test_validate_memoizes_success(group):
     with pytest.raises(ValueError):
         bad.validate()
     assert not bad._validated
+
+
+def test_every_pinned_tuple_passes_the_full_battery():
+    """The pins let processes skip the battery, so it runs here instead:
+    every pin is an embedded tuple and every embedded tuple validates."""
+    digests = {params_digest(*values) for values in EMBEDDED_GROUPS.values()}
+    assert digests == PINNED_DIGESTS
+    for values in EMBEDDED_GROUPS.values():
+        check_parameters(*values)  # must not raise
+
+
+@pytest.mark.parametrize("name", sorted(EMBEDDED_GROUPS))
+@pytest.mark.parametrize("position", [0, 2], ids=["p", "g"])
+@pytest.mark.parametrize("bit", [0, 77])
+def test_one_bit_off_a_pinned_tuple_is_neither_pinned_nor_accepted(name, position, bit):
+    values = list(EMBEDDED_GROUPS[name])
+    values[position] ^= 1 << bit
+    assert params_digest(*values) not in PINNED_DIGESTS
+    p, q, g, g1, g2 = values
+    with pytest.raises(ValueError):
+        SchnorrGroup(p=p, q=q, g=g, g1=g1, g2=g2).validate(pinned=PINNED_DIGESTS)
 
 
 def test_scalar_inverse(group):

@@ -11,6 +11,8 @@ from repro.crypto.serialize import (
     expand_key,
     flatten,
     int_to_text,
+    pack_batch,
+    split_batch,
     text_to_int,
     unflatten,
     wire_bytes,
@@ -107,3 +109,26 @@ def test_wire_bytes_counts_encoded_length():
 def test_encode_decode_property(payload):
     decoded = decode(encode(payload))
     assert set(decoded) == {expand_key(abbreviate_key(k)) for k in payload}
+
+
+def test_split_batch_is_the_receiving_half_of_pack_batch():
+    items = [{"a": index, "nested": {"leaf": f"v{index}"}} for index in range(12)]
+    message = {"who": "m", "batch": pack_batch("t", items), "batchx": {"t0": {"a": 9}}}
+    expected = [
+        (index, {"a": int_to_text(index), "nested.leaf": f"v{index}"}) for index in range(12)
+    ]
+    # Straight from the sender (ints) and after a trip over the wire (text).
+    assert split_batch(flatten(message), "batch", "t") == expected
+    assert split_batch(decode(encode(message)), "batch", "t") == expected
+
+
+def test_split_batch_orders_by_index_and_skips_foreign_keys():
+    flat = {
+        "batch.t10.a": "x",
+        "batch.t2.a": "y",
+        "batch.tail.a": "not an item",
+        "batch.i0.a": "another group",
+        "batch.t3": "no field",
+    }
+    assert split_batch(flat, "batch", "t") == [(2, {"a": "y"}), (10, {"a": "x"})]
+    assert split_batch(flat, "batch", "z") == []

@@ -150,7 +150,7 @@ def test_byte_accounting_mirrors_sim_arithmetic():
                 wire.message_size(response),
                 wire.message_size(request),
             )
-            assert loop.node.rpc_log == [
+            assert list(loop.node.rpc_log) == [
                 {
                     "method": "echo",
                     "request_bytes": wire.message_size(request),
@@ -169,7 +169,7 @@ def test_admin_calls_are_unmetered():
             assert reply["name"] == "server"
             assert loop.meter.snapshot() == (0, 0)
             assert loop.node.meter.snapshot() == (0, 0)
-            assert loop.node.rpc_log == []
+            assert list(loop.node.rpc_log) == []
 
     asyncio.run(scenario())
 

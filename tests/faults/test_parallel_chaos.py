@@ -63,7 +63,7 @@ def test_streamed_deposits_flush_on_simulated_clock(forced_shared_pool, params):
         info = system.standard_info(25, now=dep.now())
         stored = dep.run(dep.withdrawal_process("client-0", info))
         if stored.coin.witness_id == merchant_id:
-            dep.clients["client-0"].wallet.coins.remove(stored)
+            dep.clients["client-0"].wallet.remove(stored)
             continue
         dep.run(dep.payment_process("client-0", stored, merchant_id))
         signed = system.merchant(merchant_id).pending_deposits()[-1]

@@ -104,6 +104,44 @@ def test_wire_schema_clean_twin_has_no_findings(tmp_path: Path) -> None:
     assert findings == []
 
 
+def test_wire_schema_split_batch_decodes_a_packed_group(tmp_path: Path) -> None:
+    """``split_batch`` is the receiving half of ``pack_batch``: it reads
+    the group's keys, so the sender's ``batch.t*`` is not stray — while
+    a handler that ignores the group still is."""
+    registry = """
+        SERVER_METHODS = ("do/batch", "do/drop")
+
+        def build(server):
+            def do_batch(payload):
+                batch = split_batch(flatten(payload), "batch", "t")
+                return {"count": len(batch) + int(payload["who"])}
+
+            def do_drop(payload):
+                return {"count": int(payload["who"])}
+
+            return {"do/batch": do_batch, "do/drop": do_drop}
+    """
+    flows = """
+        def batch_flow(node, rpc, items):
+            reply = rpc("do/batch", {"who": 1, "batch": pack_batch("t", items)})
+            return reply["count"]
+
+        def drop_flow(node, rpc, items):
+            reply = rpc("do/drop", {"who": 1, "batch": pack_batch("t", items)})
+            return reply["count"]
+    """
+    findings = _run(
+        tmp_path,
+        {"wire/registry.py": registry, "wire/flows.py": flows},
+        _wire_config(),
+        "wire-schema",
+    )
+    assert [f.message for f in findings] == [
+        "key 'batch.t*' sent with 'do/drop' is never decoded by its handler "
+        "(stray wire key)"
+    ]
+
+
 def test_wire_schema_informational_reply_is_not_dead(tmp_path: Path) -> None:
     """A reply nobody reads at all is fire-and-forget, not a mismatch."""
     findings = _run(

@@ -107,6 +107,92 @@ class TestFlowsOverSim:
         assert refusal.value.proof.verify(system.params, stored.coin)
 
 
+class TestBatchDepositFlow:
+    """The flow's framing, driven by hand: no broker, scripted replies."""
+
+    class Storefront:
+        def __init__(self, count):
+            self.pending = [self.Transcript(index) for index in range(count)]
+            self.deposited = []
+
+        class Transcript:
+            def __init__(self, index):
+                self.index = index
+
+            def to_wire(self):
+                return {"n": self.index}
+
+        def pending_deposits(self):
+            return list(self.pending)
+
+        def mark_deposited(self, signed):
+            self.pending.remove(signed)
+            self.deposited.append(signed)
+
+    def drive(self, flow, answer):
+        calls = []
+        try:
+            call = next(flow)
+            while True:
+                calls.append(call)
+                call = flow.send(answer(call))
+        except StopIteration as stop:
+            return calls, stop.value
+
+    def test_seventy_pending_travel_as_32_32_6(self):
+        shop = self.Storefront(70)
+
+        def credit_all(call):
+            return {
+                key.replace("t", "r"): {"outcome": "credited", "amount": item["n"]}
+                for key, item in call.payload["batch"].items()
+            }
+
+        calls, results = self.drive(
+            registry.batch_deposit_flow(shop, "shop", "broker"), credit_all
+        )
+        assert [(c.destination, c.method) for c in calls] == [("broker", "deposit/batch")] * 3
+        assert [len(c.payload["batch"]) for c in calls] == [32, 32, 6]
+        assert all(c.payload["merchant_id"] == "shop" for c in calls)
+        assert max(len(c.payload["batch"]) for c in calls) == registry.DEPOSIT_BATCH_SIZE
+        # Results and marks follow acceptance order across the chunks.
+        assert results == [{"outcome": "credited", "amount": n} for n in range(70)]
+        assert [t.index for t in shop.deposited] == list(range(70))
+        assert not shop.pending
+
+    def test_rejected_items_stay_pending(self):
+        shop = self.Storefront(3)
+
+        def reject_middle(call):
+            return {
+                "r0": {"outcome": "credited", "amount": 1},
+                "r1": {"kind": "InvalidPaymentError", "error": "bad proof"},
+                "r2": {"outcome": "credited", "amount": 1},
+            }
+
+        _, results = self.drive(
+            registry.batch_deposit_flow(shop, "shop", "broker"), reject_middle
+        )
+        assert results[1] == {"error": "bad proof", "kind": "InvalidPaymentError"}
+        assert [t.index for t in shop.pending] == [1]
+
+    def test_explicit_transcripts_override_the_pending_list(self):
+        shop = self.Storefront(5)
+        calls, _ = self.drive(
+            registry.batch_deposit_flow(shop, "shop", "broker", shop.pending[3:]),
+            lambda call: {},
+        )
+        assert [sorted(c.payload["batch"]) for c in calls] == [["t0", "t1"]]
+        assert [item["n"] for item in calls[0].payload["batch"].values()] == [3, 4]
+
+    def test_nothing_pending_sends_nothing(self):
+        calls, results = self.drive(
+            registry.batch_deposit_flow(self.Storefront(0), "shop", "broker"),
+            lambda call: {},
+        )
+        assert calls == [] and results == []
+
+
 class TestWireKeyHygiene:
     """Payload keys must survive an encode/decode round-trip.
 

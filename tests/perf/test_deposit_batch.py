@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from repro import perf
+from repro.analysis.opcount import PAPER_TABLE1
 from repro.core.broker import DepositOutcome, DepositResult
 from repro.core.exceptions import DoubleDepositError, InvalidPaymentError
 from repro.core.protocols import run_payment, run_withdrawal
@@ -127,3 +128,6 @@ def test_logical_op_counts_match_per_item_deposits(params, enabled):
         with counting(OpCounter()) as batch_counter:
             batch_system.broker.deposit_batch(MERCHANT, batch_items, NOW)
     assert batch_counter.snapshot() == loop_counter.snapshot()
+    # ... which is the broker's deposit row of Table 1, once per item.
+    exp, hashes, sig, ver = PAPER_TABLE1[("Deposit", "Broker")]
+    assert batch_counter.snapshot() == (3 * exp, 3 * hashes, 3 * sig, 3 * ver)
