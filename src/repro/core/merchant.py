@@ -2,8 +2,10 @@
 
 Step 3 of the payment protocol is the merchant's big verification moment:
 broker signature on the coin, witness assignment, witness commitment
-(binding via the nonce), and the representation NIZK. Only then does it
-forward the transcript to the witness; only with the witness's signature in
+(binding via the nonce), and the representation NIZK. Only a request that
+passed all of it is accepted (a transport may put the transcript on the
+wire to the witness while the checks run — see
+:meth:`Merchant.may_forward_early`); only with the witness's signature in
 hand does it deliver the service; and the signed transcript is what it
 later cashes at the broker (Algorithm 3).
 """
@@ -79,6 +81,30 @@ class Merchant:
     def public_key(self) -> int:
         """The merchant's signature-verification key."""
         return self.keypair.public
+
+    def may_forward_early(self, request: PaymentRequest, now: int) -> bool:
+        """Whether the transcript may go to the witness before it is verified.
+
+        Comparisons only — no ``Exp``, ``Hash`` or ``Ver`` — over every
+        check of :meth:`verify_payment_request` that an *honest* payer's
+        request can fail: wrong shop, unknown witness, a commitment from
+        another witness, a slow payer (expired commitment), an expired
+        coin, a replay at this storefront. When it holds, what is left —
+        broker signature, range entry, commitment hash/nonce/signature,
+        NIZK — fails only for a payer who forged the request, and that
+        payer can burn the same coin by calling the witness directly. It
+        grants nothing: :meth:`verify_payment_request` still runs whole.
+        """
+        coin = request.transcript.coin
+        commitment = request.commitment
+        return (
+            request.transcript.merchant_id == self.merchant_id
+            and coin.witness_id in self.witness_keys
+            and commitment.witness_id == coin.witness_id
+            and now < commitment.expires_at
+            and coin.info.is_spendable(now)
+            and coin.bare not in self._seen_bare_coins
+        )
 
     def verify_payment_request(self, request: PaymentRequest, now: int) -> None:
         """Run every local check of step 3 before involving the witness.

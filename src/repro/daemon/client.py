@@ -8,6 +8,14 @@ are never retried automatically — a payment that timed out may have
 been applied remotely, and the protocol layer (coin renewal, deposit
 reconciliation) owns that recovery, exactly as in the sim.
 
+There is one send path, :meth:`PeerConnection.begin`: it writes the
+request frame synchronously and returns the task that resolves with the
+reply, so a caller may compute between the send and the wait
+(:meth:`PeerConnection.request` is ``await begin(...)``). A connection
+whose receive loop has ended is *lost*: its pending calls fail with
+:class:`~repro.core.exceptions.ServiceUnavailableError` and
+:class:`SocketTransport` replaces it on the next call.
+
 :class:`SocketTransport` is the :class:`repro.net.registry.Transport`
 implementation for real sockets: it drives the shared ``*_flow``
 generators, performing each yielded
@@ -20,9 +28,12 @@ client's side of every exchange.
 from __future__ import annotations
 
 import asyncio
+import functools
+import itertools
 import os
 import random
-from typing import Any, Mapping
+import time
+from typing import Any, Callable, Mapping
 
 from repro import obs
 from repro.core.exceptions import ServiceUnavailableError
@@ -37,8 +48,8 @@ from repro.daemon.framing import (
     KIND_ERROR,
     KIND_REQUEST,
     KIND_RESPONSE,
+    encode_frame,
     read_frame,
-    write_frame,
 )
 from repro.daemon.keys import NodeIdentity
 
@@ -51,6 +62,17 @@ DEFAULT_CONNECT_ATTEMPTS = 5
 #: Methods under this prefix are control-plane traffic: never metered,
 #: so protocol byte accounting matches the sim's exactly.
 ADMIN_PREFIX = "admin/"
+
+
+def _clock_from(first: float) -> Callable[[], float]:
+    """A span clock whose first reading is ``first``.
+
+    A call's ``daemon.call`` span is opened by its reply task, which
+    first runs when the caller next yields to the loop; the call began
+    at the write.
+    """
+    readings = itertools.chain((first,), iter(time.perf_counter, None))
+    return lambda: next(readings)
 
 
 class PeerConnection:
@@ -69,7 +91,6 @@ class PeerConnection:
         self._meter = meter
         self._next_id = 1
         self._pending: dict[int, asyncio.Future[Frame]] = {}
-        self._send_lock = asyncio.Lock()
         self._receiver = asyncio.create_task(self._receive_loop())
         self._closed = False
 
@@ -123,32 +144,48 @@ class PeerConnection:
             f"could not reach {peer_name!r} at {host}:{port}: {last_error}"
         )
 
+    @property
+    def lost(self) -> bool:
+        """True once the receive loop has ended: no reply can arrive."""
+        return self._receiver.done()
+
     async def _receive_loop(self) -> None:
+        reason = "closed"
         try:
             while True:
                 frame = await read_frame(self._reader)
                 waiter = self._pending.pop(frame.request_id, None)
                 if waiter is not None and not waiter.done():
                     waiter.set_result(frame)
-        except (FrameError, ConnectionError, asyncio.CancelledError) as error:
+        except (FrameError, OSError) as error:
+            reason = str(error)
+        finally:
+            # However the loop ends — peer gone, stream broken, close() —
+            # nothing will answer the calls still waiting.
             for waiter in self._pending.values():
                 if not waiter.done():
                     waiter.set_exception(
                         ServiceUnavailableError(
-                            f"connection to {self.peer_name!r} lost: {error}"
+                            f"connection to {self.peer_name!r} lost: {reason}"
                         )
                     )
             self._pending.clear()
 
-    async def request(
+    def begin(
         self,
         method: str,
         payload: dict[str, Any],
         timeout: float | None = None,
-    ) -> dict[str, Any]:
-        """Perform one RPC; returns the (nested, text-valued) reply payload.
+    ) -> asyncio.Task[dict[str, Any]]:
+        """Put one request on the wire; the returned task is its reply.
 
-        Raises:
+        Synchronous, so the caller can go on computing while the peer
+        works: ``StreamWriter.write`` hands the frame to the socket at
+        once when nothing is queued before it. Awaiting the task waits
+        for the (nested, text-valued) reply payload; cancelling it
+        abandons the call — a reply that still arrives is dropped.
+
+        The task raises:
             EcashError subclass: the remote handler refused (rebuilt from
                 the typed error frame).
             ServiceUnavailableError: timeout or connection loss.
@@ -156,33 +193,93 @@ class PeerConnection:
         body = wire.request_body(method, payload)
         request_id = self._next_id
         self._next_id += 1
-        waiter: asyncio.Future[Frame] = asyncio.get_running_loop().create_future()
-        self._pending[request_id] = waiter
+        loop = asyncio.get_running_loop()
+        waiter: asyncio.Future[Frame] = loop.create_future()
         metered = not method.startswith(ADMIN_PREFIX)
-        async with self._send_lock:
-            await write_frame(
-                self._writer,
-                Frame(kind=KIND_REQUEST, request_id=request_id, body=body),
+        if self.lost:
+            waiter.set_exception(
+                ServiceUnavailableError(f"connection to {self.peer_name!r} lost")
             )
-        if metered:
-            self._meter.record_sent(wire.message_size(body))
+        else:
+            self._pending[request_id] = waiter
+            self._writer.write(
+                encode_frame(Frame(kind=KIND_REQUEST, request_id=request_id, body=body))
+            )
+            if metered:
+                self._meter.record_sent(wire.message_size(body))
         deadline = timeout if timeout is not None else DEFAULT_CALL_TIMEOUT
-        try:
-            frame = await asyncio.wait_for(waiter, deadline)
-        except asyncio.TimeoutError as error:
-            self._pending.pop(request_id, None)
-            raise ServiceUnavailableError(
-                f"call {method!r} to {self.peer_name!r} timed out after {deadline}s"
-            ) from error
-        if metered:
-            self._meter.record_received(wire.message_size(frame.body))
-        if frame.kind == KIND_ERROR:
-            raise wire.parse_error(frame.body)
-        if frame.kind != KIND_RESPONSE:
-            raise ServiceUnavailableError(
-                f"peer {self.peer_name!r} sent frame kind {frame.kind} in response"
+        timer = loop.call_later(deadline, self._time_out, waiter, method, deadline)
+        reply = asyncio.create_task(
+            self._reply(waiter, method, metered, time.perf_counter())
+        )
+        reply.add_done_callback(
+            functools.partial(self._finish, request_id, waiter, timer)
+        )
+        return reply
+
+    async def request(
+        self,
+        method: str,
+        payload: dict[str, Any],
+        timeout: float | None = None,
+    ) -> dict[str, Any]:
+        """Perform one RPC: :meth:`begin` it, then wait for its reply."""
+        return await self.begin(method, payload, timeout)
+
+    async def _reply(
+        self,
+        waiter: asyncio.Future[Frame],
+        method: str,
+        metered: bool,
+        sent_at: float,
+    ) -> dict[str, Any]:
+        with obs.span(
+            "daemon.call",
+            clock=_clock_from(sent_at),
+            method=method,
+            destination=self.peer_name,
+        ):
+            try:
+                await self._writer.drain()
+            except ConnectionError as error:
+                raise ServiceUnavailableError(
+                    f"connection to {self.peer_name!r} lost: {error}"
+                ) from error
+            frame = await waiter
+            if metered:
+                self._meter.record_received(wire.message_size(frame.body))
+            if frame.kind == KIND_ERROR:
+                raise wire.parse_error(frame.body)
+            if frame.kind != KIND_RESPONSE:
+                raise ServiceUnavailableError(
+                    f"peer {self.peer_name!r} sent frame kind {frame.kind} in response"
+                )
+            return wire.parse_response(frame.body)
+
+    def _time_out(
+        self, waiter: asyncio.Future[Frame], method: str, deadline: float
+    ) -> None:
+        if not waiter.done():
+            waiter.set_exception(
+                ServiceUnavailableError(
+                    f"call {method!r} to {self.peer_name!r} timed out after {deadline}s"
+                )
             )
-        return wire.parse_response(frame.body)
+
+    def _finish(
+        self,
+        request_id: int,
+        waiter: asyncio.Future[Frame],
+        timer: asyncio.TimerHandle,
+        reply: asyncio.Task[dict[str, Any]],
+    ) -> None:
+        """Done-callback of every reply task, a cancelled one included."""
+        timer.cancel()
+        self._pending.pop(request_id, None)
+        if not waiter.cancel() and not waiter.cancelled():
+            # Failed under a task that was cancelled before it looked:
+            # mark the error retrieved, an abandoned call logs nothing.
+            waiter.exception()
 
     async def close(self) -> None:
         """Tear the connection down and cancel the receive loop."""
@@ -202,8 +299,9 @@ class SocketTransport:
 
     The real-network counterpart of the sim deployment's ``run_flow``:
     connections to the daemons named in ``netmap`` are opened lazily and
-    reused, and every non-admin exchange is recorded on :attr:`meter`
-    with the same ``body + HTTP framing`` arithmetic the sim charges.
+    reused — one per destination, replaced once lost — and every
+    non-admin exchange is recorded on :attr:`meter` with the same
+    ``body + HTTP framing`` arithmetic the sim charges.
     """
 
     def __init__(
@@ -222,30 +320,67 @@ class SocketTransport:
         #: Client-side byte accounting, comparable to the sim node's meter.
         self.meter = TrafficMeter()
         self._connections: dict[str, PeerConnection] = {}
+        #: Per destination, held while a connection to it is being opened.
+        self._opening: dict[str, asyncio.Lock] = {}
+
+    def _live(self, destination: str) -> PeerConnection | None:
+        existing = self._connections.get(destination)
+        if existing is not None and not existing.lost:
+            return existing
+        return None
 
     async def connection(self, destination: str) -> PeerConnection:
-        """The (lazily opened) connection to ``destination``."""
-        existing = self._connections.get(destination)
-        if existing is not None:
-            return existing
+        """The connection to ``destination``, opened on first use.
+
+        One that was lost (its daemon restarted) is replaced; concurrent
+        callers wait for the one open in progress instead of racing it.
+        """
+        live = self._live(destination)
+        if live is not None:
+            return live
         try:
             host, port = self.netmap[destination]
         except KeyError:
             raise ServiceUnavailableError(
                 f"no daemon serves node {destination!r}"
             ) from None
-        connection = await PeerConnection.open(
-            host,
-            port,
-            self.identity,
-            destination,
-            self.authorized,
-            self.meter,
-            backoff=self.connect_backoff,
-            attempts=self.connect_attempts,
-        )
-        self._connections[destination] = connection
-        return connection
+        async with self._opening.setdefault(destination, asyncio.Lock()):
+            live = self._live(destination)
+            if live is not None:
+                return live  # a concurrent caller opened it while we waited
+            lost = self._connections.pop(destination, None)
+            if lost is not None:
+                await lost.close()
+            connection = await PeerConnection.open(
+                host,
+                port,
+                self.identity,
+                destination,
+                self.authorized,
+                self.meter,
+                backoff=self.connect_backoff,
+                attempts=self.connect_attempts,
+            )
+            self._connections[destination] = connection
+            return connection
+
+    def begin_call(
+        self,
+        destination: str,
+        method: str,
+        payload: dict[str, Any],
+        timeout: float | None = None,
+    ) -> asyncio.Task[dict[str, Any]]:
+        """Start one RPC to ``destination``; the returned task is its reply.
+
+        Over an open connection the request is on the wire before this
+        returns (:meth:`PeerConnection.begin`); with none open yet, the
+        task opens one and then sends.
+        """
+        live = self._live(destination)
+        if live is not None:
+            return live.begin(method, payload, timeout)
+        return asyncio.create_task(self.call(destination, method, payload, timeout))
 
     async def call(
         self,
@@ -256,8 +391,7 @@ class SocketTransport:
     ) -> dict[str, Any]:
         """One RPC to the daemon serving ``destination``."""
         connection = await self.connection(destination)
-        with obs.span("daemon.call", method=method, destination=destination):
-            return await connection.request(method, payload, timeout)
+        return await connection.begin(method, payload, timeout)
 
     async def run_flow(self, source: str, flow: Flow) -> Any:
         """Execute a protocol flow over the sockets (Transport impl).

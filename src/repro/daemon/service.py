@@ -120,6 +120,10 @@ class DaemonNode:
         #: protocol RPC served, in completion order; the oldest entries
         #: fall off once :data:`RPC_LOG_ENTRIES` are held.
         self.rpc_log: deque[dict[str, Any]] = deque(maxlen=RPC_LOG_ENTRIES)
+        #: Per method served: ``(requests, total handler seconds)``, from
+        #: the request frame parsed to the response body built — nested
+        #: calls included, so ``pay`` reads its wall time, not its compute.
+        self.handler_time: dict[str, tuple[int, float]] = {}
         self.handlers: dict[str, registry.Handler] = dict(handlers)
         for method, handler in self._admin_handlers().items():
             if method in self.handlers:
@@ -290,6 +294,8 @@ class DaemonNode:
                     }
                 )
         elapsed = time.perf_counter() - started
+        count, seconds = self.handler_time.get(method, (0, 0.0))
+        self.handler_time[method] = (count + 1, seconds + elapsed)
         obs.observe("daemon_rpc_seconds", elapsed, method=method)
         obs.counter_inc(
             "daemon_rpc_total",
@@ -329,6 +335,12 @@ class DaemonNode:
                     "req": entry["request_bytes"],
                     "resp": entry["response_bytes"],
                     "kind": entry["kind"],
+                }
+            for index, (method, (count, seconds)) in enumerate(self.handler_time.items()):
+                out[f"t{index}"] = {
+                    "method": method,
+                    "count": count,
+                    "seconds": f"{seconds:.6f}",
                 }
             return out
 
@@ -436,7 +448,9 @@ class MerchantDaemon:
     As in the paper — and the sim — the storefront and witness run
     together: the dispatch table carries both, and the ``pay`` handler's
     nested ``witness/sign`` call travels over this daemon's outbound
-    transport to whichever daemon serves the coin's witness. The
+    transport to whichever daemon serves the coin's witness — written to
+    the socket when the handler *calls* its ``rpc`` hook, before the
+    storefront's own checks, so the two verifications overlap. The
     control-plane ``admin/deposit`` drives the shared batched deposit flow
     to the broker (one ``deposit/batch`` per 32 pending transcripts), so
     settlement bytes land on this node's meter exactly as the sim's
@@ -462,8 +476,8 @@ class MerchantDaemon:
 
         def relay(
             destination: str, method: str, payload: dict[str, Any]
-        ) -> Awaitable[dict[str, Any]]:
-            return self.transport.call(destination, method, payload)
+        ) -> asyncio.Task[dict[str, Any]]:
+            return self.transport.begin_call(destination, method, payload)
 
         handlers = {
             **registry.witness_dispatch(system.witness(merchant_id), self.clock.now),

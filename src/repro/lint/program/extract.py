@@ -11,8 +11,9 @@ walker tracks three kinds of local dataflow, all purely syntactic:
   through ``flatten``/``strip_prefix``/subscript chains, whose key
   reads become :attr:`FunctionSummary.param_reads`;
 * *reply* variables — results of RPC sends (unwrapped through
-  ``await``/``yield``/``flatten``), whose key reads attach to the
-  originating :class:`RpcSend`;
+  ``await``/``yield``/``flatten``, in the send's own statement or, for
+  ``pending = rpc(...)`` ... ``yield pending``, a later one), whose key
+  reads attach to the originating :class:`RpcSend`;
 * *out-dict* variables — locals built up as ``out = {}; out[k] = v``
   and later returned, whose keys join :attr:`returned_keys`.
 
@@ -483,26 +484,17 @@ class _FunctionExtractor:
             if send_index is not None:
                 self.reply[name] = (send_index, "")
                 return
-        # alias of a tracked variable
-        if isinstance(value, ast.Name):
-            if value.id in self.derived:
-                self.derived[name] = self.derived[value.id]
-            elif value.id in self.reply:
-                self.reply[name] = self.reply[value.id]
+        # alias of a tracked variable — bare, or through the same
+        # wrappers: ``pending = rpc(...)`` now, ``reply = flatten((yield
+        # pending))`` later still reads the send's reply.
+        if isinstance(unwrapped, ast.Name):
+            if unwrapped.id in self.derived:
+                self.derived[name] = self.derived[unwrapped.id]
+            elif unwrapped.id in self.reply:
+                self.reply[name] = self.reply[unwrapped.id]
             return
         if isinstance(value, ast.Call) and isinstance(value.func, ast.Name):
             helper = value.func.id
-            if (
-                helper == "flatten"
-                and len(value.args) == 1
-                and isinstance(value.args[0], ast.Name)
-            ):
-                source = value.args[0].id
-                if source in self.derived:
-                    self.derived[name] = self.derived[source]
-                elif source in self.reply:
-                    self.reply[name] = self.reply[source]
-                return
             if helper == "strip_prefix" and len(value.args) == 2:
                 base = _unwrap_flatten(value.args[0])
                 prefix = string_pattern(value.args[1])

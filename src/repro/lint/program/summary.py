@@ -25,7 +25,7 @@ from typing import Any, Iterator, Sequence
 
 #: Bump when the summary schema or extraction logic changes: cached
 #: summaries carry the version and are discarded on mismatch.
-SUMMARY_VERSION = 1
+SUMMARY_VERSION = 2
 
 #: ``with`` context-manager call names that open a journal/durability
 #: scope. ``_journal_scope`` is the broker's hook-or-nullcontext helper;

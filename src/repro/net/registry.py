@@ -17,6 +17,16 @@ is a *generator* that yields the result of the backend-supplied ``rpc``
 callable for nested calls (the merchant's ``pay`` handler contacts the
 witness mid-request) and receives the reply payload back.
 
+The ``rpc`` hook (:data:`RpcFn`) separates *calling* from *yielding*:
+calling ``rpc(...)`` may already put the request on the wire, yielding
+what it returned waits for the reply. When a request leaves is the
+transport's business — sockets send at the call, so the callee works
+while the handler goes on computing; the sim sends at the yield, after
+the handler's compute has been charged, which keeps the paper's serial
+latency model — and one handler serves both: the storefront's ``pay``
+calls the witness before its own cryptographic checks and yields after
+them (see :func:`merchant_dispatch`).
+
 Client side, the ``*_flow`` generators express each protocol as a
 sequence of :class:`RemoteCall` yields. A transport drives a flow by
 performing each yielded call and sending the reply payload back into the
@@ -61,10 +71,22 @@ from repro.crypto.serialize import (
 #: generator producing one) out.
 Handler = Callable[[dict[str, Any]], Any]
 
-#: Backend-supplied nested-call hook for generator handlers: called as
-#: ``rpc(destination, method, payload)``; the handler *yields* the result
-#: and is resumed with the reply payload.
-RpcFn = Callable[[str, str, dict[str, Any]], Any]
+
+class PendingReply(Protocol):
+    """What the ``rpc`` hook returns: a reply that may be on its way."""
+
+    def cancel(self) -> Any:
+        """Abandon the reply; a handler that will not yield it calls this."""
+        ...
+
+
+#: Backend-supplied nested-call hook for generator handlers, called as
+#: ``rpc(destination, method, payload)``. *Calling* it may put the
+#: request on the wire (sockets write the frame at once; the sim sends
+#: at the yield); *yielding* its result waits for the reply and resumes
+#: the handler with the reply payload. A handler that called but will
+#: not yield — it found the request bad meanwhile — cancels the result.
+RpcFn = Callable[[str, str, dict[str, Any]], PendingReply]
 
 #: A protocol clock: whole seconds, simulated or real.
 Clock = Callable[[], int]
@@ -265,25 +287,38 @@ def merchant_dispatch(
 ) -> dict[str, Handler]:
     """The storefront's method table (``pay``).
 
-    The ``pay`` handler is a generator: after the local checks it calls
-    the coin's witness through the backend-supplied ``rpc`` hook and
-    resumes with the witness's reply.
+    The ``pay`` handler is a generator: it calls the coin's witness
+    through the backend-supplied ``rpc`` hook and resumes with the
+    witness's reply. A request that passes the comparison-only gate
+    :meth:`~repro.core.merchant.Merchant.may_forward_early` is handed to
+    ``rpc`` *before* the storefront's own checks and yielded after them,
+    so over sockets the witness's verification and the storefront's run
+    on their two processes at once; any other request is verified first,
+    then called. Either way every check runs, once, in the same order,
+    and a request that fails one is never accepted: a call already
+    started for it is cancelled and its reply dropped.
     """
 
     def pay(payload: dict[str, Any]) -> Generator[Any, Any, dict[str, Any]]:
         flat = flatten(payload)
         transcript = PaymentTranscript.from_wire(strip_prefix(flat, "transcript."))
         commitment = WitnessCommitment.from_wire(strip_prefix(flat, "commitment."))
-        merchant.verify_payment_request(
-            PaymentRequest(transcript=transcript, commitment=commitment), clock()
-        )
-        reply = flatten(
-            (yield rpc(
-                transcript.coin.witness_id,
-                "witness/sign",
-                {"transcript": transcript.to_wire()},
-            ))
-        )
+        request = PaymentRequest(transcript=transcript, commitment=commitment)
+        now = clock()
+        witness_id = transcript.coin.witness_id
+        to_sign = {"transcript": transcript.to_wire()}
+        pending: PendingReply | None = None
+        if merchant.may_forward_early(request, now):
+            pending = rpc(witness_id, "witness/sign", to_sign)
+        try:
+            merchant.verify_payment_request(request, now)
+        except BaseException:
+            if pending is not None:
+                pending.cancel()
+            raise
+        if pending is None:
+            pending = rpc(witness_id, "witness/sign", to_sign)
+        reply = flatten((yield pending))
         if reply.get("status") == "double-spend":
             proof = DoubleSpendProof.from_wire(strip_prefix(reply, "proof."))
             try:
@@ -566,6 +601,7 @@ __all__ = [
     "Flow",
     "Handler",
     "MERCHANT_METHODS",
+    "PendingReply",
     "RemoteCall",
     "RpcFn",
     "Transport",

@@ -128,6 +128,12 @@ class LazyFuture(Future):
         if self._dispatch_action is not None:
             self._dispatch_action()
 
+    def cancel(self) -> None:
+        """Abandon the operation: one not yet dispatched never starts."""
+        if not self.dispatched:
+            self.dispatched = True
+            self._dispatch_action = None
+
 
 @dataclass(order=True)
 class _Event:

@@ -230,6 +230,43 @@ def test_merchant_rejects_bad_nizk(system, payment_parties):
         )
 
 
+def test_forward_gate_costs_nothing_and_decides_nothing(system, payment_parties):
+    """``may_forward_early`` is comparisons only, and passing it is not a
+    verdict: a forged proof passes the gate and still fails verification."""
+    from repro.crypto.counters import OpCounter
+    from repro.crypto.representation import RepresentationResponse
+
+    client, stored, merchant, witness = payment_parties
+    now = 10
+    request, pending = client.prepare_commitment_request(stored, merchant.merchant_id, now)
+    commitment = witness.request_commitment(request, now)
+    transcript = client.build_payment(pending, commitment, witness.public_key, now)
+    honest = PaymentRequest(transcript=transcript, commitment=commitment)
+    forged = PaymentRequest(
+        transcript=PaymentTranscript(
+            coin=transcript.coin,
+            response=RepresentationResponse(
+                r1=(transcript.response.r1 + 1) % system.params.group.q,
+                r2=transcript.response.r2,
+            ),
+            merchant_id=transcript.merchant_id,
+            timestamp=transcript.timestamp,
+            salt=transcript.salt,
+        ),
+        commitment=commitment,
+    )
+    with OpCounter() as ops:
+        assert merchant.may_forward_early(honest, now)
+        assert merchant.may_forward_early(forged, now)
+        # The slow payer and the expired coin are the gate's to stop.
+        assert not merchant.may_forward_early(honest, commitment.expires_at)
+        assert not merchant.may_forward_early(honest, stored.coin.info.soft_expiry)
+    assert ops.snapshot() == (0, 0, 0, 0)
+    with pytest.raises(InvalidPaymentError):
+        merchant.verify_payment_request(forged, now)
+    merchant.verify_payment_request(honest, now)
+
+
 def test_transcript_replay_at_other_time_fails(system, payment_parties):
     """The challenge binds date/time: shifting the timestamp breaks the proof."""
     client, stored, merchant, witness = payment_parties

@@ -142,6 +142,44 @@ def test_wire_schema_split_batch_decodes_a_packed_group(tmp_path: Path) -> None:
     ]
 
 
+def test_wire_schema_follows_a_reply_bound_before_it_is_waited_for(
+    tmp_path: Path,
+) -> None:
+    """``pending = rpc(...)`` now, ``reply = flatten((yield pending))``
+    later (the storefront's ``pay``): the reply's key reads still belong
+    to the send, so a key the handler never returns is still caught."""
+    findings = _run(
+        tmp_path,
+        {
+            "wire/registry.py": """
+            SERVER_METHODS = ("do/sign",)
+
+            def build(server):
+                def do_sign(payload):
+                    return {"status": "ok", "signed": int(payload["t"])}
+
+                return {"do/sign": do_sign}
+            """,
+            "wire/flows.py": """
+            def pay(payload, rpc, gate, witness):
+                pending = None
+                if gate(payload):
+                    pending = rpc(witness, "do/sign", {"t": 1})
+                gate(payload)
+                if pending is None:
+                    pending = rpc(witness, "do/sign", {"t": 1})
+                reply = flatten((yield pending))
+                return reply["status"] + reply["signed"] + reply["missing"]
+            """,
+        },
+        _wire_config(),
+        "wire-schema",
+    )
+    assert len(findings) == 1, [f.message for f in findings]
+    assert "reply key 'missing'" in findings[0].message
+    assert "'do/sign'" in findings[0].message
+
+
 def test_wire_schema_informational_reply_is_not_dead(tmp_path: Path) -> None:
     """A reply nobody reads at all is fire-and-forget, not a mismatch."""
     findings = _run(
