@@ -293,7 +293,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.perf import bench
 
     mode = "quick" if args.quick else "full"
-    results = bench.run_bench(quick=args.quick, seed=args.seed, workers=args.workers)
+    results = bench.run_bench(quick=args.quick, seed=args.seed)
     print(json.dumps({mode: results}, indent=2, sort_keys=True))
     if args.check:
         from pathlib import Path
@@ -330,7 +330,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     failures: list[str] = []
     reports = []
     for run in range(max(1, args.runs)):
-        reports.append(run_campaign(config, scaling_workers=args.workers or 0))
+        reports.append(run_campaign(config))
     report = reports[0]
     digests = {r["digest"] for r in reports}
     if len(digests) > 1:
@@ -745,14 +745,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.7,
         help="minimum fraction of the baseline speedup that must hold (default 0.7)",
     )
-    bench.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="also benchmark the process-pool engine at 1/2/4..N workers "
-        "(adds a 'parallel' section to the results)",
-    )
     bench.set_defaults(func=_cmd_bench)
 
     campaign = subparsers.add_parser(
@@ -792,14 +784,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=120,
         help="overlay size for the identity check (default 120)",
-    )
-    campaign.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="append a scaling-efficiency section at 1/2/4..N workers "
-        "(informative when host_cpus >= 4)",
     )
     campaign.add_argument(
         "--out",

@@ -18,7 +18,6 @@ import contextlib
 import enum
 import itertools
 import random
-import secrets
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, ContextManager, Mapping
 
@@ -304,16 +303,12 @@ class Broker:
         self,
         infos: list[CoinInfo],
         paid_by: str | None = None,
-        pool: "perf.CryptoPool | None" = None,
     ) -> tuple[int, list[SignerChallenge]]:
         """Open one ticket covering independent signing sessions per coin.
 
         One payment covers the whole batch; every coin still gets its own
         fresh signer nonces (independence is what makes the batch
-        unlinkable). When the parallel engine is available, the per-coin
-        step-1 work (3 ``Exp`` + 1 ``Hash`` each) fans out across pool
-        workers; the secret session nonces come back to — and only ever
-        live in — this process.
+        unlinkable).
 
         Raises:
             ValueError: empty batch or unpublished list version.
@@ -332,37 +327,12 @@ class Broker:
             challenges: list[SignerChallenge] = []
             ticket_id = next(self._ticket_ids)
             batch: list[_WithdrawalTicket] = []
-            pool = pool if pool is not None else perf.shared_pool()
-            if pool is not None and pool.active() and len(infos) > 1:
-                from repro.perf.parallel import replay_ops
-
-                signed = pool.sign_withdrawals(
-                    self.params,
-                    self._signer.secret,
-                    [info.hash_parts() for info in infos],
-                    seed=self._draw_seed(),
+            for info in infos:
+                challenge, session = self._signer.start(info.hash_parts())
+                challenges.append(challenge)
+                batch.append(
+                    _WithdrawalTicket(info=info, session=session, paid_by=payer)
                 )
-                for info, challenge_out in zip(infos, signed):
-                    replay_ops(challenge_out.ops)
-                    challenges.append(
-                        SignerChallenge(a=challenge_out.a, b=challenge_out.b)
-                    )
-                    session = SignerSession(
-                        u=challenge_out.u,
-                        s=challenge_out.s,
-                        d=challenge_out.d,
-                        z=challenge_out.z,
-                    )
-                    batch.append(
-                        _WithdrawalTicket(info=info, session=session, paid_by=payer)
-                    )
-            else:
-                for info in infos:
-                    challenge, session = self._signer.start(info.hash_parts())
-                    challenges.append(challenge)
-                    batch.append(
-                        _WithdrawalTicket(info=info, session=session, paid_by=payer)
-                    )
             self._batch_tickets[ticket_id] = batch
             if self.journal is not None:
                 self.journal.record_batch(ticket_id, batch)
@@ -411,7 +381,6 @@ class Broker:
         merchant_id: str,
         items: list[SignedTranscript],
         now: int,
-        pool: "perf.CryptoPool | None" = None,
     ) -> list[DepositResult | EcashError]:
         """Clear many transcripts from one merchant as one durability unit.
 
@@ -430,45 +399,17 @@ class Broker:
         two subgroup-membership exponentiations per coin where the plain
         check needs one exponentiation, and measured slower end to end.
 
-        When the parallel engine is available (``pool`` given, or the
-        shared :func:`repro.perf.shared_pool` on a multi-core host with
-        ``REPRO_PARALLEL`` on), step 1 of every item fans out across
-        worker processes — identical checks and verdicts, each item's
-        logical operations replayed into this process's counter — and
-        settlement still happens here, in order, inside the one scope.
-
         Returns:
             Per item, in order: a :class:`DepositResult`, or the
             :class:`~repro.core.exceptions.EcashError` that item raised.
         """
         items = list(items)
         obs.observe("perf_batch_deposit_size", len(items))
-        pool = pool if pool is not None else perf.shared_pool()
-        rejected: list[EcashError | None] | None = None
-        if perf.is_enabled() and pool is not None and pool.active() and len(items) > 1:
-            from repro.perf.parallel import replay_ops
-
-            rejected = []
-            for outcome in pool.run_deposit_checks(
-                self.params,
-                self._signer.secret,
-                {m_id: acct.public_key for m_id, acct in self.merchants.items()},
-                self.tables,
-                merchant_id,
-                items,
-                now,
-                seed=self._draw_seed(),
-            ):
-                replay_ops(outcome.ops)
-                rejected.append(outcome.error)
         results: list[DepositResult | EcashError] = []
         with self._journal_scope():
-            for index, signed in enumerate(items):
+            for signed in items:
                 try:
-                    if rejected is None:
-                        self._verify_deposit(merchant_id, signed, now)
-                    elif (error := rejected[index]) is not None:
-                        raise error
+                    self._verify_deposit(merchant_id, signed, now)
                     results.append(self._settle_deposit(merchant_id, signed, now))
                 except EcashError as exc:
                     results.append(exc)
@@ -737,12 +678,6 @@ class Broker:
         expected = table.witness_for(digest)
         if expected.merchant_id != coin.witness_id or expected.range != coin.witness_entry.range:
             raise WrongWitnessError("coin's attached witness entry does not match the table")
-
-    def _draw_seed(self) -> int:
-        """64-bit seed for a pooled batch — deterministic under a seeded RNG."""
-        if self.rng is not None:
-            return self.rng.getrandbits(64)
-        return secrets.randbits(64)
 
     def _credit(self, merchant_id: str, amount: int, source: str) -> None:
         self.ledger.transfer(source, f"revenue:{merchant_id}", amount, memo="coin deposit")

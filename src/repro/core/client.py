@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro import obs
-from repro.perf.precompute import PrecomputePool, WithdrawalPrecomp
 from repro.core.coin import BareCoin, Coin
 from repro.core.exceptions import CommitmentError, ExpiredCoinError, WrongWitnessError
 from repro.core.info import CoinInfo
@@ -211,11 +210,6 @@ class Client:
         broker_blind_public: the broker's blind-signature key ``y``.
         broker_sign_public: the broker's plain signature key.
         rng: optional deterministic randomness source.
-        precompute: optional offline bank of withdrawal blinding tuples
-            and payment salts (:class:`repro.perf.precompute.PrecomputePool`);
-            when present and stocked, :meth:`begin_withdrawal` and
-            :meth:`prepare_commitment_request` drain it instead of doing
-            the work online.
     """
 
     params: SystemParams
@@ -223,7 +217,6 @@ class Client:
     broker_sign_public: int
     rng: random.Random | None = None
     wallet: Wallet = field(default_factory=Wallet)
-    precompute: PrecomputePool | None = None
 
     # ------------------------------------------------------------------
     # Withdrawal (Algorithm 1, client side)
@@ -232,16 +225,8 @@ class Client:
         """Step 2: pick coin secrets, blind the broker's commitments.
 
         Costs 8 ``Exp`` + 2 ``Hash`` (construct ``A``, ``B``; compute
-        ``alpha``, ``beta``, ``z``, ``epsilon``). When the client's
-        :attr:`precompute` bank holds a tuple for this ``info``, the
-        online work drops to two modular multiplications and one hash —
-        the logical cost is still declared in full, so Table 1 accounting
-        does not depend on the bank.
+        ``alpha``, ``beta``, ``z``, ``epsilon``).
         """
-        if self.precompute is not None:
-            entry = self.precompute.take(info)
-            if entry is not None:
-                return self._withdrawal_from_precomp(info, challenge, entry)
         secrets = RepresentationPair.generate(self.params.group, self.rng)
         commitment_a, commitment_b = secrets.commitments(self.params.group)
         session = BlindSession.start(
@@ -254,46 +239,6 @@ class Client:
             self.rng,
         )
         return WithdrawalSession(info=info, secrets=secrets, blind_session=session)
-
-    def _withdrawal_from_precomp(
-        self,
-        info: CoinInfo,
-        challenge: SignerChallenge,
-        entry: WithdrawalPrecomp,
-    ) -> WithdrawalSession:
-        """Finish step 2 from a banked tuple: 2 multiplications + 1 hash.
-
-        The serial path's 8 ``Exp`` + 2 ``Hash`` are declared up front
-        (the exponentiations physically ran, suppressed, when the bank
-        was filled); only ``epsilon`` — which binds the broker's fresh
-        ``(a, b)`` — is computed now, under suppression.
-        """
-        from repro.crypto import counters
-
-        group = self.params.group
-        counters.record_exp(8)
-        counters.record_hash(2)
-        with counters.suppressed():
-            alpha = group.mul(challenge.a, entry.alpha_factor)
-            beta = group.mul(challenge.b, entry.beta_factor)
-            epsilon = self.params.hashes.H(
-                alpha, beta, entry.z, entry.commitment_a, entry.commitment_b
-            )
-            e = (epsilon - entry.t2 - entry.t4) % group.q
-        session = BlindSession(
-            group=group,
-            hashes=self.params.hashes,
-            signer_public=self.broker_blind_public,
-            info_parts=info.hash_parts(),
-            message_parts=(entry.commitment_a, entry.commitment_b),
-            z=entry.z,
-            t1=entry.t1,
-            t2=entry.t2,
-            t3=entry.t3,
-            t4=entry.t4,
-            e=e,
-        )
-        return WithdrawalSession(info=info, secrets=entry.secrets, blind_session=session)
 
     def finish_withdrawal(
         self,
@@ -352,9 +297,7 @@ class Client:
         """
         if not stored.coin.info.is_spendable(now):
             raise ExpiredCoinError("coin is past its soft expiration date")
-        salt = self.precompute.take_payment_salt() if self.precompute is not None else None
-        if salt is None:
-            salt = random_bits(128, self.rng)
+        salt = random_bits(128, self.rng)
         coin_hash = stored.coin.digest(self.params)
         nonce = payment_nonce(self.params, salt, merchant_id)
         request = CommitmentRequest(coin_hash=coin_hash, nonce=nonce)

@@ -13,7 +13,6 @@ later cashes at the broker (Algorithm 3).
 from __future__ import annotations
 
 import random
-import secrets
 from dataclasses import dataclass, field
 
 from repro import obs, perf
@@ -183,7 +182,6 @@ class Merchant:
         self,
         items: list[SignedTranscript],
         now: int,
-        pool: "perf.CryptoPool | None" = None,
     ) -> list[EcashError | None]:
         """Audit-grade public verification of many signed transcripts.
 
@@ -195,11 +193,10 @@ class Merchant:
         to *this* merchant — it is the bulk re-check a depositor, auditor
         or arbiter runs over a pile of third-party transcripts.
 
-        With the perf engine on, the NIZKs collapse into BGR batch
-        equations (per pool chunk when the parallel engine fans out, one
-        batch otherwise) with exact per-item fallback naming culprits;
+        With the perf engine on, the NIZKs collapse into one BGR batch
+        equation with exact per-item fallback naming culprits;
         accept/reject outcomes and logical-op accounting are identical on
-        every path.
+        both paths.
 
         Returns:
             Per item, in order: ``None`` on success, else the
@@ -216,24 +213,6 @@ class Merchant:
                     verify_payment_response(self.params, signed.transcript)
                 except EcashError as exc:
                     results[index] = exc
-            return results
-
-        pool = pool if pool is not None else perf.shared_pool()
-        if pool is not None and pool.active() and len(items) > 1:
-            from repro.perf.parallel import replay_ops
-
-            outcomes = pool.run_payment_checks(
-                self.params,
-                self.broker_blind_public,
-                self.broker_sign_public,
-                dict(self.witness_keys),
-                items,
-                now,
-                seed=self._draw_seed(),
-            )
-            for index, outcome in enumerate(outcomes):
-                replay_ops(outcome.ops)
-                results[index] = outcome.error
             return results
 
         from repro.crypto import counters
@@ -310,12 +289,9 @@ class Merchant:
     ) -> None:
         """The non-NIZK checks of :meth:`verify_payment_bulk` for one item.
 
-        Mirrors the per-item half of the parallel engine's payment chunk
-        (:func:`repro.perf.parallel.run_payment_chunk`) — same checks,
-        same order, same exceptions — so serial and pooled bulk
-        verification agree item for item. Bulk callers thread a claim set
-        through so the coin- and witness-signature fast paths register
-        their recovery claims under ``(index, stage)`` tokens.
+        The engine-on path threads a claim set through so the coin- and
+        witness-signature fast paths register their recovery claims under
+        ``(index, stage)`` tokens.
 
         Raises:
             InvalidCoinError, ExpiredCoinError, WrongWitnessError,
@@ -345,12 +321,6 @@ class Merchant:
             raise InvalidPaymentError(
                 "witness signature on transcript failed to verify"
             )
-
-    def _draw_seed(self) -> int:
-        """64-bit seed for a pooled batch — deterministic under a seeded RNG."""
-        if self.rng is not None:
-            return self.rng.getrandbits(64)
-        return secrets.randbits(64)
 
     def pending_deposits(self) -> list[SignedTranscript]:
         """Signed transcripts accepted but not yet deposited, oldest first."""

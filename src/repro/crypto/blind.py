@@ -120,16 +120,6 @@ class PartiallyBlindSigner:
         # the system — the single most profitable fixed base after ``g``.
         perf.register_fixed_base(self.public, group.p, group.q)
 
-    @property
-    def secret(self) -> int:
-        """The signing key ``x`` — the holder's own secret.
-
-        Exposed so the broker can ship its key to same-host pool workers
-        (which rebuild an equivalent signer per process); it must never
-        leave the signer's trust domain.
-        """
-        return self._secret
-
     def start(self, info_parts: tuple[HashInput, ...]) -> tuple[SignerChallenge, SignerSession]:
         """Step 1: produce ``(a, b)`` for a withdrawal with public ``info``.
 
@@ -166,40 +156,13 @@ class PartiallyBlindSigner:
         ``g^rho y^omega = g^(rho + x*omega)``, so the broker verifies with
         3 ``Exp`` + 2 ``Hash`` instead of the public 4 ``Exp`` + 2 ``Hash``.
         """
-        ok, _ = self.check_with_secret(info_parts, message_parts, signature)
-        return ok
-
-    def check_with_secret(
-        self,
-        info_parts: tuple[HashInput, ...],
-        message_parts: tuple[HashInput, ...],
-        signature: PartiallyBlindSignature,
-    ) -> "tuple[bool, tuple[perf.CommitmentClaim, ...]]":
-        """:meth:`verify_with_secret` plus the fast-path recovery claims.
-
-        Identical verdict and identical Table 1 accounting; additionally
-        returns the :class:`~repro.perf.batch.CommitmentClaim` pair behind
-        the two recovered sides of the verification equation (empty while
-        the perf engine is off — there is no fast path to certify then),
-        so bulk deposit callers can audit a whole batch's arithmetic with
-        one combined equation.
-        """
         group = self.group
         z = self.hashes.F(*info_parts)
         exponent = (signature.rho + self._secret * signature.omega) % group.q
         left = group.exp(group.g, exponent)
         right = group.commit2(group.g, signature.sigma, z, signature.delta)
         expected = self.hashes.H(left, right, z, *message_parts)
-        ok = (signature.omega + signature.delta) % group.q == expected
-        if not perf.is_enabled():
-            return ok, ()
-        return ok, (
-            perf.CommitmentClaim(commitment=left, pairs=((group.g, exponent),)),
-            perf.CommitmentClaim(
-                commitment=right,
-                pairs=((group.g, signature.sigma), (z, signature.delta)),
-            ),
-        )
+        return (signature.omega + signature.delta) % group.q == expected
 
 
 class BlindSession:

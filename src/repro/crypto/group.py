@@ -25,7 +25,7 @@ from repro.crypto.numbers import inverse_mod, is_probable_prime, random_scalar
 #: Parameter tuples that already passed the full :meth:`SchnorrGroup.validate`
 #: battery. Validation is pure number theory — backend-independent — so the
 #: memo survives :func:`repro.crypto.backend.set_backend` switches; equal
-#: groups reconstructed from wire bytes or pickles skip the three
+#: groups reconstructed from wire bytes skip the three
 #: Miller-Rabin runs and three subgroup checks.
 _VALIDATED_PARAMS: set[tuple[int, int, int, int, int]] = set()
 
@@ -78,7 +78,7 @@ class SchnorrGroup:
 
         The result is memoized twice over: on the instance, and in a
         module-level table keyed by ``(p, q, g, g1, g2)`` — so *equal*
-        groups (rebuilt from wire bytes, pickles or test fixtures) skip
+        groups (rebuilt from wire bytes or test fixtures) skip
         the three Miller-Rabin runs and three subgroup checks too. Both
         memos are backend-independent and survive
         :func:`repro.crypto.backend.set_backend` switches.
@@ -106,36 +106,6 @@ class SchnorrGroup:
         for gen in (self.g, self.g1, self.g2):
             perf.register(gen, self.p, self.q)
         object.__setattr__(self, "_validated", True)
-
-    # ------------------------------------------------------------------
-    # Pickling
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict[str, object]:
-        """Pickle the parameters and the validation flag, nothing derived."""
-        return {
-            "p": self.p,
-            "q": self.q,
-            "g": self.g,
-            "g1": self.g1,
-            "g2": self.g2,
-            "_validated": self._validated,
-        }
-
-    def __setstate__(self, state: dict[str, object]) -> None:
-        """Restore and, if validated, re-register the generators.
-
-        The perf engine's fixed-base registry is per-process; a group that
-        crosses a process boundary (pool workers) must re-announce its
-        generators there or every exponentiation in the worker would run
-        the slow path. The expensive primality/order checks are *not*
-        re-run — the flag certifies they passed in the originating
-        process.
-        """
-        for key, value in state.items():
-            object.__setattr__(self, key, value)
-        if self._validated:
-            for gen in (self.g, self.g1, self.g2):
-                perf.register(gen, self.p, self.q)
 
     # ------------------------------------------------------------------
     # Group operations

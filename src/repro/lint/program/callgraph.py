@@ -210,7 +210,7 @@ class ProgramIndex:
         """Best-effort class id for an annotation string.
 
         Handles string annotations, ``X | None`` unions, ``Optional[X]``
-        and generic parameters (``CryptoPool[int]`` -> ``CryptoPool``).
+        and generic parameters (``Deque[int]`` -> ``Deque``).
         """
         if annotation is None:
             return None

@@ -46,7 +46,11 @@ from typing import Any, Callable, Generator, Mapping, Protocol, Sequence
 from repro.core.broker import Broker
 from repro.core.client import Client, StoredCoin
 from repro.core.coin import BareCoin
-from repro.core.exceptions import DoubleSpendError, RenewalRefusedError
+from repro.core.exceptions import (
+    DoubleSpendError,
+    ProtocolViolationError,
+    RenewalRefusedError,
+)
 from repro.core.info import CoinInfo
 from repro.core.merchant import Merchant, PaymentRequest
 from repro.core.transcripts import (
@@ -111,7 +115,8 @@ MERCHANT_METHODS: tuple[str, ...] = ("pay",)
 #: durability unit (one WAL commit), so the size bounds both the frame —
 #: about 75 KB at the paper's 1024-bit group against the daemons' 1 MiB
 #: frame cap — and the deposits a merchant redoes when the broker dies
-#: before a batch's commit marker is durable.
+#: before a batch's commit marker is durable. The broker's handler
+#: refuses a longer batch before verifying any of it.
 DEPOSIT_BATCH_SIZE = 32
 
 
@@ -207,6 +212,11 @@ def broker_dispatch(broker: Broker, clock: Clock) -> dict[str, Handler]:
 
     def deposit_batch(payload: dict[str, Any]) -> dict[str, Any]:
         batch = split_batch(flatten(payload), "batch", "t")
+        if len(batch) > DEPOSIT_BATCH_SIZE:
+            raise ProtocolViolationError(
+                f"deposit/batch carries {len(batch)} transcripts; "
+                f"the limit is {DEPOSIT_BATCH_SIZE}"
+            )
         results = broker.deposit_batch(
             str(payload["merchant_id"]),
             [SignedTranscript.from_wire(fields) for _, fields in batch],

@@ -26,10 +26,8 @@ from repro.core.client import Client, StoredCoin
 from repro.core.exceptions import ServiceUnavailableError
 from repro.core.info import CoinInfo
 from repro.core.system import EcashSystem
-from repro.core.transcripts import SignedTranscript
 from repro.crypto.blind import SignerChallenge, SignerResponse
 from repro.crypto.serialize import flatten, pack_batch
-from repro.perf.pipeline import DepositPipeline
 from repro.net import registry
 from repro.net.costmodel import ComputeCostModel, python2006_profile
 from repro.net.latency import LatencyModel, Region, planetlab_us
@@ -105,12 +103,6 @@ class NetworkDeployment:
         #: down for all of them).
         self.witness_breakers: dict[str, CircuitBreaker] = {}
         self._recovery_rng = random.Random(f"recovery:{seed}")
-        #: One bounded deposit queue per streaming merchant; flushes are
-        #: driven entirely by the simulator clock (see
-        #: :meth:`start_deposit_stream`).
-        self.deposit_streams: dict[str, DepositPipeline[SignedTranscript]] = {}
-        #: Per-merchant flush outcomes, appended by every stream flush.
-        self.deposit_stream_results: dict[str, list[dict[str, Any]]] = {}
 
     # ------------------------------------------------------------------
     # Topology
@@ -332,120 +324,12 @@ class NetworkDeployment:
         )
 
     def _batch_deposit_steps(
-        self,
-        merchant_id: str,
-        transcripts: list[SignedTranscript] | None = None,
+        self, merchant_id: str
     ) -> Generator[Any, Any, list[dict[str, Any]]]:
         flow = registry.batch_deposit_flow(
-            self.system.merchant(merchant_id), merchant_id, BROKER_NODE, transcripts
+            self.system.merchant(merchant_id), merchant_id, BROKER_NODE
         )
         results = yield from self._drive(merchant_id, flow)
-        return results
-
-    # ------------------------------------------------------------------
-    # Pipelined deposit streaming
-    # ------------------------------------------------------------------
-    def start_deposit_stream(
-        self,
-        merchant_id: str,
-        max_batch: int = 16,
-        max_age: float | None = 5.0,
-        capacity: int = 256,
-    ) -> DepositPipeline[SignedTranscript]:
-        """Open (or return) the merchant's streaming deposit queue.
-
-        Accepted transcripts offered via :meth:`stream_deposit` accumulate
-        here and flush into ``deposit/batch`` RPCs when the queue reaches
-        ``max_batch`` items or its oldest item has waited ``max_age``
-        simulated seconds. Both watermarks are evaluated on the simulator
-        clock — there is no wall-time timer to race the fault injector.
-        """
-        pipeline = self.deposit_streams.get(merchant_id)
-        if pipeline is None:
-            pipeline = DepositPipeline(
-                max_batch=max_batch,
-                max_age=max_age,
-                capacity=capacity,
-                name=f"deposit:{merchant_id}",
-            )
-            self.deposit_streams[merchant_id] = pipeline
-            self.deposit_stream_results.setdefault(merchant_id, [])
-        return pipeline
-
-    def stream_deposit(self, merchant_id: str, signed: SignedTranscript) -> None:
-        """Offer one accepted transcript to the merchant's deposit stream.
-
-        Flushes immediately when the size watermark trips; otherwise
-        schedules a flush check at the moment the item's age watermark
-        would trip (a simulator event, so scenarios stay deterministic).
-
-        Raises:
-            KeyError: no stream opened for this merchant.
-            repro.perf.pipeline.PipelineFullError: the queue is at
-                capacity — the caller must let a flush drain it first.
-        """
-        pipeline = self.deposit_streams[merchant_id]
-        pipeline.offer(signed, self.sim.now)
-        if pipeline.ready(self.sim.now):
-            self.sim.spawn(self._stream_flush_process(merchant_id))
-            return
-        deadline = pipeline.next_deadline()
-        if deadline is not None:
-            self.sim.schedule(
-                max(deadline - self.sim.now, 0.0), self._flush_if_due, merchant_id
-            )
-
-    def flush_deposit_stream(
-        self, merchant_id: str
-    ) -> Generator[Any, Any, list[dict[str, Any]]]:
-        """Force-drain the merchant's stream (end-of-scenario settlement)."""
-        return self._traced(
-            "net.deposit_stream_flush",
-            self._stream_flush_steps(merchant_id, drain_all=True),
-            merchant=merchant_id,
-        )
-
-    def _flush_if_due(self, merchant_id: str) -> None:
-        """Simulator callback: flush when the age watermark has tripped.
-
-        Re-arms itself when the queue holds items whose deadline has not
-        tripped yet — including the rounding case where the event fires a
-        float ulp *before* the deadline it was scheduled for.
-        """
-        pipeline = self.deposit_streams.get(merchant_id)
-        if pipeline is None or not len(pipeline):
-            return
-        if pipeline.ready(self.sim.now):
-            self.sim.spawn(self._stream_flush_process(merchant_id))
-            return
-        deadline = pipeline.next_deadline()
-        if deadline is not None:
-            self.sim.schedule(
-                max(deadline - self.sim.now, 1e-9), self._flush_if_due, merchant_id
-            )
-
-    def _stream_flush_process(
-        self, merchant_id: str
-    ) -> Generator[Any, Any, list[dict[str, Any]]]:
-        return self._traced(
-            "net.deposit_stream_flush",
-            self._stream_flush_steps(merchant_id),
-            merchant=merchant_id,
-        )
-
-    def _stream_flush_steps(
-        self, merchant_id: str, drain_all: bool = False
-    ) -> Generator[Any, Any, list[dict[str, Any]]]:
-        pipeline = self.deposit_streams[merchant_id]
-        results: list[dict[str, Any]] = []
-        while True:
-            items = pipeline.drain_all() if drain_all else pipeline.drain()
-            if not items:
-                break
-            results.extend((yield from self._batch_deposit_steps(merchant_id, items)))
-            if not drain_all and not pipeline.ready(self.sim.now):
-                break
-        self.deposit_stream_results.setdefault(merchant_id, []).extend(results)
         return results
 
     def renewal_process(

@@ -16,13 +16,7 @@ logical count or protocol value:
 * :mod:`~repro.perf.batch` — small-random-exponent linear-combination
   batch verification for the broker's bulk deposit pipeline;
 * :mod:`~repro.perf.bench` — the before/after microbenchmark harness
-  behind ``python -m repro bench`` and ``BENCH_payment.json``;
-* :mod:`~repro.perf.parallel` — the process-pool execution engine for
-  bulk verification/signing workloads (``REPRO_PARALLEL`` gated);
-* :mod:`~repro.perf.precompute` — offline banks of withdrawal blinding
-  tuples and payment randomizers drained by the client's online path;
-* :mod:`~repro.perf.pipeline` — bounded deposit queues flushed by
-  size/age watermarks into pool-backed batch calls.
+  behind ``python -m repro bench`` and ``BENCH_payment.json``.
 
 The engine is ON by default and switched off with ``REPRO_PERF=off`` (or
 :func:`set_enabled` / the :func:`disabled` context manager), restoring
@@ -60,16 +54,6 @@ from repro.perf.batch import (
 from repro.perf.cache import MemoCache, cache, memoized
 from repro.perf.fixed_base import FixedBaseTable, fpow, register, table_for
 from repro.perf.multiexp import multi_exp
-from repro.perf.parallel import (
-    CryptoPool,
-    parallel_disabled,
-    parallel_enabled,
-    set_parallel_enabled,
-    shared_pool,
-    shutdown_shared_pool,
-)
-from repro.perf.pipeline import DepositPipeline
-from repro.perf.precompute import PrecomputePool
 
 
 def _env_enabled() -> bool:
@@ -130,11 +114,10 @@ def register_fixed_base(base: int, p: int, q: int) -> None:
 
 
 def build_fixed_base(base: int, p: int, q: int) -> None:
-    """Build the comb table for a base immediately (worker warm-start).
+    """Build the comb table for a base immediately.
 
     Unlike :func:`register_fixed_base` this skips the use-count promotion
-    and pays the table construction now; pool workers call it from their
-    initializer so every chunk they ever run is served warm.
+    and pays the table construction now.
     """
     if _enabled:
         _fixed_base_module.build(base, p, q)
@@ -197,11 +180,8 @@ def reset() -> None:
 __all__ = [
     "ClaimSet",
     "CommitmentClaim",
-    "CryptoPool",
-    "DepositPipeline",
     "FixedBaseTable",
     "MemoCache",
-    "PrecomputePool",
     "RepresentationCheck",
     "build_fixed_base",
     "cache",
@@ -216,15 +196,10 @@ __all__ = [
     "is_subgroup_member",
     "memoized",
     "multi_exp",
-    "parallel_disabled",
-    "parallel_enabled",
     "register",
     "register_fixed_base",
     "reset",
     "set_enabled",
-    "set_parallel_enabled",
-    "shared_pool",
-    "shutdown_shared_pool",
     "table_for",
     "verify_batch",
     "verify_memo",

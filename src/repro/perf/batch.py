@@ -20,9 +20,8 @@ otherwise free to carry small-order components that random combinations
 can miss).
 
 On batch failure the caller falls back to per-item verification to name
-the culprit; see :meth:`repro.core.merchant.Merchant.verify_payment_bulk`
-and the pool's :func:`repro.perf.parallel.run_deposit_chunk`. (The
-broker's own serial deposit path verifies per item: it sees each coin
+the culprit; see :meth:`repro.core.merchant.Merchant.verify_payment_bulk`.
+(The broker's deposit path verifies per item: it sees each coin
 once, so the two membership exponentiations this check needs per coin
 cost more than the one exponentiation it saves.)
 

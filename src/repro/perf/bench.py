@@ -18,9 +18,6 @@ Sections:
 * ``deposit_bulk`` — the broker clearing a pile of transcripts from one
   merchant: a per-item :meth:`~repro.core.broker.Broker.deposit` loop
   naive, one :meth:`~repro.core.broker.Broker.deposit_batch` call fast.
-* ``parallel`` (with ``--workers N``) — the process-pool engine versus
-  the serial perf engine on bulk payment verification and deposits, per
-  worker level; see :func:`_run_parallel_section` for the caveats.
 
 Each measured item is a *distinct* coin, so verification caches cannot
 short-circuit the timed work; only the legitimately recurring artifacts
@@ -43,13 +40,6 @@ from repro.core.transcripts import SignedTranscript, verify_payment_response
 from repro.core.witness_ranges import verify_entry_matches
 from repro.crypto import backend as bigint_backend
 from repro.crypto.schnorr import verify_batch as schnorr_verify_batch
-from repro.perf.parallel import (
-    CryptoPool,
-    default_workers,
-    parallel_disabled,
-    parallel_enabled,
-    set_parallel_enabled,
-)
 
 #: Default output file, checked in as the CI regression baseline.
 DEFAULT_RESULTS_PATH = "BENCH_payment.json"
@@ -136,7 +126,6 @@ def run_bench(
     params: SystemParams | None = None,
     seed: int = 2007,
     sizes: tuple[int, int, int] | None = None,
-    workers: int | None = None,
 ) -> dict[str, Any]:
     """Run every section and return the result mapping for one mode.
 
@@ -146,18 +135,12 @@ def run_bench(
         params: override the system parameters entirely (tests).
         seed: deterministic workload seed.
         sizes: override ``(warmup, verify items, deposit items)`` (tests).
-        workers: when given, additionally benchmark the process-pool
-            engine on ``payment_verify`` and ``deposit_bulk`` at worker
-            levels ``{1, 2, 4} ∩ [1, workers]`` plus ``workers`` itself,
-            reporting speedups versus the serial perf engine in a
-            ``parallel`` section.
 
     Returns:
         ``{"group_bits": ..., "backend": ..., "payment_verify": {...},
         "witness_sig_batch": {...}, "withdrawal": {...}, "deposit_bulk":
         {...}}`` with naive/perf throughputs and speedup ratios per
-        section (plus ``gmpy2_version`` under the gmpy2 backend and
-        ``parallel`` when ``workers`` was requested).
+        section (plus ``gmpy2_version`` under the gmpy2 backend).
     """
     if params is None:
         params = test_params() if quick else default_params()
@@ -189,16 +172,12 @@ def run_bench(
     if gmp is not None:
         results["gmpy2_version"] = gmp
 
-    # The flat sections benchmark the *serial* engines so the ratios are
-    # comparable across hosts; without this, REPRO_PARALLEL/REPRO_WORKERS
-    # would route deposit_batch and withdrawal through the shared pool
-    # and skew them by core count. The pool is measured separately below.
     # --- payment_verify -------------------------------------------------
-    with perf.forced(False), parallel_disabled():
+    with perf.forced(False):
         naive_seconds = _timed(
             lambda: [_verify_payment(system, signed) for signed in verify_items]
         )
-    with perf.forced(True), parallel_disabled():
+    with perf.forced(True):
         # Drop every cache warmed while *building* the workload, then
         # rebuild the legitimately long-lived state on sacrificial items.
         perf.reset()
@@ -226,9 +205,9 @@ def run_bench(
         ]
 
     sig_items = _sig_items(verify_items)
-    with perf.forced(False), parallel_disabled():
+    with perf.forced(False):
         naive_seconds = _timed(lambda: schnorr_verify_batch(params.group, sig_items))
-    with perf.forced(True), parallel_disabled():
+    with perf.forced(True):
         perf.reset()
         _register_long_lived_bases(system)
         schnorr_verify_batch(params.group, _sig_items(warm))
@@ -243,9 +222,9 @@ def run_bench(
         for _ in range(withdraw_n):
             run_withdrawal(client, system.broker, system.standard_info(100, now))
 
-    with perf.forced(False), parallel_disabled():
+    with perf.forced(False):
         naive_seconds = _timed(withdraw_many)
-    with perf.forced(True), parallel_disabled():
+    with perf.forced(True):
         perf_seconds = _timed(withdraw_many)
     results["withdrawal"] = _section(naive_seconds, perf_seconds, withdraw_n)
 
@@ -254,9 +233,9 @@ def run_bench(
         for signed in naive_deposit:
             system.broker.deposit(merchant_id, signed, now)
 
-    with perf.forced(False), parallel_disabled():
+    with perf.forced(False):
         naive_seconds = _timed(deposit_loop)
-    with perf.forced(True), parallel_disabled():
+    with perf.forced(True):
         outcomes = None
 
         def deposit_batched() -> None:
@@ -269,156 +248,7 @@ def run_bench(
             raise AssertionError(f"bench deposit batch rejected items: {bad}")
     results["deposit_bulk"] = _section(naive_seconds, perf_seconds, deposit_n)
 
-    # --- parallel (optional) --------------------------------------------
-    if workers is not None:
-        results["parallel"] = _run_parallel_section(
-            system, merchant_id, workers, now
-        )
     return results
-
-
-def _run_parallel_section(
-    system: EcashSystem, merchant_id: str, workers: int, now: int
-) -> dict[str, Any]:
-    """Benchmark the process-pool engine against the serial perf engine.
-
-    Both sides run with the perf engine ON — the comparison isolates what
-    fanning out across worker processes adds on top of the comb tables
-    and batch verification. Speedups therefore depend on the host's real
-    core count, which is recorded as ``host_cpus``: on a single-core
-    host every level measures pool overhead (~1.0x or below), and the
-    ≥2.5x targets for ``deposit_bulk``/``payment_verify`` require at
-    least 4 schedulable cores.
-    """
-    levels = sorted({w for w in (1, 2, 4) if w <= workers} | {workers})
-    pile = 8 * max(levels)
-    merchant = system.merchant(merchant_id)
-    warm_bases = (
-        system.broker.blind_public,
-        system.broker.sign_public,
-        *(node.merchant.public_key for node in system.nodes.values()),
-    )
-    section: dict[str, Any] = {
-        "host_cpus": default_workers(),
-        "levels": levels,
-    }
-
-    was_enabled = parallel_enabled()
-    set_parallel_enabled(True)
-    try:
-        return _measure_parallel(
-            system, merchant, merchant_id, section, levels, pile, warm_bases, now
-        )
-    finally:
-        set_parallel_enabled(was_enabled)
-
-
-def _measure_parallel(
-    system: EcashSystem,
-    merchant: Any,
-    merchant_id: str,
-    section: dict[str, Any],
-    levels: list[int],
-    pile: int,
-    warm_bases: tuple[int, ...],
-    now: int,
-) -> dict[str, Any]:
-    """Timed passes of :func:`_run_parallel_section` (parallel engine on)."""
-    with perf.forced(True):
-        # Sacrificial items used to re-warm the parent-side engine after
-        # every reset: building the timed piles runs real payments, which
-        # leaves memo caches for those exact coins behind — without a
-        # reset the in-parent passes would be served from cache, and
-        # without a re-warm they would pay comb-table construction inside
-        # the timed region (worker processes build theirs during pool
-        # initialization, outside it).
-        warm_pile = _build_transcripts(system, merchant_id, 4, now)
-        verify_pile = _build_transcripts(system, merchant_id, pile, now)
-
-        def fresh_engine() -> None:
-            perf.reset()
-            _register_long_lived_bases(system)
-            for signed in warm_pile:
-                _verify_payment(system, signed)
-
-        def warm_pool(pool: CryptoPool) -> None:
-            # Prime the executor (worker spawn + comb-table builds)
-            # outside the timed region, as a long-lived broker would.
-            # Callers must fresh_engine() *before* this: under the fork
-            # start method workers inherit the parent's memo caches at
-            # spawn time, and forking before the reset would hand them
-            # memoized verdicts for the very items being timed.
-            pool.run_payment_checks(
-                system.params,
-                system.broker.blind_public,
-                system.broker.sign_public,
-                dict(merchant.witness_keys),
-                warm_pile[:2],
-                now,
-                seed=0,
-            )
-
-        fresh_engine()
-        with parallel_disabled():
-            serial_seconds = _timed(
-                lambda: merchant.verify_payment_bulk(verify_pile, now)
-            )
-        payment: dict[str, Any] = {
-            "items": pile,
-            "serial_ops_per_s": round(pile / serial_seconds, 2),
-            "workers": {},
-        }
-        for level in levels:
-            chunk = max(1, -(-pile // level))
-            with CryptoPool(
-                max_workers=level, chunk_size=chunk, warm_bases=warm_bases
-            ) as pool:
-                fresh_engine()
-                warm_pool(pool)
-                seconds = _timed(
-                    lambda: merchant.verify_payment_bulk(verify_pile, now, pool=pool)
-                )
-            payment["workers"][str(level)] = {
-                "ops_per_s": round(pile / seconds, 2),
-                "speedup": round(serial_seconds / seconds, 3),
-            }
-        section["payment_verify"] = payment
-
-        # Deposits consume their transcripts, so every pass gets a fresh
-        # pile of distinct coins.
-        def deposit_pile() -> list[SignedTranscript]:
-            return _build_transcripts(system, merchant_id, pile, now)
-
-        def run_deposit(items: list[SignedTranscript], pool: CryptoPool | None) -> None:
-            outcomes = system.broker.deposit_batch(merchant_id, items, now, pool=pool)
-            bad = [item for item in outcomes if isinstance(item, Exception)]
-            if bad:
-                raise AssertionError(f"parallel bench deposit rejected items: {bad}")
-
-        serial_items = deposit_pile()
-        fresh_engine()
-        with parallel_disabled():
-            serial_seconds = _timed(lambda: run_deposit(serial_items, None))
-        deposit: dict[str, Any] = {
-            "items": pile,
-            "serial_ops_per_s": round(pile / serial_seconds, 2),
-            "workers": {},
-        }
-        for level in levels:
-            items = deposit_pile()
-            chunk = max(1, -(-pile // level))
-            with CryptoPool(
-                max_workers=level, chunk_size=chunk, warm_bases=warm_bases
-            ) as pool:
-                fresh_engine()
-                warm_pool(pool)
-                seconds = _timed(lambda: run_deposit(items, pool))
-            deposit["workers"][str(level)] = {
-                "ops_per_s": round(pile / seconds, 2),
-                "speedup": round(serial_seconds / seconds, 3),
-            }
-        section["deposit_bulk"] = deposit
-    return section
 
 
 def write_results(results: dict[str, Any], path: str | Path, mode: str) -> Path:
@@ -444,11 +274,7 @@ def check_regression(
     """Compare measured speedups against a baseline's.
 
     Ratios (not absolute throughputs) are compared, so the check is
-    stable across machines of different speeds. The nested ``parallel``
-    section is compared the same way, per workload and worker level —
-    but only when both runs report the same ``host_cpus``, since
-    pool-vs-serial ratios scale with the physical core count and a
-    cross-host comparison would be meaningless.
+    stable across machines of different speeds.
 
     Returns:
         Human-readable failure strings; empty when everything holds.
@@ -467,28 +293,6 @@ def check_regression(
                 f"{section}: speedup {speedup:.2f}x below floor {floor:.2f}x "
                 f"(baseline {base_values['speedup']:.2f}x, tolerance {tolerance})"
             )
-    base_parallel = baseline.get("parallel")
-    cur_parallel = current.get("parallel")
-    if (
-        isinstance(base_parallel, dict)
-        and isinstance(cur_parallel, dict)
-        and base_parallel.get("host_cpus") == cur_parallel.get("host_cpus")
-    ):
-        for workload in ("payment_verify", "deposit_bulk"):
-            base_workers = (base_parallel.get(workload) or {}).get("workers") or {}
-            cur_workers = (cur_parallel.get(workload) or {}).get("workers") or {}
-            for level, base_entry in base_workers.items():
-                name = f"parallel.{workload}[{level}w]"
-                cur_entry = cur_workers.get(level)
-                floor = base_entry["speedup"] * tolerance
-                if cur_entry is None:
-                    failures.append(f"{name}: missing from current results")
-                elif cur_entry["speedup"] < floor:
-                    failures.append(
-                        f"{name}: speedup {cur_entry['speedup']:.2f}x below floor "
-                        f"{floor:.2f}x (baseline {base_entry['speedup']:.2f}x, "
-                        f"tolerance {tolerance})"
-                    )
     return failures
 
 

@@ -83,19 +83,6 @@ class FixedBaseTable:
         self._blocks = blocks
         self._pw = pw
 
-    def __getstate__(self) -> tuple[int, int, int, int]:
-        """Pickle only the defining tuple; the blocks are recomputed.
-
-        The block matrix is megabytes of derived state — shipping it to
-        pool workers would dwarf the task payloads it accelerates, so
-        unpickling rebuilds it from ``(base, p, q, window)`` instead.
-        """
-        return (self.base, self.p, self.q, self.window)
-
-    def __setstate__(self, state: tuple[int, int, int, int]) -> None:
-        base, p, q, window = state
-        self.__init__(base, p, q, window)
-
     def pow(self, exponent: int) -> int:
         """Return ``base^(exponent mod q) mod p`` via table lookups."""
         e = exponent % self.q
@@ -188,9 +175,8 @@ def fpow(base: int, exponent: int, p: int, q: int) -> int:
 def build(base: int, p: int, q: int) -> FixedBaseTable:
     """Build (or fetch) the table for ``(base, p, q)`` immediately.
 
-    Bypasses the :data:`BUILD_THRESHOLD` promotion dance — pool workers
-    call this from their initializer so the long-lived bases are warm
-    before the first chunk arrives.
+    Bypasses the :data:`BUILD_THRESHOLD` promotion dance, so a benchmark
+    can time a warm table from its first call.
     """
     key = (base % p, p)
     table = _tables.get(key)

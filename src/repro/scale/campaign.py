@@ -21,11 +21,11 @@ asserts the paper's safety invariants with real signatures while the
 overlay scales to 10⁴ nodes.
 
 Determinism contract: the report's ``results`` section depends only on
-the config — it is identical across runs, across worker counts, and
-across the perf-engine on/off switch (the small-n identity check in
-``BENCH_campaign.json`` and the CI smoke job pin this). Engine-dependent
-diagnostics (repair ops, table builds, wall-clock, scaling timings) live
-*outside* ``results`` and are excluded from the digest.
+the config — it is identical across runs and across the perf-engine
+on/off switch (the small-n identity check in ``BENCH_campaign.json`` and
+the CI smoke job pin this). Engine-dependent diagnostics (repair ops,
+table builds, wall-clock) live *outside* ``results`` and are excluded
+from the digest.
 """
 
 from __future__ import annotations
@@ -253,8 +253,6 @@ def _protocol_slice(config: CampaignConfig) -> dict[str, Any]:
             {"name": result.name, "ok": result.ok} for result in invariants
         ],
         "violations": sum(1 for result in invariants if not result.ok),
-        "system": system,
-        "deployment": deployment,
     }
 
 
@@ -267,18 +265,13 @@ def results_digest(results: dict[str, Any]) -> str:
 def run_campaign(
     config: CampaignConfig,
     *,
-    scaling_workers: int = 0,
     include_protocol: bool = True,
 ) -> dict[str, Any]:
     """Run one seeded campaign and return its report dict.
 
     Args:
         config: the determinism boundary — same config ⇒ same ``results``
-            section and ``digest``, regardless of perf engine or workers.
-        scaling_workers: when > 1, append a timing-based ``scaling``
-            section exercising :mod:`repro.perf.parallel` at worker
-            levels up to this count (gated on ``host_cpus``; excluded
-            from the digest like all timings).
+            section and ``digest``, regardless of perf engine.
         include_protocol: drive the real-crypto protocol slice and the
             safety-invariant checker (on by default; tests that only
             exercise the overlay tier can switch it off).
@@ -425,27 +418,7 @@ def run_campaign(
             "wall_seconds": round(time.perf_counter() - started, 3),
         },
     }
-    if scaling_workers > 1 and include_protocol:
-        report["scaling"] = _scaling_section(slice_report, scaling_workers)
     return report
-
-
-def _scaling_section(slice_report: dict[str, Any], workers: int) -> dict[str, Any]:
-    """Efficiency-vs-cores section reusing the parallel bench harness.
-
-    Recorded as per-level speedups with the host's ``host_cpus`` stamped,
-    never a single number: on a 1-core host every level measures pool
-    overhead, and the section is informative only when ``host_cpus ≥ 4``
-    (the ROADMAP gating). Excluded from the digest — it is timing.
-    """
-    from repro.perf.bench import _run_parallel_section
-
-    system: EcashSystem = slice_report["system"]
-    deployment: NetworkDeployment = slice_report["deployment"]
-    merchant_id = system.merchant_ids[0]
-    return _run_parallel_section(
-        system, merchant_id, workers, now=deployment.now()
-    )
 
 
 def identity_check(config: CampaignConfig) -> dict[str, Any]:

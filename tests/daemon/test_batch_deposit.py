@@ -7,6 +7,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from repro.core.exceptions import ProtocolViolationError
 from repro.core.protocols import run_payment, run_withdrawal
 from repro.core.system import EcashSystem
 from repro.daemon import wire
@@ -23,10 +26,10 @@ from repro.daemon.service import (
 )
 from repro.faults.recovery import BackoffPolicy
 from repro.net.costmodel import instant_profile
-from repro.net.registry import as_int
+from repro.crypto.serialize import pack_batch
+from repro.net.registry import DEPOSIT_BATCH_SIZE, as_int
 from repro.net.services import BROKER_NODE, NetworkDeployment
 from repro.net.transport import TrafficMeter
-from repro.perf.parallel import parallel_disabled
 
 WITNESS = "alice-books"
 SHOP = "bob-news"
@@ -106,13 +109,10 @@ def _drain_over_sim(system: EcashSystem) -> list[tuple[str, int, int]]:
 
 
 def test_seventy_transcripts_drain_in_three_batches_byte_equal_to_the_sim(params):
-    # The serial engine on both sides: this is about messages, and a
-    # process pool forked under a running event loop adds nothing to it.
-    with parallel_disabled():
-        daemon_system, amounts = _system_with_pending(params)
-        reply, daemon_log = asyncio.run(_drain_over_sockets(daemon_system))
-        sim_system, _ = _system_with_pending(params)
-        sim_log = _drain_over_sim(sim_system)
+    daemon_system, amounts = _system_with_pending(params)
+    reply, daemon_log = asyncio.run(_drain_over_sockets(daemon_system))
+    sim_system, _ = _system_with_pending(params)
+    sim_log = _drain_over_sim(sim_system)
 
     assert [method for method, _, _ in daemon_log] == ["deposit/batch"] * 3
     assert daemon_log == sim_log
@@ -125,6 +125,39 @@ def test_seventy_transcripts_drain_in_three_batches_byte_equal_to_the_sim(params
     for system in (daemon_system, sim_system):
         assert system.broker.merchant_balance(SHOP) == sum(amounts)
         assert not system.merchant(SHOP).pending_deposits()
+
+
+def test_broker_daemon_refuses_a_batch_longer_than_the_limit(params):
+    """The bound sits in the handler, so a peer that skips
+    ``batch_deposit_flow`` gets a typed refusal and settles nothing."""
+    system, _ = _system_with_pending(params)
+    items = [signed.to_wire() for signed in system.merchant(SHOP).pending_deposits()]
+
+    async def scenario() -> None:
+        identities = {name: _identity(name) for name in (BROKER_NODE, SHOP)}
+        roster = {name: identity.public for name, identity in identities.items()}
+        broker = BrokerDaemon(system, identities[BROKER_NODE], roster, "127.0.0.1", 0)
+        broker.clock.pin(NOW)
+        await broker.node.start()
+        peer = await PeerConnection.open(
+            "127.0.0.1", broker.node.port, identities[SHOP], BROKER_NODE, roster, TrafficMeter()
+        )
+        try:
+            with pytest.raises(ProtocolViolationError, match="the limit is 32"):
+                await peer.request(
+                    "deposit/batch",
+                    {
+                        "merchant_id": SHOP,
+                        "batch": pack_batch("t", items[: DEPOSIT_BATCH_SIZE + 1]),
+                    },
+                    timeout=60.0,
+                )
+        finally:
+            await peer.close()
+            await broker.node.stop()
+
+    asyncio.run(scenario())
+    assert system.broker.merchant_balance(SHOP) == 0
 
 
 def test_rpc_log_is_a_bounded_ring_and_stats_fit_a_frame():

@@ -2,9 +2,16 @@
 
 import pytest
 
-from repro.core.exceptions import DoubleSpendError
+from repro.core.exceptions import DoubleSpendError, ProtocolViolationError
+from repro.core.protocols import run_payment, run_withdrawal
 from repro.core.system import EcashSystem
-from repro.crypto.serialize import KEY_ABBREVIATIONS, decode, encode, flatten
+from repro.crypto.serialize import (
+    KEY_ABBREVIATIONS,
+    decode,
+    encode,
+    flatten,
+    pack_batch,
+)
 from repro.net import registry
 from repro.net.costmodel import instant_profile
 from repro.net.services import NetworkDeployment
@@ -32,6 +39,49 @@ class TestDispatchTables:
             system.merchant("alice-books"), "alice-books", lambda: 0, rpc=None
         )
         assert tuple(table) == registry.MERCHANT_METHODS
+
+
+class TestDepositBatchBound:
+    """``deposit/batch`` is bounded where it arrives, not only where
+    ``batch_deposit_flow`` sends it."""
+
+    SHOP = "alice-books"
+
+    def wire_items(self, system, count):
+        client = system.new_client()
+        shop = system.merchant(self.SHOP)
+        while len(shop.pending_deposits()) < count:
+            stored = run_withdrawal(client, system.broker, system.standard_info(5, 0))
+            if stored.coin.witness_id != self.SHOP:
+                run_payment(client, stored, shop, system.witness_of(stored), 0)
+        return [signed.to_wire() for signed in shop.pending_deposits()]
+
+    def test_longer_batch_is_refused_before_anything_settles(self, system):
+        items = self.wire_items(system, registry.DEPOSIT_BATCH_SIZE + 1)
+        handler = registry.broker_dispatch(system.broker, lambda: 0)["deposit/batch"]
+        with pytest.raises(ProtocolViolationError, match="33 transcripts"):
+            handler({"merchant_id": self.SHOP, "batch": pack_batch("t", items)})
+        assert not system.broker._deposits
+        assert system.broker.merchant_balance(self.SHOP) == 0
+
+        reply = handler({"merchant_id": self.SHOP, "batch": pack_batch("t", items[:-1])})
+        assert [reply[f"r{index}"]["outcome"] for index in range(32)] == ["credited"] * 32
+        assert system.broker.merchant_balance(self.SHOP) == 32 * 5
+
+    def test_refusal_reaches_the_caller_over_the_sim(self, deployment):
+        system, dep = deployment
+        items = self.wire_items(system, registry.DEPOSIT_BATCH_SIZE + 1)
+
+        def oversized():
+            yield registry.RemoteCall(
+                "broker",
+                "deposit/batch",
+                {"merchant_id": self.SHOP, "batch": pack_batch("t", items)},
+            )
+
+        with pytest.raises(ProtocolViolationError):
+            dep.run(dep.run_flow(self.SHOP, oversized()))
+        assert system.broker.merchant_balance(self.SHOP) == 0
 
 
 class TestFlowsOverSim:

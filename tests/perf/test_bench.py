@@ -35,53 +35,6 @@ def test_write_results_merges_modes(tmp_path, results):
     assert stored["quick"] == {"group_bits": 512}
 
 
-def test_parallel_section_shape(params):
-    results = bench.run_bench(params=params, seed=12, sizes=(1, 2, 2), workers=2)
-    parallel = results["parallel"]
-    assert parallel["host_cpus"] >= 1
-    assert parallel["levels"] == [1, 2]
-    for workload in ("payment_verify", "deposit_bulk"):
-        values = parallel[workload]
-        assert values["items"] == 16
-        assert values["serial_ops_per_s"] > 0
-        assert set(values["workers"]) == {"1", "2"}
-        for entry in values["workers"].values():
-            assert entry["ops_per_s"] > 0
-            assert entry["speedup"] > 0
-
-
-def _parallel_block(payment_speedups, host_cpus=4):
-    return {
-        "host_cpus": host_cpus,
-        "payment_verify": {
-            "workers": {
-                level: {"speedup": value}
-                for level, value in payment_speedups.items()
-            }
-        },
-        "deposit_bulk": {"workers": {}},
-    }
-
-
-def test_check_regression_walks_parallel_levels():
-    baseline = {"parallel": _parallel_block({"2": 1.8, "4": 3.0})}
-    healthy = {"parallel": _parallel_block({"2": 1.7, "4": 2.9})}
-    assert bench.check_regression(healthy, baseline, tolerance=0.7) == []
-    regressed = {"parallel": _parallel_block({"2": 1.7, "4": 1.0})}
-    failures = bench.check_regression(regressed, baseline, tolerance=0.7)
-    assert len(failures) == 1
-    assert failures[0].startswith("parallel.payment_verify[4w]")
-    missing = {"parallel": _parallel_block({"2": 1.7})}
-    failures = bench.check_regression(missing, baseline, tolerance=0.7)
-    assert failures == ["parallel.payment_verify[4w]: missing from current results"]
-
-
-def test_check_regression_skips_parallel_across_hosts():
-    baseline = {"parallel": _parallel_block({"4": 3.0}, host_cpus=8)}
-    current = {"parallel": _parallel_block({"4": 0.9}, host_cpus=1)}
-    assert bench.check_regression(current, baseline, tolerance=0.7) == []
-
-
 def test_check_regression():
     baseline = {
         "group_bits": 512,

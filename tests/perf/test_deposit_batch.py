@@ -1,4 +1,5 @@
-"""The broker's batched deposit pipeline vs the per-item Algorithm 3 loop."""
+"""The bulk call sites vs their per-item loops: the broker's batched
+deposit (Algorithm 3) and the merchant's bulk transcript audit."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from repro.core.exceptions import DoubleDepositError, InvalidPaymentError
 from repro.core.protocols import run_payment, run_withdrawal
 from repro.core.system import EcashSystem
 from repro.core.transcripts import SignedTranscript
+from repro.crypto.counters import OpCounter, counting
 from repro.crypto.representation import RepresentationResponse
 
 from tests.conftest import MERCHANTS
@@ -115,8 +117,6 @@ def test_perf_off_path_is_a_deposit_loop(params):
 @pytest.mark.parametrize("enabled", [True, False])
 def test_logical_op_counts_match_per_item_deposits(params, enabled):
     """Table 1 accounting per item is invariant under batching and caches."""
-    from repro.crypto.counters import OpCounter, counting
-
     loop_system = _fresh_system(params)
     loop_items = _paid_transcripts(loop_system, 3)
     batch_system = _fresh_system(params)
@@ -131,3 +131,27 @@ def test_logical_op_counts_match_per_item_deposits(params, enabled):
     # ... which is the broker's deposit row of Table 1, once per item.
     exp, hashes, sig, ver = PAPER_TABLE1[("Deposit", "Broker")]
     assert batch_counter.snapshot() == (3 * exp, 3 * hashes, 3 * sig, 3 * ver)
+
+
+@pytest.mark.parametrize("position", [None, 0, 1, 2, 3])
+def test_payment_bulk_names_the_poisoned_item(system, position):
+    """``Merchant.verify_payment_bulk``: the engine-on path (one BGR batch
+    plus ``ClaimSet`` certification) against the ``perf.forced(False)``
+    per-item loop — same verdict per item, same Table 1 counts."""
+    items = _paid_transcripts(system, 4)
+    if position is not None:
+        items[position] = _forge_bad_response(system, items[position])
+    merchant = system.merchant(MERCHANT)
+    with perf.forced(True), counting(OpCounter()) as serial_counter:
+        serial = merchant.verify_payment_bulk(items, NOW)
+    with perf.forced(False), counting(OpCounter()) as naive_counter:
+        naive = merchant.verify_payment_bulk(items, NOW)
+    for index, verdict in enumerate(serial):
+        if index == position:
+            assert isinstance(verdict, InvalidPaymentError)
+        else:
+            assert verdict is None
+    assert [v and (type(v), str(v)) for v in serial] == [
+        v and (type(v), str(v)) for v in naive
+    ]
+    assert serial_counter.snapshot() == naive_counter.snapshot()

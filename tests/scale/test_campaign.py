@@ -2,8 +2,7 @@
 
 The determinism contract under test: the report's ``results`` section
 (and its sha256 digest) depends only on the :class:`CampaignConfig` —
-not on the perf engine, not on the parallel engine or worker count, not
-on which run it is.
+not on the perf engine, not on which run it is.
 """
 
 import json
@@ -11,7 +10,6 @@ import json
 import pytest
 
 from repro import perf
-from repro.perf import parallel
 from repro.scale import (
     CampaignConfig,
     identity_check,
@@ -48,21 +46,6 @@ class TestDeterminism:
                 CampaignConfig(seed=2027, nodes=64, duration=8.0)
             )
         assert other["digest"] != small_report["digest"]
-
-    def test_digest_independent_of_parallel_engine(self, small_report):
-        """Worker counts must never leak into the digested results."""
-        was = parallel.parallel_enabled()
-        parallel.set_parallel_enabled(True)
-        try:
-            with perf.forced(True):
-                on = run_campaign(SMALL)
-        finally:
-            parallel.set_parallel_enabled(was)
-        with parallel.parallel_disabled():
-            with perf.forced(True):
-                off = run_campaign(SMALL)
-        assert on["digest"] == small_report["digest"]
-        assert off["digest"] == small_report["digest"]
 
 
 class TestEngineIdentity:

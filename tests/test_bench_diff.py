@@ -9,9 +9,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "bench_diff.py"
 
 
-def _bench_file(
-    tmp_path, name, payment_speedup, pool_speedup, host_cpus=4, backend="python"
-):
+def _bench_file(tmp_path, name, payment_speedup, deposit_speedup, backend="python"):
     data = {
         "full": {
             "group_bits": 1024,
@@ -22,16 +20,11 @@ def _bench_file(
                 "perf_ops_per_s": 10.0 * payment_speedup,
                 "speedup": payment_speedup,
             },
-            "parallel": {
-                "host_cpus": host_cpus,
-                "levels": [1, 4],
-                "deposit_bulk": {
-                    "items": 32,
-                    "serial_ops_per_s": 50.0,
-                    "workers": {
-                        "4": {"ops_per_s": 50.0 * pool_speedup, "speedup": pool_speedup}
-                    },
-                },
+            "deposit_bulk": {
+                "items": 32,
+                "naive_ops_per_s": 50.0,
+                "perf_ops_per_s": 50.0 * deposit_speedup,
+                "speedup": deposit_speedup,
             },
         }
     }
@@ -52,7 +45,7 @@ def test_healthy_diff_exits_zero(tmp_path):
     result = _run(baseline, current)
     assert result.returncode == 0, result.stderr
     assert "payment_verify" in result.stdout
-    assert "parallel.deposit_bulk[4w]" in result.stdout
+    assert "deposit_bulk" in result.stdout
     assert "REGRESSION" not in result.stderr
 
 
@@ -61,15 +54,7 @@ def test_regression_is_flagged_and_exits_nonzero(tmp_path):
     current = _bench_file(tmp_path, "cur.json", 4.0, 1.0)
     result = _run(baseline, current)
     assert result.returncode == 1
-    assert "REGRESSION full: parallel.deposit_bulk[4w]" in result.stderr
-
-
-def test_cross_host_parallel_sections_are_skipped(tmp_path):
-    baseline = _bench_file(tmp_path, "base.json", 4.0, 3.0, host_cpus=8)
-    current = _bench_file(tmp_path, "cur.json", 4.0, 0.7, host_cpus=1)
-    result = _run(baseline, current)
-    assert result.returncode == 0, result.stderr
-    assert "parallel sections skipped" in result.stdout
+    assert "REGRESSION full: deposit_bulk" in result.stderr
 
 
 def test_cross_backend_comparison_is_refused(tmp_path):
@@ -139,7 +124,7 @@ def test_section_new_in_current_is_tolerated(tmp_path):
 
 
 def test_section_filter_limits_comparison(tmp_path):
-    # With --section payment_verify the regressed deposit pool row is
+    # With --section payment_verify the regressed deposit row is
     # excluded from the comparison entirely.
     baseline = _bench_file(tmp_path, "base.json", 4.0, 3.0)
     current = _bench_file(tmp_path, "cur.json", 4.0, 0.5)
@@ -149,12 +134,3 @@ def test_section_filter_limits_comparison(tmp_path):
     assert filtered.returncode == 0, filtered.stderr
     assert "payment_verify" in filtered.stdout
     assert "deposit_bulk" not in filtered.stdout
-
-
-def test_section_filter_matches_parallel_rows(tmp_path):
-    baseline = _bench_file(tmp_path, "base.json", 4.0, 3.0)
-    current = _bench_file(tmp_path, "cur.json", 0.5, 3.0)
-    filtered = _run(baseline, current, "--section", "deposit_bulk")
-    assert filtered.returncode == 0, filtered.stderr
-    assert "parallel.deposit_bulk[4w]" in filtered.stdout
-    assert "payment_verify" not in filtered.stdout

@@ -1,0 +1,69 @@
+"""Engine-switch census, and the broker daemon's bulk path forks nothing.
+
+Each ``REPRO_*`` variable doubles the configurations the suite has to
+hold byte-identical, so a new one has to edit this file to land.
+"""
+
+import json
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+_BATCH_IN_A_LOOP = """
+import asyncio, json, sys
+
+import repro.daemon.service
+from repro.core.params import test_params
+from repro.core.protocols import run_payment, run_withdrawal
+from repro.core.system import EcashSystem
+from repro.crypto.serialize import pack_batch
+from repro.net import registry
+
+system = EcashSystem(merchant_ids=("witness", "shop"), params=test_params(),
+                     seed=3, weights={"witness": 1.0})
+client = system.new_client()
+for _ in range(3):
+    stored = run_withdrawal(client, system.broker, system.standard_info(5, 0))
+    run_payment(client, stored, system.merchant("shop"), system.witness("witness"), 0)
+items = [signed.to_wire() for signed in system.merchant("shop").pending_deposits()]
+handler = registry.broker_dispatch(system.broker, lambda: 0)["deposit/batch"]
+
+async def main():
+    return handler({"merchant_id": "shop", "batch": pack_batch("t", items)})
+
+reply = asyncio.run(main())
+loaded = [name for name in ("multiprocessing", "concurrent.futures.process")
+          if name in sys.modules]
+import multiprocessing
+print(json.dumps({
+    "outcomes": [reply[f"r{index}"]["outcome"] for index in range(3)],
+    "loaded": loaded,
+    "children": len(multiprocessing.active_children()),
+}))
+"""
+
+
+def test_two_engine_switches_and_no_process_forked_by_a_deposit_batch():
+    names = {
+        name
+        for path in SRC.rglob("*.py")
+        for name in re.findall(r"REPRO_[A-Z0-9_]+", path.read_text())
+    }
+    assert names == {"REPRO_PERF", "REPRO_BACKEND"}
+
+    result = subprocess.run(
+        [sys.executable, "-c", _BATCH_IN_A_LOOP],
+        env={"PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {
+        "outcomes": ["credited"] * 3,
+        "loaded": [],
+        "children": 0,
+    }

@@ -2,23 +2,18 @@
 """Compare two BENCH_payment.json files and print per-workload deltas.
 
 Walks every mode (``full``/``quick``) present in both files, compares the
-naive-vs-perf speedup of each section and — when both runs carry a
-``parallel`` section — the pool-vs-serial speedup of every worker level,
-and prints one line per workload with the relative change. Workloads
-whose speedup dropped by more than ``--tolerance`` (default 30%) are
-flagged as regressions and make the script exit non-zero, which is how
-CI turns a bench run into a pass/fail signal.
+naive-vs-perf speedup of each section, and prints one line per workload
+with the relative change. Workloads whose speedup dropped by more than
+``--tolerance`` (default 30%) are flagged as regressions and make the
+script exit non-zero, which is how CI turns a bench run into a pass/fail
+signal.
 
 Workloads present in only one file are reported but never treated as
 regressions: results files grow new sections over time (``campaign``,
 ``witness_sig_batch``, ...), and a diff against a pre-section baseline
 must stay meaningful in both directions. Use ``--section`` (repeatable)
 to restrict the comparison to named sections, e.g.
-``--section payment_verify --section parallel``.
-
-Parallel speedups are only compared when both runs report the same
-``host_cpus``: pool-vs-serial ratios scale with the physical core count,
-so a cross-host comparison says nothing about the code.
+``--section payment_verify --section deposit_bulk``.
 
 Modes recorded under different bigint backends (``backend`` field:
 ``python`` vs ``gmpy2``) are refused outright unless
@@ -46,38 +41,6 @@ def _speedup_rows(results: dict[str, Any]) -> Iterator[tuple[str, float]]:
             yield section, float(values["speedup"])
 
 
-def _parallel_rows(results: dict[str, Any]) -> Iterator[tuple[str, float]]:
-    """Yield ``(workload[Nw], speedup)`` rows from the ``parallel`` section."""
-    parallel = results.get("parallel")
-    if not isinstance(parallel, dict):
-        return
-    for workload in sorted(parallel):
-        values = parallel[workload]
-        if not isinstance(values, dict):
-            continue
-        for level in sorted(values.get("workers", {}), key=int):
-            entry = values["workers"][level]
-            yield f"parallel.{workload}[{level}w]", float(entry["speedup"])
-
-
-def _matches_section(name: str, sections: list[str] | None) -> bool:
-    """True when the row belongs to one of the requested sections.
-
-    A row is named either ``section`` or ``parallel.section[Nw]``; a
-    filter matches the bare section name, the ``parallel`` umbrella, or
-    any dotted/bracketed extension of the filter.
-    """
-    if not sections:
-        return True
-    return any(
-        name == wanted
-        or name.startswith(f"{wanted}.")
-        or name.startswith(f"{wanted}[")
-        or name.startswith(f"parallel.{wanted}")
-        for wanted in sections
-    )
-
-
 def diff_modes(
     baseline: dict[str, Any],
     current: dict[str, Any],
@@ -89,24 +52,9 @@ def diff_modes(
     regressions: list[str] = []
     base_rows = dict(_speedup_rows(baseline))
     cur_rows = dict(_speedup_rows(current))
-    base_par = baseline.get("parallel", {})
-    cur_par = current.get("parallel", {})
-    same_host = (
-        isinstance(base_par, dict)
-        and isinstance(cur_par, dict)
-        and base_par.get("host_cpus") == cur_par.get("host_cpus")
-    )
-    if same_host:
-        base_rows.update(_parallel_rows(baseline))
-        cur_rows.update(_parallel_rows(current))
-    elif base_par or cur_par:
-        lines.append(
-            "  (parallel sections skipped: host_cpus "
-            f"{base_par.get('host_cpus') if isinstance(base_par, dict) else '?'} vs "
-            f"{cur_par.get('host_cpus') if isinstance(cur_par, dict) else '?'})"
-        )
-    base_rows = {k: v for k, v in base_rows.items() if _matches_section(k, sections)}
-    cur_rows = {k: v for k, v in cur_rows.items() if _matches_section(k, sections)}
+    if sections:
+        base_rows = {k: v for k, v in base_rows.items() if k in sections}
+        cur_rows = {k: v for k, v in cur_rows.items() if k in sections}
     for name, base_speedup in base_rows.items():
         cur_speedup = cur_rows.get(name)
         if cur_speedup is None:
@@ -144,8 +92,7 @@ def main(argv: list[str] | None = None) -> int:
         "--section",
         action="append",
         metavar="NAME",
-        help="only compare this section (repeatable); matches bare "
-        "workload names and their parallel.* worker rows",
+        help="only compare this section (repeatable)",
     )
     parser.add_argument(
         "--allow-backend-change",
