@@ -18,7 +18,7 @@ from repro.core.witness_ranges import SignedWitnessEntry
 from repro.crypto import blind
 from repro.crypto.blind import PartiallyBlindSignature
 from repro.crypto.hashing import HashInput
-from repro.crypto.serialize import text_to_int
+from repro.crypto.serialize import WireFields, as_int
 
 
 @dataclass(frozen=True)
@@ -134,24 +134,18 @@ class BareCoin:
         }
 
     @classmethod
-    def from_wire(cls, fields: dict[str, str]) -> "BareCoin":
-        """Parse the flat dotted-key mapping produced by URI decoding."""
+    def from_wire(cls, fields: WireFields, prefix: str = "") -> "BareCoin":
+        """Parse the flat dotted-key mapping, read from under ``prefix``."""
         return cls(
             signature=PartiallyBlindSignature(
-                rho=text_to_int(fields["sig.rho"]),
-                omega=text_to_int(fields["sig.omega"]),
-                sigma=text_to_int(fields["sig.sigma"]),
-                delta=text_to_int(fields["sig.delta"]),
+                rho=as_int(fields[prefix + "sig.rho"]),
+                omega=as_int(fields[prefix + "sig.omega"]),
+                sigma=as_int(fields[prefix + "sig.sigma"]),
+                delta=as_int(fields[prefix + "sig.delta"]),
             ),
-            info=CoinInfo.from_wire(
-                {
-                    key.removeprefix("info."): value
-                    for key, value in fields.items()
-                    if key.startswith("info.")
-                }
-            ),
-            commitment_a=text_to_int(fields["A"]),
-            commitment_b=text_to_int(fields["B"]),
+            info=CoinInfo.from_wire(fields, prefix + "info."),
+            commitment_a=as_int(fields[prefix + "A"]),
+            commitment_b=as_int(fields[prefix + "B"]),
         )
 
 
@@ -230,21 +224,11 @@ class Coin:
         return {"bare": self.bare.to_wire(), "witness": self.witness_entry.to_wire()}
 
     @classmethod
-    def from_wire(cls, fields: dict[str, str]) -> "Coin":
-        """Parse the flat dotted-key mapping produced by URI decoding."""
-        bare_fields = {
-            key.removeprefix("bare."): value
-            for key, value in fields.items()
-            if key.startswith("bare.")
-        }
-        witness_fields = {
-            key.removeprefix("witness."): value
-            for key, value in fields.items()
-            if key.startswith("witness.")
-        }
+    def from_wire(cls, fields: WireFields, prefix: str = "") -> "Coin":
+        """Parse the flat dotted-key mapping, read from under ``prefix``."""
         return cls(
-            bare=BareCoin.from_wire(bare_fields),
-            witness_entry=SignedWitnessEntry.from_wire(witness_fields),
+            bare=BareCoin.from_wire(fields, prefix + "bare."),
+            witness_entry=SignedWitnessEntry.from_wire(fields, prefix + "witness."),
         )
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.crypto.hashing import HashInput
-from repro.crypto.serialize import text_to_int, int_to_text
+from repro.crypto.serialize import WireFields, as_int, int_to_text
 
 
 @dataclass(frozen=True, order=True)
@@ -81,13 +81,13 @@ class CoinInfo:
         }
 
     @classmethod
-    def from_wire(cls, fields: dict[str, str]) -> "CoinInfo":
-        """Parse the output of :meth:`to_wire` after URI decoding."""
+    def from_wire(cls, fields: WireFields, prefix: str = "") -> "CoinInfo":
+        """Parse :meth:`to_wire` fields, read from under ``prefix``."""
         return cls(
-            denomination=text_to_int(fields["denomination"]),
-            list_version=text_to_int(fields["list_version"]),
-            soft_expiry=text_to_int(fields["soft_expiry"]),
-            hard_expiry=text_to_int(fields["hard_expiry"]),
+            denomination=as_int(fields[prefix + "denomination"]),
+            list_version=as_int(fields[prefix + "list_version"]),
+            soft_expiry=as_int(fields[prefix + "soft_expiry"]),
+            hard_expiry=as_int(fields[prefix + "hard_expiry"]),
         )
 
     def short_label(self) -> str:

@@ -27,7 +27,7 @@ from repro.crypto.schnorr import (
     check as schnorr_check,
     verify as schnorr_verify,
 )
-from repro.crypto.serialize import text_to_int
+from repro.crypto.serialize import WireFields, as_int, as_text
 
 
 def payment_nonce(params: SystemParams, salt: int, merchant_id: str) -> int:
@@ -52,9 +52,12 @@ class CommitmentRequest:
         return {"coin_hash": self.coin_hash, "nonce": self.nonce}
 
     @classmethod
-    def from_wire(cls, fields: dict[str, str]) -> "CommitmentRequest":
-        """Parse URI fields."""
-        return cls(coin_hash=text_to_int(fields["coin_hash"]), nonce=text_to_int(fields["nonce"]))
+    def from_wire(cls, fields: WireFields, prefix: str = "") -> "CommitmentRequest":
+        """Parse URI fields, read from under ``prefix``."""
+        return cls(
+            coin_hash=as_int(fields[prefix + "coin_hash"]),
+            nonce=as_int(fields[prefix + "nonce"]),
+        )
 
 
 @dataclass(frozen=True)
@@ -135,16 +138,16 @@ class WitnessCommitment:
         }
 
     @classmethod
-    def from_wire(cls, fields: dict[str, str]) -> "WitnessCommitment":
-        """Parse URI fields."""
+    def from_wire(cls, fields: WireFields, prefix: str = "") -> "WitnessCommitment":
+        """Parse URI fields, read from under ``prefix``."""
         return cls(
-            witness_id=fields["witness_id"],
-            coin_hash=text_to_int(fields["coin_hash"]),
-            nonce=text_to_int(fields["nonce"]),
-            v_hash=text_to_int(fields["v_hash"]),
-            expires_at=text_to_int(fields["expires_at"]),
+            witness_id=as_text(fields[prefix + "witness_id"]),
+            coin_hash=as_int(fields[prefix + "coin_hash"]),
+            nonce=as_int(fields[prefix + "nonce"]),
+            v_hash=as_int(fields[prefix + "v_hash"]),
+            expires_at=as_int(fields[prefix + "expires_at"]),
             signature=SchnorrSignature(
-                e=text_to_int(fields["sig_e"]), s=text_to_int(fields["sig_s"])
+                e=as_int(fields[prefix + "sig_e"]), s=as_int(fields[prefix + "sig_s"])
             ),
         )
 
@@ -192,21 +195,16 @@ class PaymentTranscript:
         }
 
     @classmethod
-    def from_wire(cls, fields: dict[str, str]) -> "PaymentTranscript":
-        """Parse URI fields."""
-        coin_fields = {
-            key.removeprefix("coin."): value
-            for key, value in fields.items()
-            if key.startswith("coin.")
-        }
+    def from_wire(cls, fields: WireFields, prefix: str = "") -> "PaymentTranscript":
+        """Parse URI fields, read from under ``prefix``."""
         return cls(
-            coin=Coin.from_wire(coin_fields),
+            coin=Coin.from_wire(fields, prefix + "coin."),
             response=RepresentationResponse(
-                r1=text_to_int(fields["r1"]), r2=text_to_int(fields["r2"])
+                r1=as_int(fields[prefix + "r1"]), r2=as_int(fields[prefix + "r2"])
             ),
-            merchant_id=fields["merchant_id"],
-            timestamp=text_to_int(fields["timestamp"]),
-            salt=text_to_int(fields["salt"]),
+            merchant_id=as_text(fields[prefix + "merchant_id"]),
+            timestamp=as_int(fields[prefix + "timestamp"]),
+            salt=as_int(fields[prefix + "salt"]),
         )
 
 
@@ -262,17 +260,12 @@ class SignedTranscript:
         }
 
     @classmethod
-    def from_wire(cls, fields: dict[str, str]) -> "SignedTranscript":
-        """Parse URI fields."""
-        transcript_fields = {
-            key.removeprefix("transcript."): value
-            for key, value in fields.items()
-            if key.startswith("transcript.")
-        }
+    def from_wire(cls, fields: WireFields, prefix: str = "") -> "SignedTranscript":
+        """Parse URI fields, read from under ``prefix``."""
         return cls(
-            transcript=PaymentTranscript.from_wire(transcript_fields),
+            transcript=PaymentTranscript.from_wire(fields, prefix + "transcript."),
             witness_signature=SchnorrSignature(
-                e=text_to_int(fields["wsig_e"]), s=text_to_int(fields["wsig_s"])
+                e=as_int(fields[prefix + "wsig_e"]), s=as_int(fields[prefix + "wsig_s"])
             ),
         )
 
@@ -323,15 +316,15 @@ class DoubleSpendProof:
         return out
 
     @classmethod
-    def from_wire(cls, fields: dict[str, str]) -> "DoubleSpendProof":
-        """Parse URI fields."""
+    def from_wire(cls, fields: WireFields, prefix: str = "") -> "DoubleSpendProof":
+        """Parse URI fields, read from under ``prefix``."""
         x = None
         y = None
-        if "x1" in fields:
-            x = Representation(text_to_int(fields["x1"]), text_to_int(fields["x2"]))
-        if "y1" in fields:
-            y = Representation(text_to_int(fields["y1"]), text_to_int(fields["y2"]))
-        return cls(coin_hash=text_to_int(fields["coin_hash"]), x=x, y=y)
+        if prefix + "x1" in fields:
+            x = Representation(as_int(fields[prefix + "x1"]), as_int(fields[prefix + "x2"]))
+        if prefix + "y1" in fields:
+            y = Representation(as_int(fields[prefix + "y1"]), as_int(fields[prefix + "y2"]))
+        return cls(coin_hash=as_int(fields[prefix + "coin_hash"]), x=x, y=y)
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,7 @@ from repro import perf
 from repro.core.exceptions import WrongWitnessError
 from repro.core.params import SystemParams
 from repro.crypto.schnorr import SchnorrKeyPair, SchnorrSignature, verify as schnorr_verify
-from repro.crypto.serialize import text_to_int
+from repro.crypto.serialize import WireFields, as_int, as_text
 
 
 @dataclass(frozen=True)
@@ -101,17 +101,17 @@ class SignedWitnessEntry:
         }
 
     @classmethod
-    def from_wire(cls, fields: dict[str, str]) -> "SignedWitnessEntry":
-        """Parse the output of :meth:`to_wire` after URI decoding."""
+    def from_wire(cls, fields: WireFields, prefix: str = "") -> "SignedWitnessEntry":
+        """Parse :meth:`to_wire` fields, read from under ``prefix``."""
         return cls(
-            version=text_to_int(fields["version"]),
+            version=as_int(fields[prefix + "version"]),
             range=WitnessRange(
-                merchant_id=fields["merchant_id"],
-                low=text_to_int(fields["low"]),
-                high=text_to_int(fields["high"]),
+                merchant_id=as_text(fields[prefix + "merchant_id"]),
+                low=as_int(fields[prefix + "low"]),
+                high=as_int(fields[prefix + "high"]),
             ),
             signature=SchnorrSignature(
-                e=text_to_int(fields["sig_e"]), s=text_to_int(fields["sig_s"])
+                e=as_int(fields[prefix + "sig_e"]), s=as_int(fields[prefix + "sig_s"])
             ),
         )
 

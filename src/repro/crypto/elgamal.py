@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from repro.crypto import counters
 from repro.crypto.group import SchnorrGroup
 from repro.crypto.numbers import random_scalar
-from repro.crypto.serialize import text_to_int
+from repro.crypto.serialize import WireFields, as_int
 
 
 @dataclass(frozen=True)
@@ -50,9 +50,9 @@ class ElGamalCiphertext:
         return {"c1": self.c1, "c2": self.c2}
 
     @classmethod
-    def from_wire(cls, fields: dict[str, str]) -> "ElGamalCiphertext":
-        """Parse URI fields."""
-        return cls(c1=text_to_int(fields["c1"]), c2=text_to_int(fields["c2"]))
+    def from_wire(cls, fields: WireFields, prefix: str = "") -> "ElGamalCiphertext":
+        """Parse URI fields, read from under ``prefix``."""
+        return cls(c1=as_int(fields[prefix + "c1"]), c2=as_int(fields[prefix + "c2"]))
 
 
 @dataclass(frozen=True)

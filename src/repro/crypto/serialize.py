@@ -1,4 +1,4 @@
-"""URI-style serialization of protocol state.
+"""URI-style serialization of protocol state, one pass in each direction.
 
 Section 7 of the paper describes a (mostly) stateless REST design: *"All
 state is encoded as universal resource identifiers (URIs) and transferred
@@ -10,20 +10,31 @@ required"*. This module implements exactly that wire format:
   values, URL-encoded into a query string whose byte length is what the
   Table 2 bandwidth benchmark measures;
 * integers travel as unpadded URL-safe base64 of their big-endian bytes
-  (the paper's base64 option);
+  (the paper's base64 option), and each integer has exactly one spelling;
 * the verbose dotted key segments (``transcript.coin.bare.sig.rho`` ...)
   are abbreviated through a fixed reversible dictionary (the paper's
   compression option) before hitting the wire.
+
+:func:`encode` walks the nested mapping once and :func:`decode` walks the
+string once; the dotted key of every leaf is translated through a bounded
+memo, so a steady-state message costs one dictionary lookup per key. A
+decoded body reaches its handler as :class:`Fields` — nested to read, flat
+underneath — so ``flatten`` of a received payload is the decoded mapping
+itself, not a second walk.
 """
 
 from __future__ import annotations
 
-import base64
-from collections.abc import Mapping, Sequence
-from urllib.parse import parse_qsl, quote, urlencode
+import re
+from binascii import a2b_base64, b2a_base64
+from collections.abc import Iterator, Mapping, Sequence
+from typing import Any
+from urllib.parse import quote, unquote
 
 WireValue = int | str
 WireMapping = dict[str, WireValue]
+#: What ``from_wire`` reads: dotted keys to wire text or in-process integers.
+WireFields = Mapping[str, WireValue]
 
 #: Fixed key-segment abbreviation dictionary (the transport "compression").
 #: Applied segment-wise to dotted keys on encode, reversed on decode;
@@ -71,33 +82,73 @@ _EXPANSIONS = {short: long for long, short in KEY_ABBREVIATIONS.items()}
 if len(_EXPANSIONS) != len(KEY_ABBREVIATIONS):  # pragma: no cover - static sanity
     raise RuntimeError("key abbreviation dictionary is not reversible")
 
+#: Entries each key memo may hold. A peer chooses the keys it sends, so
+#: an unbounded memo would be memory it controls; a full memo is emptied
+#: and relearns the honest keys within one message.
+KEY_MEMO_BOUND = 4096
+#: long dotted key -> percent-quoted abbreviated key, as :func:`encode` emits it.
+_wire_keys: dict[str, str] = {}
+#: key token as received (still quoted) -> long dotted key.
+_long_keys: dict[str, str] = {}
+
+_BASE64_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_"
+_TO_URLSAFE = bytes.maketrans(b"+/", b"-_")
+_is_int_text = re.compile(r"[A-Za-z0-9_-]+").fullmatch
+#: By ``len(text) % 4``: the final characters whose unused low bits are
+#: zero (the only ones :func:`int_to_text` ends on), and the padding that
+#: makes the text a whole base64 quantum. No text has length 1 mod 4.
+_CANONICAL_LAST = (
+    frozenset(_BASE64_ALPHABET),
+    frozenset(),
+    frozenset(_BASE64_ALPHABET[::16]),
+    frozenset(_BASE64_ALPHABET[::4]),
+)
+_PADDING = ("", "", "==", "=")
+#: Strings ``quote(safe="")`` would return unchanged.
+_is_unreserved = re.compile(r"[A-Za-z0-9_.~-]*").fullmatch
+
 
 def int_to_text(value: int) -> str:
     """Encode a non-negative integer as unpadded URL-safe base64."""
     if value < 0:
         raise ValueError("wire integers must be non-negative")
     raw = value.to_bytes((value.bit_length() + 7) // 8 or 1, "big")
-    return base64.urlsafe_b64encode(raw).decode("ascii").rstrip("=")
+    return b2a_base64(raw).translate(_TO_URLSAFE, b"=\n").decode("ascii")
 
 
 def text_to_int(text: str) -> int:
-    """Decode :func:`int_to_text` output.
+    """Decode :func:`int_to_text` output, and nothing else.
+
+    Padding, characters outside the alphabet, non-zero unused bits and
+    leading zero bytes are all refused, so a value has one spelling and
+    ``decode`` → ``encode`` reproduces the body it was given.
 
     Raises:
         ValueError: on empty or malformed input.
     """
     if not text:
         raise ValueError("empty integer field")
-    padding = "=" * (-len(text) % 4)
-    try:
-        raw = base64.urlsafe_b64decode((text + padding).encode("ascii"))
-    except Exception as error:
-        raise ValueError(f"malformed wire integer {text!r}") from error
-    # b64decode silently skips characters outside the alphabet unless told
-    # to validate; malformed protocol fields must be loud.
-    if base64.urlsafe_b64encode(raw).decode("ascii").rstrip("=") != text.rstrip("="):
+    tail = len(text) % 4
+    if _is_int_text(text) is None or text[-1] not in _CANONICAL_LAST[tail]:
+        raise ValueError(f"malformed wire integer {text!r}")
+    raw = a2b_base64(text.replace("-", "+").replace("_", "/") + _PADDING[tail])
+    if raw[0] == 0 and len(raw) > 1:
         raise ValueError(f"malformed wire integer {text!r}")
     return int.from_bytes(raw, "big")
+
+
+def as_text(value: Any) -> str:
+    """Coerce a wire value to its text form (ints via base64)."""
+    if isinstance(value, int):
+        return int_to_text(value)
+    return str(value)
+
+
+def as_int(value: Any) -> int:
+    """Coerce a wire value to an integer (text via base64)."""
+    if isinstance(value, int):
+        return value
+    return text_to_int(str(value))
 
 
 def abbreviate_key(dotted: str) -> str:
@@ -110,19 +161,80 @@ def expand_key(dotted: str) -> str:
     return ".".join(_EXPANSIONS.get(part, part) for part in dotted.split("."))
 
 
-def flatten(mapping: dict[str, object], prefix: str = "") -> WireMapping:
-    """Flatten nested dictionaries into dotted keys.
+def _remember(memo: dict[str, str], key: str, value: str) -> str:
+    if len(memo) >= KEY_MEMO_BOUND:
+        memo.clear()
+    memo[key] = value
+    return value
+
+
+class Fields(Mapping[str, Any]):
+    """A decoded body as a handler receives it: nested to read, flat beneath.
+
+    ``fields["ticket"]`` is a scalar's wire text, ``fields["r0"]`` the
+    group of keys under ``r0.`` (another view over the same mapping), and
+    iteration yields the top-level names — what the nested dictionary
+    built from the body would give, without building it.
+    :func:`flatten` of a view is the decoded mapping itself. Built by
+    :func:`nested`, which supplies ``groups``: every dotted prefix under
+    which the mapping has keys.
+    """
+
+    __slots__ = ("flat", "groups", "lead")
+
+    def __init__(self, flat: dict[str, str], groups: set[str], lead: str = "") -> None:
+        self.flat = flat
+        self.groups = groups
+        self.lead = lead
+
+    def __getitem__(self, name: str) -> Any:
+        key = self.lead + name
+        try:
+            return self.flat[key]
+        except KeyError:
+            if key not in self.groups:
+                raise KeyError(name) from None
+        return Fields(self.flat, self.groups, key + ".")
+
+    def __iter__(self) -> Iterator[str]:
+        lead, skip = self.lead, len(self.lead)
+        names = (key[skip:].partition(".")[0] for key in self.flat if key.startswith(lead))
+        return iter(dict.fromkeys(names))
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+    def __repr__(self) -> str:
+        return repr(unflatten(flatten(self)))
+
+
+def nested(flat: dict[str, str]) -> Fields:
+    """View a decoded mapping as the nested structure its keys spell.
 
     Raises:
-        TypeError: if a leaf value is neither ``int`` nor ``str``.
+        ValueError: a key is both a scalar and a group (``a=1&a.b=2``).
     """
-    out: WireMapping = {}
+    groups: set[str] = set()
+    for group in {key.rpartition(".")[0] for key in flat if "." in key}:
+        dot = "."
+        while dot and group not in groups:
+            if group in flat:
+                raise ValueError(f"wire key {group!r} is both a scalar and a nested field")
+            groups.add(group)
+            group, dot, _ = group.rpartition(".")
+    return Fields(flat, groups)
+
+
+def _walk(mapping: Mapping[str, object], lead: str, out: WireMapping) -> None:
     for key, value in mapping.items():
         if "." in key or "=" in key or "&" in key:
             raise ValueError(f"illegal character in wire key {key!r}")
-        full_key = f"{prefix}.{key}" if prefix else key
-        if isinstance(value, dict):
-            out.update(flatten(value, full_key))
+        full_key = lead + key
+        kind = value.__class__
+        if kind is int or kind is str:
+            out[full_key] = value  # type: ignore[assignment]
+        elif isinstance(value, (dict, Fields)):
+            _walk(value, full_key + "." if full_key else "", out)
         elif isinstance(value, bool):
             raise TypeError("booleans are not wire values; encode as int 0/1")
         elif isinstance(value, (int, str)):
@@ -131,44 +243,93 @@ def flatten(mapping: dict[str, object], prefix: str = "") -> WireMapping:
             raise TypeError(
                 f"cannot serialize {type(value).__name__} at key {full_key!r}"
             )
+
+
+def flatten(mapping: Mapping[str, object], prefix: str = "") -> WireMapping:
+    """Flatten nested dictionaries into dotted keys.
+
+    A received payload (:class:`Fields`) is flat already and is returned
+    as the mapping it views, not copied.
+
+    Raises:
+        TypeError: if a leaf value is neither ``int`` nor ``str``.
+    """
+    if isinstance(mapping, Fields) and not prefix:
+        if not mapping.lead:
+            return mapping.flat  # type: ignore[return-value]
+        return strip_prefix(mapping.flat, mapping.lead)
+    out: WireMapping = {}
+    _walk(mapping, f"{prefix}." if prefix else "", out)
     return out
 
 
-def encode(mapping: dict[str, object]) -> str:
+def strip_prefix(fields: Mapping[str, Any], prefix: str) -> dict[str, Any]:
+    """Select the keys under ``prefix``, with the prefix removed.
+
+    Values pass through as they are: ``from_wire`` takes wire text and
+    in-process integers alike.
+    """
+    skip = len(prefix)
+    return {
+        key[skip:]: value for key, value in fields.items() if key.startswith(prefix)
+    }
+
+
+def encode(mapping: Mapping[str, object]) -> str:
     """URL-encode a (possibly nested) mapping into a query string.
 
     Keys are abbreviated and sorted so encoding is deterministic — two
     parties serializing the same logical message produce byte-identical
-    strings, which the signature checks rely on.
+    strings, which the signature checks rely on. The result is ASCII.
     """
-    flat = flatten(mapping)
-    items: list[tuple[str, str]] = []
+    flat: WireMapping = {}
+    _walk(mapping, "", flat)
+    pairs: list[str] = []
     for key in sorted(flat):
         value = flat[key]
-        text = int_to_text(value) if isinstance(value, int) else value
-        items.append((abbreviate_key(key), text))
-    return urlencode(items, quote_via=quote)
+        wire_key = _wire_keys.get(key)
+        if wire_key is None:
+            wire_key = _remember(_wire_keys, key, quote(abbreviate_key(key), safe=""))
+        if isinstance(value, int):
+            text = int_to_text(value)
+        elif _is_unreserved(value):
+            text = value
+        else:
+            text = quote(value, safe="")
+        pairs.append(f"{wire_key}={text}")
+    return "&".join(pairs)
+
+
+def _unquote(token: str) -> str:
+    return unquote(token.replace("+", " "))
 
 
 def decode(wire: str) -> dict[str, str]:
     """Decode a query string into a flat ``{dotted_key: text}`` mapping.
 
-    Keys are expanded back to their long forms.
+    Keys are expanded back to their long forms. Empty tokens (``a=1&&b=2``)
+    are skipped, a token without ``=`` has an empty value, and only ``&``
+    separates — the shapes ``urllib.parse.parse_qsl`` tolerates.
 
     Raises:
         ValueError: on duplicate keys (a malformed or maliciously crafted
             message).
     """
     out: dict[str, str] = {}
-    for key, value in parse_qsl(wire, keep_blank_values=True):
-        expanded = expand_key(key)
-        if expanded in out:
-            raise ValueError(f"duplicate wire key {expanded!r}")
-        out[expanded] = value
+    for token in wire.split("&"):
+        if not token:
+            continue
+        name, _, value = token.partition("=")
+        key = _long_keys.get(name)
+        if key is None:
+            key = _remember(_long_keys, name, expand_key(_unquote(name)))
+        if key in out:
+            raise ValueError(f"duplicate wire key {key!r}")
+        out[key] = _unquote(value) if "%" in value or "+" in value else value
     return out
 
 
-def unflatten(flat: dict[str, str]) -> dict[str, object]:
+def unflatten(flat: Mapping[str, str]) -> dict[str, object]:
     """Rebuild the nested structure from dotted keys."""
     out: dict[str, object] = {}
     for dotted, value in flat.items():
@@ -185,12 +346,12 @@ def unflatten(flat: dict[str, str]) -> dict[str, object]:
     return out
 
 
-def wire_bytes(mapping: dict[str, object]) -> int:
+def wire_bytes(mapping: Mapping[str, object]) -> int:
     """Return the on-the-wire size (bytes) of an encoded mapping.
 
     This is the quantity behind the "bytes transmitted" column of Table 2.
     """
-    return len(encode(mapping).encode("ascii"))
+    return len(encode(mapping))
 
 
 def pack_batch(
@@ -236,15 +397,21 @@ def split_batch(
 
 
 __all__ = [
+    "Fields",
     "KEY_ABBREVIATIONS",
+    "KEY_MEMO_BOUND",
     "abbreviate_key",
+    "as_int",
+    "as_text",
     "decode",
     "encode",
     "expand_key",
     "flatten",
     "int_to_text",
+    "nested",
     "pack_batch",
     "split_batch",
+    "strip_prefix",
     "text_to_int",
     "unflatten",
     "wire_bytes",

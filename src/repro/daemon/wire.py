@@ -1,4 +1,4 @@
-"""Frame bodies: the sim's wire format carried over TCP.
+"""Frame bodies: the sim's wire format carried over TCP, parsed in one pass.
 
 Request bodies are exactly ``Message(method, payload).encoded()``,
 response bodies ``Message(method + "/ok", payload).encoded()`` and error
@@ -13,16 +13,20 @@ client, so remote refusals raise the very exceptions local calls raise.
 Byte accounting for an error is computed from the wire fields alone —
 never from the reconstructed object — so an unknown type name cannot
 skew the books.
+
+A body is decoded once, into the flat mapping its keys spell, and handed
+on as a :class:`~repro.crypto.serialize.Fields` view: callers read it as
+the nested payload (``reply["r0"]["outcome"]``), handlers ``flatten`` it
+for free. No nested dictionary is built in between.
 """
 
 from __future__ import annotations
 
 import inspect
-from typing import Any
 
 from repro.core import exceptions as _exceptions
 from repro.core.exceptions import EcashError
-from repro.crypto.serialize import decode, encode, unflatten
+from repro.crypto.serialize import Fields, decode, encode, nested
 from repro.net.transport import HTTP_FRAMING_BYTES, Message
 
 
@@ -86,12 +90,13 @@ def message_size(body: bytes) -> int:
     return len(body) + HTTP_FRAMING_BYTES
 
 
-def parse_request(body: bytes) -> tuple[str, dict[str, Any]]:
+def parse_request(body: bytes) -> tuple[str, Fields]:
     """Decode a request body into ``(method, nested payload)``.
 
     Raises:
-        ValueError: no ``_method`` field, undecodable body, or a payload
-            smuggling reserved fields.
+        ValueError: no ``_method`` field, undecodable body, a key that
+            is both scalar and nested, or a payload smuggling reserved
+            fields.
     """
     flat = decode(body.decode("ascii"))
     method = flat.pop("_method", None)
@@ -99,14 +104,14 @@ def parse_request(body: bytes) -> tuple[str, dict[str, Any]]:
         raise ValueError("request body lacks a _method field")
     if "_error" in flat:
         raise ValueError("request body carries a reserved _error field")
-    return method, unflatten(flat)
+    return method, nested(flat)
 
 
-def parse_response(body: bytes) -> dict[str, Any]:
+def parse_response(body: bytes) -> Fields:
     """Decode a response body into the nested reply payload."""
     flat = decode(body.decode("ascii"))
     flat.pop("_method", None)
-    return unflatten(flat)
+    return nested(flat)
 
 
 def parse_error(body: bytes) -> EcashError:

@@ -31,7 +31,7 @@ from repro.core.exceptions import InvalidCoinError, ProtocolViolationError
 from repro.core.info import CoinInfo
 from repro.crypto.blind import PartiallyBlindSigner, SignerChallenge
 from repro.crypto.elgamal import ElGamalCiphertext
-from repro.crypto.serialize import flatten, int_to_text, text_to_int
+from repro.crypto.serialize import as_int, flatten, strip_prefix
 from repro.net.node import Network
 from repro.net.services import BROKER_NODE
 
@@ -87,7 +87,7 @@ class EscrowIssuingService:
         identity = self.registry.get(client_name)
         if identity is None:
             raise ProtocolViolationError(f"{client_name!r} has no escrow registration")
-        info = CoinInfo.from_wire(_strip(flatten(payload), "info."))
+        info = CoinInfo.from_wire(strip_prefix(flatten(payload), "info."))
         sessions = []
         challenges = []
         for _ in range(self.cut_and_choose):
@@ -112,35 +112,33 @@ class EscrowIssuingService:
         return out
 
     def _handle_submit(self, payload: dict[str, Any]) -> dict[str, Any]:
-        ticket = self._tickets[_as_int(payload["ticket"])]
+        ticket = self._tickets[as_int(payload["ticket"])]
         # The blinded challenges commit the client before it learns which
         # candidate survives; store them for the final signing step.
         flat = flatten(payload)
         ticket.es = [
-            _as_int(flat[f"es.e{index}"]) for index in range(self.cut_and_choose)
+            as_int(flat[f"es.e{index}"]) for index in range(self.cut_and_choose)
         ]
         audit = [i for i in range(self.cut_and_choose) if i != ticket.keep]
         return {"audit": {f"i{k}": index for k, index in enumerate(audit)}}
 
     def _handle_open(self, payload: dict[str, Any]) -> dict[str, Any]:
-        ticket = self._tickets.pop(_as_int(payload["ticket"]))
+        ticket = self._tickets.pop(as_int(payload["ticket"]))
         flat = flatten(payload)
         for index in range(self.cut_and_choose):
             if index == ticket.keep:
                 continue
             prefix = f"open.i{index}."
             opened = OpenedCandidate(
-                e=_as_int(flat[prefix + "e"]),
-                t1=_as_int(flat[prefix + "t1"]),
-                t2=_as_int(flat[prefix + "t2"]),
-                t3=_as_int(flat[prefix + "t3"]),
-                t4=_as_int(flat[prefix + "t4"]),
-                commitment_a=_as_int(flat[prefix + "A"]),
-                commitment_b=_as_int(flat[prefix + "B"]),
-                tag=ElGamalCiphertext(
-                    c1=_as_int(flat[prefix + "c1"]), c2=_as_int(flat[prefix + "c2"])
-                ),
-                tag_randomness=_as_int(flat[prefix + "r"]),
+                e=as_int(flat[prefix + "e"]),
+                t1=as_int(flat[prefix + "t1"]),
+                t2=as_int(flat[prefix + "t2"]),
+                t3=as_int(flat[prefix + "t3"]),
+                t4=as_int(flat[prefix + "t4"]),
+                commitment_a=as_int(flat[prefix + "A"]),
+                commitment_b=as_int(flat[prefix + "B"]),
+                tag=ElGamalCiphertext.from_wire(flat, prefix),
+                tag_randomness=as_int(flat[prefix + "r"]),
             )
             if ticket.es is None or opened.e != ticket.es[index]:
                 raise ProtocolViolationError("opened candidate does not match submission")
@@ -177,12 +175,12 @@ class EscrowIssuingService:
                 {"client": client_name, "info": info.to_wire()},
             ))
         )
-        ticket = _as_int(opened_reply["ticket"])
-        k = _as_int(opened_reply["k"])
+        ticket = as_int(opened_reply["ticket"])
+        k = as_int(opened_reply["k"])
         challenges = [
             SignerChallenge(
-                a=_as_int(opened_reply[f"c{index}.a"]),
-                b=_as_int(opened_reply[f"c{index}.b"]),
+                a=as_int(opened_reply[f"c{index}.a"]),
+                b=as_int(opened_reply[f"c{index}.b"]),
             )
             for index in range(k)
         ]
@@ -207,7 +205,7 @@ class EscrowIssuingService:
             ))
         )
         audit = sorted(
-            _as_int(value)
+            as_int(value)
             for key, value in audit_reply.items()
             if key.startswith("audit.")
         )
@@ -234,13 +232,13 @@ class EscrowIssuingService:
                 {"ticket": ticket, "open": openings},
             ))
         )
-        keep = _as_int(final["keep"])
+        keep = as_int(final["keep"])
         from repro.crypto.blind import SignerResponse
 
         chosen = session.candidates[keep]
         signature = chosen.session.finish(
             SignerResponse(
-                r=_as_int(final["r"]), c=_as_int(final["c"]), s=_as_int(final["s"])
+                r=as_int(final["r"]), c=as_int(final["c"]), s=as_int(final["s"])
             )
         )
         coin = EscrowedCoin(
@@ -253,22 +251,6 @@ class EscrowIssuingService:
         if not coin.verify_signature(self.params, self.signer.public):
             raise InvalidCoinError("escrowed coin failed to verify after unblinding")
         return EscrowedWithdrawalResult(coin=coin, secrets=chosen.secrets)
-
-
-def _strip(fields: dict[str, Any], prefix: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for key, value in fields.items():
-        if key.startswith(prefix):
-            out[key.removeprefix(prefix)] = (
-                int_to_text(value) if isinstance(value, int) else str(value)
-            )
-    return out
-
-
-def _as_int(value: Any) -> int:
-    if isinstance(value, int):
-        return value
-    return text_to_int(str(value))
 
 
 __all__ = ["EscrowIssuingService"]

@@ -34,7 +34,7 @@ from repro.core.fair_exchange import (
 from repro.core.merchant import PaymentRequest
 from repro.core.transcripts import PaymentTranscript, WitnessCommitment
 from repro.crypto.schnorr import SchnorrSignature
-from repro.crypto.serialize import flatten, int_to_text, text_to_int
+from repro.crypto.serialize import as_int, flatten, strip_prefix
 from repro.net.node import Node
 from repro.net.services import NetworkDeployment
 
@@ -158,20 +158,14 @@ class FairExchangeService:
         offer = Offer(
             merchant_id=str(payload["merchant_id"]),
             good_id=str(payload["good_id"]),
-            price=_as_int(payload["price"]),
-            key_commitment=_as_int(payload["key_commitment"]),
-            expires_at=_as_int(payload["expires_at"]),
+            price=as_int(payload["price"]),
+            key_commitment=as_int(payload["key_commitment"]),
+            expires_at=as_int(payload["expires_at"]),
             signature=SchnorrSignature(
-                e=_as_int(payload["sig_e"]), s=_as_int(payload["sig_s"])
+                e=as_int(payload["sig_e"]), s=as_int(payload["sig_s"])
             ),
         )
-        transcript = PaymentTranscript.from_wire(
-            {
-                key.removeprefix("transcript."): _as_text(value)
-                for key, value in flat.items()
-                if key.startswith("transcript.")
-            }
-        )
+        transcript = PaymentTranscript.from_wire(strip_prefix(flat, "transcript."))
         system = self.deployment.system
         merchant = system.merchant(offer.merchant_id)
         witness = system.witness(transcript.coin.witness_id)
@@ -184,7 +178,7 @@ class FairExchangeService:
         dispute = FxDispute(
             offer=offer,
             transcript=transcript,
-            opening=_as_int(payload["opening"]),
+            opening=as_int(payload["opening"]),
             encrypted_good=b"",
         )
         resolution, released = self.arbiter.resolve(
@@ -223,11 +217,11 @@ class FairExchangeService:
         offer = Offer(
             merchant_id=merchant_id,
             good_id=good_id,
-            price=_as_int(offer_reply["price"]),
-            key_commitment=_as_int(offer_reply["key_commitment"]),
-            expires_at=_as_int(offer_reply["expires_at"]),
+            price=as_int(offer_reply["price"]),
+            key_commitment=as_int(offer_reply["key_commitment"]),
+            expires_at=as_int(offer_reply["expires_at"]),
             signature=SchnorrSignature(
-                e=_as_int(offer_reply["sig_e"]), s=_as_int(offer_reply["sig_s"])
+                e=as_int(offer_reply["sig_e"]), s=as_int(offer_reply["sig_s"])
             ),
         )
         merchant_public = system.merchant(merchant_id).public_key
@@ -243,13 +237,7 @@ class FairExchangeService:
         commit_reply = flatten(
             (yield network.rpc(client_name, witness_id, "witness/commit", request.to_wire()))
         )
-        commitment = WitnessCommitment.from_wire(
-            {
-                key.removeprefix("commitment."): _as_text(value)
-                for key, value in commit_reply.items()
-                if key.startswith("commitment.")
-            }
-        )
+        commitment = WitnessCommitment.from_wire(strip_prefix(commit_reply, "commitment."))
         witness_public = system.merchant(merchant_id).witness_keys[witness_id]
         transcript = client.build_payment(
             pending, commitment, witness_public, deployment.now()
@@ -273,7 +261,7 @@ class FairExchangeService:
                     client_name, merchant_id, "fx/deliver", {"good_id": good_id}
                 ))
             )
-            key = _as_int(deliver_reply["key"])
+            key = as_int(deliver_reply["key"])
             if verify_delivered_key(params, offer, key):
                 return FxPurchaseOutcome(
                     good=decrypt_good(key, blob), resolution=None, refunded=0
@@ -304,7 +292,7 @@ class FairExchangeService:
         )
         resolution = FxResolution(str(dispute_reply["resolution"]))
         if resolution is FxResolution.KEY_RELEASED:
-            key = _as_int(dispute_reply["key"])
+            key = as_int(dispute_reply["key"])
             return FxPurchaseOutcome(
                 good=decrypt_good(key, blob), resolution=resolution, refunded=0
             )
@@ -312,18 +300,6 @@ class FairExchangeService:
             offer.price if resolution is FxResolution.CLIENT_REFUNDED else 0
         )
         return FxPurchaseOutcome(good=None, resolution=resolution, refunded=refunded)
-
-
-def _as_int(value: Any) -> int:
-    if isinstance(value, int):
-        return value
-    return text_to_int(str(value))
-
-
-def _as_text(value: Any) -> str:
-    if isinstance(value, int):
-        return int_to_text(value)
-    return str(value)
 
 
 __all__ = ["FairExchangeService", "FxPurchaseOutcome", "ARBITER_NODE"]

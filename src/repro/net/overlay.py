@@ -34,7 +34,7 @@ from repro.core.params import SystemParams
 from repro.core.witness_ranges import SignedWitnessEntry, WitnessAssignmentTable
 from repro.crypto.hashing import HashInput, encode_for_hash
 from repro.crypto.schnorr import SchnorrKeyPair, SchnorrSignature, verify as schnorr_verify
-from repro.crypto.serialize import text_to_int
+from repro.crypto.serialize import as_int, flatten, strip_prefix
 from repro.net.node import Network
 from repro.net.sim import SimTimeoutError, Sleep
 
@@ -246,7 +246,7 @@ class GossipOverlay:
         )
         self.messages_exchanged += 1
         obs.counter_inc("overlay_messages_total", kind="version")
-        peer_version = _as_int(reply["version"])
+        peer_version = as_int(reply["version"])
         if peer_version > state.version:
             pulled = yield self.network.rpc(
                 source, peer, "overlay/pull", {}, timeout=5.0
@@ -338,11 +338,9 @@ def _directory_to_payload(directory: Directory) -> dict[str, Any]:
 def _directory_from_payload(
     params: SystemParams, payload: dict[str, Any]
 ) -> Directory | None:
-    from repro.crypto.serialize import flatten
-
     try:
         flat = flatten(payload)
-        if _as_int(flat.get("version", 0)) == 0:
+        if as_int(flat.get("version", 0)) == 0:
             return None
         indices = sorted(
             {
@@ -352,47 +350,25 @@ def _directory_from_payload(
             }
         )
         entries = tuple(
-            SignedWitnessEntry.from_wire(
-                {
-                    key.removeprefix(f"entries.n{index}."): _as_text(value)
-                    for key, value in flat.items()
-                    if key.startswith(f"entries.n{index}.")
-                }
-            )
+            SignedWitnessEntry.from_wire(flat, f"entries.n{index}.")
             for index in indices
         )
         table = WitnessAssignmentTable(
-            version=_as_int(flat["table_version"]),
+            version=as_int(flat["table_version"]),
             entries=entries,
-            space=_as_int(flat["space"]),
+            space=as_int(flat["space"]),
         )
         merchant_keys = {
-            key.removeprefix("keys."): _as_int(value)
-            for key, value in flat.items()
-            if key.startswith("keys.")
+            name: as_int(value) for name, value in strip_prefix(flat, "keys.").items()
         }
         return Directory(
-            version=_as_int(flat["version"]),
+            version=as_int(flat["version"]),
             table=table,
             merchant_keys=merchant_keys,
-            signature=SchnorrSignature(e=_as_int(flat["sig.e"]), s=_as_int(flat["sig.s"])),
+            signature=SchnorrSignature(e=as_int(flat["sig.e"]), s=as_int(flat["sig.s"])),
         )
     except (ValueError, KeyError, TypeError):
         return None
-
-
-def _as_int(value: Any) -> int:
-    if isinstance(value, int):
-        return value
-    return text_to_int(str(value))
-
-
-def _as_text(value: Any) -> str:
-    if isinstance(value, int):
-        from repro.crypto.serialize import int_to_text
-
-        return int_to_text(value)
-    return str(value)
 
 
 __all__ = [

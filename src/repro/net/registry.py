@@ -64,11 +64,12 @@ from repro.core.witness import WitnessService
 from repro.core.witness_ranges import WitnessAssignmentTable
 from repro.crypto.blind import SignerChallenge, SignerResponse
 from repro.crypto.serialize import (
+    as_int,
+    as_text,
     flatten,
-    int_to_text,
     pack_batch,
     split_batch,
-    text_to_int,
+    strip_prefix,
 )
 
 #: A server-side handler: payload mapping in, payload mapping (or a
@@ -576,32 +577,6 @@ def renewal_flow(
     fresh = client.finish_withdrawal(session, response, tables[new_info.list_version])
     client.mark_spent(stored)
     return fresh
-
-
-# ----------------------------------------------------------------------
-# Wire-value helpers (shared by dispatch tables, flows and backends)
-# ----------------------------------------------------------------------
-def strip_prefix(fields: Mapping[str, Any], prefix: str) -> dict[str, str]:
-    """Select keys under ``prefix`` and coerce values to wire text."""
-    out: dict[str, str] = {}
-    for key, value in fields.items():
-        if key.startswith(prefix):
-            out[key.removeprefix(prefix)] = as_text(value)
-    return out
-
-
-def as_text(value: Any) -> str:
-    """Coerce a wire value to its text form (ints via base64)."""
-    if isinstance(value, int):
-        return int_to_text(value)
-    return str(value)
-
-
-def as_int(value: Any) -> int:
-    """Coerce a wire value to an integer (text via base64)."""
-    if isinstance(value, int):
-        return value
-    return text_to_int(str(value))
 
 
 __all__ = [

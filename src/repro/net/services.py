@@ -27,12 +27,11 @@ from repro.core.exceptions import ServiceUnavailableError
 from repro.core.info import CoinInfo
 from repro.core.system import EcashSystem
 from repro.crypto.blind import SignerChallenge, SignerResponse
-from repro.crypto.serialize import flatten, pack_batch
+from repro.crypto.serialize import as_int, flatten, pack_batch
 from repro.net import registry
 from repro.net.costmodel import ComputeCostModel, python2006_profile
 from repro.net.latency import LatencyModel, Region, planetlab_us
 from repro.net.node import Network, Node, metered
-from repro.net.registry import as_int as _as_int
 from repro.net.sim import Simulator
 
 BROKER_NODE = "broker"
@@ -220,11 +219,11 @@ class NetworkDeployment:
                 {"batch": pack_batch("i", [info.to_wire() for info in infos])},
             ))
         )
-        ticket = _as_int(opened["ticket"])
+        ticket = as_int(opened["ticket"])
         sessions = []
         for index, info in enumerate(infos):
             challenge = SignerChallenge(
-                a=_as_int(opened[f"c{index}.a"]), b=_as_int(opened[f"c{index}.bare"])
+                a=as_int(opened[f"c{index}.a"]), b=as_int(opened[f"c{index}.bare"])
             )
             sessions.append(client.begin_withdrawal(info, challenge))
         answered = flatten(
@@ -241,9 +240,9 @@ class NetworkDeployment:
         coins = []
         for index, (info, session) in enumerate(zip(infos, sessions)):
             response = SignerResponse(
-                r=_as_int(answered[f"r{index}.rho"]),
-                c=_as_int(answered[f"r{index}.commitment"]),
-                s=_as_int(answered[f"r{index}.sig_s"]),
+                r=as_int(answered[f"r{index}.rho"]),
+                c=as_int(answered[f"r{index}.commitment"]),
+                s=as_int(answered[f"r{index}.sig_s"]),
             )
             table = self.system.broker.tables[info.list_version]
             coins.append(client.finish_withdrawal(session, response, table))

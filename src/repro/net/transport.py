@@ -47,8 +47,8 @@ class Message:
 
     @property
     def body_bytes(self) -> int:
-        """Size of the URL-encoded body alone."""
-        return len(self.encoded().encode("ascii"))
+        """Size of the URL-encoded body alone (the encoding is ASCII)."""
+        return len(self.encoded())
 
     @property
     def size_bytes(self) -> int:

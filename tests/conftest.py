@@ -5,10 +5,14 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
 
 from repro.core.params import SystemParams, test_params
 from repro.core.protocols import run_withdrawal
 from repro.core.system import EcashSystem
+
+#: ``--hypothesis-profile ci``: what CI runs the codec differential with.
+settings.register_profile("ci", max_examples=2000, deadline=None)
 
 MERCHANTS = ("alice-books", "bob-news", "carol-games", "dave-music")
 

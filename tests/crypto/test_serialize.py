@@ -42,6 +42,23 @@ def test_malformed_int_rejected():
         text_to_int("!!not-base64!!")
 
 
+@pytest.mark.parametrize("text", ["AQ=", "AQ==", "AAE", "AAAB", "AAA", "AR", "A", "AQ\n", "A/", "A+"])
+def test_an_integer_has_one_spelling(text):
+    """Only ``int_to_text`` output parses: no padding, no leading zero
+    byte, no set unused bits — so ``decode`` → ``encode`` reproduces a
+    body and the daemon meter agrees with its sim twin."""
+    with pytest.raises(ValueError):
+        text_to_int(text)
+
+
+def test_canonical_integer_spellings_parse():
+    assert text_to_int("AQ") == 1
+    assert text_to_int("AA") == 0
+    assert text_to_int("AQA") == 256
+    assert text_to_int("_w") == 255
+    assert [int_to_text(value) for value in (0, 1, 255, 256)] == ["AA", "AQ", "_w", "AQA"]
+
+
 def test_abbreviation_roundtrip_all_keys():
     for long_key in KEY_ABBREVIATIONS:
         assert expand_key(abbreviate_key(long_key)) == long_key
