@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import cast
 
 from repro import perf
-from repro.crypto import counters
+from repro.crypto import backend, counters
 from repro.crypto.group import SchnorrGroup
 
 HashInput = int | str | bytes
@@ -142,7 +142,7 @@ class HashSuite:
                 candidate = self._expand(seed) % self.group.p
                 if candidate in (0, 1):
                     continue
-                element = pow(candidate, cofactor, self.group.p)
+                element = backend.powmod(candidate, cofactor, self.group.p)
                 if element != 1:
                     return element
         raise RuntimeError("hash-to-group failed to find a subgroup element")

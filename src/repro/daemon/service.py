@@ -32,6 +32,7 @@ from typing import Any, Awaitable, Generator, Mapping
 from repro import obs
 from repro.core.exceptions import EcashError
 from repro.core.system import EcashSystem
+from repro.crypto import backend as bigint_backend
 from repro.net import registry
 from repro.net.transport import TrafficMeter
 from repro.daemon import wire
@@ -328,6 +329,10 @@ class DaemonNode:
                 "received": self.meter.received_bytes,
                 "messages_sent": self.meter.messages_sent,
                 "messages_received": self.meter.messages_received,
+                # The backend fallback is silent by design; this is where
+                # a node that lost its libgmp shows.
+                "backend": bigint_backend.name(),
+                "backend_version": bigint_backend.gmp_version() or "",
             }
             for index, entry in enumerate(self.rpc_log):
                 out[f"l{index}"] = {

@@ -140,7 +140,7 @@ def run_bench(
         ``{"group_bits": ..., "backend": ..., "payment_verify": {...},
         "witness_sig_batch": {...}, "withdrawal": {...}, "deposit_bulk":
         {...}}`` with naive/perf throughputs and speedup ratios per
-        section (plus ``gmpy2_version`` under the gmpy2 backend).
+        section (plus ``gmp_version`` under the gmp and gmpy2 backends).
     """
     if params is None:
         params = test_params() if quick else default_params()
@@ -163,14 +163,14 @@ def run_bench(
 
     results: dict[str, Any] = {
         "group_bits": params.group.p.bit_length(),
-        # Which bigint arithmetic produced these numbers: gmpy2 and pure
+        # Which bigint arithmetic produced these numbers: GMP and pure
         # python differ by an order of magnitude, so runs are only
         # comparable backend-to-backend (tools/bench_diff.py enforces it).
         "backend": bigint_backend.name(),
     }
     gmp = bigint_backend.gmp_version()
     if gmp is not None:
-        results["gmpy2_version"] = gmp
+        results["gmp_version"] = gmp
 
     # --- payment_verify -------------------------------------------------
     with perf.forced(False):

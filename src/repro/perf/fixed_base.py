@@ -18,6 +18,12 @@ candidate via :func:`register` (or on its first :func:`fpow` call) and
 only gets its table — a few thousand multiplications — once it has been
 exponentiated :data:`BUILD_THRESHOLD` times, so one-shot bases never pay
 the precomputation. Built tables live in a bounded LRU registry.
+
+All of that is for backends whose arithmetic runs at Python speed. Where
+:func:`repro.crypto.backend.powmod_beats_tables` holds (the ctypes ``gmp``
+backend) one foreign ``powmod`` is cheaper than the table walk, so
+:func:`touch` yields no table, nothing is ever built and every
+:func:`fpow` is a single ``backend.powmod``.
 """
 
 from __future__ import annotations
@@ -135,8 +141,11 @@ def touch(base: int, p: int) -> FixedBaseTable | None:
     :func:`~repro.perf.multiexp.multi_exp` alike) goes through here, so a
     registered candidate's usage is counted no matter which equation shape
     exercises it; on the :data:`BUILD_THRESHOLD`-th use the table is built
-    and returned.
+    and returned. Always ``None`` when the backend's ``powmod`` beats a
+    table.
     """
+    if backend.powmod_beats_tables():
+        return None
     key = (base % p, p)
     table = _tables.get(key)
     if table is not None:
@@ -162,22 +171,26 @@ def touch(base: int, p: int) -> FixedBaseTable | None:
 def fpow(base: int, exponent: int, p: int, q: int) -> int:
     """``base^(exponent mod q) mod p``, through a table when one exists.
 
-    Unregistered bases fall back to builtin ``pow``; registered bases are
-    promoted to a table once they have been used often enough for the
+    Unregistered bases fall back to ``backend.powmod``; registered bases
+    are promoted to a table once they have been used often enough for the
     precomputation to amortize.
     """
     table = touch(base, p)
     if table is not None:
         return table.pow(exponent)
-    return pow(base, exponent % q, p)
+    return backend.powmod(base, exponent % q, p)
 
 
-def build(base: int, p: int, q: int) -> FixedBaseTable:
+def build(base: int, p: int, q: int) -> FixedBaseTable | None:
     """Build (or fetch) the table for ``(base, p, q)`` immediately.
 
     Bypasses the :data:`BUILD_THRESHOLD` promotion dance, so a benchmark
-    can time a warm table from its first call.
+    can time a warm table from its first call. Builds nothing and returns
+    ``None`` when the backend's ``powmod`` beats a table: :func:`fpow`
+    would never consult it.
     """
+    if backend.powmod_beats_tables():
+        return None
     key = (base % p, p)
     table = _tables.get(key)
     if table is None:

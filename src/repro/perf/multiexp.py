@@ -11,6 +11,10 @@ Straus's interleaved windowed method, so ``k`` ad-hoc bases cost roughly
 
 The batched deposit check pushes this to its limit: one ``multi_exp``
 over ``2n + 2`` bases verifies ``n`` representation equations at once.
+
+Where :func:`repro.crypto.backend.powmod_beats_tables` holds, a shared
+squaring chain of Python-level multiplications costs more than one
+foreign ``powmod`` per base, so the product is taken factor by factor.
 """
 
 from __future__ import annotations
@@ -37,6 +41,13 @@ def multi_exp(p: int, q: int, pairs: Sequence[tuple[int, int]]) -> int:
     """
     if not pairs:
         raise ValueError("multi_exp of an empty sequence (empty product bug?)")
+    if backend.powmod_beats_tables():
+        product = 1
+        for base, exponent in pairs:
+            e = exponent % q
+            if e:
+                product = product * backend.powmod(base, e, p) % p
+        return product
     pw = backend.wrap(p)
     out = backend.wrap(1)
     loose: list[tuple[int, int]] = []

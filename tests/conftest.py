@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 
 import pytest
 from hypothesis import settings
@@ -10,8 +11,10 @@ from hypothesis import settings
 from repro.core.params import SystemParams, test_params
 from repro.core.protocols import run_withdrawal
 from repro.core.system import EcashSystem
+from repro.crypto import backend
 
-#: ``--hypothesis-profile ci``: what CI runs the codec differential with.
+#: ``--hypothesis-profile ci``: what CI runs the codec and bigint-backend
+#: differentials with.
 settings.register_profile("ci", max_examples=2000, deadline=None)
 
 MERCHANTS = ("alice-books", "bob-news", "carol-games", "dave-music")
@@ -21,6 +24,38 @@ MERCHANTS = ("alice-books", "bob-news", "carol-games", "dave-music")
 def params() -> SystemParams:
     """The 512-bit test group (same code paths, fast)."""
     return test_params()
+
+
+def _switched_to(requested: str) -> Iterator[None]:
+    previous = backend.name()
+    backend.set_backend(requested)
+    yield
+    backend.set_backend(previous)
+
+
+@pytest.fixture(params=backend.available())
+def each_backend(request: pytest.FixtureRequest, monkeypatch: pytest.MonkeyPatch) -> Iterator[None]:
+    """Run the test once per bigint backend this machine has.
+
+    The backend is switched in this process and exported as
+    ``REPRO_BACKEND`` so daemons the test spawns follow it.
+    """
+    monkeypatch.setenv("REPRO_BACKEND", request.param)
+    yield from _switched_to(request.param)
+
+
+@pytest.fixture()
+def python_backend() -> Iterator[None]:
+    """The backend whose engine builds comb tables, whatever ``auto`` chose."""
+    yield from _switched_to(backend.BACKEND_PYTHON)
+
+
+@pytest.fixture()
+def gmp_backend() -> Iterator[None]:
+    """The ctypes backend, under which no table is ever built."""
+    if backend.BACKEND_GMP not in backend.available():
+        pytest.skip("libgmp is not loadable on this host")
+    yield from _switched_to(backend.BACKEND_GMP)
 
 
 @pytest.fixture()

@@ -2,16 +2,17 @@
 
 A fully deterministic (seeded) withdrawal + payment lifecycle is run and
 its wire serialization hashed. The digest below was recorded under the
-pure-python backend; the suite also runs in CI under ``REPRO_BACKEND=
-gmpy2``, so any arithmetic divergence between the backends — or any
-perf-engine shortcut that changes a protocol value — shows up here as a
-digest mismatch, not as a subtle interop break later.
+pure-python backend; the last test here holds both digests under every
+backend this machine has (``each_backend``), whatever ``REPRO_BACKEND``
+the suite itself runs under, so any arithmetic divergence between the
+backends — or any perf-engine shortcut that changes a protocol value —
+shows up here as a digest mismatch, not as a subtle interop break later.
 
 A second digest pins the same lifecycle's ``deposit`` request bodies as
 the wire codec encodes them (recorded with the multi-pass codec that
 shipped through PR 15): key order, abbreviations, percent-encoding and
 integer text are all inside it, so a codec that moves one byte fails
-here under either backend.
+here under every backend.
 """
 
 import hashlib
@@ -80,3 +81,12 @@ def test_lifecycle_bytes_match_golden_digest(engine):
 @pytest.mark.parametrize("codec", [encode, reference_codec.encode], ids=["live", "reference"])
 def test_encoded_bodies_match_golden_digest(codec):
     assert _bodies_digest(codec) == GOLDEN_BODIES_SHA256
+
+
+@pytest.mark.usefixtures("each_backend")
+def test_both_digests_hold_under_every_available_backend():
+    for engine in (False, True):
+        perf.reset()
+        with perf.forced(engine):
+            assert _lifecycle_digest() == GOLDEN_SHA256
+    assert _bodies_digest(encode) == GOLDEN_BODIES_SHA256

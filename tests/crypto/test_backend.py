@@ -4,7 +4,11 @@ import random
 
 import pytest
 
+from repro import perf
+from repro.core.params import test_params as make_test_params
 from repro.crypto import backend
+
+REQUESTABLE = [*backend.available(), "auto"]
 
 
 @pytest.fixture(autouse=True)
@@ -33,6 +37,8 @@ def test_set_backend_returns_active_name():
 def test_auto_prefers_gmpy2_when_available():
     chosen = backend.set_backend("auto")
     assert chosen == backend.available()[0]
+    preference = (backend.BACKEND_GMPY2, backend.BACKEND_GMP, backend.BACKEND_PYTHON)
+    assert backend.available() == tuple(b for b in preference if b in backend.available())
 
 
 def test_strict_gmpy2_request_without_package_raises():
@@ -57,14 +63,22 @@ def test_env_init_survives_bogus_value(monkeypatch):
 
 
 def test_gmp_version_matches_active_backend():
-    version = backend.gmp_version()
-    if backend.name() == backend.BACKEND_GMPY2:
-        assert isinstance(version, str) and version
-    else:
-        assert version is None
+    for requested in backend.available():
+        backend.set_backend(requested)
+        version = backend.gmp_version()
+        if requested == backend.BACKEND_PYTHON:
+            assert version is None
+        else:
+            assert isinstance(version, str) and version[0].isdigit()
 
 
-@pytest.mark.parametrize("requested", ["python", "auto"])
+def test_only_the_ctypes_backend_says_its_powmod_beats_tables():
+    for requested in backend.available():
+        backend.set_backend(requested)
+        assert backend.powmod_beats_tables() == (requested == backend.BACKEND_GMP)
+
+
+@pytest.mark.parametrize("requested", REQUESTABLE)
 def test_powmod_matches_builtin_pow(requested):
     backend.set_backend(requested, strict=False)
     rng = random.Random(2007)
@@ -78,7 +92,7 @@ def test_powmod_matches_builtin_pow(requested):
         )
 
 
-@pytest.mark.parametrize("requested", ["python", "auto"])
+@pytest.mark.parametrize("requested", REQUESTABLE)
 def test_invert_matches_builtin_pow(requested):
     backend.set_backend(requested, strict=False)
     rng = random.Random(2008)
@@ -90,7 +104,7 @@ def test_invert_matches_builtin_pow(requested):
         assert inverse == pow(value, -1, modulus)
 
 
-@pytest.mark.parametrize("requested", ["python", "auto"])
+@pytest.mark.parametrize("requested", REQUESTABLE)
 def test_invert_error_contract(requested):
     backend.set_backend(requested, strict=False)
     with pytest.raises(ZeroDivisionError):
@@ -120,3 +134,27 @@ def test_on_change_fires_only_on_real_switch():
             assert fired == [others[0]]
     finally:
         backend._listeners.remove(listener)
+
+
+def test_variable_base_exp_and_hash_to_group_reach_the_backend(monkeypatch):
+    """The NIZK's ``B^d`` and ``F``'s cofactor power are the backend's to compute."""
+    params = make_test_params()
+    group = params.group
+    calls: list[tuple[int, int, int]] = []
+    active = backend.powmod
+
+    def spy(base, exponent, modulus):
+        calls.append((base, exponent, modulus))
+        return active(base, exponent, modulus)
+
+    monkeypatch.setattr(backend, "powmod", spy)
+    perf.reset()
+    coin_specific = pow(group.g1, 0xC0FFEE, group.p)
+    assert perf.fpow(coin_specific, 12345, group.p, group.q) == pow(coin_specific, 12345, group.p)
+    assert calls == [(coin_specific, 12345, group.p)]
+
+    del calls[:]
+    element = params.hashes.F("a cold info", 25)
+    assert [(e, m) for _, e, m in calls] == [((group.p - 1) // group.q, group.p)]
+    assert pow(element, group.q, group.p) == 1
+    perf.reset()

@@ -1,5 +1,7 @@
 """End-to-end: three OS processes, full coin lifecycle, byte parity."""
 
+import pytest
+
 from repro.daemon.demo import format_report, run_loopback_demo
 
 
@@ -28,3 +30,9 @@ def test_loopback_demo_matches_sim(tmp_path):
 
     text = format_report(report)
     assert "matches the sim transport exactly" in text
+
+
+@pytest.mark.usefixtures("each_backend")
+def test_loopback_demo_matches_sim_under_every_available_backend(tmp_path):
+    """The daemons inherit ``REPRO_BACKEND``; the sim twin runs in process."""
+    test_loopback_demo_matches_sim(tmp_path)

@@ -1,0 +1,150 @@
+"""A deployment in which one host lacks libgmp must interoperate.
+
+Broker, witness and storefront run as OS processes; in the second run the
+witness alone is started with ``REPRO_BACKEND=python``. Pay, a refused
+replay and the deposit drain all succeed either way, every node moves the
+same bytes, and ``admin/stats`` says which arithmetic each daemon runs —
+the only place a silently fallen-back node shows.
+"""
+
+import asyncio
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.core.exceptions import DoubleSpendError
+from repro.crypto import backend
+from repro.daemon.client import SocketTransport
+from repro.daemon.demo import (
+    BROKER,
+    CLIENT,
+    COLLUDER,
+    MERCHANT,
+    WITNESS,
+    _parse_stats,
+    write_deployment,
+)
+from repro.daemon.keys import load_authorized, load_identity
+from repro.faults.recovery import BackoffPolicy
+from repro.net import registry
+
+NOW = 10
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+
+def _serve(directory: Path, name: str, forced_backend: str | None) -> subprocess.Popen:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env.pop("REPRO_BACKEND", None)
+    if forced_backend is not None:
+        env["REPRO_BACKEND"] = forced_backend
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--dir", str(directory), "--name", name],
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+    )
+
+
+def _lifecycle(directory: Path, witness_backend: str | None) -> dict[str, dict]:
+    """Pay, replay, drain; returns each daemon's books and backend report."""
+    directory.mkdir()
+    config = write_deployment(directory, seed=23)
+    processes = {
+        BROKER: _serve(directory, BROKER, None),
+        WITNESS: _serve(directory, WITNESS, witness_backend),
+        MERCHANT: _serve(directory, MERCHANT, None),
+    }
+    system = config.build_system()
+    client = system.new_client()
+    transport = SocketTransport(
+        load_identity(directory, CLIENT),
+        load_authorized(directory),
+        config.netmap(),
+        connect_attempts=60,
+        connect_backoff=BackoffPolicy(base=0.1, factor=1.25, max_delay=1.0),
+    )
+    witness_public = system.merchant(MERCHANT).witness_keys[WITNESS]
+    reports: dict[str, dict] = {}
+
+    async def scenario() -> None:
+        try:
+            for name in processes:
+                await transport.call(name, "admin/clock", {"now": NOW}, timeout=60.0)
+            info = system.standard_info(25, now=NOW)
+            stored = await transport.run_flow(
+                CLIENT, registry.withdrawal_flow(client, BROKER, system.broker.tables, info)
+            )
+            paid = await transport.run_flow(
+                CLIENT,
+                registry.payment_flow(client, stored, MERCHANT, witness_public, lambda: NOW),
+            )
+            assert paid == 25
+
+            client.wallet.add(stored)
+            with pytest.raises(DoubleSpendError) as refusal:
+                await transport.run_flow(
+                    CLIENT,
+                    registry.direct_spend_flow(
+                        client, stored, COLLUDER, witness_public, lambda: NOW
+                    ),
+                )
+            assert refusal.value.proof.verify(system.params, stored.coin)
+
+            drained = await transport.call(MERCHANT, "admin/deposit", {}, timeout=5.0)
+            assert registry.as_int(drained["count"]) == 1
+            assert drained["r0"]["outcome"] == "credited"
+            assert registry.as_int(drained["r0"]["amount"]) == 25
+
+            for name in processes:
+                stats = await transport.call(name, "admin/stats", {})
+                reports[name] = {
+                    **_parse_stats(stats),
+                    "backend": str(stats["backend"]),
+                    "backend_version": str(stats["backend_version"]),
+                }
+            for name in processes:
+                await transport.call(name, "admin/shutdown", {})
+        finally:
+            await transport.close()
+
+    try:
+        asyncio.run(scenario())
+        outputs = {
+            name: (process.communicate(timeout=30.0)[1], process.returncode)
+            for name, process in processes.items()
+        }
+    finally:
+        for process in processes.values():
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+    assert outputs == {name: (b"", 0) for name in processes}
+    return reports
+
+
+def test_a_python_backend_witness_interoperates_with_default_backend_peers(tmp_path: Path):
+    default = backend.available()[0]
+    if default == backend.BACKEND_PYTHON:
+        pytest.skip("this host has one backend; nothing to mix")
+    uniform = _lifecycle(tmp_path / "uniform", None)
+    mixed = _lifecycle(tmp_path / "mixed", backend.BACKEND_PYTHON)
+
+    assert {name: report["backend"] for name, report in uniform.items()} == {
+        BROKER: default,
+        WITNESS: default,
+        MERCHANT: default,
+    }
+    assert {name: report["backend"] for name, report in mixed.items()} == {
+        BROKER: default,
+        WITNESS: backend.BACKEND_PYTHON,
+        MERCHANT: default,
+    }
+    assert all(report["backend_version"][0].isdigit() for report in uniform.values())
+    assert mixed[WITNESS]["backend_version"] == ""
+
+    for name in uniform:
+        assert mixed[name]["meter"] == uniform[name]["meter"], name
+        assert mixed[name]["rpc"] == uniform[name]["rpc"], name

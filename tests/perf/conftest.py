@@ -13,3 +13,4 @@ def cold_perf_engine():
     perf.reset()
     yield
     perf.reset()
+

@@ -57,6 +57,7 @@ class TestRegistry:
         assert fixed_base.fpow(group.g, 42, group.p, group.q) == pow(group.g, 42, group.p)
         assert fixed_base.table_count() == 0
 
+    @pytest.mark.usefixtures("python_backend")
     def test_registered_base_promotes_after_threshold(self, group):
         fixed_base.register(group.g, group.p, group.q)
         for i in range(BUILD_THRESHOLD):
@@ -66,6 +67,7 @@ class TestRegistry:
         assert fixed_base.table_count() == 1
         assert fixed_base.table_for(group.g, group.p) is not None
 
+    @pytest.mark.usefixtures("python_backend")
     def test_touch_counts_uses_across_call_sites(self, group):
         """multi-exp style lookups promote candidates just like fpow."""
         fixed_base.register(group.g1, group.p, group.q)
@@ -75,11 +77,23 @@ class TestRegistry:
         assert isinstance(table, FixedBaseTable)
         assert table.pow(99) == pow(group.g1, 99, group.p)
 
+    @pytest.mark.usefixtures("gmp_backend")
+    def test_no_table_is_built_when_powmod_beats_tables(self, group):
+        fixed_base.register(group.g, group.p, group.q)
+        for i in range(BUILD_THRESHOLD + 1):
+            result = fixed_base.fpow(group.g, 1000 + i, group.p, group.q)
+            assert result == pow(group.g, 1000 + i, group.p)
+            assert fixed_base.touch(group.g, group.p) is None
+        assert fixed_base.build(group.g, group.p, group.q) is None
+        assert fixed_base.table_count() == 0
+        assert fixed_base.table_for(group.g, group.p) is None
+
     def test_unregistered_base_never_builds(self, group):
         for _ in range(BUILD_THRESHOLD + 2):
             assert fixed_base.touch(group.g2, group.p) is None
         assert fixed_base.table_count() == 0
 
+    @pytest.mark.usefixtures("python_backend")
     def test_lru_eviction_bounds_table_count(self):
         # A toy prime keeps MAX_TABLES+ builds cheap; correctness of the
         # table math is covered above on the real group.

@@ -54,6 +54,7 @@ def test_edge_exponents(group):
     assert multi_exp(group.p, group.q, pairs) == _naive(group.p, group.q, pairs)
 
 
+@pytest.mark.usefixtures("python_backend")
 def test_uses_fixed_base_tables_when_available(group):
     """Tabled and untabled evaluation must agree bit for bit."""
     pairs = ((group.g, 123456789), (group.g1, 987654321))
@@ -66,9 +67,19 @@ def test_uses_fixed_base_tables_when_available(group):
     assert multi_exp(group.p, group.q, pairs) == cold
 
 
+@pytest.mark.usefixtures("python_backend")
 def test_multi_exp_promotes_candidates(group):
     """Bases seen only inside multi-exp equations still earn tables."""
     fixed_base.register(group.g2, group.p, group.q)
     for _ in range(fixed_base.BUILD_THRESHOLD):
         multi_exp(group.p, group.q, ((group.g2, 42), (group.g, 7)))
     assert fixed_base.table_for(group.g2, group.p) is not None
+
+
+@pytest.mark.usefixtures("gmp_backend")
+def test_multi_exp_builds_no_table_when_powmod_beats_tables(group):
+    pairs = ((group.g2, 42), (group.g, 5 * group.q + 7), (group.g1, 0))
+    fixed_base.register(group.g2, group.p, group.q)
+    for _ in range(fixed_base.BUILD_THRESHOLD + 1):
+        assert multi_exp(group.p, group.q, pairs) == _naive(group.p, group.q, pairs)
+    assert fixed_base.table_count() == 0

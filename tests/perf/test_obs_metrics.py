@@ -29,6 +29,7 @@ def test_verify_cache_hit_and_miss_counters():
     assert registry.counter_value("perf_verify_cache_hits_total", cache="obs-test") == 2
 
 
+@pytest.mark.usefixtures("python_backend")
 def test_fixed_base_hit_counter_counts_table_lookups():
     group = make_test_params().group
     fixed_base.register(group.g, group.p, group.q)

@@ -1,4 +1,5 @@
-"""Table 1 logical operation counts are invariant under the perf engine."""
+"""Table 1 logical operation counts are invariant under the perf engine
+and under the bigint backend."""
 
 from __future__ import annotations
 
@@ -6,6 +7,8 @@ import pytest
 
 from repro import perf
 from repro.analysis.opcount import measure_table1
+from repro.core.protocols import run_payment
+from repro.crypto import counters
 
 
 def _measured(rows):
@@ -21,6 +24,18 @@ def test_table1_matches_paper_either_way(enabled):
             f"perf={'on' if enabled else 'off'} {row.protocol}/{row.party}: "
             f"measured {row.measured}, paper {row.paper}"
         )
+
+
+@pytest.mark.usefixtures("each_backend")
+@pytest.mark.parametrize("enabled", [True, False])
+def test_one_payment_is_14_exp_and_15_hash(enabled, system, funded_client):
+    """bench/layers.py's ``core.exp_per_payment`` / ``core.hash_per_payment``."""
+    client, stored = funded_client
+    merchant_id = next(m for m in system.merchant_ids if m != stored.coin.witness_id)
+    counter = counters.OpCounter()
+    with perf.forced(enabled), counters.counting(counter):
+        run_payment(client, stored, system.merchant(merchant_id), system.witness_of(stored), 0)
+    assert (counter.exp, counter.hash) == (14, 15)
 
 
 def test_counts_identical_across_engine_states_and_warm_caches():
