@@ -12,7 +12,6 @@ Usage::
     python -m repro wallet <file>        # inspect a wallet JSON file
     python -m repro metrics              # instrumented run, telemetry dump
     python -m repro chaos --quick        # fault-injection suite, 3 seeds
-    python -m repro bench --quick        # perf engine before/after numbers
     python -m repro campaign --quick     # seeded large-overlay campaign
 """
 
@@ -287,37 +286,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0 if all(result.ok for result in results) else 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.perf import bench
-
-    mode = "quick" if args.quick else "full"
-    results = bench.run_bench(quick=args.quick, seed=args.seed)
-    print(json.dumps({mode: results}, indent=2, sort_keys=True))
-    if args.check:
-        from pathlib import Path
-
-        baseline_file = Path(args.out)
-        if not baseline_file.exists():
-            print(f"no baseline at {args.out}; writing one", file=sys.stderr)
-            bench.write_results(results, args.out, mode)
-            return 0
-        baseline = json.loads(baseline_file.read_text()).get(mode, {})
-        failures = bench.check_regression(results, baseline, tolerance=args.tolerance)
-        for failure in failures:
-            print(f"REGRESSION {failure}", file=sys.stderr)
-        return 1 if failures else 0
-    bench.write_results(results, args.out, mode)
-    print(f"(written to {args.out})")
-    return 0
-
-
 def _cmd_campaign(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
-    from repro.scale import CampaignConfig, identity_check, run_campaign
+    from repro.scale import CampaignConfig, run_campaign
 
     nodes = args.nodes if args.nodes is not None else (200 if args.quick else 10_000)
     duration = (
@@ -342,17 +315,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     violations = results.get("protocol", {}).get("violations", 0)
     if violations:
         failures.append(f"{violations} safety-invariant violation(s)")
-
-    if args.check_identity:
-        small = CampaignConfig(
-            seed=args.seed,
-            nodes=min(nodes, args.identity_nodes),
-            duration=min(duration, 10.0),
-        )
-        verdict = identity_check(small)
-        report["identity_check"] = verdict
-        if not verdict["match"]:
-            failures.append("perf-vs-naive digest mismatch at small n")
 
     print(
         f"campaign seed={config.seed} nodes={config.nodes} "
@@ -722,31 +684,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.set_defaults(func=_cmd_chaos)
 
-    bench = subparsers.add_parser(
-        "bench",
-        help="measure naive-vs-perf throughput, write/check BENCH_payment.json",
-    )
-    bench.add_argument(
-        "--quick", action="store_true", help="512-bit test group (CI smoke)"
-    )
-    bench.add_argument(
-        "--out",
-        default="BENCH_payment.json",
-        help="results/baseline file (default BENCH_payment.json)",
-    )
-    bench.add_argument(
-        "--check",
-        action="store_true",
-        help="compare speedups against the baseline instead of overwriting it",
-    )
-    bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.7,
-        help="minimum fraction of the baseline speedup that must hold (default 0.7)",
-    )
-    bench.set_defaults(func=_cmd_bench)
-
     campaign = subparsers.add_parser(
         "campaign",
         help="run a seeded large-overlay workload campaign under churn, "
@@ -773,17 +710,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="repeat the campaign N times and assert byte-identical digests",
-    )
-    campaign.add_argument(
-        "--check-identity",
-        action="store_true",
-        help="also run a small-n perf-vs-naive byte-identity check",
-    )
-    campaign.add_argument(
-        "--identity-nodes",
-        type=int,
-        default=120,
-        help="overlay size for the identity check (default 120)",
     )
     campaign.add_argument(
         "--out",

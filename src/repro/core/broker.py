@@ -213,7 +213,7 @@ class Broker:
                 self.journal.record_merchant(account)
         # Registered keys verify a witness signature per deposited coin;
         # make them fixed-base candidates for the perf engine.
-        perf.register_fixed_base(public_key, self.params.group.p, self.params.group.q)
+        perf.register(public_key, self.params.group.p, self.params.group.q)
         return account
 
     def publish_witness_table(self, weights: Mapping[str, float]) -> WitnessAssignmentTable:
@@ -371,7 +371,8 @@ class Broker:
             UnknownMerchantError: depositor or witness not registered.
             InvalidCoinError / ExpiredCoinError / WrongWitnessError /
             InvalidPaymentError: failed verification (step 1).
-            DoubleDepositError: the same merchant re-deposited the coin.
+            DoubleDepositError: the same merchant re-deposited the coin,
+                whichever account its first deposit was paid from.
         """
         self._verify_deposit(merchant_id, signed, now)
         return self._settle_deposit(merchant_id, signed, now)
@@ -468,14 +469,22 @@ class Broker:
                 return DepositResult(
                     outcome=DepositOutcome.CREDITED, amount=coin.denomination
                 )
-            if previous.signed.transcript.merchant_id == merchant_id:
+            # Credited already: from the float (the first record) or from
+            # the witness's escrow (a fault entry). The fault log is the
+            # only memory of the latter, so recovery restores this refusal
+            # with it; it is read only for a coin deposited before.
+            if previous.signed.transcript.merchant_id == merchant_id or any(
+                paid.transcript.merchant_id == merchant_id
+                and paid.transcript.coin.bare == coin.bare
+                for _, _, paid in self.witness_fault_log
+            ):
                 obs.counter_inc("broker_double_deposits_refused_total")
                 raise DoubleDepositError(
                     f"merchant {merchant_id!r} already deposited this coin"
                 )
-            # Case 2-b: a second merchant deposits the same coin — both hold
-            # witness signatures, so the witness signed twice. The second
-            # merchant is still paid, from the witness's security deposit.
+            # Case 2-b: another merchant deposits the same coin — both hold
+            # witness signatures, so the witness signed twice. This merchant
+            # is still paid, once, from the witness's security deposit.
             witness.incidents += 1
             obs.counter_inc("witness_faults_detected_total")
             obs.counter_inc(

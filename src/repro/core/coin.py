@@ -62,13 +62,7 @@ class BareCoin:
         """
         return params.hashes.h(*self.hash_parts()) % params.witness_hash_space
 
-    def verify_signature(
-        self,
-        params: SystemParams,
-        broker_blind_public: int,
-        claims: "perf.ClaimSet | None" = None,
-        token: object = None,
-    ) -> bool:
+    def verify_signature(self, params: SystemParams, broker_blind_public: int) -> bool:
         """Publicly verify the broker's partially blind signature.
 
         Checks ``omega + delta == H(g^rho y^omega || g^sigma z^delta || z
@@ -78,16 +72,10 @@ class BareCoin:
         (merchant, witness, broker, auditors), so the verdict is memoized
         on the serialized coin + verifier key; cache hits replay the
         logical 4 ``Exp`` + 2 ``Hash`` so Table 1 accounting is unchanged.
-
-        Bulk callers pass a :class:`~repro.perf.batch.ClaimSet` and a
-        ``token``: a cache miss then registers the two fast-path recovery
-        claims behind the verification equation for combined
-        certification, with a recheck that repairs the memo entry should
-        the fast path have glitched.
         """
         key = ("coin", params.group.p, broker_blind_public, *self.hash_parts())
 
-        def plain_verify() -> bool:
+        def compute() -> bool:
             return blind.verify(
                 params.group,
                 params.hashes,
@@ -97,32 +85,7 @@ class BareCoin:
                 self.signature,
             )
 
-        if claims is None or not perf.is_enabled():
-            return bool(perf.verify_memo("coin-signature", key, plain_verify, exp=4, hash=2))
-        captured: list[perf.CommitmentClaim] = []
-
-        def compute() -> bool:
-            ok, recovered = blind.check(
-                params.group,
-                params.hashes,
-                broker_blind_public,
-                self.info.hash_parts(),
-                self.message_parts(),
-                self.signature,
-            )
-            captured.extend(recovered)
-            return ok
-
-        result = bool(perf.verify_memo("coin-signature", key, compute, exp=4, hash=2))
-        if result and captured:
-
-            def recheck() -> bool:
-                ok = plain_verify()
-                perf.cache("coin-signature").put(key, ok)
-                return ok
-
-            claims.add(token, tuple(captured), recheck)
-        return result
+        return bool(perf.verify_memo("coin-signature", key, compute, exp=4, hash=2))
 
     def to_wire(self) -> dict[str, object]:
         """Serialize for URI transfer."""
@@ -201,22 +164,13 @@ class Coin:
                 f"coin expired for spending at {self.bare.info.soft_expiry}, now {now}"
             )
 
-    def ensure_valid_signature(
-        self,
-        params: SystemParams,
-        broker_blind_public: int,
-        claims: "perf.ClaimSet | None" = None,
-        token: object = None,
-    ) -> None:
+    def ensure_valid_signature(self, params: SystemParams, broker_blind_public: int) -> None:
         """Raise unless the broker's signature on the bare coin verifies.
-
-        Bulk callers thread a claim set through (see
-        :meth:`BareCoin.verify_signature`).
 
         Raises:
             InvalidCoinError: on verification failure.
         """
-        if not self.bare.verify_signature(params, broker_blind_public, claims, token):
+        if not self.bare.verify_signature(params, broker_blind_public):
             raise InvalidCoinError("broker's partially blind signature failed to verify")
 
     def to_wire(self) -> dict[str, object]:

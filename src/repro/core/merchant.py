@@ -15,14 +15,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro import obs, perf
+from repro import obs
 from repro.core.coin import Coin
-from repro.core.exceptions import (
-    DoubleSpendError,
-    EcashError,
-    InvalidCoinError,
-    InvalidPaymentError,
-)
+from repro.core.exceptions import DoubleSpendError, InvalidPaymentError
 from repro.core.params import SystemParams
 from repro.core.transcripts import (
     DoubleSpendProof,
@@ -177,150 +172,6 @@ class Merchant:
         self.refused_double_spends.append(proof)
         obs.counter_inc("merchant_double_spend_refusals_total")
         raise DoubleSpendError(proof)
-
-    def verify_payment_bulk(
-        self,
-        items: list[SignedTranscript],
-        now: int,
-    ) -> list[EcashError | None]:
-        """Audit-grade public verification of many signed transcripts.
-
-        Per item: broker signature on the coin (4 ``Exp`` 2 ``Hash``),
-        spendability, witness-range entry (1 ``Hash`` 1 ``Ver``), witness
-        signature on the transcript (1 ``Ver``) and the representation
-        NIZK (1 ``Hash`` + 3 ``Exp``). Unlike
-        :meth:`verify_payment_request` this does not bind the transcripts
-        to *this* merchant — it is the bulk re-check a depositor, auditor
-        or arbiter runs over a pile of third-party transcripts.
-
-        With the perf engine on, the NIZKs collapse into one BGR batch
-        equation with exact per-item fallback naming culprits;
-        accept/reject outcomes and logical-op accounting are identical on
-        both paths.
-
-        Returns:
-            Per item, in order: ``None`` on success, else the
-            :class:`~repro.core.exceptions.EcashError` it raised.
-        """
-        items = list(items)
-        results: list[EcashError | None] = [None] * len(items)
-        if not perf.is_enabled():
-            from repro.core.transcripts import verify_payment_response
-
-            for index, signed in enumerate(items):
-                try:
-                    self._verify_transcript_structure(signed, now)
-                    verify_payment_response(self.params, signed.transcript)
-                except EcashError as exc:
-                    results[index] = exc
-            return results
-
-        from repro.crypto import counters
-        from repro.crypto.representation import verify_response
-
-        group = self.params.group
-        claims = perf.ClaimSet()
-        checked: list[tuple[int, SignedTranscript, perf.RepresentationCheck]] = []
-        for index, signed in enumerate(items):
-            try:
-                self._verify_transcript_structure(signed, now, claims, index)
-            except EcashError as exc:
-                results[index] = exc
-                continue
-            transcript = signed.transcript
-            d = transcript.challenge(self.params)
-            counters.record_exp(3)
-            checked.append(
-                (
-                    index,
-                    signed,
-                    perf.RepresentationCheck(
-                        commitment_a=transcript.coin.bare.commitment_a,
-                        commitment_b=transcript.coin.bare.commitment_b,
-                        challenge=d,
-                        r1=transcript.response.r1,
-                        r2=transcript.response.r2,
-                    ),
-                )
-            )
-        if checked and not perf.verify_batch(
-            group.p, group.q, group.g1, group.g2, [c for _, _, c in checked], rng=self.rng
-        ):
-            for index, signed, check in checked:
-                with counters.suppressed():
-                    valid = verify_response(
-                        group,
-                        check.commitment_a,
-                        check.commitment_b,
-                        check.challenge,
-                        signed.transcript.response,
-                    )
-                if not valid:
-                    results[index] = InvalidPaymentError(
-                        "representation proof A*B^d == g1^r1*g2^r2 failed"
-                    )
-        # Certify every fast-path signature recovery in one combined
-        # equation; a definitively-bad token overrides the glitched fast
-        # path's verdict with the exception the naive path would have
-        # raised at that (earlier) stage.
-        stage_order = {"coin": 0, "wsig": 1}
-        worst: dict[int, str] = {}
-        for token in claims.certify(group.p, group.q, self.rng):
-            index, stage = token  # type: ignore[misc]
-            if index not in worst or stage_order[stage] < stage_order[worst[index]]:
-                worst[index] = stage
-        for index, stage in worst.items():
-            if stage == "coin":
-                results[index] = InvalidCoinError(
-                    "broker's partially blind signature failed to verify"
-                )
-            else:
-                results[index] = InvalidPaymentError(
-                    "witness signature on transcript failed to verify"
-                )
-        return results
-
-    def _verify_transcript_structure(
-        self,
-        signed: SignedTranscript,
-        now: int,
-        claims: "perf.ClaimSet | None" = None,
-        index: int | None = None,
-    ) -> None:
-        """The non-NIZK checks of :meth:`verify_payment_bulk` for one item.
-
-        The engine-on path threads a claim set through so the coin- and
-        witness-signature fast paths register their recovery claims under
-        ``(index, stage)`` tokens.
-
-        Raises:
-            InvalidCoinError, ExpiredCoinError, WrongWitnessError,
-            InvalidPaymentError: per failed check.
-        """
-        transcript = signed.transcript
-        coin = transcript.coin
-        coin.ensure_valid_signature(
-            self.params, self.broker_blind_public, claims, (index, "coin")
-        )
-        coin.ensure_spendable(now)
-        verify_entry_matches(
-            self.params,
-            self.broker_sign_public,
-            coin.witness_entry,
-            coin.digest(self.params),
-            coin.info.list_version,
-        )
-        witness_public = self.witness_keys.get(coin.witness_id)
-        if witness_public is None:
-            raise InvalidPaymentError(
-                f"no verification key for witness {coin.witness_id!r}"
-            )
-        if not signed.verify_witness_signature(
-            self.params, witness_public, claims, (index, "wsig")
-        ):
-            raise InvalidPaymentError(
-                "witness signature on transcript failed to verify"
-            )
 
     def pending_deposits(self) -> list[SignedTranscript]:
         """Signed transcripts accepted but not yet deposited, oldest first."""

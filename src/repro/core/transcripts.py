@@ -22,11 +22,7 @@ from repro.crypto.representation import (
     RepresentationResponse,
     verify_response,
 )
-from repro.crypto.schnorr import (
-    SchnorrSignature,
-    check as schnorr_check,
-    verify as schnorr_verify,
-)
+from repro.crypto.schnorr import SchnorrSignature, verify as schnorr_verify
 from repro.crypto.serialize import WireFields, as_int, as_text
 
 
@@ -89,40 +85,27 @@ class WitnessCommitment:
             self.expires_at,
         )
 
-    def verify(
-        self,
-        params: SystemParams,
-        witness_public: int,
-        claims: "perf.ClaimSet | None" = None,
-        token: object = None,
-    ) -> bool:
+    def verify(self, params: SystemParams, witness_public: int) -> bool:
         """Verify the witness's signature (one ``Ver``).
 
         Memoized — the merchant checks the commitment in step 3 and the
         broker re-checks it in disputes; a cache hit replays the ``Ver``.
-
-        Bulk callers pass a :class:`~repro.perf.batch.ClaimSet` and a
-        ``token``: a cache *miss* then registers the fast-path recovery
-        claim for combined certification, with a recheck that repairs the
-        memo entry should the fast path have glitched. Verdict and
-        logical accounting are identical either way.
         """
-        return _verify_schnorr_memo(
-            params,
-            "witness-commitment",
-            (
-                "commitment",
-                params.group.p,
-                witness_public,
-                *self.signed_parts(),
-                self.signature.e,
-                self.signature.s,
-            ),
-            witness_public,
-            self.signature,
-            self.signed_parts(),
-            claims,
-            token,
+        signed = self.signed_parts()
+        return bool(
+            perf.verify_memo(
+                "witness-commitment",
+                (
+                    "commitment",
+                    params.group.p,
+                    witness_public,
+                    *signed,
+                    self.signature.e,
+                    self.signature.s,
+                ),
+                lambda: schnorr_verify(params.group, witness_public, self.signature, *signed),
+                ver=1,
+            )
         )
 
     def to_wire(self) -> dict[str, object]:
@@ -215,40 +198,27 @@ class SignedTranscript:
     transcript: PaymentTranscript
     witness_signature: SchnorrSignature
 
-    def verify_witness_signature(
-        self,
-        params: SystemParams,
-        witness_public: int,
-        claims: "perf.ClaimSet | None" = None,
-        token: object = None,
-    ) -> bool:
+    def verify_witness_signature(self, params: SystemParams, witness_public: int) -> bool:
         """Verify ``Sig_{M_C}(payment transcript)`` (one ``Ver``).
 
         Memoized — the merchant verifies at payment time and the broker
         again at deposit; a cache hit replays the logical ``Ver``.
-
-        Bulk callers pass a :class:`~repro.perf.batch.ClaimSet` and a
-        ``token``: a cache *miss* then registers the fast-path recovery
-        claim for combined certification, with a recheck that repairs the
-        memo entry should the fast path have glitched. Verdict and
-        logical accounting are identical either way.
         """
-        return _verify_schnorr_memo(
-            params,
-            "signed-transcript",
-            (
+        signed = self.transcript.hash_parts()
+        return bool(
+            perf.verify_memo(
                 "signed-transcript",
-                params.group.p,
-                witness_public,
-                *self.transcript.hash_parts(),
-                self.witness_signature.e,
-                self.witness_signature.s,
-            ),
-            witness_public,
-            self.witness_signature,
-            self.transcript.hash_parts(),
-            claims,
-            token,
+                (
+                    "signed-transcript",
+                    params.group.p,
+                    witness_public,
+                    *signed,
+                    self.witness_signature.e,
+                    self.witness_signature.s,
+                ),
+                lambda: schnorr_verify(params.group, witness_public, self.witness_signature, *signed),
+                ver=1,
+            )
         )
 
     def to_wire(self) -> dict[str, object]:
@@ -330,54 +300,6 @@ class DoubleSpendProof:
 # ----------------------------------------------------------------------
 # Shared verification helpers (merchant / witness / broker / arbiter)
 # ----------------------------------------------------------------------
-
-def _verify_schnorr_memo(
-    params: SystemParams,
-    cache_name: str,
-    key: tuple[object, ...],
-    public_key: int,
-    signature: SchnorrSignature,
-    message_parts: tuple[HashInput, ...],
-    claims: "perf.ClaimSet | None",
-    token: object,
-) -> bool:
-    """Memoized Schnorr verification with optional claim registration.
-
-    Without a claim set this is exactly the old ``verify_memo`` wrapping of
-    :func:`repro.crypto.schnorr.verify`. With one, a cache miss runs the
-    claim-returning :func:`repro.crypto.schnorr.check` instead and, when
-    the fast path accepted, registers the recovery claim under ``token``.
-    The recheck re-judges the item naively *and rewrites the memo entry*,
-    so a fast-path fault cannot leave a poisoned verdict behind for later
-    (non-batched) callers to hit.
-    """
-    if claims is None or not perf.is_enabled():
-        return bool(
-            perf.verify_memo(
-                cache_name,
-                key,
-                lambda: schnorr_verify(params.group, public_key, signature, *message_parts),
-                ver=1,
-            )
-        )
-    captured: list[perf.CommitmentClaim] = []
-
-    def compute() -> bool:
-        ok, claim = schnorr_check(params.group, public_key, signature, *message_parts)
-        if claim is not None:
-            captured.append(claim)
-        return ok
-
-    result = bool(perf.verify_memo(cache_name, key, compute, ver=1))
-    if result and captured:
-
-        def recheck() -> bool:
-            ok = schnorr_verify(params.group, public_key, signature, *message_parts)
-            perf.cache(cache_name).put(key, ok)
-            return ok
-
-        claims.add(token, tuple(captured), recheck)
-    return result
 
 def verify_commitment_binding(
     params: SystemParams,

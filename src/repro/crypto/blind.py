@@ -112,13 +112,10 @@ class PartiallyBlindSigner:
         import repro.crypto.counters as counters
 
         with counters.suppressed():
-            if perf.is_enabled():
-                self.public = perf.fpow(group.g, self._secret, group.p, group.q)
-            else:
-                self.public = pow(group.g, self._secret, group.p)
+            self.public = perf.fpow(group.g, self._secret, group.p, group.q)
         # ``y`` is the base of ``y^omega`` in every coin verification in
         # the system — the single most profitable fixed base after ``g``.
-        perf.register_fixed_base(self.public, group.p, group.q)
+        perf.register(self.public, group.p, group.q)
 
     def start(self, info_parts: tuple[HashInput, ...]) -> tuple[SignerChallenge, SignerSession]:
         """Step 1: produce ``(a, b)`` for a withdrawal with public ``info``.
@@ -282,44 +279,16 @@ def verify(
     This is the check every merchant, witness and third party runs on a
     coin: ``omega + delta == H(g^rho y^omega || g^sigma z^delta || z || A || B)``.
     """
-    ok, _ = check(group, hashes, signer_public, info_parts, message_parts, signature)
-    return ok
-
-
-def check(
-    group: SchnorrGroup,
-    hashes: HashSuite,
-    signer_public: int,
-    info_parts: tuple[HashInput, ...],
-    message_parts: tuple[HashInput, ...],
-    signature: PartiallyBlindSignature,
-) -> "tuple[bool, tuple[perf.CommitmentClaim, ...]]":
-    """:func:`verify` plus the fast-path recovery claims.
-
-    Same verdict and same logical operation counts as :func:`verify`; the
-    returned claims record how ``g^rho y^omega`` and ``g^sigma z^delta``
-    were recovered (empty while the perf engine is off), letting bulk
-    verifiers certify a whole batch's comb-table/backend arithmetic with
-    one random linear combination instead of trusting each recovery
-    individually.
-    """
     q = group.q
     if not all(0 <= v < q for v in (signature.rho, signature.omega, signature.sigma, signature.delta)):
-        return False, ()
+        return False
     z = hashes.F(*info_parts)
     left = group.commit2(group.g, signature.rho, signer_public, signature.omega)
     right = group.commit2(group.g, signature.sigma, z, signature.delta)
     expected = hashes.H(left, right, z, *message_parts)
-    ok = (signature.omega + signature.delta) % q == expected
-    if not perf.is_enabled():
-        return ok, ()
-    return ok, (
-        perf.CommitmentClaim(
-            commitment=left,
-            pairs=((group.g, signature.rho), (signer_public, signature.omega)),
-        ),
-        perf.CommitmentClaim(
-            commitment=right,
-            pairs=((group.g, signature.sigma), (z, signature.delta)),
-        ),
-    )
+    return (signature.omega + signature.delta) % q == expected
+
+
+#: The name ``bench/layers.py`` times (``crypto.blind_check_us``); it has
+#: no other caller — see ROADMAP item 4(b).
+check = verify

@@ -113,14 +113,12 @@ class SchnorrGroup:
     def exp(self, base: int, exponent: int) -> int:
         """Return ``base^exponent mod p`` and record one ``Exp`` event.
 
-        With the perf engine enabled, fixed bases (the generators and
-        registered public keys) are served from precomputed comb tables;
-        the result is bit-identical to the naive square-and-multiply.
+        Fixed bases (the generators and registered public keys) may be
+        served from precomputed comb tables; the result is bit-identical
+        to ``pow(base, exponent % q, p)``.
         """
         counters.record_exp()
-        if perf.is_enabled():
-            return perf.fpow(base, exponent, self.p, self.q)
-        return backend.powmod(base, exponent % self.q, self.p)
+        return perf.fpow(base, exponent, self.p, self.q)
 
     def mul(self, *elements: int) -> int:
         """Return the product of group elements modulo ``p``.
@@ -178,19 +176,12 @@ class SchnorrGroup:
         This is the ubiquitous two-base commitment shape
         (``A = g1^x1 g2^x2``, ``g^rho y^omega`` ...). The paper's Table 1
         counts it as two exponentiations and the *logical* accounting
-        always reports exactly that — but with the perf engine enabled the
-        physical computation is one simultaneous multi-exponentiation
-        (fixed-base tables where available, shared squarings otherwise).
+        always reports exactly that — the physical computation is one
+        simultaneous multi-exponentiation (fixed-base tables where
+        available, shared squarings otherwise).
         """
         counters.record_exp(2)
-        if perf.is_enabled():
-            return perf.multi_exp(
-                self.p, self.q, ((base_a, exp_a), (base_b, exp_b))
-            )
-        return (
-            backend.powmod(base_a, exp_a % self.q, self.p)
-            * backend.powmod(base_b, exp_b % self.q, self.p)
-        ) % self.p
+        return perf.multi_exp(self.p, self.q, ((base_a, exp_a), (base_b, exp_b)))
 
     def element_bytes(self) -> int:
         """Serialized size of one group element in bytes."""

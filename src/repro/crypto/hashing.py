@@ -117,8 +117,8 @@ class HashSuite:
         The cofactor exponentiation works on an ``(p-1)/q``-bit exponent —
         by far the costliest single operation in a coin verification — and
         ``F`` is deterministic, so the result is memoized per
-        ``(p, q, data)`` when the perf engine is on. The logical ``Hash``
-        event is recorded on every call either way.
+        ``(p, q, data)``. The logical ``Hash`` event is recorded on every
+        call, hit or miss.
         """
         counters.record_hash()
         data = encode_for_hash(*parts)
@@ -131,7 +131,7 @@ class HashSuite:
         # ``z = F(info)`` recurs as an exponentiation base in every
         # signature over coins sharing the same public info, so it is a
         # prime fixed-base candidate.
-        perf.register_fixed_base(element, self.group.p, self.group.q)
+        perf.register(element, self.group.p, self.group.q)
         return element
 
     def _hash_to_group(self, data: bytes) -> int:

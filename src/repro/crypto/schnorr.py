@@ -17,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence, cast
 
 from repro import perf
 from repro.crypto import counters
@@ -59,13 +58,10 @@ class SchnorrKeyPair:
         """Generate a fresh key pair (one untallied exponentiation)."""
         secret = random_scalar(group.q, rng)
         with counters.suppressed():
-            if perf.is_enabled():
-                public = perf.fpow(group.g, secret, group.p, group.q)
-            else:
-                public = pow(group.g, secret, group.p)
+            public = perf.fpow(group.g, secret, group.p, group.q)
         # Key pairs are long-lived and their public keys recur as the base
         # of every verification; make them candidates for comb tables.
-        perf.register_fixed_base(public, group.p, group.q)
+        perf.register(public, group.p, group.q)
         return cls(group=group, secret=secret, public=public)
 
     def sign(self, *message_parts: HashInput, rng: random.Random | None = None) -> SchnorrSignature:
@@ -74,10 +70,7 @@ class SchnorrKeyPair:
         message = encode_for_hash(*message_parts)
         with counters.suppressed():
             k = random_scalar(self.group.q, rng)
-            if perf.is_enabled():
-                commitment = perf.fpow(self.group.g, k, self.group.p, self.group.q)
-            else:
-                commitment = pow(self.group.g, k, self.group.p)
+            commitment = perf.fpow(self.group.g, k, self.group.p, self.group.q)
             e = _challenge(self.group, commitment, self.public, message)
             s = (k + e * self.secret) % self.group.q
         return SchnorrSignature(e=e, s=s)
@@ -98,18 +91,16 @@ def verify(
     Recomputes ``R' = g^s * X^{-e}`` and accepts iff the challenge
     recomputed over ``R'`` equals ``e``.
 
-    The fast path rewrites ``X^{-e}`` as ``X^{(q - e) mod q}`` — sound
-    because the membership check just above guarantees ``X`` has order
-    ``q`` — turning the verification into a single simultaneous
-    multi-exponentiation and dropping the naive path's Fermat inversion.
+    ``X^{-e}`` is computed as ``X^{(q - e) mod q}`` — sound because the
+    membership check before it guarantees ``X`` has order ``q`` — which
+    makes the verification a single simultaneous multi-exponentiation
+    with no modular inversion.
     """
     counters.record_ver()
     message = encode_for_hash(*message_parts)
     with counters.suppressed():
-        if perf.is_enabled():
-            ok, _ = _fast_check(group, public_key, signature, message)
-            return ok
-        return _naive_check(group, public_key, signature, message)
+        ok, _ = _fast_check(group, public_key, signature, message)
+    return ok
 
 
 def check(
@@ -121,17 +112,14 @@ def check(
     """:func:`verify` plus the fast-path recovery claim (one ``Ver``).
 
     Same verdict and same logical accounting as :func:`verify`; the extra
-    claim (``None`` while the perf engine is off, or when verification
-    rejected before recovering a commitment) lets bulk callers certify
-    the batch's fast-path arithmetic in one combined equation instead of
-    trusting each recovery individually.
+    claim (``None`` when verification rejected before recovering a
+    commitment) lets a :class:`~repro.perf.batch.ClaimSet` certify many
+    recoveries' arithmetic in one combined equation.
     """
     counters.record_ver()
     message = encode_for_hash(*message_parts)
     with counters.suppressed():
-        if perf.is_enabled():
-            return _fast_check(group, public_key, signature, message)
-        return _naive_check(group, public_key, signature, message), None
+        return _fast_check(group, public_key, signature, message)
 
 
 def _fast_check(
@@ -140,13 +128,12 @@ def _fast_check(
     signature: SchnorrSignature,
     message: bytes,
 ) -> tuple[bool, "perf.CommitmentClaim | None"]:
-    """Engine-on verification core; counter-free.
+    """Verification core; counter-free.
 
     Returns the verdict together with the :class:`~repro.perf.batch.
-    CommitmentClaim` recording how the commitment was recovered, so bulk
-    callers can certify the fast-path arithmetic of a whole batch in one
-    combined equation. The claim is ``None`` when verification failed
-    before any recovery happened (range or membership reject).
+    CommitmentClaim` recording how the commitment was recovered. The
+    claim is ``None`` when verification failed before any recovery
+    happened (range or membership reject).
     """
     if not (0 <= signature.e < group.q and 0 <= signature.s < group.q):
         return False, None
@@ -158,89 +145,3 @@ def _fast_check(
     commitment = perf.multi_exp(group.p, group.q, pairs)
     ok = _challenge(group, commitment, public_key, message) == signature.e
     return ok, perf.CommitmentClaim(commitment=commitment, pairs=pairs)
-
-
-def _naive_check(
-    group: SchnorrGroup,
-    public_key: int,
-    signature: SchnorrSignature,
-    message: bytes,
-) -> bool:
-    """Reference verification on builtin ``pow``; counter-free."""
-    if not (0 <= signature.e < group.q and 0 <= signature.s < group.q):
-        return False
-    if not group.is_element(public_key):
-        return False
-    commitment = (
-        pow(group.g, signature.s, group.p)
-        * pow(pow(public_key, signature.e, group.p), group.p - 2, group.p)
-    ) % group.p
-    return _challenge(group, commitment, public_key, message) == signature.e
-
-
-def verify_batch(
-    group: SchnorrGroup,
-    items: Sequence[tuple[int, SchnorrSignature, tuple[HashInput, ...]]],
-    rng: random.Random | None = None,
-) -> list[bool]:
-    """Verify many Schnorr signatures, certifying the batch arithmetic once.
-
-    Hash-challenge signatures cannot be merged into a single verification
-    equation — each item's challenge pins its own recovered commitment —
-    so every item still pays one fast-path recovery and one hash
-    comparison (and records one ``Ver`` event, exactly as a loop of
-    :func:`verify` would). What *is* batched is the audit of the fast
-    path itself: all recoveries are certified by one random linear
-    combination whose shared bases (``g`` and recurring public keys)
-    collapse to a single accumulated exponent each. On certification
-    failure, binary splitting plus naive builtin-``pow`` re-verification
-    pinpoints and definitively re-judges the implicated items, so a batch
-    never accepts a signature the naive path would reject. Items that
-    fail the fast check are naively re-judged immediately, so machinery
-    faults cannot cause spurious rejections either.
-
-    Args:
-        group: the signature group.
-        items: ``(public_key, signature, message_parts)`` triples.
-        rng: optional deterministic randomness for the certification
-            exponents (tests); cryptographically secure when omitted.
-
-    Returns:
-        One verdict per item, in input order — identical to
-        ``[verify(group, pk, sig, *parts) for ...]`` under every
-        ``REPRO_PERF``/``REPRO_BACKEND`` combination.
-    """
-    if not perf.is_enabled():
-        return [verify(group, pk, sig, *parts) for pk, sig, parts in items]
-    results: list[bool] = []
-    claims = perf.ClaimSet()
-    for index, (public_key, signature, parts) in enumerate(items):
-        counters.record_ver()
-        message = encode_for_hash(*parts)
-        with counters.suppressed():
-            ok, claim = _fast_check(group, public_key, signature, message)
-            if ok and claim is not None:
-                claims.add(
-                    index,
-                    (claim,),
-                    _recheck_callback(group, public_key, signature, message),
-                )
-            elif not ok:
-                with perf.disabled():
-                    ok = _naive_check(group, public_key, signature, message)
-        results.append(ok)
-    for token in claims.certify(group.p, group.q, rng):
-        results[cast(int, token)] = False
-    return results
-
-
-def _recheck_callback(
-    group: SchnorrGroup,
-    public_key: int,
-    signature: SchnorrSignature,
-    message: bytes,
-) -> Callable[[], bool]:
-    def recheck() -> bool:
-        return _naive_check(group, public_key, signature, message)
-
-    return recheck

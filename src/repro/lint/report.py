@@ -1,8 +1,8 @@
 """Console and JSON report rendering plus the CI exit-code contract.
 
-Exit codes follow ``tools/bench_diff.py``: 0 clean, 1 findings (or
-stale baseline entries), 2 usage errors. Every reported line names
-``rule`` and ``file:line`` so a CI log is directly actionable.
+Exit codes: 0 clean, 1 findings (or stale baseline entries), 2 usage
+errors. Every reported line names ``rule`` and ``file:line`` so a CI log
+is directly actionable.
 """
 
 from __future__ import annotations

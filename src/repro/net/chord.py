@@ -26,14 +26,12 @@ bump :attr:`ChordRing.liveness_epoch` (via ``ChordNode.up`` assignment,
 which notifies the owning ring), and the lookup memo is keyed on both so
 a stale routing answer can never be served.
 
-Performance discipline (``REPRO_PERF``): with the perf engine enabled,
-membership changes repair finger tables and successor lists
-*incrementally* in expected O(log n) pointer updates and lookups are
-memoized per ``(key, start, version, liveness)``; with it disabled, every
-membership change falls back to a full :meth:`ChordRing._build_tables`
-rebuild. Both paths produce identical tables, identical owners and
-identical hop counts — the scale campaign's small-n byte-identity check
-pins this down.
+Performance discipline: membership changes repair finger tables and
+successor lists *incrementally* in expected O(log n) pointer updates and
+lookups are memoized per ``(key, start, version, liveness)``. The full
+:meth:`ChordRing._build_tables` rebuild runs once, at construction; the
+tests hold the repaired tables, owners and hop counts to those of a ring
+freshly built over the same membership.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ import bisect
 import hashlib
 from dataclasses import dataclass, field
 
-from repro import obs, perf
+from repro import obs
 from repro.core.exceptions import ChordLookupError
 
 #: Width of Chord identifiers.
@@ -144,7 +142,8 @@ class ChordRing:
         liveness_epoch: bumped whenever any attached node's ``up`` flips.
         live_count: number of currently-up members (maintained O(1)).
         table_builds: number of full :meth:`_build_tables` passes (the
-            scale campaign asserts this stays at the bootstrap build).
+            scale campaign reports it; churn never adds to the
+            bootstrap build).
         repair_ops: cumulative pointer updates done by incremental repair.
     """
 
@@ -178,7 +177,7 @@ class ChordRing:
     # Construction and index maintenance
     # ------------------------------------------------------------------
     def _build_tables(self) -> None:
-        """Full O(n log n) rebuild: bootstrap, and the naive churn path."""
+        """Full O(n log n) build of every node's tables — the bootstrap."""
         self.table_builds += 1
         count = len(self.nodes)
         for index, node in enumerate(self.nodes):
@@ -216,12 +215,11 @@ class ChordRing:
     def join(self, name: str) -> int:
         """Add a node, repairing routing state; returns pointer updates.
 
-        With the perf engine enabled the repair is incremental: the new
-        node's own tables are computed directly (bisect per finger) and
-        exactly the existing pointers the join invalidates — the i-th
-        fingers of nodes in ``(pred - 2^i, new - 2^i]`` and the successor
-        lists of the new node's r predecessors — are rewritten, expected
-        O(log n) updates. With it disabled, every table is rebuilt.
+        The repair is incremental: the new node's own tables are computed
+        directly (bisect per finger) and exactly the existing pointers the
+        join invalidates — the i-th fingers of nodes in
+        ``(pred - 2^i, new - 2^i]`` and the successor lists of the new
+        node's r predecessors — are rewritten, expected O(log n) updates.
 
         Raises:
             ValueError: duplicate name or (astronomically unlikely) id
@@ -240,9 +238,6 @@ class ChordRing:
         self.live_count += 1
         self.version += 1
         self._lookup_memo.clear()
-        if not perf.is_enabled():
-            self._build_tables()
-            return 0
         ops = self._repair_after_join(node, index)
         self.repair_ops += ops
         obs.counter_inc("ring_repair_ops_total", ops)
@@ -324,9 +319,6 @@ class ChordRing:
                 heir.put_local(key, record)
                 moved += 1
         node.store.clear()
-        if not perf.is_enabled():
-            self._build_tables()
-            return 0, moved
         ops = self._repair_after_leave(node, pred_id, heir, index)
         self.repair_ops += ops
         obs.counter_inc("ring_repair_ops_total", ops)
@@ -382,10 +374,10 @@ class ChordRing:
         """Iteratively route to the key's owner, counting hops.
 
         Down nodes are skipped via successor lists (a hop each), matching
-        Chord's failure handling. With the perf engine enabled, results
-        are memoized per ``(key, start)`` and invalidated by membership
-        version or liveness epoch changes; a memo hit replays the logical
-        lookup/hop telemetry so hop histograms are cache-independent.
+        Chord's failure handling. Results are memoized per
+        ``(key, start)`` and invalidated by membership version or liveness
+        epoch changes; a memo hit replays the logical lookup/hop telemetry
+        so hop histograms are cache-independent.
 
         Raises:
             ChordLookupError: no live node can own the key (the whole ring
@@ -393,16 +385,14 @@ class ChordRing:
         """
         key %= ID_SPACE
         current = start if start is not None else self.nodes[0]
-        memo_key = None
-        if perf.is_enabled():
-            memo_key = (key, current.name)
-            cached = self._lookup_memo.get(memo_key)
-            if cached is not None:
-                version, epoch, result = cached
-                if version == self.version and epoch == self.liveness_epoch:
-                    obs.counter_inc("chord_lookups_total")
-                    obs.observe("chord_lookup_hops", result.hops)
-                    return result
+        memo_key = (key, current.name)
+        cached = self._lookup_memo.get(memo_key)
+        if cached is not None:
+            version, epoch, result = cached
+            if version == self.version and epoch == self.liveness_epoch:
+                obs.counter_inc("chord_lookups_total")
+                obs.observe("chord_lookup_hops", result.hops)
+                return result
         if self.live_count <= 0:
             raise ChordLookupError("chord lookup failed: no live nodes in the ring")
         hops = 0
@@ -413,14 +403,9 @@ class ChordRing:
                 obs.counter_inc("chord_lookups_total")
                 obs.observe("chord_lookup_hops", hops + 1)
                 result = LookupResult(owner=successor, hops=hops + 1, path=tuple(path))
-                if memo_key is not None:
-                    if len(self._lookup_memo) >= LOOKUP_MEMO_MAX:
-                        self._lookup_memo.clear()
-                    self._lookup_memo[memo_key] = (
-                        self.version,
-                        self.liveness_epoch,
-                        result,
-                    )
+                if len(self._lookup_memo) >= LOOKUP_MEMO_MAX:
+                    self._lookup_memo.clear()
+                self._lookup_memo[memo_key] = (self.version, self.liveness_epoch, result)
                 return result
             nxt = self._closest_preceding(current, key)
             if nxt is current:

@@ -13,18 +13,19 @@ logical count or protocol value:
 * :mod:`~repro.perf.cache` — bounded memoization of hot re-verified
   artifacts (coin signatures, witness-range entries, commitments,
   gossip directories);
-* :mod:`~repro.perf.batch` — small-random-exponent linear-combination
-  batch verification for the broker's bulk deposit pipeline;
-* :mod:`~repro.perf.bench` — the before/after microbenchmark harness
-  behind ``python -m repro bench`` and ``BENCH_payment.json``.
+* :mod:`~repro.perf.batch` — memoized subgroup membership, and
+  small-random-exponent certification of fast-path commitment recoveries.
 
-The engine is ON by default and switched off with ``REPRO_PERF=off`` (or
-:func:`set_enabled` / the :func:`disabled` context manager), restoring
-the naive square-and-multiply paths byte for byte. Crucially, the
-Table 1 accounting is *independent* of the switch: instrumented call
-sites record logical operation counts before dispatching to either
-implementation, and cache hits replay the logical counts of the work
-they skip.
+This is the only implementation at run time: there is no switch and no
+second path to select. What varies is chosen by what the code observes
+— the bigint backend decides whether a comb table or one foreign
+``powmod`` serves an exponentiation
+(:func:`repro.crypto.backend.powmod_beats_tables`). The naive
+builtin-``pow`` formulas live in ``tests/reference/naive_crypto.py`` as
+the oracle the differential tests hold this package to. The Table 1
+accounting is independent of how an operation is computed: instrumented
+call sites record logical operation counts before dispatching, and cache
+hits replay the logical counts of the work they skip.
 
 Layering: this package depends only on :mod:`repro.obs` and the leaf
 bigint-backend module :mod:`repro.crypto.backend` (plus lazy, call-time
@@ -35,9 +36,7 @@ core layers depend on it, never the reverse.
 
 from __future__ import annotations
 
-import contextlib
-import os
-from typing import Callable, Iterator
+from typing import Callable
 
 from repro import obs
 from repro.perf import cache as _cache_module
@@ -45,82 +44,22 @@ from repro.perf import fixed_base as _fixed_base_module
 from repro.perf.batch import (
     ClaimSet,
     CommitmentClaim,
-    RepresentationCheck,
     certify_claims,
     false_claims,
     is_subgroup_member,
-    verify_batch,
 )
 from repro.perf.cache import MemoCache, cache, memoized
 from repro.perf.fixed_base import FixedBaseTable, fpow, register, table_for
 from repro.perf.multiexp import multi_exp
 
 
-def _env_enabled() -> bool:
-    return os.environ.get("REPRO_PERF", "").strip().lower() not in {
-        "off",
-        "0",
-        "false",
-        "no",
-    }
-
-
-_enabled = _env_enabled()
-
-
-def is_enabled() -> bool:
-    """Whether the perf engine currently serves the fast paths."""
-    return _enabled
-
-
-def set_enabled(value: bool) -> None:
-    """Switch the perf engine on or off (process-wide)."""
-    global _enabled
-    _enabled = bool(value)
-
-
-@contextlib.contextmanager
-def disabled() -> Iterator[None]:
-    """Run a block on the naive paths, restoring the prior state after."""
-    global _enabled
-    previous = _enabled
-    _enabled = False
-    try:
-        yield
-    finally:
-        _enabled = previous
-
-
-@contextlib.contextmanager
-def forced(value: bool) -> Iterator[None]:
-    """Run a block with the engine forced on or off."""
-    global _enabled
-    previous = _enabled
-    _enabled = bool(value)
-    try:
-        yield
-    finally:
-        _enabled = previous
-
-
-def register_fixed_base(base: int, p: int, q: int) -> None:
-    """Mark a base (a generator or long-lived public key) for tabulation.
-
-    A no-op while the engine is disabled; registration is cheap and the
-    table is only built once the base has been used enough to amortize.
-    """
-    if _enabled:
-        register(base, p, q)
-
-
 def build_fixed_base(base: int, p: int, q: int) -> None:
     """Build the comb table for a base immediately.
 
-    Unlike :func:`register_fixed_base` this skips the use-count promotion
-    and pays the table construction now.
+    Unlike :func:`register` this skips the use-count promotion and pays
+    the table construction now.
     """
-    if _enabled:
-        _fixed_base_module.build(base, p, q)
+    _fixed_base_module.build(base, p, q)
 
 
 def verify_memo(
@@ -134,14 +73,11 @@ def verify_memo(
 ) -> object:
     """Memoize a verification, replaying its logical op counts on a hit.
 
-    With the engine disabled this is exactly ``compute()``. With it
-    enabled, a miss computes (the computation records its own operations
-    as usual) and a hit records the declared logical ``Exp``/``Hash``/
+    A miss computes (the computation records its own operations as
+    usual) and a hit records the declared logical ``Exp``/``Hash``/
     ``Sig``/``Ver`` counts instead — so the paper's Table 1 accounting is
     identical whether or not the cache fires.
     """
-    if not _enabled:
-        return compute()
 
     def on_hit() -> None:
         from repro.crypto import counters  # call-time import: see layering note
@@ -182,25 +118,18 @@ __all__ = [
     "CommitmentClaim",
     "FixedBaseTable",
     "MemoCache",
-    "RepresentationCheck",
     "build_fixed_base",
     "cache",
     "cache_stats",
     "certify_claims",
     "false_claims",
-    "disabled",
     "export_metrics",
-    "forced",
     "fpow",
-    "is_enabled",
     "is_subgroup_member",
     "memoized",
     "multi_exp",
     "register",
-    "register_fixed_base",
     "reset",
-    "set_enabled",
     "table_for",
-    "verify_batch",
     "verify_memo",
 ]

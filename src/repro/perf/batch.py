@@ -1,44 +1,26 @@
-"""Small-exponent linear-combination batch verification.
+"""Subgroup membership and commitment-recovery certification.
 
-The deposit pipeline's per-item hot spot is the representation check
+:func:`is_subgroup_member` is the memoized order-``q`` membership test
+every signature verification runs on its key.
 
-    ``A_i * B_i^{d_i} == g1^{r1_i} * g2^{r2_i}``
-
-(three full exponentiations per transcript). Following Bellare-Garay-Rabin
-style batch verification, ``n`` checks collapse into one equation with
-fresh small random exponents ``t_i``::
-
-    prod_i A_i^{t_i} * B_i^{t_i d_i}  ==  g1^{sum t_i r1_i} * g2^{sum t_i r2_i}
-
-evaluated as a single :func:`~repro.perf.multiexp.multi_exp` over
-``2n + 2`` bases — one shared squaring chain for the whole batch, with the
-``g1``/``g2`` side served from fixed-base tables. A cheater that fails its
-individual equation passes the combination with probability at most
-``2^-BATCH_SECURITY_BITS`` (given subgroup membership, which is checked —
-and memoized — per element, since wire-supplied ``A``/``B`` values are
-otherwise free to carry small-order components that random combinations
-can miss).
-
-On batch failure the caller falls back to per-item verification to name
-the culprit; see :meth:`repro.core.merchant.Merchant.verify_payment_bulk`.
-(The broker's deposit path verifies per item: it sees each coin
-once, so the two membership exponentiations this check needs per coin
-cost more than the one exponentiation it saves.)
-
-Beyond the representation equations, this module also certifies the
-*hash-challenge* signature families (Schnorr transcripts, Abe-Okamoto
-coins) in bulk. Those checks cannot be collapsed into one equation the
-way representation checks can — the verifier must recover each
-commitment ``R_i`` individually to recompute ``H(R_i || ...)`` — but the
-recoveries themselves are fast-path arithmetic (comb tables, Straus
-chains, an optional GMP backend), and a :class:`CommitmentClaim` records
-each one as a checkable statement ``R_i == prod_j base_j^{e_j}``. A
+The rest certifies the *hash-challenge* signature families (Schnorr
+transcripts, Abe-Okamoto coins) in bulk. Those checks cannot be collapsed
+into one equation — the verifier must recover each commitment ``R_i``
+individually to recompute ``H(R_i || ...)`` — but the recoveries
+themselves are fast-path arithmetic (comb tables, Straus chains, a
+foreign bigint backend), and a :class:`CommitmentClaim` records each one
+as a checkable statement ``R_i == prod_j base_j^{e_j}``. A
 :class:`ClaimSet` then certifies *all* recoveries of a bulk operation
-with a single random linear combination (:func:`certify_claims`), and on
-failure binary-splits down to the faulty claims (:func:`false_claims`)
-and re-verifies only the implicated items on the naive builtin-``pow``
-path. Certification runs outside the Table 1 accounting — it audits the
-machinery, not the protocol.
+with a single random linear combination (:func:`certify_claims`, after
+Bellare-Garay-Rabin), and on failure binary-splits down to the faulty
+claims (:func:`false_claims`), judges each on builtin ``pow``
+(:func:`_claim_holds`, the independent referee) and asks the caller's
+recheck about only the implicated items. Certification runs outside the
+Table 1 accounting — it audits the machinery, not the protocol.
+
+No protocol step builds a :class:`ClaimSet` today: ``bench/layers.py``
+times one (``perf.claimset_us_per_item``) and the tests drive it; see
+ROADMAP item 4(b).
 """
 
 from __future__ import annotations
@@ -57,22 +39,12 @@ from repro.perf.multiexp import multi_exp
 BATCH_SECURITY_BITS = 64
 
 
-@dataclass(frozen=True)
-class RepresentationCheck:
-    """One deferred representation equation ``A * B^d == g1^r1 * g2^r2``."""
-
-    commitment_a: int
-    commitment_b: int
-    challenge: int
-    r1: int
-    r2: int
-
-
 def is_subgroup_member(p: int, q: int, element: int) -> bool:
     """Memoized order-``q`` subgroup membership test for ``element``.
 
-    Commitments recur across re-deposits and double-spend evidence, so the
-    full-size exponentiation is cached per ``(p, element)``.
+    Signature verification runs it on the key, and keys recur across
+    thousands of signatures, so the full-size exponentiation is cached
+    per ``(p, element)``.
     """
     if not 1 <= element < p:
         return False
@@ -81,53 +53,6 @@ def is_subgroup_member(p: int, q: int, element: int) -> bool:
         ("member", p, element),
         lambda: backend.powmod(element, q, p) == 1,
     )
-
-
-def verify_batch(
-    p: int,
-    q: int,
-    g1: int,
-    g2: int,
-    checks: Sequence[RepresentationCheck],
-    rng: random.Random | None = None,
-) -> bool:
-    """Verify every representation equation in one combined multi-exp.
-
-    Args:
-        p, q: the group's field prime and subgroup order.
-        g1, g2: the representation bases.
-        checks: the deferred equations.
-        rng: optional deterministic randomness for the batch exponents
-            (tests/simulations); cryptographically secure when omitted.
-
-    Returns:
-        ``True`` iff the random linear combination holds — which, for
-        subgroup-member commitments, implies every individual equation
-        holds except with negligible probability. ``False`` means *at
-        least one* item is bad; the caller identifies it per-item.
-    """
-    if not checks:
-        return True
-    pairs: list[tuple[int, int]] = []
-    sum_r1 = 0
-    sum_r2 = 0
-    for check in checks:
-        if not is_subgroup_member(p, q, check.commitment_a):
-            return False
-        if not is_subgroup_member(p, q, check.commitment_b):
-            return False
-        if rng is None:
-            t = secrets.randbits(BATCH_SECURITY_BITS) | 1
-        else:
-            t = rng.getrandbits(BATCH_SECURITY_BITS) | 1
-        pairs.append((check.commitment_a, t))
-        pairs.append((check.commitment_b, t * check.challenge % q))
-        sum_r1 = (sum_r1 + t * check.r1) % q
-        sum_r2 = (sum_r2 + t * check.r2) % q
-    # Move the right-hand side over: g1^{-sum r} == g1^{q - sum r}.
-    pairs.append((g1, (q - sum_r1) % q))
-    pairs.append((g2, (q - sum_r2) % q))
-    return multi_exp(p, q, pairs) == 1
 
 
 # ----------------------------------------------------------------------
@@ -238,12 +163,11 @@ class ClaimSet:
     """Claims from one bulk operation, grouped by the item that made them.
 
     Verification paths register the claims behind each item's fast-path
-    result together with an opaque ``token`` (typically ``(index,
-    stage)``) and a ``recheck`` callback that re-runs the item's full
-    verification on the naive path — and repairs any memo-cache entry the
-    faulty fast path may have poisoned. :meth:`certify` then audits the
-    whole set in one combined equation and, only on failure, narrows down
-    to and naively re-judges the implicated items.
+    result together with an opaque ``token`` and a ``recheck`` callback
+    — the caller's independent re-verification of that item.
+    :meth:`certify` then audits the whole set in one combined equation
+    and, only on failure, narrows down to the implicated items and asks
+    their rechecks.
     """
 
     def __init__(self) -> None:
@@ -260,7 +184,7 @@ class ClaimSet:
         claims: Sequence[CommitmentClaim],
         recheck: Callable[[], bool],
     ) -> None:
-        """Register one item's claims and its naive recheck callback."""
+        """Register one item's claims and its recheck callback."""
         entry = len(self._entries)
         self._entries.append((token, recheck))
         for claim in claims:
@@ -276,19 +200,17 @@ class ClaimSet:
         """Audit every registered claim; return tokens proven *invalid*.
 
         The entire audit — combination, splitting, rechecks — runs with
-        operation counting suppressed and the perf engine disabled for
-        the rechecks: it is machinery self-verification, not protocol
-        work, so the Table 1 accounting must not see it. A token is
-        returned only when its item's naive recheck fails; items whose
-        fast path glitched but whose underlying data is valid are
-        silently repaired by their recheck and *not* reported. If the
+        operation counting suppressed: it is machinery
+        self-verification, not protocol work, so the Table 1 accounting
+        must not see it. A token is returned only when its item's
+        recheck fails; items whose fast path glitched but whose
+        underlying data is valid are *not* reported. If the
         split implicates nothing despite the combined failure (a
         ``2^-BATCH_SECURITY_BITS`` fluke), every entry is recheck-judged
         as a safety net.
         """
-        # Call-time imports: repro.perf's __init__ imports this module,
-        # and counters lives a layer above (see the package layering note).
-        from repro import perf
+        # Call-time import: counters lives a layer above (see the package
+        # layering note).
         from repro.crypto import counters
 
         if not self._claims:
@@ -300,11 +222,10 @@ class ClaimSet:
             suspects = {self._owners[i] for i in false_claims(p, q, self._claims, rng)}
             if not suspects:
                 suspects = set(range(len(self._entries)))
-            with perf.disabled():
-                for entry in sorted(suspects):
-                    token, recheck = self._entries[entry]
-                    if not recheck():
-                        bad.append(token)
+            for entry in sorted(suspects):
+                token, recheck = self._entries[entry]
+                if not recheck():
+                    bad.append(token)
         return bad
 
 
@@ -312,9 +233,7 @@ __all__ = [
     "BATCH_SECURITY_BITS",
     "ClaimSet",
     "CommitmentClaim",
-    "RepresentationCheck",
     "certify_claims",
     "false_claims",
     "is_subgroup_member",
-    "verify_batch",
 ]

@@ -11,14 +11,13 @@ Three layers, all deterministic under one seed:
 * :mod:`repro.scale.campaign` — the runner: a large Chord overlay under
   availability and membership churn, per-event witness lookups, range
   rebalancing in bytes, a real-crypto protocol slice with the safety
-  invariant checker, and a digested engine-independent report.
+  invariant checker, and a digested report.
 
 Entry point: ``python -m repro campaign`` (see ``repro.cli``).
 """
 
 from repro.scale.campaign import (
     CampaignConfig,
-    identity_check,
     results_digest,
     run_campaign,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "ZipfSampler",
     "event_counts",
     "generate_events",
-    "identity_check",
     "results_digest",
     "run_campaign",
     "schedule_digest",

@@ -21,11 +21,10 @@ asserts the paper's safety invariants with real signatures while the
 overlay scales to 10⁴ nodes.
 
 Determinism contract: the report's ``results`` section depends only on
-the config — it is identical across runs and across the perf-engine
-on/off switch (the small-n identity check in ``BENCH_campaign.json`` and
-the CI smoke job pin this). Engine-dependent diagnostics (repair ops,
-table builds, wall-clock) live *outside* ``results`` and are excluded
-from the digest.
+the config — it is identical across runs and across bigint backends (the
+CI smoke job runs each campaign twice and compares digests).
+Implementation diagnostics (repair ops, table builds, wall-clock) live
+*outside* ``results`` and are excluded from the digest.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Any
 
-from repro import obs, perf
+from repro import obs
 from repro.core.exceptions import EcashError, ServiceUnavailableError
 from repro.core.system import EcashSystem
 from repro.faults.invariants import InvariantChecker
@@ -195,7 +194,7 @@ def _protocol_slice(config: CampaignConfig) -> dict[str, Any]:
     A fresh :class:`EcashSystem` on the fast test group, driven over the
     sim transport with the hardened payment path, then checked by the
     safety-invariant suite. Outcome labels and invariant verdicts are
-    deterministic and perf-engine-independent, so they are digested.
+    deterministic, so they are digested.
     """
     system = EcashSystem(seed=config.seed)
     deployment = NetworkDeployment(
@@ -271,7 +270,7 @@ def run_campaign(
 
     Args:
         config: the determinism boundary — same config ⇒ same ``results``
-            section and ``digest``, regardless of perf engine.
+            section and ``digest``.
         include_protocol: drive the real-crypto protocol slice and the
             safety-invariant checker (on by default; tests that only
             exercise the overlay tier can switch it off).
@@ -410,7 +409,6 @@ def run_campaign(
         "results": results,
         "digest": results_digest(results),
         "engine": {
-            "perf_enabled": perf.is_enabled(),
             "table_builds": ring.table_builds,
             "full_rebuilds_after_bootstrap": ring.table_builds - 1,
             "ring_repair_ops_total": ring.repair_ops,
@@ -421,33 +419,10 @@ def run_campaign(
     return report
 
 
-def identity_check(config: CampaignConfig) -> dict[str, Any]:
-    """Run ``config`` on both engines and compare result digests.
-
-    The acceptance-criteria check: the perf path (bisect + incremental
-    repair + lookup memo) must be byte-identical to the naive path at
-    small n. Returns both digests and the verdict; callers embed this in
-    ``BENCH_campaign.json`` and the CI smoke job asserts ``match``.
-    """
-    with perf.forced(True):
-        fast = run_campaign(config, include_protocol=False)
-    with perf.forced(False):
-        naive = run_campaign(config, include_protocol=False)
-    return {
-        "nodes": config.nodes,
-        "digest_perf": fast["digest"],
-        "digest_naive": naive["digest"],
-        "match": fast["digest"] == naive["digest"],
-        "naive_table_builds": naive["engine"]["table_builds"],
-        "perf_table_builds": fast["engine"]["table_builds"],
-    }
-
-
 __all__ = [
     "CampaignConfig",
     "HOP_BOUND_CONSTANT",
     "SCHEMA",
-    "identity_check",
     "results_digest",
     "run_campaign",
 ]

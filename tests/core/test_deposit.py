@@ -9,7 +9,9 @@ from repro.core.exceptions import (
     InvalidPaymentError,
     UnknownMerchantError,
 )
+from repro.core.persistence import attach_broker_store
 from repro.core.protocols import run_deposit, run_payment, run_withdrawal
+from repro.store import Store
 from tests.conftest import other_merchant
 
 
@@ -65,6 +67,109 @@ def test_case_2b_witness_charged(system, funded_client):
     assert system.broker.merchants[witness_id].incidents == 1
     assert len(system.broker.witness_fault_log) == 1
     assert system.ledger.conserved()
+
+
+@pytest.fixture()
+def double_signed(system, funded_client):
+    """One coin a faulty witness countersigned for three merchants:
+    ``(witness_id, [signed_a, signed_b, signed_c])``."""
+    client, stored = funded_client
+    witness = system.witness_of(stored)
+    witness.faulty = True
+    witness_id = stored.coin.witness_id
+    signed = []
+    for index, merchant_id in enumerate(m for m in system.merchant_ids if m != witness_id):
+        if index:
+            client.wallet.add(stored)
+        signed.append(
+            run_payment(client, stored, system.merchant(merchant_id), witness, now=10 + 400 * index)
+        )
+    return witness_id, signed
+
+
+def _escrow_audit(system, witness_id, escrow_before, faults):
+    broker = system.broker
+    assert broker.security_deposit_balance(witness_id) == escrow_before - 25 * faults
+    assert len(broker.witness_fault_log) == faults
+    assert broker.merchants[witness_id].incidents == faults
+    assert system.ledger.conserved()
+
+
+def test_repeated_second_deposit_charges_the_witness_once(system, double_signed):
+    """Alg. 3 case 2-b charges the witness once per merchant it double-signed
+    for: a retry of the same signed transcript is a double deposit."""
+    witness_id, (signed_a, signed_b, _) = double_signed
+    broker = system.broker
+    escrow_before = broker.security_deposit_balance(witness_id)
+    broker.deposit(signed_a.transcript.merchant_id, signed_a, now=1300)
+    merchant_b = signed_b.transcript.merchant_id
+    first = broker.deposit(merchant_b, signed_b, now=1300)
+    assert first.outcome is DepositOutcome.CREDITED_FROM_WITNESS_DEPOSIT
+    for _ in range(2):
+        with pytest.raises(DoubleDepositError):
+            broker.deposit(merchant_b, signed_b, now=1300)
+    assert broker.merchant_balance(merchant_b) == 25
+    _escrow_audit(system, witness_id, escrow_before, faults=1)
+
+
+def test_repeated_second_deposit_inside_one_batch(system, double_signed, funded_client):
+    witness_id, (signed_a, signed_b, _) = double_signed
+    broker = system.broker
+    escrow_before = broker.security_deposit_balance(witness_id)
+    broker.deposit(signed_a.transcript.merchant_id, signed_a, now=1300)
+    merchant_b = signed_b.transcript.merchant_id
+    client, _ = funded_client
+    fresh = run_withdrawal(client, broker, system.standard_info(25, now=0))
+    while fresh.coin.witness_id == merchant_b:
+        fresh = run_withdrawal(client, broker, system.standard_info(25, now=0))
+    other = run_payment(client, fresh, system.merchant(merchant_b), system.witness_of(fresh), now=1200)
+    results = broker.deposit_batch(merchant_b, [signed_b, signed_b, signed_b, other], now=1300)
+    assert results[0].outcome is DepositOutcome.CREDITED_FROM_WITNESS_DEPOSIT
+    assert isinstance(results[1], DoubleDepositError)
+    assert isinstance(results[2], DoubleDepositError)
+    assert results[3].outcome is DepositOutcome.CREDITED
+    assert broker.merchant_balance(merchant_b) == 50
+    _escrow_audit(system, witness_id, escrow_before, faults=1)
+
+
+def test_second_deposit_stays_refused_after_store_recovery(system, double_signed, tmp_path):
+    """The refusal is rebuilt from the journalled fault entry."""
+    witness_id, (signed_a, signed_b, _) = double_signed
+    broker = system.broker
+    store = Store(tmp_path / "state", backend="sqlite", shards=2, sleep=lambda _delay: None)
+    attach_broker_store(broker, store)
+    escrow_before = broker.security_deposit_balance(witness_id)
+    broker.deposit(signed_a.transcript.merchant_id, signed_a, now=1300)
+    merchant_b = signed_b.transcript.merchant_id
+    broker.deposit(merchant_b, signed_b, now=1300)
+    store.close()
+
+    reopened = Store(tmp_path / "state", backend="sqlite", shards=2, sleep=lambda _delay: None)
+    attach_broker_store(broker, reopened)
+    with pytest.raises(DoubleDepositError):
+        broker.deposit(merchant_b, signed_b, now=1400)
+    assert broker.merchant_balance(merchant_b) == 25
+    _escrow_audit(system, witness_id, escrow_before, faults=1)
+    reopened.close()
+
+
+def test_third_merchant_is_still_paid_from_escrow_once(system, double_signed):
+    witness_id, signed = double_signed
+    broker = system.broker
+    escrow_before = broker.security_deposit_balance(witness_id)
+    outcomes = [
+        broker.deposit(item.transcript.merchant_id, item, now=1300).outcome for item in signed
+    ]
+    assert outcomes == [
+        DepositOutcome.CREDITED,
+        DepositOutcome.CREDITED_FROM_WITNESS_DEPOSIT,
+        DepositOutcome.CREDITED_FROM_WITNESS_DEPOSIT,
+    ]
+    for item in signed:
+        with pytest.raises(DoubleDepositError):
+            broker.deposit(item.transcript.merchant_id, item, now=1300)
+        assert broker.merchant_balance(item.transcript.merchant_id) == 25
+    _escrow_audit(system, witness_id, escrow_before, faults=2)
 
 
 def test_unknown_depositor_rejected(system, paid_merchant):

@@ -1,76 +1,16 @@
-"""Small-random-exponent batch verification of representation proofs."""
+"""The memoized subgroup-membership predicate."""
 
 from __future__ import annotations
-
-import random
 
 import pytest
 
 from repro.core.params import test_params as make_test_params
-from repro.perf.batch import RepresentationCheck, is_subgroup_member, verify_batch
+from repro.perf.batch import is_subgroup_member
 
 
 @pytest.fixture(scope="module")
 def group():
     return make_test_params().group
-
-
-def _valid_check(group, rng: random.Random) -> RepresentationCheck:
-    """A freshly fabricated proof satisfying ``A * B^d == g1^r1 * g2^r2``."""
-    a1, a2, b1, b2 = (rng.randrange(group.q) for _ in range(4))
-    commitment_a = group.commit2(group.g1, a1, group.g2, a2)
-    commitment_b = group.commit2(group.g1, b1, group.g2, b2)
-    d = rng.randrange(group.q)
-    return RepresentationCheck(
-        commitment_a=commitment_a,
-        commitment_b=commitment_b,
-        challenge=d,
-        r1=(a1 + d * b1) % group.q,
-        r2=(a2 + d * b2) % group.q,
-    )
-
-
-def test_empty_batch_passes(group):
-    assert verify_batch(group.p, group.q, group.g1, group.g2, [])
-
-
-def test_valid_batch_passes(group):
-    rng = random.Random(5)
-    checks = [_valid_check(group, rng) for _ in range(6)]
-    assert verify_batch(group.p, group.q, group.g1, group.g2, checks, rng=random.Random(1))
-
-
-def test_single_bad_item_fails_whole_batch(group):
-    rng = random.Random(6)
-    checks = [_valid_check(group, rng) for _ in range(5)]
-    bad = checks[2]
-    checks[2] = RepresentationCheck(
-        commitment_a=bad.commitment_a,
-        commitment_b=bad.commitment_b,
-        challenge=bad.challenge,
-        r1=(bad.r1 + 1) % group.q,
-        r2=bad.r2,
-    )
-    assert not verify_batch(group.p, group.q, group.g1, group.g2, checks, rng=random.Random(1))
-
-
-def test_non_subgroup_commitment_rejected(group):
-    """A commitment with a small-order component must not slip through.
-
-    ``-1`` has order 2 in ``Z_p^*`` (p = 2q'·q + 1 style moduli), so it is
-    never in the order-``q`` subgroup; batching without the membership
-    check would accept it with probability 1/2 per random exponent.
-    """
-    rng = random.Random(7)
-    check = _valid_check(group, rng)
-    tainted = RepresentationCheck(
-        commitment_a=(check.commitment_a * (group.p - 1)) % group.p,
-        commitment_b=check.commitment_b,
-        challenge=check.challenge,
-        r1=check.r1,
-        r2=check.r2,
-    )
-    assert not verify_batch(group.p, group.q, group.g1, group.g2, [tainted], rng=random.Random(1))
 
 
 def test_subgroup_membership_predicate(group):
@@ -79,11 +19,3 @@ def test_subgroup_membership_predicate(group):
     assert not is_subgroup_member(group.p, group.q, group.p - 1)  # order 2
     assert not is_subgroup_member(group.p, group.q, 0)
     assert not is_subgroup_member(group.p, group.q, group.p)
-
-
-def test_deterministic_under_seeded_rng(group):
-    rng = random.Random(8)
-    checks = [_valid_check(group, rng) for _ in range(3)]
-    first = verify_batch(group.p, group.q, group.g1, group.g2, checks, rng=random.Random(42))
-    second = verify_batch(group.p, group.q, group.g1, group.g2, checks, rng=random.Random(42))
-    assert first is second is True

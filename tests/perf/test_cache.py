@@ -54,13 +54,6 @@ class TestMemoized:
 
 
 class TestVerifyMemo:
-    def test_disabled_engine_always_computes(self):
-        calls = []
-        with perf.forced(False):
-            for _ in range(3):
-                perf.verify_memo("vm-test", ("k",), lambda: calls.append(1) or True)
-        assert len(calls) == 3
-
     def test_hit_replays_declared_logical_counts(self):
         """Table 1 accounting must not change when the cache fires."""
 
@@ -71,17 +64,15 @@ class TestVerifyMemo:
             counters.record_hash(2)
             return True
 
-        with perf.forced(True):
-            with counting(OpCounter()) as miss_counter:
-                perf.verify_memo("vm-replay", ("k",), compute, exp=4, hash=2)
-            with counting(OpCounter()) as hit_counter:
-                perf.verify_memo("vm-replay", ("k",), compute, exp=4, hash=2)
+        with counting(OpCounter()) as miss_counter:
+            perf.verify_memo("vm-replay", ("k",), compute, exp=4, hash=2)
+        with counting(OpCounter()) as hit_counter:
+            perf.verify_memo("vm-replay", ("k",), compute, exp=4, hash=2)
         assert miss_counter.snapshot() == (4, 2, 0, 0)
         assert hit_counter.snapshot() == miss_counter.snapshot()
 
     def test_cache_stats_include_fixed_base_tables(self):
-        with perf.forced(True):
-            perf.verify_memo("vm-stats", ("k",), lambda: True)
+        perf.verify_memo("vm-stats", ("k",), lambda: True)
         stats = perf.cache_stats()
         assert stats["vm-stats"] == 1
         assert "fixed-base-tables" in stats

@@ -1,5 +1,4 @@
-"""The bulk call sites vs their per-item loops: the broker's batched
-deposit (Algorithm 3) and the merchant's bulk transcript audit."""
+"""The broker's batched deposit (Algorithm 3) vs its per-item loop."""
 
 from __future__ import annotations
 
@@ -103,55 +102,25 @@ def test_in_batch_repeat_behaves_like_sequential_deposits(system):
     assert system.broker.merchant_balance(MERCHANT) == 50
 
 
-def test_perf_off_path_is_a_deposit_loop(params):
-    system = _fresh_system(params)
-    items = _paid_transcripts(system, 3)
-    items[0] = _forge_bad_response(system, items[0])
-    with perf.forced(False):
-        results = system.broker.deposit_batch(MERCHANT, items, NOW)
-    assert isinstance(results[0], InvalidPaymentError)
-    assert all(isinstance(r, DepositResult) for r in results[1:])
-    assert system.broker.merchant_balance(MERCHANT) == 100
-
-
-@pytest.mark.parametrize("enabled", [True, False])
-def test_logical_op_counts_match_per_item_deposits(params, enabled):
-    """Table 1 accounting per item is invariant under batching and caches."""
+@pytest.mark.parametrize("warm", [True, False])
+def test_logical_op_counts_match_per_item_deposits(params, warm):
+    """Table 1 accounting per item is invariant under batching and caches:
+    paying in this process leaves every memo warm, and ``perf.reset()``
+    makes the broker recompute what one in its own process would."""
     loop_system = _fresh_system(params)
     loop_items = _paid_transcripts(loop_system, 3)
     batch_system = _fresh_system(params)
     batch_items = _paid_transcripts(batch_system, 3)
-    with perf.forced(enabled):
-        with counting(OpCounter()) as loop_counter:
-            for signed in loop_items:
-                loop_system.broker.deposit(MERCHANT, signed, NOW)
-        with counting(OpCounter()) as batch_counter:
-            batch_system.broker.deposit_batch(MERCHANT, batch_items, NOW)
+    if not warm:
+        perf.reset()
+    with counting(OpCounter()) as loop_counter:
+        for signed in loop_items:
+            loop_system.broker.deposit(MERCHANT, signed, NOW)
+    if not warm:
+        perf.reset()
+    with counting(OpCounter()) as batch_counter:
+        batch_system.broker.deposit_batch(MERCHANT, batch_items, NOW)
     assert batch_counter.snapshot() == loop_counter.snapshot()
     # ... which is the broker's deposit row of Table 1, once per item.
     exp, hashes, sig, ver = PAPER_TABLE1[("Deposit", "Broker")]
     assert batch_counter.snapshot() == (3 * exp, 3 * hashes, 3 * sig, 3 * ver)
-
-
-@pytest.mark.parametrize("position", [None, 0, 1, 2, 3])
-def test_payment_bulk_names_the_poisoned_item(system, position):
-    """``Merchant.verify_payment_bulk``: the engine-on path (one BGR batch
-    plus ``ClaimSet`` certification) against the ``perf.forced(False)``
-    per-item loop — same verdict per item, same Table 1 counts."""
-    items = _paid_transcripts(system, 4)
-    if position is not None:
-        items[position] = _forge_bad_response(system, items[position])
-    merchant = system.merchant(MERCHANT)
-    with perf.forced(True), counting(OpCounter()) as serial_counter:
-        serial = merchant.verify_payment_bulk(items, NOW)
-    with perf.forced(False), counting(OpCounter()) as naive_counter:
-        naive = merchant.verify_payment_bulk(items, NOW)
-    for index, verdict in enumerate(serial):
-        if index == position:
-            assert isinstance(verdict, InvalidPaymentError)
-        else:
-            assert verdict is None
-    assert [v and (type(v), str(v)) for v in serial] == [
-        v and (type(v), str(v)) for v in naive
-    ]
-    assert serial_counter.snapshot() == naive_counter.snapshot()

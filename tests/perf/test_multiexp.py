@@ -56,15 +56,24 @@ def test_edge_exponents(group):
 
 @pytest.mark.usefixtures("python_backend")
 def test_uses_fixed_base_tables_when_available(group):
-    """Tabled and untabled evaluation must agree bit for bit."""
-    pairs = ((group.g, 123456789), (group.g1, 987654321))
-    cold = multi_exp(group.p, group.q, pairs)
+    """Tabled and untabled (Straus) evaluation must agree bit for bit,
+    with each other and with builtin ``pow`` — the default backend takes
+    neither route, so this is where both are held to it."""
+    rng = random.Random(2007)
+    products = [((group.g, 123456789), (group.g1, 987654321))]
+    products += [
+        ((group.g, rng.randrange(group.q)), (group.g1, rng.randrange(group.q))) for _ in range(10)
+    ]
+    products += [((group.g, 0), (group.g1, group.q - 1)), ((group.g, group.q), (group.g1, 1))]
+    cold = [multi_exp(group.p, group.q, pairs) for pairs in products]
+    assert fixed_base.table_count() == 0
+    assert cold == [_naive(group.p, group.q, pairs) for pairs in products]
     for base in (group.g, group.g1):
         fixed_base.register(base, group.p, group.q)
         for _ in range(fixed_base.BUILD_THRESHOLD):
             fixed_base.touch(base, group.p)
     assert fixed_base.table_count() == 2
-    assert multi_exp(group.p, group.q, pairs) == cold
+    assert [multi_exp(group.p, group.q, pairs) for pairs in products] == cold
 
 
 @pytest.mark.usefixtures("python_backend")

@@ -20,10 +20,9 @@ def live_obs():
 
 
 def test_verify_cache_hit_and_miss_counters():
-    with perf.forced(True):
-        perf.verify_memo("obs-test", ("k",), lambda: True)
-        perf.verify_memo("obs-test", ("k",), lambda: True)
-        perf.verify_memo("obs-test", ("k",), lambda: True)
+    perf.verify_memo("obs-test", ("k",), lambda: True)
+    perf.verify_memo("obs-test", ("k",), lambda: True)
+    perf.verify_memo("obs-test", ("k",), lambda: True)
     registry = obs.registry()
     assert registry.counter_value("perf_verify_cache_misses_total", cache="obs-test") == 1
     assert registry.counter_value("perf_verify_cache_hits_total", cache="obs-test") == 2
@@ -45,9 +44,8 @@ def test_fixed_base_hit_counter_counts_table_lookups():
 
 
 def test_export_metrics_publishes_cache_size_gauges():
-    with perf.forced(True):
-        perf.verify_memo("obs-gauge", ("a",), lambda: 1)
-        perf.verify_memo("obs-gauge", ("b",), lambda: 2)
+    perf.verify_memo("obs-gauge", ("a",), lambda: 1)
+    perf.verify_memo("obs-gauge", ("b",), lambda: 2)
     perf.export_metrics()
     gauges = obs.registry().snapshot()["gauges"]
     assert gauges["perf_cache_size{cache=obs-gauge}"] == 2

@@ -1,35 +1,34 @@
-"""Campaign-runner tests: determinism, engine identity, and safety.
+"""Campaign-runner tests: determinism, repair identity, and safety.
 
 The determinism contract under test: the report's ``results`` section
 (and its sha256 digest) depends only on the :class:`CampaignConfig` —
-not on the perf engine, not on which run it is.
+not on which run it is, and not on routing tables being repaired in
+place rather than rebuilt.
 """
 
 import json
 
 import pytest
 
-from repro import perf
-from repro.scale import (
-    CampaignConfig,
-    identity_check,
-    results_digest,
-    run_campaign,
-)
+from repro.net.chord import ChordRing
+from repro.scale import CampaignConfig, campaign, results_digest, run_campaign
 
 SMALL = CampaignConfig(seed=2026, nodes=64, duration=8.0)
+
+#: ``results`` digest of the 48-node, 6 s overlay campaign, recorded from
+#: the full-rebuild-per-churn-event, memo-free path at the last commit
+#: that had one (PR 17).
+REBUILD_PATH_DIGEST = "56de51ce443d5688a3256032e35ecb8f41eefbea740b4911eeed02a864ef5b2f"
 
 
 @pytest.fixture(scope="module")
 def small_report():
-    with perf.forced(True):
-        return run_campaign(SMALL)
+    return run_campaign(SMALL)
 
 
 class TestDeterminism:
     def test_same_config_same_digest_across_runs(self, small_report):
-        with perf.forced(True):
-            again = run_campaign(SMALL)
+        again = run_campaign(SMALL)
         assert again["digest"] == small_report["digest"]
         assert again["results"] == small_report["results"]
 
@@ -41,24 +40,40 @@ class TestDeterminism:
         assert json.loads(dumped) == small_report["results"]
 
     def test_different_seed_different_digest(self, small_report):
-        with perf.forced(True):
-            other = run_campaign(
-                CampaignConfig(seed=2027, nodes=64, duration=8.0)
-            )
+        other = run_campaign(CampaignConfig(seed=2027, nodes=64, duration=8.0))
         assert other["digest"] != small_report["digest"]
 
 
 class TestEngineIdentity:
-    def test_perf_vs_naive_digests_match(self):
-        verdict = identity_check(CampaignConfig(seed=2026, nodes=48, duration=6.0))
-        assert verdict["match"], verdict
-        assert verdict["perf_table_builds"] == 1
-        assert verdict["naive_table_builds"] > 1
+    def test_perf_vs_naive_digests_match(self, monkeypatch):
+        """Joins, leaves and liveness flips repaired in place leave every
+        node's fingers and successors where a ring built from scratch
+        over the final membership puts them, and the lookups made along
+        the way are the ones the naive path made — rebuild at every churn
+        event, no memo — whose digest is pinned above."""
+        rings = []
+
+        def capture(*args, **kwargs):
+            rings.append(ChordRing(*args, **kwargs))
+            return rings[-1]
+
+        monkeypatch.setattr(campaign, "ChordRing", capture)
+        report = run_campaign(
+            CampaignConfig(seed=2026, nodes=48, duration=6.0), include_protocol=False
+        )
+        (ring,) = rings
+        membership = report["results"]["membership"]
+        assert membership["joins"] and membership["leaves"]
+        fresh = ChordRing([node.name for node in ring.nodes], successor_list_size=ring.r)
+        for node, twin in zip(ring.nodes, fresh.nodes, strict=True):
+            assert node.name == twin.name
+            assert [f.name for f in node.finger] == [f.name for f in twin.finger]
+            assert [s.name for s in node.successors] == [s.name for s in twin.successors]
+        assert report["digest"] == REBUILD_PATH_DIGEST
 
     def test_engine_diagnostics_not_digested(self):
-        """Engine-dependent fields live outside ``results``."""
-        with perf.forced(True):
-            report = run_campaign(SMALL, include_protocol=False)
+        """Implementation diagnostics live outside ``results``."""
+        report = run_campaign(SMALL, include_protocol=False)
         assert "table_builds" not in json.dumps(report["results"])
         assert report["engine"]["table_builds"] == 1
         assert report["engine"]["full_rebuilds_after_bootstrap"] == 0

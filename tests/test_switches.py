@@ -1,7 +1,10 @@
 """Engine-switch census, and the broker daemon's bulk path forks nothing.
 
 Each ``REPRO_*`` variable doubles the configurations the suite has to
-hold byte-identical, so a new one has to edit this file to land.
+hold byte-identical, so a new one has to edit this file to land. The
+one left selects the bigint backend; how an ``Exp`` is computed on top of
+it is not selectable (the naive formulas are a test oracle,
+``tests/reference/naive_crypto.py``).
 """
 
 import json
@@ -46,14 +49,22 @@ print(json.dumps({
 """
 
 
-def test_two_engine_switches_and_no_process_forked_by_a_deposit_batch():
+def test_the_bigint_backend_is_the_only_engine_switch():
+    sources = {path: path.read_text() for path in SRC.rglob("*.py")}
     names = {
-        name
-        for path in SRC.rglob("*.py")
-        for name in re.findall(r"REPRO_[A-Z0-9_]+", path.read_text())
+        name for text in sources.values() for name in re.findall(r"REPRO_[A-Z0-9_]+", text)
     }
-    assert names == {"REPRO_PERF", "REPRO_BACKEND"}
+    assert names == {"REPRO_BACKEND"}
 
+    from repro import perf
+
+    gone = ("is_enabled", "set_enabled", "disabled", "forced")
+    assert not [name for name in gone if hasattr(perf, name) or name in perf.__all__]
+    call = re.compile(r"perf\.(is_enabled|forced|disabled|set_enabled)")
+    assert not [str(path) for path, text in sources.items() if call.search(text)]
+
+
+def test_no_process_forked_by_a_deposit_batch():
     result = subprocess.run(
         [sys.executable, "-c", _BATCH_IN_A_LOOP],
         env={"PYTHONPATH": str(SRC)},
