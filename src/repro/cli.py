@@ -9,7 +9,7 @@ Usage::
     python -m repro table2 --trials 20   # regenerate Table 2 (simulated)
     python -m repro rounds               # message rounds per protocol
     python -m repro trace                # Figure 1 message flow
-    python -m repro wallet <file>        # inspect a wallet JSON file
+    python -m repro wallet <file>        # inspect a wallet file
     python -m repro metrics              # instrumented run, telemetry dump
     python -m repro chaos --quick        # fault-injection suite, 3 seeds
     python -m repro campaign --quick     # seeded large-overlay campaign
@@ -658,7 +658,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.set_defaults(func=_cmd_trace)
 
     wallet = subparsers.add_parser("wallet", help="inspect a wallet file")
-    wallet.add_argument("path", help="path to a wallet JSON file")
+    wallet.add_argument("path", help="path to a wallet file")
     wallet.set_defaults(func=_cmd_wallet)
 
     chaos = subparsers.add_parser(

@@ -42,7 +42,6 @@ from repro.core.info import CoinInfo, standard_info
 from repro.core.merchant import Merchant, PaymentRequest
 from repro.core.multiwitness import MultiWitnessCoin, MultiWitnessService, spend_multi
 from repro.core.params import SystemParams, default_params, test_params
-from repro.core.persistence import load_broker, save_broker
 from repro.core.protocols import (
     run_batch_withdrawal,
     run_deposit,
@@ -101,8 +100,6 @@ __all__ = [
     "MultiWitnessCoin",
     "MultiWitnessService",
     "spend_multi",
-    "load_broker",
-    "save_broker",
     "EcashSystem",
     "MerchantNode",
     "CommitmentRequest",

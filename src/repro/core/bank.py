@@ -13,6 +13,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.core.exceptions import InsufficientFundsError
+from repro.crypto.serialize import WireFields, as_int, as_text
+
+#: One ledger movement: ``(source, destination, memo, amount)``.
+LedgerEntry = tuple[str, str, str, int]
 
 
 @dataclass
@@ -36,12 +40,12 @@ class Ledger:
     accounts: dict[str, Account] = field(default_factory=dict)
     minted: int = 0
     burned: int = 0
-    history: list[tuple[str, str, str, int]] = field(default_factory=list)
+    history: list[LedgerEntry] = field(default_factory=list)
     #: Durability hook: called with ``(sequence, entry)`` after every
     #: history append, so a journal can persist each movement before the
     #: enclosing protocol step acknowledges (set by
     #: :func:`repro.core.persistence.attach_journal`).
-    on_entry: Callable[[int, tuple[str, str, str, int]], None] | None = field(
+    on_entry: Callable[[int, LedgerEntry], None] | None = field(
         default=None, repr=False, compare=False
     )
 
@@ -115,4 +119,20 @@ class Ledger:
             raise ValueError("ledger amounts must be positive")
 
 
-__all__ = ["Account", "Ledger"]
+def entry_to_record(entry: LedgerEntry) -> dict[str, object]:
+    """One ledger movement as stored at rest (see :mod:`repro.core.persistence`)."""
+    source, destination, memo, amount = entry
+    return {"source": source, "destination": destination, "memo": memo, "amount": amount}
+
+
+def entry_from_record(fields: WireFields, prefix: str = "") -> LedgerEntry:
+    """Parse :func:`entry_to_record` fields, read from under ``prefix``."""
+    return (
+        as_text(fields[prefix + "source"]),
+        as_text(fields[prefix + "destination"]),
+        as_text(fields[prefix + "memo"]),
+        as_int(fields[prefix + "amount"]),
+    )
+
+
+__all__ = ["Account", "Ledger", "LedgerEntry", "entry_from_record", "entry_to_record"]

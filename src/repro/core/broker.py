@@ -45,6 +45,7 @@ from repro.core.witness_ranges import WitnessAssignmentTable, build_table
 from repro.crypto.blind import PartiallyBlindSigner, SignerChallenge, SignerResponse, SignerSession
 from repro.crypto.representation import RepresentationResponse, extract_representations
 from repro.crypto.schnorr import SchnorrKeyPair, verify as schnorr_verify
+from repro.crypto.serialize import WireFields, as_int, as_text, pack_batch, split_batch
 
 if TYPE_CHECKING:
     from repro.core.persistence import BrokerJournal
@@ -66,6 +67,17 @@ class DepositResult:
     witness_fault_proof: tuple[SignedTranscript, SignedTranscript] | None = None
 
 
+#: One witness-fault log entry: ``(witness_id, first, second)`` — the two
+#: transcripts of one coin the witness signed for two merchants.
+FaultEntry = tuple[str, SignedTranscript, SignedTranscript]
+
+
+# ``to_record`` / ``from_record`` below are how this state looks at rest
+# (:mod:`repro.core.persistence`): wire-codec mappings built from the
+# ``to_wire`` of what they hold. Not ``to_wire``: some hold secrets, and
+# nothing here is ever sent to a peer.
+
+
 @dataclass
 class MerchantAccount:
     """Broker-side record for one registered merchant."""
@@ -76,6 +88,27 @@ class MerchantAccount:
     coins_witnessed: int = 0
     incidents: int = 0
 
+    def to_record(self) -> dict[str, object]:
+        """The account as stored at rest."""
+        return {
+            "merchant_id": self.merchant_id,
+            "public_key": self.public_key,
+            "security_deposit": self.security_deposit,
+            "coins_witnessed": self.coins_witnessed,
+            "incidents": self.incidents,
+        }
+
+    @classmethod
+    def from_record(cls, fields: WireFields, prefix: str = "") -> "MerchantAccount":
+        """Parse :meth:`to_record` fields, read from under ``prefix``."""
+        return cls(
+            merchant_id=as_text(fields[prefix + "merchant_id"]),
+            public_key=as_int(fields[prefix + "public_key"]),
+            security_deposit=as_int(fields[prefix + "security_deposit"]),
+            coins_witnessed=as_int(fields[prefix + "coins_witnessed"]),
+            incidents=as_int(fields[prefix + "incidents"]),
+        )
+
 
 @dataclass
 class _DepositRecord:
@@ -83,6 +116,18 @@ class _DepositRecord:
 
     signed: SignedTranscript
     deposited_at: int
+
+    def to_record(self) -> dict[str, object]:
+        """The deposit as stored at rest: ``signed.*`` is the wire form."""
+        return {"signed": self.signed.to_wire(), "deposited_at": self.deposited_at}
+
+    @classmethod
+    def from_record(cls, fields: WireFields, prefix: str = "") -> "_DepositRecord":
+        """Parse :meth:`to_record` fields, read from under ``prefix``."""
+        return cls(
+            signed=SignedTranscript.from_wire(fields, prefix + "signed."),
+            deposited_at=as_int(fields[prefix + "deposited_at"]),
+        )
 
 
 @dataclass
@@ -94,6 +139,28 @@ class _RenewalRecord:
     response: RepresentationResponse
     renewed_at: int
 
+    def to_record(self) -> dict[str, object]:
+        """The renewal as stored at rest."""
+        return {
+            "bare": self.bare.to_wire(),
+            "challenge": self.challenge,
+            "r1": self.response.r1,
+            "r2": self.response.r2,
+            "renewed_at": self.renewed_at,
+        }
+
+    @classmethod
+    def from_record(cls, fields: WireFields, prefix: str = "") -> "_RenewalRecord":
+        """Parse :meth:`to_record` fields, read from under ``prefix``."""
+        return cls(
+            bare=BareCoin.from_wire(fields, prefix + "bare."),
+            challenge=as_int(fields[prefix + "challenge"]),
+            response=RepresentationResponse(
+                r1=as_int(fields[prefix + "r1"]), r2=as_int(fields[prefix + "r2"])
+            ),
+            renewed_at=as_int(fields[prefix + "renewed_at"]),
+        )
+
 
 @dataclass
 class _WithdrawalTicket:
@@ -102,6 +169,94 @@ class _WithdrawalTicket:
     info: CoinInfo
     session: SignerSession
     paid_by: str | None
+
+    def to_record(self) -> dict[str, object]:
+        """The ticket as stored at rest, the signer's SECRET nonces included."""
+        out: dict[str, object] = {
+            "info": self.info.to_wire(),
+            # Spelled out: as key segments ``s`` and ``d`` are short forms.
+            "session": {
+                "nonce_u": self.session.u,
+                "nonce_s": self.session.s,
+                "nonce_d": self.session.d,
+                "tag_z": self.session.z,
+            },
+        }
+        if self.paid_by is not None:
+            out["paid_by"] = self.paid_by
+        return out
+
+    @classmethod
+    def from_record(cls, fields: WireFields, prefix: str = "") -> "_WithdrawalTicket":
+        """Parse :meth:`to_record` fields, read from under ``prefix``."""
+        paid_by = fields.get(prefix + "paid_by")
+        return cls(
+            info=CoinInfo.from_wire(fields, prefix + "info."),
+            session=SignerSession(
+                u=as_int(fields[prefix + "session.nonce_u"]),
+                s=as_int(fields[prefix + "session.nonce_s"]),
+                d=as_int(fields[prefix + "session.nonce_d"]),
+                z=as_int(fields[prefix + "session.tag_z"]),
+            ),
+            paid_by=None if paid_by is None else as_text(paid_by),
+        )
+
+    @staticmethod
+    def batch_to_record(batch: list["_WithdrawalTicket"]) -> dict[str, object]:
+        """One batch-withdrawal session: its tickets, in order."""
+        return {"tickets": pack_batch("k", [ticket.to_record() for ticket in batch])}
+
+    @classmethod
+    def batch_from_record(cls, fields: WireFields) -> list["_WithdrawalTicket"]:
+        """Parse :meth:`batch_to_record` fields."""
+        return [cls.from_record(item) for _, item in split_batch(fields, "tickets", "k")]
+
+
+@dataclass(frozen=True)
+class _BrokerMeta:
+    """The broker's keys and counters: the ``meta`` record of its state."""
+
+    account: str
+    blind_secret: int
+    sign_secret: int
+    next_version: int
+    next_ticket: int
+
+    def to_record(self) -> dict[str, object]:
+        """The singleton as stored at rest (both SECRET keys in it)."""
+        return {
+            "account": self.account,
+            "blind_secret": self.blind_secret,
+            "sign_secret": self.sign_secret,
+            "next_version": self.next_version,
+            "next_ticket": self.next_ticket,
+        }
+
+    @classmethod
+    def from_record(cls, fields: WireFields, prefix: str = "") -> "_BrokerMeta":
+        """Parse :meth:`to_record` fields, read from under ``prefix``."""
+        return cls(
+            account=as_text(fields[prefix + "account"]),
+            blind_secret=as_int(fields[prefix + "blind_secret"]),
+            sign_secret=as_int(fields[prefix + "sign_secret"]),
+            next_version=as_int(fields[prefix + "next_version"]),
+            next_ticket=as_int(fields[prefix + "next_ticket"]),
+        )
+
+
+def fault_to_record(entry: FaultEntry) -> dict[str, object]:
+    """One witness-fault log entry as stored at rest."""
+    witness_id, first, second = entry
+    return {"witness_id": witness_id, "first": first.to_wire(), "second": second.to_wire()}
+
+
+def fault_from_record(fields: WireFields, prefix: str = "") -> FaultEntry:
+    """Parse :func:`fault_to_record` fields, read from under ``prefix``."""
+    return (
+        as_text(fields[prefix + "witness_id"]),
+        SignedTranscript.from_wire(fields, prefix + "first."),
+        SignedTranscript.from_wire(fields, prefix + "second."),
+    )
 
 
 class Broker:
@@ -136,7 +291,7 @@ class Broker:
         self._ticket_ids = itertools.count(1)
         self._deposits: dict[BareCoin, _DepositRecord] = {}
         self._renewals: dict[BareCoin, _RenewalRecord] = {}
-        self.witness_fault_log: list[tuple[str, SignedTranscript, SignedTranscript]] = []
+        self.witness_fault_log: list[FaultEntry] = []
         #: Durability hook (see :func:`repro.core.persistence.attach_journal`):
         #: when set, every mutation below is journaled before the method
         #: returns, so no acknowledged state change can be lost to a crash.

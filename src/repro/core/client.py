@@ -3,12 +3,11 @@
 The paper's client is a browser plug-in that buys coins from the broker and
 "stores the coins in a file". :class:`Client` implements the cryptographic
 side (blinding, witness selection, commitment requests, transcripts) and
-:class:`Wallet` the coin file (JSON persistence).
+:class:`Wallet` the coin file (one wire-codec record, SECRETS included).
 """
 
 from __future__ import annotations
 
-import json
 import random
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -29,8 +28,11 @@ from repro.core.witness_ranges import WitnessAssignmentTable
 from repro.crypto.blind import BlindSession, SignerChallenge, SignerResponse
 from repro.crypto.hashing import constant_time_eq
 from repro.crypto.numbers import random_bits
-from repro.crypto.representation import RepresentationPair, respond
-from repro.crypto.serialize import text_to_int, int_to_text
+from repro.crypto.representation import Representation, RepresentationPair, respond
+from repro.crypto.serialize import WireFields, as_int, decode, encode, pack_batch, split_batch
+
+#: Wallet file format version, checked on load.
+WALLET_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -45,32 +47,31 @@ class StoredCoin:
         """Coin value in cents."""
         return self.coin.denomination
 
-    def to_json(self) -> dict[str, object]:
-        """Serialize coin + secrets for the wallet file."""
-        wire = self.coin.to_wire()
+    def to_record(self) -> dict[str, object]:
+        """Coin + secrets as stored in the wallet file.
+
+        Not a ``to_wire``: the representations are the owner's SECRETS
+        and never travel (a payment reveals only ``r1, r2``).
+        """
         return {
-            "coin": _jsonify(wire),
+            "coin": self.coin.to_wire(),
             "secrets": {
-                "x1": int_to_text(self.secrets.x.k1),
-                "x2": int_to_text(self.secrets.x.k2),
-                "y1": int_to_text(self.secrets.y.k1),
-                "y2": int_to_text(self.secrets.y.k2),
+                "x1": self.secrets.x.k1,
+                "x2": self.secrets.x.k2,
+                "y1": self.secrets.y.k1,
+                "y2": self.secrets.y.k2,
             },
         }
 
     @classmethod
-    def from_json(cls, data: dict[str, object]) -> "StoredCoin":
-        """Parse the output of :meth:`to_json`."""
-        from repro.crypto.representation import Representation
-
-        flat = _flatten_json(data["coin"])
-        secrets = data["secrets"]
-        assert isinstance(secrets, dict)
+    def from_record(cls, fields: WireFields, prefix: str = "") -> "StoredCoin":
+        """Parse :meth:`to_record` fields, read from under ``prefix``."""
+        lead = prefix + "secrets."
         return cls(
-            coin=Coin.from_wire(flat),
+            coin=Coin.from_wire(fields, prefix + "coin."),
             secrets=RepresentationPair(
-                x=Representation(text_to_int(secrets["x1"]), text_to_int(secrets["x2"])),
-                y=Representation(text_to_int(secrets["y1"]), text_to_int(secrets["y2"])),
+                x=Representation(as_int(fields[lead + "x1"]), as_int(fields[lead + "x2"])),
+                y=Representation(as_int(fields[lead + "y1"]), as_int(fields[lead + "y2"])),
             ),
         )
 
@@ -101,7 +102,7 @@ class PendingPayment:
 
 
 class Wallet:
-    """The coin file: holds :class:`StoredCoin` objects, JSON-persistable.
+    """The coin file: holds :class:`StoredCoin` objects, saved as one record.
 
     Coins are kept in acquisition order in a dict used as an ordered
     set, so holding, adding and dropping a coin hash it once instead of
@@ -184,21 +185,27 @@ class Wallet:
         return chosen
 
     def save(self, path: str | Path) -> None:
-        """Write the wallet to a JSON file."""
-        payload = {"version": 1, "coins": [c.to_json() for c in self._coins]}
-        Path(path).write_text(json.dumps(payload, indent=2))
+        """Write the wallet file: one wire-codec record of every coin held."""
+        record = {
+            "version": WALLET_VERSION,
+            "coins": pack_batch("c", [stored.to_record() for stored in self._coins]),
+        }
+        Path(path).write_text(encode(record))
 
     @classmethod
     def load(cls, path: str | Path) -> "Wallet":
-        """Read a wallet JSON file.
+        """Read a wallet file.
 
         Raises:
-            ValueError: unsupported wallet file version.
+            ValueError: not a wallet file of a supported version.
         """
-        payload = json.loads(Path(path).read_text())
-        if payload.get("version") != 1:
-            raise ValueError(f"unsupported wallet version {payload.get('version')!r}")
-        return cls(coins=[StoredCoin.from_json(entry) for entry in payload["coins"]])
+        fields = decode(Path(path).read_text())
+        version = as_int(fields["version"]) if "version" in fields else None
+        if version != WALLET_VERSION:
+            raise ValueError(f"unsupported wallet version {version!r}")
+        return cls(
+            coins=[StoredCoin.from_record(item) for _, item in split_batch(fields, "coins", "c")]
+        )
 
 
 @dataclass
@@ -416,33 +423,6 @@ def _exact_subset(
         if amount in reachable:
             return reachable[amount]
     return reachable.get(amount)
-
-
-def _jsonify(wire: dict[str, object]) -> dict[str, object]:
-    """Convert a wire mapping (ints/strs/nested) into JSON-safe values."""
-    out: dict[str, object] = {}
-    for key, value in wire.items():
-        if isinstance(value, dict):
-            out[key] = _jsonify(value)
-        elif isinstance(value, int):
-            out[key] = int_to_text(value)
-        else:
-            out[key] = value
-    return out
-
-
-def _flatten_json(data: object, prefix: str = "") -> dict[str, str]:
-    """Flatten nested JSON back into the dotted-key wire mapping."""
-    if not isinstance(data, dict):
-        raise ValueError("malformed wallet entry")
-    out: dict[str, str] = {}
-    for key, value in data.items():
-        full_key = f"{prefix}.{key}" if prefix else key
-        if isinstance(value, dict):
-            out.update(_flatten_json(value, full_key))
-        else:
-            out[full_key] = str(value)
-    return out
 
 
 __all__ = [

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro import obs
 from repro.core.exceptions import (
@@ -45,6 +45,7 @@ from repro.crypto.hashing import constant_time_eq, encode_for_hash
 from repro.crypto.numbers import random_bits
 from repro.crypto.representation import extract_representations
 from repro.crypto.schnorr import SchnorrKeyPair
+from repro.crypto.serialize import WireFields, as_int, pack_batch, split_batch
 
 if TYPE_CHECKING:
     from repro.core.persistence import WitnessJournal
@@ -56,12 +57,51 @@ if TYPE_CHECKING:
 DEFAULT_COMMITMENT_LIFETIME = 120
 
 
+#: Kind tag of a stored part of ``v`` -> how its text is read back.
+_PART_KINDS: dict[str, Callable[[str], object]] = {
+    "int": as_int,
+    "str": str,
+    "bytes": bytes.fromhex,
+}
+
+
 @dataclass
 class _CommitmentRecord:
     """Witness-side state for one outstanding commitment."""
 
     commitment: WitnessCommitment
     v: tuple[object, ...]
+
+    def to_record(self) -> dict[str, object]:
+        """The commitment as stored at rest, its committed value ``v`` with it.
+
+        Each part of ``v`` carries its type as a kind tag, so an ``int`` and
+        a ``str`` part come back as what they were; the one ``bytes`` part
+        (the salted transcript's hash input) travels as hex.
+
+        Raises:
+            TypeError: ``v`` holds a part that is not ``int``/``str``/``bytes``.
+        """
+        parts: list[dict[str, object]] = [
+            {"kind": type(part).__name__, "value": part.hex() if isinstance(part, bytes) else part}
+            for part in _flatten_v(self.v)
+        ]
+        return {"commitment": self.commitment.to_wire(), "parts": pack_batch("p", parts)}
+
+    @classmethod
+    def from_record(cls, fields: WireFields, prefix: str = "") -> "_CommitmentRecord":
+        """Parse :meth:`to_record` fields, read from under ``prefix``.
+
+        Raises:
+            KeyError: a part of ``v`` has an unknown kind tag.
+        """
+        return cls(
+            commitment=WitnessCommitment.from_wire(fields, prefix + "commitment."),
+            v=tuple(
+                _PART_KINDS[part["kind"]](part["value"])
+                for _, part in split_batch(fields, prefix + "parts", "p")
+            ),
+        )
 
 
 @dataclass
@@ -71,6 +111,31 @@ class _SpentRecord:
     transcript: PaymentTranscript | None
     transcript_salt: int | None
     proof: DoubleSpendProof | None = None
+
+    def to_record(self) -> dict[str, object]:
+        """The spent-coin record as stored at rest (an absent part is an absent key)."""
+        out: dict[str, object] = {}
+        if self.transcript is not None:
+            out["transcript"] = self.transcript.to_wire()
+        if self.transcript_salt is not None:
+            out["transcript_salt"] = self.transcript_salt
+        if self.proof is not None:
+            out["proof"] = self.proof.to_wire()
+        return out
+
+    @classmethod
+    def from_record(cls, fields: WireFields, prefix: str = "") -> "_SpentRecord":
+        """Parse :meth:`to_record` fields, read from under ``prefix``."""
+        salt = fields.get(prefix + "transcript_salt")
+        return cls(
+            transcript=PaymentTranscript.from_wire(fields, prefix + "transcript.")
+            if prefix + "transcript.timestamp" in fields
+            else None,
+            transcript_salt=None if salt is None else as_int(salt),
+            proof=DoubleSpendProof.from_wire(fields, prefix + "proof.")
+            if prefix + "proof.coin_hash" in fields
+            else None,
+        )
 
 
 @dataclass

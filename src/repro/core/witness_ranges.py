@@ -20,7 +20,7 @@ from repro import perf
 from repro.core.exceptions import WrongWitnessError
 from repro.core.params import SystemParams
 from repro.crypto.schnorr import SchnorrKeyPair, SchnorrSignature, verify as schnorr_verify
-from repro.crypto.serialize import WireFields, as_int, as_text
+from repro.crypto.serialize import WireFields, as_int, as_text, pack_batch, split_batch
 
 
 @dataclass(frozen=True)
@@ -193,6 +193,30 @@ class WitnessAssignmentTable:
     def selection_probability(self, merchant_id: str) -> float:
         """Probability a uniformly random coin is assigned to ``merchant_id``."""
         return self.entry_for_merchant(merchant_id).range.width / self.space
+
+    def to_record(self) -> dict[str, object]:
+        """The table as stored at rest: each entry in its wire form."""
+        return {
+            "version": self.version,
+            "space": self.space,
+            "entries": pack_batch("e", [entry.to_wire() for entry in self.entries]),
+        }
+
+    @classmethod
+    def from_record(cls, fields: WireFields, prefix: str = "") -> "WitnessAssignmentTable":
+        """Parse :meth:`to_record` fields, read from under ``prefix``.
+
+        Raises:
+            ValueError: the entries do not partition ``[0, space)``.
+        """
+        return cls(
+            version=as_int(fields[prefix + "version"]),
+            entries=tuple(
+                SignedWitnessEntry.from_wire(entry)
+                for _, entry in split_batch(fields, prefix + "entries", "e")
+            ),
+            space=as_int(fields[prefix + "space"]),
+        )
 
 
 def allocate_ranges(

@@ -32,10 +32,6 @@ class SchnorrSignature:
     e: int
     s: int
 
-    def encoded_parts(self) -> dict[str, int]:
-        """Return the signature fields for URI serialization."""
-        return {"e": self.e, "s": self.s}
-
 
 def _challenge(group: SchnorrGroup, commitment: int, public_key: int, message: bytes) -> int:
     data = encode_for_hash(commitment, public_key, message)

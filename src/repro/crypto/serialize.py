@@ -38,7 +38,8 @@ WireFields = Mapping[str, WireValue]
 
 #: Fixed key-segment abbreviation dictionary (the transport "compression").
 #: Applied segment-wise to dotted keys on encode, reversed on decode;
-#: unknown segments pass through unchanged.
+#: unknown segments pass through unchanged, and a segment spelled like a
+#: short form is refused (see :func:`abbreviate_key`).
 KEY_ABBREVIATIONS: dict[str, str] = {
     "transcript": "t",
     "commitment": "c",
@@ -152,8 +153,21 @@ def as_int(value: Any) -> int:
 
 
 def abbreviate_key(dotted: str) -> str:
-    """Compress a dotted key through the abbreviation dictionary."""
-    return ".".join(KEY_ABBREVIATIONS.get(part, part) for part in dotted.split("."))
+    """Compress a dotted key through the abbreviation dictionary.
+
+    Raises:
+        ValueError: a segment is itself a short form (``s``, ``d``,
+            ``v`` ...): it would travel unchanged and come back expanded,
+            as a key the sender never wrote.
+    """
+    parts = dotted.split(".")
+    for part in parts:
+        if part in _EXPANSIONS and part not in KEY_ABBREVIATIONS:
+            raise ValueError(
+                f"wire key {dotted!r}: segment {part!r} is the short form of "
+                f"{_EXPANSIONS[part]!r} and would decode as it; use a long name"
+            )
+    return ".".join(KEY_ABBREVIATIONS.get(part, part) for part in parts)
 
 
 def expand_key(dotted: str) -> str:
@@ -281,6 +295,12 @@ def encode(mapping: Mapping[str, object]) -> str:
     Keys are abbreviated and sorted so encoding is deterministic — two
     parties serializing the same logical message produce byte-identical
     strings, which the signature checks rely on. The result is ASCII.
+
+    Raises:
+        ValueError: an illegal character in a key, a negative integer, or
+            a key segment :func:`abbreviate_key` refuses (checked when a
+            key is first learned, not per message).
+        TypeError: a leaf that is neither ``int`` nor ``str``.
     """
     flat: WireMapping = {}
     _walk(mapping, "", flat)

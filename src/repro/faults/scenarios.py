@@ -21,19 +21,16 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Generator, Iterable, Sequence
 
+from repro.core.broker import Broker
 from repro.core.client import StoredCoin
 from repro.core.exceptions import (
     DoubleDepositError,
     EcashError,
     ServiceUnavailableError,
 )
-from repro.core.persistence import (
-    attach_broker_store,
-    broker_spaces,
-    load_broker,
-    save_broker,
-)
+from repro.core.persistence import BrokerJournal, attach_broker_store, broker_spaces
 from repro.core.system import EcashSystem
+from repro.crypto import counters
 from repro.faults.byzantine import (
     double_deposit_process,
     double_spend_process,
@@ -331,16 +328,23 @@ def _scenario_broker_crash(seed: int) -> ScenarioResult:
     pending = list(system.merchant(merchant_id).pending_deposits())
     outcomes.extend(_settle(system, deployment))
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "broker.json"
-        save_broker(system.broker, path)
-        restarted = load_broker(path, system.params)
-    outcomes.append("broker: crash-restart round-trip")
-    for signed in pending:
-        try:
-            restarted.deposit(merchant_id, signed, deployment.now())
-            outcomes.append("re-deposit after restart: ACCEPTED")
-        except DoubleDepositError:
-            outcomes.append("re-deposit after restart: refused-DoubleDepositError")
+        # The old process leaves its state in a store; the new process
+        # is a blank broker that recovers from it.
+        store = Store(Path(tmp) / "broker-state", backend="memory", shards=1)
+        BrokerJournal(system.broker, store).write_baseline()
+        store.close()
+        with counters.suppressed():
+            restarted = Broker(system.params)
+        reopened = Store(Path(tmp) / "broker-state", backend="memory", shards=1)
+        attach_broker_store(restarted, reopened)
+        outcomes.append("broker: crash-restart round-trip")
+        for signed in pending:
+            try:
+                restarted.deposit(merchant_id, signed, deployment.now())
+                outcomes.append("re-deposit after restart: ACCEPTED")
+            except DoubleDepositError:
+                outcomes.append("re-deposit after restart: refused-DoubleDepositError")
+        reopened.close()
     conserved = restarted.ledger.conserved()
     outcomes.append(f"restarted ledger conserved: {conserved}")
     return _finish("broker-crash-restart", seed, outcomes, checker)

@@ -108,7 +108,7 @@ class EscrowIssuingService:
         self._tickets[ticket_id] = ticket
         out: dict[str, Any] = {"ticket": ticket_id, "k": self.cut_and_choose}
         for index, challenge in enumerate(challenges):
-            out[f"c{index}"] = {"a": challenge.a, "b": challenge.b}
+            out[f"c{index}"] = {"a": challenge.a, "bare": challenge.b}
         return out
 
     def _handle_submit(self, payload: dict[str, Any]) -> dict[str, Any]:
@@ -130,7 +130,7 @@ class EscrowIssuingService:
                 continue
             prefix = f"open.i{index}."
             opened = OpenedCandidate(
-                e=as_int(flat[prefix + "e"]),
+                e=as_int(flat[prefix + "sig_e"]),
                 t1=as_int(flat[prefix + "t1"]),
                 t2=as_int(flat[prefix + "t2"]),
                 t3=as_int(flat[prefix + "t3"]),
@@ -138,7 +138,7 @@ class EscrowIssuingService:
                 commitment_a=as_int(flat[prefix + "A"]),
                 commitment_b=as_int(flat[prefix + "B"]),
                 tag=ElGamalCiphertext.from_wire(flat, prefix),
-                tag_randomness=as_int(flat[prefix + "r"]),
+                tag_randomness=as_int(flat[prefix + "rho"]),
             )
             if ticket.es is None or opened.e != ticket.es[index]:
                 raise ProtocolViolationError("opened candidate does not match submission")
@@ -153,7 +153,12 @@ class EscrowIssuingService:
             )
         assert ticket.es is not None  # checked per-candidate above
         response = self.signer.respond(ticket.sessions[ticket.keep], ticket.es[ticket.keep])
-        return {"keep": ticket.keep, "r": response.r, "c": response.c, "s": response.s}
+        return {
+            "keep": ticket.keep,
+            "rho": response.r,
+            "commitment": response.c,
+            "sig_s": response.s,
+        }
 
     # ------------------------------------------------------------------
     # Client process
@@ -180,7 +185,7 @@ class EscrowIssuingService:
         challenges = [
             SignerChallenge(
                 a=as_int(opened_reply[f"c{index}.a"]),
-                b=as_int(opened_reply[f"c{index}.b"]),
+                b=as_int(opened_reply[f"c{index}.bare"]),
             )
             for index in range(k)
         ]
@@ -212,8 +217,10 @@ class EscrowIssuingService:
         openings: dict[str, Any] = {}
         for index in audit:
             opened = session.open(index)
+            # Long key names whose short forms are the letters: on the wire
+            # these are ``e`` and ``r``, and a receiver reads them back so.
             openings[f"i{index}"] = {
-                "e": opened.e,
+                "sig_e": opened.e,
                 "t1": opened.t1,
                 "t2": opened.t2,
                 "t3": opened.t3,
@@ -222,7 +229,7 @@ class EscrowIssuingService:
                 "B": opened.commitment_b,
                 "c1": opened.tag.c1,
                 "c2": opened.tag.c2,
-                "r": opened.tag_randomness,
+                "rho": opened.tag_randomness,
             }
         final = flatten(
             (yield self.network.rpc(
@@ -238,7 +245,9 @@ class EscrowIssuingService:
         chosen = session.candidates[keep]
         signature = chosen.session.finish(
             SignerResponse(
-                r=as_int(final["r"]), c=as_int(final["c"]), s=as_int(final["s"])
+                r=as_int(final["rho"]),
+                c=as_int(final["commitment"]),
+                s=as_int(final["sig_s"]),
             )
         )
         coin = EscrowedCoin(

@@ -323,7 +323,7 @@ def _directory_to_payload(directory: Directory) -> dict[str, Any]:
         "version": directory.version,
         "table_version": directory.table.version,
         "space": directory.table.space,
-        "sig": {"e": directory.signature.e, "s": directory.signature.s},
+        "sig": {"sig_e": directory.signature.e, "sig_s": directory.signature.s},
         "keys": {mid: key for mid, key in directory.merchant_keys.items()},
     }
     entries: dict[str, Any] = {}
@@ -365,7 +365,9 @@ def _directory_from_payload(
             version=as_int(flat["version"]),
             table=table,
             merchant_keys=merchant_keys,
-            signature=SchnorrSignature(e=as_int(flat["sig.e"]), s=as_int(flat["sig.s"])),
+            signature=SchnorrSignature(
+                e=as_int(flat["sig.sig_e"]), s=as_int(flat["sig.sig_s"])
+            ),
         )
     except (ValueError, KeyError, TypeError):
         return None

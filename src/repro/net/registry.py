@@ -47,6 +47,7 @@ from repro.core.broker import Broker
 from repro.core.client import Client, StoredCoin
 from repro.core.coin import BareCoin
 from repro.core.exceptions import (
+    DoubleDepositError,
     DoubleSpendError,
     ProtocolViolationError,
     RenewalRefusedError,
@@ -119,6 +120,10 @@ MERCHANT_METHODS: tuple[str, ...] = ("pay",)
 #: before a batch's commit marker is durable. The broker's handler
 #: refuses a longer batch before verifying any of it.
 DEPOSIT_BATCH_SIZE = 32
+
+#: What :func:`batch_deposit_flow` reports for a transcript the broker
+#: refuses as a double deposit: this merchant has the money already.
+ALREADY_CREDITED = "already-credited"
 
 
 @dataclass(frozen=True)
@@ -494,9 +499,16 @@ def batch_deposit_flow(
     items are marked deposited, rejected ones stay pending — or fails
     whole, leaving its transcripts pending for a retry.
 
+    The retry is idempotent. A call can fail *after* the broker's commit
+    marker is durable (the reply is what was lost), and the retry then
+    comes back as per-item ``DoubleDepositError``. The broker raises that
+    only when this merchant was already credited for this coin, so the
+    transcript is marked deposited and reported as
+    :data:`ALREADY_CREDITED` with amount 0: nothing moved this time.
+
     Returns:
         Per transcript, in order: ``{"outcome", "amount"}`` when the
-        broker credited it, else ``{"error", "kind"}``.
+        broker credited it (now or before), else ``{"error", "kind"}``.
     """
     pending = merchant.pending_deposits() if transcripts is None else transcripts
     results: list[dict[str, Any]] = []
@@ -514,18 +526,18 @@ def batch_deposit_flow(
         )
         for index, signed in enumerate(chunk):
             outcome = reply.get(f"r{index}.outcome")
-            if outcome is None:
+            kind = str(reply.get(f"r{index}.kind", "EcashError"))
+            if outcome is not None:
+                amount = as_int(reply[f"r{index}.amount"])
+            elif kind == DoubleDepositError.__name__:
+                outcome, amount = ALREADY_CREDITED, 0
+            else:
                 results.append(
-                    {
-                        "error": str(reply.get(f"r{index}.error", "unknown")),
-                        "kind": str(reply.get(f"r{index}.kind", "EcashError")),
-                    }
+                    {"error": str(reply.get(f"r{index}.error", "unknown")), "kind": kind}
                 )
                 continue
             merchant.mark_deposited(signed)
-            results.append(
-                {"outcome": str(outcome), "amount": as_int(reply[f"r{index}.amount"])}
-            )
+            results.append({"outcome": str(outcome), "amount": amount})
     return results
 
 
@@ -580,6 +592,7 @@ def renewal_flow(
 
 
 __all__ = [
+    "ALREADY_CREDITED",
     "BROKER_METHODS",
     "Clock",
     "DEPOSIT_BATCH_SIZE",

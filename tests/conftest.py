@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import random
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
+from repro.core.broker import Broker
 from repro.core.params import SystemParams, test_params
+from repro.core.persistence import BrokerJournal, attach_broker_store
 from repro.core.protocols import run_withdrawal
 from repro.core.system import EcashSystem
-from repro.crypto import backend
+from repro.crypto import backend, counters
+from repro.store import Store
 
 #: ``--hypothesis-profile ci``: what CI runs the codec and bigint-backend
 #: differentials with.
@@ -76,6 +80,36 @@ def funded_client(system: EcashSystem):
     client = system.new_client()
     stored = run_withdrawal(client, system.broker, system.standard_info(25, now=0))
     return client, stored
+
+
+def save_broker_state(broker: Broker, state_dir: Path) -> None:
+    """Leave ``broker``'s whole state in a store at ``state_dir``, as a
+    journaling broker process has by the time it dies."""
+    store = Store(state_dir, backend="memory", shards=1)
+    BrokerJournal(broker, store).write_baseline()
+    store.close()
+
+
+@pytest.fixture()
+def recover_broker(params: SystemParams) -> Iterator[Callable[..., Broker]]:
+    """``recover_broker(store_or_state_dir)``: what a restarting broker
+    process does — a blank broker, recovered from the store and journaling
+    to it from then on. Stores opened here are closed at teardown."""
+    opened: list[Store] = []
+
+    def recover(source: Store | Path) -> Broker:
+        store = source
+        if not isinstance(store, Store):
+            store = Store(source, backend="memory", shards=1)
+            opened.append(store)
+        with counters.suppressed():
+            broker = Broker(params)
+        attach_broker_store(broker, store)
+        return broker
+
+    yield recover
+    for store in opened:
+        store.close()
 
 
 def other_merchant(system: EcashSystem, witness_id: str) -> str:

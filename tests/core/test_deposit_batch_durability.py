@@ -4,7 +4,9 @@ A batch's settlements share one journal scope — one fsync per touched
 shard and one commit marker — so these tests pin the three things that
 follow from it: a crash before the marker loses the whole batch and
 nothing else, a rejected item costs the others nothing, and the fsync
-bill no longer grows with the batch.
+bill no longer grows with the batch. The other side of the marker is
+here too: a batch that committed but whose reply was lost is retried
+without a second credit and without staying pending for ever.
 """
 
 from __future__ import annotations
@@ -12,8 +14,12 @@ from __future__ import annotations
 import pytest
 
 from repro.core.broker import DepositOutcome, DepositResult
-from repro.core.exceptions import DoubleDepositError, InvalidPaymentError
-from repro.core.persistence import attach_broker_store, load_broker_from_store
+from repro.core.exceptions import (
+    DoubleDepositError,
+    InvalidPaymentError,
+    ServiceUnavailableError,
+)
+from repro.core.persistence import attach_broker_store
 from repro.core.protocols import run_payment, run_withdrawal
 from repro.core.system import EcashSystem
 from repro.core.transcripts import SignedTranscript
@@ -125,7 +131,7 @@ def _mixed_batch(system: EcashSystem) -> list[SignedTranscript]:
     return [good[0], forged, good[2], good[0], good[4], good[3]]
 
 
-def test_mixed_batch_matches_sequential_deposits_item_for_item(params, tmp_path):
+def test_mixed_batch_matches_sequential_deposits_item_for_item(params, recover_broker, tmp_path):
     sequential_system = _fresh_system(params)
     sequential = []
     for signed in _mixed_batch(sequential_system):
@@ -153,7 +159,7 @@ def test_mixed_batch_matches_sequential_deposits_item_for_item(params, tmp_path)
     # The good items are durable: the three from the batch plus the
     # earlier single deposit.
     reopened = _open_store(tmp_path, "sqlite")
-    restored = load_broker_from_store(reopened, params)
+    restored = recover_broker(reopened)
     assert len(restored._deposits) == 4
     assert restored.merchant_balance(MERCHANT) == 4 * DENOMINATION
     assert restored.merchant_balance(MERCHANT) == sequential_system.broker.merchant_balance(
@@ -187,4 +193,48 @@ def test_one_deposit_batch_rpc_costs_at_most_one_fsync_per_shard_and_a_marker(
     # Everything the reply acknowledges is already behind a commit marker.
     assert not store.in_operation
     assert all(shard.wal._pending == 0 for shard in store.shards)
+    store.close()
+
+
+def test_a_retry_after_a_lost_reply_is_idempotent(params, tmp_path):
+    """The broker's commit marker is durable, the reply never arrives:
+    the storefront's flow fails whole, and its retry finds every coin
+    refused as a double deposit — this merchant's own earlier credit."""
+    system = _fresh_system(params)
+    store = _open_store(tmp_path, "memory")
+    attach_broker_store(system.broker, store)
+    items = _paid_transcripts(system, 3)
+    merchant = system.merchant(MERCHANT)
+    handler = registry.broker_dispatch(system.broker, lambda: NOW)["deposit/batch"]
+
+    flow = registry.batch_deposit_flow(merchant, MERCHANT, "broker")
+    call = next(flow)
+    handler(call.payload)  # settled and committed; the reply is dropped
+    assert not store.in_operation
+    with pytest.raises(ServiceUnavailableError):
+        flow.throw(ServiceUnavailableError("broker: connection lost"))
+    assert merchant.pending_deposits() == items
+    assert system.broker.merchant_balance(MERCHANT) == 3 * DENOMINATION
+    history = list(system.ledger.history)
+
+    def drain() -> list:
+        flow = registry.batch_deposit_flow(merchant, MERCHANT, "broker")
+        try:
+            call = next(flow)
+            while True:
+                call = flow.send(handler(call.payload))
+        except StopIteration as done:
+            return done.value
+
+    assert drain() == [{"outcome": registry.ALREADY_CREDITED, "amount": 0}] * 3
+    assert merchant.pending_deposits() == []
+    assert merchant.deposited == items
+    # Credited once: the retry moved nothing, and the refusal still stands.
+    assert system.ledger.history == history
+    assert system.broker.merchant_balance(MERCHANT) == 3 * DENOMINATION
+    assert all(
+        isinstance(item, DoubleDepositError)
+        for item in system.broker.deposit_batch(MERCHANT, items, NOW)
+    )
+    assert drain() == []
     store.close()

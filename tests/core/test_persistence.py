@@ -2,21 +2,21 @@
 
 import pytest
 
+from repro.core.broker import _BrokerMeta
 from repro.core.exceptions import DoubleDepositError, RenewalRefusedError
 from repro.core.persistence import (
     attach_broker_store,
     attach_witness_journal,
     broker_spaces,
-    load_broker,
-    load_broker_from_store,
     restore_witness,
-    save_broker,
     witness_spaces,
 )
 from repro.core.protocols import run_deposit, run_payment, run_renewal, run_withdrawal
+from repro.core.system import EcashSystem
 from repro.core.witness import WitnessService
-from repro.store import Store
-from tests.conftest import other_merchant
+from repro.crypto.serialize import decode
+from repro.store import Store, StoreCorruptError
+from tests.conftest import other_merchant, save_broker_state
 
 NO_SLEEP = {"sleep": lambda _delay: None}
 
@@ -32,21 +32,21 @@ def busy_system(system, funded_client, tmp_path):
     fresh = run_renewal(
         client, renewed_source, system.broker, system.standard_info(50, now=30), now=30
     )
-    path = tmp_path / "broker-state.json"
-    save_broker(system.broker, path)
+    path = tmp_path / "broker-state"
+    save_broker_state(system.broker, path)
     return system, client, merchant, signed, renewed_source, fresh, path
 
 
-def test_keys_survive_restart(busy_system):
+def test_keys_survive_restart(busy_system, recover_broker):
     system, client, merchant, signed, renewed_source, fresh, path = busy_system
-    restored = load_broker(path, system.params)
+    restored = recover_broker(path)
     assert restored.blind_public == system.broker.blind_public
     assert restored.sign_public == system.broker.sign_public
 
 
-def test_old_coins_verify_after_restart(busy_system):
+def test_old_coins_verify_after_restart(busy_system, recover_broker):
     system, client, merchant, signed, renewed_source, fresh, path = busy_system
-    restored = load_broker(path, system.params)
+    restored = recover_broker(path)
     fresh.coin.ensure_valid_signature(system.params, restored.blind_public)
     # The witness tables came back signed and valid.
     table = restored.current_table
@@ -54,16 +54,16 @@ def test_old_coins_verify_after_restart(busy_system):
     assert entry.merchant_id == fresh.coin.witness_id
 
 
-def test_double_deposit_detected_across_restart(busy_system):
+def test_double_deposit_detected_across_restart(busy_system, recover_broker):
     system, client, merchant, signed, renewed_source, fresh, path = busy_system
-    restored = load_broker(path, system.params)
+    restored = recover_broker(path)
     with pytest.raises(DoubleDepositError):
         restored.deposit(merchant.merchant_id, signed, now=100)
 
 
-def test_renewal_refused_across_restart(busy_system):
+def test_renewal_refused_across_restart(busy_system, recover_broker):
     system, client, merchant, signed, renewed_source, fresh, path = busy_system
-    restored = load_broker(path, system.params)
+    restored = recover_broker(path)
     client.wallet.add(renewed_source)
     with pytest.raises(RenewalRefusedError) as refusal:
         run_renewal(
@@ -72,9 +72,9 @@ def test_renewal_refused_across_restart(busy_system):
     assert refusal.value.proof.verify(system.params, renewed_source.coin)
 
 
-def test_ledger_restored_and_conserved(busy_system):
+def test_ledger_restored_and_conserved(busy_system, recover_broker):
     system, client, merchant, signed, renewed_source, fresh, path = busy_system
-    restored = load_broker(path, system.params)
+    restored = recover_broker(path)
     assert restored.ledger.conserved()
     assert restored.merchant_balance(merchant.merchant_id) == system.broker.merchant_balance(
         merchant.merchant_id
@@ -85,25 +85,18 @@ def test_ledger_restored_and_conserved(busy_system):
         ) == system.broker.security_deposit_balance(merchant_id)
 
 
-def test_new_withdrawals_work_after_restart(busy_system):
+def test_new_withdrawals_work_after_restart(busy_system, recover_broker):
     system, client, merchant, signed, renewed_source, fresh, path = busy_system
-    restored = load_broker(path, system.params)
+    restored = recover_broker(path)
     # A brand-new client can withdraw and spend against the restored broker.
     newcomer = system.new_client()
     stored = run_withdrawal(newcomer, restored, system.standard_info(25, now=300))
     stored.coin.ensure_valid_signature(system.params, system.broker.blind_public)
 
 
-def test_version_check(tmp_path, system):
-    path = tmp_path / "state.json"
-    path.write_text('{"version": 999}')
-    with pytest.raises(ValueError):
-        load_broker(path, system.params)
-
-
-def test_merchant_registry_restored(busy_system):
+def test_merchant_registry_restored(busy_system, recover_broker):
     system, client, merchant, signed, renewed_source, fresh, path = busy_system
-    restored = load_broker(path, system.params)
+    restored = recover_broker(path)
     assert set(restored.merchants) == set(system.merchant_ids)
     for merchant_id in system.merchant_ids:
         assert (
@@ -117,10 +110,11 @@ def test_merchant_registry_restored(busy_system):
 # ----------------------------------------------------------------------
 
 def test_save_load_save_is_byte_identical_with_inflight_tickets(
-    busy_system, tmp_path
+    busy_system, recover_broker, tmp_path
 ):
-    """Every table round-trips: the second save equals the first, byte
-    for byte, even with withdrawal and batch tickets still in flight."""
+    """Every table round-trips: the recovered broker's state equals the
+    first one's, string for string, even with withdrawal and batch
+    tickets still in flight — and it is what the store holds."""
     system, client, merchant, signed, renewed_source, fresh, path = busy_system
     broker = system.broker
     # Leave a plain ticket and a batch ticket open mid-protocol.
@@ -130,26 +124,22 @@ def test_save_load_save_is_byte_identical_with_inflight_tickets(
     )
     assert broker._tickets and broker._batch_tickets
     assert broker._renewals and broker._deposits
-    first = tmp_path / "first.json"
-    second = tmp_path / "second.json"
-    save_broker(broker, first)
-    reloaded = load_broker(first, system.params)
-    save_broker(reloaded, second)
-    assert first.read_bytes() == second.read_bytes()
+    save_broker_state(broker, tmp_path / "first")
+    reloaded = recover_broker(tmp_path / "first")
     assert broker_spaces(reloaded) == broker_spaces(broker)
+    assert reloaded.journal.store.dump() == broker_spaces(broker)
 
 
 def test_inflight_tickets_complete_against_the_restored_broker(
-    system, tmp_path
+    system, recover_broker, tmp_path
 ):
     """A withdrawal begun before the save finishes after the load."""
     client = system.new_client()
     info = system.standard_info(25, now=0)
     ticket, challenge = system.broker.begin_withdrawal(info)
     signer = client.begin_withdrawal(info, challenge)
-    path = tmp_path / "mid-withdrawal.json"
-    save_broker(system.broker, path)
-    restored = load_broker(path, system.params)
+    save_broker_state(system.broker, tmp_path / "mid-withdrawal")
+    restored = recover_broker(tmp_path / "mid-withdrawal")
     response = restored.complete_withdrawal(ticket, signer.e)
     stored = client.finish_withdrawal(signer, response, restored.current_table)
     stored.coin.ensure_valid_signature(system.params, restored.blind_public)
@@ -158,12 +148,11 @@ def test_inflight_tickets_complete_against_the_restored_broker(
         restored.complete_withdrawal(ticket, signer.e)
 
 
-def test_ticket_counter_does_not_collide_after_restore(system, tmp_path):
+def test_ticket_counter_does_not_collide_after_restore(system, recover_broker, tmp_path):
     info = system.standard_info(25, now=0)
     ticket, _challenge = system.broker.begin_withdrawal(info)
-    path = tmp_path / "counter.json"
-    save_broker(system.broker, path)
-    restored = load_broker(path, system.params)
+    save_broker_state(system.broker, tmp_path / "counter")
+    restored = recover_broker(tmp_path / "counter")
     fresh_ticket, _ = restored.begin_withdrawal(info)
     assert fresh_ticket > ticket
 
@@ -174,7 +163,7 @@ def test_ticket_counter_does_not_collide_after_restore(system, tmp_path):
 
 @pytest.mark.parametrize("backend", ("memory", "sqlite"))
 def test_journaled_broker_recovers_from_the_store(
-    system, funded_client, tmp_path, backend
+    system, funded_client, recover_broker, tmp_path, backend
 ):
     store = Store(tmp_path / "state", backend=backend, shards=4, **NO_SLEEP)
     attach_broker_store(system.broker, store)
@@ -186,7 +175,7 @@ def test_journaled_broker_recovers_from_the_store(
     store.close()  # crash: nothing flushed beyond the acknowledged journal
 
     reopened = Store(tmp_path / "state", backend=backend, shards=4, **NO_SLEEP)
-    restored = load_broker_from_store(reopened, system.params)
+    restored = recover_broker(reopened)
     assert broker_spaces(restored) == expected
     assert restored.ledger.conserved()
     with pytest.raises(DoubleDepositError):
@@ -212,13 +201,6 @@ def test_attach_broker_store_restores_in_place(system, funded_client, tmp_path):
     reopened.close()
 
 
-def test_load_broker_from_empty_store_is_an_error(system, tmp_path):
-    store = Store(tmp_path / "empty", backend="memory", shards=1, **NO_SLEEP)
-    with pytest.raises(ValueError, match="no broker state"):
-        load_broker_from_store(store, system.params)
-    store.close()
-
-
 # ----------------------------------------------------------------------
 # Atomic settlement: a half-journaled deposit never survives recovery
 # ----------------------------------------------------------------------
@@ -229,7 +211,7 @@ class PowerLoss(Exception):
 
 @pytest.mark.parametrize("backend", ("memory", "sqlite"))
 def test_crashed_deposit_is_discarded_whole_and_safe_to_retry(
-    system, funded_client, tmp_path, backend
+    system, funded_client, recover_broker, tmp_path, backend
 ):
     """A crash mid-settlement must not leave the merchant credited
     without a deposit record — the retry would double-credit."""
@@ -248,7 +230,7 @@ def test_crashed_deposit_is_discarded_whole_and_safe_to_retry(
     store.close()  # flushes the orphaned records; still no marker
 
     reopened = Store(tmp_path / "state", backend=backend, shards=4, **NO_SLEEP)
-    restored = load_broker_from_store(reopened, system.params)
+    restored = recover_broker(reopened)
     # Neither half of the settlement survived: no credit, no record.
     assert restored.merchant_balance(merchant.merchant_id) == 0
     assert not restored._deposits
@@ -261,19 +243,19 @@ def test_crashed_deposit_is_discarded_whole_and_safe_to_retry(
     reopened.close()
 
 
-def test_begin_renewal_journals_its_ticket(system, tmp_path):
+def test_begin_renewal_journals_its_ticket(system, recover_broker, tmp_path):
     store = Store(tmp_path / "state", backend="memory", shards=2, **NO_SLEEP)
     attach_broker_store(system.broker, store)
     ticket_id, _challenge = system.broker.begin_renewal(
         system.standard_info(50, now=30)
     )
     assert store.get("tickets", str(ticket_id)) is not None
-    meta = store.get("meta", "state")
-    assert meta["next_ticket"] == ticket_id + 1
+    meta = _BrokerMeta.from_record(decode(store.get("meta", "state")))
+    assert meta.next_ticket == ticket_id + 1
     store.close()
 
     reopened = Store(tmp_path / "state", backend="memory", shards=2, **NO_SLEEP)
-    restored = load_broker_from_store(reopened, system.params)
+    restored = recover_broker(reopened)
     # The in-flight ticket survived, and the counter moved past it.
     assert ticket_id in restored._tickets
     fresh_ticket, _ = restored.begin_withdrawal(system.standard_info(25, now=31))
@@ -286,15 +268,13 @@ def test_journaled_meta_matches_the_full_snapshot(system, tmp_path):
     store = Store(tmp_path / "state", backend="memory", shards=2, **NO_SLEEP)
     attach_broker_store(system.broker, store)
     system.broker.begin_withdrawal(system.standard_info(25, now=0))
-    assert store.get("meta", "state") == broker_spaces(system.broker)["meta"]
+    assert store.get("meta", "state") == broker_spaces(system.broker)["meta"]["state"]
     store.close()
 
 
 def test_recovery_rejects_a_record_without_its_funding_credit(
-    system, funded_client, tmp_path
+    system, funded_client, recover_broker, tmp_path
 ):
-    from repro.store import StoreCorruptError
-
     store = Store(tmp_path / "state", backend="memory", shards=2, **NO_SLEEP)
     attach_broker_store(system.broker, store)
     client, stored = funded_client
@@ -303,14 +283,14 @@ def test_recovery_rejects_a_record_without_its_funding_credit(
     run_deposit(merchant, system.broker, now=20)
     # Surgically remove the funding movement, leaving the deposit record.
     ledger_table = store.dump()["ledger"]
-    key = next(k for k, v in ledger_table.items() if v["memo"] == "coin deposit")
+    key = next(k for k, v in ledger_table.items() if decode(v)["memo"] == "coin deposit")
     store.delete("ledger", key)
     store.ack()
     store.close()
 
     reopened = Store(tmp_path / "state", backend="memory", shards=2, **NO_SLEEP)
     with pytest.raises(StoreCorruptError, match="without its funding movement"):
-        load_broker_from_store(reopened, system.params)
+        recover_broker(reopened)
     reopened.close()
 
 
@@ -344,4 +324,82 @@ def test_witness_journal_round_trips_through_a_store(
     assert blank.signed_count == witness.signed_count
     digest = stored.coin.digest(system.params)
     assert digest in blank._spent
+    reopened.close()
+
+
+# ----------------------------------------------------------------------
+# A state dir this code did not write is refused whole
+# ----------------------------------------------------------------------
+
+def _untouched(broker, before) -> bool:
+    return broker_spaces(broker) == before and broker.journal is None
+
+
+def test_a_state_dir_in_the_old_record_format_is_refused_not_half_restored(
+    system, funded_client, tmp_path
+):
+    """Before records were wire-codec strings a stored value was a nested
+    JSON object. Such a state dir is named for what it is, and the broker
+    it was offered to keeps its merchants, deposits and ledger."""
+    old = Store(tmp_path / "state", backend="sqlite", shards=4, **NO_SLEEP)
+    with old.operation():
+        old.put(
+            "meta",
+            "state",
+            {
+                "account": "broker",
+                "blind_secret": "AQ",
+                "sign_secret": "Ag",
+                "next_version": 2,
+                "next_ticket": 1,
+            },
+        )
+        old.put(
+            "merchants",
+            "alice-books",
+            {"public_key": "BA", "security_deposit": 10000, "coins_witnessed": 0, "incidents": 0},
+        )
+        old.put("ledger", "000000000000", {"src": "<external>", "dst": "x", "memo": "", "amount": 1})
+    old.close()
+
+    client, stored = funded_client
+    merchant = system.merchant(other_merchant(system, stored.coin.witness_id))
+    run_payment(client, stored, merchant, system.witness_of(stored), now=10)
+    run_deposit(merchant, system.broker, now=20)
+    before = broker_spaces(system.broker)
+    reopened = Store(tmp_path / "state", backend="sqlite", shards=4, **NO_SLEEP)
+    with pytest.raises(StoreCorruptError, match="older nested-JSON record format"):
+        attach_broker_store(system.broker, reopened)
+    assert _untouched(system.broker, before)
+    assert system.broker._deposits and system.broker.ledger.conserved()
+    reopened.close()
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [{"signed": {}, "deposited_at": 20}, "signed.wsig_e=AQ", "deposited_at=%zz"],
+    ids=["old-format", "fields-missing", "not-an-integer"],
+)
+def test_one_unreadable_record_leaves_the_broker_untouched(
+    system, funded_client, tmp_path, damage
+):
+    """Every record is parsed before the broker is touched: the meta
+    record and the merchants read fine here, the one deposit does not."""
+    store = Store(tmp_path / "state", backend="memory", shards=2, **NO_SLEEP)
+    attach_broker_store(system.broker, store)
+    client, stored = funded_client
+    merchant = system.merchant(other_merchant(system, stored.coin.witness_id))
+    run_payment(client, stored, merchant, system.witness_of(stored), now=10)
+    run_deposit(merchant, system.broker, now=20)
+    (key,) = store.dump()["deposits"]
+    store.put("deposits", key, damage)
+    store.ack()
+    store.close()
+
+    blank = EcashSystem(merchant_ids=("solo",), params=system.params, seed=5).broker
+    before = broker_spaces(blank)
+    reopened = Store(tmp_path / "state", backend="memory", shards=2, **NO_SLEEP)
+    with pytest.raises(StoreCorruptError, match=f"deposits/{key}"):
+        attach_broker_store(blank, reopened)
+    assert _untouched(blank, before)
     reopened.close()

@@ -95,8 +95,8 @@ def test_encode_decode_roundtrip():
 
 
 def test_encode_deterministic():
-    payload = {"b": 1, "a": 2, "c": {"z": 3, "y": 4}}
-    assert encode(payload) == encode({"c": {"y": 4, "z": 3}, "a": 2, "b": 1})
+    payload = {"q": 1, "a": 2, "k": {"z": 3, "y": 4}}
+    assert encode(payload) == encode({"k": {"y": 4, "z": 3}, "a": 2, "q": 1})
 
 
 def test_decode_rejects_duplicates():
@@ -118,14 +118,17 @@ def test_wire_bytes_counts_encoded_length():
 
 @given(
     st.dictionaries(
-        st.text(alphabet="abcdefgh_", min_size=1, max_size=8),
+        st.text(alphabet="abcdefgh_", min_size=1, max_size=8).filter(
+            lambda key: key not in KEY_ABBREVIATIONS.values()
+        ),
         st.one_of(st.integers(min_value=0, max_value=2**64), st.text(max_size=16)),
         max_size=6,
     )
 )
 def test_encode_decode_property(payload):
-    decoded = decode(encode(payload))
-    assert set(decoded) == {expand_key(abbreviate_key(k)) for k in payload}
+    """Every key that encodes comes back as itself (a key spelled like a
+    short form would not, and ``encode`` refuses it)."""
+    assert set(decode(encode(payload))) == set(payload)
 
 
 def test_split_batch_is_the_receiving_half_of_pack_batch():

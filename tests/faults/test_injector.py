@@ -38,7 +38,7 @@ def network():
 
 def send(sim, net, payload=None, timeout=15.0):
     def process():
-        reply = yield net.rpc("alpha", "beta", "echo", payload or {"v": 1}, timeout=timeout)
+        reply = yield net.rpc("alpha", "beta", "echo", payload or {"k": 1}, timeout=timeout)
         return reply
 
     return sim.run_process(process())
@@ -71,8 +71,8 @@ def test_duplicate_rule_runs_handler_twice(network):
 def test_corrupt_rule_changes_payload_in_flight(network):
     sim, net, calls = network
     FaultInjector(FaultPlan(seed=1).corrupt(method="echo")).install(net)
-    send(sim, net, payload={"v": 1})
-    assert calls == [{"v": 2}]  # the single int leaf was bumped
+    send(sim, net, payload={"k": 1})
+    assert calls == [{"k": 2}]  # the single int leaf was bumped
 
 
 def test_reorder_rule_lets_next_message_overtake(network):
@@ -80,12 +80,12 @@ def test_reorder_rule_lets_next_message_overtake(network):
     FaultInjector(FaultPlan(seed=1).reorder(method="echo", max_injections=1)).install(net)
 
     def sender(value):
-        yield net.rpc("alpha", "beta", "echo", {"v": value})
+        yield net.rpc("alpha", "beta", "echo", {"k": value})
 
     sim.spawn(sender(1))
     sim.spawn(sender(2))
     sim.run()
-    assert calls == [{"v": 2}, {"v": 1}]  # the held first message arrived second
+    assert calls == [{"k": 2}, {"k": 1}]  # the held first message arrived second
 
 
 def test_probability_and_budget_are_respected(network):

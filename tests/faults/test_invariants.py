@@ -3,9 +3,9 @@
 import pytest
 
 from repro.core.exceptions import DoubleDepositError, DoubleSpendError
-from repro.core.persistence import load_broker, save_broker
 from repro.core.protocols import run_deposit, run_payment, run_withdrawal
 from repro.faults.invariants import InvariantChecker
+from tests.conftest import save_broker_state
 
 
 def other_shops(system, stored):
@@ -86,7 +86,7 @@ def test_invariant_result_render_is_fixed_format(system):
     assert line.startswith("PASS ledger-conserved: minted=")
 
 
-def test_broker_crash_restart_still_refuses_double_deposit(system, tmp_path):
+def test_broker_crash_restart_still_refuses_double_deposit(system, recover_broker, tmp_path):
     """Satellite: a coin deposited before a broker crash is still rejected
     as a double-deposit after the broker restarts from its saved state."""
     client = system.new_client()
@@ -96,9 +96,8 @@ def test_broker_crash_restart_still_refuses_double_deposit(system, tmp_path):
     signed = system.merchant(shop).pending_deposits()[0]
     run_deposit(system.merchant(shop), system.broker, now=100)
 
-    path = tmp_path / "broker.json"
-    save_broker(system.broker, path)
-    restarted = load_broker(path, system.params)
+    save_broker_state(system.broker, tmp_path / "broker-state")
+    restarted = recover_broker(tmp_path / "broker-state")
 
     assert restarted.ledger.conserved()
     with pytest.raises(DoubleDepositError):

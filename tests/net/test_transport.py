@@ -15,7 +15,7 @@ from repro.net.transport import (
 
 class TestMessage:
     def test_encoding_includes_method(self):
-        message = Message(method="pay", payload={"x": 1})
+        message = Message(method="pay", payload={"k": 1})
         assert "_method=pay" in message.encoded()
 
     def test_size_includes_framing(self):
@@ -28,8 +28,8 @@ class TestMessage:
         assert large.size_bytes > small.size_bytes + 400
 
     def test_deterministic_encoding(self):
-        first = Message(method="m", payload={"b": 2, "a": 1})
-        second = Message(method="m", payload={"a": 1, "b": 2})
+        first = Message(method="m", payload={"q": 2, "a": 1})
+        second = Message(method="m", payload={"a": 1, "q": 2})
         assert first.encoded() == second.encoded()
 
     def test_reserved_method_key_rejected(self):
