@@ -21,25 +21,42 @@ Quick start::
     run_deposit(merchant, system.broker, now=20)
 """
 
-from repro.core import (
-    Arbiter,
-    Broker,
-    Client,
-    Coin,
-    CoinInfo,
-    DoubleSpendError,
-    EcashSystem,
-    Merchant,
-    StoredCoin,
-    Wallet,
-    WitnessService,
-    default_params,
-    run_deposit,
-    run_payment,
-    run_renewal,
-    run_withdrawal,
-    standard_info,
-    test_params,
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core import (
+        Arbiter,
+        Broker,
+        Client,
+        Coin,
+        CoinInfo,
+        DoubleSpendError,
+        EcashSystem,
+        Merchant,
+        StoredCoin,
+        Wallet,
+        WitnessService,
+        default_params,
+        run_deposit,
+        run_payment,
+        run_renewal,
+        run_withdrawal,
+        standard_info,
+        test_params,
+    )
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core": (
+            "Arbiter", "Broker", "Client", "Coin", "CoinInfo", "DoubleSpendError",
+            "EcashSystem", "Merchant", "StoredCoin", "Wallet", "WitnessService",
+            "default_params", "run_deposit", "run_payment", "run_renewal",
+            "run_withdrawal", "standard_info", "test_params",
+        ),
+    },
 )
 
 __version__ = "1.0.0"

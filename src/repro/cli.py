@@ -290,7 +290,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
-    from repro.scale import CampaignConfig, run_campaign
+    from repro.scale.campaign import CampaignConfig, run_campaign
 
     nodes = args.nodes if args.nodes is not None else (200 if args.quick else 10_000)
     duration = (

@@ -24,25 +24,51 @@ Layers, bottom up:
   descriptors and the three-process loopback demonstration.
 """
 
-from repro.daemon.auth import HandshakeError, client_handshake, server_handshake
-from repro.daemon.client import PeerConnection, SocketTransport
-from repro.daemon.config import DeploymentConfig, NodeAddress, load_config
-from repro.daemon.framing import (
-    Frame,
-    FrameDecoder,
-    FrameError,
-    FrameTooLargeError,
-    MAX_FRAME_BYTES,
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.daemon.auth import HandshakeError, client_handshake, server_handshake
+    from repro.daemon.client import PeerConnection, SocketTransport
+    from repro.daemon.config import DeploymentConfig, NodeAddress, load_config
+    from repro.daemon.framing import (
+        Frame,
+        FrameDecoder,
+        FrameError,
+        FrameTooLargeError,
+        MAX_FRAME_BYTES,
+    )
+    from repro.daemon.keys import NodeIdentity, identity_keypair, load_identity, provision
+    from repro.daemon.service import (
+        BrokerDaemon,
+        DaemonClock,
+        DaemonNode,
+        MerchantDaemon,
+        WitnessDaemon,
+    )
+    from repro.daemon.wire import RemoteProtocolError
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.daemon.auth": ("HandshakeError", "client_handshake", "server_handshake"),
+        "repro.daemon.client": ("PeerConnection", "SocketTransport"),
+        "repro.daemon.config": ("DeploymentConfig", "NodeAddress", "load_config"),
+        "repro.daemon.framing": (
+            "Frame", "FrameDecoder", "FrameError", "FrameTooLargeError",
+            "MAX_FRAME_BYTES",
+        ),
+        "repro.daemon.keys": (
+            "NodeIdentity", "identity_keypair", "load_identity", "provision",
+        ),
+        "repro.daemon.service": (
+            "BrokerDaemon", "DaemonClock", "DaemonNode", "MerchantDaemon",
+            "WitnessDaemon",
+        ),
+        "repro.daemon.wire": ("RemoteProtocolError",),
+    },
 )
-from repro.daemon.keys import NodeIdentity, identity_keypair, load_identity, provision
-from repro.daemon.service import (
-    BrokerDaemon,
-    DaemonClock,
-    DaemonNode,
-    MerchantDaemon,
-    WitnessDaemon,
-)
-from repro.daemon.wire import RemoteProtocolError
 
 __all__ = [
     "BrokerDaemon",

@@ -27,7 +27,7 @@ import os
 import random
 import time
 from collections import deque
-from typing import Any, Awaitable, Generator, Mapping
+from typing import TYPE_CHECKING, Any, Awaitable, Generator, Mapping
 
 from repro import obs
 from repro.core.exceptions import EcashError
@@ -51,6 +51,9 @@ from repro.daemon.keys import NodeIdentity
 
 #: Control-plane method prefix; see :data:`repro.daemon.client.ADMIN_PREFIX`.
 from repro.daemon.client import ADMIN_PREFIX
+
+if TYPE_CHECKING:
+    from repro.store import RecoveryStats, Store
 
 #: Per-RPC log entries a daemon keeps (and ``admin/stats`` returns): a
 #: full ring encodes to well under half the 1 MiB frame cap.
@@ -98,6 +101,8 @@ class DaemonNode:
         clock: the protocol clock, exposed over ``admin/clock``.
         transport: outbound transport for nested calls (merchant
             daemons); shares this node's meter when provided.
+        recovery: what the durable store's recovery did before this
+            node was built (a durable broker); ``admin/stats`` reports it.
     """
 
     def __init__(
@@ -109,6 +114,7 @@ class DaemonNode:
         handlers: dict[str, registry.Handler],
         clock: DaemonClock,
         transport: SocketTransport | None = None,
+        recovery: RecoveryStats | None = None,
     ) -> None:
         self.identity = identity
         self.authorized = dict(authorized)
@@ -116,6 +122,10 @@ class DaemonNode:
         self.port = port
         self.clock = clock
         self.transport = transport
+        self.recovery = recovery
+        #: CPU milliseconds this process had used when the listener bound:
+        #: interpreter start, imports, system construction and recovery.
+        self.startup_cpu_ms = 0.0
         self.meter = transport.meter if transport is not None else TrafficMeter()
         #: One ``{method, request_bytes, response_bytes, kind}`` entry per
         #: protocol RPC served, in completion order; the oldest entries
@@ -148,6 +158,7 @@ class DaemonNode:
         sockets = self._server.sockets or []
         if sockets:
             self.port = sockets[0].getsockname()[1]
+        self.startup_cpu_ms = time.process_time() * 1000.0
 
     async def serve_until_shutdown(self) -> None:
         """Serve until ``admin/shutdown`` arrives, then close cleanly."""
@@ -333,7 +344,16 @@ class DaemonNode:
                 # a node that lost its libgmp shows.
                 "backend": bigint_backend.name(),
                 "backend_version": bigint_backend.gmp_version() or "",
+                "startup_cpu_ms": f"{self.startup_cpu_ms:.1f}",
             }
+            if self.recovery is not None:
+                out["recovery"] = {
+                    "snapshot": self.recovery.snapshot_records,
+                    "replayed": self.recovery.replayed_records,
+                    "discarded": self.recovery.discarded_records,
+                    "torn_bytes": self.recovery.truncated_bytes,
+                    "replay_ms": f"{self.recovery.replay_ms:.1f}",
+                }
             for index, entry in enumerate(self.rpc_log):
                 out[f"l{index}"] = {
                     "method": entry["method"],
@@ -396,14 +416,16 @@ class BrokerDaemon:
         store_backend: str = "sqlite",
         store_shards: int = 4,
     ) -> None:
-        from repro.core.persistence import attach_broker_store
-        from repro.store import RecoveryStats, Store
-
         self.clock = DaemonClock()
         self.system = system
         self.store: Store | None = None
         self.recovery: RecoveryStats | None = None
         if state_dir is not None:
+            # Only a durable broker pays for the store, sqlite3 and the
+            # record hooks; a memory broker never imports them.
+            from repro.core.persistence import attach_broker_store
+            from repro.store import Store
+
             self.store = Store(state_dir, backend=store_backend, shards=store_shards)
             self.recovery = attach_broker_store(system.broker, self.store)
         self.node = DaemonNode(
@@ -413,6 +435,7 @@ class BrokerDaemon:
             port=port,
             handlers=registry.broker_dispatch(system.broker, self.clock.now),
             clock=self.clock,
+            recovery=self.recovery,
         )
 
     def close_store(self) -> None:
@@ -598,7 +621,9 @@ async def serve(
         print(
             f"{name} recovered state: {stats.snapshot_records} snapshot record(s), "
             f"{stats.replayed_records} journal record(s) replayed, "
-            f"{stats.truncated_bytes} torn byte(s) truncated",
+            f"{stats.truncated_bytes} torn byte(s) truncated, "
+            f"{stats.discarded_records} uncommitted record(s) discarded, "
+            f"replay {stats.replay_ms:.1f} ms",
             flush=True,
         )
     await daemon.node.start()

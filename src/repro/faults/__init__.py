@@ -25,15 +25,33 @@ depend on :mod:`repro.net.services`, which itself uses
 :mod:`repro.faults.recovery` — import them as submodules.
 """
 
-from repro.faults.injector import (
-    DEFAULT_REORDER_HOLD,
-    FaultInjector,
-    InjectionEvent,
-    corrupt_message,
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.faults.injector import (
+        DEFAULT_REORDER_HOLD,
+        FaultInjector,
+        InjectionEvent,
+        corrupt_message,
+    )
+    from repro.faults.invariants import InvariantChecker, InvariantResult
+    from repro.faults.plan import CrashWindow, FaultKind, FaultPlan, FaultRule
+    from repro.faults.recovery import BackoffPolicy, CircuitBreaker
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.faults.injector": (
+            "DEFAULT_REORDER_HOLD", "FaultInjector", "InjectionEvent",
+            "corrupt_message",
+        ),
+        "repro.faults.invariants": ("InvariantChecker", "InvariantResult"),
+        "repro.faults.plan": ("CrashWindow", "FaultKind", "FaultPlan", "FaultRule"),
+        "repro.faults.recovery": ("BackoffPolicy", "CircuitBreaker"),
+    },
 )
-from repro.faults.invariants import InvariantChecker, InvariantResult
-from repro.faults.plan import CrashWindow, FaultKind, FaultPlan, FaultRule
-from repro.faults.recovery import BackoffPolicy, CircuitBreaker
 
 __all__ = [
     "BackoffPolicy",

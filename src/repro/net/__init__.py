@@ -14,11 +14,29 @@ availability; :mod:`repro.net.chord` provides the DHT used by the
 WhoPay/Hoepman baseline.
 """
 
-from repro.net.sim import Future, Simulator, Sleep, SimTimeoutError
-from repro.net.latency import LatencyModel, Region, planetlab_us
-from repro.net.costmodel import ComputeCostModel, openssl_profile, python2006_profile
-from repro.net.node import Network, Node
-from repro.net.overlay import Directory, GossipOverlay, publish_directory
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.net.sim import Future, Simulator, Sleep, SimTimeoutError
+    from repro.net.latency import LatencyModel, Region, planetlab_us
+    from repro.net.costmodel import ComputeCostModel, openssl_profile, python2006_profile
+    from repro.net.node import Network, Node
+    from repro.net.overlay import Directory, GossipOverlay, publish_directory
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.net.sim": ("Future", "Simulator", "Sleep", "SimTimeoutError"),
+        "repro.net.latency": ("LatencyModel", "Region", "planetlab_us"),
+        "repro.net.costmodel": (
+            "ComputeCostModel", "openssl_profile", "python2006_profile",
+        ),
+        "repro.net.node": ("Network", "Node"),
+        "repro.net.overlay": ("Directory", "GossipOverlay", "publish_directory"),
+    },
+)
 
 __all__ = [
     "Future",

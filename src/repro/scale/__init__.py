@@ -16,19 +16,36 @@ Three layers, all deterministic under one seed:
 Entry point: ``python -m repro campaign`` (see ``repro.cli``).
 """
 
-from repro.scale.campaign import (
-    CampaignConfig,
-    results_digest,
-    run_campaign,
-)
-from repro.scale.stats import P2Quantile, ReservoirSample, StreamingStats
-from repro.scale.workload import (
-    Event,
-    WorkloadConfig,
-    ZipfSampler,
-    event_counts,
-    generate_events,
-    schedule_digest,
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.scale.campaign import (
+        CampaignConfig,
+        results_digest,
+        run_campaign,
+    )
+    from repro.scale.stats import P2Quantile, ReservoirSample, StreamingStats
+    from repro.scale.workload import (
+        Event,
+        WorkloadConfig,
+        ZipfSampler,
+        event_counts,
+        generate_events,
+        schedule_digest,
+    )
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.scale.campaign": ("CampaignConfig", "results_digest", "run_campaign"),
+        "repro.scale.stats": ("P2Quantile", "ReservoirSample", "StreamingStats"),
+        "repro.scale.workload": (
+            "Event", "WorkloadConfig", "ZipfSampler", "event_counts", "generate_events",
+            "schedule_digest",
+        ),
+    },
 )
 
 __all__ = [

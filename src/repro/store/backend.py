@@ -22,7 +22,6 @@ backend file holds every table of a shard.
 
 from __future__ import annotations
 
-import sqlite3
 from pathlib import Path
 from typing import Iterator, Protocol
 
@@ -125,6 +124,10 @@ class SQLiteBackend:
     """
 
     def __init__(self, path: str | Path) -> None:
+        # Imported where the one backend that needs it is built, so a
+        # memory-backed store (sims, tests) never loads the sqlite module.
+        import sqlite3
+
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._conn = sqlite3.connect(self.path)

@@ -136,6 +136,9 @@ class WriteAheadLog:
         self._file: BinaryIO | None = None
         self._size = 0
         self._pending = 0
+        #: A write attempt started and did not finish: bytes of it may
+        #: sit past ``_size``. Only then does the next attempt rewind.
+        self._tail_suspect = False
 
     # ------------------------------------------------------------------
     # Writing
@@ -164,11 +167,17 @@ class WriteAheadLog:
         offset = self._size
 
         def write() -> None:
-            # Rewind to the last known-good boundary before (re)writing,
-            # so a partially written attempt is overwritten, not doubled.
-            handle.seek(offset)
-            handle.truncate(offset)
+            # After an attempt that raised (this append's or an earlier
+            # one's that ran out of retries), rewind to the last
+            # known-good boundary, so a partially written attempt is
+            # overwritten, not doubled. Otherwise the handle already
+            # stands there, and the seek + ftruncate are skipped.
+            if self._tail_suspect:
+                handle.seek(offset)
+                handle.truncate(offset)
+            self._tail_suspect = True
             handle.write(record)
+            self._tail_suspect = False
 
         self._with_retries(write, f"append to {self.path.name}")
         self._size = offset + len(record)

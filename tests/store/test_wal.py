@@ -4,7 +4,9 @@ import pytest
 
 from repro.store import (
     MAGIC,
+    RetryPolicy,
     StoreCorruptError,
+    StoreIOError,
     WriteAheadLog,
     scan_wal_bytes,
 )
@@ -186,6 +188,11 @@ class FlakyFile:
         return getattr(self.inner, name)
 
 
+def scan_clean(tmp_path):
+    scanned = scan_wal_bytes((tmp_path / "wal.log").read_bytes())
+    return scanned.problem is None and scanned.torn_bytes == 0
+
+
 def test_append_retries_overwrite_partial_writes(tmp_path):
     """A failed write retried at the same offset must not double a record."""
     wal = make_wal(tmp_path)
@@ -193,4 +200,22 @@ def test_append_retries_overwrite_partial_writes(tmp_path):
     wal._file = FlakyFile(wal._file)
     wal.append(b"retried-once")
     wal.close()
+    assert scan_clean(tmp_path)  # before replay, which would heal a torn tail
     assert make_wal(tmp_path).replay() == [b"steady", b"retried-once"]
+
+
+def test_append_after_exhausted_retries_overwrites_the_partial_write(tmp_path):
+    """An append that ran out of retries leaves half a record behind;
+    the next append, a fresh call, must still start by erasing it."""
+    wal = make_wal(tmp_path, retry=RetryPolicy(attempts=2))
+    wal.append(b"steady")
+    real = wal._file
+    wal._file = FlakyFile(real, fail=2)
+    with pytest.raises(StoreIOError):
+        wal.append(b"never-lands")
+    wal._file = real
+    wal.append(b"next")
+    wal.append(b"and-one-more")  # the clean tail is appended to, not rewound over
+    wal.close()
+    assert scan_clean(tmp_path)
+    assert make_wal(tmp_path).replay() == [b"steady", b"next", b"and-one-more"]
