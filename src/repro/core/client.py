@@ -8,8 +8,9 @@ side (blinding, witness selection, commitment requests, transcripts) and
 
 from __future__ import annotations
 
+import functools
 import random
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,7 +26,12 @@ from repro.core.transcripts import (
     payment_nonce,
 )
 from repro.core.witness_ranges import WitnessAssignmentTable
-from repro.crypto.blind import BlindSession, SignerChallenge, SignerResponse
+from repro.crypto.blind import (
+    BlindSession,
+    PreparedBlinding,
+    SignerChallenge,
+    SignerResponse,
+)
 from repro.crypto.hashing import constant_time_eq
 from repro.crypto.numbers import random_bits
 from repro.crypto.representation import Representation, RepresentationPair, respond
@@ -88,6 +94,15 @@ class WithdrawalSession:
     def e(self) -> int:
         """The blinded challenge to send to the broker."""
         return self.blind_session.e
+
+
+#: Step 2 without the broker: coin secrets, ``(A, B)``, the blinding.
+#: SECRETS, all three.
+_Prepared = tuple[RepresentationPair, tuple[int, int], PreparedBlinding]
+
+#: What :meth:`Client.prepare_withdrawal` returns: call it for the three
+#: — computed on the first call, the same objects on every later one.
+PreparedWithdrawal = Callable[[], _Prepared]
 
 
 @dataclass
@@ -228,22 +243,59 @@ class Client:
     # ------------------------------------------------------------------
     # Withdrawal (Algorithm 1, client side)
     # ------------------------------------------------------------------
-    def begin_withdrawal(self, info: CoinInfo, challenge: SignerChallenge) -> WithdrawalSession:
+    def prepare_withdrawal(self, info: CoinInfo) -> PreparedWithdrawal:
+        """The part of step 2 that does not need the broker's ``(a, b)``.
+
+        Returns a thunk; nothing is drawn or computed until it is first
+        called. That call picks the coin secrets, builds ``A`` and ``B``
+        and the blinding (:meth:`BlindSession.prepare`) — all 8 ``Exp`` of
+        step 2 and one of its two ``Hash`` — in the order
+        :meth:`begin_withdrawal` always has: secrets, then ``t1..t4``. A
+        flow hands the thunk to its transport as the ``meanwhile`` of the
+        ``*/begin`` call and to :meth:`begin_withdrawal` afterwards, so
+        the work is done once, wherever it is called first.
+        """
+
+        @functools.cache
+        def prepared() -> _Prepared:
+            group = self.params.group
+            secrets = RepresentationPair.generate(group, self.rng)
+            commitments = secrets.commitments(group)
+            blinding = BlindSession.prepare(
+                group,
+                self.params.hashes,
+                self.broker_blind_public,
+                info.hash_parts(),
+                self.rng,
+            )
+            return secrets, commitments, blinding
+
+        return prepared
+
+    def begin_withdrawal(
+        self,
+        info: CoinInfo,
+        challenge: SignerChallenge,
+        prepared: PreparedWithdrawal | None = None,
+    ) -> WithdrawalSession:
         """Step 2: pick coin secrets, blind the broker's commitments.
 
         Costs 8 ``Exp`` + 2 ``Hash`` (construct ``A``, ``B``; compute
-        ``alpha``, ``beta``, ``z``, ``epsilon``).
+        ``alpha``, ``beta``, ``z``, ``epsilon``), less whatever
+        ``prepared`` — :meth:`prepare_withdrawal` of the same ``info`` —
+        has already been called for; without one, everything runs here.
         """
-        secrets = RepresentationPair.generate(self.params.group, self.rng)
-        commitment_a, commitment_b = secrets.commitments(self.params.group)
+        if prepared is None:
+            prepared = self.prepare_withdrawal(info)
+        secrets, commitments, blinding = prepared()
         session = BlindSession.start(
             self.params.group,
             self.params.hashes,
             self.broker_blind_public,
             info.hash_parts(),
-            (commitment_a, commitment_b),
+            commitments,
             challenge,
-            self.rng,
+            prepared=blinding,
         )
         return WithdrawalSession(info=info, secrets=secrets, blind_session=session)
 
@@ -430,6 +482,7 @@ __all__ = [
     "Wallet",
     "StoredCoin",
     "WithdrawalSession",
+    "PreparedWithdrawal",
     "PendingPayment",
     "renewal_challenge",
 ]

@@ -152,8 +152,13 @@ class PartiallyBlindSigner:
 
         ``g^rho y^omega = g^(rho + x*omega)``, so the broker verifies with
         3 ``Exp`` + 2 ``Hash`` instead of the public 4 ``Exp`` + 2 ``Hash``.
+        Refuses what :func:`verify` refuses: a scalar outside ``[0, q)``
+        would satisfy the equation as its residue does, and ``rho + q``
+        re-encodes a coin the broker has on record under a second key.
         """
         group = self.group
+        if not _scalars_in_range(signature, group.q):
+            return False
         z = self.hashes.F(*info_parts)
         exponent = (signature.rho + self._secret * signature.omega) % group.q
         left = group.exp(group.g, exponent)
@@ -162,12 +167,32 @@ class PartiallyBlindSigner:
         return (signature.omega + signature.delta) % group.q == expected
 
 
+@dataclass(frozen=True)
+class PreparedBlinding:
+    """The half of step 2 that needs nothing from the signer. SECRET.
+
+    ``z = F(info)``, the blinding scalars ``t1..t4`` and the two products
+    they go into; the signer's ``(a, b)`` enter afterwards through two
+    modular multiplications and one ``H`` (:meth:`BlindSession.start`).
+    One holder blinds one session: it never travels and is never stored.
+    """
+
+    z: int
+    t1: int
+    t2: int
+    t3: int
+    t4: int
+    blind_a: int
+    blind_b: int
+
+
 class BlindSession:
     """The user (client) side of one partially blind signing session.
 
     Create with :meth:`start`, send :attr:`e` to the signer, then call
     :meth:`finish` on the signer's response to obtain the unblinded
-    signature.
+    signature. :meth:`prepare` is the part of :meth:`start` that can run
+    before the signer's first message has arrived.
     """
 
     def __init__(
@@ -177,11 +202,7 @@ class BlindSession:
         signer_public: int,
         info_parts: tuple[HashInput, ...],
         message_parts: tuple[HashInput, ...],
-        z: int,
-        t1: int,
-        t2: int,
-        t3: int,
-        t4: int,
+        blinding: PreparedBlinding,
         e: int,
     ) -> None:
         self.group = group
@@ -189,8 +210,7 @@ class BlindSession:
         self.signer_public = signer_public
         self.info_parts = info_parts
         self.message_parts = message_parts
-        self._z = z
-        self._t1, self._t2, self._t3, self._t4 = t1, t2, t3, t4
+        self._blinding = blinding
         self.e = e
 
     def blinding_factors(self) -> tuple[int, int, int, int]:
@@ -201,7 +221,36 @@ class BlindSession:
         audited candidates this way (the surviving candidate is never
         opened).
         """
-        return (self._t1, self._t2, self._t3, self._t4)
+        blinding = self._blinding
+        return (blinding.t1, blinding.t2, blinding.t3, blinding.t4)
+
+    @staticmethod
+    def prepare(
+        group: SchnorrGroup,
+        hashes: HashSuite,
+        signer_public: int,
+        info_parts: tuple[HashInput, ...],
+        rng: random.Random | None = None,
+    ) -> PreparedBlinding:
+        """Step 2 before ``(a, b)``: draw ``t1..t4``, build both blinders.
+
+        Costs 4 ``Exp`` + 1 ``Hash`` (``g^t1 y^t2``, ``g^t3 z^t4``,
+        ``F``) — all of :meth:`start`'s exponentiations.
+        """
+        z = hashes.F(*info_parts)
+        t1 = group.random_scalar(rng)
+        t2 = group.random_scalar(rng)
+        t3 = group.random_scalar(rng)
+        t4 = group.random_scalar(rng)
+        return PreparedBlinding(
+            z=z,
+            t1=t1,
+            t2=t2,
+            t3=t3,
+            t4=t4,
+            blind_a=group.commit2(group.g, t1, signer_public, t2),
+            blind_b=group.commit2(group.g, t3, z, t4),
+        )
 
     @classmethod
     def start(
@@ -213,34 +262,31 @@ class BlindSession:
         message_parts: tuple[HashInput, ...],
         challenge: SignerChallenge,
         rng: random.Random | None = None,
+        prepared: PreparedBlinding | None = None,
     ) -> "BlindSession":
         """Step 2: blind the signer's commitments and derive ``e``.
 
         Costs 4 ``Exp`` + 2 ``Hash`` here (``alpha``, ``beta``, ``F``,
         ``H``); the caller separately pays 4 ``Exp`` constructing ``A`` and
         ``B``, for the client's Table 1 total of 12 once the 4 ``Exp`` of
-        :meth:`finish`'s check are included.
+        :meth:`finish`'s check are included. All of it but two modular
+        multiplications and ``H`` is :meth:`prepare`'s, run here unless
+        the caller already did and hands the result in as ``prepared``
+        (made for this signer and ``info_parts``; ``rng`` is then unread).
         """
-        z = hashes.F(*info_parts)
-        t1 = group.random_scalar(rng)
-        t2 = group.random_scalar(rng)
-        t3 = group.random_scalar(rng)
-        t4 = group.random_scalar(rng)
-        alpha = group.mul(challenge.a, group.commit2(group.g, t1, signer_public, t2))
-        beta = group.mul(challenge.b, group.commit2(group.g, t3, z, t4))
-        epsilon = hashes.H(alpha, beta, z, *message_parts)
-        e = (epsilon - t2 - t4) % group.q
+        if prepared is None:
+            prepared = cls.prepare(group, hashes, signer_public, info_parts, rng)
+        alpha = group.mul(challenge.a, prepared.blind_a)
+        beta = group.mul(challenge.b, prepared.blind_b)
+        epsilon = hashes.H(alpha, beta, prepared.z, *message_parts)
+        e = (epsilon - prepared.t2 - prepared.t4) % group.q
         return cls(
             group=group,
             hashes=hashes,
             signer_public=signer_public,
             info_parts=info_parts,
             message_parts=message_parts,
-            z=z,
-            t1=t1,
-            t2=t2,
-            t3=t3,
-            t4=t4,
+            blinding=prepared,
             e=e,
         )
 
@@ -253,17 +299,26 @@ class BlindSession:
         """
         group = self.group
         q = group.q
-        rho = (response.r + self._t1) % q
-        omega = (response.c + self._t2) % q
-        sigma = (response.s + self._t3) % q
-        delta = (self.e - response.c + self._t4) % q
+        blinding = self._blinding
+        rho = (response.r + blinding.t1) % q
+        omega = (response.c + blinding.t2) % q
+        sigma = (response.s + blinding.t3) % q
+        delta = (self.e - response.c + blinding.t4) % q
         signature = PartiallyBlindSignature(rho=rho, omega=omega, sigma=sigma, delta=delta)
         left = group.commit2(group.g, rho, self.signer_public, omega)
-        right = group.commit2(group.g, sigma, self._z, delta)
-        expected = self.hashes.H(left, right, self._z, *self.message_parts)
+        right = group.commit2(group.g, sigma, blinding.z, delta)
+        expected = self.hashes.H(left, right, blinding.z, *self.message_parts)
         if (omega + delta) % q != expected:
             raise ValueError("partially blind signature failed to verify after unblinding")
         return signature
+
+
+def _scalars_in_range(signature: PartiallyBlindSignature, q: int) -> bool:
+    """Whether all four signature scalars are canonical residues mod ``q``."""
+    return all(
+        0 <= v < q
+        for v in (signature.rho, signature.omega, signature.sigma, signature.delta)
+    )
 
 
 def verify(
@@ -280,7 +335,7 @@ def verify(
     coin: ``omega + delta == H(g^rho y^omega || g^sigma z^delta || z || A || B)``.
     """
     q = group.q
-    if not all(0 <= v < q for v in (signature.rho, signature.omega, signature.sigma, signature.delta)):
+    if not _scalars_in_range(signature, q):
         return False
     z = hashes.F(*info_parts)
     left = group.commit2(group.g, signature.rho, signer_public, signature.omega)

@@ -100,7 +100,14 @@ def verify_response(
     d: int,
     response: RepresentationResponse,
 ) -> bool:
-    """Check ``A * B^d == g1^r1 * g2^r2`` (three ``Exp`` events)."""
+    """Check ``A * B^d == g1^r1 * g2^r2`` (three ``Exp`` events).
+
+    A response outside ``[0, q)`` is refused, like an out-of-range
+    signature scalar: ``r1 + q`` opens the same commitment under a
+    second encoding.
+    """
+    if not (0 <= response.r1 < group.q and 0 <= response.r2 < group.q):
+        return False
     left = group.mul(commitment_a, group.exp(commitment_b, d))
     right = group.commit2(group.g1, response.r1, group.g2, response.r2)
     return left == right

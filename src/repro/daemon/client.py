@@ -22,7 +22,9 @@ generators, performing each yielded
 :class:`~repro.net.registry.RemoteCall` against the daemon that serves
 the destination node, and mirrors the sim's
 :class:`~repro.net.transport.TrafficMeter` byte accounting on the
-client's side of every exchange.
+client's side of every exchange. A call that carries a ``meanwhile``
+hint is sent, the hint is run, and only then is the reply awaited — the
+client computes while the daemon does.
 """
 
 from __future__ import annotations
@@ -176,6 +178,7 @@ class PeerConnection:
         method: str,
         payload: dict[str, Any],
         timeout: float | None = None,
+        overlapped: bool = False,
     ) -> asyncio.Task[dict[str, Any]]:
         """Put one request on the wire; the returned task is its reply.
 
@@ -184,6 +187,8 @@ class PeerConnection:
         once when nothing is queued before it. Awaiting the task waits
         for the (nested, text-valued) reply payload; cancelling it
         abandons the call — a reply that still arrives is dropped.
+        ``overlapped`` marks the call's ``daemon.call`` span: the caller
+        is about to compute before it waits.
 
         The task raises:
             EcashError subclass: the remote handler refused (rebuilt from
@@ -210,7 +215,7 @@ class PeerConnection:
         deadline = timeout if timeout is not None else DEFAULT_CALL_TIMEOUT
         timer = loop.call_later(deadline, self._time_out, waiter, method, deadline)
         reply = asyncio.create_task(
-            self._reply(waiter, method, metered, time.perf_counter())
+            self._reply(waiter, method, metered, time.perf_counter(), overlapped)
         )
         reply.add_done_callback(
             functools.partial(self._finish, request_id, waiter, timer)
@@ -232,13 +237,16 @@ class PeerConnection:
         method: str,
         metered: bool,
         sent_at: float,
+        overlapped: bool,
     ) -> dict[str, Any]:
         with obs.span(
             "daemon.call",
             clock=_clock_from(sent_at),
             method=method,
             destination=self.peer_name,
-        ):
+        ) as span:
+            if overlapped:
+                span.set("overlapped", 1)
             try:
                 await self._writer.drain()
             except ConnectionError as error:
@@ -398,7 +406,8 @@ class SocketTransport:
 
         ``source`` names the acting party for interface symmetry with the
         sim; over sockets the acting party is always this transport's own
-        identity.
+        identity. A call with a :attr:`~repro.net.registry.RemoteCall.meanwhile`
+        hint goes through :meth:`_call_overlapped`.
         """
         del source  # the socket transport *is* the source node
         reply: Any = None
@@ -417,12 +426,38 @@ class SocketTransport:
                     f"flow yielded {type(call).__name__}, expected RemoteCall"
                 )
             try:
-                reply = await self.call(
-                    call.destination, call.method, call.payload, call.timeout
-                )
+                if call.meanwhile is None:
+                    reply = await self.call(
+                        call.destination, call.method, call.payload, call.timeout
+                    )
+                else:
+                    reply = await self._call_overlapped(call, call.meanwhile)
             except Exception as error:
                 failure = error
                 reply = None
+
+    async def _call_overlapped(
+        self, call: RemoteCall, meanwhile: Callable[[], Any]
+    ) -> dict[str, Any]:
+        """Send ``call``, run its ``meanwhile``, then wait for the reply.
+
+        The frame is with the socket before the hint starts (the
+        connection is opened first if need be), so the daemon works on
+        the request while this process computes. A hint that raises
+        abandons the call: the pending reply is cancelled (a late one is
+        dropped) and the error goes to the flow.
+        """
+        connection = await self.connection(call.destination)
+        pending = connection.begin(
+            call.method, call.payload, call.timeout, overlapped=True
+        )
+        try:
+            meanwhile()
+        except BaseException:
+            pending.cancel()
+            raise
+        obs.counter_inc("transport_overlapped_calls_total", method=call.method)
+        return await pending
 
     async def close(self) -> None:
         """Close every open connection."""

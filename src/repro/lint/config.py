@@ -17,8 +17,10 @@ from repro.lint.findings import Severity
 
 #: Identifier/attribute names that name protocol secrets. ``x1/x2`` and
 #: ``y1/y2`` are the coin representations whose exposure de-anonymizes a
-#: client; ``k1/k2`` are representation components; the rest are the
-#: conventional names for blinding factors and signing keys.
+#: client; ``k1/k2`` are representation components; ``t1..t4`` are the
+#: withdrawal's blinding scalars (``crypto.blind.PreparedBlinding``);
+#: the rest are the conventional names for blinding factors and signing
+#: keys.
 SECRET_LEXICON: frozenset[str] = frozenset(
     {
         "x1",
@@ -27,6 +29,10 @@ SECRET_LEXICON: frozenset[str] = frozenset(
         "y2",
         "k1",
         "k2",
+        "t1",
+        "t2",
+        "t3",
+        "t4",
         "secret",
         "secrets",
         "_secret",

@@ -139,12 +139,24 @@ class RemoteCall:
         payload: request payload mapping.
         timeout: per-call timeout in seconds (``None`` = transport
             default).
+        meanwhile: a hint, never a requirement — work the flow will do
+            after this call whatever the reply says, and which a
+            transport may therefore run (once, with no arguments, result
+            ignored) while the request is in flight. The flow does not
+            rely on it having run: it calls the same idempotent thunk
+            itself once the reply is in, so a driver that never reads
+            this field performs the same work in the same order and
+            returns the same result. The socket transport takes the
+            hint; the sim does not, because it charges a party's compute
+            to simulated time *between* yields, and running it at the
+            yield would move every recorded latency.
     """
 
     destination: str
     method: str
     payload: dict[str, Any] = field(hash=False)
     timeout: float | None = None
+    meanwhile: Callable[[], Any] | None = field(default=None, compare=False)
 
 
 #: A client flow: yields :class:`RemoteCall`, receives reply payloads,
@@ -161,6 +173,11 @@ class Transport(Protocol):
     yielded :class:`RemoteCall`, sending reply payloads back in, throwing
     transport/protocol errors into the flow — and returns (a backend-
     native awaitable of) the flow's return value.
+
+    A call's :attr:`RemoteCall.meanwhile` may be run between sending the
+    request and waiting for its reply, or ignored; ignoring it is always
+    correct. An implementation that runs it throws what it raises into
+    the flow like any failure of the call, and abandons the reply.
     """
 
     def run_flow(self, source: str, flow: Flow) -> Any:
@@ -360,15 +377,22 @@ def withdrawal_flow(
     tables: Mapping[int, WitnessAssignmentTable],
     info: CoinInfo,
 ) -> Flow:
-    """Algorithm 1 as a transport-neutral flow (two broker rounds)."""
+    """Algorithm 1 as a transport-neutral flow (two broker rounds).
+
+    Step 2's coin secrets, ``A``, ``B`` and blinding need nothing from
+    the broker, so they ride on ``withdraw/begin`` as its ``meanwhile``.
+    """
+    prepared = client.prepare_withdrawal(info)
     opened = flatten(
-        (yield RemoteCall(broker_id, "withdraw/begin", {"info": info.to_wire()}))
+        (yield RemoteCall(
+            broker_id, "withdraw/begin", {"info": info.to_wire()}, meanwhile=prepared
+        ))
     )
     challenge = SignerChallenge(
         a=as_int(opened["ticket.a"]), b=as_int(opened["ticket.bare"])
     )
     ticket = as_int(opened["ticket.id"])
-    session = client.begin_withdrawal(info, challenge)
+    session = client.begin_withdrawal(info, challenge, prepared)
     answered = yield RemoteCall(
         broker_id, "withdraw/complete", {"ticket": ticket, "sig_e": session.e}
     )
@@ -552,16 +576,20 @@ def renewal_flow(
     """Algorithm 4 as a flow (two broker rounds).
 
     ``clock`` is read when the ownership proof is built — after the first
-    round-trip — matching when the sim backend stamps it.
+    round-trip — matching when the sim backend stamps it. The fresh
+    coin's blinding rides on ``renew/begin`` as in :func:`withdrawal_flow`.
     """
+    prepared = client.prepare_withdrawal(new_info)
     opened = flatten(
-        (yield RemoteCall(broker_id, "renew/begin", {"info": new_info.to_wire()}))
+        (yield RemoteCall(
+            broker_id, "renew/begin", {"info": new_info.to_wire()}, meanwhile=prepared
+        ))
     )
     challenge = SignerChallenge(
         a=as_int(opened["ticket.a"]), b=as_int(opened["ticket.bare"])
     )
     ticket = as_int(opened["ticket.id"])
-    session = client.begin_withdrawal(new_info, challenge)
+    session = client.begin_withdrawal(new_info, challenge, prepared)
     timestamp, salt, r1_star, r2_star = client.renewal_proof(stored, clock())
     answered = flatten(
         (yield RemoteCall(

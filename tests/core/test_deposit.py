@@ -1,11 +1,15 @@
 """Tests for the deposit protocol (Algorithm 3), including case 2-b."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.broker import DepositOutcome
+from repro.core.coin import Coin
 from repro.core.exceptions import (
     DoubleDepositError,
     ExpiredCoinError,
+    InvalidCoinError,
     InvalidPaymentError,
     UnknownMerchantError,
 )
@@ -207,6 +211,50 @@ def test_forged_witness_signature_rejected(system, paid_merchant):
     )
     with pytest.raises(InvalidPaymentError):
         system.broker.deposit(merchant.merchant_id, forged, now=20)
+
+
+def test_a_reencoded_coin_is_not_paid_from_the_float(system, paid_merchant, rng):
+    """A spent, deposited coin spelled ``rho + q`` and countersigned by a
+    witness that skips its own coin check is not a fresh first deposit."""
+    from repro.core.transcripts import PaymentTranscript, SignedTranscript
+    from repro.crypto.representation import respond
+
+    first_merchant, _, stored = paid_merchant
+    run_deposit(first_merchant, system.broker, now=20)
+    params, broker = system.params, system.broker
+    # Someone else's unspent coin: the float a second "first" deposit would drain.
+    run_withdrawal(system.new_client(), broker, system.standard_info(25, now=0))
+
+    signature = stored.coin.bare.signature
+    bare = dataclasses.replace(
+        stored.coin.bare,
+        signature=dataclasses.replace(signature, rho=signature.rho + params.group.q),
+    )
+    assert bare not in broker._deposits  # a different key, the same coin
+    entry = broker.tables[bare.info.list_version].witness_for(bare.digest(params))
+    coin = Coin(bare=bare, witness_entry=entry)
+    depositor = other_merchant(system, entry.merchant_id)
+    challenge = params.hashes.H0(*coin.hash_parts(), depositor, 30)
+    transcript = PaymentTranscript(
+        coin=coin,
+        response=respond(stored.secrets, challenge, params.group.q),
+        merchant_id=depositor,
+        timestamp=30,
+        salt=7,
+    )
+    # ``faulty=True`` still runs ensure_valid_signature; this witness signs blind.
+    countersigned = SignedTranscript(
+        transcript=transcript,
+        witness_signature=system.witness(entry.merchant_id).keypair.sign(
+            *transcript.hash_parts(), rng=rng
+        ),
+    )
+    paid_before = broker.merchant_balance(depositor)
+    with pytest.raises(InvalidCoinError):
+        broker.deposit(depositor, countersigned, now=40)
+    assert broker.merchant_balance(depositor) == paid_before
+    assert len(broker._deposits) == 1
+    assert system.ledger.conserved()
 
 
 def test_purge_expired_records(system, paid_merchant):

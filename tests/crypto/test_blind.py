@@ -1,8 +1,11 @@
 """Tests for the Abe-Okamoto partially blind signature scheme."""
 
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.params import test_params as make_test_params
 from repro.crypto import blind
@@ -92,6 +95,41 @@ def test_out_of_range_signature_rejected(params, signer):
         delta=signature.delta,
     )
     assert not blind.verify(params.group, params.hashes, signer.public, INFO, MESSAGE, oversized)
+
+
+SCALARS = ("rho", "omega", "sigma", "delta")
+
+
+@pytest.mark.parametrize("shift", [1, -1], ids=["plus-q", "minus-q"])
+@pytest.mark.parametrize("component", SCALARS)
+def test_a_reencoded_scalar_is_refused_by_both_verifiers(params, signer, component, shift):
+    """``v + q`` satisfies the equation as ``v`` does — and is another coin key."""
+    signature = run_session(params, signer)
+    reencoded = dataclasses.replace(
+        signature, **{component: getattr(signature, component) + shift * params.group.q}
+    )
+    assert reencoded != signature
+    assert not blind.verify(params.group, params.hashes, signer.public, INFO, MESSAGE, reencoded)
+    assert not signer.verify_with_secret(INFO, MESSAGE, reencoded)
+
+
+@settings(deadline=None)  # example count: the profile's (ci: 2,000)
+@given(
+    shifts=st.tuples(*[st.integers(min_value=-2, max_value=2)] * 4),
+    tamper=st.integers(min_value=0, max_value=1),
+)
+def test_the_two_verifiers_agree_in_and_out_of_range(params, signer, shifts, tamper):
+    """Public check and secret-key shortcut: one verdict, canonical scalars only."""
+    q = params.group.q
+    signature = run_session(params, signer)
+    moved = PartiallyBlindSignature(
+        *(getattr(signature, name) + shift * q for name, shift in zip(SCALARS, shifts))
+    )
+    if tamper:
+        moved = dataclasses.replace(moved, sigma=moved.sigma + 1)
+    public = blind.verify(params.group, params.hashes, signer.public, INFO, MESSAGE, moved)
+    assert signer.verify_with_secret(INFO, MESSAGE, moved) == public
+    assert public == (shifts == (0, 0, 0, 0) and not tamper)
 
 
 def test_bad_signer_response_detected(params, signer):

@@ -211,3 +211,39 @@ def test_blind_verdicts_are_the_naive_verdicts(
         assert expected == (tamper == "valid")
     assert blind.verify(GROUP, HASHES, public, info, message, signature) == expected
     assert blind.check(GROUP, HASHES, public, info, message, signature) == expected
+    if tamper != "foreign-key":  # the broker's 3-Exp shortcut knows one key: its own
+        assert signer.verify_with_secret(info, message, signature) == expected
+
+
+@given(
+    warm=st.booleans(),
+    signer_seed=st.integers(0, 2**32),
+    client_seed=st.integers(0, 2**32),
+    info=_parts,
+    message=st.tuples(st.integers(1, P - 1), st.integers(1, P - 1)),
+)
+def test_a_prepared_blinding_is_the_one_piece_start(warm, signer_seed, client_seed, info, message):
+    """``prepare`` early, late or never: the same ``e``, factors and coin
+    signature as the single body ``start`` used to be."""
+    broker = PartiallyBlindSigner(GROUP, HASHES, rng=random.Random(signer_seed))
+    challenge, state = broker.start(info)
+    _enter(warm, broker.public)
+    expected_e, expected_factors = reference.blind_start(
+        GROUP, HASHES, broker.public, info, message, challenge, random.Random(client_seed)
+    )
+    early = BlindSession.prepare(GROUP, HASHES, broker.public, info, random.Random(client_seed))
+    sessions = [
+        BlindSession.start(
+            GROUP, HASHES, broker.public, info, message, challenge, prepared=early
+        ),
+        BlindSession.start(
+            GROUP, HASHES, broker.public, info, message, challenge, random.Random(client_seed)
+        ),
+    ]
+    response = broker.respond(state, expected_e)
+    expected = reference.blind_unblind(GROUP, expected_e, expected_factors, response)
+    assert reference.blind_verify(GROUP, HASHES, broker.public, info, message, expected)
+    for session in sessions:
+        assert session.e == expected_e
+        assert session.blinding_factors() == expected_factors
+        assert session.finish(response) == expected

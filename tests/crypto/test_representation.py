@@ -43,6 +43,19 @@ def test_wrong_response_rejected(params, secrets):
     assert not verify_response(params.group, a, b, d + 1, response)
 
 
+@pytest.mark.parametrize("shift", [1, -1], ids=["plus-q", "minus-q"])
+@pytest.mark.parametrize("component", ["r1", "r2"])
+def test_a_reencoded_response_is_refused(params, secrets, component, shift):
+    """``r + q`` opens the same commitment; only the canonical residue verifies."""
+    a, b = secrets.commitments(params.group)
+    d = 42
+    response = respond(secrets, d, params.group.q)
+    assert verify_response(params.group, a, b, d, response)
+    fields = {"r1": response.r1, "r2": response.r2}
+    fields[component] += shift * params.group.q
+    assert not verify_response(params.group, a, b, d, RepresentationResponse(**fields))
+
+
 def test_response_is_zero_exponentiations(params, secrets):
     counter = OpCounter()
     with counter:

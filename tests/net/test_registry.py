@@ -103,6 +103,33 @@ class TestFlowsOverSim:
         assert stored.coin.denomination == 25
         assert stored in dep.clients["client-0"].wallet.coins
 
+    def test_the_sim_leaves_the_meanwhile_hint_unread(self, deployment, monkeypatch):
+        """Compute is charged to simulated time between yields, so the sim
+        blinds where it always did: after the broker's ``(a, b)`` are in."""
+        system, dep = deployment
+        client = dep.clients["client-0"]
+        events = []
+        begin, prepare = system.broker.begin_withdrawal, client.prepare_withdrawal
+
+        def logging_begin(info):
+            events.append("broker begins")
+            return begin(info)
+
+        def logging_prepare(info):
+            prepared = prepare(info)
+
+            def logged():
+                events.append("client blinds")
+                return prepared()
+
+            return logged
+
+        monkeypatch.setattr(system.broker, "begin_withdrawal", logging_begin)
+        monkeypatch.setattr(client, "prepare_withdrawal", logging_prepare)
+        stored = self.withdraw(system, dep)
+        assert events == ["broker begins", "client blinds"]
+        assert stored.coin.bare.verify_signature(system.params, system.broker.blind_public)
+
     def test_payment_and_deposit_flows(self, deployment):
         system, dep = deployment
         stored = self.withdraw(system, dep)

@@ -55,3 +55,28 @@ def test_counts_identical_across_engine_states_and_warm_caches():
     paper = [row.paper for row in cold]
     assert [row.measured for row in cold] == paper
     assert [row.measured for row in warm] == paper
+
+
+@pytest.mark.usefixtures("each_backend")
+@pytest.mark.parametrize("when", ["early", "late", "implicit"])
+def test_withdrawal_is_12_4_0_1_whenever_step_two_is_prepared(when, system):
+    """A socket transport runs ``prepare_withdrawal`` before the broker's
+    ``(a, b)`` arrive, the sim after, a caller without one never names
+    it: the same Table 1 row each time, and the broker's 3 / 1 beside it."""
+    client, broker = system.new_client(), system.broker
+    info = system.standard_info(25, now=0)
+    mine, theirs = counters.OpCounter(), counters.OpCounter()
+    prepared = None if when == "implicit" else client.prepare_withdrawal(info)
+    if when == "early":
+        with mine:
+            prepared()
+    with theirs:
+        ticket, challenge = broker.begin_withdrawal(info)
+    assert theirs.snapshot() == (3, 1, 0, 0)
+    with mine:
+        session = client.begin_withdrawal(info, challenge, prepared)
+    response = broker.complete_withdrawal(ticket, session.e)
+    with mine:
+        stored = client.finish_withdrawal(session, response, broker.tables[info.list_version])
+    assert mine.snapshot() == (12, 4, 0, 1)
+    assert stored.coin.bare.verify_signature(system.params, broker.blind_public)

@@ -4,6 +4,8 @@ Until PR 18 the perf engine's off state selected these bodies at run
 time; they are the ``else`` branches of ``SchnorrGroup.exp`` / ``commit2``,
 ``SchnorrKeyPair.generate`` / ``sign``, ``PartiallyBlindSigner.__init__``,
 ``schnorr._naive_check`` and the engine-off evaluation of ``blind.check``,
+plus ``BlindSession.start`` / ``finish`` as they stood before PR 24 split
+``prepare`` off (one body, blinding drawn after ``(a, b)`` arrived),
 verbatim, with ``self`` spelled ``group`` and ``backend.powmod`` spelled
 as the builtin ``pow`` it either is (python backend) or is held to
 (``tests/crypto/test_backend_gmp.py``). One modular exponentiation per
@@ -20,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import random
 
-from repro.crypto.blind import PartiallyBlindSignature
+from repro.crypto.blind import PartiallyBlindSignature, SignerChallenge, SignerResponse
 from repro.crypto.group import SchnorrGroup
 from repro.crypto.hashing import HashInput, HashSuite, encode_for_hash
 from repro.crypto.numbers import random_scalar
@@ -106,3 +108,41 @@ def blind_verify(
     right = commit2(group, group.g, signature.sigma, z, signature.delta)
     expected = hashes.H(left, right, z, *message_parts)
     return (signature.omega + signature.delta) % q == expected
+
+
+def blind_start(
+    group: SchnorrGroup,
+    hashes: HashSuite,
+    signer_public: int,
+    info_parts: tuple[HashInput, ...],
+    message_parts: tuple[HashInput, ...],
+    challenge: SignerChallenge,
+    rng: random.Random | None = None,
+) -> tuple[int, tuple[int, int, int, int]]:
+    """``BlindSession.start`` in one piece: ``(e, (t1, t2, t3, t4))``."""
+    z = hashes.F(*info_parts)
+    t1 = random_scalar(group.q, rng)
+    t2 = random_scalar(group.q, rng)
+    t3 = random_scalar(group.q, rng)
+    t4 = random_scalar(group.q, rng)
+    alpha = (challenge.a * commit2(group, group.g, t1, signer_public, t2)) % group.p
+    beta = (challenge.b * commit2(group, group.g, t3, z, t4)) % group.p
+    epsilon = hashes.H(alpha, beta, z, *message_parts)
+    return (epsilon - t2 - t4) % group.q, (t1, t2, t3, t4)
+
+
+def blind_unblind(
+    group: SchnorrGroup,
+    e: int,
+    factors: tuple[int, int, int, int],
+    response: SignerResponse,
+) -> PartiallyBlindSignature:
+    """The arithmetic of ``BlindSession.finish`` (its check is :func:`blind_verify`)."""
+    t1, t2, t3, t4 = factors
+    q = group.q
+    return PartiallyBlindSignature(
+        rho=(response.r + t1) % q,
+        omega=(response.c + t2) % q,
+        sigma=(response.s + t3) % q,
+        delta=(e - response.c + t4) % q,
+    )
