@@ -1,24 +1,25 @@
 """Three real processes, one coin: the loopback deployment demo.
 
-Spawns a broker daemon, a witness daemon (``alice-books``) and a
-merchant daemon (``bob-news``) as separate OS processes on 127.0.0.1,
-then — acting as ``client-0`` over the authenticated socket transport —
-drives the full lifecycle at scripted protocol times:
+One scenario, written once as a generator of protocol flows, drives the
+full lifecycle at scripted protocol times:
 
-* ``t=0``   withdraw a 25¢ coin (two broker rounds);
-* ``t=10``  pay it at ``bob-news`` (commitment at the witness, payment
+* ``t=0``   ``client-0`` withdraws a 25¢ coin (two broker rounds);
+* ``t=10``  pays it at ``bob-news`` (commitment at the witness, payment
   at the storefront, storefront countersigning at the witness);
-* ``t=100`` the merchant deposits at the broker (``admin/deposit``,
-  which drives the batched deposit flow: one ``deposit/batch`` message);
+* ``t=100`` the storefront deposits at the broker (the batched deposit
+  flow: one ``deposit/batch`` message);
 * ``t=500`` the client replays the *same* coin straight at the witness
   for a colluding storefront (``carol-games``) — and is refused with an
   extraction-based double-spend proof.
 
-The same scenario is then replayed on the discrete-event sim (same
-seed, per-party RNG streams, pinned protocol clocks) and the two runs'
-:class:`~repro.net.transport.TrafficMeter` books and per-RPC byte logs
-are compared entry by entry. They must agree exactly: the daemons frame
-the very strings the sim accounts, so any divergence is a bug.
+Two drivers run it. :func:`run_on_sockets` talks to a broker daemon, a
+witness daemon (``alice-books``) and a storefront daemon (``bob-news``)
+running as separate OS processes on 127.0.0.1; :func:`run_on_sim` runs
+the same flows on the discrete-event sim (same seed, per-party RNG
+streams). The two runs' :class:`~repro.net.transport.TrafficMeter` books
+and per-RPC byte logs are compared entry by entry. They must agree
+exactly: the daemons frame the very strings the sim accounts, so any
+divergence is a bug.
 
 Witness weights put every coin on ``alice-books``, so one witness daemon
 covers the deployment (the other storefronts never witness anything).
@@ -31,8 +32,9 @@ import os
 import socket
 import sys
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Generator, Mapping
 
+from repro.core.client import Client
 from repro.core.exceptions import DoubleSpendError
 from repro.core.system import EcashSystem
 from repro.faults.recovery import BackoffPolicy
@@ -53,6 +55,7 @@ MERCHANT = "bob-news"
 #: plays its storefront locally and only contacts the witness.
 COLLUDER = "carol-games"
 CLIENT = "client-0"
+DAEMONS = (BROKER, WITNESS, MERCHANT)
 
 #: Scripted protocol seconds for the four steps.
 T_WITHDRAW = 0
@@ -61,17 +64,7 @@ T_DEPOSIT = 100
 T_DOUBLE_SPEND = 500
 
 _MERCHANT_IDS = (WITNESS, MERCHANT, COLLUDER)
-_WEIGHTS = {WITNESS: 1.0}
 _DENOMINATION = 25
-
-
-def _build_system(seed: int) -> EcashSystem:
-    return EcashSystem(
-        merchant_ids=_MERCHANT_IDS,
-        seed=seed,
-        independent_rngs=True,
-        weights=_WEIGHTS,
-    )
 
 
 def _free_port() -> int:
@@ -85,14 +78,14 @@ def write_deployment(directory: str | Path, seed: int) -> DeploymentConfig:
     config = DeploymentConfig(
         seed=seed,
         merchants=_MERCHANT_IDS,
-        witness_weights=dict(_WEIGHTS),
+        witness_weights={WITNESS: 1.0},
         nodes={
             BROKER: NodeAddress("127.0.0.1", _free_port(), "broker"),
             WITNESS: NodeAddress("127.0.0.1", _free_port(), "witness"),
             MERCHANT: NodeAddress("127.0.0.1", _free_port(), "merchant"),
         },
     )
-    provision(directory, [BROKER, WITNESS, MERCHANT, CLIENT], seed)
+    provision(directory, [*DAEMONS, CLIENT], seed)
     config.save(directory)
     return config
 
@@ -124,25 +117,72 @@ async def _spawn_daemons(
     return processes
 
 
-async def _wait_ready(transport: SocketTransport, names: list[str]) -> None:
-    for name in names:
-        await transport.call(name, "admin/ping", {}, timeout=30.0)
+#: One scenario step: at this protocol second, this party runs this flow.
+Step = tuple[int, str, registry.Flow]
 
 
-async def _pin_clocks(transport: SocketTransport, names: list[str], now: int) -> None:
-    for name in names:
-        await transport.call(name, "admin/clock", {"now": now})
+def _refusal(flow: registry.Flow) -> registry.Flow:
+    """Run ``flow``; its result is the double-spend refusal, or ``None``."""
+    try:
+        yield from flow
+    except DoubleSpendError as refusal:
+        return refusal
+    return None
 
 
-def _parse_stats(reply: Mapping[str, Any]) -> dict[str, Any]:
+def scenario(
+    system: EcashSystem, client: Client
+) -> Generator[Step, Any, dict[str, Any]]:
+    """The demo's four steps, for any transport; returns the outcomes.
+
+    Yields ``(protocol second, source, flow)`` and is sent the flow's
+    result. Every party's clock reads the step's second while it runs.
+    """
+    witness_public = system.merchant(MERCHANT).witness_keys[WITNESS]
+    outcomes: dict[str, Any] = {}
+
+    info = system.standard_info(_DENOMINATION, now=T_WITHDRAW)
+    stored = yield T_WITHDRAW, CLIENT, registry.withdrawal_flow(
+        client, BROKER, system.broker.tables, info
+    )
+    outcomes["withdrawn"] = stored.coin.denomination
+
+    outcomes["paid"] = yield T_PAY, CLIENT, registry.payment_flow(
+        client, stored, MERCHANT, witness_public, lambda: T_PAY
+    )
+
+    results = yield T_DEPOSIT, MERCHANT, registry.batch_deposit_flow(
+        system.merchant(MERCHANT), MERCHANT, BROKER
+    )
+    outcomes["deposited"] = {
+        "count": len(results),
+        "outcome": str(results[0]["outcome"]),
+        "amount": registry.as_int(results[0]["amount"]),
+    }
+
+    # The colluder replays the spent coin straight at the witness.
+    client.wallet.add(stored)
+    refusal = yield T_DOUBLE_SPEND, CLIENT, _refusal(
+        registry.direct_spend_flow(
+            client, stored, COLLUDER, witness_public, lambda: T_DOUBLE_SPEND
+        )
+    )
+    outcomes["double_spend_refused"] = refusal is not None and bool(
+        refusal.proof.verify(system.params, stored.coin)
+    )
+    return outcomes
+
+
+def read_books(stats: Mapping[str, Any]) -> dict[str, Any]:
+    """A daemon's books from its ``admin/stats`` reply: meter and RPC log."""
     meter = tuple(
-        registry.as_int(reply[key])
+        registry.as_int(stats[key])
         for key in ("sent", "received", "messages_sent", "messages_received")
     )
     rpc: list[tuple[str, int, int]] = []
     index = 0
-    while f"l{index}" in reply:
-        entry = reply[f"l{index}"]
+    while f"l{index}" in stats:
+        entry = stats[f"l{index}"]
         rpc.append(
             (
                 str(entry["method"]),
@@ -154,159 +194,34 @@ def _parse_stats(reply: Mapping[str, Any]) -> dict[str, Any]:
     return {"meter": meter, "rpc": rpc}
 
 
-async def _run_daemon_scenario(directory: Path, seed: int) -> dict[str, Any]:
-    """The four scripted steps over real sockets; returns the evidence."""
-    config = write_deployment(directory, seed)
-    # One-shot demo driver: blocking system construction happens before
-    # any protocol traffic is in flight, so stalling the loop is fine.
-    system = _build_system(seed)  # lint: ignore[async-safety]
-    client = system.new_client()
-    identity = load_identity(directory, CLIENT)
-    authorized = load_authorized(directory)
-    # Cold daemon start-up (three interpreters on one core) can take many
-    # seconds; be patient on the first connection to each.
-    transport = SocketTransport(
-        identity,
-        authorized,
-        config.netmap(),
-        connect_attempts=60,
-        connect_backoff=BackoffPolicy(base=0.1, factor=1.25, max_delay=1.0),
-    )
-    daemons = list(config.nodes)
-    processes = await _spawn_daemons(directory, config)
-    outcomes: dict[str, Any] = {}
-    try:
-        await _wait_ready(transport, daemons)
-
-        witness_public = system.merchant(MERCHANT).witness_keys[WITNESS]
-
-        # t=0: withdraw.
-        await _pin_clocks(transport, daemons, T_WITHDRAW)
-        info = system.standard_info(_DENOMINATION, now=T_WITHDRAW)
-        stored = await transport.run_flow(
-            CLIENT,
-            registry.withdrawal_flow(client, BROKER, system.broker.tables, info),
-        )
-        outcomes["withdrawn"] = stored.coin.denomination
-
-        # t=10: pay at the storefront.
-        await _pin_clocks(transport, daemons, T_PAY)
-        amount = await transport.run_flow(
-            CLIENT,
-            registry.payment_flow(
-                client, stored, MERCHANT, witness_public, lambda: T_PAY
-            ),
-        )
-        outcomes["paid"] = amount
-
-        # t=100: the merchant settles with the broker.
-        await _pin_clocks(transport, daemons, T_DEPOSIT)
-        deposit = await transport.call(MERCHANT, "admin/deposit", {})
-        outcomes["deposited"] = {
-            "count": registry.as_int(deposit["count"]),
-            "outcome": str(deposit["r0"]["outcome"]),
-            "amount": registry.as_int(deposit["r0"]["amount"]),
-        }
-
-        # t=500: replay the spent coin straight at the witness.
-        await _pin_clocks(transport, daemons, T_DOUBLE_SPEND)
-        client.wallet.add(stored)
-        try:
-            await transport.run_flow(
-                CLIENT,
-                registry.direct_spend_flow(
-                    client, stored, COLLUDER, witness_public, lambda: T_DOUBLE_SPEND
-                ),
-            )
-        except DoubleSpendError as refusal:
-            outcomes["double_spend_refused"] = bool(
-                refusal.proof.verify(system.params, stored.coin)
-            )
-        else:
-            outcomes["double_spend_refused"] = False
-
-        books: dict[str, Any] = {
-            CLIENT: {
-                "meter": transport.meter.snapshot()
-                + (transport.meter.messages_sent, transport.meter.messages_received),
-                "rpc": [],
-            }
-        }
-        for name in daemons:
-            books[name] = _parse_stats(
-                await transport.call(name, "admin/stats", {})
-            )
-        for name in daemons:
-            await transport.call(name, "admin/shutdown", {})
-    finally:
-        await transport.close()
-        for process in processes:
-            try:
-                await asyncio.wait_for(process.wait(), timeout=5.0)
-            except asyncio.TimeoutError:
-                process.kill()
-                await process.wait()
-    return {"outcomes": outcomes, "books": books}
-
-
-def _advance_to(dep: NetworkDeployment, target: float) -> None:
-    dep.sim.schedule(target - dep.sim.now, lambda: None)
-    dep.sim.run()
-
-
-def run_sim_twin(seed: int) -> dict[str, Any]:
-    """Replay the demo scenario on the sim backend; returns the evidence.
+def run_on_sim(system: EcashSystem) -> dict[str, Any]:
+    """The scenario on the discrete-event sim; returns outcomes and books.
 
     Instant compute and a millisecond loopback mesh keep each step's
-    simulated drift far below one protocol second, so the pinned protocol
-    times of the daemon run and ``int(sim.now)`` agree at every message.
+    simulated drift far below one protocol second, so ``int(sim.now)``
+    reads the step's second at every message, as the pinned daemon
+    clocks do.
     """
-    system = _build_system(seed)
     dep = NetworkDeployment(
         system,
         cost_model=instant_profile(),
         latency=uniform_mesh(list(Region), one_way=0.001, jitter=0.0),
         seed=0,
     )
-    client = dep.add_client(CLIENT)
-    outcomes: dict[str, Any] = {}
-
-    info = system.standard_info(_DENOMINATION, now=T_WITHDRAW)
-    stored = dep.run(dep.withdrawal_process(CLIENT, info))
-    outcomes["withdrawn"] = stored.coin.denomination
-
-    _advance_to(dep, float(T_PAY))
-    receipt = dep.run(dep.payment_process(CLIENT, stored, MERCHANT))
-    outcomes["paid"] = receipt.amount
-
-    _advance_to(dep, float(T_DEPOSIT))
-    results = dep.run(dep.batch_deposit_process(MERCHANT))
-    outcomes["deposited"] = {
-        "count": len(results),
-        "outcome": str(results[0]["outcome"]),
-        "amount": registry.as_int(results[0]["amount"]),
-    }
-
-    _advance_to(dep, float(T_DOUBLE_SPEND))
-    client.wallet.add(stored)
-    witness_public = system.merchant(MERCHANT).witness_keys[WITNESS]
-    try:
-        dep.run(
-            dep.run_flow(
-                CLIENT,
-                registry.direct_spend_flow(
-                    client, stored, COLLUDER, witness_public, dep.now
-                ),
-            )
-        )
-        outcomes["double_spend_refused"] = False
-    except DoubleSpendError as refusal:
-        outcomes["double_spend_refused"] = bool(
-            refusal.proof.verify(system.params, stored.coin)
-        )
+    steps = scenario(system, dep.add_client(CLIENT))
+    result: Any = None
+    while True:
+        try:
+            second, source, flow = steps.send(result)
+        except StopIteration as stop:
+            outcomes = stop.value
+            break
+        dep.sim.schedule(second - dep.sim.now, lambda: None)
+        dep.sim.run()
+        result = dep.run(dep.run_flow(source, flow))
 
     books: dict[str, Any] = {}
-    for name in (CLIENT, BROKER, WITNESS, MERCHANT):
+    for name in (CLIENT, *DAEMONS):
         node = dep.network.node(name)
         requests = [
             (e.method, e.size_bytes)
@@ -333,6 +248,76 @@ def run_sim_twin(seed: int) -> dict[str, Any]:
     return {"outcomes": outcomes, "books": books}
 
 
+async def run_on_sockets(
+    transport: SocketTransport, system: EcashSystem
+) -> dict[str, Any]:
+    """The scenario against running daemons; returns outcomes and books.
+
+    ``transport`` speaks for ``client-0`` and every daemon answers it.
+    Each step pins every daemon's clock to its second first. A client
+    flow runs here; the storefront's flow runs in the storefront, whose
+    ``admin/deposit`` drives that same batch deposit flow.
+    """
+    steps = scenario(system, system.new_client())
+    result: Any = None
+    while True:
+        try:
+            second, source, flow = steps.send(result)
+        except StopIteration as stop:
+            outcomes = stop.value
+            break
+        for name in DAEMONS:
+            await transport.call(name, "admin/clock", {"now": second})
+        if source == CLIENT:
+            result = await transport.run_flow(source, flow)
+        else:
+            flow.close()
+            reply = await transport.call(source, "admin/deposit", {})
+            result = [reply[f"r{index}"] for index in range(registry.as_int(reply["count"]))]
+
+    meter = transport.meter
+    books: dict[str, Any] = {
+        CLIENT: {
+            "meter": meter.snapshot() + (meter.messages_sent, meter.messages_received),
+            "rpc": [],
+        }
+    }
+    for name in DAEMONS:
+        books[name] = read_books(await transport.call(name, "admin/stats", {}))
+    return {"outcomes": outcomes, "books": books}
+
+
+async def _run_on_daemons(
+    directory: Path, config: DeploymentConfig, system: EcashSystem
+) -> dict[str, Any]:
+    """Spawn the three daemons, run the scenario on them, shut them down."""
+    # Cold daemon start-up (three interpreters on one core) can take many
+    # seconds; be patient on the first connection to each.
+    transport = SocketTransport(
+        load_identity(directory, CLIENT),
+        load_authorized(directory),
+        config.netmap(),
+        connect_attempts=60,
+        connect_backoff=BackoffPolicy(base=0.1, factor=1.25, max_delay=1.0),
+    )
+    processes = await _spawn_daemons(directory, config)
+    try:
+        for name in DAEMONS:
+            await transport.call(name, "admin/ping", {}, timeout=30.0)
+        run = await run_on_sockets(transport, system)
+        for name in DAEMONS:
+            await transport.call(name, "admin/shutdown", {})
+    finally:
+        await transport.close()
+        for process in processes:
+            try:
+                await asyncio.wait_for(process.wait(), timeout=5.0)
+            except asyncio.TimeoutError:
+                process.kill()
+                await process.wait()
+    return run
+
+
 def compare_runs(daemon_run: Mapping[str, Any], sim_run: Mapping[str, Any]) -> list[str]:
     """Line-by-line discrepancies between the two runs (empty = match)."""
     problems: list[str] = []
@@ -340,7 +325,7 @@ def compare_runs(daemon_run: Mapping[str, Any], sim_run: Mapping[str, Any]) -> l
         problems.append(
             f"outcomes differ: daemon={daemon_run['outcomes']} sim={sim_run['outcomes']}"
         )
-    for name in (CLIENT, BROKER, WITNESS, MERCHANT):
+    for name in (CLIENT, *DAEMONS):
         daemon_books = daemon_run["books"][name]
         sim_books = sim_run["books"][name]
         if daemon_books["meter"] != sim_books["meter"]:
@@ -355,13 +340,16 @@ def compare_runs(daemon_run: Mapping[str, Any], sim_run: Mapping[str, Any]) -> l
 
 
 def run_loopback_demo(directory: str | Path, seed: int = 2026) -> dict[str, Any]:
-    """Run the full demo: daemons, sim twin, comparison.
+    """Run the scenario on three daemons and on the sim, then compare.
 
     Returns a report with both runs' outcomes and books, plus
-    ``problems`` (empty when the backends agree byte for byte).
+    ``problems`` (empty when the transports agree byte for byte).
     """
-    daemon_run = asyncio.run(_run_daemon_scenario(Path(directory), seed))
-    sim_run = run_sim_twin(seed)
+    config = write_deployment(directory, seed)
+    daemon_run = asyncio.run(
+        _run_on_daemons(Path(directory), config, config.build_system())
+    )
+    sim_run = run_on_sim(config.build_system())
     return {
         "daemon": daemon_run,
         "sim": sim_run,
@@ -386,7 +374,7 @@ def format_report(report: Mapping[str, Any]) -> str:
     )
     lines.append("")
     lines.append(f"  {'node':<12} {'sent':>8} {'received':>9}  (bytes, daemon == sim)")
-    for name in (CLIENT, BROKER, WITNESS, MERCHANT):
+    for name in (CLIENT, *DAEMONS):
         sent, received, _, _ = report["daemon"]["books"][name]["meter"]
         lines.append(f"  {name:<12} {sent:>8} {received:>9}")
     problems = report["problems"]
@@ -403,11 +391,15 @@ __all__ = [
     "BROKER",
     "CLIENT",
     "COLLUDER",
+    "DAEMONS",
     "MERCHANT",
     "WITNESS",
     "compare_runs",
     "format_report",
+    "read_books",
     "run_loopback_demo",
-    "run_sim_twin",
+    "run_on_sim",
+    "run_on_sockets",
+    "scenario",
     "write_deployment",
 ]

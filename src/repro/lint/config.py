@@ -288,17 +288,12 @@ def default_config() -> LintConfig:
             # -- whole-program analyses (lint --program) --------------
             # Fault-injection shims replay captured payloads with
             # deliberately wrong keys; they are not protocol senders.
-            # The sim-plane value-added services (escrow, fair exchange,
-            # gossip overlay) register handlers through ``node.on`` with
-            # closure factories the summary extractor cannot resolve, so
-            # their slash-methods would all read as handler-less sends.
+            # The gossip overlay registers its handlers through
+            # ``node.on`` with closure factories the summary extractor
+            # cannot resolve, so its slash-methods would all read as
+            # handler-less sends.
             "wire-schema": RuleConfig(
-                exclude=(
-                    "*/faults/*",
-                    "*/net/escrow_service.py",
-                    "*/net/fx_service.py",
-                    "*/net/overlay.py",
-                )
+                exclude=("*/faults/*", "*/net/overlay.py")
             ),
             # Restore/replay rebuilds state with the journal detached by
             # design; fault scenarios corrupt state on purpose.

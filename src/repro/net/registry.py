@@ -270,10 +270,16 @@ def broker_dispatch(broker: Broker, clock: Clock) -> dict[str, Handler]:
 
     def withdraw_batch_complete(payload: dict[str, Any]) -> dict[str, Any]:
         flat = flatten(payload)
-        indices = sorted(
-            int(key.removeprefix("es.e")) for key in flat if key.startswith("es.e")
-        )
-        es = [as_int(flat[f"es.e{index}"]) for index in indices]
+        keys = [key for key in flat if key.startswith("es.")]
+        # Challenge k answers session k: any other spelling of the index
+        # set would pair a challenge with the wrong session and spend the
+        # ticket, so it is refused before the broker sees it.
+        expected = [f"es.e{index}" for index in range(len(keys))]
+        if set(keys) != set(expected):
+            raise ProtocolViolationError(
+                f"withdraw/batch-complete challenges must be es.e0..es.e{len(keys) - 1}"
+            )
+        es = [as_int(flat[key]) for key in expected]
         responses = broker.complete_batch_withdrawal(as_int(payload["ticket"]), es)
         out: dict[str, Any] = {}
         for index, response in enumerate(responses):
@@ -402,6 +408,55 @@ def withdrawal_flow(
         s=as_int(answered["sig_s"]),
     )
     return client.finish_withdrawal(session, response, tables[info.list_version])
+
+
+def batch_withdrawal_flow(
+    client: Client,
+    broker_id: str,
+    tables: Mapping[int, WitnessAssignmentTable],
+    infos: Sequence[CoinInfo],
+) -> Flow:
+    """Batched Algorithm 1 (step 0): several coins, still two broker rounds.
+
+    Every coin keeps its own signing session — the per-coin computation
+    is what keeps a batch unlinkable — and only the messages are shared.
+
+    Returns:
+        One stored coin per ``infos`` entry, in order.
+    """
+    opened = flatten(
+        (yield RemoteCall(
+            broker_id,
+            "withdraw/batch-begin",
+            {"batch": pack_batch("i", [info.to_wire() for info in infos])},
+        ))
+    )
+    ticket = as_int(opened["ticket"])
+    sessions = []
+    for index, info in enumerate(infos):
+        challenge = SignerChallenge(
+            a=as_int(opened[f"c{index}.a"]), b=as_int(opened[f"c{index}.bare"])
+        )
+        sessions.append(client.begin_withdrawal(info, challenge))
+    answered = flatten(
+        (yield RemoteCall(
+            broker_id,
+            "withdraw/batch-complete",
+            {
+                "ticket": ticket,
+                "es": {f"e{k}": session.e for k, session in enumerate(sessions)},
+            },
+        ))
+    )
+    coins = []
+    for index, (info, session) in enumerate(zip(infos, sessions)):
+        response = SignerResponse(
+            r=as_int(answered[f"r{index}.rho"]),
+            c=as_int(answered[f"r{index}.commitment"]),
+            s=as_int(answered[f"r{index}.sig_s"]),
+        )
+        coins.append(client.finish_withdrawal(session, response, tables[info.list_version]))
+    return coins
 
 
 def payment_flow(
@@ -635,6 +690,7 @@ __all__ = [
     "as_int",
     "as_text",
     "batch_deposit_flow",
+    "batch_withdrawal_flow",
     "broker_dispatch",
     "deposit_flow",
     "direct_spend_flow",

@@ -26,8 +26,6 @@ from repro.core.client import Client, StoredCoin
 from repro.core.exceptions import ServiceUnavailableError
 from repro.core.info import CoinInfo
 from repro.core.system import EcashSystem
-from repro.crypto.blind import SignerChallenge, SignerResponse
-from repro.crypto.serialize import as_int, flatten, pack_batch
 from repro.net import registry
 from repro.net.costmodel import ComputeCostModel, python2006_profile
 from repro.net.latency import LatencyModel, Region, planetlab_us
@@ -137,16 +135,10 @@ class NetworkDeployment:
         self, client_name: str, info: CoinInfo
     ) -> Generator[Any, Any, StoredCoin]:
         """Algorithm 1 over the network (two rounds to the broker)."""
-        return self._traced("net.withdrawal", self._withdrawal_steps(client_name, info))
-
-    def _withdrawal_steps(
-        self, client_name: str, info: CoinInfo
-    ) -> Generator[Any, Any, StoredCoin]:
         flow = registry.withdrawal_flow(
             self.clients[client_name], BROKER_NODE, self.system.broker.tables, info
         )
-        stored = yield from self._drive(client_name, flow)
-        return stored
+        return self._traced("net.withdrawal", self._drive(client_name, flow))
 
     def run_flow(self, source: str, flow: registry.Flow) -> Generator[Any, Any, Any]:
         """Drive a shared protocol flow as a sim process.
@@ -201,52 +193,12 @@ class NetworkDeployment:
         The communication saving the paper's step 0 promises — compare
         against running :meth:`withdrawal_process` once per coin.
         """
+        flow = registry.batch_withdrawal_flow(
+            self.clients[client_name], BROKER_NODE, self.system.broker.tables, infos
+        )
         return self._traced(
-            "net.batch_withdrawal",
-            self._batch_withdrawal_steps(client_name, infos),
-            coins=len(infos),
+            "net.batch_withdrawal", self._drive(client_name, flow), coins=len(infos)
         )
-
-    def _batch_withdrawal_steps(
-        self, client_name: str, infos: list[CoinInfo]
-    ) -> Generator[Any, Any, list[StoredCoin]]:
-        client = self.clients[client_name]
-        opened = flatten(
-            (yield self.network.rpc(
-                client_name,
-                BROKER_NODE,
-                "withdraw/batch-begin",
-                {"batch": pack_batch("i", [info.to_wire() for info in infos])},
-            ))
-        )
-        ticket = as_int(opened["ticket"])
-        sessions = []
-        for index, info in enumerate(infos):
-            challenge = SignerChallenge(
-                a=as_int(opened[f"c{index}.a"]), b=as_int(opened[f"c{index}.bare"])
-            )
-            sessions.append(client.begin_withdrawal(info, challenge))
-        answered = flatten(
-            (yield self.network.rpc(
-                client_name,
-                BROKER_NODE,
-                "withdraw/batch-complete",
-                {
-                    "ticket": ticket,
-                    "es": {f"e{k}": session.e for k, session in enumerate(sessions)},
-                },
-            ))
-        )
-        coins = []
-        for index, (info, session) in enumerate(zip(infos, sessions)):
-            response = SignerResponse(
-                r=as_int(answered[f"r{index}.rho"]),
-                c=as_int(answered[f"r{index}.commitment"]),
-                s=as_int(answered[f"r{index}.sig_s"]),
-            )
-            table = self.system.broker.tables[info.list_version]
-            coins.append(client.finish_withdrawal(session, response, table))
-        return coins
 
     def payment_process(
         self,
@@ -265,18 +217,6 @@ class NetworkDeployment:
             DoubleSpendError: refused with a verified extraction proof.
             EcashError subclasses: per failed check, raised remotely.
         """
-        return self._traced(
-            "net.payment",
-            self._payment_steps(client_name, stored, merchant_id),
-            merchant=merchant_id,
-        )
-
-    def _payment_steps(
-        self,
-        client_name: str,
-        stored: StoredCoin,
-        merchant_id: str,
-    ) -> Generator[Any, Any, PaymentReceipt]:
         client_node = self.network.node(client_name)
         start_time = self.sim.now
         start_bytes = client_node.meter.sent_bytes
@@ -286,7 +226,9 @@ class NetworkDeployment:
         flow = registry.payment_flow(
             self.clients[client_name], stored, merchant_id, witness_public, self.now
         )
-        amount = yield from self._drive(client_name, flow)
+        amount = yield from self._traced(
+            "net.payment", self._drive(client_name, flow), merchant=merchant_id
+        )
         return PaymentReceipt(
             merchant_id=merchant_id,
             amount=amount,
@@ -296,16 +238,12 @@ class NetworkDeployment:
 
     def deposit_process(self, merchant_id: str) -> Generator[Any, Any, list[dict[str, Any]]]:
         """Algorithm 3 over the network (one message per transcript)."""
-        return self._traced(
-            "net.deposit", self._deposit_steps(merchant_id), merchant=merchant_id
-        )
-
-    def _deposit_steps(self, merchant_id: str) -> Generator[Any, Any, list[dict[str, Any]]]:
         flow = registry.deposit_flow(
             self.system.merchant(merchant_id), merchant_id, BROKER_NODE
         )
-        results = yield from self._drive(merchant_id, flow)
-        return results
+        return self._traced(
+            "net.deposit", self._drive(merchant_id, flow), merchant=merchant_id
+        )
 
     def batch_deposit_process(
         self, merchant_id: str
@@ -316,32 +254,17 @@ class NetworkDeployment:
         storefront daemon's ``admin/deposit`` runs. Transcripts the
         broker rejected stay pending; accepted ones are marked deposited.
         """
-        return self._traced(
-            "net.batch_deposit",
-            self._batch_deposit_steps(merchant_id),
-            merchant=merchant_id,
-        )
-
-    def _batch_deposit_steps(
-        self, merchant_id: str
-    ) -> Generator[Any, Any, list[dict[str, Any]]]:
         flow = registry.batch_deposit_flow(
             self.system.merchant(merchant_id), merchant_id, BROKER_NODE
         )
-        results = yield from self._drive(merchant_id, flow)
-        return results
+        return self._traced(
+            "net.batch_deposit", self._drive(merchant_id, flow), merchant=merchant_id
+        )
 
     def renewal_process(
         self, client_name: str, stored: StoredCoin, new_info: CoinInfo
     ) -> Generator[Any, Any, StoredCoin]:
         """Algorithm 4 over the network (two rounds to the broker)."""
-        return self._traced(
-            "net.renewal", self._renewal_steps(client_name, stored, new_info)
-        )
-
-    def _renewal_steps(
-        self, client_name: str, stored: StoredCoin, new_info: CoinInfo
-    ) -> Generator[Any, Any, StoredCoin]:
         flow = registry.renewal_flow(
             self.clients[client_name],
             BROKER_NODE,
@@ -350,8 +273,7 @@ class NetworkDeployment:
             new_info,
             self.now,
         )
-        fresh = yield from self._drive(client_name, flow)
-        return fresh
+        return self._traced("net.renewal", self._drive(client_name, flow))
 
     def witness_breaker(self, witness_id: str) -> CircuitBreaker:
         """The (lazily created) circuit breaker guarding one witness."""

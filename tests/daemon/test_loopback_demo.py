@@ -1,4 +1,4 @@
-"""End-to-end: three OS processes, full coin lifecycle, byte parity."""
+"""End-to-end: one scenario on three OS processes and on the sim, byte parity."""
 
 import pytest
 
@@ -18,7 +18,7 @@ def test_loopback_demo_matches_sim(tmp_path):
     }
     assert outcomes["double_spend_refused"] is True
 
-    # The sim twin reached the same outcomes and the same books.
+    # The sim run reached the same outcomes and the same books.
     assert report["problems"] == []
     assert report["sim"]["outcomes"] == outcomes
 
@@ -34,5 +34,5 @@ def test_loopback_demo_matches_sim(tmp_path):
 
 @pytest.mark.usefixtures("each_backend")
 def test_loopback_demo_matches_sim_under_every_available_backend(tmp_path):
-    """The daemons inherit ``REPRO_BACKEND``; the sim twin runs in process."""
+    """The daemons inherit ``REPRO_BACKEND``; the sim run is in process."""
     test_loopback_demo_matches_sim(tmp_path)

@@ -1,10 +1,11 @@
 """A deployment in which one host lacks libgmp must interoperate.
 
 Broker, witness and storefront run as OS processes; in the second run the
-witness alone is started with ``REPRO_BACKEND=python``. Pay, a refused
-replay and the deposit drain all succeed either way, every node moves the
-same bytes, and ``admin/stats`` says which arithmetic each daemon runs —
-the only place a silently fallen-back node shows.
+witness alone is started with ``REPRO_BACKEND=python``. The demo's
+scenario — withdraw, pay, the deposit drain and a refused replay —
+succeeds either way, every node moves the same bytes, and
+``admin/stats`` says which arithmetic each daemon runs — the only place a
+silently fallen-back node shows.
 """
 
 import asyncio
@@ -15,23 +16,20 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.exceptions import DoubleSpendError
 from repro.crypto import backend
 from repro.daemon.client import SocketTransport
 from repro.daemon.demo import (
     BROKER,
     CLIENT,
-    COLLUDER,
     MERCHANT,
     WITNESS,
-    _parse_stats,
+    read_books,
+    run_on_sockets,
     write_deployment,
 )
 from repro.daemon.keys import load_authorized, load_identity
 from repro.faults.recovery import BackoffPolicy
-from repro.net import registry
 
-NOW = 10
 SRC = Path(__file__).resolve().parents[2] / "src"
 
 
@@ -49,7 +47,7 @@ def _serve(directory: Path, name: str, forced_backend: str | None) -> subprocess
 
 
 def _lifecycle(directory: Path, witness_backend: str | None) -> dict[str, dict]:
-    """Pay, replay, drain; returns each daemon's books and backend report."""
+    """The demo's scenario; returns each daemon's books and backend report."""
     directory.mkdir()
     config = write_deployment(directory, seed=23)
     processes = {
@@ -58,7 +56,6 @@ def _lifecycle(directory: Path, witness_backend: str | None) -> dict[str, dict]:
         MERCHANT: _serve(directory, MERCHANT, None),
     }
     system = config.build_system()
-    client = system.new_client()
     transport = SocketTransport(
         load_identity(directory, CLIENT),
         load_authorized(directory),
@@ -66,42 +63,24 @@ def _lifecycle(directory: Path, witness_backend: str | None) -> dict[str, dict]:
         connect_attempts=60,
         connect_backoff=BackoffPolicy(base=0.1, factor=1.25, max_delay=1.0),
     )
-    witness_public = system.merchant(MERCHANT).witness_keys[WITNESS]
     reports: dict[str, dict] = {}
 
-    async def scenario() -> None:
+    async def drive() -> None:
         try:
             for name in processes:
-                await transport.call(name, "admin/clock", {"now": NOW}, timeout=60.0)
-            info = system.standard_info(25, now=NOW)
-            stored = await transport.run_flow(
-                CLIENT, registry.withdrawal_flow(client, BROKER, system.broker.tables, info)
-            )
-            paid = await transport.run_flow(
-                CLIENT,
-                registry.payment_flow(client, stored, MERCHANT, witness_public, lambda: NOW),
-            )
-            assert paid == 25
-
-            client.wallet.add(stored)
-            with pytest.raises(DoubleSpendError) as refusal:
-                await transport.run_flow(
-                    CLIENT,
-                    registry.direct_spend_flow(
-                        client, stored, COLLUDER, witness_public, lambda: NOW
-                    ),
-                )
-            assert refusal.value.proof.verify(system.params, stored.coin)
-
-            drained = await transport.call(MERCHANT, "admin/deposit", {}, timeout=5.0)
-            assert registry.as_int(drained["count"]) == 1
-            assert drained["r0"]["outcome"] == "credited"
-            assert registry.as_int(drained["r0"]["amount"]) == 25
+                await transport.call(name, "admin/ping", {}, timeout=60.0)
+            run = await run_on_sockets(transport, system)
+            assert run["outcomes"] == {
+                "withdrawn": 25,
+                "paid": 25,
+                "deposited": {"count": 1, "outcome": "credited", "amount": 25},
+                "double_spend_refused": True,
+            }
 
             for name in processes:
                 stats = await transport.call(name, "admin/stats", {})
                 reports[name] = {
-                    **_parse_stats(stats),
+                    **read_books(stats),
                     "backend": str(stats["backend"]),
                     "backend_version": str(stats["backend_version"]),
                 }
@@ -111,7 +90,7 @@ def _lifecycle(directory: Path, witness_backend: str | None) -> dict[str, dict]:
             await transport.close()
 
     try:
-        asyncio.run(scenario())
+        asyncio.run(drive())
         outputs = {
             name: (process.communicate(timeout=30.0)[1], process.returncode)
             for name, process in processes.items()

@@ -12,7 +12,7 @@ import pytest
 from repro.core.persistence import broker_spaces
 from repro.core.protocols import run_withdrawal
 from repro.daemon import wire
-from repro.daemon.demo import _parse_stats, write_deployment
+from repro.daemon.demo import read_books, write_deployment
 from repro.daemon.service import build_daemon
 from repro.net import registry
 
@@ -94,7 +94,7 @@ def test_admin_stats_reports_startup_cpu_and_what_recovery_did(deployment_dir, t
     received = wire.parse_response(wire.response_body("admin/stats", reply))
     assert registry.as_int(received["recovery"]["replayed"]) == stats.replayed_records
     assert float(received["recovery"]["replay_ms"]) >= 0.0
-    assert _parse_stats(received) == {"meter": (0, 0, 0, 0), "rpc": []}
+    assert read_books(received) == {"meter": (0, 0, 0, 0), "rpc": []}
 
 
 def test_admin_stats_of_a_memory_broker_has_no_recovery(deployment_dir):

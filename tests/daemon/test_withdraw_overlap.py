@@ -16,7 +16,7 @@ from repro.core.system import EcashSystem
 from repro.crypto.serialize import encode
 from repro.daemon import wire
 from repro.daemon.client import PeerConnection, SocketTransport
-from repro.daemon.demo import BROKER, CLIENT, MERCHANT, WITNESS
+from repro.daemon.demo import BROKER, CLIENT, MERCHANT, WITNESS, read_books
 from repro.daemon.framing import HEADER_BYTES
 from repro.daemon.service import DaemonClock, DaemonNode
 from repro.net import registry
@@ -342,3 +342,46 @@ def test_a_seeded_client_mints_the_same_coins_on_every_transport(params):
     ]
     assert at_rest[0] == at_rest[1] == at_rest[2]
     assert len(set(at_rest[0])) == 2
+
+
+def test_a_batch_withdrawal_over_sockets_mints_the_sims_coins_in_the_sims_bytes(params):
+    """Alg. 1 step 0 has one client flow, ``registry.batch_withdrawal_flow``;
+    a broker daemon serves it as the sim's broker does."""
+    infos = lambda system: [system.standard_info(value, now=NOW) for value in (25, 5, 1)]
+
+    simulated = _system(params)
+    deployment = NetworkDeployment(simulated, cost_model=instant_profile(), seed=41)
+    deployment.add_client(CLIENT)
+    over_sim = deployment.run(
+        deployment.batch_withdrawal_process(CLIENT, infos(simulated))
+    )
+    entries = deployment.network.trace.entries
+    sim_log = [
+        (request.method, request.size_bytes, response.size_bytes)
+        for request, response in zip(
+            [e for e in entries if e.destination == BROKER and e.kind == "request"],
+            [e for e in entries if e.source == BROKER and e.kind == "response"],
+        )
+    ]
+
+    served = _system(params)
+    payer = served.new_client()
+
+    async def scenario():
+        async with _served(_broker_handlers(served)) as transport:
+            flow = registry.batch_withdrawal_flow(
+                payer, BROKER, served.broker.tables, infos(served)
+            )
+            coins = await transport.run_flow(CLIENT, flow)
+            stats = await transport.call(BROKER, "admin/stats", {})
+            return coins, read_books(stats)["rpc"]
+
+    over_sockets, socket_log = asyncio.run(scenario())
+    assert [encode(stored.to_record()) for stored in over_sockets] == [
+        encode(stored.to_record()) for stored in over_sim
+    ]
+    assert [method for method, _, _ in socket_log] == [
+        "withdraw/batch-begin",
+        "withdraw/batch-complete",
+    ]
+    assert socket_log == sim_log

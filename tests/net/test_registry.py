@@ -12,6 +12,7 @@ from repro.crypto.serialize import (
     flatten,
     pack_batch,
 )
+from repro.daemon import wire
 from repro.net import registry
 from repro.net.costmodel import instant_profile
 from repro.net.services import NetworkDeployment
@@ -82,6 +83,39 @@ class TestDepositBatchBound:
         with pytest.raises(ProtocolViolationError):
             dep.run(dep.run_flow(self.SHOP, oversized()))
         assert system.broker.merchant_balance(self.SHOP) == 0
+
+
+class TestBatchWithdrawalIndices:
+    """``withdraw/batch-complete`` answers session k with ``es.e{k}``, so
+    a request must carry exactly ``es.e0`` .. ``es.e{n-1}``."""
+
+    def test_a_misnumbered_request_is_refused_and_the_ticket_kept(self, system):
+        client = system.new_client()
+        table = registry.broker_dispatch(system.broker, lambda: 0)
+
+        def serve(method, payload):
+            name, fields = wire.parse_request(wire.request_body(method, payload))
+            return table[name](fields)
+
+        infos = [system.standard_info(25, now=0), system.standard_info(5, now=0)]
+        flow = registry.batch_withdrawal_flow(client, "broker", system.broker.tables, infos)
+        begin = next(flow)
+        complete = flow.send(serve(begin.method, begin.payload))
+        es = complete.payload["es"]
+        for wrong in (
+            {"e0": es["e0"], "e5": es["e1"]},
+            {"e0": es["e0"], "eone": es["e1"]},
+            {"e1": es["e0"], "e2": es["e1"]},
+        ):
+            with pytest.raises(ProtocolViolationError, match="es.e0..es.e1"):
+                serve(complete.method, {**complete.payload, "es": wrong})
+
+        with pytest.raises(StopIteration) as done:
+            flow.send(serve(complete.method, complete.payload))
+        coins = done.value.value
+        assert [stored.coin.denomination for stored in coins] == [25, 5]
+        for stored in coins:
+            stored.coin.ensure_valid_signature(system.params, system.broker.blind_public)
 
 
 class TestFlowsOverSim:
@@ -301,12 +335,11 @@ class TestWireKeyHygiene:
             {"merchant_id": "alice-books"},
             {"proof_ts": 1, "proof_salt": 2, "r1": 3, "r2": 4},
             {"count": 2, "r0": {"outcome": "credited", "amount": 25}},
-            # The sim-plane services the wire-schema lint does not scan
-            # (gossip directory, escrowed withdrawal), as they now spell them.
-            {"version": 1, "sig": {"sig_e": 1, "sig_s": 2}, "keys": {"shop-00": 3}},
             {"ticket": 1, "c0": {"a": 1, "bare": 2}},
-            {"ticket": 1, "open": {"i0": {"sig_e": 1, "t1": 2, "c1": 3, "rho": 4}}},
-            {"keep": 0, "rho": 1, "commitment": 2, "sig_s": 3},
+            {"ticket": 1, "es": {"e0": 1, "e1": 2}},
+            # The gossip directory, which the wire-schema lint does not
+            # scan, as it now spells it.
+            {"version": 1, "sig": {"sig_e": 1, "sig_s": 2}, "keys": {"shop-00": 3}},
         ]
         for payload in samples:
             assert self.roundtrips(payload), payload
