@@ -802,7 +802,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--state-dir",
         default=None,
-        help="durable state directory (broker only): journal every RPC "
+        help="durable state directory: journal every RPC "
         "to a write-ahead log, replay it on restart",
     )
     serve.add_argument(

@@ -44,7 +44,7 @@ class Ledger:
     #: Durability hook: called with ``(sequence, entry)`` after every
     #: history append, so a journal can persist each movement before the
     #: enclosing protocol step acknowledges (set by
-    #: :func:`repro.core.persistence.attach_journal`).
+    #: :func:`repro.core.persistence.attach_broker_store`).
     on_entry: Callable[[int, LedgerEntry], None] | None = field(
         default=None, repr=False, compare=False
     )

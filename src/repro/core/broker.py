@@ -292,7 +292,7 @@ class Broker:
         self._deposits: dict[BareCoin, _DepositRecord] = {}
         self._renewals: dict[BareCoin, _RenewalRecord] = {}
         self.witness_fault_log: list[FaultEntry] = []
-        #: Durability hook (see :func:`repro.core.persistence.attach_journal`):
+        #: Durability hook (see :func:`repro.core.persistence.attach_broker_store`):
         #: when set, every mutation below is journaled before the method
         #: returns, so no acknowledged state change can be lost to a crash.
         #: Each mutating protocol step runs inside one

@@ -8,14 +8,13 @@ coin be cashed twice across a restart. The witnesses carry the same
 burden for their commitment and spent-coin tables.
 
 This module maps that state onto the :mod:`repro.store` space schema and
-keeps it there: :func:`attach_journal` / :func:`attach_witness_journal`
-hook a live :class:`Broker` / :class:`WitnessService` to a
-:class:`~repro.store.Store` so every mutation is appended to the
-write-ahead log *before* the mutating method returns
-(journal-before-acknowledge), and :func:`attach_broker_store` replays
-snapshot + WAL back into a broker after a crash.
-:func:`broker_spaces` / :func:`restore_broker` are the whole state in
-one piece — what a journaled store holds, and how it is read back.
+keeps it there: :func:`attach_broker_store` / :func:`attach_witness_store`
+recover a store, restore the party from it (or write the party's state
+into an empty one) and hook the party to it, so every mutation is
+appended to the write-ahead log *before* the mutating method returns
+(journal-before-acknowledge). :func:`broker_spaces` /
+:func:`restore_broker` are the whole state in one piece — what a
+journaled store holds, and how it is read back.
 
 There is one record format, and it is the wire codec's. A stored value
 is the string ``serialize.encode(record.to_record())``, where each
@@ -216,7 +215,8 @@ def restore_broker(broker: Broker, spaces: Spaces) -> None:
 
     Raises:
         ValueError: the dump has no ``meta`` record (not broker state).
-        StoreCorruptError: a value is not a record this module wrote.
+        StoreCorruptError: a value is not a record this module wrote, or
+            the restored books fail :func:`_reconcile`.
     """
     if "state" not in spaces.get("meta", {}):
         raise ValueError("broker state dump has no 'meta' record")
@@ -262,6 +262,44 @@ def restore_broker(broker: Broker, spaces: Spaces) -> None:
     broker._batch_tickets.update(batches_by_id)
     broker.witness_fault_log[:] = faults.values()
     _replay_ledger(broker.ledger, list(ledger.values()))
+    _reconcile(broker)
+
+
+def _reconcile(broker: Broker) -> None:
+    """Cross-check a restored broker's ledger against its deposit records.
+
+    Every deposit/witness-fault record is created alongside exactly one
+    ``"coin deposit"`` ledger credit, inside the same atomic store
+    operation; purging expired records removes records but never ledger
+    history. The checkable invariant is therefore one-directional:
+
+        ``len(deposits) + len(faults) <= count(memo == "coin deposit")``
+
+    A violation means a transcript record was journaled without its
+    funding movement — exactly the half-journaled state atomic commit
+    exists to prevent — and the recovered state must not be trusted.
+    """
+    credits = sum(
+        1 for _src, _dst, memo, _amount in broker.ledger.history
+        if memo == "coin deposit"
+    )
+    records = len(broker._deposits) + len(broker.witness_fault_log)
+    problems: list[str] = []
+    if records > credits:
+        problems.append(
+            f"{records} deposit/witness-fault record(s) but only {credits} "
+            "'coin deposit' ledger credit(s) — a transcript record was "
+            "journaled without its funding movement"
+        )
+    if not broker.ledger.conserved():
+        problems.append(
+            "recovered ledger does not conserve money "
+            f"(minted={broker.ledger.minted} burned={broker.ledger.burned})"
+        )
+    if problems:
+        raise StoreCorruptError(
+            "recovered broker state failed reconciliation: " + "; ".join(problems)
+        )
 
 
 def _replay_ledger(ledger: Ledger, entries: list[LedgerEntry]) -> None:
@@ -435,21 +473,8 @@ class BrokerJournal:
         with self.store.operation():
             self.store.put("ledger", _seq_key(seq), encode(entry_to_record(entry)))
 
-    # -- bulk -----------------------------------------------------------
-    def write_baseline(self) -> None:
-        """Journal the broker's entire current state (initial attach)."""
-        _put_all(self.store, broker_spaces(self.broker))
-
     def _put_meta(self) -> None:
         self.store.put("meta", "state", _meta_record(self.broker))
-
-
-def _put_all(store: Store, spaces: Mapping[str, Mapping[str, str]]) -> None:
-    """Journal a whole space-schema dump as one atomic operation."""
-    with store.operation():
-        for space, table in spaces.items():
-            for key, value in table.items():
-                store.put(space, key, value)
 
 
 class WitnessJournal:
@@ -464,6 +489,10 @@ class WitnessJournal:
         self._commit_space = f"commitments:{witness.merchant_id}"
         self._spent_space = f"spent:{witness.merchant_id}"
         self._meta_space = f"witness:{witness.merchant_id}"
+
+    def operation(self) -> AbstractContextManager[None]:
+        """One atomic durability unit (see :meth:`Store.operation`)."""
+        return self.store.operation()
 
     def record_commitment(self, coin_hash: int, record: _CommitmentRecord) -> None:
         """Journal an issued commitment."""
@@ -490,111 +519,68 @@ class WitnessJournal:
         with self.store.operation():
             self.store.delete(self._spent_space, f"{coin_hash:x}")
 
-    def write_baseline(self) -> None:
-        """Journal the witness's entire current tables (initial attach)."""
-        _put_all(self.store, witness_spaces(self.witness))
+
+_Party = TypeVar("_Party", Broker, WitnessService)
 
 
-def attach_journal(broker: Broker, store: Store, *, baseline: bool = True) -> BrokerJournal:
-    """Journal every future mutation of ``broker`` into ``store``.
-
-    Args:
-        broker: the live broker.
-        store: an opened (and, if pre-existing, recovered) store.
-        baseline: also journal the broker's *current* state first, so a
-            store attached mid-life starts complete. Pass ``False`` when
-            the store's contents were just restored into the broker.
-    """
-    journal = BrokerJournal(broker, store)
-    broker.journal = journal
-    broker.ledger.on_entry = journal.on_ledger_entry
-    if baseline:
-        journal.write_baseline()
-    return journal
-
-
-def attach_witness_journal(
-    witness: WitnessService, store: Store, *, baseline: bool = True
-) -> WitnessJournal:
-    """Journal every future mutation of ``witness``'s tables into ``store``."""
-    journal = WitnessJournal(witness, store)
-    witness.journal = journal
-    if baseline:
-        journal.write_baseline()
-    return journal
-
-
-def reconcile_broker(broker: Broker) -> list[str]:
-    """Cross-check a recovered broker's ledger against its deposit records.
-
-    Every deposit/witness-fault record is created alongside exactly one
-    ``"coin deposit"`` ledger credit, inside the same atomic store
-    operation; purging expired records removes records but never ledger
-    history. The checkable invariant is therefore one-directional:
-
-        ``len(deposits) + len(faults) <= count(memo == "coin deposit")``
-
-    A violation means a transcript record was journaled without its
-    funding movement — exactly the half-journaled state atomic commit
-    exists to prevent — and the recovered state must not be trusted.
-
-    Returns:
-        Problem descriptions (empty when the invariant holds).
-    """
-    credits = sum(
-        1 for _src, _dst, memo, _amount in broker.ledger.history
-        if memo == "coin deposit"
-    )
-    records = len(broker._deposits) + len(broker.witness_fault_log)
-    problems: list[str] = []
-    if records > credits:
-        problems.append(
-            f"{records} deposit/witness-fault record(s) but only {credits} "
-            "'coin deposit' ledger credit(s) — a transcript record was "
-            "journaled without its funding movement"
-        )
-    if not broker.ledger.conserved():
-        problems.append(
-            "recovered ledger does not conserve money "
-            f"(minted={broker.ledger.minted} burned={broker.ledger.burned})"
-        )
-    return problems
-
-
-def _reconcile_or_raise(broker: Broker) -> None:
-    problems = reconcile_broker(broker)
-    if problems:
+def _recover_into(
+    party: _Party,
+    store: Store,
+    own_space: str,
+    spaces_of: Callable[[_Party], Mapping[str, Mapping[str, str]]],
+    restore: Callable[[_Party, Spaces], None],
+) -> RecoveryStats:
+    """Recover ``store``; restore ``party`` from it, or journal the party's
+    state as the baseline of an empty one. A store without ``own_space``
+    is another party's, and is refused before ``party`` is touched."""
+    stats = store.recover()
+    spaces = store.dump()
+    if own_space in spaces:
+        restore(party, spaces)
+        # A restart rebuilds the seeded ``rng`` where the first boot began:
+        # signing from it would reuse a nonce, which gives the key away.
+        party.rng = None
+    elif spaces:
         raise StoreCorruptError(
-            "recovered broker state failed reconciliation: " + "; ".join(problems)
+            f"the store holds {', '.join(spaces)} but no {own_space!r}: "
+            "it is another party's state"
         )
+    else:
+        with store.operation():
+            for space, table in spaces_of(party).items():
+                for key, value in table.items():
+                    store.put(space, key, value)
+    return stats
 
 
 def attach_broker_store(broker: Broker, store: Store) -> RecoveryStats:
-    """Recover a store, restore its state into ``broker``, start journaling.
+    """Recover ``store`` into ``broker`` and journal every later mutation to it.
 
-    The one call a restarting daemon (or chaos scenario) makes: replays
-    snapshot + WAL, and — when the store holds broker state — rebuilds
-    the broker in place from it (reconciling the recovered ledger against
-    the deposit records before trusting it); a fresh store instead gets
-    the broker's current state as its baseline. Either way the broker
-    journals every subsequent mutation.
+    The one call a restarting daemon (or chaos scenario) makes: a store
+    holding broker state rebuilds the broker in place
+    (:func:`restore_broker`); an empty store is given the broker's
+    current state as its baseline.
 
     Returns:
         The recovery statistics (all-zero for a brand-new store).
 
     Raises:
-        StoreCorruptError: the store's values are not records this module
-            wrote (the broker is left untouched), or the recovered state
-            failed reconciliation.
+        StoreCorruptError: the store holds another party's state or values
+            this module did not write (the broker is left untouched), or
+            the restored books fail reconciliation.
     """
-    stats = store.recover()
-    spaces = store.dump()
-    if "meta" in spaces:
-        restore_broker(broker, spaces)
-        _reconcile_or_raise(broker)
-        attach_journal(broker, store, baseline=False)
-    else:
-        attach_journal(broker, store, baseline=True)
+    stats = _recover_into(broker, store, "meta", broker_spaces, restore_broker)
+    broker.journal = journal = BrokerJournal(broker, store)
+    broker.ledger.on_entry = journal.on_ledger_entry
+    return stats
+
+
+def attach_witness_store(witness: WitnessService, store: Store) -> RecoveryStats:
+    """The witness's mirror of :func:`attach_broker_store`."""
+    stats = _recover_into(
+        witness, store, f"witness:{witness.merchant_id}", witness_spaces, restore_witness
+    )
+    witness.journal = WitnessJournal(witness, store)
     return stats
 
 
@@ -602,10 +588,8 @@ __all__ = [
     "BrokerJournal",
     "WitnessJournal",
     "attach_broker_store",
-    "attach_journal",
-    "attach_witness_journal",
+    "attach_witness_store",
     "broker_spaces",
-    "reconcile_broker",
     "restore_broker",
     "restore_witness",
     "witness_spaces",

@@ -166,7 +166,7 @@ class WitnessService:
     _spent: dict[int, _SpentRecord] = field(default_factory=dict)
     signed_count: int = 0
     #: Durability hook (see
-    #: :func:`repro.core.persistence.attach_witness_journal`): when set,
+    #: :func:`repro.core.persistence.attach_witness_store`): when set,
     #: commitment/spent-table mutations are journaled before returning.
     journal: "WitnessJournal | None" = field(default=None, repr=False, compare=False)
 
@@ -308,8 +308,10 @@ class WitnessService:
         obs.counter_inc("witness_transcripts_signed_total")
         del self._commitments[digest]
         if self.journal is not None:
-            self.journal.record_spent(digest, self._spent[digest])
-            self.journal.drop_commitment(digest)
+            # One durability unit: a crash keeps both halves or neither.
+            with self.journal.operation():
+                self.journal.record_spent(digest, self._spent[digest])
+                self.journal.drop_commitment(digest)
         return SignedTranscript(transcript=transcript, witness_signature=signature)
 
     def _double_spend_proof(

@@ -102,7 +102,7 @@ class DaemonNode:
         transport: outbound transport for nested calls (merchant
             daemons); shares this node's meter when provided.
         recovery: what the durable store's recovery did before this
-            node was built (a durable broker); ``admin/stats`` reports it.
+            node was built (a durable daemon); ``admin/stats`` reports it.
     """
 
     def __init__(
@@ -381,29 +381,30 @@ class DaemonNode:
         }
 
 
-class BrokerDaemon:
-    """The broker party served over the daemon transport.
+class _Daemon:
+    """One party behind a :class:`DaemonNode`: the lifecycle every role shares.
 
-    With ``state_dir`` set the broker becomes durable: on startup the
-    store under that directory is recovered (snapshot + WAL replay —
-    a restart after a crash resumes with every acknowledged deposit,
-    renewal, ticket and ledger movement intact) and from then on every
-    mutating RPC is journaled and fsynced *before* its response frame is
-    written, because the journal hooks run inside the broker methods the
-    dispatch handlers call.
+    A role sets what its :meth:`_attach` and :meth:`_handlers` read before
+    calling this constructor.
 
     Args:
-        system: the shared deployment system holding the broker.
+        system: the shared deployment system holding the party.
         identity: this node's name and transport keypair.
         authorized: the deployment roster.
         host: bind address.
         port: bind port.
-        state_dir: directory for the durable store; ``None`` keeps the
-            broker memory-only (the historical behavior).
+        state_dir: directory for the durable store. The party is recovered
+            from it (snapshot + WAL replay) before the node exists, and
+            every mutating RPC is journaled and fsynced *before* its
+            response frame is written, because the journal hooks run inside
+            the party methods the handlers call. ``None`` keeps the daemon
+            memory-only; it never imports the store.
         store_backend: store backend name (``"sqlite"`` is the daemon
             default; ``"memory"`` journals without a materialized file).
         store_shards: shard count for the transcript/deposit DB.
     """
+
+    transport: SocketTransport | None = None
 
     def __init__(
         self,
@@ -416,27 +417,33 @@ class BrokerDaemon:
         store_backend: str = "sqlite",
         store_shards: int = 4,
     ) -> None:
-        self.clock = DaemonClock()
         self.system = system
+        self.clock = DaemonClock()
         self.store: Store | None = None
         self.recovery: RecoveryStats | None = None
         if state_dir is not None:
-            # Only a durable broker pays for the store, sqlite3 and the
-            # record hooks; a memory broker never imports them.
-            from repro.core.persistence import attach_broker_store
             from repro.store import Store
 
             self.store = Store(state_dir, backend=store_backend, shards=store_shards)
-            self.recovery = attach_broker_store(system.broker, self.store)
+            self.recovery = self._attach(self.store)
         self.node = DaemonNode(
             identity=identity,
             authorized=authorized,
             host=host,
             port=port,
-            handlers=registry.broker_dispatch(system.broker, self.clock.now),
+            handlers=self._handlers(),
             clock=self.clock,
+            transport=self.transport,
             recovery=self.recovery,
         )
+
+    def _attach(self, store: Store) -> RecoveryStats:
+        """Recover this role's party from ``store`` and journal it there."""
+        raise NotImplementedError
+
+    def _handlers(self) -> dict[str, registry.Handler]:
+        """This role's protocol dispatch table."""
+        raise NotImplementedError
 
     def close_store(self) -> None:
         """Flush and release the durable store (no-op when memory-only)."""
@@ -445,7 +452,19 @@ class BrokerDaemon:
             self.store = None
 
 
-class WitnessDaemon:
+class BrokerDaemon(_Daemon):
+    """The broker party served over the daemon transport."""
+
+    def _attach(self, store: Store) -> RecoveryStats:
+        from repro.core.persistence import attach_broker_store
+
+        return attach_broker_store(self.system.broker, store)
+
+    def _handlers(self) -> dict[str, registry.Handler]:
+        return registry.broker_dispatch(self.system.broker, self.clock.now)
+
+
+class WitnessDaemon(_Daemon):
     """One merchant's witness service served over the daemon transport."""
 
     def __init__(
@@ -456,34 +475,42 @@ class WitnessDaemon:
         authorized: Mapping[str, int],
         host: str,
         port: int,
+        *,
+        state_dir: str | None = None,
+        store_backend: str = "sqlite",
+        store_shards: int = 4,
     ) -> None:
-        self.clock = DaemonClock()
-        self.node = DaemonNode(
-            identity=identity,
-            authorized=authorized,
-            host=host,
-            port=port,
-            handlers=registry.witness_dispatch(
-                system.witness(merchant_id), self.clock.now
-            ),
-            clock=self.clock,
+        self.witness = system.witness(merchant_id)
+        super().__init__(
+            system, identity, authorized, host, port, state_dir, store_backend, store_shards
         )
 
+    def _attach(self, store: Store) -> RecoveryStats:
+        from repro.core.persistence import attach_witness_store
 
-class MerchantDaemon:
+        return attach_witness_store(self.witness, store)
+
+    def _handlers(self) -> dict[str, registry.Handler]:
+        return registry.witness_dispatch(self.witness, self.clock.now)
+
+
+class MerchantDaemon(WitnessDaemon):
     """A storefront (with its co-located witness) over the daemon transport.
 
     As in the paper — and the sim — the storefront and witness run
-    together: the dispatch table carries both, and the ``pay`` handler's
-    nested ``witness/sign`` call travels over this daemon's outbound
-    transport to whichever daemon serves the coin's witness — written to
-    the socket when the handler *calls* its ``rpc`` hook, before the
+    together: the dispatch table carries both (a ``state_dir`` holds the
+    witness's state), and the ``pay`` handler's nested ``witness/sign``
+    call travels over this daemon's outbound transport to whichever
+    daemon serves the coin's witness — written to the socket when the
+    handler *calls* its ``rpc`` hook, before the
     storefront's own checks, so the two verifications overlap. The
     control-plane ``admin/deposit`` drives the shared batched deposit flow
     to the broker (one ``deposit/batch`` per 32 pending transcripts), so
     settlement bytes land on this node's meter exactly as the sim's
     batch deposit process charges its merchant node.
     """
+
+    transport: SocketTransport
 
     def __init__(
         self,
@@ -495,40 +522,38 @@ class MerchantDaemon:
         port: int,
         netmap: Mapping[str, tuple[str, int]],
         broker_id: str = "broker",
+        *,
+        state_dir: str | None = None,
+        store_backend: str = "sqlite",
+        store_shards: int = 4,
     ) -> None:
-        self.clock = DaemonClock()
         self.transport = SocketTransport(identity, authorized, netmap)
         self.merchant_id = merchant_id
-        self._system = system
         self._broker_id = broker_id
+        super().__init__(
+            system, merchant_id, identity, authorized, host, port,
+            state_dir=state_dir, store_backend=store_backend, store_shards=store_shards,
+        )
 
+    def _handlers(self) -> dict[str, registry.Handler]:
         def relay(
             destination: str, method: str, payload: dict[str, Any]
         ) -> asyncio.Task[dict[str, Any]]:
             return self.transport.begin_call(destination, method, payload)
 
-        handlers = {
-            **registry.witness_dispatch(system.witness(merchant_id), self.clock.now),
+        return {
+            **super()._handlers(),
             **registry.merchant_dispatch(
-                system.merchant(merchant_id), merchant_id, self.clock.now, relay
+                self.system.merchant(self.merchant_id), self.merchant_id, self.clock.now, relay
             ),
             "admin/deposit": self._admin_deposit,
         }
-        self.node = DaemonNode(
-            identity=identity,
-            authorized=authorized,
-            host=host,
-            port=port,
-            handlers=handlers,
-            clock=self.clock,
-            transport=self.transport,
-        )
 
     async def _admin_deposit(self, payload: dict[str, Any]) -> dict[str, Any]:
         """Drive the batched deposit flow to the broker; returns indexed outcomes."""
         del payload
         flow = registry.batch_deposit_flow(
-            self._system.merchant(self.merchant_id), self.merchant_id, self._broker_id
+            self.system.merchant(self.merchant_id), self.merchant_id, self._broker_id
         )
         results = await self.transport.run_flow(self.merchant_id, flow)
         out: dict[str, Any] = {"count": len(results)}
@@ -550,12 +575,12 @@ def build_daemon(
 
     Loads the netmap and keys, rebuilds the shared system from the
     deployment seed, and wraps the role the netmap assigns to ``name``.
-    ``state_dir`` (broker role only) makes the broker durable — existing
-    state under it is recovered before the daemon binds its socket.
+    ``state_dir`` makes the role's party durable (a storefront's is its
+    co-located witness) — existing state under it is recovered before
+    the daemon binds its socket.
 
     Raises:
         KeyError: the netmap has no entry for ``name``.
-        ValueError: ``state_dir`` given for a non-broker role.
     """
     from repro.daemon.config import load_config
     from repro.daemon.keys import load_authorized, load_identity
@@ -569,29 +594,17 @@ def build_daemon(
     bind_port = port if port is not None else address.port
     if address.role == "broker":
         return BrokerDaemon(
-            system,
-            identity,
-            authorized,
-            bind_host,
-            bind_port,
-            state_dir=state_dir,
-            store_backend=store_backend,
-            store_shards=store_shards,
+            system, identity, authorized, bind_host, bind_port,
+            state_dir=state_dir, store_backend=store_backend, store_shards=store_shards,
         )
-    if state_dir is not None:
-        raise ValueError(f"--state-dir applies to the broker role, not {address.role!r}")
     if address.role == "witness":
         return WitnessDaemon(
-            system, name, identity, authorized, bind_host, bind_port
+            system, name, identity, authorized, bind_host, bind_port,
+            state_dir=state_dir, store_backend=store_backend, store_shards=store_shards,
         )
     return MerchantDaemon(
-        system,
-        name,
-        identity,
-        authorized,
-        bind_host,
-        bind_port,
-        netmap=config.netmap(),
+        system, name, identity, authorized, bind_host, bind_port, netmap=config.netmap(),
+        state_dir=state_dir, store_backend=store_backend, store_shards=store_shards,
     )
 
 
@@ -616,7 +629,7 @@ async def serve(
         store_backend=store_backend,
         store_shards=store_shards,
     )
-    if isinstance(daemon, BrokerDaemon) and daemon.recovery is not None:
+    if daemon.recovery is not None:
         stats = daemon.recovery
         print(
             f"{name} recovered state: {stats.snapshot_records} snapshot record(s), "
@@ -634,8 +647,7 @@ async def serve(
     try:
         await daemon.node.serve_until_shutdown()
     finally:
-        if isinstance(daemon, BrokerDaemon):
-            daemon.close_store()
+        daemon.close_store()
 
 
 __all__ = [

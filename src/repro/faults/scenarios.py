@@ -28,7 +28,7 @@ from repro.core.exceptions import (
     EcashError,
     ServiceUnavailableError,
 )
-from repro.core.persistence import BrokerJournal, attach_broker_store, broker_spaces
+from repro.core.persistence import attach_broker_store, broker_spaces
 from repro.core.system import EcashSystem
 from repro.crypto import counters
 from repro.faults.byzantine import (
@@ -328,10 +328,10 @@ def _scenario_broker_crash(seed: int) -> ScenarioResult:
     pending = list(system.merchant(merchant_id).pending_deposits())
     outcomes.extend(_settle(system, deployment))
     with tempfile.TemporaryDirectory() as tmp:
-        # The old process leaves its state in a store; the new process
-        # is a blank broker that recovers from it.
+        # The old process journals into a store and dies; the new
+        # process is a blank broker that recovers from it.
         store = Store(Path(tmp) / "broker-state", backend="memory", shards=1)
-        BrokerJournal(system.broker, store).write_baseline()
+        attach_broker_store(system.broker, store)
         store.close()
         with counters.suppressed():
             restarted = Broker(system.params)

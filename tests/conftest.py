@@ -11,7 +11,7 @@ from hypothesis import settings
 
 from repro.core.broker import Broker
 from repro.core.params import SystemParams, test_params
-from repro.core.persistence import BrokerJournal, attach_broker_store
+from repro.core.persistence import attach_broker_store, broker_spaces
 from repro.core.protocols import run_withdrawal
 from repro.core.system import EcashSystem
 from repro.crypto import backend, counters
@@ -86,7 +86,10 @@ def save_broker_state(broker: Broker, state_dir: Path) -> None:
     """Leave ``broker``'s whole state in a store at ``state_dir``, as a
     journaling broker process has by the time it dies."""
     store = Store(state_dir, backend="memory", shards=1)
-    BrokerJournal(broker, store).write_baseline()
+    with store.operation():
+        for space, table in broker_spaces(broker).items():
+            for key, value in table.items():
+                store.put(space, key, value)
     store.close()
 
 

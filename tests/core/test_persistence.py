@@ -1,4 +1,4 @@
-"""Tests for broker state persistence across restarts."""
+"""Tests for broker and witness state persistence across restarts."""
 
 import pytest
 
@@ -6,9 +6,8 @@ from repro.core.broker import _BrokerMeta
 from repro.core.exceptions import DoubleDepositError, RenewalRefusedError
 from repro.core.persistence import (
     attach_broker_store,
-    attach_witness_journal,
+    attach_witness_store,
     broker_spaces,
-    restore_witness,
     witness_spaces,
 )
 from repro.core.protocols import run_deposit, run_payment, run_renewal, run_withdrawal
@@ -304,14 +303,13 @@ def test_witness_journal_round_trips_through_a_store(
     client, stored = funded_client
     witness = system.witness_of(stored)
     store = Store(tmp_path / "witness", backend="sqlite", shards=2, **NO_SLEEP)
-    attach_witness_journal(witness, store)
+    attach_witness_store(witness, store)
     merchant = system.merchant(other_merchant(system, stored.coin.witness_id))
     run_payment(client, stored, merchant, witness, now=10)
     expected = witness_spaces(witness)
     store.close()
 
     reopened = Store(tmp_path / "witness", backend="sqlite", shards=2, **NO_SLEEP)
-    reopened.recover()
     blank = WitnessService(
         params=system.params,
         merchant_id=witness.merchant_id,
@@ -319,12 +317,39 @@ def test_witness_journal_round_trips_through_a_store(
         broker_sign_public=witness.broker_sign_public,
         broker_blind_public=witness.broker_blind_public,
     )
-    restore_witness(blank, reopened.dump())
+    stats = attach_witness_store(blank, reopened)
+    assert stats.replayed_records > 0
     assert witness_spaces(blank) == expected
     assert blank.signed_count == witness.signed_count
     digest = stored.coin.digest(system.params)
     assert digest in blank._spent
+    assert blank.journal is not None and blank.journal.store is reopened
     reopened.close()
+
+
+def test_sign_transcript_commits_once(system, funded_client, tmp_path):
+    """Recording the spent coin and dropping its commitment are one
+    durability unit: one commit, so a crash keeps both or neither."""
+    client, stored = funded_client
+    witness = system.witness_of(stored)
+    store = Store(tmp_path / "witness", backend="sqlite", shards=4, **NO_SLEEP)
+    attach_witness_store(witness, store)
+    commits = []  # the witness's signed_count at each commit
+    commit = store.commit
+
+    def counted_commit():
+        commits.append(witness.signed_count)
+        commit()
+
+    store.commit = counted_commit
+    merchant_id = other_merchant(system, stored.coin.witness_id)
+    request, pending = client.prepare_commitment_request(stored, merchant_id, 10)
+    commitment = witness.request_commitment(request, now=10)
+    transcript = client.build_payment(pending, commitment, witness.public_key, 10)
+    assert commits == [0]  # the commitment
+    witness.sign_transcript(transcript, now=10)
+    assert commits == [0, 1]  # spent record, counter and commitment drop together
+    store.close()
 
 
 # ----------------------------------------------------------------------
@@ -402,4 +427,48 @@ def test_one_unreadable_record_leaves_the_broker_untouched(
     with pytest.raises(StoreCorruptError, match=f"deposits/{key}"):
         attach_broker_store(blank, reopened)
     assert _untouched(blank, before)
+    reopened.close()
+
+
+# ----------------------------------------------------------------------
+# A state dir holding another party's state is refused
+# ----------------------------------------------------------------------
+
+def _state_of(attach, party, path):
+    store = Store(path, backend="memory", shards=2, **NO_SLEEP)
+    attach(party, store)
+    store.close()
+    return path
+
+
+def test_a_brokers_state_dir_is_refused_to_a_witness(system, tmp_path):
+    path = _state_of(attach_broker_store, system.broker, tmp_path / "broker")
+    witness = system.witness(system.merchant_ids[0])
+    before = witness_spaces(witness)
+    reopened = Store(path, backend="memory", shards=2, **NO_SLEEP)
+    with pytest.raises(StoreCorruptError, match="meta.*no 'witness:alice-books'"):
+        attach_witness_store(witness, reopened)
+    assert witness_spaces(witness) == before and witness.journal is None
+    assert "witness:alice-books" not in reopened.dump()
+    reopened.close()
+
+
+def test_one_witness_state_dir_is_refused_to_another(system, tmp_path):
+    first, second = (system.witness(m) for m in system.merchant_ids[:2])
+    path = _state_of(attach_witness_store, first, tmp_path / "first")
+    reopened = Store(path, backend="memory", shards=2, **NO_SLEEP)
+    with pytest.raises(StoreCorruptError, match="witness:alice-books but no 'witness:bob-news'"):
+        attach_witness_store(second, reopened)
+    assert second.journal is None and second.rng is not None
+    reopened.close()
+
+
+def test_a_witness_state_dir_is_refused_to_the_broker(system, tmp_path):
+    path = _state_of(attach_witness_store, system.witness("alice-books"), tmp_path / "w")
+    before = broker_spaces(system.broker)
+    reopened = Store(path, backend="memory", shards=2, **NO_SLEEP)
+    with pytest.raises(StoreCorruptError, match="witness:alice-books but no 'meta'"):
+        attach_broker_store(system.broker, reopened)
+    assert _untouched(system.broker, before)
+    assert "meta" not in reopened.dump()
     reopened.close()

@@ -1,20 +1,39 @@
-"""Tests for durable broker state behind the daemon's ``--state-dir``."""
+"""Tests for durable party state behind the daemon's ``--state-dir``:
+the broker, a witness, and a storefront's co-hosted witness."""
 
 import asyncio
+import contextlib
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.core.persistence import broker_spaces
+from repro.core.exceptions import ServiceUnavailableError
+from repro.core.persistence import broker_spaces, witness_spaces
 from repro.core.protocols import run_withdrawal
 from repro.daemon import wire
-from repro.daemon.demo import read_books, write_deployment
+from repro.daemon.client import SocketTransport
+from repro.daemon.demo import (
+    BROKER,
+    CLIENT,
+    DAEMONS,
+    MERCHANT,
+    WITNESS,
+    read_books,
+    run_on_sim,
+    scenario,
+    write_deployment,
+)
+from repro.daemon.keys import load_authorized, load_identity
 from repro.daemon.service import build_daemon
+from repro.faults.recovery import BackoffPolicy
 from repro.net import registry
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.fixture()
@@ -50,11 +69,161 @@ def test_broker_daemon_without_state_dir_stays_memory_only(deployment_dir):
     assert daemon.system.broker.journal is None
 
 
-def test_state_dir_rejected_for_non_broker_roles(deployment_dir, tmp_path):
-    with pytest.raises(ValueError, match="broker role"):
-        build_daemon(
-            deployment_dir, "alice-books", state_dir=str(tmp_path / "state")
-        )
+def _commit_at(daemon, merchant_id, now):
+    """Withdraw a fresh coin and have ``daemon``'s witness commit to it."""
+    system = daemon.system
+    client = system.new_client()
+    stored = run_withdrawal(client, system.broker, system.standard_info(25, now=now))
+    request, _pending = client.prepare_commitment_request(stored, merchant_id, now)
+    return daemon.witness.request_commitment(request, now)
+
+
+def test_storefront_daemon_restores_its_co_hosted_witness(deployment_dir, tmp_path):
+    state_dir = str(tmp_path / "state")
+    daemon = build_daemon(deployment_dir, MERCHANT, state_dir=state_dir)
+    assert daemon.recovery.snapshot_records == daemon.recovery.replayed_records == 0
+    _commit_at(daemon, WITNESS, now=10)
+    expected = witness_spaces(daemon.witness)
+    assert expected[f"commitments:{MERCHANT}"]
+    daemon.close_store()
+
+    restarted = build_daemon(deployment_dir, MERCHANT, state_dir=state_dir)
+    assert restarted.recovery.replayed_records > 0
+    assert restarted.node.recovery is restarted.recovery
+    assert witness_spaces(restarted.witness) == expected
+    restarted.close_store()
+
+
+def test_a_restored_witness_never_reuses_a_signing_nonce(deployment_dir, tmp_path):
+    """Both boots rebuild the witness's seeded stream at the same place;
+    had the second signed from it, its first signature would share the
+    first boot's nonce and the two would give away the witness's key."""
+    state_dir = str(tmp_path / "state")
+    signatures = []
+    for boot in range(2):
+        daemon = build_daemon(deployment_dir, WITNESS, state_dir=state_dir)
+        # A coin of its own per boot: boot 1's commitment is still open.
+        signatures.append(_commit_at(daemon, MERCHANT, now=1000 * boot).signature)
+        keypair = daemon.witness.keypair
+        daemon.close_store()
+
+    group = keypair.group
+    nonce_commitments = {
+        pow(group.g, sig.s, group.p) * pow(keypair.public, group.q - sig.e, group.p) % group.p
+        for sig in signatures
+    }
+    assert len(nonce_commitments) == 2
+    first, second = signatures
+    extracted = (first.s - second.s) * pow(first.e - second.e, -1, group.q) % group.q
+    assert extracted != keypair.secret
+
+
+# ----------------------------------------------------------------------
+# OS processes: a witness killed after countersigning, then restarted
+# ----------------------------------------------------------------------
+def _serve(directory, name, *extra, stdout=subprocess.DEVNULL):
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--dir", str(directory), "--name", name, *extra],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+    )
+
+
+def test_a_killed_witness_remembers_what_it_signed(tmp_path):
+    """The demo's scenario over three processes, its witness on a state
+    dir and SIGKILLed once ``witness/sign`` has answered the payment.
+    Restarted on the same dir, it says what recovery did, still refuses
+    the colluder's replay with an extraction that opens ``A``, and the
+    storefront's deposit is credited exactly once — so no witness signed
+    twice, and none can be slashed."""
+    directory = tmp_path / "dep"
+    config = write_deployment(directory, seed=31)
+    witness_args = ("--state-dir", str(tmp_path / "witness-state"))
+    processes = {
+        BROKER: _serve(directory, BROKER),
+        WITNESS: _serve(directory, WITNESS, *witness_args),
+        MERCHANT: _serve(directory, MERCHANT),
+    }
+    system = config.build_system()
+    transport = SocketTransport(
+        load_identity(directory, CLIENT),
+        load_authorized(directory),
+        config.netmap(),
+        connect_attempts=60,
+        connect_backoff=BackoffPolicy(base=0.1, factor=1.25, max_delay=1.0),
+    )
+
+    async def restart_witness():
+        processes[WITNESS].send_signal(signal.SIGKILL)
+        await asyncio.to_thread(processes[WITNESS].communicate, None, 30.0)
+        processes[WITNESS] = _serve(directory, WITNESS, *witness_args, stdout=subprocess.PIPE)
+        lines = [
+            (await asyncio.to_thread(processes[WITNESS].stdout.readline)).decode()
+            for _ in range(2)
+        ]
+        # This client's connection died with the witness: a call racing
+        # the loss is told so, the next one reconnects.
+        with contextlib.suppress(ServiceUnavailableError):
+            await transport.call(WITNESS, "admin/ping", {}, timeout=60.0)
+        return lines, await transport.call(WITNESS, "admin/stats", {})
+
+    async def run():
+        """The scenario's steps as ``run_on_sockets`` runs them, with the
+        witness killed and restarted right after the payment step."""
+        steps = scenario(system, system.new_client())
+        results: list = []
+        try:
+            while True:
+                try:
+                    second, source, flow = steps.send(results[-1] if results else None)
+                except StopIteration as stop:
+                    outcomes = stop.value
+                    break
+                for name in DAEMONS:
+                    await transport.call(name, "admin/clock", {"now": second}, timeout=60.0)
+                if source == CLIENT:
+                    results.append(await transport.run_flow(source, flow))
+                else:
+                    flow.close()
+                    reply = await transport.call(source, "admin/deposit", {})
+                    results.append([reply[f"r{i}"] for i in range(registry.as_int(reply["count"]))])
+                if len(results) == 2:  # paid: witness/sign has answered
+                    books = read_books(await transport.call(WITNESS, "admin/stats", {}))
+                    assert [m for m, _, _ in books["rpc"]] == ["witness/commit", "witness/sign"]
+                    lines, stats = await restart_witness()
+            again = await transport.call(MERCHANT, "admin/deposit", {})
+            for name in DAEMONS:
+                await transport.call(name, "admin/shutdown", {})
+            return lines, stats, outcomes, again
+        finally:
+            await transport.close()
+
+    try:
+        (recovered, listening), stats, outcomes, again = asyncio.run(run())
+        errors = {name: process.communicate(timeout=30.0)[1] for name, process in processes.items()}
+    finally:
+        for process in processes.values():
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+            if process.stdout is not None:
+                process.stdout.close()
+
+    line = re.fullmatch(
+        rf"{WITNESS} recovered state: 0 snapshot record\(s\), (\d+) journal "
+        r"record\(s\) replayed, 0 torn byte\(s\) truncated, 0 uncommitted "
+        r"record\(s\) discarded, replay \d+\.\d ms\n",
+        recovered,
+    )
+    assert line is not None and int(line.group(1)) > 0, recovered
+    assert listening.startswith(f"{WITNESS} listening on ")
+    assert registry.as_int(stats["recovery"]["replayed"]) == int(line.group(1))
+    assert outcomes == run_on_sim(config.build_system())["outcomes"]
+    assert outcomes["double_spend_refused"] is True
+    assert outcomes["deposited"] == {"count": 1, "outcome": "credited", "amount": 25}
+    assert registry.as_int(again["count"]) == 0
+    assert errors == {name: b"" for name in processes}
 
 
 def _stats_after_bind(daemon):

@@ -3,7 +3,7 @@
 One fresh interpreter per role builds the daemon the way ``repro serve``
 does and prints ``sorted(sys.modules)``. The simulator, the fault
 injector, the extension protocols, the linter and the experiment
-packages must not be there, and only a broker given a state dir may have
+packages must not be there, and only a daemon given a state dir may have
 loaded the store, its record hooks and ``sqlite3``. How long start-up
 takes is ``bench/run.py``'s ``setup_s`` / ``recover_s``.
 """
@@ -62,9 +62,18 @@ def modules_of(deployment_dir, name, state_dir=""):
         (BROKER, "BrokerDaemon", False),
         (BROKER, "BrokerDaemon", True),
         (WITNESS, "WitnessDaemon", False),
+        (WITNESS, "WitnessDaemon", True),
         (MERCHANT, "MerchantDaemon", False),
+        (MERCHANT, "MerchantDaemon", True),
     ],
-    ids=["memory-broker", "durable-broker", "witness", "storefront"],
+    ids=[
+        "memory-broker",
+        "durable-broker",
+        "witness",
+        "durable-witness",
+        "storefront",
+        "durable-storefront",
+    ],
 )
 def test_role_imports_only_what_it_runs(deployment_dir, tmp_path, name, daemon, durable):
     built = modules_of(deployment_dir, name, tmp_path / "state" if durable else "")
