@@ -30,7 +30,7 @@ if TYPE_CHECKING:
         measure_message_rounds,
         run_payment_trials,
     )
-    from repro.analysis.stats import Summary, mean, percentile, stdev
+    from repro.analysis.stats import Summary, mean, stdev
     from repro.analysis.tables import render_table
 
 __getattr__, __dir__ = lazy_exports(
@@ -44,7 +44,7 @@ __getattr__, __dir__ = lazy_exports(
             "PAPER_ROUNDS", "PAPER_TABLE2", "Table2Result", "ad_comparison",
             "compute_vs_network", "measure_message_rounds", "run_payment_trials",
         ),
-        "repro.analysis.stats": ("Summary", "mean", "percentile", "stdev"),
+        "repro.analysis.stats": ("Summary", "mean", "stdev"),
         "repro.analysis.tables": ("render_table",),
     },
 )
@@ -64,7 +64,6 @@ __all__ = [
     "run_payment_trials",
     "Summary",
     "mean",
-    "percentile",
     "stdev",
     "render_table",
 ]

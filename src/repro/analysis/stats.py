@@ -1,8 +1,7 @@
 """Small statistics helpers for the benchmark harnesses.
 
 Standard-library only; the benchmarks report the same aggregates the paper
-does (mean and standard deviation over trials), plus percentiles for the
-latency-distribution ablations.
+does (mean and standard deviation over trials).
 """
 
 from __future__ import annotations
@@ -29,26 +28,6 @@ def stdev(values: Sequence[float]) -> float:
         return 0.0
     mu = mean(values)
     return math.sqrt(sum((v - mu) ** 2 for v in values) / (len(values) - 1))
-
-
-def percentile(values: Sequence[float], p: float) -> float:
-    """Linear-interpolated percentile, ``p`` in [0, 100].
-
-    Raises:
-        ValueError: empty input or ``p`` out of range.
-    """
-    if not values:
-        raise ValueError("percentile of empty sequence")
-    if not 0 <= p <= 100:
-        raise ValueError("percentile must be in [0, 100]")
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (p / 100) * (len(ordered) - 1)
-    low = int(rank)
-    high = min(low + 1, len(ordered) - 1)
-    fraction = rank - low
-    return ordered[low] * (1 - fraction) + ordered[high] * fraction
 
 
 @dataclass(frozen=True)
@@ -83,4 +62,4 @@ class Summary:
         return f"avg {self.mean:.0f}ms, st.dev {self.stdev:.0f}ms (n={self.n})"
 
 
-__all__ = ["mean", "stdev", "percentile", "Summary"]
+__all__ = ["mean", "stdev", "Summary"]

@@ -3,7 +3,8 @@
 The subsystem has three parts:
 
 * :class:`~repro.obs.registry.MetricsRegistry` — named counters, gauges
-  and streaming histograms (p50/p95/p99 without storing samples);
+  and streaming histograms (p50/p90/p95/p99: exact below 128 samples,
+  P² above, so a long stream stores no samples);
 * :class:`~repro.obs.tracer.Tracer` — nested protocol spans (withdrawal →
   payment → witness-sign → deposit) on a wall or simulated clock;
 * :mod:`~repro.obs.export` — JSON / Prometheus / console renderings.
@@ -100,8 +101,7 @@ def tracer() -> Tracer:
 
 def reset() -> None:
     """Clear every recorded metric and span (the enabled flag is kept)."""
-    _registry.reset()
-    _tracer.reset()
+    _tracer.reset()  # and the registry its span durations land in
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import re
 
+from repro.obs.histogram import QUANTILES
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import Tracer
 
@@ -59,9 +60,10 @@ def to_prometheus(registry: MetricsRegistry) -> str:
     for key, digest in snapshot["histograms"].items():
         name, labels = _split_key(key)
         declare(name, "summary")
-        for field, quantile in (("p50", "0.5"), ("p95", "0.95"), ("p99", "0.99")):
+        for q in QUANTILES:
+            field = f"p{q * 100:g}"
             if field in digest:
-                extra = 'quantile="%s"' % quantile
+                extra = f'quantile="{q:g}"'
                 lines.append(f"{name}{_merge_labels(labels, extra)} {_fmt(digest[field])}")
         lines.append(f"{name}_sum{labels} {_fmt(digest.get('sum', 0.0))}")
         lines.append(f"{name}_count{labels} {_fmt(digest.get('count', 0))}")
@@ -99,7 +101,7 @@ def render_console(registry: MetricsRegistry, tracer: Tracer | None = None) -> s
             continue
         out.append(
             f"  {key:<44} n={digest['count']:<6.0f} mean={digest['mean']:.3g} "
-            f"p50={digest['p50']:.3g} p95={digest['p95']:.3g} "
+            f"p50={digest['p50']:.3g} p90={digest['p90']:.3g} p95={digest['p95']:.3g} "
             f"p99={digest['p99']:.3g} max={digest['max']:.3g}"
         )
     return "\n".join(out)

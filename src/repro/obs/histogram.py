@@ -1,49 +1,130 @@
-"""Streaming histograms: quantiles without storing every sample.
+"""Streaming histograms: one quantile estimator for every sample stream.
 
-Observations land in exponentially sized buckets (a fixed geometric grid,
-growth factor ``2**0.25``), so a histogram costs O(1) memory per distinct
-magnitude and ``quantile()`` answers p50/p95/p99 by interpolating inside
-the bucket where the requested rank falls. The relative error of any
-quantile is bounded by the bucket width (under 10%), which is plenty for
-latency and hop-count telemetry while never holding sample arrays.
+Exact below :data:`EXACT_LIMIT` samples, P² above. While a stream is
+short the histogram keeps its samples and answers each tracked quantile
+by nearest rank (``ordered[ceil(q·n) − 1]``). The sample past the limit
+replays the kept samples, in arrival order, into one P² estimator per
+quantile (Jain & Chlamtac, CACM 1985: five markers nudged by
+piecewise-parabolic interpolation) and drops them, so a long stream
+costs O(1) memory and O(1) time per observation.
 
 Exact ``count``/``sum``/``min``/``max`` are tracked alongside, so means
-are exact even though quantiles are approximate.
+are exact even where quantiles are estimates.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import threading
 
-#: Geometric bucket growth factor; quantile relative error < growth - 1.
-GROWTH = 2.0 ** 0.25
-_LOG_GROWTH = math.log(GROWTH)
+#: The quantiles every histogram tracks; ``summary()`` names them p50/p90/p95/p99.
+QUANTILES = (0.5, 0.9, 0.95, 0.99)
+
+#: Streams of at most this many samples get exact quantiles. P² starts its
+#: middle marker at the median of the first five samples, so on a few dozen
+#: samples its tail markers have barely moved and p90 can equal p99; 128
+#: floats per histogram is cheap. It must stay below 183, the length of the
+#: 48-node campaign's digested hop and live-fraction streams, whose pinned
+#: digest is made of P² estimates.
+EXACT_LIMIT = 128
 
 
-def bucket_index(value: float) -> int:
-    """Map a positive value onto the geometric bucket grid.
+class _P2:
+    """The P² single-quantile estimator (Jain & Chlamtac, 1985).
 
-    Bucket ``i`` covers ``(GROWTH**(i-1), GROWTH**i]``; values at or below
-    zero share a single underflow bucket (see :class:`StreamingHistogram`).
+    Five markers track the minimum, the target quantile, the maximum and
+    two intermediates; marker heights are nudged by piecewise-parabolic
+    (falling back to linear) interpolation as desired positions drift.
     """
-    return math.ceil(math.log(value) / _LOG_GROWTH - 1e-9)
+
+    def __init__(self, q: float) -> None:
+        self.q = q
+        self._initial: list[float] = []
+        self._heights: list[float] = []
+        self._positions: list[float] = []
+        self._desired: list[float] = []
+        self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
+
+    def add(self, value: float) -> None:
+        """Absorb one observation in O(1)."""
+        if not self._heights:
+            bisect.insort(self._initial, value)
+            if len(self._initial) == 5:
+                self._heights = list(self._initial)
+                self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
+                self._desired = [
+                    1.0,
+                    1.0 + 2.0 * self.q,
+                    1.0 + 4.0 * self.q,
+                    3.0 + 2.0 * self.q,
+                    5.0,
+                ]
+            return
+        heights, positions = self._heights, self._positions
+        if value < heights[0]:
+            heights[0] = value
+            cell = 0
+        elif value >= heights[4]:
+            heights[4] = value
+            cell = 3
+        else:
+            cell = 0
+            while cell < 3 and value >= heights[cell + 1]:
+                cell += 1
+        for index in range(cell + 1, 5):
+            positions[index] += 1.0
+        for index in range(5):
+            self._desired[index] += self._increments[index]
+        for index in (1, 2, 3):
+            drift = self._desired[index] - positions[index]
+            step_up = positions[index + 1] - positions[index]
+            step_down = positions[index - 1] - positions[index]
+            if (drift >= 1.0 and step_up > 1.0) or (drift <= -1.0 and step_down < -1.0):
+                sign = 1.0 if drift >= 1.0 else -1.0
+                candidate = self._parabolic(index, sign)
+                if heights[index - 1] < candidate < heights[index + 1]:
+                    heights[index] = candidate
+                else:
+                    heights[index] = self._linear(index, sign)
+                positions[index] += sign
+
+    def _parabolic(self, index: int, sign: float) -> float:
+        heights, positions = self._heights, self._positions
+        span = positions[index + 1] - positions[index - 1]
+        upper = (positions[index] - positions[index - 1] + sign) * (
+            heights[index + 1] - heights[index]
+        ) / (positions[index + 1] - positions[index])
+        lower = (positions[index + 1] - positions[index] - sign) * (
+            heights[index] - heights[index - 1]
+        ) / (positions[index] - positions[index - 1])
+        return heights[index] + sign / span * (upper + lower)
+
+    def _linear(self, index: int, sign: float) -> float:
+        heights, positions = self._heights, self._positions
+        step = int(sign)
+        return heights[index] + sign * (heights[index + step] - heights[index]) / (
+            positions[index + step] - positions[index]
+        )
+
+    def value(self) -> float:
+        """The current estimate (the middle marker; needs five observations)."""
+        return self._heights[2]
 
 
 class StreamingHistogram:
-    """A fixed-memory histogram with approximate quantiles.
+    """A histogram with exact short-stream and P² long-stream quantiles.
 
-    Thread-safe: every mutation happens under an internal lock. Negative
-    and zero observations are legal (they land in one underflow bucket and
-    are reported exactly through ``min``).
+    Thread-safe: every mutation happens under an internal lock. Zero and
+    negative observations are legal.
     """
 
-    __slots__ = ("_lock", "_buckets", "_underflow", "count", "total", "minimum", "maximum")
+    __slots__ = ("_lock", "_samples", "_markers", "count", "total", "minimum", "maximum")
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._buckets: dict[int, int] = {}
-        self._underflow = 0
+        self._samples: list[float] | None = []
+        self._markers: list[_P2] = []
         self.count = 0
         self.total = 0.0
         self.minimum = math.inf
@@ -59,11 +140,17 @@ class StreamingHistogram:
                 self.minimum = value
             if value > self.maximum:
                 self.maximum = value
-            if value <= 0.0:
-                self._underflow += 1
-            else:
-                index = bucket_index(value)
-                self._buckets[index] = self._buckets.get(index, 0) + 1
+            if self._samples is None:
+                for marker in self._markers:
+                    marker.add(value)
+                return
+            self._samples.append(value)
+            if len(self._samples) > EXACT_LIMIT:
+                self._markers = [_P2(q) for q in QUANTILES]
+                for marker in self._markers:
+                    for sample in self._samples:
+                        marker.add(sample)
+                self._samples = None
 
     @property
     def mean(self) -> float:
@@ -71,36 +158,26 @@ class StreamingHistogram:
         return self.total / self.count if self.count else 0.0
 
     def quantile(self, q: float) -> float:
-        """Approximate the ``q``-quantile, ``q`` in [0, 1].
-
-        Returns 0.0 on an empty histogram. The answer is clamped to the
-        exact observed ``[min, max]`` envelope.
+        """The ``q``-quantile for ``q`` in :data:`QUANTILES` (0.0 when empty).
 
         Raises:
-            ValueError: ``q`` outside [0, 1].
+            ValueError: ``q`` is not a tracked quantile.
         """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be in [0, 1]")
-        with self._lock:
-            if self.count == 0:
-                return 0.0
-            rank = q * self.count
-            cumulative = self._underflow
-            if rank <= cumulative:
-                return self.minimum
-            for index in sorted(self._buckets):
-                in_bucket = self._buckets[index]
-                if rank <= cumulative + in_bucket:
-                    low = GROWTH ** (index - 1)
-                    high = GROWTH ** index
-                    fraction = (rank - cumulative) / in_bucket
-                    estimate = low + (high - low) * fraction
-                    return min(max(estimate, self.minimum), self.maximum)
-                cumulative += in_bucket
-            return self.maximum
+        if q not in QUANTILES:
+            raise ValueError(f"quantile must be one of {QUANTILES}")
+        return self._estimates()[QUANTILES.index(q)]
 
-    def summary(self, quantiles: tuple[float, ...] = (0.5, 0.95, 0.99)) -> dict[str, float]:
-        """A plain-dict digest: count, sum, mean, min, max and quantiles."""
+    def _estimates(self) -> list[float]:
+        with self._lock:
+            if self._samples is None:
+                return [marker.value() for marker in self._markers]
+            ordered = sorted(self._samples)
+        if not ordered:
+            return [0.0] * len(QUANTILES)
+        return [ordered[math.ceil(q * len(ordered) - 1e-9) - 1] for q in QUANTILES]
+
+    def summary(self) -> dict[str, float]:
+        """A plain-dict digest: count, sum, mean, min, max, p50, p90, p95, p99."""
         if self.count == 0:
             return {"count": 0, "sum": 0.0}
         digest: dict[str, float] = {
@@ -110,9 +187,9 @@ class StreamingHistogram:
             "min": self.minimum,
             "max": self.maximum,
         }
-        for q in quantiles:
-            digest[f"p{q * 100:g}"] = self.quantile(q)
+        for q, estimate in zip(QUANTILES, self._estimates()):
+            digest[f"p{q * 100:g}"] = estimate
         return digest
 
 
-__all__ = ["GROWTH", "StreamingHistogram", "bucket_index"]
+__all__ = ["EXACT_LIMIT", "QUANTILES", "StreamingHistogram"]

@@ -23,6 +23,8 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.obs.registry import MetricsRegistry
+
 Clock = Callable[[], float]
 
 _CURRENT: ContextVar[tuple[int, int] | None] = ContextVar("obs_current_span", default=None)
@@ -118,21 +120,23 @@ class Tracer:
 
     Args:
         clock: default timestamp source (``time.perf_counter``).
-        registry: optional :class:`~repro.obs.registry.MetricsRegistry`;
-            when set, every finished span also lands in the
-            ``span_duration_seconds{span=...}`` histogram there.
+        registry: the :class:`~repro.obs.registry.MetricsRegistry` whose
+            ``span_duration_seconds{span=...}`` histograms receive every
+            finished span (a private one when omitted); :meth:`summary`
+            aggregates from them.
         max_spans: retention cap on individual span records; durations
             keep aggregating past the cap, but the per-span list stops
             growing (bounded memory on long runs).
     """
 
-    def __init__(self, clock: Clock = time.perf_counter, registry=None,
-                 max_spans: int = 10_000) -> None:
+    def __init__(self, clock: Clock = time.perf_counter,
+                 registry: MetricsRegistry | None = None, max_spans: int = 10_000) -> None:
         self.clock = clock
-        self.registry = registry
+        self.registry = registry if registry is not None else MetricsRegistry()
         self.max_spans = max_spans
         self.dropped = 0
         self.finished: list[SpanRecord] = []
+        self._span_names: set[str] = set()
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
 
@@ -149,48 +153,46 @@ class Tracer:
                 self.finished.append(record)
             else:
                 self.dropped += 1
-        if self.registry is not None:
-            self.registry.histogram("span_duration_seconds", span=record.name).observe(
-                record.duration
-            )
+            self._span_names.add(record.name)
+        self.registry.histogram("span_duration_seconds", span=record.name).observe(
+            record.duration
+        )
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def durations_by_name(self) -> dict[str, list[float]]:
-        """Span durations grouped by span name (retained records only)."""
-        grouped: dict[str, list[float]] = {}
-        with self._lock:
-            records = list(self.finished)
-        for record in records:
-            grouped.setdefault(record.name, []).append(record.duration)
-        return grouped
-
     def children_of(self, span_id: int) -> list[SpanRecord]:
         """Finished direct children of the given span."""
         with self._lock:
             return [record for record in self.finished if record.parent_id == span_id]
 
     def summary(self) -> dict[str, object]:
-        """JSON-ready digest: per-name counts and duration aggregates."""
+        """JSON-ready digest: per-name counts and duration aggregates.
+
+        ``by_name`` covers every finished span, retained or dropped.
+        """
+        with self._lock:
+            span_names = sorted(self._span_names)
         names: dict[str, dict[str, float]] = {}
-        for name, durations in sorted(self.durations_by_name().items()):
-            ordered = sorted(durations)
+        for name in span_names:
+            digest = self.registry.histogram("span_duration_seconds", span=name).summary()
             names[name] = {
-                "count": len(ordered),
-                "total": sum(ordered),
-                "mean": sum(ordered) / len(ordered),
-                "min": ordered[0],
-                "max": ordered[-1],
-                "p95": ordered[min(len(ordered) - 1, int(0.95 * len(ordered)))],
+                "count": digest["count"],
+                "total": digest["sum"],
+                "mean": digest["mean"],
+                "min": digest["min"],
+                "max": digest["max"],
+                "p95": digest["p95"],
             }
         return {"span_count": len(self.finished), "dropped": self.dropped, "by_name": names}
 
     def reset(self) -> None:
-        """Forget every finished span."""
+        """Forget every finished span, and every metric of the registry."""
         with self._lock:
             self.finished.clear()
             self.dropped = 0
+            self._span_names.clear()
+        self.registry.reset()
 
 
 __all__ = ["ActiveSpan", "SpanRecord", "Tracer"]

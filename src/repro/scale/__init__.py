@@ -1,10 +1,9 @@
 """The scale engine: seeded campaign workloads for 10k-node overlays.
 
-Three layers, all deterministic under one seed:
+Two layers, all deterministic under one seed (campaign statistics stream
+through :class:`repro.obs.histogram.StreamingHistogram`, so million-event
+campaigns never hold per-sample lists):
 
-* :mod:`repro.scale.stats` — constant-memory streaming estimators
-  (reservoir sampling + P² percentiles) so million-event campaigns never
-  hold per-sample lists;
 * :mod:`repro.scale.workload` — seeded arrival processes (Poisson
   payments, Zipf merchant popularity, renewal storms at expiry
   boundaries) with a byte-identity schedule digest;
@@ -26,7 +25,6 @@ if TYPE_CHECKING:
         results_digest,
         run_campaign,
     )
-    from repro.scale.stats import P2Quantile, ReservoirSample, StreamingStats
     from repro.scale.workload import (
         Event,
         WorkloadConfig,
@@ -40,7 +38,6 @@ __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "repro.scale.campaign": ("CampaignConfig", "results_digest", "run_campaign"),
-        "repro.scale.stats": ("P2Quantile", "ReservoirSample", "StreamingStats"),
         "repro.scale.workload": (
             "Event", "WorkloadConfig", "ZipfSampler", "event_counts", "generate_events",
             "schedule_digest",
@@ -51,9 +48,6 @@ __getattr__, __dir__ = lazy_exports(
 __all__ = [
     "CampaignConfig",
     "Event",
-    "P2Quantile",
-    "ReservoirSample",
-    "StreamingStats",
     "WorkloadConfig",
     "ZipfSampler",
     "event_counts",

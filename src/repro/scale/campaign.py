@@ -46,7 +46,7 @@ from repro.net.churn import ChurnModel
 from repro.net.costmodel import instant_profile
 from repro.net.services import NetworkDeployment
 from repro.net.sim import SimTimeoutError
-from repro.scale.stats import StreamingStats
+from repro.obs.histogram import StreamingHistogram
 from repro.scale.workload import (
     WorkloadConfig,
     event_counts,
@@ -255,6 +255,17 @@ def _protocol_slice(config: CampaignConfig) -> dict[str, Any]:
     }
 
 
+def _rounded(histogram: StreamingHistogram) -> dict[str, float]:
+    """The digested summary layout: count, then mean/min/max/p50/p90/p99
+    rounded to six places so reports digest byte-identically (all zero
+    when empty)."""
+    summary = histogram.summary()
+    return {"count": histogram.count} | {
+        key: round(summary.get(key, 0.0), 6)
+        for key in ("mean", "min", "max", "p50", "p90", "p99")
+    }
+
+
 def results_digest(results: dict[str, Any]) -> str:
     """sha256 over the canonical JSON of the digested section."""
     canonical = json.dumps(results, sort_keys=True, separators=(",", ":"))
@@ -282,9 +293,9 @@ def run_campaign(
     )
     entries, initial_down = _merged_timeline(config, ring)
 
-    hops = StreamingStats("chord_lookup_hops", seed=config.seed)
-    availability = StreamingStats("live_fraction", seed=config.seed + 1)
-    repair = StreamingStats("repair_ops", seed=config.seed + 2)
+    hops = StreamingHistogram()
+    availability = StreamingHistogram()
+    repair = StreamingHistogram()
     lookup_rng = random.Random(f"campaign:lookups:{config.seed}")
     bytes_by_node: dict[str, int] = {}
     counts = {"joins": 0, "leaves": 0, "flips": 0, "records_moved": 0}
@@ -309,7 +320,7 @@ def run_campaign(
                 ops = ring.join(f"peer-x{joined:05d}")
                 joined += 1
                 counts["joins"] += 1
-                repair.add(ops)
+                repair.observe(ops)
             else:
                 if len(ring.nodes) <= floor:
                     continue
@@ -318,7 +329,7 @@ def run_campaign(
                 ops, moved = ring.leave(victim_name)
                 counts["leaves"] += 1
                 counts["records_moved"] += moved
-                repair.add(ops)
+                repair.observe(ops)
                 moved_bytes = bytes_by_node.pop(victim_name, 0)
                 rebalance_bytes += moved_bytes
                 if moved_bytes:
@@ -330,7 +341,7 @@ def run_campaign(
             event = payload[1]
             events_by_kind[event.kind] = events_by_kind.get(event.kind, 0) + 1
             obs.counter_inc("campaign_events_total", kind=event.kind)
-            availability.add(ring.live_count / len(ring.nodes))
+            availability.observe(ring.live_count / len(ring.nodes))
             key = chord_id(f"{event.kind}:{event.seq}:{event.actor}")
             index = lookup_rng.randrange(len(ring.nodes))
             start = None
@@ -348,7 +359,7 @@ def run_campaign(
                 failed_lookups += 1
                 continue
             lookups += 1
-            hops.add(result.hops)
+            hops.observe(result.hops)
             if ring._successor_of(key).up:
                 home_up += 1
             if event.kind == "pay":
@@ -363,7 +374,7 @@ def run_campaign(
     hop_bound = round(
         0.5 * math.log2(max(2, config.nodes)) + HOP_BOUND_CONSTANT, 6
     )
-    hop_summary = hops.summary()
+    hop_summary = _rounded(hops)
     results: dict[str, Any] = {
         "workload": {
             "events": event_counts(schedule),
@@ -378,7 +389,7 @@ def run_campaign(
             "home_owner_up_ratio": round(home_up / lookups, 6) if lookups else 0.0,
         },
         "availability": {
-            "live_fraction": availability.summary(),
+            "live_fraction": _rounded(availability),
             "initially_down": initial_down,
             "flips": counts["flips"],
         },
@@ -412,7 +423,7 @@ def run_campaign(
             "table_builds": ring.table_builds,
             "full_rebuilds_after_bootstrap": ring.table_builds - 1,
             "ring_repair_ops_total": ring.repair_ops,
-            "repair_ops_per_event": repair.summary(),
+            "repair_ops_per_event": _rounded(repair),
             "wall_seconds": round(time.perf_counter() - started, 3),
         },
     }

@@ -15,7 +15,7 @@ from repro.analysis.payment_bench import (
     measure_message_rounds,
     run_payment_trials,
 )
-from repro.analysis.stats import Summary, mean, percentile, stdev
+from repro.analysis.stats import Summary, mean, stdev
 from repro.analysis.tables import render_table
 from repro.core.params import test_params as make_test_params
 
@@ -27,16 +27,6 @@ class TestStats:
         assert stdev([5.0]) == 0.0
         with pytest.raises(ValueError):
             mean([])
-
-    def test_percentile(self):
-        values = [1.0, 2.0, 3.0, 4.0]
-        assert percentile(values, 0) == 1.0
-        assert percentile(values, 100) == 4.0
-        assert percentile(values, 50) == 2.5
-        with pytest.raises(ValueError):
-            percentile([], 50)
-        with pytest.raises(ValueError):
-            percentile(values, 101)
 
     def test_summary(self):
         summary = Summary.of([10.0, 20.0, 30.0])

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.stats import Summary, mean, percentile, stdev
+from repro.analysis.stats import Summary, mean, stdev
 
 
 def test_mean_empty_raises():
@@ -28,43 +28,6 @@ def test_stdev_two_elements():
 
 def test_stdev_order_independent():
     assert stdev([3.0, 1.0, 2.0]) == pytest.approx(stdev([1.0, 2.0, 3.0]))
-
-
-def test_percentile_empty_raises():
-    with pytest.raises(ValueError):
-        percentile([], 50)
-
-
-def test_percentile_out_of_range_raises():
-    with pytest.raises(ValueError):
-        percentile([1.0], -0.1)
-    with pytest.raises(ValueError):
-        percentile([1.0], 100.1)
-
-
-def test_percentile_single_element_any_p():
-    for p in (0, 50, 100):
-        assert percentile([42.0], p) == 42.0
-
-
-def test_percentile_sorts_internally():
-    unsorted = [5.0, 1.0, 4.0, 2.0, 3.0]
-    assert percentile(unsorted, 0) == 1.0
-    assert percentile(unsorted, 100) == 5.0
-    assert percentile(unsorted, 50) == 3.0
-    # Input must not be mutated.
-    assert unsorted == [5.0, 1.0, 4.0, 2.0, 3.0]
-
-
-def test_percentile_interpolates_between_ranks():
-    assert percentile([10.0, 20.0], 25) == pytest.approx(12.5)
-    assert percentile([1.0, 2.0, 3.0, 4.0], 50) == pytest.approx(2.5)
-
-
-def test_percentile_boundary_p_values():
-    values = [9.0, 7.0, 8.0]
-    assert percentile(values, 0) == 7.0
-    assert percentile(values, 100) == 9.0
 
 
 def test_summary_empty_raises():

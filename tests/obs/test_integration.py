@@ -51,8 +51,8 @@ def test_lifecycle_records_protocol_spans_and_counters(system):
     registry = obs.registry()
     for protocol in ("withdrawal", "payment", "deposit"):
         assert registry.counter_value("protocol_runs_total", protocol=protocol) == 1.0
-    durations = obs.tracer().durations_by_name()
-    assert {"protocol.withdrawal", "protocol.payment", "protocol.deposit"} <= set(durations)
+    spans = obs.tracer().summary()["by_name"]
+    assert {"protocol.withdrawal", "protocol.payment", "protocol.deposit"} <= set(spans)
     # The witness-sign leg nests inside the payment span.
     payment = next(r for r in obs.tracer().finished if r.name == "protocol.payment")
     child_names = {r.name for r in obs.tracer().children_of(payment.span_id)}

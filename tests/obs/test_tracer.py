@@ -100,6 +100,8 @@ def test_retention_cap_counts_dropped():
     assert tracer.dropped == 2
     digest = tracer.summary()
     assert digest["span_count"] == 3 and digest["dropped"] == 2
+    # Durations aggregate past the cap: every finished span, not the retained three.
+    assert digest["by_name"]["tick"]["count"] == 5
 
 
 def test_summary_aggregates_by_name():
@@ -121,3 +123,4 @@ def test_reset_clears_records():
         pass
     tracer.reset()
     assert tracer.finished == [] and tracer.dropped == 0
+    assert tracer.summary()["by_name"] == {}

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.net.chord import ChordRing
+from repro.obs.histogram import StreamingHistogram
 from repro.scale import CampaignConfig, campaign, results_digest, run_campaign
 
 SMALL = CampaignConfig(seed=2026, nodes=64, duration=8.0)
@@ -114,6 +115,18 @@ class TestSafetyAndShape:
         availability = small_report["results"]["availability"]
         assert availability["live_fraction"]["count"] > 0
         assert availability["live_fraction"]["min"] <= 1.0
+
+    def test_short_repair_stream_reports_exact_tail(self, small_report):
+        """Five repair costs are under the exact limit: nearest rank, so
+        the tail quantiles reach the largest cost."""
+        repair = small_report["engine"]["repair_ops_per_event"]
+        assert repair["p90"] == repair["p99"] == repair["max"] == 157.0
+
+    def test_empty_summary_is_all_zero(self):
+        assert campaign._rounded(StreamingHistogram()) == {
+            "count": 0, "mean": 0.0, "min": 0.0, "max": 0.0,
+            "p50": 0.0, "p90": 0.0, "p99": 0.0,
+        }
 
     def test_workload_digest_present(self, small_report):
         workload = small_report["results"]["workload"]
