@@ -762,8 +762,9 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--program",
         action="store_true",
-        help="run the whole-program analyses (wire-schema, journal-first, "
-        "async-safety, exception-wire) instead of the per-file rules",
+        help="run the whole-program analyses (wire-schema method coverage, "
+        "journal-first, async-safety, exception-wire) instead of the per-file "
+        "rules; message keys are declared in net/registry.WIRE_SCHEMA",
     )
     lint.add_argument(
         "--changed",

@@ -9,6 +9,7 @@ witness-range entry of the merchant whose range contains ``h(bare coin)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro import perf
 from repro.core.exceptions import ExpiredCoinError, InvalidCoinError
@@ -18,7 +19,7 @@ from repro.core.witness_ranges import SignedWitnessEntry
 from repro.crypto import blind
 from repro.crypto.blind import PartiallyBlindSignature
 from repro.crypto.hashing import HashInput
-from repro.crypto.serialize import WireFields, as_int
+from repro.crypto.serialize import WireFields, as_int, nest_keys
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,13 @@ class BareCoin:
             )
 
         return bool(perf.verify_memo("coin-signature", key, compute, exp=4, hash=2))
+
+    #: The keys :meth:`to_wire` writes.
+    WIRE_KEYS: ClassVar[frozenset[str]] = (
+        nest_keys("sig", ("rho", "omega", "sigma", "delta"))
+        | nest_keys("info", CoinInfo.WIRE_KEYS)
+        | {"A", "B"}
+    )
 
     def to_wire(self) -> dict[str, object]:
         """Serialize for URI transfer."""
@@ -172,6 +180,11 @@ class Coin:
         """
         if not self.bare.verify_signature(params, broker_blind_public):
             raise InvalidCoinError("broker's partially blind signature failed to verify")
+
+    #: The keys :meth:`to_wire` writes.
+    WIRE_KEYS: ClassVar[frozenset[str]] = nest_keys("bare", BareCoin.WIRE_KEYS) | nest_keys(
+        "witness", SignedWitnessEntry.WIRE_KEYS
+    )
 
     def to_wire(self) -> dict[str, object]:
         """Serialize for URI transfer."""

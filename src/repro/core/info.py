@@ -12,6 +12,7 @@ clock.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.crypto.hashing import HashInput
 from repro.crypto.serialize import WireFields, as_int, int_to_text
@@ -70,6 +71,11 @@ class CoinInfo:
     def is_void(self, now: int) -> bool:
         """True iff the coin is completely void (past the hard date)."""
         return now >= self.hard_expiry
+
+    #: The keys :meth:`to_wire` writes.
+    WIRE_KEYS: ClassVar[frozenset[str]] = frozenset(
+        {"denomination", "list_version", "soft_expiry", "hard_expiry"}
+    )
 
     def to_wire(self) -> dict[str, object]:
         """Serialize for URI transfer."""

@@ -10,6 +10,7 @@ exactly how the per-party hash counts of Table 1 come out.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro import perf
 from repro.core.coin import Coin
@@ -23,7 +24,7 @@ from repro.crypto.representation import (
     verify_response,
 )
 from repro.crypto.schnorr import SchnorrSignature, verify as schnorr_verify
-from repro.crypto.serialize import WireFields, as_int, as_text
+from repro.crypto.serialize import WireFields, as_int, as_text, nest_keys
 
 
 def payment_nonce(params: SystemParams, salt: int, merchant_id: str) -> int:
@@ -42,6 +43,9 @@ class CommitmentRequest:
 
     coin_hash: int
     nonce: int
+
+    #: The keys :meth:`to_wire` writes.
+    WIRE_KEYS: ClassVar[frozenset[str]] = frozenset({"coin_hash", "nonce"})
 
     def to_wire(self) -> dict[str, object]:
         """Serialize for URI transfer."""
@@ -108,6 +112,11 @@ class WitnessCommitment:
             )
         )
 
+    #: The keys :meth:`to_wire` writes.
+    WIRE_KEYS: ClassVar[frozenset[str]] = frozenset(
+        {"witness_id", "coin_hash", "nonce", "v_hash", "expires_at", "sig_e", "sig_s"}
+    )
+
     def to_wire(self) -> dict[str, object]:
         """Serialize for URI transfer."""
         return {
@@ -166,6 +175,15 @@ class PaymentTranscript:
             self.salt,
         )
 
+    #: The keys :meth:`to_wire` writes.
+    WIRE_KEYS: ClassVar[frozenset[str]] = nest_keys("coin", Coin.WIRE_KEYS) | {
+        "r1",
+        "r2",
+        "merchant_id",
+        "timestamp",
+        "salt",
+    }
+
     def to_wire(self) -> dict[str, object]:
         """Serialize for URI transfer."""
         return {
@@ -221,6 +239,11 @@ class SignedTranscript:
             )
         )
 
+    #: The keys :meth:`to_wire` writes.
+    WIRE_KEYS: ClassVar[frozenset[str]] = nest_keys(
+        "transcript", PaymentTranscript.WIRE_KEYS
+    ) | {"wsig_e", "wsig_s"}
+
     def to_wire(self) -> dict[str, object]:
         """Serialize for URI transfer."""
         return {
@@ -273,6 +296,14 @@ class DoubleSpendProof:
     def from_secrets(cls, coin_hash: int, secrets: RepresentationPair) -> "DoubleSpendProof":
         """Build a proof revealing both representations."""
         return cls(coin_hash=coin_hash, x=secrets.x, y=secrets.y)
+
+    #: The keys :meth:`to_wire` always writes, and the pairs it adds one
+    #: each per revealed representation (``x``, ``y``), whole or not at all.
+    WIRE_KEYS: ClassVar[frozenset[str]] = frozenset({"coin_hash"})
+    WIRE_PAIRS: ClassVar[tuple[frozenset[str], ...]] = (
+        frozenset({"x1", "x2"}),
+        frozenset({"y1", "y2"}),
+    )
 
     def to_wire(self) -> dict[str, object]:
         """Serialize for URI transfer (absent parts encode as empty)."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 import bisect
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import ClassVar, Iterable, Mapping
 
 from repro import perf
 from repro.core.exceptions import WrongWitnessError
@@ -88,6 +88,11 @@ class SignedWitnessEntry:
             ),
             ver=1,
         )
+
+    #: The keys :meth:`to_wire` writes.
+    WIRE_KEYS: ClassVar[frozenset[str]] = frozenset(
+        {"version", "merchant_id", "low", "high", "sig_e", "sig_s"}
+    )
 
     def to_wire(self) -> dict[str, object]:
         """Serialize for URI transfer (attached to every full coin)."""

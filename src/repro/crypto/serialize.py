@@ -27,9 +27,11 @@ from __future__ import annotations
 
 import re
 from binascii import a2b_base64, b2a_base64
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from typing import Any
 from urllib.parse import quote, unquote
+
+from repro.core.exceptions import ProtocolViolationError
 
 WireValue = int | str
 WireMapping = dict[str, WireValue]
@@ -388,32 +390,62 @@ def pack_batch(
 
 
 def split_batch(
-    flat: Mapping[str, WireValue], group: str, prefix: str
+    flat: Mapping[str, WireValue],
+    group: str,
+    prefix: str,
+    shapes: Collection[frozenset[str]] | None = None,
 ) -> list[tuple[int, dict[str, str]]]:
     """Recover the items of a :func:`pack_batch` group in one pass.
 
     Args:
         flat: a flattened (dotted-key) message mapping.
-        group: the field the batch was nested under (e.g. ``"batch"``).
+        group: the field the batch was nested under (e.g. ``"batch"``;
+            ``""`` when the items sit at the top level).
         prefix: the per-item key prefix (e.g. ``"t"``).
+        shapes: the key sets an item may carry, or ``None`` for any.
 
     Returns:
-        ``(index, fields)`` per item, sorted by index: the item's keys
+        ``(index, fields)`` per item, in index order: the item's keys
         with the ``{group}.{prefix}N.`` lead removed and its values as
-        wire text (what ``from_wire`` takes). Keys whose index is not
-        numeric are ignored.
+        wire text (what ``from_wire`` takes). An item that is a single
+        value (``es.e0``) has one field, named ``""``.
+
+    Raises:
+        ProtocolViolationError: the indices are not ``0`` .. ``n-1``,
+            each spelled once as :func:`pack_batch` spells it (so ``t1``
+            and ``t01`` cannot merge into one item), or an item's keys
+            are not one of ``shapes``.
     """
-    lead = f"{group}.{prefix}"
-    items: dict[int, dict[str, str]] = {}
+    lead = f"{group}.{prefix}" if group else prefix
+    skip = len(lead)
+    by_head: dict[str, dict[str, str]] = {}
     for key, value in flat.items():
-        if not key.startswith(lead):
-            continue
-        head, _, field = key[len(lead):].partition(".")
-        if head.isdigit() and field:
-            items.setdefault(int(head), {})[field] = (
-                int_to_text(value) if isinstance(value, int) else value
+        if key.startswith(lead):
+            head, _, field = key[skip:].partition(".")
+            fields = by_head.get(head)
+            if fields is None:
+                fields = by_head[head] = {}
+            fields[field] = int_to_text(value) if isinstance(value, int) else value
+    items: list[tuple[int, dict[str, str]]] = []
+    # n distinct heads that include every canonical spelling 0..n-1 are
+    # exactly those spellings: no second walk is needed to refuse "01".
+    for index in range(len(by_head)):
+        fields = by_head.get(str(index))
+        if fields is None:
+            raise ProtocolViolationError(
+                f"indexed group {lead}N must be {lead}0..{lead}{len(by_head) - 1}, "
+                "each index spelled once"
             )
-    return sorted(items.items())
+        if shapes is not None and frozenset(fields) not in shapes:
+            raise ProtocolViolationError(f"{lead}{index} does not carry an item's keys")
+        items.append((index, fields))
+    return items
+
+
+def nest_keys(prefix: str, keys: Iterable[str]) -> frozenset[str]:
+    """The dotted keys ``keys`` become when nested under ``prefix``
+    (``""``: not nested, as in :func:`flatten`)."""
+    return frozenset(f"{prefix}.{key}" if prefix else key for key in keys)
 
 
 __all__ = [
@@ -428,6 +460,7 @@ __all__ = [
     "expand_key",
     "flatten",
     "int_to_text",
+    "nest_keys",
     "nested",
     "pack_batch",
     "split_batch",

@@ -228,11 +228,6 @@ class ProgramConfig:
     opaque_exceptions: frozenset[str] = field(
         default_factory=lambda: OPAQUE_EXCEPTIONS
     )
-    #: (module, constant) of the long->short wire-key abbreviation table.
-    abbreviation_const: tuple[str, str] = (
-        "repro.crypto.serialize",
-        "KEY_ABBREVIATIONS",
-    )
     #: module-level string tuples with this suffix define the RPC method
     #: universe (``BROKER_METHODS`` etc.).
     methods_const_suffix: str = "_METHODS"

@@ -3,12 +3,12 @@
 This subpackage is the second tier of the lint engine: where
 :mod:`repro.lint.rules` checks one file at a time against a shared AST,
 the program tier reduces every module to a :class:`ModuleSummary`
-(defs, classes, attribute writes, wire-key literals, dispatch tables),
+(defs, classes, attribute writes, RPC sends, dispatch tables),
 links the summaries into a :class:`ProgramIndex` and resolved
 :class:`CallGraph`, and runs analyses whose subject is the *protocol* —
 facts no single file can witness:
 
-* ``wire-schema``   — senders and dispatch handlers agree key-by-key;
+* ``wire-schema``   — every protocol method has a handler and a sender;
 * ``journal-first`` — durable state mutates only under journal cover;
 * ``async-safety``  — no blocking call reachable from daemon coroutines;
 * ``exception-wire``— every typed handler error has a rebuild mapping.
@@ -16,12 +16,7 @@ facts no single file can witness:
 Entry point: :func:`run_program` (or ``python -m repro lint --program``).
 """
 
-from .analyses import (
-    ProgramContext,
-    ProgramRule,
-    all_program_rules,
-    patterns_compatible,
-)
+from .analyses import ProgramContext, ProgramRule, all_program_rules
 from .cache import SummaryCache
 from .callgraph import CallGraph, ProgramIndex, ResolvedCall
 from .extract import summarize_source
@@ -36,7 +31,6 @@ from .summary import (
     MutationSite,
     RaiseSite,
     RpcSend,
-    WireKey,
 )
 
 __all__ = [
@@ -56,10 +50,8 @@ __all__ = [
     "ResolvedCall",
     "RpcSend",
     "SummaryCache",
-    "WireKey",
     "all_program_rules",
     "module_name",
-    "patterns_compatible",
     "run_program",
     "select_program_rules",
     "summarize_source",

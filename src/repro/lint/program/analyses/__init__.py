@@ -20,36 +20,6 @@ from repro.lint.findings import Finding, Severity
 from ..callgraph import CallGraph, ProgramIndex, ResolvedCall, protocol_methods
 
 
-def patterns_compatible(a: str, b: str) -> bool:
-    """Whether two ``*``-patterns can match a common key.
-
-    Both sides may contain wildcards (a sender can encode ``batch.t*``
-    while a handler decodes ``batch.t*.coin.*``); ``*`` matches any —
-    possibly empty — run of characters.
-    """
-    memo: dict[tuple[int, int], bool] = {}
-
-    def go(i: int, j: int) -> bool:
-        key = (i, j)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        if i == len(a) and j == len(b):
-            result = True
-        elif i < len(a) and a[i] == "*":
-            result = go(i + 1, j) or (j < len(b) and go(i, j + 1))
-        elif j < len(b) and b[j] == "*":
-            result = go(i, j + 1) or (i < len(a) and go(i + 1, j))
-        elif i < len(a) and j < len(b) and a[i] == b[j]:
-            result = go(i + 1, j + 1)
-        else:
-            result = False
-        memo[key] = result
-        return result
-
-    return go(0, 0)
-
-
 @dataclass
 class ProgramContext:
     """Everything a program rule may query, plus finding helpers."""
@@ -111,14 +81,6 @@ class ProgramContext:
         if summary is None:
             return ()
         return summary.str_tuples.get(name, ())
-
-    def str_constant_dict(self, const: tuple[str, str]) -> dict[str, str]:
-        """A ``(module, NAME)`` str->str dict constant, or {} if absent."""
-        module, name = const
-        summary = self.index.modules.get(module)
-        if summary is None:
-            return {}
-        return dict(summary.str_dicts.get(name, {}))
 
     def finding(
         self,

@@ -1,29 +1,14 @@
-"""Wire-schema consistency: senders and decoders must agree, key by key.
+"""Wire-schema coverage: every protocol method is served and sent.
 
 For every RPC method in the protocol universe (``*_METHODS`` constants
-plus the daemon admin plane) this rule cross-checks four things:
-
-* **method coverage** — every universe method has a dispatch handler
-  and at least one client-side sender; every sent method has a handler;
-* **request keys** — every key a sender encodes is decoded by the
-  method's handler, and every key the handler decodes is encoded by
-  some sender (dead decode branch otherwise);
-* **reply keys** — every key a handler returns is read by some sender
-  of that method, and every key a sender reads is returned on some
-  handler path. Replies that *no* sender decodes at all are treated as
-  informational and skipped: fire-and-forget admin calls legitimately
-  return payloads nobody reads (``admin/ping`` -> ``pong``);
-* **abbreviation discipline** — no literal key segment may equal a
-  short form from the serializer's abbreviation table unless it is also
-  a long form: ``encode`` only abbreviates long forms, so a literal
-  short form would be silently *expanded* on decode and break the
-  round-trip.
-
-Soundness notes: keys are matched as ``*``-patterns on both sides
-(f-string keys and ``.to_wire()`` sub-mappings widen to wildcards), a
-``*`` read/send suppresses dead-key checks for that mapping, and
-senders living in rule-excluded paths (fault injectors) contribute
-neither keys nor coverage.
+plus the daemon admin plane): the method has a dispatch handler and at
+least one client-side sender, and every sent method has a handler. The
+rule reads method names only. What a message of each method carries is
+declared in ``net/registry.WIRE_SCHEMA``: the dispatch builders refuse a
+request against it at runtime, and ``tests/net/test_wire_schema.py``
+holds the flows' traffic, the records' ``to_wire`` and the codec's
+abbreviations to it. Senders living in rule-excluded paths (fault
+injectors) contribute no coverage.
 """
 
 from __future__ import annotations
@@ -32,17 +17,16 @@ from typing import Iterator
 
 from repro.lint.findings import Finding
 
-from ..summary import RpcSend, WireKey
-from . import ProgramContext, ProgramRule, patterns_compatible, register
+from ..summary import RpcSend
+from . import ProgramContext, ProgramRule, register
 
 
 @register
 class WireSchemaRule(ProgramRule):
     id = "wire-schema"
     description = (
-        "payload keys encoded by client flows must match the keys the "
-        "dispatch handlers decode (and vice versa), method coverage must "
-        "be exhaustive, and literal keys must respect the abbreviation table"
+        "every protocol method has a dispatch handler and a sender, and "
+        "every sent method has a handler"
     )
 
     def check(self, program: ProgramContext) -> Iterator[Finding]:
@@ -72,7 +56,6 @@ class WireSchemaRule(ProgramRule):
                 emitted.add(key)
                 yield program.finding(self.id, module, lineno, message)
 
-        # -- method coverage ------------------------------------------
         for method in sorted(universe):
             handlers = dispatch.get(method, ())
             sends = senders.get(method, [])
@@ -98,7 +81,7 @@ class WireSchemaRule(ProgramRule):
                 yield from emit(
                     index.function_module[fid],
                     index.functions[fid].lineno,
-                    f"method '{method}' is decoded by "
+                    f"method '{method}' is served by "
                     f"'{index.functions[fid].qualname}' but no client flow "
                     "or daemon call ever sends it",
                 )
@@ -113,125 +96,6 @@ class WireSchemaRule(ProgramRule):
                     f"method '{method}' is sent here but is neither in the "
                     "*_METHODS universe nor handled by any dispatch table",
                 )
-
-        # -- request / reply keys -------------------------------------
-        for method in sorted(universe):
-            handlers = dispatch.get(method, ())
-            sends = senders.get(method, [])
-            if not handlers or not sends:
-                continue
-            handler_reads: list[WireKey] = []
-            handler_returns: list[WireKey] = []
-            for fid in handlers:
-                handler_reads.extend(index.functions[fid].param_reads)
-                handler_returns.extend(index.functions[fid].returned_keys)
-            reads_wild = any(wk.key == "*" for wk in handler_reads)
-            sent_keys = [wk for _, send in sends for wk in send.sent]
-            sent_wild = any(wk.key == "*" for wk in sent_keys)
-
-            if not reads_wild:
-                for fid, send in sends:
-                    for wk in send.sent:
-                        if wk.key == "*":
-                            continue
-                        if not any(
-                            patterns_compatible(wk.key, read.key)
-                            for read in handler_reads
-                        ):
-                            yield from emit(
-                                index.function_module[fid],
-                                wk.lineno,
-                                f"key '{wk.key}' sent with '{method}' is "
-                                "never decoded by its handler (stray wire "
-                                "key)",
-                            )
-            if not sent_wild:
-                for fid in handlers:
-                    for wk in index.functions[fid].param_reads:
-                        if wk.key == "*":
-                            continue
-                        if not any(
-                            patterns_compatible(wk.key, sk.key)
-                            for sk in sent_keys
-                        ):
-                            yield from emit(
-                                index.function_module[fid],
-                                wk.lineno,
-                                f"handler for '{method}' decodes key "
-                                f"'{wk.key}' that no sender encodes (dead "
-                                "decode branch)",
-                            )
-
-            reply_reads = [wk for _, send in sends for wk in send.reply_reads]
-            if reply_reads:
-                reply_reads_wild = any(wk.key == "*" for wk in reply_reads)
-                returns_wild = any(wk.key == "*" for wk in handler_returns)
-                if not reply_reads_wild:
-                    for fid in handlers:
-                        for wk in index.functions[fid].returned_keys:
-                            if wk.key == "*":
-                                continue
-                            if not any(
-                                patterns_compatible(wk.key, read.key)
-                                for read in reply_reads
-                            ):
-                                yield from emit(
-                                    index.function_module[fid],
-                                    wk.lineno,
-                                    f"reply key '{wk.key}' of '{method}' is "
-                                    "never read by any sender (dead reply "
-                                    "key)",
-                                )
-                if not returns_wild:
-                    for fid, send in sends:
-                        for wk in send.reply_reads:
-                            if wk.key == "*":
-                                continue
-                            if not any(
-                                patterns_compatible(wk.key, rk.key)
-                                for rk in handler_returns
-                            ):
-                                yield from emit(
-                                    index.function_module[fid],
-                                    wk.lineno,
-                                    f"sender reads reply key '{wk.key}' "
-                                    f"that no handler of '{method}' ever "
-                                    "returns",
-                                )
-
-        # -- abbreviation discipline ----------------------------------
-        table = program.str_constant_dict(program.program.abbreviation_const)
-        short_to_long = {
-            short: long
-            for long, short in table.items()
-            if short not in table  # a short form that is also a long form is fine
-        }
-        if short_to_long:
-            sites: list[tuple[str, WireKey]] = []
-            for method in sorted(universe):
-                for fid, send in senders.get(method, []):
-                    module = index.function_module[fid]
-                    sites.extend((module, wk) for wk in send.sent)
-                    sites.extend((module, wk) for wk in send.reply_reads)
-                for fid in dispatch.get(method, ()):
-                    module = index.function_module[fid]
-                    function = index.functions[fid]
-                    sites.extend((module, wk) for wk in function.param_reads)
-                    sites.extend((module, wk) for wk in function.returned_keys)
-            for module, wk in sites:
-                for segment in wk.key.split("."):
-                    if "*" in segment or not segment:
-                        continue
-                    if segment in short_to_long:
-                        yield from emit(
-                            module,
-                            wk.lineno,
-                            f"wire-key segment '{segment}' is the "
-                            f"abbreviated form of "
-                            f"'{short_to_long[segment]}'; literal short "
-                            "forms do not survive the encode/decode "
-                            "round-trip — use the long form",
-                        )
 
     @staticmethod
     def _universe_module(program: ProgramContext, method: str) -> str:

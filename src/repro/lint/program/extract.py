@@ -4,28 +4,14 @@ The walker makes a single pass over the module tree. Functions are
 summarized without descending into nested ``def``s (each nested
 function gets its own :class:`FunctionSummary`, inheriting the
 enclosing function's parameter annotations so dispatch handlers keep
-the builder's ``broker: Broker``-style types). Within one function the
-walker tracks three kinds of local dataflow, all purely syntactic:
-
-* *derived* variables — aliases of the first (payload) parameter
-  through ``flatten``/``strip_prefix``/subscript chains, whose key
-  reads become :attr:`FunctionSummary.param_reads`;
-* *reply* variables — results of RPC sends (unwrapped through
-  ``await``/``yield``/``flatten``, in the send's own statement or, for
-  ``pending = rpc(...)`` ... ``yield pending``, a later one), whose key
-  reads attach to the originating :class:`RpcSend`;
-* *out-dict* variables — locals built up as ``out = {}; out[k] = v``
-  and later returned, whose keys join :attr:`returned_keys`.
-
-Passing a derived or reply variable whole to an unrecognized helper
-records a ``*`` (read-everything) key: the helper may read any key, so
-dead-key checks must not fire for that mapping.
+the builder's ``broker: Broker``-style types). A function's RPC sends
+are recorded by method name only: what a message carries is declared in
+``net/registry.WIRE_SCHEMA`` and checked at runtime, not inferred here.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .summary import (
@@ -41,34 +27,7 @@ from .summary import (
     MutationSite,
     RaiseSite,
     RpcSend,
-    WireKey,
     dotted_name,
-    flatten_dict_literal,
-    normalize_pattern,
-    string_pattern,
-)
-
-#: helpers that *consume* a payload mapping without reading arbitrary
-#: keys — passing a tracked variable to these does not force a ``*``.
-_KEY_AWARE_HELPERS: frozenset[str] = frozenset(
-    {
-        "flatten",
-        "unflatten",
-        "strip_prefix",
-        "split_batch",
-        "len",
-        "sorted",
-        "list",
-        "tuple",
-        "dict",
-        "set",
-        "bool",
-        "repr",
-        "str",
-        "print",
-        "isinstance",
-        "enumerate",
-    }
 )
 
 
@@ -85,16 +44,6 @@ def summarize_source(source: str, module: str, path: str) -> ModuleSummary:
             summary.ignores[lineno] = rules
     _ModuleWalker(summary).walk(tree)
     return summary
-
-
-@dataclass
-class _SendRecord:
-    """Mutable accumulator frozen into :class:`RpcSend` at the end."""
-
-    method: str
-    lineno: int
-    sent: list[WireKey] = field(default_factory=list)
-    reads: list[WireKey] = field(default_factory=list)
 
 
 class _ModuleWalker:
@@ -188,21 +137,6 @@ class _ModuleWalker:
         strings = _string_elements(value)
         if strings is not None:
             self.summary.str_tuples[name] = strings
-            return
-        if isinstance(value, ast.Dict):
-            pairs: dict[str, str] = {}
-            for key, item in zip(value.keys, value.values):
-                if (
-                    isinstance(key, ast.Constant)
-                    and isinstance(key.value, str)
-                    and isinstance(item, ast.Constant)
-                    and isinstance(item.value, str)
-                ):
-                    pairs[key.value] = item.value
-                else:
-                    return
-            if pairs:
-                self.summary.str_dicts[name] = pairs
 
     def _dispatch_entries(self, node: ast.Dict, scope: str) -> None:
         for key, value in zip(node.keys, node.values):
@@ -320,13 +254,7 @@ class _FunctionExtractor:
     def __init__(self, walker: _ModuleWalker, function: FunctionSummary) -> None:
         self.walker = walker
         self.fn = function
-        payload = function.payload_param()
-        #: tracked payload aliases: var -> key prefix ("" for payload).
-        self.derived: dict[str, str] = {payload: ""} if payload else {}
-        #: tracked reply vars: var -> (send index, key prefix).
-        self.reply: dict[str, tuple[int, str]] = {}
-        self.sends: list[_SendRecord] = []
-        self.out_dicts: dict[str, list[WireKey]] = {}
+        #: locals bound from a subscript (``handler = table[m]``).
         self.subscript_vars: set[str] = set()
         self.self_attr_types: dict[str, str] = {}
         #: AST node ids already handled by a targeted rule.
@@ -335,15 +263,6 @@ class _FunctionExtractor:
     # -- public --------------------------------------------------------
     def run(self, body: Sequence[ast.stmt]) -> None:
         self._block(body, guards=(), scope=False)
-        for record in self.sends:
-            self.fn.rpc_sends.append(
-                RpcSend(
-                    method=record.method,
-                    lineno=record.lineno,
-                    sent=tuple(record.sent),
-                    reply_reads=tuple(record.reads),
-                )
-            )
 
     # -- statement walk ------------------------------------------------
     def _block(
@@ -395,9 +314,6 @@ class _FunctionExtractor:
             for case in stmt.cases:
                 self._block(case.body, guards, scope)
             return
-        if isinstance(stmt, ast.Return):
-            self._return(stmt, guards, scope)
-            return
         if isinstance(stmt, ast.Raise):
             self._raise(stmt, guards, scope)
             return
@@ -420,7 +336,7 @@ class _FunctionExtractor:
         if isinstance(stmt, ast.Expr):
             self._expr(stmt.value, guards, scope)
             return
-        # Assert / Global / Nonlocal / Pass / etc: scan embedded exprs.
+        # Return / Assert / Global / Nonlocal / Pass / etc: scan embedded exprs.
         for child in ast.iter_child_nodes(stmt):
             if isinstance(child, ast.expr):
                 self._expr(child, guards, scope)
@@ -450,12 +366,15 @@ class _FunctionExtractor:
         for target in targets:
             if isinstance(target, ast.Subscript):
                 self._mutation_target(target, "setitem", lineno, scope)
-                self._out_dict_store(target, value)
                 self._expr(target.slice, guards, scope)
             elif isinstance(target, ast.Attribute):
                 self._attr_type_from_assign(target, value)
-        if len(targets) == 1 and isinstance(targets[0], ast.Name):
-            self._track_binding(targets[0].id, value)
+        if (
+            len(targets) == 1
+            and isinstance(targets[0], ast.Name)
+            and isinstance(value, ast.Subscript)
+        ):
+            self.subscript_vars.add(targets[0].id)
         self._expr(value, guards, scope)
 
     def _attr_type_from_assign(self, target: ast.Attribute, value: ast.expr) -> None:
@@ -470,92 +389,7 @@ class _FunctionExtractor:
             if dotted is not None and dotted.rpartition(".")[2][:1].isupper():
                 self.self_attr_types.setdefault(target.attr, dotted)
 
-    def _track_binding(self, name: str, value: ast.expr) -> None:
-        """Propagate derived/reply/out-dict tracking through a binding."""
-        if isinstance(value, ast.Dict):
-            self.out_dicts[name] = list(flatten_dict_literal(value))
-            return
-        if isinstance(value, ast.Subscript):
-            self.subscript_vars.add(name)
-        # reply binding: unwrap flatten()/await/yield around a send.
-        unwrapped = _unwrap_reply(value)
-        if isinstance(unwrapped, ast.Call):
-            send_index = self._rpc_send(unwrapped)
-            if send_index is not None:
-                self.reply[name] = (send_index, "")
-                return
-        # alias of a tracked variable — bare, or through the same
-        # wrappers: ``pending = rpc(...)`` now, ``reply = flatten((yield
-        # pending))`` later still reads the send's reply.
-        if isinstance(unwrapped, ast.Name):
-            if unwrapped.id in self.derived:
-                self.derived[name] = self.derived[unwrapped.id]
-            elif unwrapped.id in self.reply:
-                self.reply[name] = self.reply[unwrapped.id]
-            return
-        if isinstance(value, ast.Call) and isinstance(value.func, ast.Name):
-            helper = value.func.id
-            if helper == "strip_prefix" and len(value.args) == 2:
-                base = _unwrap_flatten(value.args[0])
-                prefix = string_pattern(value.args[1])
-                if isinstance(base, ast.Name) and prefix is not None:
-                    source = base.id
-                    if source in self.derived:
-                        self.derived[name] = normalize_pattern(
-                            self.derived[source] + prefix
-                        )
-                    elif source in self.reply:
-                        index, reply_prefix = self.reply[source]
-                        self.reply[name] = (
-                            index,
-                            normalize_pattern(reply_prefix + prefix),
-                        )
-                return
-        # child of a tracked var through a subscript chain:
-        # entry = reply[f"l{i}"]  ->  prefix "l*."
-        chain = _subscript_chain(value)
-        if chain is not None:
-            root, keys = chain
-            joined = ".".join(keys)
-            if root in self.derived:
-                self.derived[name] = normalize_pattern(
-                    f"{self.derived[root]}{joined}."
-                )
-            elif root in self.reply:
-                index, prefix = self.reply[root]
-                self.reply[name] = (index, normalize_pattern(f"{prefix}{joined}."))
-
-    def _out_dict_store(self, target: ast.Subscript, value: ast.expr) -> None:
-        """``out[f"r{i}"] = {...}`` accumulates returned keys."""
-        if not (
-            isinstance(target.value, ast.Name) and target.value.id in self.out_dicts
-        ):
-            return
-        key = string_pattern(target.slice) or "*"
-        bucket = self.out_dicts[target.value.id]
-        if isinstance(value, ast.Dict):
-            bucket.extend(flatten_dict_literal(value, prefix=f"{key}."))
-        elif (
-            isinstance(value, ast.Call)
-            and isinstance(value.func, ast.Attribute)
-            and value.func.attr == "to_wire"
-        ):
-            bucket.append(
-                WireKey(key=normalize_pattern(f"{key}.*"), lineno=target.lineno)
-            )
-        else:
-            bucket.append(WireKey(key=normalize_pattern(key), lineno=target.lineno))
-
-    # -- returns / raises ----------------------------------------------
-    def _return(self, stmt: ast.Return, guards: tuple[str, ...], scope: bool) -> None:
-        value = stmt.value
-        if isinstance(value, ast.Dict):
-            self.fn.returned_keys.extend(flatten_dict_literal(value))
-        elif isinstance(value, ast.Name) and value.id in self.out_dicts:
-            self.fn.returned_keys.extend(self.out_dicts[value.id])
-        if value is not None:
-            self._expr(value, guards, scope)
-
+    # -- raises --------------------------------------------------------
     def _raise(self, stmt: ast.Raise, guards: tuple[str, ...], scope: bool) -> None:
         exc = stmt.exc
         name: str | None = None
@@ -585,10 +419,6 @@ class _FunctionExtractor:
                 continue
             if isinstance(sub, ast.Call):
                 self._call(sub, guards, scope)
-            elif isinstance(sub, ast.Subscript) and isinstance(sub.ctx, ast.Load):
-                self._subscript_read(sub)
-            elif isinstance(sub, ast.Compare):
-                self._membership_read(sub)
             elif isinstance(sub, ast.Dict):
                 self.walker._dispatch_entries(sub, scope=self.fn.qualname)
 
@@ -600,7 +430,7 @@ class _FunctionExtractor:
         # RPC send with a constant method string: recorded as a send,
         # not a call edge. (Nested argument expressions are still
         # visited by the surrounding pre-order walk.)
-        if terminal in RPC_CALLABLES and self._rpc_send(node) is not None:
+        if terminal in RPC_CALLABLES and self._rpc_send(node):
             return
         # container mutation through self/param attribute chain
         if isinstance(func, ast.Attribute) and func.attr in MUTATING_METHODS:
@@ -616,42 +446,6 @@ class _FunctionExtractor:
                             in_journal_scope=scope,
                         )
                     )
-        # reply_var.get("key") / derived.get("key")
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr == "get"
-            and isinstance(func.value, ast.Name)
-            and node.args
-        ):
-            key = string_pattern(node.args[0])
-            if key is not None:
-                self._record_read(func.value.id, key, node.lineno)
-        # strip_prefix(tracked, "p.") used as a bare expression
-        if terminal == "strip_prefix" and len(node.args) >= 2:
-            base = _unwrap_flatten(node.args[0])
-            prefix = string_pattern(node.args[1])
-            if isinstance(base, ast.Name) and prefix is not None:
-                self._record_read(
-                    base.id, normalize_pattern(f"{prefix}*"), node.lineno
-                )
-        if terminal == "split_batch" and len(node.args) >= 3:
-            base = _unwrap_flatten(node.args[0])
-            group_key = string_pattern(node.args[1])
-            item_key = string_pattern(node.args[2])
-            if isinstance(base, ast.Name) and group_key and item_key is not None:
-                self._record_read(
-                    base.id,
-                    normalize_pattern(f"{group_key}.{item_key}*"),
-                    node.lineno,
-                )
-        # a tracked mapping passed whole to an unrecognized helper may
-        # read any key
-        if terminal not in _KEY_AWARE_HELPERS:
-            for arg in node.args:
-                if isinstance(arg, ast.Name) and (
-                    arg.id in self.derived or arg.id in self.reply
-                ):
-                    self._record_read(arg.id, "*", node.lineno)
         partial_of: str | None = None
         if terminal == "partial" and node.args:
             partial_of = dotted_name(node.args[0])
@@ -680,68 +474,17 @@ class _FunctionExtractor:
             )
         )
 
-    def _rpc_send(self, node: ast.Call) -> int | None:
-        """Record ``node`` as an RPC send; return its index, or None."""
-        target = dotted_name(node.func) or ""
-        if target.rpartition(".")[2] not in RPC_CALLABLES:
-            return None
-        method: str | None = None
-        method_pos = -1
+    def _rpc_send(self, node: ast.Call) -> bool:
+        """Record a call to an RPC callable as a send, if it names a method."""
         for position, arg in enumerate(node.args):
             if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-                method = arg.value
-                method_pos = position
-                break
-        if method is None:
-            return None
-        self.consumed.add(id(node))
-        record = _SendRecord(method=method, lineno=node.lineno)
-        payload = (
-            node.args[method_pos + 1] if method_pos + 1 < len(node.args) else None
-        )
-        if isinstance(payload, ast.Dict):
-            record.sent.extend(flatten_dict_literal(payload))
-            # keep the payload literal out of the dispatch-entry scan
-            self.consumed.add(id(payload))
-        elif isinstance(payload, ast.Name) and payload.id in self.out_dicts:
-            record.sent.extend(self.out_dicts[payload.id])
-        elif payload is not None:
-            record.sent.append(WireKey(key="*", lineno=node.lineno))
-        self.sends.append(record)
-        return len(self.sends) - 1
-
-    # -- reads ---------------------------------------------------------
-    def _subscript_read(self, node: ast.Subscript) -> None:
-        chain = _subscript_chain(node)
-        if chain is None:
-            return
-        root, keys = chain
-        # consume the chain links so inner subscripts are not re-read
-        cursor: ast.expr = node
-        while isinstance(cursor, ast.Subscript):
-            self.consumed.add(id(cursor))
-            cursor = cursor.value
-        self._record_read(root, ".".join(keys), node.lineno)
-
-    def _membership_read(self, node: ast.Compare) -> None:
-        if len(node.ops) != 1 or not isinstance(node.ops[0], (ast.In, ast.NotIn)):
-            return
-        comparator = node.comparators[0]
-        if not isinstance(comparator, ast.Name):
-            return
-        key = string_pattern(node.left)
-        if key is not None:
-            self._record_read(comparator.id, key, node.lineno)
-
-    def _record_read(self, root: str, key: str, lineno: int) -> None:
-        key = normalize_pattern(key)
-        if root in self.derived:
-            full = normalize_pattern(f"{self.derived[root]}{key}")
-            self.fn.param_reads.append(WireKey(key=full, lineno=lineno))
-        elif root in self.reply:
-            index, prefix = self.reply[root]
-            full = normalize_pattern(f"{prefix}{key}")
-            self.sends[index].reads.append(WireKey(key=full, lineno=lineno))
+                payload = node.args[position + 1 : position + 2]
+                # keep a payload literal out of the dispatch-entry scan
+                if payload and isinstance(payload[0], ast.Dict):
+                    self.consumed.add(id(payload[0]))
+                self.fn.rpc_sends.append(RpcSend(method=arg.value, lineno=node.lineno))
+                return True
+        return False
 
     # -- mutations -----------------------------------------------------
     def _mutation_target(
@@ -796,46 +539,3 @@ def _walk_expr(node: ast.expr) -> Iterator[ast.AST]:
             for sub in ast.iter_child_nodes(child):
                 if isinstance(sub, ast.expr):
                     yield from _walk_expr(sub)
-
-
-def _unwrap_reply(value: ast.expr) -> ast.expr:
-    """Strip ``flatten()`` / ``await`` / ``yield`` wrappers."""
-    node = value
-    while True:
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "flatten"
-            and len(node.args) == 1
-        ):
-            node = node.args[0]
-        elif isinstance(node, ast.Await):
-            node = node.value
-        elif isinstance(node, ast.Yield) and node.value is not None:
-            node = node.value
-        else:
-            return node
-
-
-def _unwrap_flatten(node: ast.expr) -> ast.expr:
-    if (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id == "flatten"
-        and len(node.args) == 1
-    ):
-        return node.args[0]
-    return node
-
-
-def _subscript_chain(node: ast.expr) -> tuple[str, list[str]] | None:
-    """``deposit["r0"]["outcome"]`` -> ``("deposit", ["r0", "outcome"])``."""
-    keys: list[str] = []
-    cursor = node
-    while isinstance(cursor, ast.Subscript):
-        key = string_pattern(cursor.slice)
-        keys.append(key if key is not None else "*")
-        cursor = cursor.value
-    if not keys or not isinstance(cursor, ast.Name):
-        return None
-    return cursor.id, list(reversed(keys))

@@ -2,10 +2,10 @@
 
 A :class:`ModuleSummary` is one module reduced to the structured facts
 the cross-module rules query — functions with their call sites, raise
-sites, attribute mutations and wire-key reads/writes; classes with
+sites, attribute mutations and RPC sends (by method name); classes with
 their bases and attribute types; the import table; dispatch-dict
-entries; string constants (method tuples, abbreviation dictionaries);
-and suppression comments. Summaries are plain data (JSON-serializable,
+entries; string-tuple constants (method tuples); and suppression
+comments. Summaries are plain data (JSON-serializable,
 see :meth:`ModuleSummary.to_dict`) so they can be cached by content
 hash under ``.lint_cache/`` and a ``lint --changed`` run only
 re-parses the files that actually changed.
@@ -21,11 +21,11 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Sequence
+from typing import Any
 
 #: Bump when the summary schema or extraction logic changes: cached
 #: summaries carry the version and are discarded on mismatch.
-SUMMARY_VERSION = 2
+SUMMARY_VERSION = 3
 
 #: ``with`` context-manager call names that open a journal/durability
 #: scope. ``_journal_scope`` is the broker's hook-or-nullcontext helper;
@@ -106,26 +106,11 @@ class MutationSite:
 
 
 @dataclass(frozen=True)
-class WireKey:
-    """One wire-key literal (``*`` matches any non-empty key text)."""
-
-    key: str
-    lineno: int
-
-
-@dataclass(frozen=True)
 class RpcSend:
-    """One client-side RPC with a constant method name.
-
-    ``sent`` are the payload keys this site encodes; ``reply_reads``
-    the keys subsequently read from the variable the reply was bound
-    to (through ``flatten``/``await``/``yield`` wrappers).
-    """
+    """One client-side RPC with a constant method name."""
 
     method: str
     lineno: int
-    sent: tuple[WireKey, ...] = ()
-    reply_reads: tuple[WireKey, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -154,20 +139,8 @@ class FunctionSummary:
     raises: list[RaiseSite] = field(default_factory=list)
     mutations: list[MutationSite] = field(default_factory=list)
     rpc_sends: list[RpcSend] = field(default_factory=list)
-    #: wire keys read from the first (non-self) parameter — meaningful
-    #: when the function is a registered dispatch handler.
-    param_reads: list[WireKey] = field(default_factory=list)
-    #: wire keys of returned dict literals (and tracked local dicts).
-    returned_keys: list[WireKey] = field(default_factory=list)
     #: whether any ``with`` in the body opens a journal scope.
     has_journal_scope: bool = False
-
-    def payload_param(self) -> str | None:
-        """The first non-``self`` parameter name."""
-        for name in self.params:
-            if name != "self":
-                return name
-        return None
 
 
 @dataclass
@@ -193,8 +166,6 @@ class ModuleSummary:
     imports: dict[str, str] = field(default_factory=dict)
     #: module-level tuples/lists/frozensets of string constants.
     str_tuples: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    #: module-level ``{str: str}`` dict constants.
-    str_dicts: dict[str, dict[str, str]] = field(default_factory=dict)
     dispatch: list[DispatchEntry] = field(default_factory=list)
     #: line number -> suppressed rule ids (``*`` suppresses all).
     ignores: dict[int, tuple[str, ...]] = field(default_factory=dict)
@@ -208,7 +179,6 @@ class ModuleSummary:
             "path": self.path,
             "imports": dict(sorted(self.imports.items())),
             "str_tuples": {k: list(v) for k, v in sorted(self.str_tuples.items())},
-            "str_dicts": {k: dict(v) for k, v in sorted(self.str_dicts.items())},
             "ignores": {str(k): list(v) for k, v in sorted(self.ignores.items())},
             "dispatch": [
                 {
@@ -252,10 +222,6 @@ class ModuleSummary:
         summary.str_tuples = {
             str(k): tuple(str(x) for x in v)
             for k, v in data.get("str_tuples", {}).items()
-        }
-        summary.str_dicts = {
-            str(k): {str(a): str(b) for a, b in v.items()}
-            for k, v in data.get("str_dicts", {}).items()
         }
         summary.ignores = {
             int(k): tuple(str(x) for x in v)
@@ -316,24 +282,11 @@ def _function_to_dict(f: FunctionSummary) -> dict[str, Any]:
             }
             for m in f.mutations
         ],
-        "rpc_sends": [
-            {
-                "method": s.method,
-                "lineno": s.lineno,
-                "sent": [[w.key, w.lineno] for w in s.sent],
-                "reply_reads": [[w.key, w.lineno] for w in s.reply_reads],
-            }
-            for s in f.rpc_sends
-        ],
-        "param_reads": [[w.key, w.lineno] for w in f.param_reads],
-        "returned_keys": [[w.key, w.lineno] for w in f.returned_keys],
+        "rpc_sends": [{"method": s.method, "lineno": s.lineno} for s in f.rpc_sends],
     }
 
 
 def _function_from_dict(data: dict[str, Any]) -> FunctionSummary:
-    def keys(raw: Sequence[Sequence[Any]]) -> list[WireKey]:
-        return [WireKey(key=str(k), lineno=int(n)) for k, n in raw]
-
     f = FunctionSummary(
         qualname=str(data["qualname"]),
         lineno=int(data["lineno"]),
@@ -374,16 +327,9 @@ def _function_from_dict(data: dict[str, Any]) -> FunctionSummary:
         for m in data.get("mutations", [])
     ]
     f.rpc_sends = [
-        RpcSend(
-            method=str(s["method"]),
-            lineno=int(s["lineno"]),
-            sent=tuple(keys(s.get("sent", []))),
-            reply_reads=tuple(keys(s.get("reply_reads", []))),
-        )
+        RpcSend(method=str(s["method"]), lineno=int(s["lineno"]))
         for s in data.get("rpc_sends", [])
     ]
-    f.param_reads = keys(data.get("param_reads", []))
-    f.returned_keys = keys(data.get("returned_keys", []))
     return f
 
 
@@ -401,96 +347,3 @@ def dotted_name(node: ast.expr) -> str | None:
         parts.append(current.id)
         return ".".join(reversed(parts))
     return None
-
-
-def normalize_pattern(pattern: str) -> str:
-    """Collapse redundant wildcard runs (``*.*``/``**`` -> ``*``)."""
-    out = pattern
-    while True:
-        collapsed = out.replace("**", "*").replace("*.*", "*")
-        if collapsed.endswith("*.") or collapsed.endswith(".*"):
-            collapsed = collapsed[:-2] + "*"
-        if collapsed == out:
-            return collapsed
-        out = collapsed
-
-
-def string_pattern(node: ast.expr) -> str | None:
-    """A Constant str or f-string rendered as a ``*``-pattern."""
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    if isinstance(node, ast.JoinedStr):
-        parts: list[str] = []
-        for value in node.values:
-            if isinstance(value, ast.Constant) and isinstance(value.value, str):
-                parts.append(value.value)
-            else:
-                parts.append("*")
-        return normalize_pattern("".join(parts))
-    return None
-
-
-def _annotation_text(node: ast.expr | None) -> str | None:
-    if node is None:
-        return None
-    try:
-        return ast.unparse(node)
-    except Exception:
-        return None
-
-
-def _exception_names(handler_type: ast.expr | None) -> tuple[str, ...]:
-    """Exception class names named by one ``except`` clause."""
-    if handler_type is None:
-        return ("BaseException",)
-    if isinstance(handler_type, ast.Tuple):
-        names: list[str] = []
-        for element in handler_type.elts:
-            dotted = dotted_name(element)
-            if dotted is not None:
-                names.append(dotted.rpartition(".")[2])
-        return tuple(names)
-    dotted = dotted_name(handler_type)
-    if dotted is not None:
-        return (dotted.rpartition(".")[2],)
-    return ()
-
-
-def flatten_dict_literal(node: ast.Dict, prefix: str = "") -> Iterator[WireKey]:
-    """Dotted wire keys of a (possibly nested) dict literal.
-
-    ``.to_wire()`` values become ``key.*`` (the callee encodes an
-    unknown sub-mapping), ``pack_batch("p", ...)`` values become
-    ``key.p*`` and f-string keys become wildcard patterns. ``**``
-    unpackings contribute nothing (the unpacked table is summarized
-    where it is built).
-    """
-    for key_node, value in zip(node.keys, node.values):
-        if key_node is None:  # ** unpacking
-            continue
-        key_text = string_pattern(key_node)
-        if key_text is None:
-            continue
-        full = f"{prefix}{key_text}"
-        if isinstance(value, ast.Dict):
-            yield from flatten_dict_literal(value, prefix=f"{full}.")
-        elif isinstance(value, ast.DictComp):
-            # A comprehension-built sub-mapping has data-dependent keys.
-            yield WireKey(key=normalize_pattern(f"{full}.*"), lineno=key_node.lineno)
-        elif isinstance(value, ast.Call) and isinstance(value.func, ast.Attribute) and (
-            value.func.attr == "to_wire"
-        ):
-            yield WireKey(key=normalize_pattern(f"{full}.*"), lineno=key_node.lineno)
-        elif (
-            isinstance(value, ast.Call)
-            and isinstance(value.func, ast.Name)
-            and value.func.id == "pack_batch"
-            and value.args
-        ):
-            item_prefix = string_pattern(value.args[0]) or "*"
-            yield WireKey(
-                key=normalize_pattern(f"{full}.{item_prefix}*"),
-                lineno=key_node.lineno,
-            )
-        else:
-            yield WireKey(key=normalize_pattern(full), lineno=key_node.lineno)

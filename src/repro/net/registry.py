@@ -27,6 +27,14 @@ latency model — and one handler serves both: the storefront's ``pay``
 calls the witness before its own cryptographic checks and yields after
 them (see :func:`merchant_dispatch`).
 
+Every request a handler serves has the keys :data:`WIRE_SCHEMA` declares
+for its method, and no others: the dispatch builders put each handler
+behind :meth:`Shape.check`, so a body with an undeclared key, a missing
+key or a misnumbered indexed group is refused with
+:class:`~repro.core.exceptions.ProtocolViolationError` before the
+handler's first line, over the sim and over sockets alike. The table
+also declares each method's reply keys, which the flows read.
+
 Client side, the ``*_flow`` generators express each protocol as a
 sequence of :class:`RemoteCall` yields. A transport drives a flow by
 performing each yielded call and sending the reply payload back into the
@@ -41,7 +49,7 @@ accounting against the sim's.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Mapping, Protocol, Sequence
+from typing import Any, Callable, Generator, Mapping, NamedTuple, Protocol, Sequence
 
 from repro.core.broker import Broker
 from repro.core.client import Client, StoredCoin
@@ -68,6 +76,7 @@ from repro.crypto.serialize import (
     as_int,
     as_text,
     flatten,
+    nest_keys,
     pack_batch,
     split_batch,
     strip_prefix,
@@ -124,6 +133,171 @@ DEPOSIT_BATCH_SIZE = 32
 #: What :func:`batch_deposit_flow` reports for a transcript the broker
 #: refuses as a double deposit: this merchant has the money already.
 ALREADY_CREDITED = "already-credited"
+
+
+# ----------------------------------------------------------------------
+# Wire schema
+# ----------------------------------------------------------------------
+#: One part of a message: a plain key, or ``(prefix, record)`` — the
+#: record's declared ``WIRE_KEYS`` nested under ``prefix`` (``""``: not
+#: nested).
+Part = str | tuple[str, Any]
+
+#: An indexed group's items, as :func:`~repro.crypto.serialize.split_batch`
+#: returns them.
+Batch = list[tuple[int, dict[str, str]]]
+
+
+class Shape:
+    """The flat keys one message carries: declared, never inferred.
+
+    ``parts`` are plain keys and nested records. A record's
+    ``WIRE_PAIRS`` (the double-spend proof's ``x``/``y``) are optional,
+    each present whole or not at all. ``group`` names an indexed group
+    by its lead (``"batch.t"`` spans ``batch.t0.…`` to ``batch.t{n-1}.…``;
+    ``"r"`` spans top-level ``r0.…``), and each of its items carries
+    exactly the keys of one of ``items``; a single-valued item
+    (``es.e0``) is the shape ``Shape("")``. No plain key may start with
+    the group's lead.
+    """
+
+    def __init__(self, *parts: Part, group: str = "", items: Sequence["Shape"] = ()) -> None:
+        keys: set[str] = set()
+        pairs: list[frozenset[str]] = []
+        for part in parts:
+            if isinstance(part, str):
+                keys.add(part)
+                continue
+            prefix, record = part
+            keys |= nest_keys(prefix, record.WIRE_KEYS)
+            pairs += [nest_keys(prefix, pair) for pair in getattr(record, "WIRE_PAIRS", ())]
+        self.parts = parts
+        self.keys = frozenset(keys)
+        self.pairs = tuple(pairs)
+        self.group = group
+        self.items = tuple(items)
+        self._item_keys = tuple(item.keys for item in self.items)
+
+    def check(self, flat: Mapping[str, Any], what: str) -> Batch:
+        """Refuse ``flat`` unless it carries exactly this shape's keys.
+
+        Reads keys, never values. The indexed group is split and checked
+        in one walk (:func:`~repro.crypto.serialize.split_batch`); every
+        other key is accounted for by counting, not by a second walk.
+
+        Returns:
+            The group's items in index order (empty without a group).
+
+        Raises:
+            ProtocolViolationError: a declared key is missing, a key is
+                not declared, a pair is half present, or the group is
+                not ``0..n-1`` with every item complete.
+        """
+        batch: Batch = []
+        loose = len(flat)
+        if self.group:
+            group, _, prefix = self.group.rpartition(".")
+            batch = split_batch(flat, group, prefix, self._item_keys)
+            loose -= sum(len(fields) for _, fields in batch)
+        expected = len(self.keys)
+        for pair in self.pairs:
+            present = sum(key in flat for key in pair)
+            if present not in (0, len(pair)):
+                raise self._refusal(flat, what)
+            expected += present
+        if loose != expected or not all(key in flat for key in self.keys):
+            raise self._refusal(flat, what)
+        return batch
+
+    def _refusal(self, flat: Mapping[str, Any], what: str) -> ProtocolViolationError:
+        declared = self.keys.union(*self.pairs)
+        extra = sorted(
+            key
+            for key in flat
+            if key not in declared and not (self.group and key.startswith(self.group))
+        )
+        missing = sorted(self.keys.difference(flat))
+        return ProtocolViolationError(
+            f"{what}: keys are not as declared (undeclared {extra[:4]}, missing {missing[:4]})"
+        )
+
+
+class MethodSchema(NamedTuple):
+    """One method's request shape and its reply alternatives, by name."""
+
+    request: Shape
+    replies: dict[str, Shape]
+
+
+_TICKET = Shape("ticket.id", "ticket.a", "ticket.bare")
+#: The broker's blind-signature response ``(r, c, s)``.
+_RESPONSE = Shape("rho", "commitment", "sig_s")
+_REFUSED = Shape("status", ("proof", DoubleSpendProof))
+
+#: Every protocol method's request keys and reply keys. The only
+#: statement of a message's shape: :meth:`Shape.check` refuses a request
+#: against it before its handler runs, ``tests/net/test_wire_schema.py``
+#: holds the flows' traffic to it, and ``docs/PROTOCOLS.md`` renders it.
+#: The daemons' ``admin/*`` plane is not part of the protocol.
+WIRE_SCHEMA: dict[str, MethodSchema] = {
+    "withdraw/begin": MethodSchema(Shape(("info", CoinInfo)), {"reply": _TICKET}),
+    "withdraw/complete": MethodSchema(Shape("ticket", "sig_e"), {"reply": _RESPONSE}),
+    "withdraw/batch-begin": MethodSchema(
+        Shape(group="batch.i", items=[Shape(("", CoinInfo))]),
+        {"reply": Shape("ticket", group="c", items=[Shape("a", "bare")])},
+    ),
+    "withdraw/batch-complete": MethodSchema(
+        Shape("ticket", group="es.e", items=[Shape("")]),
+        {"reply": Shape(group="r", items=[_RESPONSE])},
+    ),
+    "renew/begin": MethodSchema(Shape(("info", CoinInfo)), {"reply": _TICKET}),
+    "renew/complete": MethodSchema(
+        Shape("ticket", "sig_e", ("old", BareCoin), "proof_ts", "proof_salt", "r1", "r2"),
+        {"signed": _RESPONSE, "refused": _REFUSED},
+    ),
+    "deposit": MethodSchema(
+        Shape("merchant_id", ("signed", SignedTranscript)),
+        {"reply": Shape("outcome", "amount")},
+    ),
+    "deposit/batch": MethodSchema(
+        Shape("merchant_id", group="batch.t", items=[Shape(("", SignedTranscript))]),
+        {"reply": Shape(group="r", items=[Shape("outcome", "amount"), Shape("kind", "error")])},
+    ),
+    "witness/commit": MethodSchema(
+        Shape(("", CommitmentRequest)),
+        {"reply": Shape(("commitment", WitnessCommitment))},
+    ),
+    "witness/sign": MethodSchema(
+        Shape(("transcript", PaymentTranscript)),
+        {"ok": Shape("status", ("signed", SignedTranscript)), "double-spend": _REFUSED},
+    ),
+    "pay": MethodSchema(
+        Shape(("transcript", PaymentTranscript), ("commitment", WitnessCommitment)),
+        {"service": Shape("status", "amount"), "double-spend": _REFUSED},
+    ),
+}
+assert tuple(WIRE_SCHEMA) == BROKER_METHODS + WITNESS_METHODS + MERCHANT_METHODS
+
+
+def _checked(table: Mapping[str, Callable[..., Any]]) -> dict[str, Handler]:
+    """``table``'s handlers, each behind its method's request shape.
+
+    A handler receives the flattened payload — and, when its request
+    declares an indexed group, the group's items — only once the
+    request carries exactly the keys :data:`WIRE_SCHEMA` declares.
+    """
+
+    def checked(method: str, handler: Callable[..., Any]) -> Handler:
+        shape = WIRE_SCHEMA[method].request
+
+        def serve(payload: dict[str, Any]) -> Any:
+            flat = flatten(payload)
+            batch = shape.check(flat, method)
+            return handler(flat, batch) if shape.group else handler(flat)
+
+        return serve
+
+    return {method: checked(method, handler) for method, handler in table.items()}
 
 
 @dataclass(frozen=True)
@@ -191,34 +365,28 @@ class Transport(Protocol):
 def broker_dispatch(broker: Broker, clock: Clock) -> dict[str, Handler]:
     """The broker's method table (withdrawal, renewal, deposit)."""
 
-    def withdraw_begin(payload: dict[str, Any]) -> dict[str, Any]:
-        info = CoinInfo.from_wire(strip_prefix(flatten(payload), "info."))
-        ticket, challenge = broker.begin_withdrawal(info)
+    def withdraw_begin(flat: dict[str, Any]) -> dict[str, Any]:
+        ticket, challenge = broker.begin_withdrawal(CoinInfo.from_wire(flat, "info."))
         return {"ticket": {"id": ticket, "a": challenge.a, "bare": challenge.b}}
 
-    def withdraw_complete(payload: dict[str, Any]) -> dict[str, Any]:
-        response = broker.complete_withdrawal(
-            as_int(payload["ticket"]), as_int(payload["sig_e"])
-        )
+    def withdraw_complete(flat: dict[str, Any]) -> dict[str, Any]:
+        response = broker.complete_withdrawal(as_int(flat["ticket"]), as_int(flat["sig_e"]))
         return {"rho": response.r, "commitment": response.c, "sig_s": response.s}
 
-    def renew_begin(payload: dict[str, Any]) -> dict[str, Any]:
-        info = CoinInfo.from_wire(strip_prefix(flatten(payload), "info."))
-        ticket, challenge = broker.begin_renewal(info)
+    def renew_begin(flat: dict[str, Any]) -> dict[str, Any]:
+        ticket, challenge = broker.begin_renewal(CoinInfo.from_wire(flat, "info."))
         return {"ticket": {"id": ticket, "a": challenge.a, "bare": challenge.b}}
 
-    def renew_complete(payload: dict[str, Any]) -> dict[str, Any]:
-        flat = flatten(payload)
-        old = BareCoin.from_wire(strip_prefix(flat, "old."))
+    def renew_complete(flat: dict[str, Any]) -> dict[str, Any]:
         try:
             response = broker.complete_renewal(
-                as_int(payload["ticket"]),
-                as_int(payload["sig_e"]),
-                old,
-                as_int(payload["proof_ts"]),
-                as_int(payload["proof_salt"]),
-                as_int(payload["r1"]),
-                as_int(payload["r2"]),
+                as_int(flat["ticket"]),
+                as_int(flat["sig_e"]),
+                BareCoin.from_wire(flat, "old."),
+                as_int(flat["proof_ts"]),
+                as_int(flat["proof_salt"]),
+                as_int(flat["r1"]),
+                as_int(flat["r2"]),
                 clock(),
             )
         except RenewalRefusedError as refusal:
@@ -227,21 +395,19 @@ def broker_dispatch(broker: Broker, clock: Clock) -> dict[str, Handler]:
             return {"status": "refused", "proof": refusal.proof.to_wire()}
         return {"rho": response.r, "commitment": response.c, "sig_s": response.s}
 
-    def deposit(payload: dict[str, Any]) -> dict[str, Any]:
-        flat = flatten(payload)
-        signed = SignedTranscript.from_wire(strip_prefix(flat, "signed."))
-        result = broker.deposit(str(payload["merchant_id"]), signed, clock())
+    def deposit(flat: dict[str, Any]) -> dict[str, Any]:
+        signed = SignedTranscript.from_wire(flat, "signed.")
+        result = broker.deposit(str(flat["merchant_id"]), signed, clock())
         return {"outcome": result.outcome.value, "amount": result.amount}
 
-    def deposit_batch(payload: dict[str, Any]) -> dict[str, Any]:
-        batch = split_batch(flatten(payload), "batch", "t")
+    def deposit_batch(flat: dict[str, Any], batch: Batch) -> dict[str, Any]:
         if len(batch) > DEPOSIT_BATCH_SIZE:
             raise ProtocolViolationError(
                 f"deposit/batch carries {len(batch)} transcripts; "
                 f"the limit is {DEPOSIT_BATCH_SIZE}"
             )
         results = broker.deposit_batch(
-            str(payload["merchant_id"]),
+            str(flat["merchant_id"]),
             [SignedTranscript.from_wire(fields) for _, fields in batch],
             clock(),
         )
@@ -259,8 +425,7 @@ def broker_dispatch(broker: Broker, clock: Clock) -> dict[str, Handler]:
                 }
         return out
 
-    def withdraw_batch_begin(payload: dict[str, Any]) -> dict[str, Any]:
-        batch = split_batch(flatten(payload), "batch", "i")
+    def withdraw_batch_begin(flat: dict[str, Any], batch: Batch) -> dict[str, Any]:
         infos = [CoinInfo.from_wire(fields) for _, fields in batch]
         ticket, challenges = broker.begin_batch_withdrawal(infos)
         out: dict[str, Any] = {"ticket": ticket}
@@ -268,19 +433,11 @@ def broker_dispatch(broker: Broker, clock: Clock) -> dict[str, Handler]:
             out[f"c{index}"] = {"a": challenge.a, "bare": challenge.b}
         return out
 
-    def withdraw_batch_complete(payload: dict[str, Any]) -> dict[str, Any]:
-        flat = flatten(payload)
-        keys = [key for key in flat if key.startswith("es.")]
-        # Challenge k answers session k: any other spelling of the index
-        # set would pair a challenge with the wrong session and spend the
-        # ticket, so it is refused before the broker sees it.
-        expected = [f"es.e{index}" for index in range(len(keys))]
-        if set(keys) != set(expected):
-            raise ProtocolViolationError(
-                f"withdraw/batch-complete challenges must be es.e0..es.e{len(keys) - 1}"
-            )
-        es = [as_int(flat[key]) for key in expected]
-        responses = broker.complete_batch_withdrawal(as_int(payload["ticket"]), es)
+    def withdraw_batch_complete(flat: dict[str, Any], batch: Batch) -> dict[str, Any]:
+        # Challenge k answers session k; the shape check has refused any
+        # other numbering before the ticket could be spent on it.
+        es = [as_int(fields[""]) for _, fields in batch]
+        responses = broker.complete_batch_withdrawal(as_int(flat["ticket"]), es)
         out: dict[str, Any] = {}
         for index, response in enumerate(responses):
             out[f"r{index}"] = {"rho": response.r, "commitment": response.c, "sig_s": response.s}
@@ -297,19 +454,18 @@ def broker_dispatch(broker: Broker, clock: Clock) -> dict[str, Handler]:
         "deposit/batch": deposit_batch,
     }
     assert tuple(table) == BROKER_METHODS
-    return table
+    return _checked(table)
 
 
 def witness_dispatch(witness: WitnessService, clock: Clock) -> dict[str, Handler]:
     """The witness service's method table (commitment + transcript sign)."""
 
-    def witness_commit(payload: dict[str, Any]) -> dict[str, Any]:
-        request = CommitmentRequest.from_wire(strip_prefix(flatten(payload), ""))
-        commitment = witness.request_commitment(request, clock())
+    def witness_commit(flat: dict[str, Any]) -> dict[str, Any]:
+        commitment = witness.request_commitment(CommitmentRequest.from_wire(flat), clock())
         return {"commitment": commitment.to_wire()}
 
-    def witness_sign(payload: dict[str, Any]) -> dict[str, Any]:
-        transcript = PaymentTranscript.from_wire(strip_prefix(flatten(payload), "transcript."))
+    def witness_sign(flat: dict[str, Any]) -> dict[str, Any]:
+        transcript = PaymentTranscript.from_wire(flat, "transcript.")
         try:
             signed = witness.sign_transcript(transcript, clock())
         except DoubleSpendError as refusal:
@@ -318,7 +474,7 @@ def witness_dispatch(witness: WitnessService, clock: Clock) -> dict[str, Handler
 
     table = {"witness/commit": witness_commit, "witness/sign": witness_sign}
     assert tuple(table) == WITNESS_METHODS
-    return table
+    return _checked(table)
 
 
 def merchant_dispatch(
@@ -335,13 +491,14 @@ def merchant_dispatch(
     on their two processes at once; any other request is verified first,
     then called. Either way every check runs, once, in the same order,
     and a request that fails one is never accepted: a call already
-    started for it is cancelled and its reply dropped.
+    started for it is cancelled and its reply dropped. A request whose
+    keys are not ``pay``'s never reaches the handler, so it never reaches
+    the witness either.
     """
 
-    def pay(payload: dict[str, Any]) -> Generator[Any, Any, dict[str, Any]]:
-        flat = flatten(payload)
-        transcript = PaymentTranscript.from_wire(strip_prefix(flat, "transcript."))
-        commitment = WitnessCommitment.from_wire(strip_prefix(flat, "commitment."))
+    def pay(flat: dict[str, Any]) -> Generator[Any, Any, dict[str, Any]]:
+        transcript = PaymentTranscript.from_wire(flat, "transcript.")
+        commitment = WitnessCommitment.from_wire(flat, "commitment.")
         request = PaymentRequest(transcript=transcript, commitment=commitment)
         now = clock()
         witness_id = transcript.coin.witness_id
@@ -359,19 +516,18 @@ def merchant_dispatch(
             pending = rpc(witness_id, "witness/sign", to_sign)
         reply = flatten((yield pending))
         if reply.get("status") == "double-spend":
-            proof = DoubleSpendProof.from_wire(strip_prefix(reply, "proof."))
+            proof = DoubleSpendProof.from_wire(reply, "proof.")
             try:
                 merchant.handle_double_spend_proof(proof, transcript.coin)
             except DoubleSpendError:
                 pass
             return {"status": "double-spend", "proof": proof.to_wire()}
-        signed = SignedTranscript.from_wire(strip_prefix(reply, "signed."))
-        merchant.accept_signed_transcript(signed, clock())
+        merchant.accept_signed_transcript(SignedTranscript.from_wire(reply, "signed."), clock())
         return {"status": "service", "amount": transcript.coin.denomination}
 
-    table: dict[str, Handler] = {"pay": pay}
+    table = {"pay": pay}
     assert tuple(table) == MERCHANT_METHODS
-    return table
+    return _checked(table)
 
 
 # ----------------------------------------------------------------------
@@ -484,7 +640,7 @@ def payment_flow(
     commit_reply = flatten(
         (yield RemoteCall(witness_id, "witness/commit", request.to_wire()))
     )
-    commitment = WitnessCommitment.from_wire(strip_prefix(commit_reply, "commitment."))
+    commitment = WitnessCommitment.from_wire(commit_reply, "commitment.")
     transcript = client.build_payment(pending, commitment, witness_public, clock())
     pay_reply = flatten(
         (yield RemoteCall(
@@ -494,8 +650,7 @@ def payment_flow(
         ))
     )
     if pay_reply.get("status") == "double-spend":
-        proof = DoubleSpendProof.from_wire(strip_prefix(pay_reply, "proof."))
-        raise DoubleSpendError(proof)
+        raise DoubleSpendError(DoubleSpendProof.from_wire(pay_reply, "proof."))
     client.mark_spent(stored)
     # The settled amount comes from the storefront's receipt, not from
     # the client's own view of the coin.
@@ -528,7 +683,7 @@ def direct_spend_flow(
     commit_reply = flatten(
         (yield RemoteCall(witness_id, "witness/commit", request.to_wire()))
     )
-    commitment = WitnessCommitment.from_wire(strip_prefix(commit_reply, "commitment."))
+    commitment = WitnessCommitment.from_wire(commit_reply, "commitment.")
     transcript = client.build_payment(pending, commitment, witness_public, clock())
     sign_reply = flatten(
         (yield RemoteCall(
@@ -536,9 +691,8 @@ def direct_spend_flow(
         ))
     )
     if sign_reply.get("status") == "double-spend":
-        proof = DoubleSpendProof.from_wire(strip_prefix(sign_reply, "proof."))
-        raise DoubleSpendError(proof)
-    return SignedTranscript.from_wire(strip_prefix(sign_reply, "signed."))
+        raise DoubleSpendError(DoubleSpendProof.from_wire(sign_reply, "proof."))
+    return SignedTranscript.from_wire(sign_reply, "signed.")
 
 
 def deposit_flow(merchant: Merchant, merchant_id: str, broker_id: str) -> Flow:
@@ -662,8 +816,7 @@ def renewal_flow(
         ))
     )
     if answered.get("status") == "refused":
-        proof = DoubleSpendProof.from_wire(strip_prefix(answered, "proof."))
-        raise RenewalRefusedError(proof)
+        raise RenewalRefusedError(DoubleSpendProof.from_wire(answered, "proof."))
     response = SignerResponse(
         r=as_int(answered["rho"]),
         c=as_int(answered["commitment"]),
@@ -677,15 +830,19 @@ def renewal_flow(
 __all__ = [
     "ALREADY_CREDITED",
     "BROKER_METHODS",
+    "Batch",
     "Clock",
     "DEPOSIT_BATCH_SIZE",
     "Flow",
     "Handler",
     "MERCHANT_METHODS",
+    "MethodSchema",
     "PendingReply",
     "RemoteCall",
     "RpcFn",
+    "Shape",
     "Transport",
+    "WIRE_SCHEMA",
     "WITNESS_METHODS",
     "as_int",
     "as_text",

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.exceptions import ProtocolViolationError
 from repro.crypto.serialize import (
     KEY_ABBREVIATIONS,
     abbreviate_key,
@@ -143,12 +144,45 @@ def test_split_batch_is_the_receiving_half_of_pack_batch():
 
 
 def test_split_batch_orders_by_index_and_skips_foreign_keys():
-    flat = {
-        "batch.t10.a": "x",
-        "batch.t2.a": "y",
-        "batch.tail.a": "not an item",
-        "batch.i0.a": "another group",
-        "batch.t3": "no field",
-    }
-    assert split_batch(flat, "batch", "t") == [(2, {"a": "y"}), (10, {"a": "x"})]
+    flat = {f"batch.t{index}.a": str(index) for index in (10, 2, 0, 7, 1, 9, 3, 8, 4, 6, 5)}
+    flat.update({"batch.i0.a": "another group", "other.t0.a": "another field", "who": "m"})
+    assert split_batch(flat, "batch", "t") == [(index, {"a": str(index)}) for index in range(11)]
     assert split_batch(flat, "batch", "z") == []
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        # ``t1``, ``t01`` and ``t١`` (an Arabic-Indic one) all pass
+        # ``isdigit`` and ``int`` reads each as 1: the old walk assembled
+        # one transcript from the three. Only pack_batch's spelling counts.
+        ["batch.t1.a", "batch.t01.b", "batch.t\u0661.c"],
+        ["batch.t0.a", "batch.t1.a", "batch.t01.b", "batch.t\u0661.c"],
+        ["batch.t0.a", "batch.t2.a"],  # a gap
+        ["batch.t1.a", "batch.t2.a"],  # not from 0
+        ["batch.t0.a", "batch.tail.a"],  # not a number
+        ["batch.t0.a", "batch.t+1.a"],
+        ["batch.t0.a", "batch.t.a"],
+    ],
+    ids=["three-spellings-of-1", "after-0", "gap", "from-1", "word", "sign", "empty"],
+)
+def test_split_batch_refuses_indices_that_are_not_0_to_n(keys):
+    with pytest.raises(ProtocolViolationError, match="each index spelled once"):
+        split_batch(dict.fromkeys(keys, "v"), "batch", "t")
+
+
+def test_split_batch_holds_every_item_to_one_of_its_shapes():
+    shapes = (frozenset({"outcome", "amount"}), frozenset({"kind", "error"}))
+    good = {"r0.outcome": "ok", "r0.amount": "AQ", "r1.kind": "E", "r1.error": "no"}
+    assert [fields for _, fields in split_batch(good, "", "r", shapes)] == [
+        {"outcome": "ok", "amount": "AQ"},
+        {"kind": "E", "error": "no"},
+    ]
+    for bad in ({**good, "r1.amount": "AQ"}, {"r0.outcome": "ok", "r1.kind": "E", "r1.error": "no"}):
+        with pytest.raises(ProtocolViolationError, match="does not carry an item's keys"):
+            split_batch(bad, "", "r", shapes)
+    # A single-valued item is the field "".
+    assert split_batch({"es.e0": 5, "es.e1": "Bg"}, "es", "e", [frozenset({""})]) == [
+        (0, {"": "BQ"}),
+        (1, {"": "Bg"}),
+    ]

@@ -1,12 +1,16 @@
 """Malformed request bodies over real sockets: each is refused with a
 typed error frame, leaves nothing pending, and the connection — and the
-daemon's books — carry on as if it had never been sent."""
+daemon's books — carry on as if it had never been sent. A body whose
+keys are not ``pay``'s is refused by the registry's shape check before
+the handler runs, so it never reaches the witness."""
 
 import asyncio
 import contextlib
 
 import pytest
 
+from repro import obs
+from repro.core.exceptions import EcashError
 from repro.core.protocols import run_withdrawal
 from repro.core.system import EcashSystem
 from repro.core.transcripts import WitnessCommitment
@@ -79,21 +83,37 @@ def _send_raw(connection, method, body):
         return connection.begin(method, {})
 
 
-def _replace_field(body: bytes, key: bytes, value: bytes) -> bytes:
+def _replace_field(body: bytes, key: bytes, value: bytes | None) -> bytes:
+    """``body`` with field ``key`` set to ``value``, or dropped for None."""
     fields = body.split(b"&")
     (index,) = [i for i, field in enumerate(fields) if field.startswith(key + b"=")]
-    fields[index] = key + b"=" + value
+    if value is None:
+        del fields[index]
+    else:
+        fields[index] = key + b"=" + value
     return b"&".join(fields)
 
 
+def _kind(error: EcashError) -> str:
+    """The error type the daemon reported, rebuilt or not."""
+    return error.kind if isinstance(error, RemoteProtocolError) else type(error).__name__
+
+
 #: name -> (mutation of an honest ``pay`` body, whether the daemon gets as
-#: far as a method name — only then is the exchange metered).
+#: far as a method name — only then is the exchange metered — and the
+#: error type the payer is refused with).
 MALFORMED = {
-    "duplicate key": (lambda body: body + b"&transcript.coin.bare.A=AQ", False),
-    "scalar and nested": (lambda body: body + b"&t=AQ", False),
-    "smuggled _error": (lambda body: body + b"&_error=EcashError", False),
-    "missing _method": (lambda body: body.removeprefix(b"_method=pay&"), False),
-    "truncated escape": (lambda body: _replace_field(body, b"t.ts", b"Cg%4"), True),
+    "duplicate key": (lambda body: body + b"&transcript.coin.bare.A=AQ", False, "ValueError"),
+    "scalar and nested": (lambda body: body + b"&t=AQ", False, "ValueError"),
+    "smuggled _error": (lambda body: body + b"&_error=EcashError", False, "ValueError"),
+    "missing _method": (lambda body: body.removeprefix(b"_method=pay&"), False, "ValueError"),
+    "truncated escape": (
+        lambda body: _replace_field(body, b"t.ts", b"Cg%4"), True, "ValueError"
+    ),
+    "undeclared key": (lambda body: body + b"&junk=AQ", True, "ProtocolViolationError"),
+    "missing key": (
+        lambda body: _replace_field(body, b"t.ts", None), True, "ProtocolViolationError"
+    ),
 }
 
 
@@ -110,14 +130,26 @@ def test_malformed_pay_bodies_are_refused_and_the_connection_carries_on(params):
             connection = await payer.connection(MERCHANT)
             honest_sizes = []
             refused_sizes = []
-            for stored, (name, (mutate, reaches_handler)) in zip(coins, MALFORMED.items()):
+            for stored, (name, (mutate, reaches_handler, kind)) in zip(
+                coins, MALFORMED.items()
+            ):
                 honest = await _pay_body(payer, client, stored, system)
                 malformed = mutate(honest)
                 assert malformed != honest, name
-                with pytest.raises(RemoteProtocolError) as refusal:
+                signs = witness.node.handler_time.get("witness/sign", (0, 0.0))[0]
+                handler_errors = obs.registry().counter_value(
+                    "daemon_handler_errors_total", method="pay"
+                )
+                with pytest.raises(EcashError) as refusal:
                     await _send_raw(connection, "pay", malformed)
-                assert refusal.value.kind == "ValueError", name
+                assert _kind(refusal.value) == kind, name
                 assert connection._pending == {}, name
+                assert witness.node.handler_time.get("witness/sign", (0, 0.0))[0] == signs, name
+                if kind == "ProtocolViolationError":
+                    # A typed refusal, not a handler bug.
+                    assert obs.registry().counter_value(
+                        "daemon_handler_errors_total", method="pay"
+                    ) == handler_errors, name
                 if reaches_handler:
                     refused_sizes.append(wire.message_size(malformed))
                 # The very next request on the same connection is served.
@@ -138,7 +170,7 @@ def test_malformed_pay_bodies_are_refused_and_the_connection_carries_on(params):
             # A body that never yields a method name is answered but not
             # metered; one that fails inside the handler is an ordinary
             # refused exchange.
-            unparsed = sum(1 for _, reaches in MALFORMED.values() if not reaches)
+            unparsed = sum(1 for _, reaches, _ in MALFORMED.values() if not reaches)
             assert served["?"] == unparsed
             assert served["pay"] == len(coins) + len(refused_sizes)
             logged = []
@@ -160,7 +192,8 @@ def test_malformed_pay_bodies_are_refused_and_the_connection_carries_on(params):
         merchant = system.merchant(MERCHANT)
         assert len(merchant.accepted) == len(coins)
 
-    asyncio.run(scenario())
+    with obs.enabled():
+        asyncio.run(scenario())
 
 
 @pytest.mark.parametrize("spelling", ["AQ=", "AQ==", "AAE", "AAAB"])

@@ -12,7 +12,6 @@ from repro.lint.program import (
     ModuleSummary,
     ProgramIndex,
     module_name,
-    patterns_compatible,
     summarize_source,
 )
 
@@ -45,7 +44,6 @@ RICH = """
     from functools import partial
 
     METHODS = ("a/b",)
-    ABBR = {"transcript": "t"}
 
     class Base:
         def ping(self):
@@ -70,7 +68,6 @@ def test_summary_round_trips_through_json() -> None:
     rebuilt = ModuleSummary.from_dict(wire)
     assert rebuilt.to_dict() == summary.to_dict()
     assert rebuilt.str_tuples["METHODS"] == ("a/b",)
-    assert rebuilt.str_dicts["ABBR"] == {"transcript": "t"}
     assert rebuilt.classes["Child"].bases == ("Base",)
     assert any(r for r in rebuilt.ignores.values() if "journal-first" in r)
 
@@ -78,19 +75,6 @@ def test_summary_round_trips_through_json() -> None:
 def test_summary_rejects_other_versions() -> None:
     with pytest.raises(ValueError, match="summary version"):
         ModuleSummary.from_dict({"version": 99, "module": "m", "path": "m.py"})
-
-
-# ----------------------------------------------------------------------
-# key-pattern matching
-# ----------------------------------------------------------------------
-def test_patterns_compatible() -> None:
-    assert patterns_compatible("a.b", "a.b")
-    assert patterns_compatible("a.*", "a.b.c")
-    assert patterns_compatible("batch.t*", "batch.t*.coin.*")
-    assert patterns_compatible("*", "anything.at.all")
-    assert patterns_compatible("es.*", "es.e*")
-    assert not patterns_compatible("a.b", "a.c")
-    assert not patterns_compatible("es", "es.e*")
 
 
 # ----------------------------------------------------------------------
