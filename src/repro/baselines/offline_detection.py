@@ -92,7 +92,7 @@ class OfflineSpender:
     def identity(self) -> int:
         """The registered public identity ``I = g1^u1``."""
         with counters.suppressed():
-            return pow(self.params.group.g1, self.account_secret, self.params.group.p)
+            return self.params.group.exp(self.params.group.g1, self.account_secret)
 
     def mint_coin(self) -> tuple[OfflineCoin, RepresentationPair]:
         """Create one coin whose ``A`` embeds the client identity.
@@ -184,7 +184,7 @@ class OfflineBank:
     def identify(self, extracted: Representation) -> str | None:
         """Map an extracted representation to a registered client."""
         with counters.suppressed():
-            identity = pow(self.params.group.g1, extracted.k1, self.params.group.p)
+            identity = self.params.group.exp(self.params.group.g1, extracted.k1)
         return self.accounts.get(identity)
 
 

@@ -239,7 +239,7 @@ def restore_broker(broker: Broker, spaces: Spaces) -> None:
     )
     sign_secret = meta.sign_secret
     with counters.suppressed():
-        sign_public = pow(params.group.g, sign_secret, params.group.p)
+        sign_public = params.group.exp(params.group.g, sign_secret)
     broker._sign_key = SchnorrKeyPair(
         group=params.group, secret=sign_secret, public=sign_public
     )

@@ -1,7 +1,7 @@
 """Pluggable bigint backend: CPython ``pow``, the system's libgmp, or gmpy2.
 
 Every hot path in the system bottoms out in 1024-bit modular arithmetic —
-comb-table lookups, Straus multi-exponentiation chains, Miller-Rabin
+fixed-base table walks, Straus multi-exponentiation chains, Miller-Rabin
 witnesses, Fermat inversions. This module is the single switch point for
 *how* that arithmetic executes:
 
@@ -11,7 +11,7 @@ witnesses, Fermat inversions. This module is the single switch point for
   through :mod:`ctypes` — nothing to install (gcc and apt's gnutls depend
   on the library), one foreign call per exponentiation, ~57 us against
   ~615 us for builtin ``pow`` at 1024/160 bits. Operands stay plain
-  ``int``; only :func:`powmod` changes;
+  ``int``; only :func:`powmod` and the fixed-base table change;
 * the **gmpy2** backend routes the same operations through GMP limbs
   (``gmpy2.powmod``, ``mpz`` operands), and is selected only when the
   optional ``gmpy2`` package is importable.
@@ -29,17 +29,21 @@ to python when unavailable. :func:`set_backend` switches at runtime;
 listeners registered through :func:`on_change` (the fixed-base table
 registry) are notified so derived state never straddles two backends.
 
-Hot loops do not call :func:`powmod` per multiplication — they
-:func:`wrap` their operands once (``mpz`` under gmpy2, identity
-otherwise) and use native ``*``/``%`` operators on the wrapped values,
-then :func:`unwrap` the result back to ``int`` at the module boundary.
-Under gmp there is no such loop to run: a foreign ``mpz_powm`` is cheaper
-than a comb table of Python ints, which :func:`powmod_beats_tables`
-tells the two modules that would otherwise build one.
+The fixed-base table is a backend primitive like :func:`powmod`:
+:data:`FixedBaseTable` holds, for each ``window``-bit digit position of
+the exponent, every power of one base at that position, and
+:func:`table_product` multiplies one entry per non-zero digit of every
+``(table, exponent)`` factor into one accumulator. Under python and
+gmpy2 the rows are ``int``/``mpz`` values walked with native ``*``/``%``;
+under gmp they are ``mpz_t``s in one ctypes block, built and walked with
+``mpz_mul`` and ``mpz_tdiv_r`` — at 1024/160 bits a 6-bit table builds
+in ~5 ms and walks in ~0.6 of one ``mpz_powm``. Hot loops outside the
+tables :func:`wrap` their operands once (``mpz`` under gmpy2, identity
+otherwise) and :func:`unwrap` the result back to ``int``.
 
 ``mpz_powm`` is not constant-time, and neither is the CPython ``pow`` it
-replaces; ``mpz_powm_sec`` (79 us) is what a secret-exponent split would
-cost.
+replaces or a table walk, whose multiplications skip zero digits;
+``mpz_powm_sec`` (79 us) is what a secret-exponent split would cost.
 
 Layering: this is a **leaf module** — it imports nothing from ``repro``,
 so any layer (``repro.perf`` included) may import it without cycles.
@@ -50,7 +54,7 @@ from __future__ import annotations
 import functools
 import importlib
 import os
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple, Sequence
 
 #: Canonical backend names, in preference order for ``auto``.
 BACKEND_GMPY2 = "gmpy2"
@@ -64,6 +68,10 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
     _gmpy2 = None
 
 PowMod = Callable[[Any, int, int], int]
+
+#: ``prod(table.base ^ exponent)`` over ``(table, exponent)`` factors of one
+#: modulus, as a plain ``int``.
+TableProduct = Callable[[Sequence[tuple[Any, int]]], int]
 
 
 # ----------------------------------------------------------------------
@@ -121,6 +129,86 @@ def _gmpy2_invert(value: int, modulus: int) -> int:
         raise ZeroDivisionError(f"{value} is not invertible modulo {modulus}") from None
 
 
+def _check_table(p: int, q: int, window: int) -> None:
+    """The arguments every backend's table refuses.
+
+    Raises:
+        ValueError: a window outside 1..16 bits, ``q <= 0`` or ``p <= 1``.
+    """
+    if not 1 <= window <= 16:
+        raise ValueError("window must be between 1 and 16 bits")
+    if q <= 0 or p <= 1:
+        raise ValueError("p and q must be positive with p > 1")
+
+
+class _PyTable:
+    """Fixed-base table of native bigints (``int``, or ``mpz`` under gmpy2).
+
+    ``rows[i][j] == base ** (j << (window * i))  (mod p)``, one row per
+    ``window``-bit digit of an exponent in ``[0, q)``; the rows and the
+    modulus are lifted with the active :func:`wrap`, so building and
+    walking run on native limbs. ~20 Python-level multiplications per
+    160-bit exponent against ~240 for square-and-multiply; building one
+    costs ~5,000 (50-60 ms at 1024 bits under python).
+
+    Args:
+        base: the fixed base; reduced modulo ``p``.
+        p: field modulus.
+        q: exponent modulus (the subgroup order); exponents are reduced
+            into ``[0, q)`` before lookup.
+        window: digit width in bits (default 8: 256-entry rows).
+    """
+
+    __slots__ = ("base", "p", "q", "window", "_rows", "_pw")
+
+    def __init__(self, base: int, p: int, q: int, window: int = 8) -> None:
+        _check_table(p, q, window)
+        self.base = base % p
+        self.p = p
+        self.q = q
+        self.window = window
+        pw = wrap(p)
+        rows: list[list[Any]] = []
+        row_base = wrap(self.base)
+        for _ in range((q.bit_length() + window - 1) // window):
+            row: list[Any] = [1, row_base]
+            acc = row_base
+            for _ in range((1 << window) - 2):
+                acc = acc * row_base % pw
+                row.append(acc)
+            rows.append(row)
+            # base of the next row: this one raised to 2^window.
+            for _ in range(window):
+                row_base = row_base * row_base % pw
+        self._rows = rows
+        self._pw = pw
+
+    def pow(self, exponent: int) -> int:
+        """Return ``base^(exponent mod q) mod p`` via table lookups."""
+        return _py_table_product(((self, exponent),))
+
+
+def _py_table_product(factors: Sequence[tuple[Any, int]]) -> int:
+    """``prod(table.base^(exponent mod table.q)) mod p`` over the factors.
+
+    One native accumulator takes one multiplication per non-zero digit of
+    every factor's exponent; ``1`` for no factors.
+    """
+    out: Any = 1
+    for table, exponent in factors:
+        e = exponent % table.q
+        rows, pw, window = table._rows, table._pw, table.window
+        mask = (1 << window) - 1
+        index = 0
+        while e:
+            digit = e & mask
+            if digit:
+                out = out * rows[index][digit] % pw
+            e >>= window
+            index += 1
+    return int(out)
+
+
 # ----------------------------------------------------------------------
 # The gmp backend: ctypes on the system's libgmp
 # ----------------------------------------------------------------------
@@ -145,20 +233,38 @@ _SELF_TEST = (
     (1 << 64, 3, 1 << 64),
 )
 
+#: Digit width of a gmp table. At 1024/160 bits (entries, build, walk ÷
+#: ``mpz_powm``): 5 bits 992, 3-4 ms, 0.70-0.73; 6 bits 1,701, 5-6.5 ms,
+#: 0.59-0.64; 8 bits 5,100, 15-19 ms, 0.47-0.50 — on a 2-core host running
+#: at about 0.45x of the reference speed. ``g``'s table is built while a
+#: daemon derives its parties' keys, before its first ping: 8 bits made
+#: that 30+ ms per process, 6 bits 3-4 ms.
+_GMP_WINDOW = 6
 
-def _bind_libgmp() -> tuple[PowMod, str]:
-    """Load libgmp and bind ``mpz_init/import/powm/export``.
 
-    Returns the backend's ``powmod`` and the library's ``__gmp_version``.
-    The only layout relied on is that an ``mpz_t`` is GMP's 16-byte
-    ``{int _mp_alloc; int _mp_size; mp_limb_t *_mp_d;}``, which
-    ``mpz_init`` fills in; integers cross as little-endian 64-bit words.
+class _Gmp(NamedTuple):
+    """What :func:`_bind_libgmp` binds: the gmp backend's primitives."""
+
+    powmod: PowMod
+    version: str
+    table: type
+    table_product: TableProduct
+
+
+def _bind_libgmp() -> _Gmp:
+    """Load libgmp and bind ``mpz_init/import/export/powm/mul/tdiv_r``.
+
+    Returns the backend's ``powmod``, the library's ``__gmp_version``, its
+    table class and its :data:`table_product`. The only layout relied on
+    is that an ``mpz_t`` is GMP's 16-byte ``{int _mp_alloc; int _mp_size;
+    mp_limb_t *_mp_d;}``; integers cross as little-endian 64-bit words.
 
     Raises:
         ImportError, OSError, AttributeError: no ctypes in this build, no
-            loadable library, or a library without the four symbols.
+            loadable library, or a library without the six symbols.
     """
     import ctypes
+    import sys
     import threading
 
     try:
@@ -178,59 +284,71 @@ def _bind_libgmp() -> tuple[PowMod, str]:
             ("_mp_d", ctypes.c_void_p),
         ]
 
-    mpz_ptr = ctypes.POINTER(Mpz)
-    size_t, c_int = ctypes.c_size_t, ctypes.c_int
+    # Every mpz_t crosses as its address, a plain int.
+    mpz, size_t, c_int = ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int
     mpz_init = lib.__gmpz_init
-    mpz_init.argtypes, mpz_init.restype = [mpz_ptr], None
+    mpz_init.argtypes, mpz_init.restype = [mpz], None
     mpz_import = lib.__gmpz_import
-    mpz_import.argtypes = [mpz_ptr, size_t, c_int, size_t, c_int, size_t, ctypes.c_char_p]
+    mpz_import.argtypes = [mpz, size_t, c_int, size_t, c_int, size_t, ctypes.c_char_p]
     mpz_import.restype = None
     mpz_powm = lib.__gmpz_powm
-    mpz_powm.argtypes, mpz_powm.restype = [mpz_ptr] * 4, None
+    mpz_powm.argtypes, mpz_powm.restype = [mpz] * 4, None
+    mpz_mul = lib.__gmpz_mul
+    mpz_mul.argtypes, mpz_mul.restype = [mpz] * 3, None
+    mpz_tdiv_r = lib.__gmpz_tdiv_r
+    mpz_tdiv_r.argtypes, mpz_tdiv_r.restype = [mpz] * 3, None
     mpz_export = lib.__gmpz_export
-    mpz_export.argtypes = [
-        ctypes.c_void_p, ctypes.POINTER(size_t), c_int, size_t, c_int, size_t, mpz_ptr
-    ]
+    mpz_export.argtypes = [ctypes.c_void_p, mpz, c_int, size_t, c_int, size_t, mpz]
     mpz_export.restype = ctypes.c_void_p
     version = ctypes.c_char_p.in_dll(lib, "__gmp_version").value or b""
+    mpz_bytes = ctypes.sizeof(Mpz)
 
-    def new_mpz() -> Any:
-        # byref keeps the structure alive; the limbs mpz_init/import
-        # allocate are never cleared (3 + _MODULUS_SLOTS per thread).
-        ref = ctypes.byref(Mpz())
-        mpz_init(ref)
-        return ref
+    def new_mpz(keep: list[Any]) -> int:
+        # ``keep`` holds the structure; the limbs mpz_init/import allocate
+        # are never cleared (3 + _MODULUS_SLOTS per thread).
+        struct = Mpz()
+        keep.append(struct)
+        address = ctypes.addressof(struct)
+        mpz_init(address)
+        return address
 
-    def load(ref: Any, value: int) -> int:
-        """Import a non-negative ``value`` into ``ref``; returns its limb count."""
+    def load(address: int, value: int) -> int:
+        """Import a non-negative ``value``; returns its limb count."""
         limbs = (value.bit_length() + 63) >> 6
-        mpz_import(ref, limbs, -1, 8, -1, 0, value.to_bytes(limbs << 3, "little"))
+        mpz_import(address, limbs, -1, 8, -1, 0, value.to_bytes(limbs << 3, "little"))
         return limbs
 
     class Operands(threading.local):
-        """One thread's scratch ``mpz_t``s and imported moduli.
+        """One thread's three scratch ``mpz_t``s and imported moduli.
 
-        The GIL is released around every foreign call and a thread switch
-        can fall between ``mpz_import`` and ``mpz_powm``, so nothing a
-        call writes to is shared between threads.
+        The GIL is released around every foreign call, so a thread switch
+        can fall between any two of them: nothing a call writes to is
+        shared between threads, and a table's entries, written before the
+        table is returned, are only ever read.
         """
 
         def __init__(self) -> None:
             count = size_t()
+            self.keep: list[Any] = [count]
             #: modulus -> (its mpz, an export buffer of its size)
-            moduli: dict[int, tuple[Any, Any]] = {}
-            self.all = (new_mpz(), new_mpz(), new_mpz(), count, ctypes.byref(count), moduli)
+            moduli: dict[int, tuple[int, Any]] = {}
+            scratch = (new_mpz(self.keep), new_mpz(self.keep), new_mpz(self.keep))
+            self.all = (*scratch, count, ctypes.addressof(count), moduli)
+
+        def modulus(self, modulus: int) -> tuple[int, Any]:
+            moduli = self.all[-1]
+            slot = moduli.get(modulus)
+            if slot is None:
+                if len(moduli) < _MODULUS_SLOTS:
+                    address = new_mpz(self.keep)
+                else:
+                    address = moduli.pop(next(iter(moduli)))[0]
+                buffer = ctypes.create_string_buffer(load(address, modulus) << 3)
+                slot = moduli[modulus] = (address, buffer)
+            return slot
 
     operands = Operands()
     from_bytes = int.from_bytes
-
-    def import_modulus(moduli: dict[int, tuple[Any, Any]], modulus: int) -> tuple[Any, Any]:
-        if len(moduli) < _MODULUS_SLOTS:
-            ref = new_mpz()
-        else:
-            ref = moduli.pop(next(iter(moduli)))[0]
-        slot = moduli[modulus] = (ref, ctypes.create_string_buffer(load(ref, modulus) << 3))
-        return slot
 
     def powmod(base: Any, exponent: int, modulus: int) -> int:
         """``base^exponent mod modulus`` via ``mpz_powm``, as plain ``int``.
@@ -242,31 +360,135 @@ def _bind_libgmp() -> tuple[PowMod, str]:
         """
         if base < 0 or exponent < 0 or modulus <= 0:
             return pow(base, exponent, modulus)
-        base_ref, exponent_ref, out_ref, count, count_ref, moduli = operands.all
-        modulus_ref, out = moduli.get(modulus) or import_modulus(moduli, modulus)
+        base_ref, exponent_ref, out_ref, count, count_ref, _ = operands.all
+        modulus_ref, out = operands.modulus(modulus)
         load(base_ref, base)
         load(exponent_ref, exponent)
         mpz_powm(out_ref, base_ref, exponent_ref, modulus_ref)
         mpz_export(out, count_ref, -1, 8, -1, 0, out_ref)
         return from_bytes(out.raw[: count.value << 3], "little")
 
-    return powmod, version.decode("ascii", "replace")
+    class GmpTable:
+        """Fixed-base table in GMP memory, entries as ``mpz_t``s.
+
+        Entry ``(i, j)``, for ``j`` in ``1 .. 2^window - 1``, is
+        ``base ** (j << (window * i))  (mod p)``. The whole table is one
+        ctypes block — every entry's 16-byte header, then its limbs, each
+        entry holding as many as ``p`` — so dropping the table frees all
+        of it, and GMP never reallocates an entry: a remainder mod ``p``
+        fits. Each entry is the previous one times the row's first,
+        reduced (``mpz_mul`` + ``mpz_tdiv_r``); the next row's first is
+        the last entry times the first.
+
+        Args: as the python backend's table; ``window`` defaults to
+        :data:`_GMP_WINDOW`.
+        """
+
+        __slots__ = ("base", "p", "q", "window", "_block", "_first", "_row_bytes")
+
+        def __init__(self, base: int, p: int, q: int, window: int = _GMP_WINDOW) -> None:
+            _check_table(p, q, window)
+            self.base = base % p
+            self.p = p
+            self.q = q
+            self.window = window
+            per_row = (1 << window) - 1
+            rows = (q.bit_length() + window - 1) // window
+            count = rows * per_row
+            limbs = (p.bit_length() + 63) >> 6
+            block = (ctypes.c_uint64 * (count * (2 + limbs)))()
+            first = ctypes.addressof(block)
+            limbs_at = first + count * mpz_bytes
+            # Headers: _mp_alloc = limbs, _mp_size = 0, _mp_d into the block.
+            sizes = int.from_bytes(bytes(Mpz(limbs, 0))[:8], sys.byteorder)
+            block[0 : 2 * count : 2] = [sizes] * count
+            block[1 : 2 * count : 2] = range(limbs_at, limbs_at + count * limbs * 8, limbs * 8)
+            product, _, imported = operands.all[:3]
+            modulus_ref = operands.modulus(p)[0]
+            load(imported, self.base)
+            entry = first
+            mpz_tdiv_r(entry, imported, modulus_ref)
+            for row in range(rows):
+                row_first = entry
+                # This row's entries 2.., then the next row's first.
+                for _ in range(per_row if row + 1 < rows else per_row - 1):
+                    mpz_mul(product, entry, row_first)
+                    entry += mpz_bytes
+                    mpz_tdiv_r(entry, product, modulus_ref)
+            self._block = block
+            self._first = first
+            self._row_bytes = per_row * mpz_bytes
+
+        def pow(self, exponent: int) -> int:
+            """Return ``base^(exponent mod q) mod p`` via table lookups."""
+            return table_product(((self, exponent),))
+
+    def table_product(factors: Sequence[tuple[Any, int]]) -> int:
+        """One chain over every factor's digits, one export.
+
+        Two scratch ``mpz_t``s take turns as the accumulator: it is
+        multiplied by one entry per non-zero digit and reduced after
+        every second product.
+        """
+        if not factors:
+            return 1
+        left, right, _, count, count_ref, _ = operands.all
+        modulus_ref, out = operands.modulus(factors[0][0].p)
+        acc = 0  # the accumulator's mpz, or 0 while it is 1
+        unreduced = False
+        for table, exponent in factors:
+            e = exponent % table.q
+            window = table.window
+            mask = (1 << window) - 1
+            row = table._first - mpz_bytes  # digit d of this row is row + d * 16
+            step = table._row_bytes
+            while e:
+                digit = e & mask
+                if digit:
+                    entry = row + digit * mpz_bytes
+                    if acc:
+                        target = right if acc == left else left
+                        mpz_mul(target, acc, entry)
+                        acc = target
+                        if unreduced:
+                            target = right if acc == left else left
+                            mpz_tdiv_r(target, acc, modulus_ref)
+                            acc = target
+                        unreduced = not unreduced
+                    else:
+                        acc = entry
+                e >>= window
+                row += step
+        if not acc:
+            return 1
+        if unreduced:
+            target = right if acc == left else left
+            mpz_tdiv_r(target, acc, modulus_ref)
+            acc = target
+        mpz_export(out, count_ref, -1, 8, -1, 0, acc)
+        return from_bytes(out.raw[: count.value << 3], "little")
+
+    return _Gmp(powmod, version.decode("ascii", "replace"), GmpTable, table_product)
 
 
 @functools.cache
-def _libgmp() -> tuple[PowMod, str] | None:
-    """The gmp backend's ``(powmod, version)``, or ``None`` if unusable here.
+def _libgmp() -> _Gmp | None:
+    """The gmp backend's primitives, or ``None`` if unusable here.
 
     A library that does not load, lacks a symbol or disagrees with
-    builtin ``pow`` on :data:`_SELF_TEST` leaves the backend unavailable;
-    the process carries on with python arithmetic.
+    builtin ``pow`` on :data:`_SELF_TEST` — through ``mpz_powm`` and
+    through a small table — leaves the backend unavailable; the process
+    carries on with python arithmetic.
     """
     try:
         bound = _bind_libgmp()
     except (ImportError, OSError, AttributeError):
         return None
-    if any(bound[0](b, e, m) != pow(b, e, m) for b, e, m in _SELF_TEST):
-        return None
+    for base, exponent, modulus in _SELF_TEST:
+        expected = pow(base, exponent, modulus)
+        table = bound.table(base, modulus, exponent + 1, window=2)
+        if bound.powmod(base, exponent, modulus) != expected or table.pow(exponent) != expected:
+            return None
     return bound
 
 
@@ -287,6 +509,17 @@ wrap: Callable[[int], Any] = _py_identity
 
 #: Lower a (possibly wrapped) value back to a plain ``int``.
 unwrap: Callable[[Any], int] = _py_identity
+
+#: The active backend's fixed-base table class:
+#: ``FixedBaseTable(base, p, q, window=...)``, whose ``pow(exponent)`` is
+#: ``base^(exponent mod q) mod p``. A table serves the backend that built
+#: it; :mod:`repro.perf.fixed_base` drops its tables on a switch.
+FixedBaseTable: type = _PyTable
+
+#: ``prod(table.base^(exponent mod table.q)) mod p`` over ``(table,
+#: exponent)`` factors whose tables share one ``p`` and were built by the
+#: active backend: one accumulator for every factor, ``1`` for none.
+table_product: TableProduct = _py_table_product
 
 _active = BACKEND_PYTHON
 _listeners: list[Callable[[str], None]] = []
@@ -323,28 +556,26 @@ def gmp_version() -> str | None:
     if _active == BACKEND_GMPY2:
         return str(_gmpy2.version())
     bound = _libgmp() if _active == BACKEND_GMP else None
-    return bound[1] if bound is not None else None
+    return bound.version if bound is not None else None
 
 
-def powmod_beats_tables() -> bool:
-    """Whether one :func:`powmod` is cheaper than a Python-level table walk.
+def straus_beats_powmod() -> bool:
+    """Whether bases *without* a table share one squaring chain.
 
-    True under gmp only: a foreign ``mpz_powm`` (~57 us at 1024/160 bits)
-    undercuts a comb-table lookup over Python ints (~72 us, plus 50-60 ms
-    and ~655 KB to build each table) and a Straus chain, so
-    :mod:`repro.perf.fixed_base` builds no tables and
-    :mod:`repro.perf.multiexp` multiplies plain powers. Under gmpy2 the
-    tables hold ``mpz`` values and still win.
+    A Straus chain of Python-level multiplications (~160 squarings plus
+    ~52 products per base at 160 bits) beats one :func:`powmod` per base
+    under python and gmpy2; under gmp a foreign ``mpz_powm`` per base is
+    cheaper, so :func:`repro.perf.multiexp.multi_exp` takes them one by one.
     """
-    return _active == BACKEND_GMP
+    return _active != BACKEND_GMP
 
 
 def on_change(listener: Callable[[str], None]) -> None:
     """Register a callback fired (with the new name) after every switch.
 
-    Used by caches of backend-derived state — the fixed-base comb tables
-    wrap their block matrices in the active backend's type, so they drop
-    themselves on a switch rather than serve stale-typed entries.
+    Used by caches of backend-derived state — a fixed-base table holds
+    the rows of the backend that built it (``int``, ``mpz`` or GMP
+    memory), so the registry drops its tables on a switch.
     """
     _listeners.append(listener)
 
@@ -364,7 +595,7 @@ def set_backend(requested: str, strict: bool = True) -> str:
         RuntimeError: ``strict`` and the backend is unavailable (gmpy2 not
             importable; libgmp not loadable or failing its self-test).
     """
-    global powmod, invert, wrap, unwrap, _active
+    global powmod, invert, wrap, unwrap, FixedBaseTable, table_product, _active
     choice = requested.strip().lower()
     if choice == "auto":
         choice = available()[0]
@@ -377,6 +608,7 @@ def set_backend(requested: str, strict: bool = True) -> str:
         choice = BACKEND_PYTHON
     if choice == _active:
         return _active
+    FixedBaseTable, table_product = _PyTable, _py_table_product
     if choice == BACKEND_GMPY2:
         powmod, invert, wrap, unwrap = (
             _gmpy2_powmod,
@@ -385,10 +617,13 @@ def set_backend(requested: str, strict: bool = True) -> str:
             _gmpy2_unwrap,
         )
     else:
-        # gmp replaces powmod alone: operands stay plain ints.
-        bound = _libgmp() if choice == BACKEND_GMP else None
-        powmod = bound[0] if bound is not None else _py_powmod
+        # gmp replaces powmod and the table: operands stay plain ints.
         invert, wrap, unwrap = _py_invert, _py_identity, _py_identity
+        bound = _libgmp() if choice == BACKEND_GMP else None
+        if bound is None:
+            powmod = _py_powmod
+        else:
+            powmod, FixedBaseTable, table_product = bound.powmod, bound.table, bound.table_product
     _active = choice
     for listener in list(_listeners):
         listener(choice)
@@ -412,14 +647,16 @@ __all__ = [
     "BACKEND_GMP",
     "BACKEND_GMPY2",
     "BACKEND_PYTHON",
+    "FixedBaseTable",
     "available",
     "gmp_version",
     "invert",
     "name",
     "on_change",
     "powmod",
-    "powmod_beats_tables",
     "set_backend",
+    "straus_beats_powmod",
+    "table_product",
     "unwrap",
     "wrap",
 ]

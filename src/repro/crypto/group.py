@@ -102,7 +102,7 @@ class SchnorrGroup:
                 check_parameters(*key)
             _VALIDATED_PARAMS.add(key)
         # A validated group's generators are the hottest fixed bases in the
-        # whole system; mark them for the perf engine's comb tables.
+        # whole system; mark them for the perf engine's fixed-base tables.
         for gen in (self.g, self.g1, self.g2):
             perf.register(gen, self.p, self.q)
         object.__setattr__(self, "_validated", True)
@@ -114,7 +114,7 @@ class SchnorrGroup:
         """Return ``base^exponent mod p`` and record one ``Exp`` event.
 
         Fixed bases (the generators and registered public keys) may be
-        served from precomputed comb tables; the result is bit-identical
+        served from precomputed fixed-base tables; the result is bit-identical
         to ``pow(base, exponent % q, p)``.
         """
         counters.record_exp()

@@ -56,7 +56,7 @@ class SchnorrKeyPair:
         with counters.suppressed():
             public = perf.fpow(group.g, secret, group.p, group.q)
         # Key pairs are long-lived and their public keys recur as the base
-        # of every verification; make them candidates for comb tables.
+        # of every verification; make them candidates for fixed-base tables.
         perf.register(public, group.p, group.q)
         return cls(group=group, secret=secret, public=public)
 

@@ -29,7 +29,7 @@ import time
 from collections import deque
 from typing import TYPE_CHECKING, Any, Awaitable, Generator, Mapping
 
-from repro import obs
+from repro import obs, perf
 from repro.core.exceptions import EcashError
 from repro.core.system import EcashSystem
 from repro.crypto import backend as bigint_backend
@@ -345,6 +345,8 @@ class DaemonNode:
                 "backend": bigint_backend.name(),
                 "backend_version": bigint_backend.gmp_version() or "",
                 "startup_cpu_ms": f"{self.startup_cpu_ms:.1f}",
+                # Fixed-base tables built and memo entries held, per cache.
+                "perf": perf.cache_stats(),
             }
             if self.recovery is not None:
                 out["recovery"] = {

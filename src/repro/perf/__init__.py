@@ -5,9 +5,11 @@ counts exponentiations, hashes, signatures); this package makes the
 physical execution of those operations fast without changing a single
 logical count or protocol value:
 
-* :mod:`~repro.perf.fixed_base` — comb/window precomputation so
-  exponentiations over the fixed bases ``g``, ``g1``, ``g2`` and
-  registered public keys cost ~20 modular multiplications;
+* :mod:`~repro.perf.fixed_base` — which bases earn a precomputed
+  fixed-base table (the generators ``g``, ``g1``, ``g2``, registered
+  public keys and ``F(info)`` values, on their third use), so an
+  exponentiation over one costs a multiplication per non-zero exponent
+  digit;
 * :mod:`~repro.perf.multiexp` — Shamir/Straus simultaneous
   multi-exponentiation for the product-of-powers verification equations;
 * :mod:`~repro.perf.cache` — bounded memoization of hot re-verified
@@ -18,9 +20,11 @@ logical count or protocol value:
 
 This is the only implementation at run time: there is no switch and no
 second path to select. What varies is chosen by what the code observes
-— the bigint backend decides whether a comb table or one foreign
-``powmod`` serves an exponentiation
-(:func:`repro.crypto.backend.powmod_beats_tables`). The naive
+— the table itself is a bigint-backend primitive
+(:data:`repro.crypto.backend.FixedBaseTable`: native-int rows under
+python and gmpy2, ``mpz_t`` rows in GMP memory under gmp), and the
+backend says whether bases without one share a Straus chain or take one
+foreign ``powmod`` each. The naive
 builtin-``pow`` formulas live in ``tests/reference/naive_crypto.py`` as
 the oracle the differential tests hold this package to. The Table 1
 accounting is independent of how an operation is computed: instrumented
@@ -49,12 +53,12 @@ from repro.perf.batch import (
     is_subgroup_member,
 )
 from repro.perf.cache import MemoCache, cache, memoized
-from repro.perf.fixed_base import FixedBaseTable, fpow, register, table_for
+from repro.perf.fixed_base import fpow, register, table_for
 from repro.perf.multiexp import multi_exp
 
 
 def build_fixed_base(base: int, p: int, q: int) -> None:
-    """Build the comb table for a base immediately.
+    """Build the fixed-base table for a base immediately.
 
     Unlike :func:`register` this skips the use-count promotion and pays
     the table construction now.
@@ -116,7 +120,6 @@ def reset() -> None:
 __all__ = [
     "ClaimSet",
     "CommitmentClaim",
-    "FixedBaseTable",
     "MemoCache",
     "build_fixed_base",
     "cache",

@@ -2,19 +2,22 @@
 
 Verification equations are products of powers — ``g^rho y^omega``,
 ``g1^r1 g2^r2``, ``g^s X^{-e}`` — and computing each factor separately
-repeats the squaring chain once per base. :func:`multi_exp` computes the
-whole product in one pass: bases with a registered
-:mod:`~repro.perf.fixed_base` table contribute a ~20-multiplication table
-lookup, and the remaining bases share a *single* squaring chain via
-Straus's interleaved windowed method, so ``k`` ad-hoc bases cost roughly
-``160 + 52k`` multiplications instead of ``240k``.
+repeats the work once per base. :func:`multi_exp` computes the whole
+product in one pass: every base with a :mod:`~repro.perf.fixed_base`
+table contributes one multiplication per non-zero exponent digit to a
+single accumulator (:func:`repro.crypto.backend.table_product`: one chain
+and one export for ``g^s·W^e`` under gmp), and the remaining bases share
+a *single* squaring chain via Straus's interleaved windowed method, so
+``k`` ad-hoc bases cost roughly ``160 + 52k`` multiplications instead of
+``240k``.
 
 The batched deposit check pushes this to its limit: one ``multi_exp``
 over ``2n + 2`` bases verifies ``n`` representation equations at once.
 
-Where :func:`repro.crypto.backend.powmod_beats_tables` holds, a shared
-squaring chain of Python-level multiplications costs more than one
-foreign ``powmod`` per base, so the product is taken factor by factor.
+Where :func:`repro.crypto.backend.straus_beats_powmod` does not hold (the
+ctypes gmp backend), a shared chain of Python-level multiplications
+costs more than one foreign ``powmod`` per base, so bases without a table
+are taken one by one.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ def multi_exp(p: int, q: int, pairs: Sequence[tuple[int, int]]) -> int:
 
     Exponents are reduced modulo ``q`` (all bases are assumed to lie in
     the order-``q`` subgroup). Bases with a built fixed-base table use it;
-    the rest are combined with shared squarings.
+    the rest are combined with shared squarings or, under gmp, one
+    ``powmod`` each.
 
     Raises:
         ValueError: on an empty ``pairs`` sequence — an accidental empty
@@ -41,15 +45,7 @@ def multi_exp(p: int, q: int, pairs: Sequence[tuple[int, int]]) -> int:
     """
     if not pairs:
         raise ValueError("multi_exp of an empty sequence (empty product bug?)")
-    if backend.powmod_beats_tables():
-        product = 1
-        for base, exponent in pairs:
-            e = exponent % q
-            if e:
-                product = product * backend.powmod(base, e, p) % p
-        return product
-    pw = backend.wrap(p)
-    out = backend.wrap(1)
+    tabled: list[tuple[object, int]] = []
     loose: list[tuple[int, int]] = []
     for base, exponent in pairs:
         e = exponent % q
@@ -57,12 +53,17 @@ def multi_exp(p: int, q: int, pairs: Sequence[tuple[int, int]]) -> int:
             continue
         table = fixed_base.touch(base, p)
         if table is not None:
-            out = out * table.pow(e) % pw
+            tabled.append((table, e))
         else:
             loose.append((base % p, e))
-    if loose:
-        out = out * _straus(pw, loose) % pw
-    return backend.unwrap(out)
+    out = backend.table_product(tabled)
+    if not loose:
+        return out
+    if backend.straus_beats_powmod():
+        return out * backend.unwrap(_straus(backend.wrap(p), loose)) % p
+    for base, e in loose:
+        out = out * backend.powmod(base, e, p) % p
+    return out
 
 
 def _straus(pw: object, pairs: list[tuple[int, int]]) -> object:

@@ -50,13 +50,14 @@ def each_backend(request: pytest.FixtureRequest, monkeypatch: pytest.MonkeyPatch
 
 @pytest.fixture()
 def python_backend() -> Iterator[None]:
-    """The backend whose engine builds comb tables, whatever ``auto`` chose."""
+    """The backend whose tables are ``int`` rows and whose loose bases share
+    a Straus chain, whatever ``auto`` chose."""
     yield from _switched_to(backend.BACKEND_PYTHON)
 
 
 @pytest.fixture()
 def gmp_backend() -> Iterator[None]:
-    """The ctypes backend, under which no table is ever built."""
+    """The ctypes backend: tables in GMP memory, one ``mpz_powm`` per loose base."""
     if backend.BACKEND_GMP not in backend.available():
         pytest.skip("libgmp is not loadable on this host")
     yield from _switched_to(backend.BACKEND_GMP)

@@ -72,10 +72,12 @@ def test_gmp_version_matches_active_backend():
             assert isinstance(version, str) and version[0].isdigit()
 
 
-def test_only_the_ctypes_backend_says_its_powmod_beats_tables():
+def test_every_backend_builds_a_table_and_only_gmp_takes_loose_bases_one_by_one():
     for requested in backend.available():
         backend.set_backend(requested)
-        assert backend.powmod_beats_tables() == (requested == backend.BACKEND_GMP)
+        table = backend.FixedBaseTable(5, 2879, 1439)
+        assert table.pow(1000) == pow(5, 1000, 2879)
+        assert backend.straus_beats_powmod() == (requested != backend.BACKEND_GMP)
 
 
 @pytest.mark.parametrize("requested", REQUESTABLE)

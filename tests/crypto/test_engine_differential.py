@@ -5,11 +5,11 @@ perf engine's off state used to select. Every property here runs the live code
 and the reference on the same input and demands the same integer or the
 same verdict, under each bigint backend this machine has, from both
 states an engine can be in: *cold* (``perf.reset()``: no table, no memo —
-under the python backend that is Straus and plain ``pow``) and *warm*
-(every recurring base used ``BUILD_THRESHOLD + 1`` times first — under
-the python backend that is comb tables; under ``gmp`` no table is ever
-built and the two states differ only in the memos). The state is drawn
-per example, so a failure replays with it.
+Straus under python, one ``powmod`` per base under ``gmp``) and *warm*
+(every recurring base used ``BUILD_THRESHOLD + 1`` times first, so each
+has the backend's fixed-base table: ``int`` rows under python, GMP memory
+under ``gmp``). The state is drawn per example, so a failure replays
+with it.
 """
 
 import random
@@ -19,7 +19,7 @@ from hypothesis import given, strategies as st
 
 from repro import perf
 from repro.core.params import test_params as make_test_params
-from repro.crypto import backend, blind, schnorr
+from repro.crypto import blind, schnorr
 from repro.crypto.blind import BlindSession, PartiallyBlindSignature, PartiallyBlindSigner
 from repro.crypto.schnorr import SchnorrKeyPair, SchnorrSignature
 from repro.perf.batch import _claim_holds
@@ -68,7 +68,7 @@ def _enter(warm: bool, *recurring: int) -> None:
         perf.register(base, P, Q)
         for _ in range(BUILD_THRESHOLD + 1):
             perf.fpow(base, 1, P, Q)
-        assert (perf.table_for(base, P) is None) == backend.powmod_beats_tables()
+        assert perf.table_for(base, P) is not None
 
 
 def _not_elements(public: int) -> list[int]:

@@ -5,7 +5,8 @@ witness alone is started with ``REPRO_BACKEND=python``. The demo's
 scenario — withdraw, pay, the deposit drain and a refused replay —
 succeeds either way, every node moves the same bytes, and
 ``admin/stats`` says which arithmetic each daemon runs — the only place a
-silently fallen-back node shows.
+silently fallen-back node shows — and what its perf engine holds: every
+daemon, whatever its backend, has built fixed-base tables by then.
 """
 
 import asyncio
@@ -29,6 +30,7 @@ from repro.daemon.demo import (
 )
 from repro.daemon.keys import load_authorized, load_identity
 from repro.faults.recovery import BackoffPolicy
+from repro.net.registry import as_int
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -83,6 +85,7 @@ def _lifecycle(directory: Path, witness_backend: str | None) -> dict[str, dict]:
                     **read_books(stats),
                     "backend": str(stats["backend"]),
                     "backend_version": str(stats["backend_version"]),
+                    "tables": as_int(stats["perf"]["fixed-base-tables"]),
                 }
             for name in processes:
                 await transport.call(name, "admin/shutdown", {})
@@ -123,6 +126,8 @@ def test_a_python_backend_witness_interoperates_with_default_backend_peers(tmp_p
     }
     assert all(report["backend_version"][0].isdigit() for report in uniform.values())
     assert mixed[WITNESS]["backend_version"] == ""
+    for run in (uniform, mixed):
+        assert all(report["tables"] >= 1 for report in run.values()), run
 
     for name in uniform:
         assert mixed[name]["meter"] == uniform[name]["meter"], name

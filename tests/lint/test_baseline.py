@@ -114,6 +114,6 @@ def test_checked_in_baseline_matches_fresh_run_over_src() -> None:
     assert stale == [], f"stale baseline entries: {stale}"
     # The grandfathered set is small and deliberate; a growing baseline
     # is a smell this assertion surfaces in review.
-    assert sum(stored.files.counts.values()) == len(findings) == 4
+    assert sum(stored.files.counts.values()) == len(findings) == 1
     # The program tier runs clean on the real tree: nothing grandfathered.
     assert stored.program.counts == {}

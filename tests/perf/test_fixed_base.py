@@ -1,4 +1,9 @@
-"""Fixed-base comb tables: correctness properties and lazy promotion."""
+"""Fixed-base tables: correctness properties and lazy promotion.
+
+The table is the active backend's (``backend.FixedBaseTable``): GMP
+memory under the default ``gmp`` backend, ``int`` rows under python.
+``tests/crypto/test_fixed_base_table.py`` holds every backend's table to
+builtin ``pow``."""
 
 from __future__ import annotations
 
@@ -7,8 +12,9 @@ import random
 import pytest
 
 from repro.core.params import test_params as make_test_params
+from repro.crypto import backend
 from repro.perf import fixed_base
-from repro.perf.fixed_base import BUILD_THRESHOLD, MAX_TABLES, FixedBaseTable
+from repro.perf.fixed_base import BUILD_THRESHOLD, MAX_TABLES
 
 
 @pytest.fixture(scope="module")
@@ -18,7 +24,7 @@ def group():
 
 class TestFixedBaseTable:
     def test_matches_builtin_pow_on_random_exponents(self, group):
-        table = FixedBaseTable(group.g, group.p, group.q)
+        table = backend.FixedBaseTable(group.g, group.p, group.q)
         rng = random.Random(7)
         for _ in range(25):
             e = rng.randrange(group.q)
@@ -33,23 +39,23 @@ class TestFixedBaseTable:
             "q": group.q,
             "above_q": 3 * group.q + 17,
         }[exponent_name]
-        table = FixedBaseTable(group.g1, group.p, group.q)
+        table = backend.FixedBaseTable(group.g1, group.p, group.q)
         assert table.pow(exponent) == pow(group.g1, exponent % group.q, group.p)
 
     def test_nondefault_windows(self, group):
         for window in (1, 4, 11):
-            table = FixedBaseTable(group.g2, group.p, group.q, window=window)
+            table = backend.FixedBaseTable(group.g2, group.p, group.q, window=window)
             assert table.pow(12345) == pow(group.g2, 12345, group.p)
 
     def test_rejects_bad_window_and_moduli(self, group):
         with pytest.raises(ValueError):
-            FixedBaseTable(group.g, group.p, group.q, window=0)
+            backend.FixedBaseTable(group.g, group.p, group.q, window=0)
         with pytest.raises(ValueError):
-            FixedBaseTable(group.g, group.p, group.q, window=17)
+            backend.FixedBaseTable(group.g, group.p, group.q, window=17)
         with pytest.raises(ValueError):
-            FixedBaseTable(group.g, 1, group.q)
+            backend.FixedBaseTable(group.g, 1, group.q)
         with pytest.raises(ValueError):
-            FixedBaseTable(group.g, group.p, 0)
+            backend.FixedBaseTable(group.g, group.p, 0)
 
 
 class TestRegistry:
@@ -74,19 +80,20 @@ class TestRegistry:
         for _ in range(BUILD_THRESHOLD - 1):
             assert fixed_base.touch(group.g1, group.p) is None
         table = fixed_base.touch(group.g1, group.p)
-        assert isinstance(table, FixedBaseTable)
+        assert isinstance(table, backend.FixedBaseTable)
         assert table.pow(99) == pow(group.g1, 99, group.p)
 
     @pytest.mark.usefixtures("gmp_backend")
-    def test_no_table_is_built_when_powmod_beats_tables(self, group):
+    def test_a_table_is_built_under_gmp(self, group):
         fixed_base.register(group.g, group.p, group.q)
         for i in range(BUILD_THRESHOLD + 1):
             result = fixed_base.fpow(group.g, 1000 + i, group.p, group.q)
             assert result == pow(group.g, 1000 + i, group.p)
-            assert fixed_base.touch(group.g, group.p) is None
-        assert fixed_base.build(group.g, group.p, group.q) is None
-        assert fixed_base.table_count() == 0
-        assert fixed_base.table_for(group.g, group.p) is None
+        table = fixed_base.table_for(group.g, group.p)
+        assert isinstance(table, backend.FixedBaseTable)
+        assert fixed_base.touch(group.g, group.p) is table
+        assert fixed_base.build(group.g2, group.p, group.q).pow(77) == pow(group.g2, 77, group.p)
+        assert fixed_base.table_count() == 2
 
     def test_unregistered_base_never_builds(self, group):
         for _ in range(BUILD_THRESHOLD + 2):

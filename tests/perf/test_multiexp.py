@@ -58,7 +58,8 @@ def test_edge_exponents(group):
 def test_uses_fixed_base_tables_when_available(group):
     """Tabled and untabled (Straus) evaluation must agree bit for bit,
     with each other and with builtin ``pow`` — the default backend takes
-    neither route, so this is where both are held to it."""
+    bases without a table one ``powmod`` each, so this is where Straus is
+    held to it."""
     rng = random.Random(2007)
     products = [((group.g, 123456789), (group.g1, 987654321))]
     products += [
@@ -86,9 +87,12 @@ def test_multi_exp_promotes_candidates(group):
 
 
 @pytest.mark.usefixtures("gmp_backend")
-def test_multi_exp_builds_no_table_when_powmod_beats_tables(group):
+def test_multi_exp_builds_tables_under_gmp(group):
+    """Under gmp, tabled bases walk one GMP accumulator and the rest take
+    one ``powmod`` each; both agree with builtin ``pow``."""
     pairs = ((group.g2, 42), (group.g, 5 * group.q + 7), (group.g1, 0))
     fixed_base.register(group.g2, group.p, group.q)
     for _ in range(fixed_base.BUILD_THRESHOLD + 1):
         assert multi_exp(group.p, group.q, pairs) == _naive(group.p, group.q, pairs)
-    assert fixed_base.table_count() == 0
+    assert fixed_base.table_count() == 1
+    assert fixed_base.table_for(group.g2, group.p) is not None

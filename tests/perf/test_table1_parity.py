@@ -1,5 +1,5 @@
 """Table 1 logical operation counts equal the paper's constants whatever
-state the engine is in — cold after ``perf.reset()``, comb tables built,
+state the engine is in — cold after ``perf.reset()``, fixed-base tables built,
 every memo warm — and under every bigint backend."""
 
 from __future__ import annotations
@@ -43,11 +43,11 @@ def test_one_payment_is_14_exp_and_15_hash(warm, system, funded_client):
     assert (counter.exp, counter.hash) == (14, 15)
 
 
-@pytest.mark.usefixtures("python_backend")
+@pytest.mark.usefixtures("each_backend")
 def test_counts_identical_across_engine_states_and_warm_caches():
-    """The backend that builds comb tables: none exist before the first
-    run, they are built during it, and the second run finds them and
-    every memo warm."""
+    """Every backend builds fixed-base tables: none exist before the
+    first run, they are built during it, and the second run finds them
+    and every memo warm."""
     assert perf.cache_stats()["fixed-base-tables"] == 0
     cold = measure_table1()
     assert perf.cache_stats()["fixed-base-tables"] > 0
