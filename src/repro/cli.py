@@ -346,35 +346,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _changed_python_files(ref: str) -> set[str] | None:
-    """Repo-relative ``.py`` paths changed vs ``ref`` (plus untracked)."""
-    import subprocess
-
-    try:
-        diff = subprocess.run(
-            ["git", "diff", "--name-only", ref, "--"],
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout
-        untracked = subprocess.run(
-            ["git", "ls-files", "--others", "--exclude-standard"],
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    return {
-        line.strip()
-        for line in (diff + untracked).splitlines()
-        if line.strip().endswith(".py")
-    }
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.lint import baseline as lint_baseline
     from repro.lint import engine as lint_engine
     from repro.lint import report as lint_report
@@ -402,13 +374,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         return 2
     paths: list[str] = args.paths or ["src"]
 
-    changed: set[str] | None = None
-    if args.changed is not None:
-        changed = _changed_python_files(args.changed)
-        if changed is None:
-            print(f"cannot diff against git ref '{args.changed}'", file=sys.stderr)
-            return 2
-
     baseline_file = args.use_baseline or lint_baseline.DEFAULT_BASELINE
     if args.write_baseline:
         # Regenerate both namespaces in one pass so the file stays whole.
@@ -427,31 +392,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         )
         return 0
 
-    scanned: set[str] | None = None
     if args.program:
-        # The program tier is whole-program by construction: a changed
-        # run keeps the full file set (correctness) and leans on the
-        # summary cache for speed instead of narrowing the scan.
-        cache_dir = ".lint_cache" if changed is not None else None
-        run = run_program(paths, only=only, cache_dir=cache_dir)
+        run = run_program(paths, only=only)
         findings, checked = run.findings, run.checked_files
-        if changed is not None:
-            print(
-                f"summary cache: {run.cache_hits} hit(s), "
-                f"{run.cache_misses} miss(es)",
-                file=sys.stderr,
-            )
     else:
-        root = Path.cwd()
-        files = [
-            file
-            for file in lint_engine.iter_python_files(paths)
-            if changed is None
-            or lint_engine._relative_posix(file, root) in changed
-        ]
-        findings = engine.lint([str(file) for file in files], only) if files else []
+        files = list(lint_engine.iter_python_files(paths))
+        findings = engine.lint(files, only)
         checked = len(files)
-        scanned = {lint_engine._relative_posix(file, root) for file in files}
 
     stale: list[str] = []
     baseline = None
@@ -463,13 +410,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             return 2
         baseline = stored.program if args.program else stored.files
         findings, stale = lint_baseline.diff_against_baseline(findings, baseline)
-        if changed is not None and scanned is not None:
-            # A narrowed scan cannot prove absence in unscanned files.
-            stale = [
-                fingerprint
-                for fingerprint in stale
-                if baseline.context.get(fingerprint, {}).get("path") in scanned
-            ]
     render = (
         lint_report.render_json if args.format == "json" else lint_report.render_console
     )
@@ -762,17 +702,8 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--program",
         action="store_true",
-        help="run the whole-program analyses (wire-schema method coverage, "
-        "journal-first, async-safety, exception-wire) instead of the per-file "
-        "rules; message keys are declared in net/registry.WIRE_SCHEMA",
-    )
-    lint.add_argument(
-        "--changed",
-        metavar="REF",
-        default=None,
-        help="fast incremental mode: per-file rules scan only files that "
-        "differ from git REF (plus untracked); --program runs whole-program "
-        "but caches module summaries under .lint_cache/",
+        help="run the whole-program analyses (journal-first, async-safety, "
+        "exception-wire) instead of the per-file rules",
     )
     lint.add_argument("--list-rules", action="store_true", help="list rule ids")
     lint.set_defaults(func=_cmd_lint)

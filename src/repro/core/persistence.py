@@ -75,6 +75,7 @@ from repro.core.broker import (
     fault_to_record,
 )
 from repro.core.coin import BareCoin
+from repro.core.exceptions import ProtocolViolationError
 from repro.core.params import SystemParams
 from repro.core.witness import WitnessService, _CommitmentRecord, _SpentRecord
 from repro.core.witness_ranges import WitnessAssignmentTable
@@ -115,7 +116,8 @@ def _parse(space: str, key: str, value: object, from_record: Callable[[dict[str,
     Raises:
         StoreCorruptError: the value is not an encoded record string (the
             state was written in the older nested-JSON record format),
-            or the record in it does not parse.
+            or the record in it does not parse (an indexed group spelled
+            other than ``0..n-1`` included).
     """
     if not isinstance(value, str):
         raise StoreCorruptError(
@@ -125,7 +127,7 @@ def _parse(space: str, key: str, value: object, from_record: Callable[[dict[str,
         )
     try:
         return from_record(decode(value))
-    except (KeyError, ValueError) as error:
+    except (KeyError, ValueError, ProtocolViolationError) as error:
         raise StoreCorruptError(f"{space}/{key}: malformed record ({error!r})") from error
 
 

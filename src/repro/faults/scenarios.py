@@ -127,8 +127,6 @@ def _pay(
         return "unavailable"
     except EcashError as error:
         return f"refused-{type(error).__name__}"
-    except Exception as error:  # noqa: BLE001 - corrupted payloads crash parsers
-        return f"error-{type(error).__name__}"
 
 
 def _settle_one(

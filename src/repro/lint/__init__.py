@@ -18,9 +18,10 @@ The pieces:
 * :mod:`repro.lint.config` — per-rule path scoping and the protocol
   lexicons (secret names, digest names, sim-clock allowances);
 * :mod:`repro.lint.program` — the second tier: whole-program analyses
-  (module summaries, interprocedural call graph) checking wire-schema
-  consistency, journal-first durability, async-safety and
-  exception-wire totality across module boundaries;
+  (module summaries, interprocedural call graph) checking journal-first
+  durability, async-safety and exception-wire totality across module
+  boundaries (what a message carries is declared in
+  ``net/registry.WIRE_SCHEMA`` and checked at run time, not here);
 * :mod:`repro.lint.baseline` — the checked-in grandfather file: known
   findings that do not fail the build, with staleness detection and
   separate per-file / program namespaces (schema v2);
@@ -29,7 +30,7 @@ The pieces:
 
 Run it as ``python -m repro lint src/`` for the per-file tier and
 ``python -m repro lint --program src/repro`` for the program tier (see
-``--help`` for the baseline and ``--changed`` workflows).
+``--help`` for the baseline workflow).
 """
 
 from __future__ import annotations

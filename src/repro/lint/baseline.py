@@ -12,10 +12,9 @@ churn it) to occurrence counts. A fresh run is compared group-wise:
 
 Schema v2 keeps the two analysis tiers in separate namespaces:
 ``"findings"`` holds per-file rule entries and ``"program_findings"``
-holds whole-program entries. They must never mix — the tiers run over
-different file sets (``lint --changed`` restricts the per-file tier but
-always re-runs the program tier whole), so diffing them against one
-shared pool would let a per-file entry mask a program regression.
+holds whole-program entries. They must never mix — the tiers run
+separately, so diffing them against one shared pool would let a
+per-file entry mask a program regression.
 :meth:`BaselineFile.load` rejects v1 files outright with a regeneration
 hint rather than guessing which tier the old entries belonged to.
 

@@ -228,12 +228,6 @@ class ProgramConfig:
     opaque_exceptions: frozenset[str] = field(
         default_factory=lambda: OPAQUE_EXCEPTIONS
     )
-    #: module-level string tuples with this suffix define the RPC method
-    #: universe (``BROKER_METHODS`` etc.).
-    methods_const_suffix: str = "_METHODS"
-    #: methods under this prefix are part of the universe even without a
-    #: ``*_METHODS`` entry (daemon admin plane).
-    admin_prefix: str = "admin/"
 
 
 @dataclass
@@ -281,15 +275,6 @@ def default_config() -> LintConfig:
                 include=("*/net/*", "*/faults/*", "*/daemon/*")
             ),
             # -- whole-program analyses (lint --program) --------------
-            # Fault-injection shims replay captured payloads with
-            # deliberately wrong keys; they are not protocol senders.
-            # The gossip overlay registers its handlers through
-            # ``node.on`` with closure factories the summary extractor
-            # cannot resolve, so its slash-methods would all read as
-            # handler-less sends.
-            "wire-schema": RuleConfig(
-                exclude=("*/faults/*", "*/net/overlay.py")
-            ),
             # Restore/replay rebuilds state with the journal detached by
             # design; fault scenarios corrupt state on purpose.
             "journal-first": RuleConfig(

@@ -3,12 +3,11 @@
 This subpackage is the second tier of the lint engine: where
 :mod:`repro.lint.rules` checks one file at a time against a shared AST,
 the program tier reduces every module to a :class:`ModuleSummary`
-(defs, classes, attribute writes, RPC sends, dispatch tables),
+(defs, classes, attribute writes, dispatch tables),
 links the summaries into a :class:`ProgramIndex` and resolved
 :class:`CallGraph`, and runs analyses whose subject is the *protocol* —
 facts no single file can witness:
 
-* ``wire-schema``   — every protocol method has a handler and a sender;
 * ``journal-first`` — durable state mutates only under journal cover;
 * ``async-safety``  — no blocking call reachable from daemon coroutines;
 * ``exception-wire``— every typed handler error has a rebuild mapping.
@@ -17,12 +16,10 @@ Entry point: :func:`run_program` (or ``python -m repro lint --program``).
 """
 
 from .analyses import ProgramContext, ProgramRule, all_program_rules
-from .cache import SummaryCache
 from .callgraph import CallGraph, ProgramIndex, ResolvedCall
 from .extract import summarize_source
 from .runner import ProgramRun, module_name, run_program, select_program_rules
 from .summary import (
-    SUMMARY_VERSION,
     CallSite,
     ClassSummary,
     DispatchEntry,
@@ -30,11 +27,9 @@ from .summary import (
     ModuleSummary,
     MutationSite,
     RaiseSite,
-    RpcSend,
 )
 
 __all__ = [
-    "SUMMARY_VERSION",
     "CallGraph",
     "CallSite",
     "ClassSummary",
@@ -48,8 +43,6 @@ __all__ = [
     "ProgramRun",
     "RaiseSite",
     "ResolvedCall",
-    "RpcSend",
-    "SummaryCache",
     "all_program_rules",
     "module_name",
     "run_program",

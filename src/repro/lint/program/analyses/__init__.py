@@ -17,7 +17,7 @@ from typing import ClassVar, Iterator
 from repro.lint.config import LintConfig, ProgramConfig
 from repro.lint.findings import Finding, Severity
 
-from ..callgraph import CallGraph, ProgramIndex, ResolvedCall, protocol_methods
+from ..callgraph import CallGraph, ProgramIndex, ResolvedCall
 
 
 @dataclass
@@ -50,29 +50,6 @@ class ProgramContext:
     def in_modules(self, module: str, roots: tuple[str, ...]) -> bool:
         """Whether ``module`` is one of ``roots`` or nested under one."""
         return any(module == root or module.startswith(f"{root}.") for root in roots)
-
-    def method_universe(self) -> tuple[str, ...]:
-        """The RPC method vocabulary the wire checks range over.
-
-        A method string belongs to the universe when a ``*_METHODS``
-        constant in a wire-active module lists it, or it carries the
-        admin prefix. Other string keys of handler-shaped dicts
-        (error-stage tables and the like) are not protocol methods and
-        are ignored.
-        """
-        admin = self.program.admin_prefix
-        methods: set[str] = set(
-            protocol_methods(self.index, self.program.methods_const_suffix)
-        )
-        for summary in self.index.summaries():
-            for entry in summary.dispatch:
-                if entry.method.startswith(admin):
-                    methods.add(entry.method)
-            for function in summary.functions.values():
-                for send in function.rpc_sends:
-                    if send.method.startswith(admin):
-                        methods.add(send.method)
-        return tuple(sorted(methods))
 
     def str_constant_tuple(self, const: tuple[str, str]) -> tuple[str, ...]:
         """A ``(module, NAME)`` string-tuple constant, or () if absent."""
@@ -126,11 +103,6 @@ def register(cls: type[ProgramRule]) -> type[ProgramRule]:
 def all_program_rules() -> dict[str, ProgramRule]:
     """Fresh instances of every registered program rule, by id."""
     # Registration happens at import time, mirroring the per-file rules.
-    from . import (  # noqa: F401
-        async_safety,
-        exception_wire,
-        journal_first,
-        wire_schema,
-    )
+    from . import async_safety, exception_wire, journal_first  # noqa: F401
 
     return {rule_id: _REGISTRY[rule_id]() for rule_id in sorted(_REGISTRY)}

@@ -27,33 +27,29 @@ from .summary import CallSite, ClassSummary, FunctionSummary, ModuleSummary
 _MAX_RESOLVE_DEPTH = 16
 
 
-def protocol_methods(
-    index: "ProgramIndex", suffix: str = "_METHODS"
-) -> frozenset[str]:
+def protocol_methods(index: "ProgramIndex") -> frozenset[str]:
     """Method names from ``*_METHODS`` constants in wire-active modules.
 
-    Only modules that actually speak the wire protocol contribute: they
+    Only modules that actually serve the wire protocol contribute: they
     register a dispatch table whose entries resolve to real handler
-    functions, or they issue RPC sends. A ``*_METHODS``-named constant
-    elsewhere (``MUTATING_METHODS`` in this very package) is vocabulary
-    of some other domain, not the RPC universe — and dict-shaped
-    serialization literals (``{"path": self.path}``) must not make a
-    module look wire-active, which is why raw dispatch entries are not
-    enough.
+    functions. A ``*_METHODS``-named constant elsewhere
+    (``MUTATING_METHODS`` in this very package) is vocabulary of some
+    other domain, not the RPC universe — and dict-shaped serialization
+    literals (``{"path": self.path}``) must not make a module look
+    wire-active, which is why raw dispatch entries are not enough.
     """
     methods: set[str] = set()
     for summary in index.summaries():
-        has_wire = any(
+        if not any(
             fid is not None and fid in index.functions
             for fid in (
                 index._resolve_dispatch_target(summary, e.target, e.scope)
                 for e in summary.dispatch
             )
-        ) or any(function.rpc_sends for function in summary.functions.values())
-        if not has_wire:
+        ):
             continue
         for name, values in summary.str_tuples.items():
-            if name.endswith(suffix):
+            if name.endswith("_METHODS"):
                 methods.update(values)
     return frozenset(methods)
 

@@ -4,9 +4,7 @@ The walker makes a single pass over the module tree. Functions are
 summarized without descending into nested ``def``s (each nested
 function gets its own :class:`FunctionSummary`, inheriting the
 enclosing function's parameter annotations so dispatch handlers keep
-the builder's ``broker: Broker``-style types). A function's RPC sends
-are recorded by method name only: what a message carries is declared in
-``net/registry.WIRE_SCHEMA`` and checked at runtime, not inferred here.
+the builder's ``broker: Broker``-style types).
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ from typing import Iterable, Iterator, Sequence
 from .summary import (
     JOURNAL_SCOPE_CALLS,
     MUTATING_METHODS,
-    RPC_CALLABLES,
     _IGNORE_RE,
     CallSite,
     ClassSummary,
@@ -26,7 +23,6 @@ from .summary import (
     ModuleSummary,
     MutationSite,
     RaiseSite,
-    RpcSend,
     dotted_name,
 )
 
@@ -427,11 +423,6 @@ class _FunctionExtractor:
         func = node.func
         target = dotted_name(func) or "?"
         terminal = target.rpartition(".")[2]
-        # RPC send with a constant method string: recorded as a send,
-        # not a call edge. (Nested argument expressions are still
-        # visited by the surrounding pre-order walk.)
-        if terminal in RPC_CALLABLES and self._rpc_send(node):
-            return
         # container mutation through self/param attribute chain
         if isinstance(func, ast.Attribute) and func.attr in MUTATING_METHODS:
             receiver = dotted_name(func.value)
@@ -473,18 +464,6 @@ class _FunctionExtractor:
                 partial_of=partial_of,
             )
         )
-
-    def _rpc_send(self, node: ast.Call) -> bool:
-        """Record a call to an RPC callable as a send, if it names a method."""
-        for position, arg in enumerate(node.args):
-            if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-                payload = node.args[position + 1 : position + 2]
-                # keep a payload literal out of the dispatch-entry scan
-                if payload and isinstance(payload[0], ast.Dict):
-                    self.consumed.add(id(payload[0]))
-                self.fn.rpc_sends.append(RpcSend(method=arg.value, lineno=node.lineno))
-                return True
-        return False
 
     # -- mutations -----------------------------------------------------
     def _mutation_target(

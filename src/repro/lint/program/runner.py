@@ -2,11 +2,11 @@
 
 The runner owns everything the individual rules were freed from doing:
 file discovery (shared with the per-file engine), dotted-module naming,
-summary extraction (optionally through the content-hash cache), index
-and call-graph construction, rule selection, anchor-side path scoping,
-inline ``# lint: ignore[rule]`` suppression, snippet capture (so
-baseline fingerprints survive line-number drift exactly like per-file
-findings), and deterministic ordering of the result.
+summary extraction, index and call-graph construction, rule selection,
+anchor-side path scoping, inline ``# lint: ignore[rule]`` suppression,
+snippet capture (so baseline fingerprints survive line-number drift
+exactly like per-file findings), and deterministic ordering of the
+result.
 
 Module names are derived from repo-relative paths: ``src/`` is stripped
 (the layout prefix, not a package), ``/`` becomes ``.``, and a package
@@ -25,7 +25,6 @@ from repro.lint.engine import _relative_posix, iter_python_files
 from repro.lint.findings import Finding, Severity
 
 from .analyses import ProgramContext, ProgramRule, all_program_rules
-from .cache import SummaryCache
 from .callgraph import CallGraph, ProgramIndex
 from .extract import summarize_source
 from .summary import ModuleSummary
@@ -49,8 +48,6 @@ class ProgramRun:
 
     findings: list[Finding] = field(default_factory=list)
     checked_files: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
 
 
 def select_program_rules(only: list[str] | None = None) -> dict[str, ProgramRule]:
@@ -69,13 +66,11 @@ def run_program(
     config: LintConfig | None = None,
     only: list[str] | None = None,
     root: str | Path | None = None,
-    cache_dir: str | Path | None = None,
 ) -> ProgramRun:
     """Run the whole-program analyses over every ``.py`` under ``paths``."""
     config = config or default_config()
     base = Path(root) if root is not None else Path.cwd()
     rules = select_program_rules(only)
-    cache = SummaryCache(cache_dir) if cache_dir is not None else None
 
     run = ProgramRun()
     summaries: list[ModuleSummary] = []
@@ -85,33 +80,21 @@ def run_program(
         source = path.read_text(encoding="utf-8")
         sources[relpath] = source.splitlines()
         run.checked_files += 1
-        module = module_name(relpath)
-        summary: ModuleSummary | None = None
-        digest = ""
-        if cache is not None:
-            digest = cache.digest(module, relpath, source)
-            summary = cache.load(digest)
-        if summary is None:
-            try:
-                summary = summarize_source(source, module, relpath)
-            except SyntaxError as error:
-                run.findings.append(
-                    Finding(
-                        path=relpath,
-                        line=error.lineno or 0,
-                        col=error.offset or 0,
-                        rule="parse-error",
-                        message=f"file does not parse: {error.msg}",
-                        severity=Severity.ERROR,
-                    )
+        try:
+            summary = summarize_source(source, module_name(relpath), relpath)
+        except SyntaxError as error:
+            run.findings.append(
+                Finding(
+                    path=relpath,
+                    line=error.lineno or 0,
+                    col=error.offset or 0,
+                    rule="parse-error",
+                    message=f"file does not parse: {error.msg}",
+                    severity=Severity.ERROR,
                 )
-                continue
-            if cache is not None:
-                cache.store(digest, summary)
+            )
+            continue
         summaries.append(summary)
-    if cache is not None:
-        run.cache_hits = cache.stats.hits
-        run.cache_misses = cache.stats.misses
 
     index = ProgramIndex(summaries)
     graph = CallGraph(index)

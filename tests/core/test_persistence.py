@@ -430,6 +430,27 @@ def test_one_unreadable_record_leaves_the_broker_untouched(
     reopened.close()
 
 
+@pytest.mark.parametrize("index", ["e00", "ex"])
+def test_a_respelled_group_index_is_a_corrupt_record(system, tmp_path, index):
+    """An indexed group is ``e0..e{n-1}`` exactly; a stored table whose
+    first entry is spelled otherwise is a corrupt record of that space
+    and key, not a protocol violation escaping recovery."""
+    store = Store(tmp_path / "state", backend="memory", shards=2, **NO_SLEEP)
+    attach_broker_store(system.broker, store)
+    key, value = next(iter(store.dump()["tables"].items()))
+    store.put("tables", key, value.replace("entries.e0.", f"entries.{index}."))
+    store.ack()
+    store.close()
+
+    blank = EcashSystem(merchant_ids=("solo",), params=system.params, seed=5).broker
+    before = broker_spaces(blank)
+    reopened = Store(tmp_path / "state", backend="memory", shards=2, **NO_SLEEP)
+    with pytest.raises(StoreCorruptError, match=f"tables/{key}: malformed record"):
+        attach_broker_store(blank, reopened)
+    assert _untouched(blank, before)
+    reopened.close()
+
+
 # ----------------------------------------------------------------------
 # A state dir holding another party's state is refused
 # ----------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.daemon.demo import format_report, run_loopback_demo
+from repro.daemon.client import ADMIN_PREFIX, PeerConnection
+from repro.daemon.demo import DAEMONS, format_report, run_loopback_demo
+from repro.daemon.service import build_daemon
 
 
 def test_loopback_demo_matches_sim(tmp_path):
@@ -36,3 +38,32 @@ def test_loopback_demo_matches_sim(tmp_path):
 def test_loopback_demo_matches_sim_under_every_available_backend(tmp_path):
     """The daemons inherit ``REPRO_BACKEND``; the sim run is in process."""
     test_loopback_demo_matches_sim(tmp_path)
+
+
+def test_every_admin_method_served_is_sent_and_every_one_sent_is_served(
+    tmp_path, monkeypatch
+):
+    """The control plane has no dead handler and no unserved call: the
+    ``admin/*`` methods the demo sends are exactly those its daemons'
+    dispatch tables serve."""
+    sent: set[str] = set()
+    begin = PeerConnection.begin
+
+    def recording_begin(self, method, payload, timeout=None, overlapped=False):
+        if method.startswith(ADMIN_PREFIX):
+            sent.add(method)
+        return begin(self, method, payload, timeout, overlapped)
+
+    monkeypatch.setattr(PeerConnection, "begin", recording_begin)
+    assert run_loopback_demo(tmp_path, seed=2026)["problems"] == []
+
+    served = {
+        method
+        for name in DAEMONS
+        for method in build_daemon(str(tmp_path), name).node.handlers
+        if method.startswith(ADMIN_PREFIX)
+    }
+    assert sent == served, (
+        f"served but never sent: {sorted(served - sent)}; "
+        f"sent but not served: {sorted(sent - served)}"
+    )

@@ -103,8 +103,8 @@ def test_counts_matter_per_fingerprint() -> None:
 def test_checked_in_baseline_matches_fresh_run_over_src() -> None:
     """The repo invariant: LINT_baseline.json is exactly a fresh run.
 
-    No new findings (src/ is lint-clean modulo the grandfathered set)
-    and no stale suppressions (every baselined finding still exists).
+    No new findings and no stale suppressions (every baselined finding
+    still exists).
     """
     engine = LintEngine(root=ROOT)
     findings = engine.lint([ROOT / "src"])
@@ -112,8 +112,8 @@ def test_checked_in_baseline_matches_fresh_run_over_src() -> None:
     new, stale = diff_against_baseline(findings, stored.files)
     assert new == [], f"non-baselined findings in src/: {[f.location() for f in new]}"
     assert stale == [], f"stale baseline entries: {stale}"
-    # The grandfathered set is small and deliberate; a growing baseline
-    # is a smell this assertion surfaces in review.
-    assert sum(stored.files.counts.values()) == len(findings) == 1
-    # The program tier runs clean on the real tree: nothing grandfathered.
+    # Both tiers run clean on the real tree: nothing is grandfathered,
+    # and a finding that reappears must be fixed, not baselined.
+    assert findings == []
+    assert stored.files.counts == {}
     assert stored.program.counts == {}

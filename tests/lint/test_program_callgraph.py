@@ -2,14 +2,10 @@
 
 from __future__ import annotations
 
-import json
 import textwrap
-
-import pytest
 
 from repro.lint.program import (
     CallGraph,
-    ModuleSummary,
     ProgramIndex,
     module_name,
     summarize_source,
@@ -38,7 +34,7 @@ def test_module_name_strips_src_prefix_and_init() -> None:
 
 
 # ----------------------------------------------------------------------
-# summary serialization
+# summary extraction
 # ----------------------------------------------------------------------
 RICH = """
     from functools import partial
@@ -62,19 +58,13 @@ RICH = """
 """
 
 
-def test_summary_round_trips_through_json() -> None:
+def test_summary_records_constants_bases_and_ignores() -> None:
     summary = summarize_source(textwrap.dedent(RICH), "m", "m.py")
-    wire = json.loads(json.dumps(summary.to_dict(), sort_keys=True))
-    rebuilt = ModuleSummary.from_dict(wire)
-    assert rebuilt.to_dict() == summary.to_dict()
-    assert rebuilt.str_tuples["METHODS"] == ("a/b",)
-    assert rebuilt.classes["Child"].bases == ("Base",)
-    assert any(r for r in rebuilt.ignores.values() if "journal-first" in r)
-
-
-def test_summary_rejects_other_versions() -> None:
-    with pytest.raises(ValueError, match="summary version"):
-        ModuleSummary.from_dict({"version": 99, "module": "m", "path": "m.py"})
+    assert summary.str_tuples["METHODS"] == ("a/b",)
+    assert summary.classes["Child"].bases == ("Base",)
+    assert summary.classes["Child"].attr_types == {"count": "int"}
+    assert summary.imports["partial"] == "functools.partial"
+    assert any(r for r in summary.ignores.values() if "journal-first" in r)
 
 
 # ----------------------------------------------------------------------

@@ -25,145 +25,6 @@ def _run(
 
 
 # ----------------------------------------------------------------------
-# wire-schema
-# ----------------------------------------------------------------------
-WIRE_REGISTRY = """
-    SERVER_METHODS = ("do/add", "do/sub", "do/div", "do/ghost")
-
-    def build(server):
-        def do_add(payload):
-            return {"sum": int(payload["a"]) + int(payload["b"])}
-
-        def do_sub(payload):
-            return {"diff": int(payload["a"]) - int(payload["b"])}
-
-        return {"do/add": do_add, "do/sub": do_sub}
-"""
-
-WIRE_FLOWS = """
-    def add_flow(node, rpc):
-        reply = rpc("do/add", {"a": 1, "b": 2, "junk": 3})
-        return reply["sum"] + reply["missing"]
-
-    def div_flow(node, rpc):
-        return rpc("do/div", {"a": 6, "b": 3})
-
-    def mul_flow(node, rpc):
-        return rpc("do/mul", {"a": 2, "b": 3})
-"""
-
-
-def test_wire_schema_catches_every_mismatch_class(tmp_path: Path) -> None:
-    findings = _run(
-        tmp_path,
-        {"wire/registry.py": WIRE_REGISTRY, "wire/flows.py": WIRE_FLOWS},
-        ProgramConfig(),
-        "wire-schema",
-    )
-    messages = sorted(f.message for f in findings)
-    assert len(findings) == 4, messages
-    # a *_METHODS entry with neither handler nor sender
-    assert any("'do/ghost'" in m and "neither handler nor sender" in m for m in messages)
-    # served, but no flow sends it
-    assert any("'do/sub'" in m and "ever sends it" in m for m in messages)
-    # declared and sent, but nothing serves it
-    assert any("'do/div'" in m and "no dispatch table registers" in m for m in messages)
-    # sent, but neither declared nor served
-    assert any("'do/mul'" in m and "neither in the *_METHODS universe" in m for m in messages)
-    # What a message carries is registry.WIRE_SCHEMA's business, checked
-    # at runtime: the stray "junk" key and the unreturned "missing" one
-    # are not findings here.
-    assert not any("junk" in m or "missing" in m for m in messages)
-
-
-def test_wire_schema_clean_twin_has_no_findings(tmp_path: Path) -> None:
-    findings = _run(
-        tmp_path,
-        {
-            "wire/registry.py": """
-            SERVER_METHODS = ("do/add",)
-
-            def build(server):
-                def do_add(payload):
-                    return {"sum": int(payload["a"]) + int(payload["b"])}
-
-                return {"do/add": do_add}
-            """,
-            "wire/flows.py": """
-            def add_flow(node, rpc):
-                reply = rpc("do/add", {"a": 1, "b": 2})
-                return reply["sum"]
-            """,
-        },
-        ProgramConfig(),
-        "wire-schema",
-    )
-    assert findings == []
-
-
-def test_wire_schema_follows_a_reply_bound_before_it_is_waited_for(
-    tmp_path: Path,
-) -> None:
-    """``pending = rpc(...)`` now, ``reply = flatten((yield pending))``
-    later (the storefront's ``pay``): the call is still a send of the
-    method, so its handler is not reported as never sent."""
-    findings = _run(
-        tmp_path,
-        {
-            "wire/registry.py": """
-            SERVER_METHODS = ("do/sign",)
-
-            def build(server):
-                def do_sign(payload):
-                    return {"status": "ok", "signed": int(payload["t"])}
-
-                return {"do/sign": do_sign}
-            """,
-            "wire/flows.py": """
-            def pay(payload, rpc, gate, witness):
-                pending = None
-                if gate(payload):
-                    pending = rpc(witness, "do/sign", {"t": 1})
-                gate(payload)
-                if pending is None:
-                    pending = rpc(witness, "do/sign", {"t": 1})
-                reply = flatten((yield pending))
-                return reply["status"] + reply["signed"]
-            """,
-        },
-        ProgramConfig(),
-        "wire-schema",
-    )
-    assert findings == []
-
-
-def test_wire_schema_informational_reply_is_not_dead(tmp_path: Path) -> None:
-    """A reply nobody reads at all is fire-and-forget, not a mismatch."""
-    findings = _run(
-        tmp_path,
-        {
-            "wire/registry.py": """
-            SERVER_METHODS = ("do/ping",)
-
-            def build(server):
-                def do_ping(payload):
-                    return {"pong": int(payload["n"])}
-
-                return {"do/ping": do_ping}
-            """,
-            "wire/flows.py": """
-            def ping_flow(node, rpc):
-                rpc("do/ping", {"n": 1})
-                return None
-            """,
-        },
-        ProgramConfig(),
-        "wire-schema",
-    )
-    assert findings == []
-
-
-# ----------------------------------------------------------------------
 # journal-first
 # ----------------------------------------------------------------------
 JOURNALED = """
