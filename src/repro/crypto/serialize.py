@@ -16,11 +16,16 @@ required"*. This module implements exactly that wire format:
   compression option) before hitting the wire.
 
 :func:`encode` walks the nested mapping once and :func:`decode` walks the
-string once; the dotted key of every leaf is translated through a bounded
-memo, so a steady-state message costs one dictionary lookup per key. A
-decoded body reaches its handler as :class:`Fields` — nested to read, flat
-underneath — so ``flatten`` of a received payload is the decoded mapping
-itself, not a second walk.
+string once, and each value is converted once: the dotted key of every
+leaf and every string value that needs percent-quoting (a method name,
+``withdraw/begin``) are translated through bounded memos, so a
+steady-state message costs one dictionary lookup per key and per quoted
+value, and urllib runs only on a spelling the process has not seen. A
+wire integer is decoded and held to its one canonical spelling by a fixed
+number of C calls (:func:`text_to_int`). A decoded body reaches its
+handler as :class:`Fields` — nested to read, flat underneath — so
+``flatten`` of a received payload is the decoded mapping itself, not a
+second walk.
 """
 
 from __future__ import annotations
@@ -85,18 +90,25 @@ _EXPANSIONS = {short: long for long, short in KEY_ABBREVIATIONS.items()}
 if len(_EXPANSIONS) != len(KEY_ABBREVIATIONS):  # pragma: no cover - static sanity
     raise RuntimeError("key abbreviation dictionary is not reversible")
 
-#: Entries each key memo may hold. A peer chooses the keys it sends, so
-#: an unbounded memo would be memory it controls; a full memo is emptied
-#: and relearns the honest keys within one message.
+#: Entries each key or value memo may hold. A peer chooses the keys and
+#: values it sends, so an unbounded memo would be memory it controls; a
+#: full memo is emptied and relearns the honest spellings within one
+#: message.
 KEY_MEMO_BOUND = 4096
 #: long dotted key -> percent-quoted abbreviated key, as :func:`encode` emits it.
 _wire_keys: dict[str, str] = {}
 #: key token as received (still quoted) -> long dotted key.
 _long_keys: dict[str, str] = {}
+#: string value needing quotes -> its percent-quoted wire text.
+_wire_values: dict[str, str] = {}
+#: value token as received, holding ``%`` or ``+`` -> the text it spells.
+_plain_values: dict[str, str] = {}
 
 _BASE64_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_"
 _TO_URLSAFE = bytes.maketrans(b"+/", b"-_")
-_is_int_text = re.compile(r"[A-Za-z0-9_-]+").fullmatch
+#: URL-safe to standard base64; the standard alphabet's own ``+`` and
+#: ``/`` become ``!``, a character ``a2b_base64`` skips.
+_FROM_URLSAFE = bytes.maketrans(b"-_+/", b"+/!!")
 #: By ``len(text) % 4``: the final characters whose unused low bits are
 #: zero (the only ones :func:`int_to_text` ends on), and the padding that
 #: makes the text a whole base64 quantum. No text has length 1 mod 4.
@@ -106,7 +118,7 @@ _CANONICAL_LAST = (
     frozenset(_BASE64_ALPHABET[::16]),
     frozenset(_BASE64_ALPHABET[::4]),
 )
-_PADDING = ("", "", "==", "=")
+_PADDING = (b"", b"", b"==", b"=")
 #: Strings ``quote(safe="")`` would return unchanged.
 _is_unreserved = re.compile(r"[A-Za-z0-9_.~-]*").fullmatch
 
@@ -126,17 +138,29 @@ def text_to_int(text: str) -> int:
     leading zero bytes are all refused, so a value has one spelling and
     ``decode`` → ``encode`` reproduces the body it was given.
 
+    One pass: ``a2b_base64`` decodes and skips whatever is not base64
+    (``=`` included), so a text whose every character counted decodes to
+    exactly ``3 * len(text) // 4`` bytes; the last character's unused
+    bits and the first byte settle the rest. Nothing here needs
+    ``a2b_base64``'s ``strict_mode`` (Python 3.11).
+
     Raises:
         ValueError: on empty or malformed input.
     """
-    if not text:
-        raise ValueError("empty integer field")
     tail = len(text) % 4
-    if _is_int_text(text) is None or text[-1] not in _CANONICAL_LAST[tail]:
-        raise ValueError(f"malformed wire integer {text!r}")
-    raw = a2b_base64(text.replace("-", "+").replace("_", "/") + _PADDING[tail])
-    if raw[0] == 0 and len(raw) > 1:
-        raise ValueError(f"malformed wire integer {text!r}")
+    try:
+        raw = a2b_base64(text.encode("ascii").translate(_FROM_URLSAFE) + _PADDING[tail])
+    except ValueError:  # not ASCII, or no base64 quantum at all
+        raw = b""
+    if (
+        len(raw) != len(text) * 3 // 4
+        or not raw
+        or text[-1] not in _CANONICAL_LAST[tail]
+        or (raw[0] == 0 and len(raw) > 1)
+    ):
+        raise ValueError(
+            f"malformed wire integer {text!r}" if text else "empty integer field"
+        )
     return int.from_bytes(raw, "big")
 
 
@@ -317,7 +341,10 @@ def encode(mapping: Mapping[str, object]) -> str:
         elif _is_unreserved(value):
             text = value
         else:
-            text = quote(value, safe="")
+            quoted = _wire_values.get(value)
+            if quoted is None:
+                quoted = _remember(_wire_values, value, quote(value, safe=""))
+            text = quoted
         pairs.append(f"{wire_key}={text}")
     return "&".join(pairs)
 
@@ -347,7 +374,12 @@ def decode(wire: str) -> dict[str, str]:
             key = _remember(_long_keys, name, expand_key(_unquote(name)))
         if key in out:
             raise ValueError(f"duplicate wire key {key!r}")
-        out[key] = _unquote(value) if "%" in value or "+" in value else value
+        if "%" in value or "+" in value:
+            plain = _plain_values.get(value)
+            if plain is None:
+                plain = _remember(_plain_values, value, _unquote(value))
+            value = plain
+        out[key] = value
     return out
 
 

@@ -12,7 +12,8 @@ backend produces byte-identical protocol traffic and byte-identical
 
 Layers, bottom up:
 
-* :mod:`repro.daemon.framing` — length-prefixed frames over TCP.
+* :mod:`repro.daemon.framing` — length-prefixed frames over TCP, and the
+  ``asyncio.Protocol`` that parses them inside ``data_received``.
 * :mod:`repro.daemon.wire` — frame bodies (the sim's message strings)
   and typed error propagation.
 * :mod:`repro.daemon.keys` / :mod:`repro.daemon.auth` — static-key

@@ -1,6 +1,8 @@
 """Mutual authentication handshake for daemon connections.
 
-Ironhouse-style channel establishment over the framing layer: both ends
+Ironhouse-style channel establishment over the framing layer (a
+:class:`~repro.daemon.framing.FrameProtocol` before it starts handing
+frames to its protocol handler): both ends
 hold static keypairs, both ends know the deployment roster
 (``authorized.json``), and each proves possession of its secret key by
 signing a role-tagged transcript of the exchanged nonces. A peer whose
@@ -24,14 +26,13 @@ other.
 
 from __future__ import annotations
 
-import asyncio
 import random
 from typing import Mapping
 
 from repro.crypto.hashing import constant_time_eq
 from repro.crypto.schnorr import SchnorrSignature, verify
 from repro.crypto.serialize import decode, encode, text_to_int
-from repro.daemon.framing import Frame, KIND_CONTROL, read_frame, write_frame
+from repro.daemon.framing import Frame, FrameProtocol, KIND_CONTROL
 from repro.daemon.keys import NodeIdentity
 
 _SERVER_TAG = "hs-server"
@@ -61,8 +62,8 @@ def _control(fields: dict[str, object]) -> Frame:
     )
 
 
-async def _read_control(reader: asyncio.StreamReader, stage: str) -> dict[str, str]:
-    frame = await read_frame(reader)
+async def _read_control(channel: FrameProtocol, stage: str) -> dict[str, str]:
+    frame = await channel.read_frame()
     if frame.kind != KIND_CONTROL:
         raise HandshakeError(f"expected a control frame during {stage}")
     fields = decode(frame.body.decode("ascii"))
@@ -74,8 +75,7 @@ async def _read_control(reader: asyncio.StreamReader, stage: str) -> dict[str, s
 
 
 async def server_handshake(
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
+    channel: FrameProtocol,
     identity: NodeIdentity,
     authorized: Mapping[str, int],
     rng: random.Random,
@@ -87,7 +87,7 @@ async def server_handshake(
             key that differs from the provisioned one, or failed the
             signature check.
     """
-    hello = await _read_control(reader, "hello")
+    hello = await _read_control(channel, "hello")
     peer_name = hello.get("name", "")
     announced = _int_field(hello, "public", "hello")
     provisioned = authorized.get(peer_name)
@@ -99,8 +99,7 @@ async def server_handshake(
     signature = identity.keypair.sign(
         _SERVER_TAG, peer_name, identity.name, nonce_c, nonce_s, rng=rng
     )
-    await write_frame(
-        writer,
+    channel.write_frame(
         _control(
             {
                 "hs": "welcome",
@@ -109,9 +108,9 @@ async def server_handshake(
                 "sig_e": signature.e,
                 "sig_s": signature.s,
             }
-        ),
+        )
     )
-    auth = await _read_control(reader, "auth")
+    auth = await _read_control(channel, "auth")
     peer_signature = SchnorrSignature(
         e=_int_field(auth, "sig_e", "auth"), s=_int_field(auth, "sig_s", "auth")
     )
@@ -126,13 +125,12 @@ async def server_handshake(
         nonce_s,
     ):
         raise HandshakeError(f"peer {peer_name!r} failed proof of possession")
-    await write_frame(writer, _control({"hs": "ok"}))
+    channel.write_frame(_control({"hs": "ok"}))
     return peer_name
 
 
 async def client_handshake(
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
+    channel: FrameProtocol,
     identity: NodeIdentity,
     server_name: str,
     authorized: Mapping[str, int],
@@ -148,8 +146,7 @@ async def client_handshake(
     if server_public is None:
         raise HandshakeError(f"server {server_name!r} is not in the local roster")
     nonce_c = rng.getrandbits(128)
-    await write_frame(
-        writer,
+    channel.write_frame(
         _control(
             {
                 "hs": "hello",
@@ -157,9 +154,9 @@ async def client_handshake(
                 "public": identity.public,
                 "nonce": nonce_c,
             }
-        ),
+        )
     )
-    welcome = await _read_control(reader, "welcome")
+    welcome = await _read_control(channel, "welcome")
     if welcome.get("name") != server_name:
         raise HandshakeError(
             f"server identified as {welcome.get('name')!r}, expected {server_name!r}"
@@ -183,10 +180,8 @@ async def client_handshake(
     signature = identity.keypair.sign(
         _CLIENT_TAG, identity.name, server_name, nonce_c, nonce_s, rng=rng
     )
-    await write_frame(
-        writer, _control({"hs": "auth", "sig_e": signature.e, "sig_s": signature.s})
-    )
-    await _read_control(reader, "ok")
+    channel.write_frame(_control({"hs": "auth", "sig_e": signature.e, "sig_s": signature.s}))
+    await _read_control(channel, "ok")
 
 
 __all__ = ["HandshakeError", "client_handshake", "server_handshake"]

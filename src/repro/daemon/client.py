@@ -9,10 +9,12 @@ been applied remotely, and the protocol layer (coin renewal, deposit
 reconciliation) owns that recovery, exactly as in the sim.
 
 There is one send path, :meth:`PeerConnection.begin`: it writes the
-request frame synchronously and returns the task that resolves with the
-reply, so a caller may compute between the send and the wait
-(:meth:`PeerConnection.request` is ``await begin(...)``). A connection
-whose receive loop has ended is *lost*: its pending calls fail with
+request frame synchronously and returns the future its reply frame
+resolves, so a caller may compute between the send and the wait
+(:meth:`PeerConnection.request` is ``await begin(...)``). The reply is
+metered, parsed and handed over inside the callback that read it; no
+task stands between the socket and the caller. A connection that has
+ended is *lost*: its pending calls fail with
 :class:`~repro.core.exceptions.ServiceUnavailableError` and
 :class:`SocketTransport` replaces it on the next call.
 
@@ -31,10 +33,8 @@ from __future__ import annotations
 
 import asyncio
 import functools
-import itertools
 import os
 import random
-import time
 from typing import Any, Callable, Mapping
 
 from repro import obs
@@ -47,11 +47,11 @@ from repro.daemon.auth import client_handshake
 from repro.daemon.framing import (
     Frame,
     FrameError,
+    FrameProtocol,
     KIND_ERROR,
     KIND_REQUEST,
     KIND_RESPONSE,
     encode_frame,
-    read_frame,
 )
 from repro.daemon.keys import NodeIdentity
 
@@ -66,35 +66,81 @@ DEFAULT_CONNECT_ATTEMPTS = 5
 ADMIN_PREFIX = "admin/"
 
 
-def _clock_from(first: float) -> Callable[[], float]:
-    """A span clock whose first reading is ``first``.
+class _Call(asyncio.Future[dict[str, Any]]):
+    """One request in flight, as the caller holds it.
 
-    A call's ``daemon.call`` span is opened by its reply task, which
-    first runs when the caller next yields to the loop; the call began
-    at the write.
+    Its reply frame resolves it (metered first), a timeout or the loss
+    of the connection fails it, and cancelling it forgets the request:
+    a reply that still arrives is dropped unmetered.
     """
-    readings = itertools.chain((first,), iter(time.perf_counter, None))
-    return lambda: next(readings)
-
-
-class PeerConnection:
-    """One authenticated connection to a daemon, multiplexing requests."""
 
     def __init__(
-        self,
-        peer_name: str,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        meter: TrafficMeter,
+        self, connection: "PeerConnection", request_id: int, method: str, metered: bool
     ) -> None:
+        super().__init__(loop=connection.loop)
+        self.connection = connection
+        self.request_id = request_id
+        self.method = method
+        self.metered = metered
+        self.timer: asyncio.TimerHandle | None = None
+        self.span: obs.ActiveSpan | None = None
+
+    def resolve(self, frame: Frame) -> None:
+        """Complete the call from its reply frame."""
+        if self.metered:
+            self.connection._meter.record_received(wire.message_size(frame.body))
+        try:
+            if frame.kind == KIND_RESPONSE:
+                reply = wire.parse_response(frame.body)
+                self._end(None)
+                self.set_result(reply)
+                return
+            if frame.kind == KIND_ERROR:
+                refusal: Exception = wire.parse_error(frame.body)
+            else:
+                refusal = ServiceUnavailableError(
+                    f"peer {self.connection.peer_name!r} sent frame kind {frame.kind} in response"
+                )
+        except ValueError as error:  # a body that does not decode
+            refusal = error
+        self.fail(refusal)
+
+    def fail(self, error: BaseException) -> None:
+        """Fail the call with ``error`` (the caller's await raises it)."""
+        self._end(type(error).__name__)
+        self.set_exception(error)
+
+    def time_out(self, deadline: float) -> None:
+        self.connection._pending.pop(self.request_id, None)
+        self.fail(
+            ServiceUnavailableError(
+                f"call {self.method!r} to {self.connection.peer_name!r} "
+                f"timed out after {deadline}s"
+            )
+        )
+
+    def cancel(self, msg: Any = None) -> bool:
+        if not self.done():
+            self.connection._pending.pop(self.request_id, None)
+            self._end("CancelledError")
+        return super().cancel(msg=msg)
+
+    def _end(self, error: str | None) -> None:
+        if self.timer is not None:
+            self.timer.cancel()
+        if self.span is not None:
+            self.span.close(error)
+
+
+class PeerConnection(FrameProtocol):
+    """One authenticated connection to a daemon, multiplexing requests."""
+
+    def __init__(self, peer_name: str, meter: TrafficMeter) -> None:
+        super().__init__()
         self.peer_name = peer_name
-        self._reader = reader
-        self._writer = writer
         self._meter = meter
         self._next_id = 1
-        self._pending: dict[int, asyncio.Future[Frame]] = {}
-        self._receiver = asyncio.create_task(self._receive_loop())
-        self._closed = False
+        self._pending: dict[int, _Call] = {}
 
     @classmethod
     async def open(
@@ -122,56 +168,58 @@ class PeerConnection:
         """
         handshake_rng = rng if rng is not None else random.Random(os.urandom(16))
         policy = backoff if backoff is not None else BackoffPolicy(base=0.05, max_delay=2.0)
+        loop = asyncio.get_running_loop()
         last_error: Exception | None = None
         for attempt in range(attempts):
             try:
-                reader, writer = await asyncio.open_connection(host, port)
+                _, connection = await loop.create_connection(
+                    functools.partial(cls, peer_name, meter), host, port
+                )
             except OSError as error:
                 last_error = error
                 await asyncio.sleep(policy.delay(attempt, handshake_rng))
                 continue
             try:
                 await client_handshake(
-                    reader, writer, identity, peer_name, authorized, handshake_rng
+                    connection, identity, peer_name, authorized, handshake_rng
                 )
-            except (FrameError, ConnectionError) as error:
+            except FrameError as error:
                 # The daemon may have accepted the TCP connection while
                 # still wiring up; treat a dropped handshake as not-yet-up.
-                writer.close()
+                connection.transport.close()
                 last_error = error
                 await asyncio.sleep(policy.delay(attempt, handshake_rng))
                 continue
-            return cls(peer_name, reader, writer, meter)
+            except BaseException:
+                connection.transport.close()
+                raise
+            connection.start_frames()
+            return connection
         raise ServiceUnavailableError(
             f"could not reach {peer_name!r} at {host}:{port}: {last_error}"
         )
 
     @property
     def lost(self) -> bool:
-        """True once the receive loop has ended: no reply can arrive."""
-        return self._receiver.done()
+        """True once the connection has ended: no reply can arrive."""
+        return self.failure is not None
 
-    async def _receive_loop(self) -> None:
-        reason = "closed"
-        try:
-            while True:
-                frame = await read_frame(self._reader)
-                waiter = self._pending.pop(frame.request_id, None)
-                if waiter is not None and not waiter.done():
-                    waiter.set_result(frame)
-        except (FrameError, OSError) as error:
-            reason = str(error)
-        finally:
-            # However the loop ends — peer gone, stream broken, close() —
-            # nothing will answer the calls still waiting.
-            for waiter in self._pending.values():
-                if not waiter.done():
-                    waiter.set_exception(
-                        ServiceUnavailableError(
-                            f"connection to {self.peer_name!r} lost: {reason}"
-                        )
-                    )
-            self._pending.clear()
+    def frame_received(self, frame: Frame) -> None:
+        call = self._pending.pop(frame.request_id, None)
+        if call is not None:
+            call.resolve(frame)
+        # Otherwise nobody waits for it (abandoned, timed out, or an id
+        # never sent): dropped, unmetered.
+
+    def _lose(self, failure: FrameError) -> None:
+        super()._lose(failure)
+        # However the connection ended — peer gone, stream broken,
+        # close() — nothing will answer the calls still waiting.
+        pending, self._pending = self._pending, {}
+        for call in pending.values():
+            call.fail(
+                ServiceUnavailableError(f"connection to {self.peer_name!r} lost: {failure}")
+            )
 
     def begin(
         self,
@@ -179,18 +227,18 @@ class PeerConnection:
         payload: dict[str, Any],
         timeout: float | None = None,
         overlapped: bool = False,
-    ) -> asyncio.Task[dict[str, Any]]:
-        """Put one request on the wire; the returned task is its reply.
+    ) -> asyncio.Future[dict[str, Any]]:
+        """Put one request on the wire; the returned future is its reply.
 
         Synchronous, so the caller can go on computing while the peer
-        works: ``StreamWriter.write`` hands the frame to the socket at
-        once when nothing is queued before it. Awaiting the task waits
-        for the (nested, text-valued) reply payload; cancelling it
-        abandons the call — a reply that still arrives is dropped.
-        ``overlapped`` marks the call's ``daemon.call`` span: the caller
-        is about to compute before it waits.
+        works: the frame is handed to the transport, which sends at once
+        when nothing is queued before it. Awaiting the future waits for
+        the (nested, text-valued) reply payload; cancelling it abandons
+        the call — a reply that still arrives is dropped. ``overlapped``
+        marks the call's ``daemon.call`` span: the caller is about to
+        compute before it waits.
 
-        The task raises:
+        The future raises:
             EcashError subclass: the remote handler refused (rebuilt from
                 the typed error frame).
             ServiceUnavailableError: timeout or connection loss.
@@ -198,29 +246,26 @@ class PeerConnection:
         body = wire.request_body(method, payload)
         request_id = self._next_id
         self._next_id += 1
-        loop = asyncio.get_running_loop()
-        waiter: asyncio.Future[Frame] = loop.create_future()
-        metered = not method.startswith(ADMIN_PREFIX)
-        if self.lost:
-            waiter.set_exception(
+        call = _Call(self, request_id, method, not method.startswith(ADMIN_PREFIX))
+        if self.failure is not None:
+            call.set_exception(
                 ServiceUnavailableError(f"connection to {self.peer_name!r} lost")
             )
-        else:
-            self._pending[request_id] = waiter
-            self._writer.write(
-                encode_frame(Frame(kind=KIND_REQUEST, request_id=request_id, body=body))
-            )
-            if metered:
-                self._meter.record_sent(wire.message_size(body))
+            return call
+        if obs.is_enabled():
+            span = obs.span("daemon.call", method=method, destination=self.peer_name)
+            if overlapped:
+                span.set("overlapped", 1)
+            call.span = span.open()
+        self._pending[request_id] = call
+        self.transport.write(
+            encode_frame(Frame(kind=KIND_REQUEST, request_id=request_id, body=body))
+        )
+        if call.metered:
+            self._meter.record_sent(wire.message_size(body))
         deadline = timeout if timeout is not None else DEFAULT_CALL_TIMEOUT
-        timer = loop.call_later(deadline, self._time_out, waiter, method, deadline)
-        reply = asyncio.create_task(
-            self._reply(waiter, method, metered, time.perf_counter(), overlapped)
-        )
-        reply.add_done_callback(
-            functools.partial(self._finish, request_id, waiter, timer)
-        )
-        return reply
+        call.timer = self.loop.call_later(deadline, call.time_out, deadline)
+        return call
 
     async def request(
         self,
@@ -230,76 +275,6 @@ class PeerConnection:
     ) -> dict[str, Any]:
         """Perform one RPC: :meth:`begin` it, then wait for its reply."""
         return await self.begin(method, payload, timeout)
-
-    async def _reply(
-        self,
-        waiter: asyncio.Future[Frame],
-        method: str,
-        metered: bool,
-        sent_at: float,
-        overlapped: bool,
-    ) -> dict[str, Any]:
-        with obs.span(
-            "daemon.call",
-            clock=_clock_from(sent_at),
-            method=method,
-            destination=self.peer_name,
-        ) as span:
-            if overlapped:
-                span.set("overlapped", 1)
-            try:
-                await self._writer.drain()
-            except ConnectionError as error:
-                raise ServiceUnavailableError(
-                    f"connection to {self.peer_name!r} lost: {error}"
-                ) from error
-            frame = await waiter
-            if metered:
-                self._meter.record_received(wire.message_size(frame.body))
-            if frame.kind == KIND_ERROR:
-                raise wire.parse_error(frame.body)
-            if frame.kind != KIND_RESPONSE:
-                raise ServiceUnavailableError(
-                    f"peer {self.peer_name!r} sent frame kind {frame.kind} in response"
-                )
-            return wire.parse_response(frame.body)
-
-    def _time_out(
-        self, waiter: asyncio.Future[Frame], method: str, deadline: float
-    ) -> None:
-        if not waiter.done():
-            waiter.set_exception(
-                ServiceUnavailableError(
-                    f"call {method!r} to {self.peer_name!r} timed out after {deadline}s"
-                )
-            )
-
-    def _finish(
-        self,
-        request_id: int,
-        waiter: asyncio.Future[Frame],
-        timer: asyncio.TimerHandle,
-        reply: asyncio.Task[dict[str, Any]],
-    ) -> None:
-        """Done-callback of every reply task, a cancelled one included."""
-        timer.cancel()
-        self._pending.pop(request_id, None)
-        if not waiter.cancel() and not waiter.cancelled():
-            # Failed under a task that was cancelled before it looked:
-            # mark the error retrieved, an abandoned call logs nothing.
-            waiter.exception()
-
-    async def close(self) -> None:
-        """Tear the connection down and cancel the receive loop."""
-        if self._closed:
-            return
-        self._closed = True
-        self._receiver.cancel()
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
 
 
 class SocketTransport:
@@ -378,11 +353,11 @@ class SocketTransport:
         method: str,
         payload: dict[str, Any],
         timeout: float | None = None,
-    ) -> asyncio.Task[dict[str, Any]]:
-        """Start one RPC to ``destination``; the returned task is its reply.
+    ) -> asyncio.Future[dict[str, Any]]:
+        """Start one RPC to ``destination``; the returned future is its reply.
 
         Over an open connection the request is on the wire before this
-        returns (:meth:`PeerConnection.begin`); with none open yet, the
+        returns (:meth:`PeerConnection.begin`); with none open yet, a
         task opens one and then sends.
         """
         live = self._live(destination)

@@ -15,8 +15,9 @@ account a message as ``len(body) + HTTP_FRAMING_BYTES`` and arrive at
 identical byte counts.
 
 :class:`FrameDecoder` is sans-IO (feed bytes, collect frames) so it can
-be tested without sockets; :func:`read_frame`/:func:`write_frame` adapt
-it to asyncio streams.
+be tested without sockets; :class:`FrameProtocol` feeds it from an
+asyncio transport, so there is one header parser for the handshake and
+the protocol frames alike.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ class FrameDecoder:
     Feed arbitrary chunks; complete frames come back in order. Partial
     input is buffered until the rest arrives, so truncated frames simply
     yield nothing (the caller decides when EOF mid-frame is an error —
-    see :func:`read_frame`).
+    see :meth:`FrameProtocol.read_frame`).
     """
 
     def __init__(self) -> None:
@@ -126,44 +127,124 @@ class FrameDecoder:
         return len(self._buffer)
 
 
-async def read_frame(reader: asyncio.StreamReader) -> Frame:
-    """Read exactly one frame from a stream.
+class FrameProtocol(asyncio.Protocol):
+    """One connection that speaks frames, parsed inside the callback that read them.
 
-    Raises:
-        FrameError: the stream ended mid-frame (truncation), the header
-            is malformed, or the announced body is oversized.
-        ConnectionError: the transport failed underneath.
+    Every chunk the transport reads is fed to a :class:`FrameDecoder`.
+    Until :meth:`start_frames`, the frames it completes queue for
+    :meth:`read_frame` (the handshake's control frames); from then on
+    each is handed to :meth:`frame_received` at once, in arrival order.
+    A header the decoder refuses — unknown kind, oversized body — aborts
+    the connection before any of its body is buffered.
+
+    Backpressure: while the transport holds more unsent bytes than its
+    high-water mark, the connection stops reading, so a peer that does
+    not read what it is sent stops being served. The frames of a chunk
+    already read are still handled.
     """
-    try:
-        header = await reader.readexactly(HEADER_BYTES)
-    except asyncio.IncompleteReadError as error:
-        if not error.partial:
-            raise FrameError("connection closed") from error
-        raise FrameError("truncated frame header") from error
-    length, kind, request_id = HEADER.unpack(header)
-    if kind not in _KINDS:
-        raise FrameError(f"unknown frame kind {kind}")
-    if length > MAX_FRAME_BYTES:
-        raise FrameTooLargeError(
-            f"frame header announces {length} bytes, limit is {MAX_FRAME_BYTES}"
-        )
-    try:
-        body = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as error:
-        raise FrameError("truncated frame body") from error
-    return Frame(kind=kind, request_id=request_id, body=body)
 
+    transport: asyncio.Transport
+    loop: asyncio.AbstractEventLoop
 
-async def write_frame(writer: asyncio.StreamWriter, frame: Frame) -> None:
-    """Serialize and send one frame, waiting for the buffer to drain."""
-    writer.write(encode_frame(frame))
-    await writer.drain()
+    def __init__(self) -> None:
+        self._decoder = FrameDecoder()
+        #: Until :meth:`start_frames`: the frames :meth:`read_frame` has
+        #: not taken yet, then the failure that ended the connection.
+        self._inbox: asyncio.Queue[Frame | FrameError] | None = asyncio.Queue()
+        self._ended: asyncio.Future[None] | None = None
+        #: Why the connection ended (``None`` while it is open).
+        self.failure: FrameError | None = None
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        assert isinstance(transport, asyncio.Transport)
+        self.transport = transport
+        self.loop = asyncio.get_running_loop()
+        self._ended = self.loop.create_future()
+
+    def data_received(self, data: bytes) -> None:
+        if self.failure is not None:
+            return  # ended: whatever the transport still delivers is dropped
+        try:
+            frames = self._decoder.feed(data)
+        except FrameError as error:
+            self._lose(error)
+            self.transport.abort()
+            return
+        inbox = self._inbox
+        for frame in frames:
+            if inbox is None:
+                self.frame_received(frame)
+            else:
+                inbox.put_nowait(frame)
+
+    def frame_received(self, frame: Frame) -> None:
+        """Handle one frame that arrived after :meth:`start_frames`."""
+        raise NotImplementedError
+
+    def start_frames(self) -> None:
+        """Hand every frame, queued ones first, to :meth:`frame_received`."""
+        inbox, self._inbox = self._inbox, None
+        while inbox is not None and not inbox.empty():
+            frame = inbox.get_nowait()
+            assert isinstance(frame, Frame), "started after the connection ended"
+            self.frame_received(frame)
+
+    async def read_frame(self) -> Frame:
+        """The next frame before :meth:`start_frames`.
+
+        Raises:
+            FrameError: the connection ended first — closed cleanly,
+                mid-frame (truncation), or on a malformed header.
+        """
+        assert self._inbox is not None, "frames are already handed to frame_received"
+        frame = await self._inbox.get()
+        if isinstance(frame, FrameError):
+            raise frame
+        return frame
+
+    def write_frame(self, frame: Frame) -> None:
+        """Serialize one frame onto the transport."""
+        self.transport.write(encode_frame(frame))
+
+    def pause_writing(self) -> None:
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.transport.resume_reading()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        if self.failure is None:
+            pending = self._decoder.pending_bytes
+            if exc is not None:
+                reason = str(exc) or type(exc).__name__
+            elif not pending:
+                reason = "connection closed"
+            else:
+                reason = "truncated frame " + ("header" if pending < HEADER_BYTES else "body")
+            self._lose(FrameError(reason))
+        if self._ended is not None and not self._ended.done():
+            self._ended.set_result(None)
+
+    def _lose(self, failure: FrameError) -> None:
+        """The connection is over: nothing more will be read from it."""
+        self.failure = failure
+        if self._inbox is not None:
+            self._inbox.put_nowait(failure)
+
+    async def close(self) -> None:
+        """Close the transport (after flushing it) and wait for the end."""
+        if self.failure is None:
+            self._lose(FrameError("closed"))
+        self.transport.close()
+        if self._ended is not None:
+            await self._ended
 
 
 __all__ = [
     "Frame",
     "FrameDecoder",
     "FrameError",
+    "FrameProtocol",
     "FrameTooLargeError",
     "HEADER_BYTES",
     "KIND_CONTROL",
@@ -172,6 +253,4 @@ __all__ = [
     "KIND_RESPONSE",
     "MAX_FRAME_BYTES",
     "encode_frame",
-    "read_frame",
-    "write_frame",
 ]

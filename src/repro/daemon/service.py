@@ -3,7 +3,11 @@
 :class:`DaemonNode` is the server half of the RPC layer — it accepts
 connections, runs the mutual handshake, then serves requests from a
 registry dispatch table (the same tables the sim registers on its
-simulated hosts). :class:`BrokerDaemon`, :class:`WitnessDaemon` and
+simulated hosts). A request is served inside the callback that read
+its frame, so requests are handled in arrival order and a reply leaves
+only once its handler has returned; only a handler that waits (the
+storefront's ``pay``, ``admin/deposit``) gets a task.
+:class:`BrokerDaemon`, :class:`WitnessDaemon` and
 :class:`MerchantDaemon` wrap a node around the matching
 :class:`~repro.core.system.EcashSystem` party.
 
@@ -27,7 +31,8 @@ import os
 import random
 import time
 from collections import deque
-from typing import TYPE_CHECKING, Any, Awaitable, Generator, Mapping
+from collections.abc import Awaitable, Coroutine, Generator, Mapping
+from typing import TYPE_CHECKING, Any
 
 from repro import obs, perf
 from repro.core.exceptions import EcashError
@@ -41,11 +46,11 @@ from repro.daemon.client import SocketTransport
 from repro.daemon.framing import (
     Frame,
     FrameError,
+    FrameProtocol,
     KIND_ERROR,
     KIND_REQUEST,
     KIND_RESPONSE,
-    read_frame,
-    write_frame,
+    encode_frame,
 )
 from repro.daemon.keys import NodeIdentity
 
@@ -143,17 +148,19 @@ class DaemonNode:
         self._rng = random.Random(os.urandom(16))
         self._server: asyncio.Server | None = None
         self._shutdown = asyncio.Event()
+        #: Handshakes and waiting handlers in progress.
         self._tasks: set[asyncio.Task[Any]] = set()
-        #: Open connections: the task serving each and its writer.
-        self._connections: dict[asyncio.Task[Any], asyncio.StreamWriter] = {}
+        #: Open connections, from accept to loss.
+        self._connections: set[_ServerConnection] = set()
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
         """Bind and start accepting connections."""
-        self._server = await asyncio.start_server(
-            self._serve_connection, self.host, self.port
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(
+            lambda: _ServerConnection(self), self.host, self.port
         )
         sockets = self._server.sockets or []
         if sockets:
@@ -168,157 +175,31 @@ class DaemonNode:
         await self.stop()
 
     async def stop(self) -> None:
-        """Close the listener, open tasks and outbound connections.
+        """Close the listener, open tasks and connections, outbound ones too.
 
-        Returns only once every connection and handler task has ended:
-        a task still pending when the loop closes is cancelled by the
-        loop itself, which the stream machinery reports on stderr.
+        Returns only once every connection and task has ended: a task
+        still pending when the loop closes is cancelled by the loop
+        itself, which asyncio reports on stderr.
         """
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        # A closed writer ends its connection's read loop normally.
-        for writer in self._connections.values():
-            writer.close()
         for task in self._tasks:
             task.cancel()
         await asyncio.gather(
-            *self._connections, *self._tasks, return_exceptions=True
+            *(connection.close() for connection in list(self._connections)),
+            *self._tasks,
+            return_exceptions=True,
         )
+        if self._server is not None:
+            await self._server.wait_closed()
+            self._server = None
         if self.transport is not None:
             await self.transport.close()
 
-    # ------------------------------------------------------------------
-    # Connection handling
-    # ------------------------------------------------------------------
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        assert task is not None
-        self._connections[task] = writer
-        try:
-            await self._serve_peer(reader, writer)
-        finally:
-            writer.close()
-            del self._connections[task]
-
-    async def _serve_peer(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            peer = await server_handshake(
-                reader, writer, self.identity, self.authorized, self._rng
-            )
-        except (HandshakeError, FrameError, ConnectionError, ValueError):
-            obs.counter_inc("daemon_handshake_rejected_total")
-            return
-        obs.counter_inc("daemon_connections_total", peer=peer)
-        send_lock = asyncio.Lock()
-        try:
-            while True:
-                frame = await read_frame(reader)
-                if frame.kind != KIND_REQUEST:
-                    continue  # stray control/response frames are ignored
-                task = asyncio.create_task(
-                    self._handle_request(frame, writer, send_lock)
-                )
-                self._tasks.add(task)
-                task.add_done_callback(self._tasks.discard)
-        except (FrameError, ConnectionError):
-            pass
-
-    async def _run_handler(self, handler: registry.Handler, payload: dict[str, Any]) -> Any:
-        # Handlers run the synchronous protocol core (journal writes
-        # included) on the loop by design: one daemon serves one party,
-        # and the reproduction depends on strictly ordered handling.
-        outcome = handler(payload)  # lint: ignore[async-safety]
-        if isinstance(outcome, Generator):
-            # Generator handlers (the storefront's ``pay``) yield
-            # awaitables from the transport's rpc hook; drive them here.
-            reply: Any = None
-            failure: BaseException | None = None
-            while True:
-                try:
-                    if failure is not None:
-                        error, failure = failure, None
-                        step = outcome.throw(error)
-                    else:
-                        step = outcome.send(reply)
-                except StopIteration as stop:
-                    return stop.value
-                try:
-                    reply = await step
-                except Exception as error:
-                    failure = error
-                    reply = None
-        if isinstance(outcome, Awaitable):
-            return await outcome
-        return outcome
-
-    async def _handle_request(
-        self,
-        frame: Frame,
-        writer: asyncio.StreamWriter,
-        send_lock: asyncio.Lock,
-    ) -> None:
-        started = time.perf_counter()
-        kind = KIND_RESPONSE
-        try:
-            method, payload = wire.parse_request(frame.body)
-        except ValueError as error:
-            method = "?"
-            kind = KIND_ERROR
-            body = wire.error_body(error)
-        else:
-            metered = not method.startswith(ADMIN_PREFIX)
-            if metered:
-                self.meter.record_received(wire.message_size(frame.body))
-            try:
-                handler = self.handlers[method]
-            except KeyError:
-                kind = KIND_ERROR
-                body = wire.error_body(
-                    EcashError(f"node {self.identity.name!r} serves no {method!r}")
-                )
-            else:
-                try:
-                    result = await self._run_handler(handler, payload)
-                    body = wire.response_body(method, result)
-                except EcashError as error:
-                    kind = KIND_ERROR
-                    body = wire.error_body(error)
-                except Exception as error:  # lint: ignore[broad-except]
-                    # Not swallowed: a handler bug crosses the wire as a
-                    # typed error frame and raises on the caller.
-                    kind = KIND_ERROR
-                    body = wire.error_body(error)
-                    obs.counter_inc("daemon_handler_errors_total", method=method)
-            if metered:
-                self.meter.record_sent(wire.message_size(body))
-                self.rpc_log.append(
-                    {
-                        "method": method,
-                        "request_bytes": wire.message_size(frame.body),
-                        "response_bytes": wire.message_size(body),
-                        "kind": "error" if kind == KIND_ERROR else "response",
-                    }
-                )
-        elapsed = time.perf_counter() - started
-        count, seconds = self.handler_time.get(method, (0, 0.0))
-        self.handler_time[method] = (count + 1, seconds + elapsed)
-        obs.observe("daemon_rpc_seconds", elapsed, method=method)
-        obs.counter_inc(
-            "daemon_rpc_total",
-            method=method,
-            kind="error" if kind == KIND_ERROR else "response",
-        )
-        response = Frame(kind=kind, request_id=frame.request_id, body=body)
-        async with send_lock:
-            await write_frame(writer, response)
-        if method == "admin/shutdown":
-            self._shutdown.set()
+    def _spawn(self, work: Coroutine[Any, Any, None]) -> None:
+        task = asyncio.get_running_loop().create_task(work)
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
 
     # ------------------------------------------------------------------
     # Control plane
@@ -381,6 +262,147 @@ class DaemonNode:
             "admin/stats": stats,
             "admin/shutdown": shutdown,
         }
+
+
+class _ServerConnection(FrameProtocol):
+    """One inbound connection: authenticated first, then served frame by frame."""
+
+    def __init__(self, node: DaemonNode) -> None:
+        super().__init__()
+        self.node = node
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        super().connection_made(transport)
+        self.node._connections.add(self)
+        self.node._spawn(self._authenticate())
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        super().connection_lost(exc)
+        self.node._connections.discard(self)
+
+    async def _authenticate(self) -> None:
+        node = self.node
+        try:
+            peer = await server_handshake(self, node.identity, node.authorized, node._rng)
+        except (HandshakeError, FrameError, ValueError):
+            obs.counter_inc("daemon_handshake_rejected_total")
+            self.transport.close()
+            return
+        obs.counter_inc("daemon_connections_total", peer=peer)
+        self.start_frames()
+
+    def frame_received(self, frame: Frame) -> None:
+        if frame.kind != KIND_REQUEST:
+            return  # stray control/response frames are ignored
+        node = self.node
+        started = time.perf_counter()
+        try:
+            method, payload = wire.parse_request(frame.body)
+        except ValueError as error:
+            self._respond(frame, "?", False, started, error)
+            return
+        metered = not method.startswith(ADMIN_PREFIX)
+        if metered:
+            node.meter.record_received(wire.message_size(frame.body))
+        try:
+            handler = node.handlers[method]
+        except KeyError:
+            refusal = EcashError(f"node {node.identity.name!r} serves no {method!r}")
+            self._respond(frame, method, metered, started, refusal)
+            return
+        outcome: Any
+        try:
+            # Handlers run the synchronous protocol core (journal writes
+            # included) on the loop by design: one daemon serves one party,
+            # and the reproduction depends on strictly ordered handling.
+            outcome = handler(payload)  # lint: ignore[async-safety]
+            if isinstance(outcome, Generator):
+                # Its first step runs here, in arrival order; a step it
+                # yields (a nested call) is awaited by a task.
+                step = outcome.send(None)
+                node._spawn(self._resume(frame, method, metered, started, outcome, step))
+                return
+        except StopIteration as stop:
+            outcome = stop.value
+        except Exception as error:
+            # Not swallowed: a handler bug crosses the wire as a typed
+            # error frame and raises on the caller.
+            outcome = error
+        if isinstance(outcome, Awaitable):
+            node._spawn(self._resume(frame, method, metered, started, outcome))
+            return
+        self._respond(frame, method, metered, started, outcome)
+
+    async def _resume(
+        self,
+        frame: Frame,
+        method: str,
+        metered: bool,
+        started: float,
+        work: Any,
+        step: Any = None,
+    ) -> None:
+        """Finish a waiting handler, then reply: await ``work``, or drive
+        the generator ``work`` on from the ``step`` it yielded."""
+        outcome: Any
+        try:
+            if not isinstance(work, Generator):
+                outcome = await work
+            else:
+                while True:
+                    try:
+                        reply = await step
+                    except Exception as error:
+                        # Thrown into the handler, as a failed call is.
+                        step = work.throw(error)
+                    else:
+                        step = work.send(reply)
+        except StopIteration as stop:
+            outcome = stop.value
+        except Exception as error:
+            outcome = error
+        self._respond(frame, method, metered, started, outcome)
+
+    def _respond(
+        self, frame: Frame, method: str, metered: bool, started: float, outcome: Any
+    ) -> None:
+        """Encode, account for and write the reply to ``frame``."""
+        node = self.node
+        kind = KIND_RESPONSE
+        if not isinstance(outcome, BaseException):
+            try:
+                body = wire.response_body(method, outcome)
+            except Exception as error:
+                outcome = error
+        if isinstance(outcome, BaseException):
+            kind = KIND_ERROR
+            body = wire.error_body(outcome)
+            if not isinstance(outcome, EcashError) and method in node.handlers:
+                obs.counter_inc("daemon_handler_errors_total", method=method)
+        if metered:
+            node.meter.record_sent(wire.message_size(body))
+            node.rpc_log.append(
+                {
+                    "method": method,
+                    "request_bytes": wire.message_size(frame.body),
+                    "response_bytes": wire.message_size(body),
+                    "kind": "error" if kind == KIND_ERROR else "response",
+                }
+            )
+        elapsed = time.perf_counter() - started
+        count, seconds = node.handler_time.get(method, (0, 0.0))
+        node.handler_time[method] = (count + 1, seconds + elapsed)
+        obs.observe("daemon_rpc_seconds", elapsed, method=method)
+        obs.counter_inc(
+            "daemon_rpc_total",
+            method=method,
+            kind="error" if kind == KIND_ERROR else "response",
+        )
+        self.transport.write(
+            encode_frame(Frame(kind=kind, request_id=frame.request_id, body=body))
+        )
+        if method == "admin/shutdown":
+            node._shutdown.set()
 
 
 class _Daemon:
@@ -540,7 +562,7 @@ class MerchantDaemon(WitnessDaemon):
     def _handlers(self) -> dict[str, registry.Handler]:
         def relay(
             destination: str, method: str, payload: dict[str, Any]
-        ) -> asyncio.Task[dict[str, Any]]:
+        ) -> asyncio.Future[dict[str, Any]]:
             return self.transport.begin_call(destination, method, payload)
 
         return {

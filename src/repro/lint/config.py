@@ -195,6 +195,23 @@ OPAQUE_EXCEPTIONS: frozenset[str] = frozenset(
 )
 
 
+#: Method names the event loop calls synchronously: the callbacks of an
+#: ``asyncio.Protocol``, and ``FrameProtocol.frame_received``, which its
+#: ``data_received`` calls once per frame. Each runs on the loop as a
+#: coroutine's step does.
+PROTOCOL_CALLBACKS: frozenset[str] = frozenset(
+    {
+        "connection_made",
+        "data_received",
+        "eof_received",
+        "connection_lost",
+        "pause_writing",
+        "resume_writing",
+        "frame_received",
+    }
+)
+
+
 @dataclass
 class ProgramConfig:
     """Knobs for the whole-program analyses (``repro.lint.program``).
@@ -203,7 +220,8 @@ class ProgramConfig:
     them to point at mini-packages.
     """
 
-    #: modules whose coroutine functions are async-safety roots.
+    #: modules whose coroutine functions and protocol callbacks
+    #: (:data:`PROTOCOL_CALLBACKS`) are async-safety roots.
     async_root_modules: tuple[str, ...] = ("repro.daemon",)
     #: alias-expanded call targets that block the event loop.
     blocking_calls: frozenset[str] = field(default_factory=lambda: BLOCKING_CALLS)
@@ -269,7 +287,7 @@ def default_config() -> LintConfig:
             "determinism": RuleConfig(exclude=("*/obs/*",)),
             # Swallowing Exception in delivery/fault paths hides protocol
             # bugs the chaos suite exists to surface. The daemon package
-            # is delivery code too: its handlers and receive loops must
+            # is delivery code too: its handlers and frame callbacks must
             # only catch the typed frame/handshake/protocol errors.
             "broad-except": RuleConfig(
                 include=("*/net/*", "*/faults/*", "*/daemon/*")

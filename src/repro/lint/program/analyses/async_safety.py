@@ -1,4 +1,4 @@
-"""Async-safety: no blocking call reachable from a daemon coroutine.
+"""Async-safety: no blocking call reachable from a daemon coroutine or callback.
 
 Seeds are functions that are blocking *by themselves*: they call a
 configured blocking primitive (``time.sleep``, ``os.fsync``, ...) or
@@ -8,18 +8,27 @@ shard lists). Blocking-ness then propagates backwards over the resolved
 call graph, including the dynamic-dispatch over-approximation
 (``handler(payload)`` reaches every registered handler).
 
-Findings are reported at the async→sync boundary only: a coroutine in a
-configured root module gets one finding per call site whose *sync*
-callee is blocking-reachable (or which invokes a primitive directly).
-Await-ing a blocking async callee is not reported at the caller — the
-callee gets its own finding — so one deliberate blocking site needs
-exactly one inline suppression, not one per transitive caller.
+The roots are what the event loop runs: every coroutine in a configured
+root module, and every method there named as a protocol callback
+(``data_received`` and the rest of ``asyncio.Protocol``'s, plus
+``frame_received``, which a frame protocol calls per frame inside
+``data_received``) — a daemon that serves a request inside the callback
+that read it blocks the loop there as surely as in a coroutine.
+
+Findings are reported at the boundary of the roots only: a root gets one
+finding per call site whose callee is blocking-reachable and neither
+async nor itself a root (or which invokes a primitive directly).
+Await-ing a blocking async callee, or calling a blocking root, is not
+reported at the caller — the callee gets its own finding — so one
+deliberate blocking site needs exactly one inline suppression, not one
+per transitive caller.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
+from repro.lint.config import PROTOCOL_CALLBACKS
 from repro.lint.findings import Finding
 
 from . import ProgramContext, ProgramRule, register
@@ -30,7 +39,8 @@ class AsyncSafetyRule(ProgramRule):
     id = "async-safety"
     description = (
         "no blocking primitive (sleep, fsync, synchronous store I/O, "
-        "pool joins) may be reachable from repro.daemon coroutine handlers"
+        "pool joins) may be reachable from repro.daemon coroutines or "
+        "protocol callbacks"
     )
 
     def check(self, program: ProgramContext) -> Iterator[Finding]:
@@ -67,14 +77,22 @@ class AsyncSafetyRule(ProgramRule):
 
         seed_set = set(seeds)
 
-        # -- report at the async→sync boundary ------------------------
-        for fid in sorted(index.functions):
+        def is_root(fid: str) -> bool:
             function = index.functions[fid]
-            if not function.is_async:
-                continue
+            if not function.is_async and not (
+                function.class_name is not None
+                and function.qualname.rpartition(".")[2] in PROTOCOL_CALLBACKS
+            ):
+                return False
             module = index.function_module[fid]
-            if not program.in_modules(module, config.async_root_modules):
+            return program.in_modules(module, config.async_root_modules)
+
+        # -- report at the boundary of the roots ----------------------
+        for fid in sorted(index.functions):
+            if not is_root(fid):
                 continue
+            function = index.functions[fid]
+            module = index.function_module[fid]
             if not program.rule_applies(self.id, module):
                 continue
             for resolved in graph.calls_of(fid):
@@ -82,7 +100,9 @@ class AsyncSafetyRule(ProgramRule):
                 sync_blocking = sorted(
                     callee
                     for callee in resolved.callees
-                    if callee in blocking and not index.functions[callee].is_async
+                    if callee in blocking
+                    and not index.functions[callee].is_async
+                    and not is_root(callee)
                 )
                 if not direct and not sync_blocking:
                     continue
@@ -95,10 +115,11 @@ class AsyncSafetyRule(ProgramRule):
                         chain = " -> ".join(steps) + f" [{seeds[path[-1]]}]"
                     else:
                         chain = index.functions[sync_blocking[0]].qualname
+                role = "coroutine" if function.is_async else "callback"
                 yield program.finding(
                     self.id,
                     module,
                     resolved.site.lineno,
-                    f"coroutine '{function.qualname}' can block the event "
+                    f"{role} '{function.qualname}' can block the event "
                     f"loop here: {chain}",
                 )

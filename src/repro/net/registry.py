@@ -72,6 +72,7 @@ from repro.core.transcripts import (
 from repro.core.witness import WitnessService
 from repro.core.witness_ranges import WitnessAssignmentTable
 from repro.crypto.blind import SignerChallenge, SignerResponse
+from repro.crypto.schnorr import SchnorrSignature
 from repro.crypto.serialize import (
     as_int,
     as_text,
@@ -522,7 +523,12 @@ def merchant_dispatch(
             except DoubleSpendError:
                 pass
             return {"status": "double-spend", "proof": proof.to_wire()}
-        merchant.accept_signed_transcript(SignedTranscript.from_wire(reply, "signed."), clock())
+        # The countersignature must be over the transcript verified here:
+        # whatever transcript the witness sent beside it is not read.
+        signature = SchnorrSignature(
+            e=as_int(reply["signed.wsig_e"]), s=as_int(reply["signed.wsig_s"])
+        )
+        merchant.accept_signed_transcript(SignedTranscript(transcript, signature), clock())
         return {"status": "service", "amount": transcript.coin.denomination}
 
     table = {"pay": pay}

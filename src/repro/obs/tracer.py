@@ -86,20 +86,23 @@ class ActiveSpan:
         self.attributes[key] = value
         return self
 
-    def __enter__(self) -> "ActiveSpan":
+    def open(self) -> "ActiveSpan":
+        """Start the span without making it current; :meth:`close` ends it.
+
+        For a stretch of work that ends in a callback rather than at the
+        end of a ``with`` block. Its parent is the span current here.
+        """
         parent = _CURRENT.get()
         self.span_id = self._tracer._next_id()
         if parent is None:
             self.trace_id, self.parent_id = self.span_id, None
         else:
             self.trace_id, self.parent_id = parent[0], parent[1]
-        self._token = _CURRENT.set((self.trace_id, self.span_id))
         self.start = self._clock()
         return self
 
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        end = self._clock()
-        _CURRENT.reset(self._token)
+    def close(self, error: str | None = None) -> None:
+        """Finish the span, naming the exception type that ended it, if any."""
         self._tracer._finish(
             SpanRecord(
                 name=self.name,
@@ -107,11 +110,20 @@ class ActiveSpan:
                 span_id=self.span_id,
                 parent_id=self.parent_id,
                 start=self.start,
-                end=end,
+                end=self._clock(),
                 attributes=self.attributes,
-                error=type(exc).__name__ if exc is not None else None,
+                error=error,
             )
         )
+
+    def __enter__(self) -> "ActiveSpan":
+        self.open()
+        self._token = _CURRENT.set((self.trace_id, self.span_id))
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        _CURRENT.reset(self._token)
+        self.close(type(exc).__name__ if exc is not None else None)
         return False
 
 

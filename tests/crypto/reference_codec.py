@@ -1,4 +1,4 @@
-"""The multi-pass wire codec this repository shipped through PR 15, kept as a test oracle.
+"""Earlier wire codecs of this repository, kept as test oracles.
 
 ``encode``/``decode``/``flatten``/``unflatten``/``text_to_int`` (and the
 helpers they call) are the bodies ``repro.crypto.serialize`` had before
@@ -10,12 +10,22 @@ live codec to it byte for byte.
 One deliberate divergence in the live code: this ``text_to_int`` accepts
 padded and zero-prefixed spellings (``"AQ=="``, ``"AAE"``) that
 ``int_to_text`` never emits; the live one refuses them.
+
+``canonical_text_to_int``, ``quote_value`` and ``unquote_value`` are the
+single-pass codec's per-value steps before values were memoized and
+integers decoded in one pass: a regex, two ``str.replace`` and
+``a2b_base64`` for an integer, and urllib's ``quote``/``unquote`` on
+every string value of every message. The live codec must accept exactly
+the integer spellings ``canonical_text_to_int`` accepts, and emit and
+read back exactly the text these two give.
 """
 
 from __future__ import annotations
 
 import base64
-from urllib.parse import parse_qsl, quote, urlencode
+import re
+from binascii import a2b_base64
+from urllib.parse import parse_qsl, quote, unquote, urlencode
 
 from repro.crypto.serialize import KEY_ABBREVIATIONS
 
@@ -136,3 +146,46 @@ def unflatten(flat: dict[str, str]) -> dict[str, object]:
             raise ValueError(f"wire key {dotted!r} conflicts with a nested field")
         node[parts[-1]] = value
     return out
+
+
+# ----------------------------------------------------------------------
+# The single-pass codec's per-value steps, before memos and the one-pass
+# integer decode
+# ----------------------------------------------------------------------
+_BASE64_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_"
+_is_int_text = re.compile(r"[A-Za-z0-9_-]+").fullmatch
+_CANONICAL_LAST = (
+    frozenset(_BASE64_ALPHABET),
+    frozenset(),
+    frozenset(_BASE64_ALPHABET[::16]),
+    frozenset(_BASE64_ALPHABET[::4]),
+)
+_PADDING = ("", "", "==", "=")
+_is_unreserved = re.compile(r"[A-Za-z0-9_.~-]*").fullmatch
+
+
+def canonical_text_to_int(text: str) -> int:
+    """Decode :func:`int_to_text` output, and nothing else.
+
+    Raises:
+        ValueError: on empty or malformed input.
+    """
+    if not text:
+        raise ValueError("empty integer field")
+    tail = len(text) % 4
+    if _is_int_text(text) is None or text[-1] not in _CANONICAL_LAST[tail]:
+        raise ValueError(f"malformed wire integer {text!r}")
+    raw = a2b_base64(text.replace("-", "+").replace("_", "/") + _PADDING[tail])
+    if raw[0] == 0 and len(raw) > 1:
+        raise ValueError(f"malformed wire integer {text!r}")
+    return int.from_bytes(raw, "big")
+
+
+def quote_value(value: str) -> str:
+    """A string value as ``encode`` wrote it."""
+    return value if _is_unreserved(value) else quote(value, safe="")
+
+
+def unquote_value(token: str) -> str:
+    """A received value token as ``decode`` read it."""
+    return unquote(token.replace("+", " ")) if "%" in token or "+" in token else token

@@ -8,12 +8,19 @@ codec (duplicate keys, scalar/nested conflicts, illegal key characters,
 booleans, non-``int|str`` leaves, negative integers, malformed integer
 text) fails a test in this file.
 
+The per-value steps are held to the ones they replaced as well: every
+integer spelling is accepted or refused exactly as
+``reference.canonical_text_to_int`` does, and every string value is
+written and read back as urllib's ``quote``/``unquote`` did on every
+message, before the value memos — however full those memos are.
+
 One refusal is the live codec's alone: a key segment spelled like a
 short form (``s``, ``d``, ``v`` ...). The reference sent it unchanged and
 read it back expanded, as a key nobody wrote; the live ``encode`` raises
 ``ValueError``, and agrees with the reference on every other key.
 """
 
+import base64
 import random
 
 import pytest
@@ -270,6 +277,97 @@ def test_integer_text_accepts_only_canonical_spellings(text):
             assert int_to_text(old[1]) != text  # the satellite-1 tightening, nothing else
 
 
+#: Wire integers up to 1100 bits: past the paper's 1024-bit group.
+WIDE_INTEGERS = st.one_of(
+    st.integers(min_value=0, max_value=2**16),
+    st.integers(min_value=1, max_value=1100).flatmap(
+        lambda bits: st.integers(min_value=2 ** (bits - 1), max_value=2**bits - 1)
+    ),
+)
+
+
+def _with_nonzero_trailing_bits(text):
+    """``text`` with its last character's unused bits set, if it has any."""
+    unused = {0: 0, 2: 4, 3: 2}[len(text) % 4]
+    if not unused:
+        return text + "A"  # no unused bits: a length of 1 mod 4 instead
+    alphabet = serialize._BASE64_ALPHABET
+    return text[:-1] + alphabet[alphabet.index(text[-1]) | 1]
+
+
+#: Each way a spelling can fail to be the canonical one.
+MISSPELLINGS = {
+    "padding": lambda text, rng: text + "=" * rng.randint(1, 2),
+    "plus": lambda text, rng: _splice(text, rng, "+"),
+    "slash": lambda text, rng: _splice(text, rng, "/"),
+    "equals inside": lambda text, rng: _splice(text, rng, "="),
+    "non-ASCII": lambda text, rng: _splice(text, rng, rng.choice("éÄ\u00a0\u2028")),
+    "whitespace": lambda text, rng: _splice(text, rng, rng.choice(" \n\t")),
+    "trailing bits": lambda text, rng: _with_nonzero_trailing_bits(text),
+    "leading zero byte": lambda text, rng: _zero_prefixed(text),
+    "length 1 mod 4": lambda text, rng: text[: len(text) - len(text) % 4 + 1],
+    "empty": lambda text, rng: "",
+}
+
+
+def _zero_prefixed(text):
+    """The spelling of ``text``'s bytes with a zero byte in front."""
+    raw = b"\x00" + base64.urlsafe_b64decode(text + "=" * (-len(text) % 4))
+    return base64.urlsafe_b64encode(raw).decode("ascii").rstrip("=")
+
+
+@given(WIDE_INTEGERS)
+def test_every_integer_up_to_1100_bits_round_trips_as_before(value):
+    text = int_to_text(value)
+    assert text == reference.int_to_text(value)
+    assert text_to_int(text) == reference.canonical_text_to_int(text) == value
+
+
+@given(WIDE_INTEGERS, st.sampled_from(sorted(MISSPELLINGS)), st.randoms(use_true_random=False))
+def test_every_misspelling_is_refused_as_before(value, kind, rng):
+    text = MISSPELLINGS[kind](int_to_text(value), rng)
+    live = outcome(text_to_int, text)
+    assert live == outcome(reference.canonical_text_to_int, text)
+    if text != int_to_text(value):
+        assert live == ("raised", ValueError), (kind, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "A", "AQ=", "AQ==", "AAE", "AAAB", "AR", "AQ+", "A/", "A=Q", "Aé", "AQ\n", "AAAAA", "-_"],
+)
+def test_each_misspelled_integer_is_refused(text):
+    with pytest.raises(ValueError):
+        reference.canonical_text_to_int(text)
+    with pytest.raises(ValueError, match="malformed wire integer|empty integer field"):
+        text_to_int(text)
+
+
+ESCAPED_TEXT = st.text(alphabet="abXY09-_.~ %+&=/?#;:@é\n\x00", max_size=16)
+ESCAPED_TOKENS = st.lists(
+    st.one_of(
+        st.sampled_from(["%2F", "%2f", "%25", "%C3%A9", "%ff", "%zz", "%4", "%", "+", "++", "%2B"]),
+        st.text(alphabet="aZ09-_.~é", max_size=3),
+    ),
+    max_size=6,
+).map("".join)
+
+
+@given(ESCAPED_TEXT)
+def test_string_values_are_quoted_as_urllib_quoted_them(value):
+    for _ in range(2):  # learned, then read from the memo
+        wire = encode({"field": value})
+        assert wire == "field=" + reference.quote_value(value)
+        assert decode(wire) == {"field": value}
+
+
+@given(ESCAPED_TOKENS)
+def test_value_tokens_are_unquoted_as_urllib_unquoted_them(token):
+    for _ in range(2):
+        assert decode("field=" + token) == {"field": reference.unquote_value(token)}
+        assert decode("field=" + token) == reference.decode("field=" + token)
+
+
 # ----------------------------------------------------------------------
 # memo bound
 # ----------------------------------------------------------------------
@@ -285,7 +383,15 @@ def test_attacker_keys_cannot_grow_the_memos_past_their_bound():
         mapping = {key: {"transcript": index} for index, key in enumerate(keys)}
         assert encode(mapping) == reference.encode(mapping)
         assert len(serialize._wire_keys) <= KEY_MEMO_BOUND
+        # Values the attacker chooses, each needing quotes, each new.
+        values = {f"v{index}": f"{key}/%{index % 10}+" for index, key in enumerate(keys)}
+        assert encode(values) == reference.encode(values)
+        assert len(serialize._wire_values) <= KEY_MEMO_BOUND
+        wire = reference.encode(values)
+        assert decode(wire) == reference.decode(wire) == values
+        assert len(serialize._plain_values) <= KEY_MEMO_BOUND
         assert decode(honest) == reference.decode(honest)
+        assert decode("_method=withdraw%2Fbegin") == {"_method": "withdraw/begin"}
 
 
 # ----------------------------------------------------------------------

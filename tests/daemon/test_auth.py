@@ -6,7 +6,7 @@ import random
 import pytest
 
 from repro.daemon.auth import HandshakeError, client_handshake, server_handshake
-from repro.daemon.framing import FrameError
+from repro.daemon.framing import FrameError, FrameProtocol
 from repro.daemon.keys import NodeIdentity, identity_keypair
 
 
@@ -16,36 +16,43 @@ def identity(name: str, seed: int = 99) -> NodeIdentity:
 
 async def handshake_pair(server_id, client_id, roster, client_roster=None):
     """Run both halves over a real loopback socket; return their outcomes."""
-    server_result: dict = {}
-    server_done = asyncio.Event()
+    loop = asyncio.get_running_loop()
+    accepted: asyncio.Queue[FrameProtocol] = asyncio.Queue()
 
-    async def on_connect(reader, writer):
+    class Accepted(FrameProtocol):
+        def connection_made(self, transport):
+            super().connection_made(transport)
+            accepted.put_nowait(self)
+
+    server_result: dict = {}
+
+    async def serve() -> None:
+        channel = await accepted.get()
         try:
             server_result["peer"] = await server_handshake(
-                reader, writer, server_id, roster, random.Random(1)
+                channel, server_id, roster, random.Random(1)
             )
         except Exception as error:  # recorded for assertions
             server_result["error"] = error
         finally:
-            writer.close()
-            server_done.set()
+            await channel.close()
 
-    server = await asyncio.start_server(on_connect, "127.0.0.1", 0)
+    server = await loop.create_server(Accepted, "127.0.0.1", 0)
     port = server.sockets[0].getsockname()[1]
     try:
-        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        serving = asyncio.create_task(serve())
+        _, channel = await loop.create_connection(FrameProtocol, "127.0.0.1", port)
         try:
             await client_handshake(
-                reader,
-                writer,
+                channel,
                 client_id,
                 server_id.name,
                 client_roster if client_roster is not None else roster,
                 random.Random(2),
             )
         finally:
-            writer.close()
-        await asyncio.wait_for(server_done.wait(), 5)
+            await channel.close()
+        await asyncio.wait_for(serving, 5)
     finally:
         server.close()
         await server.wait_closed()
@@ -84,15 +91,10 @@ def test_wrong_key_rejected_with_same_refusal():
 
 def test_client_requires_server_in_roster():
     async def scenario():
-        reader = asyncio.StreamReader()
-
-        class NullWriter:
-            def write(self, data):  # pragma: no cover - never reached
-                pass
-
+        # Refused before the channel is touched: it is not even connected.
         with pytest.raises(HandshakeError, match="roster"):
             await client_handshake(
-                reader, NullWriter(), identity("client-0"), "broker", {}, random.Random(3)
+                FrameProtocol(), identity("client-0"), "broker", {}, random.Random(3)
             )
 
     asyncio.run(scenario())

@@ -25,13 +25,13 @@ def _echo(payload):
 def _recording(connection: PeerConnection) -> list[bytes]:
     """Every chunk the connection hands its socket from now on."""
     written: list[bytes] = []
-    write = connection._writer.write
+    write = connection.transport.write
 
     def recording_write(data: bytes) -> None:
         written.append(bytes(data))
         write(data)
 
-    connection._writer.write = recording_write
+    connection.transport.write = recording_write
     return written
 
 

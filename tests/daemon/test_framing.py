@@ -1,4 +1,4 @@
-"""Unit tests for the length-prefixed framing codec."""
+"""Unit tests for the length-prefixed framing codec and the frame protocol."""
 
 import asyncio
 
@@ -8,6 +8,7 @@ from repro.daemon.framing import (
     Frame,
     FrameDecoder,
     FrameError,
+    FrameProtocol,
     FrameTooLargeError,
     HEADER,
     HEADER_BYTES,
@@ -16,7 +17,6 @@ from repro.daemon.framing import (
     KIND_RESPONSE,
     MAX_FRAME_BYTES,
     encode_frame,
-    read_frame,
 )
 
 
@@ -79,16 +79,70 @@ class TestIncrementalDecoding:
             FrameDecoder().feed(header)
 
 
+class FakeTransport(asyncio.Transport):
+    """A transport that records what the protocol does to it."""
+
+    def __init__(self, protocol: FrameProtocol) -> None:
+        super().__init__()
+        self.protocol = protocol
+        self.written: list[bytes] = []
+        self.ended = False
+        self.reading = True
+
+    def write(self, data):
+        self.written.append(bytes(data))
+
+    def _end(self):
+        if not self.ended:
+            self.ended = True
+            self.protocol.connection_lost(None)
+
+    def close(self):
+        self._end()
+
+    def abort(self):
+        self._end()
+
+    def is_closing(self):
+        return self.ended
+
+    def pause_reading(self):
+        self.reading = False
+
+    def resume_reading(self):
+        self.reading = True
+
+
+class Recorder(FrameProtocol):
+    """A frame protocol that keeps the frames handed to it."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.frames: list[Frame] = []
+
+    def frame_received(self, frame):
+        self.frames.append(frame)
+
+
+def connected(protocol: FrameProtocol) -> FakeTransport:
+    transport = FakeTransport(protocol)
+    protocol.connection_made(transport)
+    return transport
+
+
 class TestStreamReading:
+    """``FrameProtocol.read_frame``: the handshake's reads, over one decoder."""
+
     def run(self, coro):
         return asyncio.run(coro)
 
     def test_read_frame_roundtrip(self):
         async def scenario():
-            reader = asyncio.StreamReader()
+            protocol = FrameProtocol()
+            connected(protocol)
             frame = Frame(kind=KIND_REQUEST, request_id=3, body=b"payload")
-            reader.feed_data(encode_frame(frame))
-            return await read_frame(reader)
+            protocol.data_received(encode_frame(frame))
+            return await protocol.read_frame()
 
         frame = self.run(scenario())
         assert frame.request_id == 3
@@ -96,39 +150,131 @@ class TestStreamReading:
 
     def test_read_frame_clean_close(self):
         async def scenario():
-            reader = asyncio.StreamReader()
-            reader.feed_eof()
+            protocol = FrameProtocol()
+            connected(protocol)
+            protocol.connection_lost(None)
             with pytest.raises(FrameError, match="connection closed"):
-                await read_frame(reader)
+                await protocol.read_frame()
 
         self.run(scenario())
 
     def test_read_frame_truncated_header(self):
         async def scenario():
-            reader = asyncio.StreamReader()
-            reader.feed_data(b"\x00\x00")  # 2 of 13 header bytes
-            reader.feed_eof()
+            protocol = FrameProtocol()
+            connected(protocol)
+            protocol.data_received(b"\x00\x00")  # 2 of 13 header bytes
+            reading = asyncio.ensure_future(protocol.read_frame())
+            await asyncio.sleep(0)
+            protocol.connection_lost(None)
             with pytest.raises(FrameError, match="truncated frame header"):
-                await read_frame(reader)
+                await reading
 
         self.run(scenario())
 
     def test_read_frame_truncated_body(self):
         async def scenario():
-            reader = asyncio.StreamReader()
+            protocol = FrameProtocol()
+            connected(protocol)
             wire = encode_frame(Frame(kind=KIND_REQUEST, request_id=1, body=b"abcdef"))
-            reader.feed_data(wire[: HEADER_BYTES + 2])
-            reader.feed_eof()
+            protocol.data_received(wire[: HEADER_BYTES + 2])
+            protocol.connection_lost(None)
             with pytest.raises(FrameError, match="truncated frame body"):
-                await read_frame(reader)
+                await protocol.read_frame()
 
         self.run(scenario())
 
     def test_read_frame_oversized(self):
         async def scenario():
-            reader = asyncio.StreamReader()
-            reader.feed_data(HEADER.pack(MAX_FRAME_BYTES + 1, KIND_REQUEST, 1))
+            protocol = FrameProtocol()
+            transport = connected(protocol)
+            protocol.data_received(HEADER.pack(MAX_FRAME_BYTES + 1, KIND_REQUEST, 1))
+            assert transport.ended  # dropped on the header, body never awaited
             with pytest.raises(FrameTooLargeError):
-                await read_frame(reader)
+                await protocol.read_frame()
+
+        self.run(scenario())
+
+
+class TestFrameProtocol:
+    """Frames handed over inside the callback that read them."""
+
+    def run(self, coro):
+        return asyncio.run(coro)
+
+    def test_a_frame_split_at_every_byte_offset(self):
+        frame = Frame(kind=KIND_REQUEST, request_id=7, body=b"_method=pay&t.ts=Cg")
+        wire = encode_frame(frame)
+
+        async def scenario():
+            for cut in range(len(wire) + 1):
+                protocol = Recorder()
+                connected(protocol)
+                protocol.start_frames()
+                protocol.data_received(wire[:cut])
+                assert protocol.frames == ([frame] if cut == len(wire) else []), cut
+                protocol.data_received(wire[cut:])
+                assert protocol.frames == [frame], cut
+
+        self.run(scenario())
+
+    def test_several_frames_in_one_chunk_are_handled_in_order(self):
+        frames = [Frame(KIND_REQUEST, index, b"x" * index) for index in range(1, 6)]
+
+        async def scenario():
+            protocol = Recorder()
+            connected(protocol)
+            protocol.start_frames()
+            protocol.data_received(b"".join(encode_frame(f) for f in frames))
+            assert protocol.frames == frames
+
+        self.run(scenario())
+
+    def test_frames_read_before_start_are_handed_over_first(self):
+        hello = Frame(KIND_CONTROL, 0, b"hs=hello")
+        early = [Frame(KIND_REQUEST, 1, b"a"), Frame(KIND_REQUEST, 2, b"b")]
+
+        async def scenario():
+            protocol = Recorder()
+            connected(protocol)
+            protocol.data_received(b"".join(encode_frame(f) for f in [hello, *early]))
+            assert await protocol.read_frame() == hello
+            assert protocol.frames == []
+            protocol.start_frames()
+            assert protocol.frames == early
+
+        self.run(scenario())
+
+    @pytest.mark.parametrize(
+        "header, error",
+        [
+            (HEADER.pack(MAX_FRAME_BYTES + 1, KIND_REQUEST, 1), FrameTooLargeError),
+            (HEADER.pack(0, 200, 1), FrameError),
+        ],
+    )
+    def test_a_bad_header_ends_the_connection(self, header, error):
+        async def scenario():
+            protocol = Recorder()
+            transport = connected(protocol)
+            protocol.start_frames()
+            protocol.data_received(encode_frame(Frame(KIND_REQUEST, 1, b"ok")))
+            protocol.data_received(header + b"\x00" * 64)
+            assert transport.ended
+            assert isinstance(protocol.failure, error)
+            # Refused on the header: the decoder never waited for the body.
+            assert protocol._decoder.pending_bytes == HEADER_BYTES + 64
+            protocol.data_received(encode_frame(Frame(KIND_REQUEST, 2, b"late")))
+            # The chunk holding the bad header, and all after it, is dropped.
+            assert protocol.frames == [Frame(KIND_REQUEST, 1, b"ok")]
+
+        self.run(scenario())
+
+    def test_a_full_write_buffer_pauses_reading(self):
+        async def scenario():
+            protocol = Recorder()
+            transport = connected(protocol)
+            protocol.pause_writing()
+            assert not transport.reading
+            protocol.resume_writing()
+            assert transport.reading
 
         self.run(scenario())

@@ -68,13 +68,13 @@ def _withdrawal(system, client):
 
 def _logging_writes(connection: PeerConnection, events: list[str]) -> None:
     """Log every request frame the connection hands its socket."""
-    write = connection._writer.write
+    write = connection.transport.write
 
     def logging_write(data: bytes) -> None:
         events.append("frame " + wire.parse_request(bytes(data)[HEADER_BYTES:])[0])
         write(data)
 
-    connection._writer.write = logging_write
+    connection.transport.write = logging_write
 
 
 def _logging_hint(client, events: list[str]) -> None:

@@ -261,3 +261,45 @@ def test_exception_wire_classifies_every_escape(tmp_path: Path) -> None:
     assert any("PROOF_CARRYING names 'GhostErr'" in m for m in messages)
     # AllowedErr is allowlisted and op_safe catches everything it raises
     assert not any("AllowedErr" in m or "OtherErr" in m for m in messages)
+
+
+ASYNC_PROTOCOL = """
+    import asyncio
+
+    from aroot import work
+
+    class Connection(asyncio.Protocol):
+        def data_received(self, data):
+            work.outer()
+
+        def eof_received(self):
+            self.frame_received(None)
+
+        def frame_received(self, frame):
+            work.outer()
+
+        def helper(self):
+            work.outer()
+"""
+
+
+def test_async_safety_roots_include_protocol_callbacks(tmp_path: Path) -> None:
+    """A request served inside ``data_received`` blocks the loop as a
+    coroutine's would: the callback is a root, reported at its own call
+    site, and a root calling a root is reported once, at the callee."""
+    program = ProgramConfig(async_root_modules=("aroot",))
+    findings = _run(
+        tmp_path,
+        {"aroot/protocol.py": ASYNC_PROTOCOL, "aroot/work.py": ASYNC_WORK},
+        program,
+        "async-safety",
+    )
+    messages = sorted(f.message for f in findings)
+    assert len(findings) == 2, messages
+    assert any(
+        "callback 'Connection.data_received'" in m and "outer -> inner [time.sleep]" in m
+        for m in messages
+    )
+    assert any("callback 'Connection.frame_received'" in m for m in messages)
+    # not a callback, and a callback that only calls a callback: silent
+    assert not any("helper" in m or "eof_received" in m for m in messages)
