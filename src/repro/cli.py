@@ -347,7 +347,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint import baseline as lint_baseline
     from repro.lint import engine as lint_engine
     from repro.lint import report as lint_report
     from repro.lint.program import run_program, select_program_rules
@@ -373,25 +372,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         print(f"unknown rule: {error.args[0]}", file=sys.stderr)
         return 2
     paths: list[str] = args.paths or ["src"]
-
-    baseline_file = args.use_baseline or lint_baseline.DEFAULT_BASELINE
-    if args.write_baseline:
-        # Regenerate both namespaces in one pass so the file stays whole.
-        file_findings = engine.lint(paths, None)
-        program_run = run_program(paths)
-        accepted = lint_baseline.BaselineFile(
-            files=lint_baseline.Baseline.from_findings(file_findings),
-            program=lint_baseline.Baseline.from_findings(program_run.findings),
-        )
-        accepted.save(baseline_file)
-        print(
-            f"wrote {baseline_file}: "
-            f"{sum(accepted.files.counts.values())} per-file + "
-            f"{sum(accepted.program.counts.values())} program "
-            "grandfathered finding(s)"
-        )
-        return 0
-
     if args.program:
         run = run_program(paths, only=only)
         findings, checked = run.findings, run.checked_files
@@ -399,22 +379,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         files = list(lint_engine.iter_python_files(paths))
         findings = engine.lint(files, only)
         checked = len(files)
-
-    stale: list[str] = []
-    baseline = None
-    if args.use_baseline:
-        try:
-            stored = lint_baseline.BaselineFile.load(baseline_file)
-        except lint_baseline.BaselineError as error:
-            print(str(error), file=sys.stderr)
-            return 2
-        baseline = stored.program if args.program else stored.files
-        findings, stale = lint_baseline.diff_against_baseline(findings, baseline)
     render = (
         lint_report.render_json if args.format == "json" else lint_report.render_console
     )
-    print(render(findings, stale, baseline, checked_files=checked))
-    return lint_report.exit_code(findings, stale)
+    print(render(findings, checked_files=checked))
+    return lint_report.exit_code(findings)
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -451,8 +420,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 host=args.host,
                 port=args.port,
                 state_dir=args.state_dir,
-                store_backend=args.store_backend,
-                store_shards=args.store_shards,
             )
         )
     except KeyboardInterrupt:
@@ -684,22 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run only this rule (repeatable)",
     )
     lint.add_argument(
-        "--baseline",
-        nargs="?",
-        const="LINT_baseline.json",
-        default=None,
-        dest="use_baseline",
-        metavar="FILE",
-        help="suppress findings recorded in the baseline file "
-        "(default LINT_baseline.json); stale entries still fail",
-    )
-    lint.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="accept the current findings: regenerate the baseline file "
-        "(runs both tiers, rewrites both schema-v2 sections)",
-    )
-    lint.add_argument(
         "--program",
         action="store_true",
         help="run the whole-program analyses (journal-first, async-safety, "
@@ -736,18 +687,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="durable state directory: journal every RPC "
         "to a write-ahead log, replay it on restart",
-    )
-    serve.add_argument(
-        "--store-backend",
-        choices=("memory", "sqlite"),
-        default="sqlite",
-        help="materialized backend behind the journal (default sqlite)",
-    )
-    serve.add_argument(
-        "--store-shards",
-        type=int,
-        default=4,
-        help="coin-hash-prefix shard count, fixed at store creation (default 4)",
     )
     serve.set_defaults(func=_cmd_serve)
 

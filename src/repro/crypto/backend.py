@@ -1,9 +1,9 @@
-"""Pluggable bigint backend: CPython ``pow``, the system's libgmp, or gmpy2.
+"""Bigint backend: CPython ``pow`` or the system's libgmp.
 
 Every hot path in the system bottoms out in 1024-bit modular arithmetic —
-fixed-base table walks, Straus multi-exponentiation chains, Miller-Rabin
-witnesses, Fermat inversions. This module is the single switch point for
-*how* that arithmetic executes:
+fixed-base table walks, one exponentiation per base without a table,
+Miller-Rabin witnesses. This module is the single switch point for *how*
+that arithmetic executes:
 
 * the **python** backend is the CPython builtin ``pow``/``%`` machinery —
   the reference implementation, always available;
@@ -11,35 +11,30 @@ witnesses, Fermat inversions. This module is the single switch point for
   through :mod:`ctypes` — nothing to install (gcc and apt's gnutls depend
   on the library), one foreign call per exponentiation, ~57 us against
   ~615 us for builtin ``pow`` at 1024/160 bits. Operands stay plain
-  ``int``; only :func:`powmod` and the fixed-base table change;
-* the **gmpy2** backend routes the same operations through GMP limbs
-  (``gmpy2.powmod``, ``mpz`` operands), and is selected only when the
-  optional ``gmpy2`` package is importable.
+  ``int``; only :func:`powmod` and the fixed-base table change.
 
-All three compute the *same function*: results are plain ``int``
-values, bit-identical between backends, so protocol outputs, wire bytes
-and the Table 1 logical-operation accounting are invariant under the
-switch — only wall-clock time changes.
+Both compute the *same function*: results are plain ``int`` values,
+bit-identical between backends, so protocol outputs, wire bytes and the
+Table 1 logical-operation accounting are invariant under the switch —
+only wall-clock time changes.
 
-Selection: the ``REPRO_BACKEND`` environment variable. ``auto`` — the
-default — picks gmpy2 when installed, else gmp when libgmp loads and its
-self-test agrees with builtin ``pow``, else python; ``python``, ``gmp``
-and ``gmpy2`` force a backend, the latter two falling back gracefully
-to python when unavailable. :func:`set_backend` switches at runtime;
-listeners registered through :func:`on_change` (the fixed-base table
-registry) are notified so derived state never straddles two backends.
+Selection: the ``REPRO_BACKEND`` environment variable, ``auto`` (the
+default), ``gmp`` or ``python``. ``auto`` picks gmp when libgmp loads and
+its self-test agrees with builtin ``pow``, else python; ``gmp`` forces
+it, falling back to python when it is unavailable; any other value
+selects python. :func:`set_backend` switches at runtime; listeners
+registered through :func:`on_change` (the fixed-base table registry) are
+notified so derived state never straddles two backends.
 
 The fixed-base table is a backend primitive like :func:`powmod`:
 :data:`FixedBaseTable` holds, for each ``window``-bit digit position of
 the exponent, every power of one base at that position, and
 :func:`table_product` multiplies one entry per non-zero digit of every
-``(table, exponent)`` factor into one accumulator. Under python and
-gmpy2 the rows are ``int``/``mpz`` values walked with native ``*``/``%``;
-under gmp they are ``mpz_t``s in one ctypes block, built and walked with
-``mpz_mul`` and ``mpz_tdiv_r`` — at 1024/160 bits a 6-bit table builds
-in ~5 ms and walks in ~0.6 of one ``mpz_powm``. Hot loops outside the
-tables :func:`wrap` their operands once (``mpz`` under gmpy2, identity
-otherwise) and :func:`unwrap` the result back to ``int``.
+``(table, exponent)`` factor into one accumulator. Under python the rows
+are ``int`` values walked with native ``*``/``%``; under gmp they are
+``mpz_t``s in one ctypes block, built and walked with ``mpz_mul`` and
+``mpz_tdiv_r`` — at 1024/160 bits a 6-bit table builds in ~5 ms and
+walks in ~0.6 of one ``mpz_powm``.
 
 ``mpz_powm`` is not constant-time, and neither is the CPython ``pow`` it
 replaces or a table walk, whose multiplications skip zero digits;
@@ -52,22 +47,14 @@ so any layer (``repro.perf`` included) may import it without cycles.
 from __future__ import annotations
 
 import functools
-import importlib
 import os
 from typing import Any, Callable, NamedTuple, Sequence
 
 #: Canonical backend names, in preference order for ``auto``.
-BACKEND_GMPY2 = "gmpy2"
 BACKEND_GMP = "gmp"
 BACKEND_PYTHON = "python"
 
-_gmpy2: Any
-try:
-    _gmpy2 = importlib.import_module("gmpy2")
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    _gmpy2 = None
-
-PowMod = Callable[[Any, int, int], int]
+PowMod = Callable[[int, int, int], int]
 
 #: ``prod(table.base ^ exponent)`` over ``(table, exponent)`` factors of one
 #: modulus, as a plain ``int``.
@@ -79,54 +66,21 @@ TableProduct = Callable[[Sequence[tuple[Any, int]]], int]
 # ----------------------------------------------------------------------
 
 
-def _py_identity(value: int) -> Any:
-    """Lift/lower for the python and gmp backends: plain ``int`` in, same out."""
-    return value
-
-
-def _py_powmod(base: Any, exponent: int, modulus: int) -> int:
+def _py_powmod(base: int, exponent: int, modulus: int) -> int:
     """``base^exponent mod modulus`` via the CPython builtin ``pow``."""
     return pow(base, exponent, modulus)
 
 
-def _py_invert(value: int, modulus: int) -> int:
-    """Modular inverse via builtin ``pow(value, -1, modulus)``.
-
-    Raises:
-        ZeroDivisionError: when ``value`` is not invertible (uniform
-            error contract across all backends).
-    """
-    try:
-        return pow(value, -1, modulus)
-    except ValueError as error:
-        raise ZeroDivisionError(f"{value} is not invertible modulo {modulus}") from error
-
-
-def _gmpy2_wrap(value: int) -> Any:
-    """Lift an ``int`` into a GMP ``mpz`` for native-limb hot loops."""
-    return _gmpy2.mpz(value)
-
-
-def _gmpy2_unwrap(value: Any) -> int:
-    """Lower an ``mpz`` (or ``int``) back to a plain ``int``."""
-    return int(value)
-
-
-def _gmpy2_powmod(base: Any, exponent: int, modulus: int) -> int:
-    """``base^exponent mod modulus`` via ``gmpy2.powmod``, as plain ``int``."""
-    return int(_gmpy2.powmod(base, exponent, modulus))
-
-
-def _gmpy2_invert(value: int, modulus: int) -> int:
-    """Modular inverse via ``gmpy2.invert``, with the uniform error contract.
+def invert(value: int, modulus: int) -> int:
+    """Modular inverse via builtin ``pow(value, -1, modulus)``, under every backend.
 
     Raises:
         ZeroDivisionError: when ``value`` is not invertible.
     """
     try:
-        return int(_gmpy2.invert(value, modulus))
-    except ZeroDivisionError:
-        raise ZeroDivisionError(f"{value} is not invertible modulo {modulus}") from None
+        return pow(value, -1, modulus)
+    except ValueError as error:
+        raise ZeroDivisionError(f"{value} is not invertible modulo {modulus}") from error
 
 
 def _check_table(p: int, q: int, window: int) -> None:
@@ -142,12 +96,10 @@ def _check_table(p: int, q: int, window: int) -> None:
 
 
 class _PyTable:
-    """Fixed-base table of native bigints (``int``, or ``mpz`` under gmpy2).
+    """Fixed-base table of ``int`` rows.
 
     ``rows[i][j] == base ** (j << (window * i))  (mod p)``, one row per
-    ``window``-bit digit of an exponent in ``[0, q)``; the rows and the
-    modulus are lifted with the active :func:`wrap`, so building and
-    walking run on native limbs. ~20 Python-level multiplications per
+    ``window``-bit digit of an exponent in ``[0, q)``. ~20 Python-level multiplications per
     160-bit exponent against ~240 for square-and-multiply; building one
     costs ~5,000 (50-60 ms at 1024 bits under python).
 
@@ -159,7 +111,7 @@ class _PyTable:
         window: digit width in bits (default 8: 256-entry rows).
     """
 
-    __slots__ = ("base", "p", "q", "window", "_rows", "_pw")
+    __slots__ = ("base", "p", "q", "window", "_rows")
 
     def __init__(self, base: int, p: int, q: int, window: int = 8) -> None:
         _check_table(p, q, window)
@@ -167,21 +119,19 @@ class _PyTable:
         self.p = p
         self.q = q
         self.window = window
-        pw = wrap(p)
-        rows: list[list[Any]] = []
-        row_base = wrap(self.base)
+        rows: list[list[int]] = []
+        row_base = self.base
         for _ in range((q.bit_length() + window - 1) // window):
-            row: list[Any] = [1, row_base]
+            row = [1, row_base]
             acc = row_base
             for _ in range((1 << window) - 2):
-                acc = acc * row_base % pw
+                acc = acc * row_base % p
                 row.append(acc)
             rows.append(row)
             # base of the next row: this one raised to 2^window.
             for _ in range(window):
-                row_base = row_base * row_base % pw
+                row_base = row_base * row_base % p
         self._rows = rows
-        self._pw = pw
 
     def pow(self, exponent: int) -> int:
         """Return ``base^(exponent mod q) mod p`` via table lookups."""
@@ -194,19 +144,19 @@ def _py_table_product(factors: Sequence[tuple[Any, int]]) -> int:
     One native accumulator takes one multiplication per non-zero digit of
     every factor's exponent; ``1`` for no factors.
     """
-    out: Any = 1
+    out = 1
     for table, exponent in factors:
         e = exponent % table.q
-        rows, pw, window = table._rows, table._pw, table.window
+        rows, p, window = table._rows, table.p, table.window
         mask = (1 << window) - 1
         index = 0
         while e:
             digit = e & mask
             if digit:
-                out = out * rows[index][digit] % pw
+                out = out * rows[index][digit] % p
             e >>= window
             index += 1
-    return int(out)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -350,7 +300,7 @@ def _bind_libgmp() -> _Gmp:
     operands = Operands()
     from_bytes = int.from_bytes
 
-    def powmod(base: Any, exponent: int, modulus: int) -> int:
+    def powmod(base: int, exponent: int, modulus: int) -> int:
         """``base^exponent mod modulus`` via ``mpz_powm``, as plain ``int``.
 
         ``mpz_powm`` aborts the process on a zero modulus and on a
@@ -496,19 +446,9 @@ def _libgmp() -> _Gmp | None:
 # Active-backend state (module-level rebindable functions)
 # ----------------------------------------------------------------------
 
-#: ``base^exponent mod modulus`` as a plain ``int``. ``base`` may be a
-#: wrapped value; ``exponent`` must already be reduced by the caller.
+#: ``base^exponent mod modulus`` as a plain ``int``; ``exponent`` must
+#: already be reduced by the caller.
 powmod: PowMod = _py_powmod
-
-#: Modular inverse as a plain ``int``; raises ``ZeroDivisionError`` when
-#: the value is not invertible (all backends, uniformly).
-invert: Callable[[int, int], int] = _py_invert
-
-#: Lift an ``int`` into the backend's native bigint type for hot loops.
-wrap: Callable[[int], Any] = _py_identity
-
-#: Lower a (possibly wrapped) value back to a plain ``int``.
-unwrap: Callable[[Any], int] = _py_identity
 
 #: The active backend's fixed-base table class:
 #: ``FixedBaseTable(base, p, q, window=...)``, whose ``pow(exponent)`` is
@@ -524,58 +464,35 @@ table_product: TableProduct = _py_table_product
 _active = BACKEND_PYTHON
 _listeners: list[Callable[[str], None]] = []
 
-_WHY_UNAVAILABLE = {
-    BACKEND_GMPY2: "gmpy2 is not installed",
-    BACKEND_GMP: "libgmp did not load or failed its self-test",
-}
-
 
 def available() -> tuple[str, ...]:
     """Backends usable in this process, preference order first."""
-    found = []
-    if _gmpy2 is not None:
-        found.append(BACKEND_GMPY2)
     if _libgmp() is not None:
-        found.append(BACKEND_GMP)
-    return (*found, BACKEND_PYTHON)
+        return (BACKEND_GMP, BACKEND_PYTHON)
+    return (BACKEND_PYTHON,)
 
 
 def name() -> str:
-    """The active backend: ``"python"``, ``"gmp"`` or ``"gmpy2"``."""
+    """The active backend: ``"python"`` or ``"gmp"``."""
     return _active
 
 
 def gmp_version() -> str | None:
-    """The GMP binding's version string, or ``None`` under python.
+    """libgmp's ``__gmp_version`` under gmp, or ``None`` under python.
 
-    gmpy2's own version when that backend is active, libgmp's
-    ``__gmp_version`` under gmp. Recorded next to bench results and in
-    ``admin/stats`` so two runs can be told apart by the arithmetic that
-    produced them.
+    Recorded next to bench results and in ``admin/stats`` so two runs can
+    be told apart by the arithmetic that produced them.
     """
-    if _active == BACKEND_GMPY2:
-        return str(_gmpy2.version())
     bound = _libgmp() if _active == BACKEND_GMP else None
     return bound.version if bound is not None else None
-
-
-def straus_beats_powmod() -> bool:
-    """Whether bases *without* a table share one squaring chain.
-
-    A Straus chain of Python-level multiplications (~160 squarings plus
-    ~52 products per base at 160 bits) beats one :func:`powmod` per base
-    under python and gmpy2; under gmp a foreign ``mpz_powm`` per base is
-    cheaper, so :func:`repro.perf.multiexp.multi_exp` takes them one by one.
-    """
-    return _active != BACKEND_GMP
 
 
 def on_change(listener: Callable[[str], None]) -> None:
     """Register a callback fired (with the new name) after every switch.
 
     Used by caches of backend-derived state — a fixed-base table holds
-    the rows of the backend that built it (``int``, ``mpz`` or GMP
-    memory), so the registry drops its tables on a switch.
+    the rows of the backend that built it (``int`` rows or GMP memory),
+    so the registry drops its tables on a switch.
     """
     _listeners.append(listener)
 
@@ -584,46 +501,37 @@ def set_backend(requested: str, strict: bool = True) -> str:
     """Activate a backend by name; returns the name actually activated.
 
     Args:
-        requested: ``"python"``, ``"gmp"``, ``"gmpy2"`` or ``"auto"``
-            (the first of gmpy2, gmp, python that is usable here).
-        strict: when ``True``, asking for a backend this process cannot
-            run raises; when ``False`` (the environment-variable path)
-            it falls back to python silently.
+        requested: ``"python"``, ``"gmp"`` or ``"auto"`` (gmp when it is
+            usable here, else python).
+        strict: when ``True``, asking for gmp where it cannot run raises;
+            when ``False`` (the environment-variable path) it falls back
+            to python silently.
 
     Raises:
         ValueError: unknown backend name.
-        RuntimeError: ``strict`` and the backend is unavailable (gmpy2 not
-            importable; libgmp not loadable or failing its self-test).
+        RuntimeError: ``strict`` and libgmp is not loadable or fails its
+            self-test.
     """
-    global powmod, invert, wrap, unwrap, FixedBaseTable, table_product, _active
+    global powmod, FixedBaseTable, table_product, _active
     choice = requested.strip().lower()
     if choice == "auto":
         choice = available()[0]
-    if choice not in (BACKEND_PYTHON, BACKEND_GMP, BACKEND_GMPY2):
+    if choice not in (BACKEND_PYTHON, BACKEND_GMP):
         raise ValueError(f"unknown bigint backend {requested!r}")
-    # Forcing python asks nothing of available(): no ctypes, no dlopen.
-    if choice != BACKEND_PYTHON and choice not in available():
+    # Forcing python asks nothing of libgmp: no ctypes, no dlopen.
+    bound = _libgmp() if choice == BACKEND_GMP else None
+    if choice == BACKEND_GMP and bound is None:
         if strict:
-            raise RuntimeError(f"{choice} backend requested but {_WHY_UNAVAILABLE[choice]}")
+            raise RuntimeError(
+                "gmp backend requested but libgmp did not load or failed its self-test"
+            )
         choice = BACKEND_PYTHON
     if choice == _active:
         return _active
-    FixedBaseTable, table_product = _PyTable, _py_table_product
-    if choice == BACKEND_GMPY2:
-        powmod, invert, wrap, unwrap = (
-            _gmpy2_powmod,
-            _gmpy2_invert,
-            _gmpy2_wrap,
-            _gmpy2_unwrap,
-        )
+    if bound is None:
+        powmod, FixedBaseTable, table_product = _py_powmod, _PyTable, _py_table_product
     else:
-        # gmp replaces powmod and the table: operands stay plain ints.
-        invert, wrap, unwrap = _py_invert, _py_identity, _py_identity
-        bound = _libgmp() if choice == BACKEND_GMP else None
-        if bound is None:
-            powmod = _py_powmod
-        else:
-            powmod, FixedBaseTable, table_product = bound.powmod, bound.table, bound.table_product
+        powmod, FixedBaseTable, table_product = bound.powmod, bound.table, bound.table_product
     _active = choice
     for listener in list(_listeners):
         listener(choice)
@@ -645,7 +553,6 @@ _init_from_env()
 
 __all__ = [
     "BACKEND_GMP",
-    "BACKEND_GMPY2",
     "BACKEND_PYTHON",
     "FixedBaseTable",
     "available",
@@ -655,8 +562,5 @@ __all__ = [
     "on_change",
     "powmod",
     "set_backend",
-    "straus_beats_powmod",
     "table_product",
-    "unwrap",
-    "wrap",
 ]

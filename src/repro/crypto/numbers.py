@@ -2,9 +2,9 @@
 
 Every number-theoretic building block the protocols need (Miller-Rabin,
 modular inverse, random scalars, DSA-style parameter generation) lives
-here; the heavy modular arithmetic dispatches through
-:mod:`repro.crypto.backend` so it runs on GMP limbs when the optional
-gmpy2 backend is active, with bit-identical results either way.
+here; the Miller-Rabin exponentiations dispatch through
+:mod:`repro.crypto.backend` so they run in libgmp when the gmp backend is
+active, with bit-identical results either way.
 """
 
 from __future__ import annotations

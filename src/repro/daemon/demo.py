@@ -28,6 +28,7 @@ covers the deployment (the other storefronts never witness anything).
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import os
 import socket
 import sys
@@ -67,22 +68,30 @@ _MERCHANT_IDS = (WITNESS, MERCHANT, COLLUDER)
 _DENOMINATION = 25
 
 
-def _free_port() -> int:
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        return probe.getsockname()[1]
+def _free_ports(count: int) -> list[int]:
+    """``count`` distinct free loopback ports.
+
+    Every probe stays bound until all are drawn: a closed probe's port
+    is free again, and the kernel may hand it to the next one.
+    """
+    with contextlib.ExitStack() as stack:
+        probes = [stack.enter_context(socket.socket()) for _ in range(count)]
+        for probe in probes:
+            probe.bind(("127.0.0.1", 0))
+        return [probe.getsockname()[1] for probe in probes]
 
 
 def write_deployment(directory: str | Path, seed: int) -> DeploymentConfig:
     """Provision keys and a loopback netmap for the demo deployment."""
+    broker_port, witness_port, merchant_port = _free_ports(3)
     config = DeploymentConfig(
         seed=seed,
         merchants=_MERCHANT_IDS,
         witness_weights={WITNESS: 1.0},
         nodes={
-            BROKER: NodeAddress("127.0.0.1", _free_port(), "broker"),
-            WITNESS: NodeAddress("127.0.0.1", _free_port(), "witness"),
-            MERCHANT: NodeAddress("127.0.0.1", _free_port(), "merchant"),
+            BROKER: NodeAddress("127.0.0.1", broker_port, "broker"),
+            WITNESS: NodeAddress("127.0.0.1", witness_port, "witness"),
+            MERCHANT: NodeAddress("127.0.0.1", merchant_port, "merchant"),
         },
     )
     provision(directory, [*DAEMONS, CLIENT], seed)

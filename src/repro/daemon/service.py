@@ -422,10 +422,8 @@ class _Daemon:
             every mutating RPC is journaled and fsynced *before* its
             response frame is written, because the journal hooks run inside
             the party methods the handlers call. ``None`` keeps the daemon
-            memory-only; it never imports the store.
-        store_backend: store backend name (``"sqlite"`` is the daemon
-            default; ``"memory"`` journals without a materialized file).
-        store_shards: shard count for the transcript/deposit DB.
+            memory-only; it never imports the store. The store is SQLite
+            behind four shards.
     """
 
     transport: SocketTransport | None = None
@@ -438,8 +436,6 @@ class _Daemon:
         host: str,
         port: int,
         state_dir: str | None = None,
-        store_backend: str = "sqlite",
-        store_shards: int = 4,
     ) -> None:
         self.system = system
         self.clock = DaemonClock()
@@ -448,7 +444,7 @@ class _Daemon:
         if state_dir is not None:
             from repro.store import Store
 
-            self.store = Store(state_dir, backend=store_backend, shards=store_shards)
+            self.store = Store(state_dir, backend="sqlite", shards=4)
             self.recovery = self._attach(self.store)
         self.node = DaemonNode(
             identity=identity,
@@ -501,13 +497,9 @@ class WitnessDaemon(_Daemon):
         port: int,
         *,
         state_dir: str | None = None,
-        store_backend: str = "sqlite",
-        store_shards: int = 4,
     ) -> None:
         self.witness = system.witness(merchant_id)
-        super().__init__(
-            system, identity, authorized, host, port, state_dir, store_backend, store_shards
-        )
+        super().__init__(system, identity, authorized, host, port, state_dir)
 
     def _attach(self, store: Store) -> RecoveryStats:
         from repro.core.persistence import attach_witness_store
@@ -548,15 +540,12 @@ class MerchantDaemon(WitnessDaemon):
         broker_id: str = "broker",
         *,
         state_dir: str | None = None,
-        store_backend: str = "sqlite",
-        store_shards: int = 4,
     ) -> None:
         self.transport = SocketTransport(identity, authorized, netmap)
         self.merchant_id = merchant_id
         self._broker_id = broker_id
         super().__init__(
-            system, merchant_id, identity, authorized, host, port,
-            state_dir=state_dir, store_backend=store_backend, store_shards=store_shards,
+            system, merchant_id, identity, authorized, host, port, state_dir=state_dir
         )
 
     def _handlers(self) -> dict[str, registry.Handler]:
@@ -592,8 +581,6 @@ def build_daemon(
     host: str | None = None,
     port: int | None = None,
     state_dir: str | None = None,
-    store_backend: str = "sqlite",
-    store_shards: int = 4,
 ) -> BrokerDaemon | WitnessDaemon | MerchantDaemon:
     """Assemble the daemon serving ``name`` from a deployment directory.
 
@@ -618,17 +605,15 @@ def build_daemon(
     bind_port = port if port is not None else address.port
     if address.role == "broker":
         return BrokerDaemon(
-            system, identity, authorized, bind_host, bind_port,
-            state_dir=state_dir, store_backend=store_backend, store_shards=store_shards,
+            system, identity, authorized, bind_host, bind_port, state_dir=state_dir
         )
     if address.role == "witness":
         return WitnessDaemon(
-            system, name, identity, authorized, bind_host, bind_port,
-            state_dir=state_dir, store_backend=store_backend, store_shards=store_shards,
+            system, name, identity, authorized, bind_host, bind_port, state_dir=state_dir
         )
     return MerchantDaemon(
         system, name, identity, authorized, bind_host, bind_port, netmap=config.netmap(),
-        state_dir=state_dir, store_backend=store_backend, store_shards=store_shards,
+        state_dir=state_dir,
     )
 
 
@@ -638,21 +623,11 @@ async def serve(
     host: str | None = None,
     port: int | None = None,
     state_dir: str | None = None,
-    store_backend: str = "sqlite",
-    store_shards: int = 4,
 ) -> None:
     """Run one daemon until ``admin/shutdown`` — the ``serve`` CLI body."""
     # Store open/recovery happens once, before the listener accepts its
     # first connection; nothing concurrent exists yet to starve.
-    daemon = build_daemon(  # lint: ignore[async-safety]
-        directory,
-        name,
-        host,
-        port,
-        state_dir=state_dir,
-        store_backend=store_backend,
-        store_shards=store_shards,
-    )
+    daemon = build_daemon(directory, name, host, port, state_dir)  # lint: ignore[async-safety]
     if daemon.recovery is not None:
         stats = daemon.recovery
         print(

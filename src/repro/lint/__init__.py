@@ -22,25 +22,17 @@ The pieces:
   durability, async-safety and exception-wire totality across module
   boundaries (what a message carries is declared in
   ``net/registry.WIRE_SCHEMA`` and checked at run time, not here);
-* :mod:`repro.lint.baseline` — the checked-in grandfather file: known
-  findings that do not fail the build, with staleness detection and
-  separate per-file / program namespaces (schema v2);
 * :mod:`repro.lint.report` — console and JSON renderings plus the
   CI exit-code contract (0 clean, 1 findings, 2 usage error).
 
 Run it as ``python -m repro lint src/`` for the per-file tier and
-``python -m repro lint --program src/repro`` for the program tier (see
-``--help`` for the baseline workflow).
+``python -m repro lint --program src/repro`` for the program tier. Either
+fails on any finding; a deliberate exception is an inline
+``# lint: ignore[rule]`` on the offending line, with a comment saying why.
 """
 
 from __future__ import annotations
 
-from repro.lint.baseline import (
-    Baseline,
-    BaselineError,
-    BaselineFile,
-    diff_against_baseline,
-)
 from repro.lint.config import LintConfig, ProgramConfig, RuleConfig, default_config
 from repro.lint.engine import LintEngine, lint_paths
 from repro.lint.findings import Finding, Severity
@@ -49,9 +41,6 @@ from repro.lint.report import render_console, render_json
 from repro.lint.rules import Rule, all_rules, get_rule
 
 __all__ = [
-    "Baseline",
-    "BaselineError",
-    "BaselineFile",
     "Finding",
     "LintConfig",
     "LintEngine",
@@ -63,7 +52,6 @@ __all__ = [
     "all_program_rules",
     "all_rules",
     "default_config",
-    "diff_against_baseline",
     "get_rule",
     "lint_paths",
     "render_console",

@@ -16,8 +16,8 @@ from repro.lint.config import LintConfig
 from repro.lint.findings import Finding, Severity
 
 #: ``# lint: ignore[rule-id]`` (or ``ignore[*]``) suppresses findings on
-#: that physical line. Prefer the baseline file for grandfathered code;
-#: inline ignores are for deliberate, commented exceptions.
+#: that physical line: the one way to accept a finding, for deliberate,
+#: commented exceptions.
 _IGNORE_RE = re.compile(r"#\s*lint:\s*ignore\[([A-Za-z0-9*,_-]+)\]")
 
 

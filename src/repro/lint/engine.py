@@ -41,7 +41,7 @@ def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
 
 
 def _relative_posix(path: Path, root: Path | None) -> str:
-    """The repo-relative posix string rules and baselines key on."""
+    """The repo-relative posix string rules and fingerprints key on."""
     resolved = path.resolve()
     base = (root or Path.cwd()).resolve()
     try:

@@ -23,9 +23,8 @@ class Finding:
 
     Ordering is (path, line, col, rule) so reports read top to bottom
     per file. The :meth:`fingerprint` deliberately excludes the line
-    number: baselined findings survive unrelated edits that only shift
-    code up or down, and go stale only when the offending line itself
-    changes or disappears.
+    number: a finding keeps its identity across unrelated edits that
+    only shift code up or down.
     """
 
     path: str
@@ -37,7 +36,7 @@ class Finding:
     snippet: str = field(compare=False, default="")
 
     def fingerprint(self) -> str:
-        """Content-addressed identity used by the baseline file."""
+        """Content-addressed identity, reported in the JSON payload."""
         material = "\x1f".join((self.rule, self.path, self.snippet))
         return hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]
 

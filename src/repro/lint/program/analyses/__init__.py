@@ -5,8 +5,8 @@ but check facts that span modules: each rule's :meth:`ProgramRule.check`
 receives one :class:`ProgramContext` holding the module summaries, the
 symbol index and the resolved call graph, and yields
 :class:`~repro.lint.findings.Finding` records. The runner applies path
-scoping, inline ``# lint: ignore[rule]`` suppression, snippet capture
-and baseline diffing — rules only detect.
+scoping, inline ``# lint: ignore[rule]`` suppression and snippet
+capture — rules only detect.
 """
 
 from __future__ import annotations

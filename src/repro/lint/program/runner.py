@@ -4,9 +4,8 @@ The runner owns everything the individual rules were freed from doing:
 file discovery (shared with the per-file engine), dotted-module naming,
 summary extraction, index and call-graph construction, rule selection,
 anchor-side path scoping, inline ``# lint: ignore[rule]`` suppression,
-snippet capture (so baseline fingerprints survive line-number drift
-exactly like per-file findings), and deterministic ordering of the
-result.
+snippet capture (so fingerprints survive line-number drift exactly like
+per-file findings), and deterministic ordering of the result.
 
 Module names are derived from repo-relative paths: ``src/`` is stripped
 (the layout prefix, not a package), ``/`` becomes ``.``, and a package

@@ -10,8 +10,9 @@ logical count or protocol value:
   public keys and ``F(info)`` values, on their third use), so an
   exponentiation over one costs a multiplication per non-zero exponent
   digit;
-* :mod:`~repro.perf.multiexp` — Shamir/Straus simultaneous
-  multi-exponentiation for the product-of-powers verification equations;
+* :mod:`~repro.perf.multiexp` — products of powers for the verification
+  equations: one table walk over every tabled base, one ``powmod`` per
+  other base;
 * :mod:`~repro.perf.cache` — bounded memoization of hot re-verified
   artifacts (coin signatures, witness-range entries, commitments,
   gossip directories);
@@ -19,15 +20,12 @@ logical count or protocol value:
   small-random-exponent certification of fast-path commitment recoveries.
 
 This is the only implementation at run time: there is no switch and no
-second path to select. What varies is chosen by what the code observes
-— the table itself is a bigint-backend primitive
-(:data:`repro.crypto.backend.FixedBaseTable`: native-int rows under
-python and gmpy2, ``mpz_t`` rows in GMP memory under gmp), and the
-backend says whether bases without one share a Straus chain or take one
-foreign ``powmod`` each. The naive
-builtin-``pow`` formulas live in ``tests/reference/naive_crypto.py`` as
-the oracle the differential tests hold this package to. The Table 1
-accounting is independent of how an operation is computed: instrumented
+second path to select. The table itself is a bigint-backend primitive
+(:data:`repro.crypto.backend.FixedBaseTable`: ``int`` rows under python,
+``mpz_t`` rows in GMP memory under gmp). The naive builtin-``pow``
+formulas live in ``tests/reference/naive_crypto.py`` as the oracle the
+differential tests hold this package to. The Table 1 accounting is
+independent of how an operation is computed: instrumented
 call sites record logical operation counts before dispatching, and cache
 hits replay the logical counts of the work they skip.
 

@@ -7,8 +7,8 @@ The rest certifies the *hash-challenge* signature families (Schnorr
 transcripts, Abe-Okamoto coins) in bulk. Those checks cannot be collapsed
 into one equation — the verifier must recover each commitment ``R_i``
 individually to recompute ``H(R_i || ...)`` — but the recoveries
-themselves are fast-path arithmetic (comb tables, Straus chains, a
-foreign bigint backend), and a :class:`CommitmentClaim` records each one
+themselves are fast-path arithmetic (fixed-base tables, a foreign
+bigint backend), and a :class:`CommitmentClaim` records each one
 as a checkable statement ``R_i == prod_j base_j^{e_j}``. A
 :class:`ClaimSet` then certifies *all* recoveries of a bulk operation
 with a single random linear combination (:func:`certify_claims`, after
@@ -67,8 +67,8 @@ class CommitmentClaim:
     Hash-challenge verifiers (Schnorr, Abe-Okamoto) recover a commitment
     ``R = g^s * X^{-e}`` on the fast path and feed it into an exact hash
     comparison. The hash check certifies the *signature*; the claim
-    certifies the *recovery arithmetic* — that the comb tables, Straus
-    chains and bigint backend produced the same ``R`` the naive
+    certifies the *recovery arithmetic* — that the fixed-base tables and
+    the bigint backend produced the same ``R`` the naive
     square-and-multiply would have. Claims are only ever built from
     internally computed subgroup elements, so no membership checks are
     needed before combining them.

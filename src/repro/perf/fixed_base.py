@@ -6,9 +6,8 @@ the broker's keys, ``z = F(info)`` and the witness keys — with 160-bit
 exponents. The table itself is a bigint-backend primitive,
 :data:`repro.crypto.backend.FixedBaseTable`: every power of the base at
 every ``window``-bit digit position of the exponent, so ``base^e`` is one
-multiplication per non-zero digit (``int`` or ``mpz`` rows under python
-and gmpy2, ``mpz_t``s in GMP memory under gmp). This module decides which
-bases earn one.
+multiplication per non-zero digit (``int`` rows under python, ``mpz_t``s
+in GMP memory under gmp). This module decides which bases earn one.
 
 Tables are *registered* cheaply and *built* lazily: a base becomes a
 candidate via :func:`register` and only gets its table once it has been

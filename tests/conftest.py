@@ -50,8 +50,8 @@ def each_backend(request: pytest.FixtureRequest, monkeypatch: pytest.MonkeyPatch
 
 @pytest.fixture()
 def python_backend() -> Iterator[None]:
-    """The backend whose tables are ``int`` rows and whose loose bases share
-    a Straus chain, whatever ``auto`` chose."""
+    """The backend whose tables are ``int`` rows and whose loose bases take
+    builtin ``pow``, whatever ``auto`` chose."""
     yield from _switched_to(backend.BACKEND_PYTHON)
 
 

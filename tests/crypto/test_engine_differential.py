@@ -4,12 +4,11 @@
 perf engine's off state used to select. Every property here runs the live code
 and the reference on the same input and demands the same integer or the
 same verdict, under each bigint backend this machine has, from both
-states an engine can be in: *cold* (``perf.reset()``: no table, no memo —
-Straus under python, one ``powmod`` per base under ``gmp``) and *warm*
-(every recurring base used ``BUILD_THRESHOLD + 1`` times first, so each
-has the backend's fixed-base table: ``int`` rows under python, GMP memory
-under ``gmp``). The state is drawn per example, so a failure replays
-with it.
+states an engine can be in: *cold* (``perf.reset()``: no table, no memo,
+one ``powmod`` per base) and *warm* (every recurring base used
+``BUILD_THRESHOLD + 1`` times first, so each has the backend's fixed-base
+table: ``int`` rows under python, GMP memory under ``gmp``). The state is
+drawn per example, so a failure replays with it.
 """
 
 import random

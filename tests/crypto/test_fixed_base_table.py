@@ -1,7 +1,7 @@
 """Every backend's fixed-base table against builtin ``pow``.
 
-``backend.FixedBaseTable`` is ``int``/``mpz`` rows under python and
-gmpy2 and ``mpz_t`` rows in one ctypes block under gmp. Each property
+``backend.FixedBaseTable`` is ``int`` rows under python and ``mpz_t``
+rows in one ctypes block under gmp. Each property
 runs under every backend this machine has: a table's ``pow``, the
 one-accumulator ``table_product`` and ``perf.multi_exp`` over tabled and
 loose bases must give builtin ``pow``'s integer, also from tables

@@ -1,10 +1,48 @@
 """End-to-end: one scenario on three OS processes and on the sim, byte parity."""
 
+import types
+
 import pytest
 
+from repro.daemon import demo
 from repro.daemon.client import ADMIN_PREFIX, PeerConnection
-from repro.daemon.demo import DAEMONS, format_report, run_loopback_demo
+from repro.daemon.demo import DAEMONS, format_report, run_loopback_demo, write_deployment
 from repro.daemon.service import build_daemon
+
+
+def test_every_daemon_gets_its_own_port_when_a_closed_probe_frees_it(
+    tmp_path, monkeypatch
+):
+    """A port is free again once its probe closes, and a kernel may hand it
+    to the very next probe; the deployment must still name three ports."""
+    held: set[int] = set()
+
+    class Probe:
+        """A socket whose bind takes the lowest port no open probe holds."""
+
+        def __init__(self) -> None:
+            self.port = 0
+
+        def __enter__(self) -> "Probe":
+            return self
+
+        def __exit__(self, *exc_info: object) -> None:
+            self.close()
+
+        def bind(self, address: tuple[str, int]) -> None:
+            self.port = min(set(range(40000, 40004)) - held)
+            held.add(self.port)
+
+        def getsockname(self) -> tuple[str, int]:
+            return ("127.0.0.1", self.port)
+
+        def close(self) -> None:
+            held.discard(self.port)
+
+    monkeypatch.setattr(demo, "socket", types.SimpleNamespace(socket=Probe))
+    config = write_deployment(tmp_path, seed=7)
+    ports = [address.port for address in config.nodes.values()]
+    assert sorted(ports) == [40000, 40001, 40002]
 
 
 def test_loopback_demo_matches_sim(tmp_path):

@@ -3,6 +3,7 @@ the broker, a witness, and a storefront's co-hosted witness."""
 
 import asyncio
 import contextlib
+import json
 import os
 import re
 import signal
@@ -48,6 +49,8 @@ def test_broker_daemon_journals_and_recovers_across_restart(
     state_dir = str(tmp_path / "state")
     daemon = build_daemon(deployment_dir, "broker", state_dir=state_dir)
     assert daemon.store is not None
+    manifest = json.loads((Path(state_dir) / "store.json").read_text())
+    assert (manifest["backend"], manifest["shards"]) == ("sqlite", 4)
     first_boot = daemon.recovery
     assert first_boot.snapshot_records == 0  # nothing on disk yet
     system = daemon.system
@@ -82,6 +85,8 @@ def test_storefront_daemon_restores_its_co_hosted_witness(deployment_dir, tmp_pa
     state_dir = str(tmp_path / "state")
     daemon = build_daemon(deployment_dir, MERCHANT, state_dir=state_dir)
     assert daemon.recovery.snapshot_records == daemon.recovery.replayed_records == 0
+    manifest = json.loads((Path(state_dir) / "store.json").read_text())
+    assert (manifest["backend"], manifest["shards"]) == ("sqlite", 4)
     _commit_at(daemon, WITNESS, now=10)
     expected = witness_spaces(daemon.witness)
     assert expected[f"commitments:{MERCHANT}"]

@@ -11,6 +11,8 @@ from repro.lint.engine import LintEngine, iter_python_files, lint_paths
 from repro.lint.findings import Finding, Severity
 from repro.lint.rules import all_rules, get_rule
 
+ROOT = Path(__file__).resolve().parent.parent.parent
+
 
 def test_iter_python_files_skips_pycache(tmp_path: Path) -> None:
     (tmp_path / "a.py").write_text("x = 1\n")
@@ -111,3 +113,9 @@ def test_fingerprint_survives_line_shift(tmp_path: Path) -> None:
 def test_finding_location_format() -> None:
     finding = Finding(path="src/x.py", line=3, col=7, rule="determinism", message="m")
     assert finding.location() == "src/x.py:3:7"
+
+
+def test_real_tree_runs_clean() -> None:
+    """The acceptance gate: zero per-file findings over src/."""
+    findings = LintEngine(root=ROOT).lint([ROOT / "src"])
+    assert findings == [], [f"{f.location()}: {f.message}" for f in findings]

@@ -1,4 +1,4 @@
-"""Simultaneous multi-exponentiation equals the product of plain pows."""
+"""Products of powers equal the product of plain pows."""
 
 from __future__ import annotations
 
@@ -54,12 +54,26 @@ def test_edge_exponents(group):
     assert multi_exp(group.p, group.q, pairs) == _naive(group.p, group.q, pairs)
 
 
+@pytest.mark.usefixtures("each_backend")
+@pytest.mark.parametrize("n_loose", [1, 2, 3, 4])
+def test_loose_bases_beside_tabled_ones(group, n_loose):
+    """Bases without a table take one ``powmod`` each beside the table walk."""
+    rng = random.Random(4000 + n_loose)
+    for base in (group.g, group.g1):
+        fixed_base.build(base, group.p, group.q)
+    loose = [pow(group.g2, rng.randrange(2, group.q), group.p) for _ in range(n_loose)]
+    for _ in range(5):
+        pairs = ((group.g, rng.randrange(group.q)), (group.g1, rng.randrange(group.q)))
+        pairs += tuple((base, rng.randrange(group.q)) for base in loose)
+        assert multi_exp(group.p, group.q, pairs) == _naive(group.p, group.q, pairs)
+        assert multi_exp(group.p, group.q, pairs[2:]) == _naive(group.p, group.q, pairs[2:])
+    assert fixed_base.table_count() == 2
+
+
 @pytest.mark.usefixtures("python_backend")
 def test_uses_fixed_base_tables_when_available(group):
-    """Tabled and untabled (Straus) evaluation must agree bit for bit,
-    with each other and with builtin ``pow`` — the default backend takes
-    bases without a table one ``powmod`` each, so this is where Straus is
-    held to it."""
+    """Tabled and untabled evaluation must agree bit for bit, with each
+    other and with builtin ``pow``."""
     rng = random.Random(2007)
     products = [((group.g, 123456789), (group.g1, 987654321))]
     products += [

@@ -2,9 +2,9 @@
 
 Each ``REPRO_*`` variable doubles the configurations the suite has to
 hold byte-identical, so a new one has to edit this file to land. The
-one left selects the bigint backend; how an ``Exp`` is computed on top of
-it is not selectable (the naive formulas are a test oracle,
-``tests/reference/naive_crypto.py``).
+one left selects the bigint backend, and takes ``auto``, ``gmp`` or
+``python``; how an ``Exp`` is computed on top of it is not selectable
+(the naive formulas are a test oracle, ``tests/reference/naive_crypto.py``).
 """
 
 import json
@@ -62,6 +62,34 @@ def test_the_bigint_backend_is_the_only_engine_switch():
     assert not [name for name in gone if hasattr(perf, name) or name in perf.__all__]
     call = re.compile(r"perf\.(is_enabled|forced|disabled|set_enabled)")
     assert not [str(path) for path, text in sources.items() if call.search(text)]
+
+
+def test_the_bigint_backend_takes_auto_gmp_or_python():
+    from repro.crypto import backend
+
+    previous = backend.name()
+    accepted = set()
+    try:
+        for value in ("auto", "gmp", "python", "gmp" "y2", "mpz", "native"):
+            try:
+                backend.set_backend(value, strict=False)
+            except ValueError:
+                continue
+            accepted.add(value)
+    finally:
+        backend.set_backend(previous)
+    assert accepted == {"auto", "gmp", "python"}
+
+    # Spelled in pieces so that a search for a removed name finds only
+    # code that still uses it.
+    gone = ("wrap", "unwrap", "straus_beats_" "powmod", "BACKEND_GMP" "Y2")
+    assert not [name for name in gone if hasattr(backend, name) or name in backend.__all__]
+    # What a switch rebinds: the exponentiation and the fixed-base table.
+    rebound = re.search(r"^    global (.+)$", (SRC / "repro/crypto/backend.py").read_text(), re.M)
+    assert rebound is not None
+    assert set(rebound.group(1).split(", ")) == {
+        "powmod", "FixedBaseTable", "table_product", "_active"
+    }
 
 
 def test_no_process_forked_by_a_deposit_batch():
