@@ -422,8 +422,8 @@ class _Daemon:
             every mutating RPC is journaled and fsynced *before* its
             response frame is written, because the journal hooks run inside
             the party methods the handlers call. ``None`` keeps the daemon
-            memory-only; it never imports the store. The store is SQLite
-            behind four shards.
+            memory-only; it never imports the store. The store is one
+            shard: one WAL and one snapshot, replayed into memory on open.
     """
 
     transport: SocketTransport | None = None
@@ -444,7 +444,7 @@ class _Daemon:
         if state_dir is not None:
             from repro.store import Store
 
-            self.store = Store(state_dir, backend="sqlite", shards=4)
+            self.store = Store(state_dir, backend="memory", shards=1)
             self.recovery = self._attach(self.store)
         self.node = DaemonNode(
             identity=identity,

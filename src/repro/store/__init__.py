@@ -10,8 +10,10 @@ provides that memory as three small layers:
   mutation is journaled *before* it is acknowledged;
 * :class:`~repro.store.shard.Shard` — one journaled partition: WAL +
   atomic snapshot + a materialized :class:`~repro.store.backend.KVBackend`
-  (in-memory for simulations, SQLite for daemons) rebuilt wholesale on
-  recovery, so recovered state is a function of the journal alone;
+  (in memory for the daemons and simulations; SQLite is kept for the
+  cross-backend checks and the in-process store benchmark) rebuilt
+  wholesale on recovery, so recovered state is a function of the
+  journal alone;
 * :class:`~repro.store.store.Store` — a fixed set of shards routed by
   coin-hash prefix, aligned with the witness ranges that already
   partition ``[0, 2^k)``.

@@ -9,12 +9,15 @@ fast between recoveries.
 
 Two implementations ship:
 
-* :class:`MemoryBackend` — plain nested dicts, for simulations and
-  tests where the process *is* the deployment;
-* :class:`SQLiteBackend` — one ``kv`` table per shard file, for the
-  daemon processes. Because the WAL already carries durability,
-  SQLite runs with ``synchronous=OFF`` — losing its buffered pages in
-  a crash is fine, recovery rebuilds them.
+* :class:`MemoryBackend` — plain nested dicts holding the values as
+  the journal decoded them: what every daemon's store uses (the WAL and
+  the snapshot are its durable state), and what simulations and tests
+  use;
+* :class:`SQLiteBackend` — one ``kv`` table per shard file, which no
+  daemon opens; the in-process store benchmark and the cross-backend
+  chaos scenario still build it. Because the WAL already carries
+  durability, SQLite runs with ``synchronous=OFF`` — losing its
+  buffered pages in a crash is fine, recovery rebuilds them.
 
 Keys live in *spaces* (``"deposits"``, ``"merchants"``, ...), so one
 backend file holds every table of a shard.
@@ -22,6 +25,7 @@ backend file holds every table of a shard.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 from typing import Iterator, Protocol
 
@@ -29,16 +33,17 @@ from typing import Iterator, Protocol
 class KVBackend(Protocol):
     """What a shard needs from its materialized state.
 
-    Values are UTF-8 JSON blobs; the shard owns encoding. Implementations
-    must make ``put``/``delete`` idempotent (recovery replays journaled
-    operations that may already be applied).
+    Values are JSON values (``str``, numbers, lists, dicts ...) as the
+    shard was given them; a backend that keeps bytes encodes them itself.
+    Implementations must make ``put``/``delete`` idempotent (recovery
+    replays journaled operations that may already be applied).
     """
 
-    def get(self, space: str, key: str) -> bytes | None:
+    def get(self, space: str, key: str) -> object | None:
         """Return the value at ``(space, key)``, or ``None``."""
         ...
 
-    def put(self, space: str, key: str, value: bytes) -> None:
+    def put(self, space: str, key: str, value: object) -> None:
         """Insert or overwrite the value at ``(space, key)``."""
         ...
 
@@ -46,7 +51,7 @@ class KVBackend(Protocol):
         """Remove ``(space, key)`` if present (no error when absent)."""
         ...
 
-    def items(self, space: str) -> Iterator[tuple[str, bytes]]:
+    def items(self, space: str) -> Iterator[tuple[str, object]]:
         """Iterate ``(key, value)`` pairs of one space, key-sorted."""
         ...
 
@@ -68,17 +73,17 @@ class KVBackend(Protocol):
 
 
 class MemoryBackend:
-    """Nested-dict backend for simulations: fast, volatile, ordered."""
+    """Nested-dict backend for daemons and simulations: fast, volatile, ordered."""
 
     def __init__(self) -> None:
-        self._spaces: dict[str, dict[str, bytes]] = {}
+        self._spaces: dict[str, dict[str, object]] = {}
 
-    def get(self, space: str, key: str) -> bytes | None:
+    def get(self, space: str, key: str) -> object | None:
         """Return the value at ``(space, key)``, or ``None``."""
         table = self._spaces.get(space)
         return None if table is None else table.get(key)
 
-    def put(self, space: str, key: str, value: bytes) -> None:
+    def put(self, space: str, key: str, value: object) -> None:
         """Insert or overwrite the value at ``(space, key)``."""
         self._spaces.setdefault(space, {})[key] = value
 
@@ -90,7 +95,7 @@ class MemoryBackend:
             if not table:
                 del self._spaces[space]
 
-    def items(self, space: str) -> Iterator[tuple[str, bytes]]:
+    def items(self, space: str) -> Iterator[tuple[str, object]]:
         """Iterate ``(key, value)`` pairs of one space, key-sorted."""
         table = self._spaces.get(space, {})
         for key in sorted(table):
@@ -113,7 +118,7 @@ class MemoryBackend:
 
 
 class SQLiteBackend:
-    """SQLite-file backend for daemons: one ``kv`` table, WAL-subordinate.
+    """SQLite-file backend: one ``kv`` table, WAL-subordinate.
 
     Args:
         path: the database file (created on first use).
@@ -142,19 +147,20 @@ class SQLiteBackend:
         )
         self._conn.commit()
 
-    def get(self, space: str, key: str) -> bytes | None:
+    def get(self, space: str, key: str) -> object | None:
         """Return the value at ``(space, key)``, or ``None``."""
         row = self._conn.execute(
             "SELECT value FROM kv WHERE space = ? AND key = ?", (space, key)
         ).fetchone()
-        return None if row is None else bytes(row[0])
+        return None if row is None else json.loads(row[0])
 
-    def put(self, space: str, key: str, value: bytes) -> None:
+    def put(self, space: str, key: str, value: object) -> None:
         """Insert or overwrite the value at ``(space, key)``."""
+        blob = json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8")
         self._conn.execute(
             "INSERT INTO kv (space, key, value) VALUES (?, ?, ?) "
             "ON CONFLICT (space, key) DO UPDATE SET value = excluded.value",
-            (space, key, value),
+            (space, key, blob),
         )
 
     def delete(self, space: str, key: str) -> None:
@@ -163,13 +169,13 @@ class SQLiteBackend:
             "DELETE FROM kv WHERE space = ? AND key = ?", (space, key)
         )
 
-    def items(self, space: str) -> Iterator[tuple[str, bytes]]:
+    def items(self, space: str) -> Iterator[tuple[str, object]]:
         """Iterate ``(key, value)`` pairs of one space, key-sorted."""
         rows = self._conn.execute(
             "SELECT key, value FROM kv WHERE space = ? ORDER BY key", (space,)
         )
         for key, value in rows:
-            yield str(key), bytes(value)
+            yield str(key), json.loads(value)
 
     def spaces(self) -> list[str]:
         """All non-empty space names, sorted."""

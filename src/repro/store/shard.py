@@ -136,16 +136,17 @@ class Shard:
 
         With ``txn`` set, the record is tagged as part of logical
         operation ``txn`` (effective on recovery only once its commit
-        marker lands) and its fsync is deferred to the commit point.
+        marker lands) and its fsync is deferred to the commit point. The
+        memory backend keeps ``value`` itself, so the caller must not
+        mutate it afterwards (the parties journal immutable strings).
         """
-        blob = _encode(value)
         record: dict[str, object] = {"op": "put", "space": space, "key": key, "value": value}
         if txn is not None:
             record["txn"] = txn
         self.wal.append(
             json.dumps(record, sort_keys=True).encode("utf-8"), defer=txn is not None
         )
-        self.backend.put(space, key, blob)
+        self.backend.put(space, key, value)
 
     def delete(self, space: str, key: str, txn: int | None = None) -> None:
         """Journal and apply a deletion (idempotent on replay)."""
@@ -178,19 +179,12 @@ class Shard:
     # Reading
     # ------------------------------------------------------------------
     def get(self, space: str, key: str) -> object | None:
-        """Return the decoded value at ``(space, key)``, or ``None``."""
-        blob = self.backend.get(space, key)
-        return None if blob is None else json.loads(blob.decode("utf-8"))
+        """Return the value at ``(space, key)``, or ``None``."""
+        return self.backend.get(space, key)
 
     def dump(self) -> dict[str, dict[str, object]]:
         """The shard's whole logical state: ``{space: {key: value}}``."""
-        state: dict[str, dict[str, object]] = {}
-        for space in self.backend.spaces():
-            state[space] = {
-                key: json.loads(blob.decode("utf-8"))
-                for key, blob in self.backend.items(space)
-            }
-        return state
+        return {space: dict(self.backend.items(space)) for space in self.backend.spaces()}
 
     # ------------------------------------------------------------------
     # Recovery / compaction
@@ -360,7 +354,7 @@ class Shard:
         count = 0
         for space, table in document["spaces"].items():
             for key, value in table.items():
-                self.backend.put(space, key, _encode(value))
+                self.backend.put(space, key, value)
                 count += 1
         return count
 
@@ -369,15 +363,11 @@ class Shard:
         space = str(operation["space"])
         key = str(operation["key"])
         if op == "put":
-            self.backend.put(space, key, _encode(operation["value"]))
+            self.backend.put(space, key, operation["value"])
         elif op == "delete":
             self.backend.delete(space, key)
         else:
             raise StoreCorruptError(f"unknown journal operation {op!r}")
-
-
-def _encode(value: object) -> bytes:
-    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 __all__ = ["RecoveryStats", "SNAPSHOT_VERSION", "Shard", "committed_txns"]

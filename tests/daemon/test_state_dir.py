@@ -14,10 +14,11 @@ from pathlib import Path
 import pytest
 
 from repro.core.exceptions import ServiceUnavailableError
-from repro.core.persistence import broker_spaces, witness_spaces
+from repro.core.persistence import attach_broker_store, broker_spaces, witness_spaces
 from repro.core.protocols import run_withdrawal
 from repro.daemon import wire
 from repro.daemon.client import SocketTransport
+from repro.daemon.config import load_config
 from repro.daemon.demo import (
     BROKER,
     CLIENT,
@@ -33,6 +34,7 @@ from repro.daemon.keys import load_authorized, load_identity
 from repro.daemon.service import build_daemon
 from repro.faults.recovery import BackoffPolicy
 from repro.net import registry
+from repro.store import Store, StoreCorruptError
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -50,7 +52,7 @@ def test_broker_daemon_journals_and_recovers_across_restart(
     daemon = build_daemon(deployment_dir, "broker", state_dir=state_dir)
     assert daemon.store is not None
     manifest = json.loads((Path(state_dir) / "store.json").read_text())
-    assert (manifest["backend"], manifest["shards"]) == ("sqlite", 4)
+    assert (manifest["backend"], manifest["shards"]) == ("memory", 1)
     first_boot = daemon.recovery
     assert first_boot.snapshot_records == 0  # nothing on disk yet
     system = daemon.system
@@ -63,6 +65,37 @@ def test_broker_daemon_journals_and_recovers_across_restart(
     assert restarted.recovery.replayed_records > 0
     assert broker_spaces(restarted.system.broker) == expected
     restarted.close_store()
+    # One journal, replayed into memory: no second copy of the records.
+    assert [str(p.relative_to(state_dir)) for p in Path(state_dir).rglob("wal.log")] == [
+        "shard-00/wal.log"
+    ]
+    assert list(Path(state_dir).rglob("data.db")) == []
+
+
+def test_a_state_dir_in_the_sharded_sqlite_layout_is_refused_untouched(
+    deployment_dir, tmp_path
+):
+    """A broker's state dir written as four SQLite shards (the layout
+    daemons used before) is refused by the manifest check before any
+    file is opened for writing: no migration, and nothing rewritten."""
+    state_dir = tmp_path / "state"
+    old = Store(state_dir, backend="sqlite", shards=4)
+    system = load_config(deployment_dir).build_system()
+    attach_broker_store(system.broker, old)
+    run_withdrawal(system.new_client(), system.broker, system.standard_info(25, now=0))
+    old.close()
+
+    def files():
+        return {
+            str(path.relative_to(state_dir)): path.read_bytes()
+            for path in state_dir.rglob("*") if path.is_file()
+        }
+
+    before = files()
+    assert "shard-03/data.db" in before
+    with pytest.raises(StoreCorruptError, match=r"created with 4 shard\(s\), reopened with 1"):
+        build_daemon(deployment_dir, "broker", state_dir=str(state_dir))
+    assert files() == before
 
 
 def test_broker_daemon_without_state_dir_stays_memory_only(deployment_dir):
@@ -86,7 +119,7 @@ def test_storefront_daemon_restores_its_co_hosted_witness(deployment_dir, tmp_pa
     daemon = build_daemon(deployment_dir, MERCHANT, state_dir=state_dir)
     assert daemon.recovery.snapshot_records == daemon.recovery.replayed_records == 0
     manifest = json.loads((Path(state_dir) / "store.json").read_text())
-    assert (manifest["backend"], manifest["shards"]) == ("sqlite", 4)
+    assert (manifest["backend"], manifest["shards"]) == ("memory", 1)
     _commit_at(daemon, WITNESS, now=10)
     expected = witness_spaces(daemon.witness)
     assert expected[f"commitments:{MERCHANT}"]
@@ -229,6 +262,87 @@ def test_a_killed_witness_remembers_what_it_signed(tmp_path):
     assert outcomes["deposited"] == {"count": 1, "outcome": "credited", "amount": 25}
     assert registry.as_int(again["count"]) == 0
     assert errors == {name: b"" for name in processes}
+
+
+def test_a_killed_broker_answers_a_withdrawal_ticket_once(tmp_path):
+    """A durable broker SIGKILLed right after ``withdraw/begin`` answered,
+    restarted on the same dir, completes the withdrawal from the ticket
+    issued before the kill: the coin verifies and the coin's price sits
+    in the broker's account. Killed and restarted once more, it refuses
+    a second ``withdraw/complete`` on that ticket, since two answers to
+    one signing session give away the broker's blind-signing key."""
+    directory = tmp_path / "dep"
+    config = write_deployment(directory, seed=31)
+    state_dir = tmp_path / "broker-state"
+    broker_args = ("--state-dir", str(state_dir))
+    processes = {BROKER: _serve(directory, BROKER, *broker_args)}
+    system = config.build_system()
+    client = system.new_client()
+    info = system.standard_info(25, now=0)
+    transport = SocketTransport(
+        load_identity(directory, CLIENT),
+        load_authorized(directory),
+        config.netmap(),
+        connect_attempts=60,
+        connect_backoff=BackoffPolicy(base=0.1, factor=1.25, max_delay=1.0),
+    )
+
+    async def restart_broker():
+        processes[BROKER].send_signal(signal.SIGKILL)
+        await asyncio.to_thread(processes[BROKER].communicate, None, 30.0)
+        processes[BROKER] = _serve(directory, BROKER, *broker_args, stdout=subprocess.PIPE)
+        recovered = (await asyncio.to_thread(processes[BROKER].stdout.readline)).decode()
+        with contextlib.suppress(ServiceUnavailableError):
+            await transport.call(BROKER, "admin/ping", {}, timeout=60.0)
+        return recovered
+
+    async def run():
+        flow = registry.withdrawal_flow(client, BROKER, system.broker.tables, info)
+        try:
+            begin = flow.send(None)
+            opened = await transport.call(BROKER, begin.method, begin.payload, timeout=60.0)
+            complete = flow.send(opened)
+            assert complete.method == "withdraw/complete"
+            first = await restart_broker()
+            answered = await transport.call(BROKER, complete.method, complete.payload)
+            with pytest.raises(StopIteration) as finished:
+                flow.send(answered)
+            second = await restart_broker()
+            with pytest.raises(wire.RemoteProtocolError) as refused:
+                await transport.call(BROKER, complete.method, complete.payload)
+            await transport.call(BROKER, "admin/shutdown", {})
+            return [first, second], finished.value.value, refused.value
+        finally:
+            await transport.close()
+
+    try:
+        recovered, stored, refused = asyncio.run(run())
+        errors = processes[BROKER].communicate(timeout=30.0)[1]
+    finally:
+        for process in processes.values():
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+            if process.stdout is not None:
+                process.stdout.close()
+
+    for line in recovered:
+        assert line.startswith(f"{BROKER} recovered state: "), line
+        assert " 0 uncommitted record(s) discarded" in line, line
+    assert stored.coin.bare.verify_signature(system.params, system.broker.blind_public)
+    assert refused.kind == "KeyError"
+    assert errors == b""
+
+    daemon = build_daemon(str(directory), BROKER, state_dir=str(state_dir))
+    broker, fresh = daemon.system.broker, config.build_system().broker
+    daemon.close_store()
+    assert not broker_spaces(broker).get("tickets")
+    assert broker.ledger.conserved()
+    assert broker.ledger.minted - fresh.ledger.minted == 25
+    assert (
+        broker.ledger.accounts[broker.account].balance
+        - fresh.ledger.accounts[fresh.account].balance
+    ) == 25
 
 
 def _stats_after_bind(daemon):

@@ -3,8 +3,9 @@
 One fresh interpreter per role builds the daemon the way ``repro serve``
 does and prints ``sorted(sys.modules)``. The simulator, the fault
 injector, the extension protocols, the linter and the experiment
-packages must not be there, and only a daemon given a state dir may have
-loaded the store, its record hooks and ``sqlite3``. How long start-up
+packages must not be there, nor ``sqlite3``: a durable daemon's store is
+one WAL and a snapshot replayed into memory. Only a daemon given a state
+dir may have loaded the store and its record hooks. How long start-up
 takes is ``bench/run.py``'s ``setup_s`` / ``recover_s``.
 """
 
@@ -28,9 +29,9 @@ NEVER = (
     + [f"repro.core.{leaf}" for leaf in
        ("arbiter", "escrow", "fair_exchange", "multiwitness", "incentives")]
     + ["repro.crypto.elgamal", "repro.lint", "repro.scale", "repro.analysis",
-       "repro.baselines"]
+       "repro.baselines", "sqlite3"]
 )
-DURABLE_ONLY = ["sqlite3", "repro.store", "repro.core.persistence"]
+DURABLE_ONLY = ["repro.store", "repro.core.persistence"]
 
 _BUILD = """
 import json, sys
