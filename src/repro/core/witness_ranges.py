@@ -284,20 +284,22 @@ def build_table(
 
     Signing each entry is one ``Sig`` per merchant; table publication is a
     maintenance operation outside the per-transaction cost model, so the
-    caller (the broker) invokes this outside any active counter.
+    caller (the broker) invokes this outside any active counter, and its
+    uses of ``g`` build no fixed-base table.
     """
     ranges = allocate_ranges(weights, params.witness_hash_space)
     entries = []
-    for witness_range in ranges:
-        unsigned = SignedWitnessEntry(
-            version=version,
-            range=witness_range,
-            signature=SchnorrSignature(e=0, s=0),
-        )
-        signature = signer.sign(*unsigned.signed_parts(), rng=rng)
-        entries.append(
-            SignedWitnessEntry(version=version, range=witness_range, signature=signature)
-        )
+    with perf.untabled():
+        for witness_range in ranges:
+            unsigned = SignedWitnessEntry(
+                version=version,
+                range=witness_range,
+                signature=SchnorrSignature(e=0, s=0),
+            )
+            signature = signer.sign(*unsigned.signed_parts(), rng=rng)
+            entries.append(
+                SignedWitnessEntry(version=version, range=witness_range, signature=signature)
+            )
     return WitnessAssignmentTable(
         version=version, entries=tuple(entries), space=params.witness_hash_space
     )

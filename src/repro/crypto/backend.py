@@ -33,8 +33,10 @@ the exponent, every power of one base at that position, and
 ``(table, exponent)`` factor into one accumulator. Under python the rows
 are ``int`` values walked with native ``*``/``%``; under gmp they are
 ``mpz_t``s in one ctypes block, built and walked with ``mpz_mul`` and
-``mpz_tdiv_r`` — at 1024/160 bits a 6-bit table builds in ~5 ms and
-walks in ~0.6 of one ``mpz_powm``.
+``mpz_tdiv_r``. Both backends' tables take 8-bit digits: at 1024/160 bits
+a gmp table is 20 rows of 255 entries (717 KB), builds in ~12 ms and
+walks in ~0.5 of one ``mpz_powm`` (20 digit steps). DESIGN §6b has the
+window trade-off.
 
 ``mpz_powm`` is not constant-time, and neither is the CPython ``pow`` it
 replaces or a table walk, whose multiplications skip zero digits;
@@ -183,15 +185,6 @@ _SELF_TEST = (
     (1 << 64, 3, 1 << 64),
 )
 
-#: Digit width of a gmp table. At 1024/160 bits (entries, build, walk ÷
-#: ``mpz_powm``): 5 bits 992, 3-4 ms, 0.70-0.73; 6 bits 1,701, 5-6.5 ms,
-#: 0.59-0.64; 8 bits 5,100, 15-19 ms, 0.47-0.50 — on a 2-core host running
-#: at about 0.45x of the reference speed. ``g``'s table is built while a
-#: daemon derives its parties' keys, before its first ping: 8 bits made
-#: that 30+ ms per process, 6 bits 3-4 ms.
-_GMP_WINDOW = 6
-
-
 class _Gmp(NamedTuple):
     """What :func:`_bind_libgmp` binds: the gmp backend's primitives."""
 
@@ -217,15 +210,16 @@ def _bind_libgmp() -> _Gmp:
     import sys
     import threading
 
+    path: str | None = _LIBGMP_SONAME
     try:
-        lib = ctypes.CDLL(_LIBGMP_SONAME)
+        lib = ctypes.CDLL(path)
     except OSError:
         import ctypes.util
 
-        found = ctypes.util.find_library("gmp")
-        if found is None:
+        path = ctypes.util.find_library("gmp")
+        if path is None:
             raise
-        lib = ctypes.CDLL(found)
+        lib = ctypes.CDLL(path)
 
     class Mpz(ctypes.Structure):
         _fields_ = [
@@ -234,20 +228,24 @@ def _bind_libgmp() -> _Gmp:
             ("_mp_d", ctypes.c_void_p),
         ]
 
+    # The calls that take a microsecond or two hold the GIL (``PyDLL``):
+    # releasing and retaking it around each cost a walk about 5 %.
+    # ``mpz_powm`` (50 us) releases it, so threads exponentiate in parallel.
+    held = ctypes.PyDLL(path)
     # Every mpz_t crosses as its address, a plain int.
     mpz, size_t, c_int = ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int
     mpz_init = lib.__gmpz_init
     mpz_init.argtypes, mpz_init.restype = [mpz], None
-    mpz_import = lib.__gmpz_import
+    mpz_import = held.__gmpz_import
     mpz_import.argtypes = [mpz, size_t, c_int, size_t, c_int, size_t, ctypes.c_char_p]
     mpz_import.restype = None
     mpz_powm = lib.__gmpz_powm
     mpz_powm.argtypes, mpz_powm.restype = [mpz] * 4, None
-    mpz_mul = lib.__gmpz_mul
+    mpz_mul = held.__gmpz_mul
     mpz_mul.argtypes, mpz_mul.restype = [mpz] * 3, None
-    mpz_tdiv_r = lib.__gmpz_tdiv_r
+    mpz_tdiv_r = held.__gmpz_tdiv_r
     mpz_tdiv_r.argtypes, mpz_tdiv_r.restype = [mpz] * 3, None
-    mpz_export = lib.__gmpz_export
+    mpz_export = held.__gmpz_export
     mpz_export.argtypes = [ctypes.c_void_p, mpz, c_int, size_t, c_int, size_t, mpz]
     mpz_export.restype = ctypes.c_void_p
     version = ctypes.c_char_p.in_dll(lib, "__gmp_version").value or b""
@@ -271,8 +269,8 @@ def _bind_libgmp() -> _Gmp:
     class Operands(threading.local):
         """One thread's three scratch ``mpz_t``s and imported moduli.
 
-        The GIL is released around every foreign call, so a thread switch
-        can fall between any two of them: nothing a call writes to is
+        ``mpz_powm`` runs with the GIL released, and a thread switch can
+        fall between any two foreign calls: nothing a call writes to is
         shared between threads, and a table's entries, written before the
         table is returned, are only ever read.
         """
@@ -330,13 +328,12 @@ def _bind_libgmp() -> _Gmp:
         reduced (``mpz_mul`` + ``mpz_tdiv_r``); the next row's first is
         the last entry times the first.
 
-        Args: as the python backend's table; ``window`` defaults to
-        :data:`_GMP_WINDOW`.
+        Args: as the python backend's table (``window`` defaults to 8).
         """
 
         __slots__ = ("base", "p", "q", "window", "_block", "_first", "_row_bytes")
 
-        def __init__(self, base: int, p: int, q: int, window: int = _GMP_WINDOW) -> None:
+        def __init__(self, base: int, p: int, q: int, window: int = 8) -> None:
             _check_table(p, q, window)
             self.base = base % p
             self.p = p

@@ -33,6 +33,7 @@ import random
 from dataclasses import dataclass
 
 from repro import perf
+from repro.crypto import backend
 from repro.crypto.group import SchnorrGroup
 from repro.crypto.hashing import HashInput, HashSuite
 
@@ -112,7 +113,8 @@ class PartiallyBlindSigner:
         import repro.crypto.counters as counters
 
         with counters.suppressed():
-            self.public = perf.fpow(group.g, self._secret, group.p, group.q)
+            # One powmod: deriving the key builds no fixed-base table.
+            self.public = backend.powmod(group.g, self._secret % group.q, group.p)
         # ``y`` is the base of ``y^omega`` in every coin verification in
         # the system — the single most profitable fixed base after ``g``.
         perf.register(self.public, group.p, group.q)

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 
 from repro import perf
-from repro.crypto import counters
+from repro.crypto import backend, counters
 from repro.crypto.group import SchnorrGroup
 from repro.crypto.hashing import HashInput, encode_for_hash
 from repro.crypto.numbers import random_scalar
@@ -51,10 +51,14 @@ class SchnorrKeyPair:
 
     @classmethod
     def generate(cls, group: SchnorrGroup, rng: random.Random | None = None) -> "SchnorrKeyPair":
-        """Generate a fresh key pair (one untallied exponentiation)."""
+        """Generate a fresh key pair (one untallied exponentiation).
+
+        ``g^secret`` is one ``backend.powmod``, not a use of ``g``'s
+        fixed-base table, so deriving keys builds no table.
+        """
         secret = random_scalar(group.q, rng)
         with counters.suppressed():
-            public = perf.fpow(group.g, secret, group.p, group.q)
+            public = backend.powmod(group.g, secret, group.p)
         # Key pairs are long-lived and their public keys recur as the base
         # of every verification; make them candidates for fixed-base tables.
         perf.register(public, group.p, group.q)

@@ -51,7 +51,7 @@ from repro.perf.batch import (
     is_subgroup_member,
 )
 from repro.perf.cache import MemoCache, cache, memoized
-from repro.perf.fixed_base import fpow, register, table_for
+from repro.perf.fixed_base import fpow, register, table_for, untabled
 from repro.perf.multiexp import multi_exp
 
 
@@ -132,5 +132,6 @@ __all__ = [
     "register",
     "reset",
     "table_for",
+    "untabled",
     "verify_memo",
 ]

@@ -12,18 +12,28 @@ in GMP memory under gmp). This module decides which bases earn one.
 Tables are *registered* cheaply and *built* lazily: a base becomes a
 candidate via :func:`register` and only gets its table once it has been
 exponentiated :data:`BUILD_THRESHOLD` times, so one-shot bases never pay
-the precomputation. Built tables live in a bounded LRU registry; one
-evicted, or dropped on a backend switch, frees its rows when its last
-walker lets go of it. The registry is safe to share between threads: a
+the precomputation. A table is built on the serving path, inside the
+protocol operation that makes its base's third counted use. Set-up work
+counts none: key derivation (``SchnorrKeyPair.generate``,
+``PartiallyBlindSigner``) computes each public key with one
+:func:`repro.crypto.backend.powmod` and registers it, and the witness
+table is signed under :func:`untabled`, so a daemon holds no table when
+it first answers. At the default 8-bit window a 1024/160-bit table is
+20 rows of 255 entries (717 KB in GMP memory) and builds in ~12 ms; a
+daemon builds about ten on its first operations. Built tables live in a
+bounded LRU registry; one evicted, or dropped on a backend switch, frees
+its rows when its last walker lets go of it, and a dropped table's base
+is a candidate again. The registry is safe to share between threads: a
 table enters it only after it is built, and two threads promoting the
 same base may each build one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import threading
 from collections import OrderedDict
-from typing import Any
+from typing import Any, Iterator
 
 from repro import obs
 from repro.crypto import backend
@@ -42,6 +52,7 @@ MAX_CANDIDATES = 4096
 _lock = threading.Lock()
 _tables: OrderedDict[tuple[int, int], Any] = OrderedDict()
 _candidates: dict[tuple[int, int], tuple[int, int]] = {}  # key -> (q, uses)
+_setup = threading.local()  # .depth > 0 inside untabled()
 
 
 def register(base: int, p: int, q: int) -> None:
@@ -92,6 +103,8 @@ def touch(base: int, p: int) -> Any | None:
         table = _tables.get(key)
         if table is not None:
             _tables.move_to_end(key)
+        elif getattr(_setup, "depth", 0):
+            return None
         else:
             candidate = _candidates.get(key)
             if candidate is None:
@@ -105,6 +118,23 @@ def touch(base: int, p: int) -> Any | None:
         table = _publish(key, backend.FixedBaseTable(base, p, q))
     obs.counter_inc("perf_fixed_base_hits_total")
     return table
+
+
+@contextlib.contextmanager
+def untabled() -> Iterator[None]:
+    """Set-up work in this thread neither counts a use nor builds a table.
+
+    An exponentiation inside still walks a table that is already built;
+    an untabled base goes to ``backend.powmod`` without moving toward
+    promotion. For work a process does before it serves (publishing the
+    witness table signs one entry per merchant with ``g``), so that its
+    tables are built by the protocol operations that use them.
+    """
+    _setup.depth = getattr(_setup, "depth", 0) + 1
+    try:
+        yield
+    finally:
+        _setup.depth -= 1
 
 
 def fpow(base: int, exponent: int, p: int, q: int) -> int:
@@ -152,10 +182,12 @@ def _on_backend_change(_name: str) -> None:
 
     A table's rows belong to the backend that built it, and
     :func:`repro.crypto.backend.table_product` walks only the active
-    backend's; cheap registrations survive, so the promoted bases come
-    back on their next few uses.
+    backend's. Each dropped table's base becomes a fresh candidate again,
+    so the promoted bases come back on their next few uses.
     """
     with _lock:
+        for key, table in _tables.items():
+            _candidates[key] = (table.q, 0)
         _tables.clear()
 
 
@@ -173,4 +205,5 @@ __all__ = [
     "table_count",
     "table_for",
     "touch",
+    "untabled",
 ]

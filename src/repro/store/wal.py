@@ -234,6 +234,9 @@ class WriteAheadLog:
     def replay(self) -> list[bytes]:
         """Read every intact record; heal (truncate) a torn tail.
 
+        The log stays open at its healed end, so the first append after a
+        recovery writes there without reading the file a second time.
+
         Returns:
             The record payloads, oldest first.
 
@@ -244,25 +247,7 @@ class WriteAheadLog:
         self.close()
         if not self.path.exists():
             return []
-        data = self._with_retries(self.path.read_bytes, f"read {self.path.name}")
-        scanned = scan_wal_bytes(data)
-        if scanned.problem is not None:
-            raise StoreCorruptError(f"{self.path}: {scanned.problem}")
-        if scanned.torn_bytes:
-            self.truncated_bytes += scanned.torn_bytes
-            obs.counter_inc("store_wal_torn_bytes_total", scanned.torn_bytes)
-            good = scanned.good_size
-
-            def heal() -> None:
-                with open(self.path, "r+b") as handle:
-                    handle.truncate(good)
-                    if good == 0:
-                        handle.write(MAGIC)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-
-            self._with_retries(heal, f"truncate torn tail of {self.path.name}")
-        return list(scanned.payloads)
+        return list(self._open_and_scan()[1])
 
     def verify(self) -> list[str]:
         """Scan without modifying anything; return problem descriptions.
@@ -296,8 +281,14 @@ class WriteAheadLog:
     def _open(self) -> BinaryIO:
         if self._file is not None:
             return self._file
+        return self._open_and_scan()[0]
+
+    def _open_and_scan(self) -> tuple[BinaryIO, tuple[bytes, ...]]:
+        """Open the log at its end for appending; return it and its intact records."""
+        payloads: tuple[bytes, ...] = ()
 
         def open_file() -> BinaryIO:
+            nonlocal payloads
             self.path.parent.mkdir(parents=True, exist_ok=True)
             handle: BinaryIO
             if not self.path.exists() or self.path.stat().st_size == 0:
@@ -313,6 +304,7 @@ class WriteAheadLog:
             scanned = scan_wal_bytes(data)
             if scanned.problem is not None:
                 raise StoreCorruptError(f"{self.path}: {scanned.problem}")
+            payloads = scanned.payloads
             handle = open(self.path, "r+b")
             if scanned.torn_bytes:
                 self.truncated_bytes += scanned.torn_bytes
@@ -326,10 +318,10 @@ class WriteAheadLog:
             handle.seek(0, os.SEEK_END)
             return handle
 
-        self._file = self._with_retries(open_file, f"open {self.path.name}")
-        self._size = self._file.tell()
+        handle = self._file = self._with_retries(open_file, f"open {self.path.name}")
+        self._size = handle.tell()
         self._pending = 0
-        return self._file
+        return handle, payloads
 
     def _with_retries(self, op: Callable[[], _T], describe: str) -> _T:
         return with_retries(

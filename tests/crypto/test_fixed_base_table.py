@@ -4,10 +4,11 @@
 rows in one ctypes block under gmp. Each property
 runs under every backend this machine has: a table's ``pow``, the
 one-accumulator ``table_product`` and ``perf.multi_exp`` over tabled and
-loose bases must give builtin ``pow``'s integer, also from tables
-promoted by eight threads at once; tables are dropped and rebuilt across
-a backend switch; and 200 built-and-evicted tables give their memory
-back.
+loose bases must give builtin ``pow``'s integer, at every window up to
+the default 8 bits, on registry-built tables of both groups and from
+tables promoted by eight threads at once; tables are dropped and rebuilt
+across a backend switch, and the bases they served stay promoted; and
+200 built-and-evicted tables give their memory back.
 """
 
 import gc
@@ -45,25 +46,53 @@ def _cold_engine():
 
 @pytest.mark.usefixtures("each_backend")
 @settings(deadline=None)
-@given(base=_bases, window=st.integers(1, 6), exponents=st.lists(_exponents, min_size=1, max_size=4))
+@given(base=_bases, window=st.integers(1, 8), exponents=st.lists(_exponents, min_size=1, max_size=4))
 def test_a_table_walk_is_builtin_pow(base, window, exponents):
     table = backend.FixedBaseTable(base, P, Q, window=window)
     for exponent in exponents:
         assert table.pow(exponent) == pow(base, exponent % Q, P)
 
 
+#: The 512-bit test group and the paper's 1024-bit group.
+BOTH_GROUPS = (GROUP, default_params().group)
+
+
+def _edge_exponents(group, seed):
+    rng = random.Random(seed)
+    q = group.q
+    return [0, 1, q - 1, q, q + 1, 2**160 - 1, -1, -q] + [rng.randrange(q) for _ in range(20)]
+
+
 @pytest.mark.usefixtures("each_backend")
 def test_edge_exponents_on_the_default_window():
-    rng = random.Random(32)
-    exponents = EDGE_EXPONENTS + [rng.randrange(Q) for _ in range(20)]
-    for base in (GROUP.g, 1, P + 7):
-        table = backend.FixedBaseTable(base, P, Q)
-        assert [table.pow(e) for e in exponents] == [pow(base, e % Q, P) for e in exponents]
+    """On registry-built tables, at the 8-bit window both backends take."""
+    for group in BOTH_GROUPS:
+        exponents = _edge_exponents(group, 32)
+        for base in (group.g, 1, group.p + 7):
+            table = fixed_base.build(base, group.p, group.q)
+            assert table.window == 8
+            expected = [pow(base, e % group.q, group.p) for e in exponents]
+            assert [table.pow(e) for e in exponents] == expected
+
+
+@pytest.mark.usefixtures("each_backend")
+def test_one_accumulator_over_registry_built_default_tables():
+    for group in BOTH_GROUPS:
+        p, q = group.p, group.q
+        bases = [group.g, group.g1, group.g2, p + 3]
+        tables = [fixed_base.build(base, p, q) for base in bases]
+        exponents = _edge_exponents(group, 33)
+        for start in range(0, len(exponents), len(bases)):
+            chunk = exponents[start : start + len(bases)]
+            expected = 1
+            for base, exponent in zip(bases, chunk):
+                expected = expected * pow(base, exponent % q, p) % p
+            assert backend.table_product(list(zip(tables, chunk))) == expected
 
 
 @pytest.mark.usefixtures("each_backend")
 @settings(deadline=None)
-@given(exponents=st.lists(_exponents, min_size=0, max_size=4), window=st.integers(1, 6))
+@given(exponents=st.lists(_exponents, min_size=0, max_size=4), window=st.integers(1, 8))
 def test_one_accumulator_over_several_tables(exponents, window):
     bases = [GROUP.g, GROUP.g1, GROUP.g2, P + 3][: len(exponents)]
     tables = [backend.FixedBaseTable(base, P, Q, window=window) for base in bases]
@@ -103,15 +132,17 @@ def test_multi_exp_mixing_tabled_and_loose_bases(pairs, warm):
 
 
 def test_tables_are_dropped_and_rebuilt_across_a_backend_switch():
+    """``g`` is registered once: a table dropped on a switch comes back on
+    its base's next uses, without the base being registered again."""
     if len(backend.available()) < 2:
         pytest.skip("this host has one backend; nothing to switch to")
     previous = backend.name()
     exponent = 0xC0FFEE << 100
+    perf.register(GROUP.g, P, Q)
     try:
         for name in backend.available() + backend.available()[:1]:
             backend.set_backend(name)
             assert fixed_base.table_count() == 0
-            perf.register(GROUP.g, P, Q)
             uses = range(fixed_base.BUILD_THRESHOLD + 2)
             results = [perf.fpow(GROUP.g, exponent + k, P, Q) for k in uses]
             assert results == [pow(GROUP.g, (exponent + k) % Q, P) for k in uses]
@@ -178,8 +209,8 @@ def _resident_bytes() -> int:
 @pytest.mark.usefixtures("gmp_backend")
 def test_evicted_tables_give_their_memory_back():
     """200 tables through a full LRU: resident memory holds still. A
-    1024-bit table is ~245 KB, so keeping the evicted ones would show as
-    ~50 MB."""
+    1024-bit table is ~717 KB, so keeping the evicted ones would show as
+    ~140 MB."""
     group = default_params().group
     bases = [pow(group.g, k, group.p) for k in range(2, 2 + fixed_base.MAX_TABLES + 200)]
     for base in bases[: fixed_base.MAX_TABLES]:

@@ -5,8 +5,9 @@ witness alone is started with ``REPRO_BACKEND=python``. The demo's
 scenario — withdraw, pay, the deposit drain and a refused replay —
 succeeds either way, every node moves the same bytes, and
 ``admin/stats`` says which arithmetic each daemon runs — the only place a
-silently fallen-back node shows — and what its perf engine holds: every
-daemon, whatever its backend, has built fixed-base tables by then.
+silently fallen-back node shows — and what its perf engine holds: no
+daemon has built a fixed-base table when it first answers, and every
+one, whatever its backend, has built some after the scenario.
 """
 
 import asyncio
@@ -66,11 +67,14 @@ def _lifecycle(directory: Path, witness_backend: str | None) -> dict[str, dict]:
         connect_backoff=BackoffPolicy(base=0.1, factor=1.25, max_delay=1.0),
     )
     reports: dict[str, dict] = {}
+    first_tables: dict[str, int] = {}
 
     async def drive() -> None:
         try:
             for name in processes:
                 await transport.call(name, "admin/ping", {}, timeout=60.0)
+                stats = await transport.call(name, "admin/stats", {})
+                first_tables[name] = as_int(stats["perf"]["fixed-base-tables"])
             run = await run_on_sockets(transport, system)
             assert run["outcomes"] == {
                 "withdrawn": 25,
@@ -85,6 +89,7 @@ def _lifecycle(directory: Path, witness_backend: str | None) -> dict[str, dict]:
                     **read_books(stats),
                     "backend": str(stats["backend"]),
                     "backend_version": str(stats["backend_version"]),
+                    "first_tables": first_tables[name],
                     "tables": as_int(stats["perf"]["fixed-base-tables"]),
                 }
             for name in processes:
@@ -127,6 +132,9 @@ def test_a_python_backend_witness_interoperates_with_default_backend_peers(tmp_p
     assert all(report["backend_version"][0].isdigit() for report in uniform.values())
     assert mixed[WITNESS]["backend_version"] == ""
     for run in (uniform, mixed):
+        # Set-up (keys, the signed witness table) builds no table: each
+        # is built by the first protocol operations that use its base.
+        assert all(report["first_tables"] == 0 for report in run.values()), run
         assert all(report["tables"] >= 1 for report in run.values()), run
 
     for name in uniform:

@@ -11,8 +11,12 @@ import random
 
 import pytest
 
+from repro import perf
 from repro.core.params import test_params as make_test_params
+from repro.core.protocols import run_withdrawal
+from repro.core.system import EcashSystem
 from repro.crypto import backend
+from repro.crypto.schnorr import SchnorrKeyPair
 from repro.perf import fixed_base
 from repro.perf.fixed_base import BUILD_THRESHOLD, MAX_TABLES
 
@@ -120,3 +124,45 @@ class TestRegistry:
         for base in range(2, 2 + fixed_base.MAX_CANDIDATES + 50):
             fixed_base.register(base, p, q)
         assert len(fixed_base._candidates) <= fixed_base.MAX_CANDIDATES
+
+
+class TestNoTableBeforeServing:
+    """Deriving keys and publishing the witness table build no table; the
+    first protocol operations that use a base build its table."""
+
+    @pytest.mark.usefixtures("each_backend")
+    def test_a_fresh_system_holds_no_table(self):
+        params = make_test_params()
+        group = params.group
+        # As in a fresh process, where validating the group registers them.
+        for generator in (group.g, group.g1, group.g2):
+            fixed_base.register(generator, group.p, group.q)
+        system = EcashSystem(params=params, seed=5)
+        assert perf.cache_stats()["fixed-base-tables"] == 0
+        run_withdrawal(system.new_client(), system.broker, system.standard_info(25, now=0))
+        assert perf.cache_stats()["fixed-base-tables"] >= 1
+
+    @pytest.mark.usefixtures("each_backend")
+    def test_generating_keys_builds_no_table(self, group):
+        rng = random.Random(11)
+        fixed_base.register(group.g, group.p, group.q)
+        keys = [SchnorrKeyPair.generate(group, rng) for _ in range(5)]
+        assert perf.cache_stats()["fixed-base-tables"] == 0
+        assert all(key.public == pow(group.g, key.secret, group.p) for key in keys)
+        # Each public key is a candidate: its third use builds its table.
+        for k in range(BUILD_THRESHOLD):
+            fixed_base.fpow(keys[0].public, k + 2, group.p, group.q)
+        assert fixed_base.table_for(keys[0].public, group.p) is not None
+
+    def test_untabled_uses_neither_count_nor_build(self, group):
+        fixed_base.register(group.g1, group.p, group.q)
+        with fixed_base.untabled():
+            for k in range(BUILD_THRESHOLD + 2):
+                assert fixed_base.fpow(group.g1, k, group.p, group.q) == pow(group.g1, k, group.p)
+        assert fixed_base.table_count() == 0
+        for k in range(BUILD_THRESHOLD):
+            fixed_base.fpow(group.g1, k, group.p, group.q)
+        table = fixed_base.table_for(group.g1, group.p)
+        assert table is not None
+        with fixed_base.untabled():
+            assert fixed_base.touch(group.g1, group.p) is table

@@ -219,3 +219,60 @@ def test_append_after_exhausted_retries_overwrites_the_partial_write(tmp_path):
     wal.close()
     assert scan_clean(tmp_path)
     assert make_wal(tmp_path).replay() == [b"steady", b"next", b"and-one-more"]
+
+
+def test_the_first_append_after_replay_does_not_rescan_the_log(tmp_path, monkeypatch):
+    """Recovery reads and checks the log once; the append that follows
+    writes at the end replay left it, without reading the file again."""
+    from repro.store import wal as wal_module
+
+    wal = make_wal(tmp_path)
+    for index in range(5):
+        wal.append(b"record-%d" % index)
+    wal.close()
+    scans = []
+    real_scan = wal_module.scan_wal_bytes
+
+    def counting_scan(data):
+        scans.append(len(data))
+        return real_scan(data)
+
+    monkeypatch.setattr(wal_module, "scan_wal_bytes", counting_scan)
+    recovered = make_wal(tmp_path)
+    assert len(recovered.replay()) == 5
+    fsyncs = recovered.fsync_count
+    recovered.append(b"after-recovery")
+    assert len(scans) == 1
+    assert recovered.fsync_count == fsyncs + 1
+    recovered.close()
+    assert make_wal(tmp_path).replay()[-1] == b"after-recovery"
+
+
+def test_an_append_after_a_healing_replay_lands_after_the_last_good_record(tmp_path):
+    wal = make_wal(tmp_path)
+    wal.append(b"durable")
+    wal.close()
+    path = tmp_path / "wal.log"
+    good_size = path.stat().st_size
+    with open(path, "ab") as handle:
+        handle.write(b"\x00\x00\x00\x09torn")  # a header and half a payload
+    healer = make_wal(tmp_path)
+    assert healer.replay() == [b"durable"]
+    assert healer.size_bytes == good_size
+    healer.append(b"next")
+    healer.close()
+    data = path.read_bytes()
+    assert len(data) == good_size + 8 + len(b"next")
+    assert data[good_size + 8 :] == b"next"
+    assert make_wal(tmp_path).replay() == [b"durable", b"next"]
+
+
+def test_an_append_after_replaying_an_empty_file_writes_the_magic(tmp_path):
+    path = tmp_path / "wal.log"
+    path.write_bytes(b"")
+    wal = make_wal(tmp_path)
+    assert wal.replay() == []
+    wal.append(b"first")
+    wal.close()
+    assert path.read_bytes().startswith(MAGIC)
+    assert make_wal(tmp_path).replay() == [b"first"]
