@@ -40,9 +40,6 @@ if TYPE_CHECKING:
         UnknownMerchantError,
         WrongWitnessError,
     )
-    from repro.core.escrow import EscrowedCoin, TrusteeService, run_escrowed_withdrawal
-    from repro.core.fair_exchange import FairExchangeArbiter, Offer, make_offer
-    from repro.core.incentives import FeeCollectingBroker, FeePolicy
     from repro.core.info import CoinInfo, standard_info
     from repro.core.merchant import Merchant, PaymentRequest
     from repro.core.multiwitness import MultiWitnessCoin, MultiWitnessService, spend_multi
@@ -84,11 +81,6 @@ __getattr__, __dir__ = lazy_exports(
             "ProtocolViolationError", "RenewalRefusedError", "ServiceUnavailableError",
             "UnknownMerchantError", "WrongWitnessError",
         ),
-        "repro.core.escrow": (
-            "EscrowedCoin", "TrusteeService", "run_escrowed_withdrawal",
-        ),
-        "repro.core.fair_exchange": ("FairExchangeArbiter", "Offer", "make_offer"),
-        "repro.core.incentives": ("FeeCollectingBroker", "FeePolicy"),
         "repro.core.info": ("CoinInfo", "standard_info"),
         "repro.core.merchant": ("Merchant", "PaymentRequest"),
         "repro.core.multiwitness": (
@@ -136,14 +128,6 @@ __all__ = [
     "run_payment",
     "run_renewal",
     "run_withdrawal",
-    "EscrowedCoin",
-    "TrusteeService",
-    "run_escrowed_withdrawal",
-    "FairExchangeArbiter",
-    "Offer",
-    "make_offer",
-    "FeeCollectingBroker",
-    "FeePolicy",
     "MultiWitnessCoin",
     "MultiWitnessService",
     "spend_multi",

@@ -44,7 +44,7 @@ from repro.core.transcripts import (
 from repro.core.witness_ranges import WitnessAssignmentTable, build_table
 from repro.crypto.blind import PartiallyBlindSigner, SignerChallenge, SignerResponse, SignerSession
 from repro.crypto.representation import RepresentationResponse, extract_representations
-from repro.crypto.schnorr import SchnorrKeyPair, verify as schnorr_verify
+from repro.crypto.schnorr import SchnorrKeyPair
 from repro.crypto.serialize import WireFields, as_int, as_text, pack_batch, split_batch
 
 if TYPE_CHECKING:
@@ -820,10 +820,6 @@ class Broker:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def verify_range_signature(self, entry_parts: tuple[object, ...], signature) -> bool:
-        """Expose plain-signature verification (used by the arbiter)."""
-        return schnorr_verify(self.params.group, self.sign_public, signature, *entry_parts)
-
     def _check_witness_assignment(self, coin: Coin) -> None:
         """Check the coin's witness against the broker's own table.
 

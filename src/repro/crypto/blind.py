@@ -215,17 +215,6 @@ class BlindSession:
         self._blinding = blinding
         self.e = e
 
-    def blinding_factors(self) -> tuple[int, int, int, int]:
-        """Reveal ``(t1, t2, t3, t4)`` — for cut-and-choose openings ONLY.
-
-        Revealing the blinding factors of a session destroys that
-        session's blindness by design: the escrow issuing protocol opens
-        audited candidates this way (the surviving candidate is never
-        opened).
-        """
-        blinding = self._blinding
-        return (blinding.t1, blinding.t2, blinding.t3, blinding.t4)
-
     @staticmethod
     def prepare(
         group: SchnorrGroup,

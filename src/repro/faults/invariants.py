@@ -7,13 +7,17 @@ double-spend attempt yields a publicly verifiable ``(x1, x2)``
 extraction, a witness that signed twice is slashed at deposit time, and
 the ledger stays conserved throughout. :class:`InvariantChecker` asserts
 exactly those properties against a finished (or mid-flight) system, and
-the chaos scenarios run it after every seeded run.
+the chaos scenarios run it after every seeded run. Evidence — a fault
+entry's two transcripts, a refusal's proof — is judged by the
+:class:`~repro.core.arbiter.Arbiter`, the public third party the paper
+hands disputes to, and nowhere else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.arbiter import Arbiter, Verdict
 from repro.core.coin import Coin
 from repro.core.system import EcashSystem
 from repro.core.transcripts import DoubleSpendProof
@@ -43,6 +47,11 @@ class InvariantChecker:
     def __init__(self, system: EcashSystem) -> None:
         self.system = system
         self.broker = system.broker
+        self.arbiter = Arbiter(
+            params=system.params,
+            broker_blind_public=system.broker.blind_public,
+            broker_sign_public=system.broker.sign_public,
+        )
         self._initial_deposits = {
             merchant_id: account.security_deposit
             for merchant_id, account in self.broker.merchants.items()
@@ -99,10 +108,10 @@ class InvariantChecker:
     def witness_faults_slashed(self) -> InvariantResult:
         """Every logged witness fault carries evidence and cost a slash.
 
-        Each fault-log entry must hold two transcripts for the *same*
-        bare coin, deposited by *different* merchants, both carrying valid
-        signatures from the accused witness — and the witness's escrow
-        must be short by exactly the sum of the slashed denominations.
+        The arbiter must convict the accused witness on each fault-log
+        entry's two transcripts (same bare coin, different merchants, both
+        signatures valid) — and the witness's escrow must be short by
+        exactly the sum of the slashed denominations.
         """
         slashed: dict[str, int] = {}
         for witness_id, first, second in self.broker.witness_fault_log:
@@ -111,18 +120,16 @@ class InvariantChecker:
                 return InvariantResult(
                     "witness-faults-slashed", False, f"unknown witness {witness_id!r}"
                 )
-            same_coin = first.transcript.coin.bare == second.transcript.coin.bare
-            distinct = first.transcript.merchant_id != second.transcript.merchant_id
-            both_signed = first.verify_witness_signature(
-                self.system.params, account.public_key
-            ) and second.verify_witness_signature(self.system.params, account.public_key)
-            if not (same_coin and distinct and both_signed):
+            judgment = self.arbiter.judge_conflicting_transcripts(
+                account.public_key, first, second
+            )
+            if judgment.verdict is not Verdict.WITNESS_VIOLATED:
                 return InvariantResult(
                     name="witness-faults-slashed",
                     ok=False,
                     detail=(
                         f"fault evidence against {witness_id} unverifiable "
-                        f"(same_coin={same_coin} distinct={distinct} signed={both_signed})"
+                        f"({judgment.verdict.value}: {judgment.reason})"
                     ),
                 )
             slashed[witness_id] = slashed.get(witness_id, 0) + (
@@ -149,9 +156,12 @@ class InvariantChecker:
     def double_spend_proofs_verify(
         self, proofs: list[tuple[DoubleSpendProof, Coin]]
     ) -> InvariantResult:
-        """Every refusal proof actually opens the coin's commitments."""
+        """The arbiter convicts the client on every refusal proof."""
         bad = sum(
-            1 for proof, coin in proofs if not proof.verify(self.system.params, coin)
+            1
+            for proof, coin in proofs
+            if self.arbiter.judge_double_spend_claim(coin, proof).verdict
+            is not Verdict.CLIENT_DOUBLE_SPENT
         )
         return InvariantResult(
             name="double-spend-proofs-verify",

@@ -171,27 +171,24 @@ def table_count() -> int:
 
 
 def reset() -> None:
-    """Drop every table and registration (tests and benchmarks)."""
-    with _lock:
-        _tables.clear()
-        _candidates.clear()
+    """Drop every built table and use count (tests and benchmarks).
 
-
-def _on_backend_change(_name: str) -> None:
-    """Drop built tables on a bigint-backend switch.
-
-    A table's rows belong to the backend that built it, and
-    :func:`repro.crypto.backend.table_product` walks only the active
-    backend's. Each dropped table's base becomes a fresh candidate again,
-    so the promoted bases come back on their next few uses.
+    Every base registered so far stays a candidate with zero uses, so the
+    promoted bases come back on their next few uses: a group validates,
+    and so registers its generators, only once per object. It also runs on
+    a bigint-backend switch, because a table's rows belong to the backend
+    that built them and :func:`repro.crypto.backend.table_product` walks
+    only the active backend's.
     """
     with _lock:
         for key, table in _tables.items():
             _candidates[key] = (table.q, 0)
         _tables.clear()
+        for key, (q, _uses) in _candidates.items():
+            _candidates[key] = (q, 0)
 
 
-backend.on_change(_on_backend_change)
+backend.on_change(lambda _name: reset())
 
 
 __all__ = [

@@ -29,7 +29,6 @@ from hypothesis import given, strategies as st
 from repro.core.protocols import run_withdrawal
 from repro.core.transcripts import CommitmentRequest, DoubleSpendProof
 from repro.crypto import serialize
-from repro.crypto.elgamal import ElGamalCiphertext
 from repro.crypto.serialize import (
     KEY_ABBREVIATIONS,
     KEY_MEMO_BOUND,
@@ -417,7 +416,6 @@ def test_every_wire_class_round_trips_at_a_prefix(system):
         signed,
         DoubleSpendProof.from_secrets(5, stored.secrets),
         DoubleSpendProof(coin_hash=5, x=stored.secrets.x, y=None),
-        ElGamalCiphertext(c1=3, c2=2**200),
     ]
     for item in objects:
         cls = type(item)

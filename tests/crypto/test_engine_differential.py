@@ -4,11 +4,12 @@
 perf engine's off state used to select. Every property here runs the live code
 and the reference on the same input and demands the same integer or the
 same verdict, under each bigint backend this machine has, from both
-states an engine can be in: *cold* (``perf.reset()``: no table, no memo,
-one ``powmod`` per base) and *warm* (every recurring base used
-``BUILD_THRESHOLD + 1`` times first, so each has the backend's fixed-base
-table: ``int`` rows under python, GMP memory under ``gmp``). The state is
-drawn per example, so a failure replays with it.
+states an engine can be in: *cold* (``perf.reset()``: no table and no
+memo; a registered base takes one ``powmod`` a use until its
+``BUILD_THRESHOLD``-th use builds its table) and *warm* (every recurring
+base used ``BUILD_THRESHOLD + 1`` times first, so each has the backend's
+fixed-base table: ``int`` rows under python, GMP memory under ``gmp``).
+The state is drawn per example, so a failure replays with it.
 """
 
 import random
@@ -244,5 +245,6 @@ def test_a_prepared_blinding_is_the_one_piece_start(warm, signer_seed, client_se
     assert reference.blind_verify(GROUP, HASHES, broker.public, info, message, expected)
     for session in sessions:
         assert session.e == expected_e
-        assert session.blinding_factors() == expected_factors
+        blinding = session._blinding
+        assert (blinding.t1, blinding.t2, blinding.t3, blinding.t4) == expected_factors
         assert session.finish(response) == expected

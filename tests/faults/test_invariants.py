@@ -1,9 +1,13 @@
 """Tests for the safety-invariant checker (and broker crash recovery)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.exceptions import DoubleDepositError, DoubleSpendError
 from repro.core.protocols import run_deposit, run_payment, run_withdrawal
+from repro.core.transcripts import SignedTranscript
+from repro.crypto.schnorr import SchnorrSignature
 from repro.faults.invariants import InvariantChecker
 from tests.conftest import save_broker_state
 
@@ -77,7 +81,27 @@ def test_tampered_fault_evidence_is_rejected(system):
     system.broker.witness_fault_log.append((stored.coin.witness_id, signed, signed))
     result = checker.witness_faults_slashed()
     assert not result.ok
-    assert "distinct=False" in result.detail
+    assert "(no-violation: the two submissions are the same transcript)" in result.detail
+
+
+def test_fault_evidence_with_a_forged_signature_is_rejected(system):
+    """Two merchants, one coin, but the second signature is not the
+    witness's: the arbiter finds no proof, so the checker flags it."""
+    checker = InvariantChecker(system)
+    client = system.new_client()
+    stored = run_withdrawal(client, system.broker, system.standard_info(25, now=0))
+    shops = other_shops(system, stored)
+    signed = run_payment(
+        client, stored, system.merchant(shops[0]), system.witness_of(stored), now=10
+    )
+    forged = SignedTranscript(
+        transcript=replace(signed.transcript, merchant_id=shops[1], timestamp=500),
+        witness_signature=SchnorrSignature(e=1, s=1),
+    )
+    system.broker.witness_fault_log.append((stored.coin.witness_id, signed, forged))
+    result = checker.witness_faults_slashed()
+    assert not result.ok
+    assert "(proof-invalid: a submitted witness signature does not verify)" in result.detail
 
 
 def test_invariant_result_render_is_fixed_format(system):

@@ -100,9 +100,18 @@ class TestRegistry:
         assert fixed_base.table_count() == 2
 
     def test_unregistered_base_never_builds(self, group):
+        base = group.g * group.g2 % group.p
         for _ in range(BUILD_THRESHOLD + 2):
-            assert fixed_base.touch(group.g2, group.p) is None
+            assert fixed_base.touch(base, group.p) is None
         assert fixed_base.table_count() == 0
+
+    def test_reset_keeps_the_generators_registered(self, group):
+        """The group validated once, at its first use in this process; a
+        reset must not forget the generators that registered."""
+        perf.reset()
+        for k in range(BUILD_THRESHOLD):
+            fixed_base.fpow(group.g, k + 2, group.p, group.q)
+        assert fixed_base.table_for(group.g, group.p) is not None
 
     @pytest.mark.usefixtures("python_backend")
     def test_lru_eviction_bounds_table_count(self):

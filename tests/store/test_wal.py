@@ -1,5 +1,7 @@
 """Tests for the write-ahead log: framing, group commit, torn tails."""
 
+import os
+
 import pytest
 
 from repro.store import (
@@ -276,3 +278,38 @@ def test_an_append_after_replaying_an_empty_file_writes_the_magic(tmp_path):
     wal.close()
     assert path.read_bytes().startswith(MAGIC)
     assert make_wal(tmp_path).replay() == [b"first"]
+
+
+@pytest.mark.parametrize("torn_creation", [False, True], ids=["torn-record", "torn-magic"])
+def test_a_healing_replay_fsyncs_the_healed_log_before_returning(
+    tmp_path, monkeypatch, torn_creation
+):
+    """The truncate that drops a torn tail is made durable at once, so a
+    crash after recovery cannot bring the torn bytes back in front of the
+    records appended later."""
+    from repro.store import wal as wal_module
+
+    path = tmp_path / "wal.log"
+    if torn_creation:
+        path.write_bytes(MAGIC[:3])
+        healed_size = len(MAGIC)
+    else:
+        wal = make_wal(tmp_path)
+        wal.append(b"durable")
+        wal.close()
+        healed_size = path.stat().st_size
+        with open(path, "ab") as handle:
+            handle.write(b"\x00\x00\x00\x09torn")
+    synced_sizes = []
+    real_fsync = wal_module.os.fsync
+
+    def recording_fsync(fd):
+        synced_sizes.append(os.fstat(fd).st_size)
+        real_fsync(fd)
+
+    monkeypatch.setattr(wal_module.os, "fsync", recording_fsync)
+    healer = make_wal(tmp_path)
+    assert healer.replay() == ([] if torn_creation else [b"durable"])
+    assert healer.truncated_bytes > 0
+    assert synced_sizes == [healed_size]
+    healer.close()

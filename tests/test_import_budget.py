@@ -2,8 +2,8 @@
 
 One fresh interpreter per role builds the daemon the way ``repro serve``
 does and prints ``sorted(sys.modules)``. The simulator, the fault
-injector, the extension protocols, the linter and the experiment
-packages must not be there, nor ``sqlite3``: a durable daemon's store is
+injector, the arbiter, the multi-witness variant, the linter and the
+experiment packages must not be there, nor ``sqlite3``: a durable daemon's store is
 one WAL and a snapshot replayed into memory. Only a daemon given a state
 dir may have loaded the store and its record hooks. How long start-up
 takes is ``bench/run.py``'s ``setup_s`` / ``recover_s``.
@@ -26,10 +26,8 @@ NEVER = (
      ("sim", "overlay", "node", "latency", "costmodel", "chord", "churn", "services")]
     + [f"repro.faults.{leaf}" for leaf in
        ("injector", "plan", "invariants", "byzantine", "scenarios")]
-    + [f"repro.core.{leaf}" for leaf in
-       ("arbiter", "escrow", "fair_exchange", "multiwitness", "incentives")]
-    + ["repro.crypto.elgamal", "repro.lint", "repro.scale", "repro.analysis",
-       "repro.baselines", "sqlite3"]
+    + ["repro.core.arbiter", "repro.core.multiwitness", "repro.lint", "repro.scale",
+       "repro.analysis", "repro.baselines", "sqlite3"]
 )
 DURABLE_ONLY = ["repro.store", "repro.core.persistence"]
 
