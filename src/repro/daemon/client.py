@@ -26,7 +26,9 @@ the destination node, and mirrors the sim's
 :class:`~repro.net.transport.TrafficMeter` byte accounting on the
 client's side of every exchange. A call that carries a ``meanwhile``
 hint is sent, the hint is run, and only then is the reply awaited — the
-client computes while the daemon does.
+client computes while the daemon does. A call that carries an ``ahead``
+hint is sent with the call it names right behind it, so the daemon finds
+the next request waiting when it answers this one.
 """
 
 from __future__ import annotations
@@ -382,34 +384,71 @@ class SocketTransport:
         ``source`` names the acting party for interface symmetry with the
         sim; over sockets the acting party is always this transport's own
         identity. A call with a :attr:`~repro.net.registry.RemoteCall.meanwhile`
-        hint goes through :meth:`_call_overlapped`.
+        hint goes through :meth:`_call_overlapped`. A call that names one
+        :attr:`~repro.net.registry.RemoteCall.ahead` is sent, then the call
+        ahead is sent right behind it on the connection the destination
+        has then — both before this reply is read, so they reach the peer
+        in the flow's order even on a fresh connection. When the flow
+        yields that same call next it gets the pending reply; if it yields
+        another, raises or returns first, the call ahead is abandoned (a
+        reply that still arrives is dropped, unmetered). At most one call
+        is ahead, and a call that went or sends one ahead does not also
+        run its ``meanwhile``: ignoring a hint is always correct.
         """
         del source  # the socket transport *is* the source node
         reply: Any = None
         failure: BaseException | None = None
-        while True:
-            try:
-                if failure is not None:
-                    error, failure = failure, None
-                    call = flow.throw(error)
-                else:
-                    call = flow.send(reply)
-            except StopIteration as stop:
-                return stop.value
-            if not isinstance(call, RemoteCall):
-                raise TypeError(
-                    f"flow yielded {type(call).__name__}, expected RemoteCall"
-                )
-            try:
-                if call.meanwhile is None:
-                    reply = await self.call(
-                        call.destination, call.method, call.payload, call.timeout
+        ahead: tuple[RemoteCall, asyncio.Future[dict[str, Any]]] | None = None
+        try:
+            while True:
+                try:
+                    if failure is not None:
+                        error, failure = failure, None
+                        call = flow.throw(error)
+                    else:
+                        call = flow.send(reply)
+                except StopIteration as stop:
+                    return stop.value
+                if not isinstance(call, RemoteCall):
+                    raise TypeError(
+                        f"flow yielded {type(call).__name__}, expected RemoteCall"
                     )
-                else:
-                    reply = await self._call_overlapped(call, call.meanwhile)
-            except Exception as error:
-                failure = error
-                reply = None
+                sent, ahead = _take_ahead(ahead, call), None
+                try:
+                    if sent is None and call.ahead is None and call.meanwhile is not None:
+                        reply = await self._call_overlapped(call, call.meanwhile)
+                    else:
+                        if sent is None:
+                            sent = await self._send(call)
+                        if call.ahead is not None:
+                            ahead = await self._send_ahead(call.ahead, sent)
+                        reply = await sent
+                except Exception as error:
+                    failure = error
+                    reply = None
+        finally:
+            if ahead is not None:
+                _abandon(ahead[1])
+
+    async def _send(self, call: RemoteCall) -> asyncio.Future[dict[str, Any]]:
+        """Put ``call`` on the wire; the returned future is its reply."""
+        connection = await self.connection(call.destination)
+        return connection.begin(call.method, call.payload, call.timeout)
+
+    async def _send_ahead(
+        self, ahead: Callable[[], RemoteCall], sent: asyncio.Future[dict[str, Any]]
+    ) -> tuple[RemoteCall, asyncio.Future[dict[str, Any]]]:
+        """Send the call ``ahead`` names; returns it with its pending reply.
+
+        ``sent`` is the reply of the call that named it: if this send
+        fails, that call is abandoned before the error reaches the flow.
+        """
+        try:
+            following = ahead()
+            return following, await self._send(following)
+        except BaseException:
+            _abandon(sent)
+            raise
 
     async def _call_overlapped(
         self, call: RemoteCall, meanwhile: Callable[[], Any]
@@ -439,6 +478,28 @@ class SocketTransport:
         for connection in self._connections.values():
             await connection.close()
         self._connections.clear()
+
+
+def _take_ahead(
+    ahead: tuple[RemoteCall, asyncio.Future[dict[str, Any]]] | None, call: RemoteCall
+) -> asyncio.Future[dict[str, Any]] | None:
+    """The pending reply of ``call`` if it went ahead; any other call ahead
+    is abandoned."""
+    if ahead is None:
+        return None
+    following, reply = ahead
+    if following is call:
+        obs.counter_inc("transport_ahead_calls_total", method=call.method)
+        return reply
+    _abandon(reply)
+    return None
+
+
+def _abandon(reply: asyncio.Future[dict[str, Any]]) -> None:
+    """Forget a call: cancel its reply, or retrieve the one it already has
+    so that an error nobody reads is not reported as never retrieved."""
+    if not reply.cancel() and not reply.cancelled():
+        reply.exception()
 
 
 __all__ = [

@@ -228,6 +228,8 @@ class DaemonNode:
                 "startup_cpu_ms": f"{self.startup_cpu_ms:.1f}",
                 # Fixed-base tables built and memo entries held, per cache.
                 "perf": perf.cache_stats(),
+                # Memo hits and misses, per cache.
+                "memo": perf.memo_hit_stats(),
             }
             if self.recovery is not None:
                 out["recovery"] = {
@@ -521,7 +523,8 @@ class MerchantDaemon(WitnessDaemon):
     handler *calls* its ``rpc`` hook, before the
     storefront's own checks, so the two verifications overlap. The
     control-plane ``admin/deposit`` drives the shared batched deposit flow
-    to the broker (one ``deposit/batch`` per 32 pending transcripts), so
+    to the broker (one ``deposit/batch`` per 32 pending transcripts, the
+    next one written while the broker verifies the current one), so
     settlement bytes land on this node's meter exactly as the sim's
     batch deposit process charges its merchant node.
     """

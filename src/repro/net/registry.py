@@ -48,6 +48,7 @@ accounting against the sim's.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Mapping, NamedTuple, Protocol, Sequence
 
@@ -325,6 +326,16 @@ class RemoteCall:
             hint; the sim does not, because it charges a party's compute
             to simulated time *between* yields, and running it at the
             yield would move every recorded latency.
+        ahead: a hint of the same kind for the wire — the call this flow
+            will yield next whatever this reply says, as a thunk that
+            returns the very :class:`RemoteCall` object the flow then
+            yields. A transport may put it on the wire as soon as this
+            request is (at most one call ahead) and hand its reply over
+            when the flow yields that same object; if the flow yields
+            anything else, raises or returns instead, the reply is
+            abandoned. The request is sent either way, so only a call
+            whose repetition is idempotent may be named here. The sim
+            ignores it for the reason it ignores ``meanwhile``.
     """
 
     destination: str
@@ -332,6 +343,7 @@ class RemoteCall:
     payload: dict[str, Any] = field(hash=False)
     timeout: float | None = None
     meanwhile: Callable[[], Any] | None = field(default=None, compare=False)
+    ahead: Callable[[], RemoteCall] | None = field(default=None, compare=False)
 
 
 #: A client flow: yields :class:`RemoteCall`, receives reply payloads,
@@ -352,7 +364,10 @@ class Transport(Protocol):
     A call's :attr:`RemoteCall.meanwhile` may be run between sending the
     request and waiting for its reply, or ignored; ignoring it is always
     correct. An implementation that runs it throws what it raises into
-    the flow like any failure of the call, and abandons the reply.
+    the flow like any failure of the call, and abandons the reply. Its
+    :attr:`RemoteCall.ahead` may likewise be sent before this reply is
+    read, or ignored: a reply got ahead reaches the flow only if the flow
+    yields that same call next, and is abandoned otherwise.
     """
 
     def run_flow(self, source: str, flow: Flow) -> Any:
@@ -745,24 +760,41 @@ def batch_deposit_flow(
     transcript is marked deposited and reported as
     :data:`ALREADY_CREDITED` with amount 0: nothing moved this time.
 
+    That idempotence is what lets each call name the next chunk's call as
+    its :attr:`RemoteCall.ahead`: the flow sends every chunk whatever the
+    replies say, so a transport may put batch k+1 on the wire while the
+    broker verifies batch k. A transcript is marked deposited only from
+    the reply the flow itself processed; a call that fails stops the
+    flow, and a reply that came ahead is then dropped, its transcripts
+    still pending for the retry.
+
     Returns:
         Per transcript, in order: ``{"outcome", "amount"}`` when the
         broker credited it (now or before), else ``{"error", "kind"}``.
     """
     pending = merchant.pending_deposits() if transcripts is None else transcripts
     results: list[dict[str, Any]] = []
+
+    # One slot: a transport's ``ahead`` thunk builds chunk k+1's call and
+    # the flow's own yield for chunk k+1 returns that same object.
+    @functools.lru_cache(maxsize=1)
+    def call_at(start: int) -> RemoteCall:
+        following = start + DEPOSIT_BATCH_SIZE
+        return RemoteCall(
+            broker_id,
+            "deposit/batch",
+            {
+                "merchant_id": merchant_id,
+                "batch": pack_batch(
+                    "t", [signed.to_wire() for signed in pending[start:following]]
+                ),
+            },
+            ahead=functools.partial(call_at, following) if following < len(pending) else None,
+        )
+
     for start in range(0, len(pending), DEPOSIT_BATCH_SIZE):
         chunk = pending[start : start + DEPOSIT_BATCH_SIZE]
-        reply = flatten(
-            (yield RemoteCall(
-                broker_id,
-                "deposit/batch",
-                {
-                    "merchant_id": merchant_id,
-                    "batch": pack_batch("t", [signed.to_wire() for signed in chunk]),
-                },
-            ))
-        )
+        reply = flatten((yield call_at(start)))
         for index, signed in enumerate(chunk):
             outcome = reply.get(f"r{index}.outcome")
             kind = str(reply.get(f"r{index}.kind", "EcashError"))

@@ -103,6 +103,11 @@ def cache_stats() -> dict[str, int]:
     return stats
 
 
+def memo_hit_stats() -> dict[str, dict[str, int]]:
+    """Hits and misses per verification cache (:func:`cache_stats` counts entries)."""
+    return _cache_module.hit_stats()
+
+
 def export_metrics() -> None:
     """Publish cache sizes as :mod:`repro.obs` gauges (metrics snapshots)."""
     for name, size in cache_stats().items():
@@ -127,6 +132,7 @@ __all__ = [
     "export_metrics",
     "fpow",
     "is_subgroup_member",
+    "memo_hit_stats",
     "memoized",
     "multi_exp",
     "register",

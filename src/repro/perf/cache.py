@@ -9,9 +9,11 @@ serialized message + signature so the second and later checks are a
 dictionary lookup.
 
 Caches are LRU-bounded (signatures over long-lived artifacts dominate
-hits; evicting cold entries caps memory) and report hit/miss counters to
-:mod:`repro.obs` under ``perf_verify_cache_hits_total`` /
-``perf_verify_cache_misses_total`` with a ``cache=<name>`` label.
+hits; evicting cold entries caps memory) and count their own hits and
+misses (:func:`hit_stats`, always on, so a daemon can report them) as
+well as reporting them to :mod:`repro.obs` under
+``perf_verify_cache_hits_total`` / ``perf_verify_cache_misses_total``
+with a ``cache=<name>`` label.
 """
 
 from __future__ import annotations
@@ -40,12 +42,15 @@ def _normalize(key: object) -> object:
 class MemoCache:
     """One named, LRU-bounded memoization table."""
 
-    __slots__ = ("name", "max_size", "_data")
+    __slots__ = ("name", "max_size", "_data", "hits", "misses")
 
     def __init__(self, name: str, max_size: int = DEFAULT_MAX_SIZE) -> None:
         self.name = name
         self.max_size = max_size
         self._data: OrderedDict[object, object] = OrderedDict()
+        #: :func:`memoized` lookups that found / did not find their key.
+        self.hits = 0
+        self.misses = 0
 
     def __len__(self) -> int:
         return len(self._data)
@@ -67,8 +72,9 @@ class MemoCache:
             self._data.popitem(last=False)
 
     def clear(self) -> None:
-        """Drop every entry."""
+        """Drop every entry and zero the hit and miss counts."""
         self._data.clear()
+        self.hits = self.misses = 0
 
 
 _caches: dict[str, MemoCache] = {}
@@ -102,10 +108,12 @@ def memoized(
     store = cache(name)
     value = store.get(key)
     if value is not _MISSING:
+        store.hits += 1
         obs.counter_inc("perf_verify_cache_hits_total", cache=name)
         if on_hit is not None:
             on_hit()
         return value
+    store.misses += 1
     obs.counter_inc("perf_verify_cache_misses_total", cache=name)
     value = compute()
     store.put(key, value)
@@ -115,6 +123,14 @@ def memoized(
 def stats() -> dict[str, int]:
     """Current entry count per named cache (for the metrics snapshot)."""
     return {name: len(store) for name, store in sorted(_caches.items())}
+
+
+def hit_stats() -> dict[str, dict[str, int]]:
+    """Hits and misses per named cache since it was created or cleared."""
+    return {
+        name: {"hits": store.hits, "misses": store.misses}
+        for name, store in sorted(_caches.items())
+    }
 
 
 def reset() -> None:
@@ -127,6 +143,7 @@ __all__ = [
     "DEFAULT_MAX_SIZE",
     "MemoCache",
     "cache",
+    "hit_stats",
     "memoized",
     "reset",
     "stats",

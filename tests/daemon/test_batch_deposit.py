@@ -1,7 +1,9 @@
-"""``admin/deposit`` over real sockets: batched settlement, bounded stats,
-quiet shutdown."""
+"""``admin/deposit`` over real sockets: batched settlement with the next
+batch on the wire while the broker verifies this one, a failed batch
+that leaks nothing, bounded stats, quiet shutdown."""
 
 import asyncio
+import contextlib
 import os
 import subprocess
 import sys
@@ -9,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.exceptions import ProtocolViolationError
+from repro import obs
+from repro.core.exceptions import ProtocolViolationError, ServiceUnavailableError
 from repro.core.protocols import run_payment, run_withdrawal
 from repro.core.system import EcashSystem
 from repro.daemon import wire
@@ -26,8 +29,9 @@ from repro.daemon.service import (
 )
 from repro.faults.recovery import BackoffPolicy
 from repro.net.costmodel import instant_profile
-from repro.crypto.serialize import pack_batch
-from repro.net.registry import DEPOSIT_BATCH_SIZE, as_int
+from repro.crypto.serialize import flatten, pack_batch
+from repro.faults.invariants import InvariantChecker
+from repro.net.registry import ALREADY_CREDITED, DEPOSIT_BATCH_SIZE, as_int
 from repro.net.services import BROKER_NODE, NetworkDeployment
 from repro.net.transport import TrafficMeter
 
@@ -60,8 +64,10 @@ def _system_with_pending(params) -> tuple[EcashSystem, list[int]]:
     return system, amounts
 
 
-async def _drain_over_sockets(system: EcashSystem) -> tuple[dict, list[tuple[str, int, int]]]:
-    """Broker and storefront daemons in this process; one ``admin/deposit``."""
+@contextlib.asynccontextmanager
+async def _deployment(system: EcashSystem):
+    """Broker and storefront daemons in this process; yields them with an
+    operator's connection to the storefront."""
     identities = {name: _identity(name) for name in (BROKER_NODE, SHOP, "operator")}
     roster = {name: identity.public for name, identity in identities.items()}
     broker = BrokerDaemon(system, identities[BROKER_NODE], roster, "127.0.0.1", 0)
@@ -81,16 +87,50 @@ async def _drain_over_sockets(system: EcashSystem) -> tuple[dict, list[tuple[str
         "127.0.0.1", shop.node.port, identities["operator"], SHOP, roster, TrafficMeter()
     )
     try:
-        reply = await operator.request("admin/deposit", {}, timeout=120.0)
+        yield broker, shop, operator
     finally:
         await operator.close()
         await shop.node.stop()
         await broker.node.stop()
-    log = [
+
+
+def _log(broker: BrokerDaemon) -> list[tuple[str, int, int]]:
+    return [
         (entry["method"], entry["request_bytes"], entry["response_bytes"])
         for entry in broker.node.rpc_log
     ]
-    return reply, log
+
+
+async def _drain_over_sockets(system: EcashSystem) -> tuple[dict, list[tuple[str, int, int]]]:
+    """Broker and storefront daemons in this process; one ``admin/deposit``."""
+    async with _deployment(system) as (broker, _, operator):
+        reply = await operator.request("admin/deposit", {}, timeout=120.0)
+    return reply, _log(broker)
+
+
+def _recording_batches(broker: BrokerDaemon, fail_call: int = 0) -> list[list[int]]:
+    """Wrap the broker's ``deposit/batch`` entry: each call appends its
+    transcripts' salts in order, and call number ``fail_call`` (1-based;
+    0: none) fails whole before the broker settles any of it."""
+    serve = broker.node.handlers["deposit/batch"]
+    calls: list[list[int]] = []
+
+    def recording(payload):
+        flat = flatten(payload)
+        salts: list[int] = []
+        while f"batch.t{len(salts)}.transcript.salt" in flat:
+            salts.append(as_int(flat[f"batch.t{len(salts)}.transcript.salt"]))
+        calls.append(salts)
+        if len(calls) == fail_call:
+            raise ServiceUnavailableError(f"deposit/batch call {fail_call} refused")
+        return serve(payload)
+
+    broker.node.handlers["deposit/batch"] = recording
+    return calls
+
+
+def _salts(transcripts) -> list[int]:
+    return [signed.transcript.salt for signed in transcripts]
 
 
 def _drain_over_sim(system: EcashSystem) -> list[tuple[str, int, int]]:
@@ -125,6 +165,141 @@ def test_seventy_transcripts_drain_in_three_batches_byte_equal_to_the_sim(params
     for system in (daemon_system, sim_system):
         assert system.broker.merchant_balance(SHOP) == sum(amounts)
         assert not system.merchant(SHOP).pending_deposits()
+
+
+def test_a_failing_middle_batch_fails_the_drain_typed_and_the_retry_credits_each_coin_once(
+    params,
+):
+    """The broker refuses the second of three batches whole. The third was
+    on the wire behind it and the broker settles it, but its reply is
+    dropped, not applied: the drain fails with the typed error, only batch
+    1 is marked deposited, and a second drain credits batch 2 and finds
+    batch 3 already credited."""
+    system, amounts = _system_with_pending(params)
+    merchant = system.merchant(SHOP)
+    pending = merchant.pending_deposits()
+    chunks = [pending[:32], pending[32:64], pending[64:]]
+    checker = InvariantChecker(system)
+
+    async def scenario():
+        async with _deployment(system) as (broker, shop, operator):
+            calls = _recording_batches(broker, fail_call=2)
+            with pytest.raises(ServiceUnavailableError, match="call 2 refused"):
+                await operator.request("admin/deposit", {}, timeout=120.0)
+            left = merchant.pending_deposits()
+            in_flight = dict(shop.transport._connections[BROKER_NODE]._pending)
+            retry = await operator.request("admin/deposit", {}, timeout=120.0)
+        return calls, left, in_flight, retry
+
+    calls, left, in_flight, retry = asyncio.run(scenario())
+
+    # Batch 3 reached the broker before the refusal of batch 2 reached the
+    # storefront, and the broker settled it (call 3 did not raise); the
+    # retry resends batches 2 and 3, in chunk order.
+    assert calls == [_salts(chunk) for chunk in (*chunks, chunks[1], chunks[2])]
+    assert _salts(left) == _salts(chunks[1] + chunks[2])
+    assert in_flight == {}
+
+    assert as_int(retry["count"]) == len(chunks[1]) + len(chunks[2])
+    outcomes = [retry[f"r{index}"] for index in range(as_int(retry["count"]))]
+    assert [entry["outcome"] for entry in outcomes] == (
+        ["credited"] * len(chunks[1]) + [ALREADY_CREDITED] * len(chunks[2])
+    )
+    assert [as_int(entry["amount"]) for entry in outcomes] == (
+        amounts[32:64] + [0] * len(chunks[2])
+    )
+    assert system.broker.merchant_balance(SHOP) == sum(amounts)
+    assert not merchant.pending_deposits()
+    assert checker.ledger_conserved().ok
+    assert checker.single_credit_per_coin().ok
+
+
+def test_the_next_batch_is_on_the_wire_before_this_reply_is_read(params):
+    system, amounts = _system_with_pending(params)
+    events: list[str] = []
+
+    async def scenario():
+        async with _deployment(system) as (broker, shop, operator):
+            connection = await shop.transport.connection(BROKER_NODE)
+            write, received = connection.transport.write, connection.frame_received
+
+            def logging_write(data: bytes) -> None:
+                events.append(f"frame {connection._next_id - 1}")
+                write(data)
+
+            def logging_received(frame) -> None:
+                events.append(f"reply {frame.request_id}")
+                received(frame)
+
+            connection.transport.write = logging_write
+            connection.frame_received = logging_received
+            obs.reset()
+            with obs.enabled():
+                reply = await operator.request("admin/deposit", {}, timeout=120.0)
+                taken = obs.registry().counter_value(
+                    "transport_ahead_calls_total", method="deposit/batch"
+                )
+            obs.reset()
+            stats = broker.node.handlers["admin/stats"]({})
+        return reply, taken, stats
+
+    reply, taken, stats = asyncio.run(scenario())
+    # Batch k+1 leaves before batch k's reply is read, batch k+2 only
+    # after it: one call ahead, never two. (When reply 2 is read, before
+    # or after frame 3 leaves, is up to the loop: the broker here shares it.)
+    assert events[:3] == ["frame 1", "frame 2", "reply 1"]
+    assert sorted(events[3:]) == ["frame 3", "reply 2", "reply 3"]
+    assert events.index("frame 3") < events.index("reply 3")
+    assert taken == 2
+    assert [as_int(reply[f"r{index}"]["amount"]) for index in range(COINS)] == amounts
+    # ``admin/stats`` reports each memo's hits and misses beside its entry
+    # count; every transcript was looked up in the broker's memo.
+    memo = stats["memo"]
+    assert set(memo) == set(stats["perf"]) - {"fixed-base-tables"}
+    signed = memo["signed-transcript"]
+    assert signed["hits"] + signed["misses"] >= COINS
+
+
+def test_batches_keep_chunk_order_on_the_connection_after_a_broker_restart(params):
+    """The storefront's connection to the broker is lost under it; the
+    drain opens a new one and both frames it sends before the first reply
+    go out on it in chunk order."""
+    daemon_system, amounts = _system_with_pending(params)
+    pending = daemon_system.merchant(SHOP).pending_deposits()
+    roster = {name: _identity(name).public for name in (BROKER_NODE, SHOP, "operator")}
+
+    async def scenario():
+        async with _deployment(daemon_system) as (broker, shop, operator):
+            lost = await shop.transport.connection(BROKER_NODE)
+            await broker.node.stop()
+            for _ in range(500):
+                if lost.lost:
+                    break
+                await asyncio.sleep(0.01)
+            assert lost.lost
+            restarted = BrokerDaemon(
+                daemon_system,
+                _identity(BROKER_NODE),
+                roster,
+                "127.0.0.1",
+                broker.node.port,
+            )
+            restarted.clock.pin(NOW)
+            await restarted.node.start()
+            try:
+                calls = _recording_batches(restarted)
+                reply = await operator.request("admin/deposit", {}, timeout=120.0)
+            finally:
+                await restarted.node.stop()
+        return calls, reply, _log(restarted)
+
+    calls, reply, daemon_log = asyncio.run(scenario())
+    assert [len(call) for call in calls] == [32, 32, 6]
+    assert calls == [_salts(pending[start : start + 32]) for start in (0, 32, 64)]
+    sim_system, _ = _system_with_pending(params)
+    assert daemon_log == _drain_over_sim(sim_system)
+    assert [as_int(reply[f"r{index}"]["amount"]) for index in range(COINS)] == amounts
+    assert daemon_system.broker.merchant_balance(SHOP) == sum(amounts)
 
 
 def test_broker_daemon_refuses_a_batch_longer_than_the_limit(params):

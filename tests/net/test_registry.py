@@ -270,6 +270,33 @@ class TestBatchDepositFlow:
         assert [t.index for t in shop.deposited] == list(range(70))
         assert not shop.pending
 
+    def test_each_call_names_the_next_chunks_call_ahead(self):
+        """``ahead`` builds the next chunk's call only when asked, and the
+        flow then yields that very object; the last call names none."""
+        shop = self.Storefront(70)
+        built = []
+        to_wire = self.Storefront.Transcript.to_wire
+
+        def counting_to_wire(transcript):
+            built.append(transcript.index)
+            return to_wire(transcript)
+
+        self.Storefront.Transcript.to_wire = counting_to_wire
+        try:
+            flow = registry.batch_deposit_flow(shop, "shop", "broker")
+            first = next(flow)
+            assert built == list(range(32))
+            second = first.ahead()
+            assert built == list(range(64))
+            assert flow.send({}) is second
+            third = second.ahead()
+            assert flow.send({}) is third
+        finally:
+            self.Storefront.Transcript.to_wire = to_wire
+        assert built == list(range(70))  # each chunk encoded once
+        assert [len(c.payload["batch"]) for c in (first, second, third)] == [32, 32, 6]
+        assert third.ahead is None
+
     def test_rejected_items_stay_pending(self):
         shop = self.Storefront(3)
 

@@ -76,3 +76,15 @@ class TestVerifyMemo:
         stats = perf.cache_stats()
         assert stats["vm-stats"] == 1
         assert "fixed-base-tables" in stats
+
+    def test_hits_and_misses_are_counted_per_cache_and_reset(self):
+        for key in ("a", "b", "a", "a"):
+            perf.verify_memo("vm-hits", (key,), lambda: True)
+        perf.verify_memo("vm-other", ("a",), lambda: True)
+        counted = perf.memo_hit_stats()
+        assert counted["vm-hits"] == {"hits": 2, "misses": 2}
+        assert counted["vm-other"] == {"hits": 0, "misses": 1}
+        # The entry counts keep their ``{name: int}`` shape beside them.
+        assert perf.cache_stats()["vm-hits"] == 2
+        perf.reset()
+        assert perf.memo_hit_stats()["vm-hits"] == {"hits": 0, "misses": 0}
