@@ -95,7 +95,7 @@ class OnlineBroker:
         """
         from repro.crypto.representation import respond
 
-        d = self.params.hashes.H0(*stored.coin.hash_parts(), merchant_id, now)
+        d = self.params.hashes.H0(stored.coin.hash_encoding(), merchant_id, now)
         transcript = PaymentTranscript(
             coin=stored.coin,
             response=respond(stored.secrets, d, self.params.group.q),

@@ -725,8 +725,9 @@ class Broker:
         if not (proof_timestamp <= now <= proof_timestamp + 300):
             self._tickets[ticket_id] = ticket
             raise InvalidPaymentError("renewal proof timestamp outside the accepted window")
+        # Renewal exchanges the bare coin, so ``d*`` binds the bare coin only.
         d_star = self.params.hashes.H0(
-            *_bare_renewal_parts(old_bare), "renewal", proof_timestamp, proof_salt
+            old_bare.hash_encoding(), "renewal", proof_timestamp, proof_salt
         )
         response = RepresentationResponse(r1=r1_star, r2=r2_star)
         from repro.crypto.representation import verify_response
@@ -851,15 +852,6 @@ class Broker:
     @staticmethod
     def _escrow_account(merchant_id: str) -> str:
         return f"deposit:{merchant_id}"
-
-
-def _bare_renewal_parts(bare: BareCoin) -> tuple[object, ...]:
-    """Hash parts for the renewal challenge over the *bare* coin.
-
-    Renewal (Algorithm 4) exchanges the bare coin; the witness entry is
-    irrelevant to the broker, so the challenge binds the bare coin only.
-    """
-    return bare.hash_parts()
 
 
 __all__ = [

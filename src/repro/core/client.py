@@ -398,9 +398,7 @@ class Client:
             raise CommitmentError("witness commitment already expired")
         if not commitment.verify(self.params, witness_public):
             raise CommitmentError("witness signature on commitment failed to verify")
-        d = self.params.hashes.H0(
-            *pending.stored.coin.hash_parts(), pending.merchant_id, now
-        )
+        d = self.params.hashes.H0(pending.stored.coin.hash_encoding(), pending.merchant_id, now)
         return PaymentTranscript(
             coin=pending.stored.coin,
             response=respond(pending.stored.secrets, d, self.params.group.q),
@@ -443,7 +441,7 @@ def renewal_challenge(params: SystemParams, coin: Coin, timestamp: int, salt: in
     broker to extract the secrets. The salt additionally separates two
     renewal attempts made within the same second.
     """
-    return params.hashes.H0(*coin.bare.hash_parts(), "renewal", timestamp, salt)
+    return params.hashes.H0(coin.bare.hash_encoding(), "renewal", timestamp, salt)
 
 
 def _exact_subset(

@@ -11,19 +11,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar
 
-from repro import perf
 from repro.core.exceptions import ExpiredCoinError, InvalidCoinError
 from repro.core.info import CoinInfo
 from repro.core.params import SystemParams
 from repro.core.witness_ranges import SignedWitnessEntry
 from repro.crypto import blind
 from repro.crypto.blind import PartiallyBlindSignature
-from repro.crypto.hashing import HashInput
+from repro.crypto.hashing import CachedEncoding, HashInput
 from repro.crypto.serialize import WireFields, as_int, nest_keys
 
 
 @dataclass(frozen=True)
-class BareCoin:
+class BareCoin(CachedEncoding):
     """The unblinded coin ``(rho, omega, sigma, delta, info, A, B)``.
 
     ``A = g1^x1 g2^x2`` and ``B = g1^y1 g2^y2`` are the owner's
@@ -56,37 +55,28 @@ class BareCoin:
     def digest(self, params: SystemParams) -> int:
         """``h(bare coin)`` — selects the witness and keys every database.
 
-        One ``Hash`` event per call; callers that need the digest for
-        several checks inside a single protocol step reuse the value, while
-        independent verification helpers recompute it (this mirrors the
-        per-step hash counts of Table 1).
+        One ``Hash`` event per call: Table 1 counts a ``Hash`` for every
+        check that recomputes the digest (the merchant's witness-entry
+        check and its commitment check each do), so the digest itself is
+        not cached. The coin's encoding is (:meth:`hash_encoding`), so a
+        repeat costs one SHA-256 over cached bytes.
         """
-        return params.hashes.h(*self.hash_parts()) % params.witness_hash_space
+        return params.hashes.h(self.hash_encoding()) % params.witness_hash_space
 
     def verify_signature(self, params: SystemParams, broker_blind_public: int) -> bool:
         """Publicly verify the broker's partially blind signature.
 
         Checks ``omega + delta == H(g^rho y^omega || g^sigma z^delta || z
         || A || B)`` with ``z = F(info)``: 4 ``Exp`` + 2 ``Hash``.
-
-        A coin's signature is immutable, yet it is re-checked at every hop
-        (merchant, witness, broker, auditors), so the verdict is memoized
-        on the serialized coin + verifier key; cache hits replay the
-        logical 4 ``Exp`` + 2 ``Hash`` so Table 1 accounting is unchanged.
         """
-        key = ("coin", params.group.p, broker_blind_public, *self.hash_parts())
-
-        def compute() -> bool:
-            return blind.verify(
-                params.group,
-                params.hashes,
-                broker_blind_public,
-                self.info.hash_parts(),
-                self.message_parts(),
-                self.signature,
-            )
-
-        return bool(perf.verify_memo("coin-signature", key, compute, exp=4, hash=2))
+        return blind.verify(
+            params.group,
+            params.hashes,
+            broker_blind_public,
+            self.info.hash_parts(),
+            self.message_parts(),
+            self.signature,
+        )
 
     #: The keys :meth:`to_wire` writes.
     WIRE_KEYS: ClassVar[frozenset[str]] = (
@@ -121,7 +111,7 @@ class BareCoin:
 
 
 @dataclass(frozen=True)
-class Coin:
+class Coin(CachedEncoding):
     """The full-fledged coin: bare coin plus its signed witness entry."""
 
     bare: BareCoin
@@ -147,11 +137,12 @@ class Coin:
 
         The payment challenge ``d = H0(C, I_M, date/time)`` hashes the full
         coin, witness entry included, so a transcript cannot be replayed
-        with a substituted witness assignment.
+        with a substituted witness assignment. The bare coin enters as its
+        cached encoding: the same bytes as its parts, encoded once.
         """
         return (
             "coin",
-            *self.bare.hash_parts(),
+            self.bare.hash_encoding(),
             *self.witness_entry.signed_parts(),
             self.witness_entry.signature.e,
             self.witness_entry.signature.s,

@@ -50,7 +50,7 @@ _MAX_DERIVATION_PROBES = 256
 
 def witness_digest(params: SystemParams, bare: BareCoin, index: int) -> int:
     """``h(bare coin || index)`` — the index-th witness selector."""
-    return params.hashes.h(*bare.hash_parts(), "witness-index", index) % (
+    return params.hashes.h(bare.hash_encoding(), "witness-index", index) % (
         params.witness_hash_space
     )
 
@@ -142,14 +142,14 @@ class MultiWitnessTranscript:
     def challenge(self, params: SystemParams) -> int:
         """``d = H0(bare, "multi", I_M, date)`` — shared across witnesses."""
         return params.hashes.H0(
-            *self.coin.bare.hash_parts(), "multi", self.merchant_id, self.timestamp
+            self.coin.bare.hash_encoding(), "multi", self.merchant_id, self.timestamp
         )
 
     def hash_parts(self) -> tuple[HashInput, ...]:
         """The message tuple each witness signs."""
         return (
             "multi-witness-transcript",
-            *self.coin.bare.hash_parts(),
+            self.coin.bare.hash_encoding(),
             self.response.r1,
             self.response.r2,
             self.merchant_id,
@@ -258,7 +258,7 @@ def spend_multi(
     are skipped (that is the whole point of the extension). A double-spend
     refusal from any witness aborts the attempt with the proof.
     """
-    d = params.hashes.H0(*coin.bare.hash_parts(), "multi", merchant_id, now)
+    d = params.hashes.H0(coin.bare.hash_encoding(), "multi", merchant_id, now)
     transcript = MultiWitnessTranscript(
         coin=coin,
         response=respond(secrets, d, params.group.q),

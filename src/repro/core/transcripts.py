@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar
 
-from repro import perf
 from repro.core.coin import Coin
 from repro.core.exceptions import CommitmentError, InvalidPaymentError
 from repro.core.params import SystemParams
-from repro.crypto.hashing import HashInput, constant_time_eq
+from repro.crypto.hashing import CachedEncoding, HashInput, constant_time_eq
 from repro.crypto.representation import (
     Representation,
     RepresentationPair,
@@ -90,27 +89,8 @@ class WitnessCommitment:
         )
 
     def verify(self, params: SystemParams, witness_public: int) -> bool:
-        """Verify the witness's signature (one ``Ver``).
-
-        Memoized — the merchant checks the commitment in step 3 and the
-        broker re-checks it in disputes; a cache hit replays the ``Ver``.
-        """
-        signed = self.signed_parts()
-        return bool(
-            perf.verify_memo(
-                "witness-commitment",
-                (
-                    "commitment",
-                    params.group.p,
-                    witness_public,
-                    *signed,
-                    self.signature.e,
-                    self.signature.s,
-                ),
-                lambda: schnorr_verify(params.group, witness_public, self.signature, *signed),
-                ver=1,
-            )
-        )
+        """Verify the witness's signature (one ``Ver``)."""
+        return schnorr_verify(params.group, witness_public, self.signature, *self.signed_parts())
 
     #: The keys :meth:`to_wire` writes.
     WIRE_KEYS: ClassVar[frozenset[str]] = frozenset(
@@ -145,7 +125,7 @@ class WitnessCommitment:
 
 
 @dataclass(frozen=True)
-class PaymentTranscript:
+class PaymentTranscript(CachedEncoding):
     """``(C, r1, r2, I_M, date/time, salt_C)`` — the core payment object."""
 
     coin: Coin
@@ -161,13 +141,13 @@ class PaymentTranscript:
         spend necessarily uses a different ``d``, which is what makes
         extraction possible.
         """
-        return params.hashes.H0(*self.coin.hash_parts(), self.merchant_id, self.timestamp)
+        return params.hashes.H0(self.coin.hash_encoding(), self.merchant_id, self.timestamp)
 
     def hash_parts(self) -> tuple[HashInput, ...]:
-        """Canonical tuple the witness signs in step 5."""
+        """Canonical tuple the witness signs in step 5 (the coin as its encoding)."""
         return (
             "payment-transcript",
-            *self.coin.hash_parts(),
+            self.coin.hash_encoding(),
             self.response.r1,
             self.response.r2,
             self.merchant_id,
@@ -217,26 +197,9 @@ class SignedTranscript:
     witness_signature: SchnorrSignature
 
     def verify_witness_signature(self, params: SystemParams, witness_public: int) -> bool:
-        """Verify ``Sig_{M_C}(payment transcript)`` (one ``Ver``).
-
-        Memoized — the merchant verifies at payment time and the broker
-        again at deposit; a cache hit replays the logical ``Ver``.
-        """
-        signed = self.transcript.hash_parts()
-        return bool(
-            perf.verify_memo(
-                "signed-transcript",
-                (
-                    "signed-transcript",
-                    params.group.p,
-                    witness_public,
-                    *signed,
-                    self.witness_signature.e,
-                    self.witness_signature.s,
-                ),
-                lambda: schnorr_verify(params.group, witness_public, self.witness_signature, *signed),
-                ver=1,
-            )
+        """Verify ``Sig_{M_C}(payment transcript)`` (one ``Ver``)."""
+        return schnorr_verify(
+            params.group, witness_public, self.witness_signature, self.transcript.hash_encoding()
         )
 
     #: The keys :meth:`to_wire` writes.

@@ -41,7 +41,7 @@ from repro.core.transcripts import (
     payment_nonce,
 )
 from repro.core.witness_ranges import verify_entry_matches
-from repro.crypto.hashing import constant_time_eq, encode_for_hash
+from repro.crypto.hashing import constant_time_eq
 from repro.crypto.numbers import random_bits
 from repro.crypto.representation import extract_representations
 from repro.crypto.schnorr import SchnorrKeyPair
@@ -241,10 +241,12 @@ class WitnessService:
                 parts += [proof.y.k1, proof.y.k2]
             return ("secrets", *parts)
         assert spent.transcript is not None and spent.transcript_salt is not None
+        # The transcript's encoding is a *value* here, hashed as a bytes
+        # part, not spliced: ``h(v)`` commits to it as one opaque blob.
         return (
             "salted-transcript",
             spent.transcript_salt,
-            encode_for_hash(*spent.transcript.hash_parts()),
+            spent.transcript.hash_encoding().data,
         )
 
     # ------------------------------------------------------------------
@@ -303,7 +305,7 @@ class WitnessService:
             self._spent[digest] = _SpentRecord(
                 transcript=transcript, transcript_salt=random_bits(128, self.rng)
             )
-        signature = self.keypair.sign(*transcript.hash_parts(), rng=self.rng)
+        signature = self.keypair.sign(transcript.hash_encoding(), rng=self.rng)
         self.signed_count += 1
         obs.counter_inc("witness_transcripts_signed_total")
         del self._commitments[digest]

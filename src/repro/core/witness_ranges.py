@@ -69,20 +69,13 @@ class SignedWitnessEntry:
     def verify(self, params: SystemParams, broker_sign_public: int) -> bool:
         """Verify the broker's signature on this entry (one ``Ver``).
 
-        The same entry travels with every coin assigned to its merchant
-        and is re-checked by every verifier, so the verdict is memoized;
-        a cache hit replays the logical ``Ver`` event.
+        The same entry travels with every coin assigned to its merchant,
+        so the verdict is memoized per entry (a frozen, hashable value)
+        and broker key; a cache hit replays the logical ``Ver`` event.
         """
         return perf.verify_memo(
             "witness-entry",
-            (
-                "witness-entry",
-                params.group.p,
-                broker_sign_public,
-                *self.signed_parts(),
-                self.signature.e,
-                self.signature.s,
-            ),
+            (self, params.group.p, broker_sign_public),
             lambda: schnorr_verify(
                 params.group, broker_sign_public, self.signature, *self.signed_parts()
             ),

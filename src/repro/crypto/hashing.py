@@ -11,7 +11,9 @@ Section 5 of the paper fixes four random oracles:
 
 All four are built from SHA-256 with domain separation. Structured inputs
 are canonicalized with an injective length-prefixed encoding so that no two
-distinct tuples collide at the byte level.
+distinct tuples collide at the byte level. A protocol object that recurs
+inside hashed tuples (a coin inside a transcript) is encoded once and its
+bytes spliced in verbatim (:class:`Encoded`, :class:`CachedEncoding`).
 """
 
 from __future__ import annotations
@@ -25,7 +27,23 @@ from repro import perf
 from repro.crypto import backend, counters
 from repro.crypto.group import SchnorrGroup
 
-HashInput = int | str | bytes
+
+class Encoded:
+    """Bytes that :func:`encode_for_hash` produced, spliced in verbatim.
+
+    Encoding a tuple that holds ``Encoded(encode_for_hash(*inner))`` gives
+    the bytes of the same tuple with ``*inner`` in its place, so an object
+    hashed inside several tuples is encoded once. A plain ``bytes`` part
+    is a value, tagged and length-prefixed like any other.
+    """
+
+    __slots__ = ("data",)
+
+    def __init__(self, data: bytes) -> None:
+        self.data = data
+
+
+HashInput = int | str | bytes | Encoded
 
 #: Width (bits) of the witness-selection hash ``h``; witness ranges
 #: partition ``[0, 2^WITNESS_HASH_BITS)``.
@@ -36,7 +54,9 @@ def encode_for_hash(*parts: HashInput) -> bytes:
     """Injectively encode a tuple of ints/strings/bytes for hashing.
 
     Each part is tagged with its type and prefixed with its 8-byte length,
-    so ``("ab", "c")`` and ``("a", "bc")`` hash differently.
+    so ``("ab", "c")`` and ``("a", "bc")`` hash differently. An
+    :class:`Encoded` part is copied as it is: it is already such an
+    encoding.
     """
     out = bytearray()
     for part in parts:
@@ -53,12 +73,37 @@ def encode_for_hash(*parts: HashInput) -> bytes:
         elif isinstance(part, (bytes, bytearray)):
             body = bytes(part)
             tag = b"b"
+        elif isinstance(part, Encoded):
+            out += part.data
+            continue
         else:
             raise TypeError(f"unhashable protocol value of type {type(part).__name__}")
         out += tag
         out += len(body).to_bytes(8, "big")
         out += body
     return bytes(out)
+
+
+class CachedEncoding:
+    """``hash_parts()`` of a frozen dataclass, encoded once per instance.
+
+    The encoding is cached in the instance's ``__dict__``, the way
+    ``WitnessAssignmentTable`` caches its sorted view: outside the
+    dataclass fields, so equality and hashing ignore it and a
+    :func:`dataclasses.replace` copy starts without it.
+    """
+
+    def hash_parts(self) -> tuple[HashInput, ...]:
+        """The canonical tuple this object is hashed as."""
+        raise NotImplementedError
+
+    def hash_encoding(self) -> Encoded:
+        """``encode_for_hash(*self.hash_parts())``, computed on first use."""
+        cached: Encoded | None = self.__dict__.get("_hash_encoding")
+        if cached is None:
+            cached = Encoded(encode_for_hash(*self.hash_parts()))
+            object.__setattr__(self, "_hash_encoding", cached)
+        return cached
 
 
 def _digest(domain: bytes, data: bytes) -> bytes:
@@ -117,15 +162,16 @@ class HashSuite:
         The cofactor exponentiation works on an ``(p-1)/q``-bit exponent —
         by far the costliest single operation in a coin verification — and
         ``F`` is deterministic, so the result is memoized per
-        ``(p, q, data)``. The logical ``Hash`` event is recorded on every
-        call, hit or miss.
+        ``(p, q, *parts)``: a hit neither encodes nor digests the parts.
+        The logical ``Hash`` event is recorded on every call, hit or miss.
         """
         counters.record_hash()
-        data = encode_for_hash(*parts)
         element = cast(
             int,
-            perf.verify_memo(
-                "hash-F", ("F", self.group.p, self.group.q, data), lambda: self._hash_to_group(data)
+            perf.memoized(
+                "hash-F",
+                (self.group.p, self.group.q, *parts),
+                lambda: self._hash_to_group(encode_for_hash(*parts)),
             ),
         )
         # ``z = F(info)`` recurs as an exponentiation base in every

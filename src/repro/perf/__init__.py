@@ -13,9 +13,10 @@ logical count or protocol value:
 * :mod:`~repro.perf.multiexp` — products of powers for the verification
   equations: one table walk over every tabled base, one ``powmod`` per
   other base;
-* :mod:`~repro.perf.cache` — bounded memoization of hot re-verified
-  artifacts (coin signatures, witness-range entries, commitments,
-  gossip directories);
+* :mod:`~repro.perf.cache` — bounded memoization of values many coins
+  share (``F(info)``, witness-range entries, gossip directories). A
+  party checks each coin once, so a coin's own verdicts are never
+  memoized: they would not repeat in one process;
 * :mod:`~repro.perf.batch` — memoized subgroup membership, and
   small-random-exponent certification of fast-path commitment recoveries.
 

@@ -1,17 +1,17 @@
-"""Bounded memoization caches for hot re-verified artifacts.
+"""Bounded memoization caches for values many operations share.
 
-Coins, witness-range entries, witness commitments and gossip directories
-are immutable once signed, yet the protocols re-verify them at every hop:
-the same coin signature is checked by the merchant, the witness and the
-broker; the same directory signature is checked by every overlay member.
-A :class:`MemoCache` stores the verification result keyed by the
-serialized message + signature so the second and later checks are a
-dictionary lookup.
+A party checks each coin, transcript and commitment once, so a verdict
+on one of them never repeats inside one process: memoizing it would
+only store a key per coin. What does repeat is a value shared by many
+coins: ``z = F(info)`` for the handful of public ``info`` values, a
+signed witness-range entry that travels with every coin of its
+merchant, the membership of a recurring verification key, a gossiped
+directory. A :class:`MemoCache` stores such a value keyed by what it is
+computed from, so the second and later uses are a dictionary lookup.
 
-Caches are LRU-bounded (signatures over long-lived artifacts dominate
-hits; evicting cold entries caps memory) and count their own hits and
-misses (:func:`hit_stats`, always on, so a daemon can report them) as
-well as reporting them to :mod:`repro.obs` under
+Caches are LRU-bounded (evicting cold entries caps memory) and count
+their own hits and misses (:func:`hit_stats`, always on, so a daemon can
+report them) as well as reporting them to :mod:`repro.obs` under
 ``perf_verify_cache_hits_total`` / ``perf_verify_cache_misses_total``
 with a ``cache=<name>`` label.
 """
@@ -57,7 +57,6 @@ class MemoCache:
 
     def get(self, key: object) -> object:
         """Return the cached value or the module-private MISSING sentinel."""
-        key = _normalize(key)
         value = self._data.get(key, _MISSING)
         if value is not _MISSING:
             self._data.move_to_end(key)
@@ -65,7 +64,6 @@ class MemoCache:
 
     def put(self, key: object, value: object) -> None:
         """Store a value, evicting the least-recently-used beyond the bound."""
-        key = _normalize(key)
         self._data[key] = value
         self._data.move_to_end(key)
         while len(self._data) > self.max_size:
@@ -106,6 +104,7 @@ def memoized(
             accounting identical whether or not the cache fires.
     """
     store = cache(name)
+    key = _normalize(key)
     value = store.get(key)
     if value is not _MISSING:
         store.hits += 1

@@ -253,11 +253,13 @@ def test_the_next_batch_is_on_the_wire_before_this_reply_is_read(params):
     assert taken == 2
     assert [as_int(reply[f"r{index}"]["amount"]) for index in range(COINS)] == amounts
     # ``admin/stats`` reports each memo's hits and misses beside its entry
-    # count; every transcript was looked up in the broker's memo.
+    # count; every coin's ``z = F(info)`` was looked up in the broker's
+    # ``hash-F`` memo, and the coins share a few ``info`` values.
     memo = stats["memo"]
     assert set(memo) == set(stats["perf"]) - {"fixed-base-tables"}
-    signed = memo["signed-transcript"]
-    assert signed["hits"] + signed["misses"] >= COINS
+    shared = memo["hash-F"]
+    assert shared["hits"] + shared["misses"] >= COINS
+    assert shared["hits"] > shared["misses"]
 
 
 def test_batches_keep_chunk_order_on_the_connection_after_a_broker_restart(params):

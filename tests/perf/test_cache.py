@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro import perf
 from repro.crypto.counters import OpCounter, counting
-from repro.perf.cache import MemoCache, _MISSING, _normalize, memoized
+from repro.perf.cache import MemoCache, _MISSING, _normalize, cache, memoized
 
 
 class TestMemoCache:
@@ -31,10 +31,11 @@ class TestMemoCache:
         assert len(_normalize(blob_a)) == 32
         # Short byte strings and non-bytes survive untouched; tuples recurse.
         assert _normalize((b"short", 7, blob_a)) == (b"short", 7, _normalize(blob_a))
-        store = MemoCache("t")
-        store.put(("sig", blob_a), True)
-        assert store.get(("sig", blob_a)) is True
-        assert store.get(("sig", blob_b)) is _MISSING
+        # ``memoized`` normalizes a key once and stores it digested.
+        memoized("memo-digest", ("sig", blob_a), lambda: True)
+        store = cache("memo-digest")
+        assert store.get(("sig", _normalize(blob_a))) is True
+        assert store.get(("sig", _normalize(blob_b))) is _MISSING
 
 
 class TestMemoized:
