@@ -413,7 +413,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.daemon.service import serve
 
     try:
-        asyncio.run(
+        return asyncio.run(
             serve(
                 args.dir,
                 args.name,
@@ -423,8 +423,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             )
         )
     except KeyboardInterrupt:
-        pass
-    return 0
+        return 0
 
 
 def _cmd_store(args: argparse.Namespace) -> int:

@@ -63,8 +63,6 @@ class Merchant:
     broker_sign_public: int
     witness_keys: dict[str, int] = field(default_factory=dict)
     rng: random.Random | None = None
-    accepted: list[SignedTranscript] = field(default_factory=list)
-    deposited: list[SignedTranscript] = field(default_factory=list)
     refused_double_spends: list[DoubleSpendProof] = field(default_factory=list)
     _seen_bare_coins: set[object] = field(default_factory=set)
     #: Accepted-but-undeposited transcripts, in acceptance order (a dict
@@ -151,7 +149,6 @@ class Merchant:
         witness_public = self._witness_public(signed.transcript.coin)
         if not signed.verify_witness_signature(self.params, witness_public):
             raise InvalidPaymentError("witness signature on transcript failed to verify")
-        self.accepted.append(signed)
         self._pending[signed] = None
         self._seen_bare_coins.add(signed.transcript.coin.bare)
 
@@ -178,8 +175,7 @@ class Merchant:
         return list(self._pending)
 
     def mark_deposited(self, signed: SignedTranscript) -> None:
-        """Record a successful deposit."""
-        self.deposited.append(signed)
+        """Record a successful deposit: the transcript is no longer kept."""
         self._pending.pop(signed, None)
 
     def _witness_public(self, coin: Coin) -> int:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import asyncio
 import os
 import random
+import sys
 import time
 from collections import deque
 from collections.abc import Awaitable, Coroutine, Generator, Mapping
@@ -108,6 +109,10 @@ class DaemonNode:
             daemons); shares this node's meter when provided.
         recovery: what the durable store's recovery did before this
             node was built (a durable daemon); ``admin/stats`` reports it.
+        fatal: exception types that stop the node: a handler that raised
+            one gets its error frame written, then the node answers no
+            further frame and shuts down (a durable daemon's
+            :class:`~repro.store.StoreError`).
     """
 
     def __init__(
@@ -120,6 +125,7 @@ class DaemonNode:
         clock: DaemonClock,
         transport: SocketTransport | None = None,
         recovery: RecoveryStats | None = None,
+        fatal: tuple[type[Exception], ...] = (),
     ) -> None:
         self.identity = identity
         self.authorized = dict(authorized)
@@ -128,6 +134,9 @@ class DaemonNode:
         self.clock = clock
         self.transport = transport
         self.recovery = recovery
+        self.fatal = fatal
+        #: The fatal error that stopped this node, once one did.
+        self.failure: Exception | None = None
         #: CPU milliseconds this process had used when the listener bound:
         #: interpreter start, imports, system construction and recovery.
         self.startup_cpu_ms = 0.0
@@ -168,11 +177,18 @@ class DaemonNode:
         self.startup_cpu_ms = time.process_time() * 1000.0
 
     async def serve_until_shutdown(self) -> None:
-        """Serve until ``admin/shutdown`` arrives, then close cleanly."""
+        """Serve until ``admin/shutdown`` arrives, then close cleanly.
+
+        Raises:
+            Exception: the :attr:`fatal` error a handler raised, once the
+                node has stopped.
+        """
         if self._server is None:
             await self.start()
         await self._shutdown.wait()
         await self.stop()
+        if self.failure is not None:
+            raise self.failure
 
     async def stop(self) -> None:
         """Close the listener, open tasks and connections, outbound ones too.
@@ -294,9 +310,9 @@ class _ServerConnection(FrameProtocol):
         self.start_frames()
 
     def frame_received(self, frame: Frame) -> None:
-        if frame.kind != KIND_REQUEST:
-            return  # stray control/response frames are ignored
         node = self.node
+        if frame.kind != KIND_REQUEST or node.failure is not None:
+            return  # stray control/response frames, or a stopping node
         started = time.perf_counter()
         try:
             method, payload = wire.parse_request(frame.body)
@@ -405,6 +421,11 @@ class _ServerConnection(FrameProtocol):
         )
         if method == "admin/shutdown":
             node._shutdown.set()
+        elif isinstance(outcome, node.fatal) and node.failure is None:
+            # Fail stop: the party's memory may hold what its disk refused,
+            # so nothing more is answered from it in this life.
+            node.failure = outcome
+            node._shutdown.set()
 
 
 class _Daemon:
@@ -426,6 +447,9 @@ class _Daemon:
             the party methods the handlers call. ``None`` keeps the daemon
             memory-only; it never imports the store. The store is one
             shard: one WAL and one snapshot, replayed into memory on open.
+            A handler that raises a :class:`~repro.store.StoreError` stops
+            the daemon after its error frame is written; the next life
+            recovers only what the disk holds.
     """
 
     transport: SocketTransport | None = None
@@ -443,11 +467,13 @@ class _Daemon:
         self.clock = DaemonClock()
         self.store: Store | None = None
         self.recovery: RecoveryStats | None = None
+        fatal: tuple[type[Exception], ...] = ()
         if state_dir is not None:
-            from repro.store import Store
+            from repro.store import Store, StoreError
 
             self.store = Store(state_dir, backend="memory", shards=1)
             self.recovery = self._attach(self.store)
+            fatal = (StoreError,)
         self.node = DaemonNode(
             identity=identity,
             authorized=authorized,
@@ -457,6 +483,7 @@ class _Daemon:
             clock=self.clock,
             transport=self.transport,
             recovery=self.recovery,
+            fatal=fatal,
         )
 
     def _attach(self, store: Store) -> RecoveryStats:
@@ -468,7 +495,8 @@ class _Daemon:
         raise NotImplementedError
 
     def close_store(self) -> None:
-        """Flush and release the durable store (no-op when memory-only)."""
+        """Flush and release the durable store (no-op when memory-only); a
+        failed store is only released."""
         if self.store is not None:
             self.store.close()
             self.store = None
@@ -626,8 +654,13 @@ async def serve(
     host: str | None = None,
     port: int | None = None,
     state_dir: str | None = None,
-) -> None:
-    """Run one daemon until ``admin/shutdown`` — the ``serve`` CLI body."""
+) -> int:
+    """Run one daemon until ``admin/shutdown`` — the ``serve`` CLI body.
+
+    Returns:
+        The exit code: 0 after a shutdown, 1 when a store failure stopped
+        the daemon (its error is printed on stderr).
+    """
     # Store open/recovery happens once, before the listener accepts its
     # first connection; nothing concurrent exists yet to starve.
     daemon = build_daemon(directory, name, host, port, state_dir)  # lint: ignore[async-safety]
@@ -648,8 +681,12 @@ async def serve(
     )
     try:
         await daemon.node.serve_until_shutdown()
+    except daemon.node.fatal as error:
+        print(f"{name} stopped: {type(error).__name__}: {error}", file=sys.stderr, flush=True)
+        return 1
     finally:
         daemon.close_store()
+    return 0
 
 
 __all__ = [

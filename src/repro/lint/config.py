@@ -187,11 +187,11 @@ BLOCKING_QUALNAMES: frozenset[str] = frozenset(
 )
 
 #: Repo exceptions that deliberately travel as opaque internal-error
-#: frames (never rebuilt by name on the client): the store's corruption
-#: family is an operational failure of the serving node, not a protocol
-#: outcome the peer should interpret.
+#: frames (never rebuilt by name on the client): a store failure ends the
+#: serving daemon after that frame, so it is the node's own failure, not a
+#: protocol outcome the peer should interpret.
 OPAQUE_EXCEPTIONS: frozenset[str] = frozenset(
-    {"StoreError", "StoreIOError", "StoreCorruptError", "StoreConfigError"}
+    {"StoreError", "StoreIOError", "StoreCorruptError"}
 )
 
 

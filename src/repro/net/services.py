@@ -122,11 +122,36 @@ class NetworkDeployment:
 
         The span opens when the process first executes and closes when it
         returns (or raises), so its duration is the protocol's simulated
-        wall time, not host time.
+        wall time, not host time. It is current only while one step of the
+        process runs: a process that starts while this one is suspended is
+        not its child, and no context variable is held across a ``yield``.
         """
-        with obs.span(name, clock=lambda: self.sim.now, **attributes):
-            result = yield from process
-        return result
+        if not obs.is_enabled():
+            return (yield from process)
+        span = obs.span(name, clock=lambda: self.sim.now, **attributes).open()
+        reply: Any = None
+        failure: Exception | None = None
+        try:
+            while True:
+                try:
+                    if failure is None:
+                        step = span.run(process.send, reply)
+                    else:
+                        step = span.run(process.throw, failure)
+                except StopIteration as stop:
+                    span.close()
+                    return stop.value
+                try:
+                    reply, failure = (yield step), None
+                except GeneratorExit:
+                    process.close()
+                    raise
+                except Exception as thrown:
+                    failure = thrown
+                    reply = None
+        except BaseException as error:
+            span.close(type(error).__name__)
+            raise
 
     # ------------------------------------------------------------------
     # Client-side protocol processes

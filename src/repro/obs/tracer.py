@@ -8,10 +8,10 @@ payment. Timestamps come from an injectable clock — wall clock by default,
 or the discrete-event simulator's clock for networked runs, so simulated
 traces carry simulated time.
 
-Parent tracking uses a :class:`contextvars.ContextVar`; interleaved
-generator processes on one event loop share that context, so concurrent
-simulated spans may attribute a parent loosely — durations and counts stay
-exact, which is what the telemetry consumes.
+Parent tracking uses a :class:`contextvars.ContextVar`. Interleaved
+generator processes on one event loop share that context, so a process's
+span is made current only while one of its steps runs
+(:meth:`ActiveSpan.run`), never across a suspension.
 """
 
 from __future__ import annotations
@@ -21,11 +21,12 @@ import threading
 import time
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, TypeVar
 
 from repro.obs.registry import MetricsRegistry
 
 Clock = Callable[[], float]
+_T = TypeVar("_T")
 
 _CURRENT: ContextVar[tuple[int, int] | None] = ContextVar("obs_current_span", default=None)
 
@@ -100,6 +101,20 @@ class ActiveSpan:
             self.trace_id, self.parent_id = parent[0], parent[1]
         self.start = self._clock()
         return self
+
+    def run(self, step: Callable[..., _T], *args: object) -> _T:
+        """Call ``step(*args)`` with this opened span current, then make the
+        span current before it current again.
+
+        For work that is suspended between steps (a generator process):
+        the span is current only while one of its steps runs, so work that
+        starts while it is suspended is not its child.
+        """
+        token = _CURRENT.set((self.trace_id, self.span_id))
+        try:
+            return step(*args)
+        finally:
+            _CURRENT.reset(token)
 
     def close(self, error: str | None = None) -> None:
         """Finish the span, naming the exception type that ended it, if any."""

@@ -6,8 +6,8 @@ crash re-opens the exact window the witness layer closes. This package
 provides that memory as three small layers:
 
 * :class:`~repro.store.wal.WriteAheadLog` — an append-only journal of
-  length-prefixed, CRC-checked records with batched fsync; every
-  mutation is journaled *before* it is acknowledged;
+  length-prefixed, CRC-checked records; every mutation is journaled and
+  fsynced *before* it is acknowledged;
 * :class:`~repro.store.shard.Shard` — one journaled partition: WAL +
   atomic snapshot + a materialized :class:`~repro.store.backend.KVBackend`
   (in memory for the daemons and simulations; SQLite is kept for the
@@ -16,16 +16,17 @@ provides that memory as three small layers:
   journal alone;
 * :class:`~repro.store.store.Store` — a fixed set of shards routed by
   coin-hash prefix, aligned with the witness ranges that already
-  partition ``[0, 2^k)``.
+  partition ``[0, 2^k)``; recovery and compaction run here only.
 
-Transient IO errors retry with seeded backoff
-(:class:`~repro.store.retry.RetryPolicy`) before surfacing as the typed
-:class:`~repro.store.errors.StoreIOError`; structural damage beyond a
-torn final WAL record raises
-:class:`~repro.store.errors.StoreCorruptError`. ``repro.core.persistence``
-builds broker/witness journaling on top; ``repro.daemon`` wires recovery
-into the broker process (``--state-dir``); ``repro.faults`` crash-tests
-the whole path.
+The store fails stop: the first failed write, fsync, truncate or
+replace raises :class:`~repro.store.errors.StoreIOError`, and every later
+mutation raises it again — nothing is retried, and the owner's next life
+recovers only what the disk holds. Structural damage beyond a torn final
+WAL record raises :class:`~repro.store.errors.StoreCorruptError`.
+``repro.core.persistence`` builds broker/witness journaling on top;
+``repro.daemon`` wires recovery into every durable daemon
+(``--state-dir``) and exits on a store failure; ``repro.faults``
+crash-tests the whole path.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from repro.store.backend import (
     make_backend,
 )
 from repro.store.errors import StoreCorruptError, StoreError, StoreIOError
-from repro.store.retry import RetryPolicy, with_retries
 from repro.store.shard import RecoveryStats, SNAPSHOT_VERSION, Shard
 from repro.store.store import (
     MANIFEST_VERSION,
@@ -56,7 +56,6 @@ __all__ = [
     "MANIFEST_VERSION",
     "MemoryBackend",
     "RecoveryStats",
-    "RetryPolicy",
     "SHARDED_SPACES",
     "SNAPSHOT_VERSION",
     "SQLiteBackend",

@@ -1,12 +1,14 @@
 """Typed failures of the durable-storage subsystem.
 
-The store distinguishes *transient* IO trouble from *permanent* damage
-because callers recover differently: an :class:`StoreIOError` means the
-write path gave up after bounded retries (the daemon should surface the
-RPC as failed and let the client retry — nothing was acknowledged), while
-a :class:`StoreCorruptError` means the on-disk journal or snapshot is
-structurally damaged beyond the torn-tail case the recovery path heals
-automatically, and an operator has to intervene.
+The store fails stop. The first :class:`OSError` of a write, fsync,
+truncate or replace raises :class:`StoreIOError` and poisons the store:
+every later mutation raises the same error, because memory may already
+hold what the disk does not (a failed fsync may have dropped the dirty
+pages, so a second fsync proves nothing). Nothing is retried; the owner
+shuts down and its next life recovers only what the disk holds. A
+:class:`StoreCorruptError` means the on-disk journal or snapshot is
+structurally damaged beyond the torn-tail case recovery heals, and an
+operator has to intervene.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ class StoreError(Exception):
 
 
 class StoreIOError(StoreError):
-    """A filesystem operation kept failing after bounded retries."""
+    """A filesystem write failed; the store refuses every later mutation."""
 
 
 class StoreCorruptError(StoreError):

@@ -3,8 +3,9 @@
 Every mutation follows the same discipline:
 
 1. encode the operation as JSON and :meth:`append <WriteAheadLog.append>`
-   it to the shard's WAL (``ack`` flushes/fsyncs first — the caller only
-   acknowledges *after* the journal is durable);
+   it to the shard's WAL (fsynced at once, or at the commit point of the
+   store operation it belongs to — the caller only acknowledges *after*
+   the journal is durable);
 2. apply it to the backend.
 
 Recovery inverts that: clear the backend, load the last snapshot (an
@@ -17,31 +18,46 @@ snapshot + journal materialize the same logical state regardless of
 backend — that is the cross-backend recovery-identity property the chaos
 suite asserts.
 
-Compaction = write a new snapshot of the current state (tmp file, fsync,
-``os.replace``) and reset the WAL. A crash at any point leaves either the
-old snapshot + full WAL or the new snapshot + (possibly still-full) WAL —
-both recover to the same state.
+A shard is driven by its :class:`~repro.store.store.Store`, which owns
+recovery (commit markers on one shard commit records on another) and
+compaction: write a new snapshot of the current state (tmp file, fsync,
+``os.replace``), then reset the WAL. A crash at any point leaves either
+the old snapshot + full WAL or the new snapshot + (possibly still-full)
+WAL — both recover to the same state.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import random
-import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
-from repro import obs
 from repro.store.backend import KVBackend, make_backend
-from repro.store.errors import StoreCorruptError
-from repro.store.retry import RetryPolicy, with_retries
+from repro.store.errors import StoreCorruptError, StoreIOError
 from repro.store.wal import WriteAheadLog
 
 #: Snapshot format version, checked on load.
 SNAPSHOT_VERSION = 1
+
+
+def write_atomically(path: Path, payload: bytes) -> None:
+    """Replace ``path`` with ``payload``: tmp file, fsync, ``os.replace``.
+
+    A crash leaves the old file or the new one, never a truncated one.
+
+    Raises:
+        StoreIOError: a write, the fsync or the replace failed.
+    """
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(payload)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except OSError as error:
+        raise StoreIOError(f"write {path.name} failed: {error}") from error
 
 
 @dataclass(frozen=True)
@@ -90,35 +106,13 @@ class Shard:
         directory: the shard's directory (``wal.log``, ``snapshot.json``
             and the backend's data file live here).
         backend: backend name — ``"memory"`` or ``"sqlite"``.
-        fsync_every: WAL group-commit width.
-        retry: IO retry budget shared by WAL and snapshot writes.
-        rng: seeded randomness for retry jitter.
-        sleep: retry pause implementation (tests inject a no-op).
     """
 
-    def __init__(
-        self,
-        directory: str | Path,
-        *,
-        backend: str = "memory",
-        fsync_every: int = 1,
-        retry: RetryPolicy | None = None,
-        rng: random.Random | None = None,
-        sleep: Callable[[float], None] | None = None,
-    ) -> None:
+    def __init__(self, directory: str | Path, *, backend: str = "memory") -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.backend_kind = backend
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.rng = rng if rng is not None else random.Random("repro.store.shard")
-        self.sleep = sleep
-        self.wal = WriteAheadLog(
-            self.directory / "wal.log",
-            fsync_every=fsync_every,
-            retry=self.retry,
-            rng=self.rng,
-            sleep=sleep,
-        )
+        self.wal = WriteAheadLog(self.directory / "wal.log")
         self.backend: KVBackend = make_backend(backend, self.directory / "data.db")
 
     @property
@@ -171,17 +165,6 @@ class Shard:
             defer=True,
         )
 
-    def ack(self) -> None:
-        """Durability barrier: fsync the WAL before acknowledging a caller."""
-        self.wal.flush()
-
-    # ------------------------------------------------------------------
-    # Reading
-    # ------------------------------------------------------------------
-    def get(self, space: str, key: str) -> object | None:
-        """Return the value at ``(space, key)``, or ``None``."""
-        return self.backend.get(space, key)
-
     def dump(self) -> dict[str, dict[str, object]]:
         """The shard's whole logical state: ``{space: {key: value}}``."""
         return {space: dict(self.backend.items(space)) for space in self.backend.spaces()}
@@ -189,36 +172,6 @@ class Shard:
     # ------------------------------------------------------------------
     # Recovery / compaction
     # ------------------------------------------------------------------
-    def recover(self) -> RecoveryStats:
-        """Rebuild the backend from snapshot + WAL replay.
-
-        A standalone shard resolves commit markers against its own WAL
-        only; a :class:`~repro.store.store.Store` orchestrates recovery
-        itself (via :meth:`load_base` / :meth:`apply_ops`) so markers on
-        one shard commit records on another.
-
-        Returns:
-            Per-shard :class:`RecoveryStats`.
-
-        Raises:
-            StoreCorruptError: snapshot unreadable, or WAL damage beyond
-                a torn tail.
-        """
-        started = time.perf_counter()
-        snapshot_records, ops = self.load_base()
-        committed, _highest = committed_txns([ops])
-        applied, discarded = self.apply_ops(ops, committed)
-        elapsed_ms = (time.perf_counter() - started) * 1000.0
-        obs.observe("store_replay_ms", elapsed_ms)
-        obs.counter_inc("store_replayed_records_total", float(applied))
-        return RecoveryStats(
-            snapshot_records=snapshot_records,
-            replayed_records=applied,
-            truncated_bytes=self.wal.truncated_bytes,
-            replay_ms=elapsed_ms,
-            discarded_records=discarded,
-        )
-
     def load_base(self) -> tuple[int, list[dict[str, object]]]:
         """Clear the backend, load the snapshot, read the healed WAL.
 
@@ -257,45 +210,22 @@ class Shard:
         self.backend.flush()
         return applied, discarded
 
-    def compact(self) -> None:
-        """Snapshot current state atomically, then reset the WAL.
-
-        The snapshot lands via tmp file + fsync + ``os.replace``; a crash
-        between the replace and the WAL reset leaves the stale-snapshot +
-        longer-WAL layout that :meth:`recover` handles idempotently.
-        """
-        self.write_snapshot()
-        self.wal.reset()
-        self.backend.flush()
-
     def write_snapshot(self) -> None:
         """Write an atomic snapshot of current state, leaving the WAL alone.
 
-        Split from :meth:`compact` so the store can snapshot *every*
-        shard before resetting *any* WAL — commit markers must outlive
-        all journal records they commit, even across shards.
+        The store snapshots *every* shard before resetting *any* WAL —
+        commit markers must outlive all journal records they commit,
+        even across shards.
+
+        Raises:
+            StoreIOError: writing, fsyncing or replacing the file failed.
         """
         payload = json.dumps(
             {"version": SNAPSHOT_VERSION, "spaces": self.dump()},
             sort_keys=True,
             separators=(",", ":"),
         ).encode("utf-8")
-        tmp = self.snapshot_path.with_suffix(".json.tmp")
-
-        def write_file() -> None:
-            with open(tmp, "wb") as handle:
-                handle.write(payload)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, self.snapshot_path)
-
-        with_retries(
-            write_file,
-            policy=self.retry,
-            rng=self.rng,
-            describe=f"write snapshot {self.snapshot_path.name}",
-            sleep=self.sleep,
-        )
+        write_atomically(self.snapshot_path, payload)
 
     def verify(self) -> list[str]:
         """Check snapshot parseability and WAL integrity without mutating."""
@@ -313,24 +243,13 @@ class Shard:
                     )
         return problems
 
-    def state_digest(self) -> str:
-        """SHA-256 over the canonical JSON dump of the logical state.
-
-        Backend- and history-independent: two shards that recovered the
-        same journal produce the same digest.
-        """
-        canonical = json.dumps(
-            self.dump(), sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
-        return hashlib.sha256(canonical).hexdigest()
-
     def flush(self) -> None:
         """Fsync the WAL and commit the backend."""
         self.wal.flush()
         self.backend.flush()
 
     def close(self) -> None:
-        """Flush everything and release file handles."""
+        """Release file handles (the store flushes first while it is healthy)."""
         self.wal.close()
         self.backend.close()
 
@@ -370,4 +289,4 @@ class Shard:
             raise StoreCorruptError(f"unknown journal operation {op!r}")
 
 
-__all__ = ["RecoveryStats", "SNAPSHOT_VERSION", "Shard", "committed_txns"]
+__all__ = ["RecoveryStats", "SNAPSHOT_VERSION", "Shard", "committed_txns", "write_atomically"]

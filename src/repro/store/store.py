@@ -16,6 +16,12 @@ on reopen — resharding is a migration, not an accident.
 
 ``dump``/``state_digest`` merge all shards into one logical state, so
 the digest is invariant under both shard count and backend choice.
+
+The store fails stop: the first :class:`~repro.store.errors.StoreIOError`
+of any shard poisons the whole store, and every later ``begin``, ``put``,
+``delete``, ``commit``, ``flush`` or ``compact`` raises it. The memory of
+the party above may already hold what the disk refused, so no journal
+scope may open again in this life; ``close`` only releases file handles.
 """
 
 from __future__ import annotations
@@ -24,17 +30,14 @@ import contextlib
 import hashlib
 import itertools
 import json
-import os
-import random
 import time
 import zlib
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro import obs
-from repro.store.errors import StoreCorruptError
-from repro.store.retry import RetryPolicy, with_retries
-from repro.store.shard import RecoveryStats, Shard, committed_txns
+from repro.store.errors import StoreCorruptError, StoreIOError
+from repro.store.shard import RecoveryStats, Shard, committed_txns, write_atomically
 from repro.store.wal import scan_wal_bytes
 
 #: Base space names routed by key; every other space pins to shard 0.
@@ -62,55 +65,36 @@ def shard_index(key: str, shards: int) -> int:
 
 
 class Store:
-    """A fixed set of shards behind one put/get/delete surface.
+    """A fixed set of shards behind one put/delete surface.
 
     Args:
         directory: the store's root directory (manifest + ``shard-NN``
             subdirectories live here).
         backend: backend name for every shard (``"memory"``/``"sqlite"``).
         shards: number of shards; fixed at creation by the manifest.
-        fsync_every: WAL group-commit width per shard.
-        retry: IO retry budget.
-        rng: seeded randomness for retry jitter.
-        sleep: retry pause implementation (tests inject a no-op).
 
     Raises:
         StoreCorruptError: the directory has a manifest that disagrees
             with the requested layout (shard count) or is unreadable.
+        StoreIOError: writing a new manifest failed.
     """
 
     def __init__(
-        self,
-        directory: str | Path,
-        *,
-        backend: str = "memory",
-        shards: int = 4,
-        fsync_every: int = 1,
-        retry: RetryPolicy | None = None,
-        rng: random.Random | None = None,
-        sleep: Callable[[float], None] | None = None,
+        self, directory: str | Path, *, backend: str = "memory", shards: int = 4
     ) -> None:
         if shards < 1:
             raise ValueError("a store needs at least one shard")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.backend_kind = backend
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.rng = rng if rng is not None else random.Random("repro.store")
-        self._manifest_sleep = sleep
         self.shard_count = self._check_manifest(shards, backend)
+        #: The first IO failure of any shard; once set, every write raises it.
+        self.failure: StoreIOError | None = None
         self._active_txn: int | None = None
         self._txn_touched: set[int] = set()
         self._txn_counter: itertools.count[int] | None = None
         self.shards = [
-            Shard(
-                self.directory / f"shard-{index:02d}",
-                backend=backend,
-                fsync_every=fsync_every,
-                retry=self.retry,
-                rng=self.rng,
-                sleep=sleep,
-            )
+            Shard(self.directory / f"shard-{index:02d}", backend=backend)
             for index in range(self.shard_count)
         ]
 
@@ -122,10 +106,6 @@ class Store:
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    def shard_for(self, space: str, key: str) -> Shard:
-        """The shard owning ``(space, key)`` under prefix routing."""
-        return self.shards[self._route(space, key)]
-
     def _route(self, space: str, key: str) -> int:
         base = space.split(":", 1)[0]
         if base in SHARDED_SPACES:
@@ -133,37 +113,34 @@ class Store:
         return 0
 
     # ------------------------------------------------------------------
-    # Mutation / reads (delegate to the owning shard)
+    # Mutation (delegate to the owning shard)
     # ------------------------------------------------------------------
     def put(self, space: str, key: str, value: object) -> None:
         """Journal and apply an upsert on the owning shard."""
         index = self._route(space, key)
-        self.shards[index].put(space, key, value, txn=self._active_txn)
+        with self._fail_stop():
+            self.shards[index].put(space, key, value, txn=self._active_txn)
         if self._active_txn is not None:
             self._txn_touched.add(index)
 
     def delete(self, space: str, key: str) -> None:
         """Journal and apply a deletion on the owning shard."""
         index = self._route(space, key)
-        self.shards[index].delete(space, key, txn=self._active_txn)
+        with self._fail_stop():
+            self.shards[index].delete(space, key, txn=self._active_txn)
         if self._active_txn is not None:
             self._txn_touched.add(index)
 
-    def get(self, space: str, key: str) -> object | None:
-        """Read the decoded value from the owning shard."""
-        return self.shard_for(space, key).get(space, key)
-
-    def ack(self) -> None:
-        """Durability barrier across all shards (fsync each dirty WAL).
-
-        Inside an open :meth:`operation` this is a no-op: the operation's
-        records must not become effective until its commit marker lands,
-        and :meth:`commit` is the single durability point.
-        """
-        if self._active_txn is not None:
-            return
-        for shard in self.shards:
-            shard.ack()
+    @contextlib.contextmanager
+    def _fail_stop(self) -> Iterator[None]:
+        """Raise the store's earlier failure, or keep this block's as it."""
+        if self.failure is not None:
+            raise self.failure
+        try:
+            yield
+        except StoreIOError as error:
+            self.failure = error
+            raise
 
     # ------------------------------------------------------------------
     # Atomic logical operations
@@ -196,8 +173,11 @@ class Store:
         """Open a transaction scope (prefer :meth:`operation`).
 
         Raises:
+            StoreIOError: the store has failed.
             RuntimeError: an operation is already open.
         """
+        if self.failure is not None:
+            raise self.failure
         if self._active_txn is not None:
             raise RuntimeError("a store operation is already open")
         if self._txn_counter is None:
@@ -214,22 +194,24 @@ class Store:
         absent marker means recovery discards the half-written operation.
 
         Raises:
+            StoreIOError: the store has failed, now or earlier.
             RuntimeError: no operation is open.
         """
-        if self._active_txn is None:
-            raise RuntimeError("no store operation is open")
-        txn = self._active_txn
-        touched = sorted(self._txn_touched)
-        self._active_txn = None
-        self._txn_touched = set()
-        if not touched:
-            return
-        marker = touched[0]
-        for index in touched:
-            if index != marker:
-                self.shards[index].wal.flush()
-        self.shards[marker].append_commit(txn)
-        self.shards[marker].wal.flush()
+        with self._fail_stop():
+            if self._active_txn is None:
+                raise RuntimeError("no store operation is open")
+            txn = self._active_txn
+            touched = sorted(self._txn_touched)
+            self._active_txn = None
+            self._txn_touched = set()
+            if not touched:
+                return
+            marker = touched[0]
+            for index in touched:
+                if index != marker:
+                    self.shards[index].wal.flush()
+            self.shards[marker].append_commit(txn)
+            self.shards[marker].wal.flush()
 
     def abort(self) -> None:
         """Close the open operation without committing it.
@@ -241,11 +223,6 @@ class Store:
         """
         self._active_txn = None
         self._txn_touched = set()
-
-    @property
-    def in_operation(self) -> bool:
-        """Whether an atomic operation scope is currently open."""
-        return self._active_txn is not None
 
     def _scan_highest_txn(self) -> int:
         """Highest transaction id in the on-disk WALs (0 when none).
@@ -290,7 +267,8 @@ class Store:
         acknowledged to any caller.
         """
         started = time.perf_counter()
-        bases = [shard.load_base() for shard in self.shards]
+        with self._fail_stop():
+            bases = [shard.load_base() for shard in self.shards]
         committed, highest = committed_txns([ops for _count, ops in bases])
         self._txn_counter = itertools.count(highest + 1)
         applied_total = 0
@@ -320,15 +298,17 @@ class Store:
         recovery already replays idempotently.
 
         Raises:
+            StoreIOError: the store has failed, now or earlier.
             RuntimeError: called inside an open :meth:`operation`.
         """
         if self._active_txn is not None:
             raise RuntimeError("cannot compact inside an open store operation")
-        for shard in self.shards:
-            shard.write_snapshot()
-        for shard in self.shards:
-            shard.wal.reset()
-            shard.backend.flush()
+        with self._fail_stop():
+            for shard in self.shards:
+                shard.write_snapshot()
+            for shard in self.shards:
+                shard.wal.reset()
+                shard.backend.flush()
 
     def verify(self) -> list[str]:
         """Collect integrity problems from the manifest and every shard."""
@@ -359,13 +339,18 @@ class Store:
 
     def flush(self) -> None:
         """Fsync every WAL and commit every backend."""
-        for shard in self.shards:
-            shard.flush()
+        with self._fail_stop():
+            for shard in self.shards:
+                shard.flush()
 
     def close(self) -> None:
-        """Flush and release every shard."""
-        for shard in self.shards:
-            shard.close()
+        """Flush (unless the store has failed) and release every shard."""
+        try:
+            if self.failure is None:
+                self.flush()
+        finally:
+            for shard in self.shards:
+                shard.close()
 
     # ------------------------------------------------------------------
     # Internals
@@ -399,41 +384,18 @@ class Store:
                     "recorded layout"
                 )
             return recorded
-        # Written like a snapshot — tmp file + fsync + os.replace — so a
-        # crash during store creation leaves either no manifest (a fresh
-        # start) or a complete one, never a truncated file every later
-        # open would reject as corrupt.
+        # Written like a snapshot, so a crash during store creation leaves
+        # either no manifest (a fresh start) or a complete one, never a
+        # truncated file every later open would reject as corrupt.
         payload = json.dumps(
             {"version": MANIFEST_VERSION, "shards": shards, "backend": backend},
             sort_keys=True,
         ).encode("utf-8")
-        tmp = self.manifest_path.with_suffix(".json.tmp")
-
-        def write_manifest() -> None:
-            with open(tmp, "wb") as handle:
-                handle.write(payload)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, self.manifest_path)
-
-        with_retries(
-            write_manifest,
-            policy=self.retry,
-            rng=self.rng,
-            describe=f"write manifest {self.manifest_path.name}",
-            sleep=self._manifest_sleep,
-        )
+        write_atomically(self.manifest_path, payload)
         return shards
 
 
-def open_store(
-    directory: str | Path,
-    *,
-    fsync_every: int = 1,
-    retry: RetryPolicy | None = None,
-    rng: random.Random | None = None,
-    sleep: Callable[[float], None] | None = None,
-) -> Store:
+def open_store(directory: str | Path) -> Store:
     """Open an existing store using the layout its manifest records.
 
     Unlike :class:`Store`, which takes the layout as arguments (and
@@ -458,10 +420,6 @@ def open_store(
         directory,
         backend=str(manifest.get("backend", "memory")),
         shards=int(manifest.get("shards", 1)),
-        fsync_every=fsync_every,
-        retry=retry,
-        rng=rng,
-        sleep=sleep,
     )
 
 

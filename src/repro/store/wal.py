@@ -15,9 +15,12 @@ offset  size  field
 +8      N     payload bytes      (UTF-8 JSON operation)
 ```
 
-Durability is batched: ``append`` buffers, and every ``fsync_every``
-records (or an explicit :meth:`flush`, which the store issues before any
-acknowledgement) the file is flushed and fsynced — group commit. A *torn
+An ``append`` is flushed and fsynced at once, unless it is deferred to
+the commit point of a multi-record operation, which issues one
+:meth:`flush` before any acknowledgement. The first :class:`OSError`
+raises :class:`~repro.store.errors.StoreIOError` and fails the log:
+every later write raises the same error, and nothing is retried (a
+failed fsync may have dropped the dirty pages it was to write). A *torn
 final record* (crash mid-append: short header, short payload, or a CRC
 mismatch that runs to end-of-file) is healed by truncating back to the
 last good record; it can only ever be an unacknowledged mutation. Damage
@@ -27,24 +30,21 @@ healable and raises :class:`~repro.store.errors.StoreCorruptError`.
 
 from __future__ import annotations
 
+import contextlib
 import os
-import random
 import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable, TypeVar
+from typing import BinaryIO, Iterator
 
 from repro import obs
-from repro.store.errors import StoreCorruptError
-from repro.store.retry import RetryPolicy, with_retries
+from repro.store.errors import StoreCorruptError, StoreIOError
 
 #: File magic: "RWAL" + one format-version byte.
 MAGIC = b"RWAL\x01"
 
 _HEADER = struct.Struct(">II")
-
-_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -101,44 +101,22 @@ def scan_wal_bytes(data: bytes) -> WalScan:
 
 
 class WriteAheadLog:
-    """One append-only journal file with batched fsync.
+    """One append-only journal file, fail-stop on the first IO error.
 
     Args:
         path: the log file (created with the magic header on first use).
-        fsync_every: group-commit width — fsync after this many appends
-            (1 = every record; the store still calls :meth:`flush` before
-            acknowledging, so a larger width only batches *within* one
-            logical operation).
-        retry: IO retry budget for writes and fsyncs.
-        rng: seeded randomness for retry jitter.
-        sleep: pause implementation for retries (tests inject a no-op).
     """
 
-    def __init__(
-        self,
-        path: str | Path,
-        *,
-        fsync_every: int = 1,
-        retry: RetryPolicy | None = None,
-        rng: random.Random | None = None,
-        sleep: Callable[[float], None] | None = None,
-    ) -> None:
-        if fsync_every < 1:
-            raise ValueError("fsync_every must be at least 1")
+    def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self.fsync_every = fsync_every
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.rng = rng if rng is not None else random.Random("repro.store.wal")
-        self.sleep = sleep
         self.fsync_count = 0
         self.appended_records = 0
         self.truncated_bytes = 0
+        #: The first IO failure; once set, every write raises it.
+        self.failure: StoreIOError | None = None
         self._file: BinaryIO | None = None
         self._size = 0
         self._pending = 0
-        #: A write attempt started and did not finish: bytes of it may
-        #: sit past ``_size``. Only then does the next attempt rewind.
-        self._tail_suspect = False
 
     # ------------------------------------------------------------------
     # Writing
@@ -151,56 +129,37 @@ class WriteAheadLog:
         return self._size if self._file is not None else 0
 
     def append(self, payload: bytes, *, defer: bool = False) -> None:
-        """Append one checksummed record (buffered; see ``fsync_every``).
+        """Append one checksummed record, then flush and fsync it.
 
         Args:
             payload: the record body.
-            defer: skip the automatic group-commit flush — the caller is
-                inside a multi-record logical operation and will issue
-                one :meth:`flush` at its commit point.
+            defer: skip the flush — the caller is inside a multi-record
+                logical operation and will issue one :meth:`flush` at its
+                commit point.
 
         Raises:
-            StoreIOError: the write kept failing after retries.
+            StoreIOError: the write failed, now or earlier.
         """
         record = _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
-        handle = self._open()
-        offset = self._size
-
-        def write() -> None:
-            # After an attempt that raised (this append's or an earlier
-            # one's that ran out of retries), rewind to the last
-            # known-good boundary, so a partially written attempt is
-            # overwritten, not doubled. Otherwise the handle already
-            # stands there, and the seek + ftruncate are skipped.
-            if self._tail_suspect:
-                handle.seek(offset)
-                handle.truncate(offset)
-            self._tail_suspect = True
-            handle.write(record)
-            self._tail_suspect = False
-
-        self._with_retries(write, f"append to {self.path.name}")
-        self._size = offset + len(record)
+        with self._io("append to"):
+            self._open().write(record)
+        self._size += len(record)
         self._pending += 1
         self.appended_records += 1
-        if not defer and self._pending >= self.fsync_every:
+        if not defer:
             self.flush()
 
     def flush(self) -> None:
-        """Flush buffered records and fsync — the group-commit barrier.
+        """Flush buffered records and fsync — the commit barrier.
 
         Raises:
-            StoreIOError: the flush/fsync kept failing after retries.
+            StoreIOError: the flush or fsync failed, now or earlier.
         """
-        if self._file is None or self._pending == 0:
-            return
-        handle = self._file
-
-        def sync() -> None:
-            handle.flush()
-            os.fsync(handle.fileno())
-
-        self._with_retries(sync, f"fsync {self.path.name}")
+        with self._io("fsync"):
+            if self._file is None or self._pending == 0:
+                return
+            self._file.flush()
+            os.fsync(self._file.fileno())
         self._pending = 0
         self.fsync_count += 1
         obs.counter_inc("store_fsyncs_total")
@@ -210,18 +169,15 @@ class WriteAheadLog:
         """Truncate to an empty (header-only) log, after a snapshot.
 
         Raises:
-            StoreIOError: the truncate kept failing after retries.
+            StoreIOError: the truncate failed, now or earlier.
         """
-        handle = self._open()
-
-        def truncate() -> None:
+        with self._io("reset"):
+            handle = self._open()
             handle.seek(0)
             handle.truncate(0)
             handle.write(MAGIC)
             handle.flush()
             os.fsync(handle.fileno())
-
-        self._with_retries(truncate, f"reset {self.path.name}")
         self._size = len(MAGIC)
         self._pending = 0
         self.fsync_count += 1
@@ -242,7 +198,7 @@ class WriteAheadLog:
 
         Raises:
             StoreCorruptError: damage before the tail (unhealable).
-            StoreIOError: reading or truncating kept failing.
+            StoreIOError: truncating the torn tail failed.
         """
         self.close()
         if not self.path.exists():
@@ -269,15 +225,31 @@ class WriteAheadLog:
         return problems
 
     def close(self) -> None:
-        """Flush pending records and release the file handle."""
+        """Release the file handle; nothing is fsynced here.
+
+        A record is durable once :meth:`flush` returned; what a failed log
+        still buffers is what the disk refused.
+        """
         if self._file is not None:
-            self.flush()
-            self._file.close()
-            self._file = None
+            handle, self._file = self._file, None
+            with contextlib.suppress(OSError):
+                handle.close()
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    @contextlib.contextmanager
+    def _io(self, action: str) -> Iterator[None]:
+        """Raise the log's earlier failure, or make this block's first
+        :class:`OSError` the failure every later write raises."""
+        if self.failure is not None:
+            raise self.failure
+        try:
+            yield
+        except OSError as error:
+            self.failure = StoreIOError(f"{action} {self.path.name} failed: {error}")
+            raise self.failure from error
+
     def _open(self) -> BinaryIO:
         if self._file is not None:
             return self._file
@@ -286,47 +258,37 @@ class WriteAheadLog:
     def _open_and_scan(self) -> tuple[BinaryIO, tuple[bytes, ...]]:
         """Open the log at its end for appending; return it and its intact records."""
         payloads: tuple[bytes, ...] = ()
-
-        def open_file() -> BinaryIO:
-            nonlocal payloads
+        with self._io("open"):
             self.path.parent.mkdir(parents=True, exist_ok=True)
             handle: BinaryIO
             if not self.path.exists() or self.path.stat().st_size == 0:
                 handle = open(self.path, "w+b")
                 handle.write(MAGIC)
                 handle.flush()
-                return handle
-            # A pre-existing file may end in a torn record (crash during
-            # a previous life). Appending after damaged bytes would turn
-            # a healable torn tail into unhealable mid-file corruption,
-            # so validate and truncate to the last good record first.
-            data = self.path.read_bytes()
-            scanned = scan_wal_bytes(data)
-            if scanned.problem is not None:
-                raise StoreCorruptError(f"{self.path}: {scanned.problem}")
-            payloads = scanned.payloads
-            handle = open(self.path, "r+b")
-            if scanned.torn_bytes:
-                self.truncated_bytes += scanned.torn_bytes
-                obs.counter_inc("store_wal_torn_bytes_total", scanned.torn_bytes)
-                handle.truncate(scanned.good_size)
-                if scanned.good_size == 0:
-                    # Torn creation: shorter than the magic itself.
-                    handle.write(MAGIC)
-                handle.flush()
-                os.fsync(handle.fileno())
-            handle.seek(0, os.SEEK_END)
-            return handle
-
-        handle = self._file = self._with_retries(open_file, f"open {self.path.name}")
+            else:
+                # A pre-existing file may end in a torn record (crash during
+                # a previous life). Appending after damaged bytes would turn
+                # a healable torn tail into unhealable mid-file corruption,
+                # so validate and truncate to the last good record first.
+                scanned = scan_wal_bytes(self.path.read_bytes())
+                if scanned.problem is not None:
+                    raise StoreCorruptError(f"{self.path}: {scanned.problem}")
+                payloads = scanned.payloads
+                handle = open(self.path, "r+b")
+                if scanned.torn_bytes:
+                    self.truncated_bytes += scanned.torn_bytes
+                    obs.counter_inc("store_wal_torn_bytes_total", scanned.torn_bytes)
+                    handle.truncate(scanned.good_size)
+                    if scanned.good_size == 0:
+                        # Torn creation: shorter than the magic itself.
+                        handle.write(MAGIC)
+                    handle.flush()
+                    os.fsync(handle.fileno())
+                handle.seek(0, os.SEEK_END)
+        self._file = handle
         self._size = handle.tell()
         self._pending = 0
         return handle, payloads
-
-    def _with_retries(self, op: Callable[[], _T], describe: str) -> _T:
-        return with_retries(
-            op, policy=self.retry, rng=self.rng, describe=describe, sleep=self.sleep
-        )
 
 
 __all__ = ["MAGIC", "WalScan", "WriteAheadLog", "scan_wal_bytes"]

@@ -140,7 +140,7 @@ def test_second_deposit_stays_refused_after_store_recovery(system, double_signed
     """The refusal is rebuilt from the journalled fault entry."""
     witness_id, (signed_a, signed_b, _) = double_signed
     broker = system.broker
-    store = Store(tmp_path / "state", backend="sqlite", shards=2, sleep=lambda _delay: None)
+    store = Store(tmp_path / "state", backend="sqlite", shards=2)
     attach_broker_store(broker, store)
     escrow_before = broker.security_deposit_balance(witness_id)
     broker.deposit(signed_a.transcript.merchant_id, signed_a, now=1300)
@@ -148,7 +148,7 @@ def test_second_deposit_stays_refused_after_store_recovery(system, double_signed
     broker.deposit(merchant_b, signed_b, now=1300)
     store.close()
 
-    reopened = Store(tmp_path / "state", backend="sqlite", shards=2, sleep=lambda _delay: None)
+    reopened = Store(tmp_path / "state", backend="sqlite", shards=2)
     attach_broker_store(broker, reopened)
     with pytest.raises(DoubleDepositError):
         broker.deposit(merchant_b, signed_b, now=1400)

@@ -6,10 +6,14 @@ follow from it: a crash before the marker loses the whole batch and
 nothing else, a rejected item costs the others nothing, and the fsync
 bill no longer grows with the batch. The other side of the marker is
 here too: a batch that committed but whose reply was lost is retried
-without a second credit and without staying pending for ever.
+without a second credit and without staying pending for ever, and a
+batch whose commit fsync failed is never answered from memory.
 """
 
 from __future__ import annotations
+
+import errno
+import os
 
 import pytest
 
@@ -25,7 +29,8 @@ from repro.core.system import EcashSystem
 from repro.core.transcripts import SignedTranscript
 from repro.crypto.serialize import pack_batch
 from repro.net import registry
-from repro.store import Store
+from repro.store import Store, StoreIOError
+from repro.store import wal as wal_module
 
 WITNESS = "alice-books"
 MERCHANT = "bob-news"
@@ -33,7 +38,6 @@ NOW = 5
 DENOMINATION = 50
 BATCH = registry.DEPOSIT_BATCH_SIZE
 SHARDS = 4
-NO_SLEEP = {"sleep": lambda _delay: None}
 
 
 class PowerLoss(Exception):
@@ -63,7 +67,7 @@ def _paid_transcripts(system: EcashSystem, count: int) -> list[SignedTranscript]
 
 
 def _open_store(tmp_path, backend: str) -> Store:
-    return Store(tmp_path / "state", backend=backend, shards=SHARDS, **NO_SLEEP)
+    return Store(tmp_path / "state", backend=backend, shards=SHARDS)
 
 
 def _wal_records(store: Store) -> int:
@@ -191,7 +195,7 @@ def test_one_deposit_batch_rpc_costs_at_most_one_fsync_per_shard_and_a_marker(
     assert fsyncs() - before <= SHARDS + 1
     assert [reply[f"r{index}"]["outcome"] for index in range(BATCH)] == ["credited"] * BATCH
     # Everything the reply acknowledges is already behind a commit marker.
-    assert not store.in_operation
+    assert store._active_txn is None  # no scope left open
     assert all(shard.wal._pending == 0 for shard in store.shards)
     store.close()
 
@@ -210,7 +214,7 @@ def test_a_retry_after_a_lost_reply_is_idempotent(params, tmp_path):
     flow = registry.batch_deposit_flow(merchant, MERCHANT, "broker")
     call = next(flow)
     handler(call.payload)  # settled and committed; the reply is dropped
-    assert not store.in_operation
+    assert store._active_txn is None  # no scope left open
     with pytest.raises(ServiceUnavailableError):
         flow.throw(ServiceUnavailableError("broker: connection lost"))
     assert merchant.pending_deposits() == items
@@ -228,7 +232,6 @@ def test_a_retry_after_a_lost_reply_is_idempotent(params, tmp_path):
 
     assert drain() == [{"outcome": registry.ALREADY_CREDITED, "amount": 0}] * 3
     assert merchant.pending_deposits() == []
-    assert merchant.deposited == items
     # Credited once: the retry moved nothing, and the refusal still stands.
     assert system.ledger.history == history
     assert system.broker.merchant_balance(MERCHANT) == 3 * DENOMINATION
@@ -238,3 +241,65 @@ def test_a_retry_after_a_lost_reply_is_idempotent(params, tmp_path):
     )
     assert drain() == []
     store.close()
+
+
+def test_a_failed_commit_fsync_stops_the_broker_and_the_disk_decides_the_retry(
+    params, tmp_path, monkeypatch, recover_broker
+):
+    """The batch's commit fsync fails with EIO, after the broker settled it
+    in memory. That life must answer nothing more from its books: the
+    storefront's retry gets the store's failure, not a DoubleDepositError
+    it would book as already credited. The next life recovers what the
+    disk holds (the WAL up to its last fsync that returned) and credits
+    the retry once."""
+    system = _fresh_system(params)
+    store = Store(tmp_path / "state", backend="memory", shards=1)
+    attach_broker_store(system.broker, store)
+    items = _paid_transcripts(system, 3)
+    merchant = system.merchant(MERCHANT)
+    wal_path = store.shards[0].wal.path
+    synced = [wal_path.stat().st_size]
+    disk = {"eio": True}
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        if disk["eio"]:
+            raise OSError(errno.EIO, "Input/output error")
+        real_fsync(fd)
+        synced.append(os.fstat(fd).st_size)
+
+    def drain(broker) -> list:
+        handler = registry.broker_dispatch(broker, lambda: NOW)["deposit/batch"]
+        flow = registry.batch_deposit_flow(merchant, MERCHANT, "broker")
+        try:
+            call = next(flow)
+            while True:
+                call = flow.send(handler(call.payload))
+        except StopIteration as done:
+            return done.value
+
+    monkeypatch.setattr(wal_module.os, "fsync", fsync)
+    with pytest.raises(StoreIOError):
+        drain(system.broker)
+    # The books in memory ran ahead of the disk.
+    assert system.broker.merchant_balance(MERCHANT) == 3 * DENOMINATION
+    disk["eio"] = False  # a later fsync returns 0 for the dropped pages
+    with pytest.raises(StoreIOError):
+        drain(system.broker)
+    assert merchant.pending_deposits() == items
+    store.close()
+
+    # What the disk holds after the lost pages: the WAL up to its last
+    # fsync that returned.
+    os.truncate(wal_path, synced[-1])
+    restored = recover_broker(tmp_path / "state")
+    assert restored.merchant_balance(MERCHANT) == 0
+    assert drain(restored) == [{"outcome": "credited", "amount": DENOMINATION}] * 3
+    assert merchant.pending_deposits() == []
+    assert restored.merchant_balance(MERCHANT) == 3 * DENOMINATION
+    assert restored.ledger.conserved()
+    assert all(
+        isinstance(item, DoubleDepositError)
+        for item in restored.deposit_batch(MERCHANT, items, NOW)
+    )
+    assert restored.merchant_balance(MERCHANT) == 3 * DENOMINATION

@@ -17,8 +17,6 @@ from repro.crypto.serialize import decode
 from repro.store import Store, StoreCorruptError
 from tests.conftest import other_merchant, save_broker_state
 
-NO_SLEEP = {"sleep": lambda _delay: None}
-
 
 @pytest.fixture()
 def busy_system(system, funded_client, tmp_path):
@@ -164,7 +162,7 @@ def test_ticket_counter_does_not_collide_after_restore(system, recover_broker, t
 def test_journaled_broker_recovers_from_the_store(
     system, funded_client, recover_broker, tmp_path, backend
 ):
-    store = Store(tmp_path / "state", backend=backend, shards=4, **NO_SLEEP)
+    store = Store(tmp_path / "state", backend=backend, shards=4)
     attach_broker_store(system.broker, store)
     client, stored = funded_client
     merchant = system.merchant(other_merchant(system, stored.coin.witness_id))
@@ -173,7 +171,7 @@ def test_journaled_broker_recovers_from_the_store(
     expected = broker_spaces(system.broker)
     store.close()  # crash: nothing flushed beyond the acknowledged journal
 
-    reopened = Store(tmp_path / "state", backend=backend, shards=4, **NO_SLEEP)
+    reopened = Store(tmp_path / "state", backend=backend, shards=4)
     restored = recover_broker(reopened)
     assert broker_spaces(restored) == expected
     assert restored.ledger.conserved()
@@ -183,7 +181,7 @@ def test_journaled_broker_recovers_from_the_store(
 
 
 def test_attach_broker_store_restores_in_place(system, funded_client, tmp_path):
-    store = Store(tmp_path / "state", backend="memory", shards=2, **NO_SLEEP)
+    store = Store(tmp_path / "state", backend="memory", shards=2)
     attach_broker_store(system.broker, store)
     client, stored = funded_client
     merchant = system.merchant(other_merchant(system, stored.coin.witness_id))
@@ -192,7 +190,7 @@ def test_attach_broker_store_restores_in_place(system, funded_client, tmp_path):
     expected = broker_spaces(system.broker)
     store.close()
 
-    reopened = Store(tmp_path / "state", backend="memory", shards=2, **NO_SLEEP)
+    reopened = Store(tmp_path / "state", backend="memory", shards=2)
     # Same broker object: references held by dispatchers stay valid.
     stats = attach_broker_store(system.broker, reopened)
     assert broker_spaces(system.broker) == expected
@@ -214,7 +212,7 @@ def test_crashed_deposit_is_discarded_whole_and_safe_to_retry(
 ):
     """A crash mid-settlement must not leave the merchant credited
     without a deposit record — the retry would double-credit."""
-    store = Store(tmp_path / "state", backend=backend, shards=4, **NO_SLEEP)
+    store = Store(tmp_path / "state", backend=backend, shards=4)
     attach_broker_store(system.broker, store)
     client, stored = funded_client
     merchant = system.merchant(other_merchant(system, stored.coin.witness_id))
@@ -228,7 +226,7 @@ def test_crashed_deposit_is_discarded_whole_and_safe_to_retry(
         system.broker.deposit(merchant.merchant_id, signed, now=20)
     store.close()  # flushes the orphaned records; still no marker
 
-    reopened = Store(tmp_path / "state", backend=backend, shards=4, **NO_SLEEP)
+    reopened = Store(tmp_path / "state", backend=backend, shards=4)
     restored = recover_broker(reopened)
     # Neither half of the settlement survived: no credit, no record.
     assert restored.merchant_balance(merchant.merchant_id) == 0
@@ -243,17 +241,17 @@ def test_crashed_deposit_is_discarded_whole_and_safe_to_retry(
 
 
 def test_begin_renewal_journals_its_ticket(system, recover_broker, tmp_path):
-    store = Store(tmp_path / "state", backend="memory", shards=2, **NO_SLEEP)
+    store = Store(tmp_path / "state", backend="memory", shards=2)
     attach_broker_store(system.broker, store)
     ticket_id, _challenge = system.broker.begin_renewal(
         system.standard_info(50, now=30)
     )
-    assert store.get("tickets", str(ticket_id)) is not None
-    meta = _BrokerMeta.from_record(decode(store.get("meta", "state")))
+    assert str(ticket_id) in store.dump()["tickets"]
+    meta = _BrokerMeta.from_record(decode(store.dump()["meta"]["state"]))
     assert meta.next_ticket == ticket_id + 1
     store.close()
 
-    reopened = Store(tmp_path / "state", backend="memory", shards=2, **NO_SLEEP)
+    reopened = Store(tmp_path / "state", backend="memory", shards=2)
     restored = recover_broker(reopened)
     # The in-flight ticket survived, and the counter moved past it.
     assert ticket_id in restored._tickets
@@ -264,17 +262,17 @@ def test_begin_renewal_journals_its_ticket(system, recover_broker, tmp_path):
 
 def test_journaled_meta_matches_the_full_snapshot(system, tmp_path):
     """The incremental meta record equals the one a full dump produces."""
-    store = Store(tmp_path / "state", backend="memory", shards=2, **NO_SLEEP)
+    store = Store(tmp_path / "state", backend="memory", shards=2)
     attach_broker_store(system.broker, store)
     system.broker.begin_withdrawal(system.standard_info(25, now=0))
-    assert store.get("meta", "state") == broker_spaces(system.broker)["meta"]["state"]
+    assert store.dump()["meta"]["state"] == broker_spaces(system.broker)["meta"]["state"]
     store.close()
 
 
 def test_recovery_rejects_a_record_without_its_funding_credit(
     system, funded_client, recover_broker, tmp_path
 ):
-    store = Store(tmp_path / "state", backend="memory", shards=2, **NO_SLEEP)
+    store = Store(tmp_path / "state", backend="memory", shards=2)
     attach_broker_store(system.broker, store)
     client, stored = funded_client
     merchant = system.merchant(other_merchant(system, stored.coin.witness_id))
@@ -284,10 +282,9 @@ def test_recovery_rejects_a_record_without_its_funding_credit(
     ledger_table = store.dump()["ledger"]
     key = next(k for k, v in ledger_table.items() if decode(v)["memo"] == "coin deposit")
     store.delete("ledger", key)
-    store.ack()
     store.close()
 
-    reopened = Store(tmp_path / "state", backend="memory", shards=2, **NO_SLEEP)
+    reopened = Store(tmp_path / "state", backend="memory", shards=2)
     with pytest.raises(StoreCorruptError, match="without its funding movement"):
         recover_broker(reopened)
     reopened.close()
@@ -302,14 +299,14 @@ def test_witness_journal_round_trips_through_a_store(
 ):
     client, stored = funded_client
     witness = system.witness_of(stored)
-    store = Store(tmp_path / "witness", backend="sqlite", shards=2, **NO_SLEEP)
+    store = Store(tmp_path / "witness", backend="sqlite", shards=2)
     attach_witness_store(witness, store)
     merchant = system.merchant(other_merchant(system, stored.coin.witness_id))
     run_payment(client, stored, merchant, witness, now=10)
     expected = witness_spaces(witness)
     store.close()
 
-    reopened = Store(tmp_path / "witness", backend="sqlite", shards=2, **NO_SLEEP)
+    reopened = Store(tmp_path / "witness", backend="sqlite", shards=2)
     blank = WitnessService(
         params=system.params,
         merchant_id=witness.merchant_id,
@@ -332,7 +329,7 @@ def test_sign_transcript_commits_once(system, funded_client, tmp_path):
     durability unit: one commit, so a crash keeps both or neither."""
     client, stored = funded_client
     witness = system.witness_of(stored)
-    store = Store(tmp_path / "witness", backend="sqlite", shards=4, **NO_SLEEP)
+    store = Store(tmp_path / "witness", backend="sqlite", shards=4)
     attach_witness_store(witness, store)
     commits = []  # the witness's signed_count at each commit
     commit = store.commit
@@ -366,7 +363,7 @@ def test_a_state_dir_in_the_old_record_format_is_refused_not_half_restored(
     """Before records were wire-codec strings a stored value was a nested
     JSON object. Such a state dir is named for what it is, and the broker
     it was offered to keeps its merchants, deposits and ledger."""
-    old = Store(tmp_path / "state", backend="sqlite", shards=4, **NO_SLEEP)
+    old = Store(tmp_path / "state", backend="sqlite", shards=4)
     with old.operation():
         old.put(
             "meta",
@@ -392,7 +389,7 @@ def test_a_state_dir_in_the_old_record_format_is_refused_not_half_restored(
     run_payment(client, stored, merchant, system.witness_of(stored), now=10)
     run_deposit(merchant, system.broker, now=20)
     before = broker_spaces(system.broker)
-    reopened = Store(tmp_path / "state", backend="sqlite", shards=4, **NO_SLEEP)
+    reopened = Store(tmp_path / "state", backend="sqlite", shards=4)
     with pytest.raises(StoreCorruptError, match="older nested-JSON record format"):
         attach_broker_store(system.broker, reopened)
     assert _untouched(system.broker, before)
@@ -410,7 +407,7 @@ def test_one_unreadable_record_leaves_the_broker_untouched(
 ):
     """Every record is parsed before the broker is touched: the meta
     record and the merchants read fine here, the one deposit does not."""
-    store = Store(tmp_path / "state", backend="memory", shards=2, **NO_SLEEP)
+    store = Store(tmp_path / "state", backend="memory", shards=2)
     attach_broker_store(system.broker, store)
     client, stored = funded_client
     merchant = system.merchant(other_merchant(system, stored.coin.witness_id))
@@ -418,12 +415,11 @@ def test_one_unreadable_record_leaves_the_broker_untouched(
     run_deposit(merchant, system.broker, now=20)
     (key,) = store.dump()["deposits"]
     store.put("deposits", key, damage)
-    store.ack()
     store.close()
 
     blank = EcashSystem(merchant_ids=("solo",), params=system.params, seed=5).broker
     before = broker_spaces(blank)
-    reopened = Store(tmp_path / "state", backend="memory", shards=2, **NO_SLEEP)
+    reopened = Store(tmp_path / "state", backend="memory", shards=2)
     with pytest.raises(StoreCorruptError, match=f"deposits/{key}"):
         attach_broker_store(blank, reopened)
     assert _untouched(blank, before)
@@ -435,16 +431,15 @@ def test_a_respelled_group_index_is_a_corrupt_record(system, tmp_path, index):
     """An indexed group is ``e0..e{n-1}`` exactly; a stored table whose
     first entry is spelled otherwise is a corrupt record of that space
     and key, not a protocol violation escaping recovery."""
-    store = Store(tmp_path / "state", backend="memory", shards=2, **NO_SLEEP)
+    store = Store(tmp_path / "state", backend="memory", shards=2)
     attach_broker_store(system.broker, store)
     key, value = next(iter(store.dump()["tables"].items()))
     store.put("tables", key, value.replace("entries.e0.", f"entries.{index}."))
-    store.ack()
     store.close()
 
     blank = EcashSystem(merchant_ids=("solo",), params=system.params, seed=5).broker
     before = broker_spaces(blank)
-    reopened = Store(tmp_path / "state", backend="memory", shards=2, **NO_SLEEP)
+    reopened = Store(tmp_path / "state", backend="memory", shards=2)
     with pytest.raises(StoreCorruptError, match=f"tables/{key}: malformed record"):
         attach_broker_store(blank, reopened)
     assert _untouched(blank, before)
@@ -456,7 +451,7 @@ def test_a_respelled_group_index_is_a_corrupt_record(system, tmp_path, index):
 # ----------------------------------------------------------------------
 
 def _state_of(attach, party, path):
-    store = Store(path, backend="memory", shards=2, **NO_SLEEP)
+    store = Store(path, backend="memory", shards=2)
     attach(party, store)
     store.close()
     return path
@@ -466,7 +461,7 @@ def test_a_brokers_state_dir_is_refused_to_a_witness(system, tmp_path):
     path = _state_of(attach_broker_store, system.broker, tmp_path / "broker")
     witness = system.witness(system.merchant_ids[0])
     before = witness_spaces(witness)
-    reopened = Store(path, backend="memory", shards=2, **NO_SLEEP)
+    reopened = Store(path, backend="memory", shards=2)
     with pytest.raises(StoreCorruptError, match="meta.*no 'witness:alice-books'"):
         attach_witness_store(witness, reopened)
     assert witness_spaces(witness) == before and witness.journal is None
@@ -477,7 +472,7 @@ def test_a_brokers_state_dir_is_refused_to_a_witness(system, tmp_path):
 def test_one_witness_state_dir_is_refused_to_another(system, tmp_path):
     first, second = (system.witness(m) for m in system.merchant_ids[:2])
     path = _state_of(attach_witness_store, first, tmp_path / "first")
-    reopened = Store(path, backend="memory", shards=2, **NO_SLEEP)
+    reopened = Store(path, backend="memory", shards=2)
     with pytest.raises(StoreCorruptError, match="witness:alice-books but no 'witness:bob-news'"):
         attach_witness_store(second, reopened)
     assert second.journal is None and second.rng is not None
@@ -487,7 +482,7 @@ def test_one_witness_state_dir_is_refused_to_another(system, tmp_path):
 def test_a_witness_state_dir_is_refused_to_the_broker(system, tmp_path):
     path = _state_of(attach_witness_store, system.witness("alice-books"), tmp_path / "w")
     before = broker_spaces(system.broker)
-    reopened = Store(path, backend="memory", shards=2, **NO_SLEEP)
+    reopened = Store(path, backend="memory", shards=2)
     with pytest.raises(StoreCorruptError, match="witness:alice-books but no 'meta'"):
         attach_broker_store(system.broker, reopened)
     assert _untouched(system.broker, before)

@@ -129,11 +129,13 @@ class EcashMachine(RuleBasedStateMachine):
             return
         for merchant_id in MERCHANTS:
             merchant = self.system.merchant(merchant_id)
-            deposited = sum(
-                signed.transcript.coin.denomination for signed in merchant.deposited
+            pending = sum(
+                signed.transcript.coin.denomination
+                for signed in merchant.pending_deposits()
             )
+            deposited = self.accepted[merchant_id] - pending
             assert self.system.broker.merchant_balance(merchant_id) == deposited
-            assert deposited <= self.accepted[merchant_id]
+            assert 0 <= deposited <= self.accepted[merchant_id]
 
 
 EcashMachineTest = EcashMachine.TestCase

@@ -1,9 +1,11 @@
 """``admin/deposit`` over real sockets: batched settlement with the next
 batch on the wire while the broker verifies this one, a failed batch
-that leaks nothing, bounded stats, quiet shutdown."""
+that leaks nothing, a broker that stops on a failed commit, bounded
+stats, quiet shutdown."""
 
 import asyncio
 import contextlib
+import errno
 import os
 import subprocess
 import sys
@@ -34,6 +36,8 @@ from repro.faults.invariants import InvariantChecker
 from repro.net.registry import ALREADY_CREDITED, DEPOSIT_BATCH_SIZE, as_int
 from repro.net.services import BROKER_NODE, NetworkDeployment
 from repro.net.transport import TrafficMeter
+from repro.store import StoreIOError
+from repro.store import wal as wal_module
 
 WITNESS = "alice-books"
 SHOP = "bob-news"
@@ -45,15 +49,19 @@ def _identity(name: str) -> NodeIdentity:
     return NodeIdentity(name=name, keypair=identity_keypair(name, 5))
 
 
-def _system_with_pending(params) -> tuple[EcashSystem, list[int]]:
-    """A system whose SHOP holds COINS accepted, undeposited transcripts."""
-    system = EcashSystem(
+def _system(params) -> EcashSystem:
+    return EcashSystem(
         merchant_ids=(WITNESS, SHOP),
         params=params,
         seed=31,
         independent_rngs=True,
         weights={WITNESS: 1.0},
     )
+
+
+def _system_with_pending(params) -> tuple[EcashSystem, list[int]]:
+    """A system whose SHOP holds COINS accepted, undeposited transcripts."""
+    system = _system(params)
     client = system.new_client()
     amounts = []
     for index in range(COINS):
@@ -65,12 +73,14 @@ def _system_with_pending(params) -> tuple[EcashSystem, list[int]]:
 
 
 @contextlib.asynccontextmanager
-async def _deployment(system: EcashSystem):
+async def _deployment(system: EcashSystem, broker_state_dir: str | None = None):
     """Broker and storefront daemons in this process; yields them with an
     operator's connection to the storefront."""
     identities = {name: _identity(name) for name in (BROKER_NODE, SHOP, "operator")}
     roster = {name: identity.public for name, identity in identities.items()}
-    broker = BrokerDaemon(system, identities[BROKER_NODE], roster, "127.0.0.1", 0)
+    broker = BrokerDaemon(
+        system, identities[BROKER_NODE], roster, "127.0.0.1", 0, state_dir=broker_state_dir
+    )
     broker.clock.pin(NOW)
     await broker.node.start()
     shop = MerchantDaemon(
@@ -302,6 +312,71 @@ def test_batches_keep_chunk_order_on_the_connection_after_a_broker_restart(param
     assert daemon_log == _drain_over_sim(sim_system)
     assert [as_int(reply[f"r{index}"]["amount"]) for index in range(COINS)] == amounts
     assert daemon_system.broker.merchant_balance(SHOP) == sum(amounts)
+
+
+def test_a_durable_broker_stops_on_a_failed_commit_and_its_next_life_credits_once(
+    params, tmp_path, monkeypatch
+):
+    """The broker's commit fsync for the first batch fails with EIO. It
+    writes that batch's error frame, serves no further frame (the second
+    batch is already on the wire) and stops: its serve loop raises the
+    store's failure. The failed fsync dropped the batch's pages, so the
+    disk holds the WAL up to its last fsync that returned; restarted on
+    that state dir, the broker credits the storefront's retry once."""
+    daemon_system, amounts = _system_with_pending(params)
+    pending = daemon_system.merchant(SHOP).pending_deposits()
+    state_dir = tmp_path / "broker"
+    roster = {name: _identity(name).public for name in (BROKER_NODE, SHOP, "operator")}
+    disk = {"eio": False}
+    synced = []
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        if disk["eio"]:
+            raise OSError(errno.EIO, "Input/output error")
+        real_fsync(fd)
+        synced.append(os.fstat(fd).st_size)
+
+    monkeypatch.setattr(wal_module.os, "fsync", fsync)
+
+    async def scenario():
+        async with _deployment(daemon_system, str(state_dir)) as (broker, shop, operator):
+            serving = asyncio.ensure_future(broker.node.serve_until_shutdown())
+            calls = _recording_batches(broker)
+            disk["eio"] = True
+            with pytest.raises(wire.RemoteProtocolError, match="StoreIOError"):
+                await operator.request("admin/deposit", {}, timeout=120.0)
+            disk["eio"] = False
+            with pytest.raises(StoreIOError):
+                await asyncio.wait_for(serving, timeout=10.0)
+            broker.close_store()
+            with pytest.raises(OSError):
+                await asyncio.open_connection("127.0.0.1", broker.node.port)
+            os.truncate(state_dir / "shard-00" / "wal.log", synced[-1])
+            restarted = BrokerDaemon(
+                _system(params),
+                _identity(BROKER_NODE),
+                roster,
+                "127.0.0.1",
+                broker.node.port,
+                state_dir=str(state_dir),
+            )
+            restarted.clock.pin(NOW)
+            await restarted.node.start()
+            try:
+                reply = await operator.request("admin/deposit", {}, timeout=120.0)
+            finally:
+                await restarted.node.stop()
+                restarted.close_store()
+        return calls, reply, restarted.system.broker
+
+    calls, reply, broker = asyncio.run(scenario())
+    assert calls == [_salts(pending[:DEPOSIT_BATCH_SIZE])]
+    assert [reply[f"r{index}"]["outcome"] for index in range(COINS)] == ["credited"] * COINS
+    assert [as_int(reply[f"r{index}"]["amount"]) for index in range(COINS)] == amounts
+    assert broker.merchant_balance(SHOP) == sum(amounts)
+    assert broker.ledger.conserved()
+    assert daemon_system.merchant(SHOP).pending_deposits() == []
 
 
 def test_broker_daemon_refuses_a_batch_longer_than_the_limit(params):

@@ -190,7 +190,7 @@ def test_malformed_pay_bodies_are_refused_and_the_connection_carries_on(params):
             assert registry.as_int(stats["messages_received"]) == len(logged) + len(coins)
 
         merchant = system.merchant(MERCHANT)
-        assert len(merchant.accepted) == len(coins)
+        assert len(merchant.pending_deposits()) == len(coins)
 
     with obs.enabled():
         asyncio.run(scenario())

@@ -136,7 +136,7 @@ def test_forged_payments_get_the_storefronts_verdict_and_leave_nothing_behind(pa
 
         # The storefront holds the honest payment and nothing else ...
         merchant = system.merchant(MERCHANT)
-        assert [s.transcript for s in merchant.accepted] == [honest[0]]
+        assert merchant._seen_bare_coins == {honest[0].coin.bare}
         assert [s.transcript for s in merchant.pending_deposits()] == [honest[0]]
         # ... while both forgeries did reach the witness ahead of the
         # storefront's verdict: it countersigned the valid transcript of

@@ -52,7 +52,6 @@ def _substituting_witness(system: EcashSystem) -> None:
 
 def _untouched(merchant) -> tuple:
     return (
-        list(merchant.accepted),
         merchant.pending_deposits(),
         set(merchant._seen_bare_coins),
     )

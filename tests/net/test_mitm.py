@@ -144,7 +144,6 @@ def test_redirected_deposit_rejected(deployment):
     assert system.broker.merchant_balance(target) == 0  # not credited either way
     # With the adversary gone, the genuine deposit clears.
     dep.network.tamper_hook = None
-    system.merchant(target).deposited.clear()
     dep.run(dep.deposit_process(target))
     assert system.broker.merchant_balance(target) == 25
 

@@ -200,7 +200,7 @@ def test_a_request_the_gate_stops_never_reaches_the_witness(system, parties, bui
     assert str(served.value) == str(verdict.value)
     assert shop.events == []
     assert _witness_state(witness) == before
-    assert not shop.merchant.accepted
+    assert not shop.merchant._seen_bare_coins
 
 
 def test_a_replay_at_the_same_storefront_never_reaches_the_witness(system, parties):
@@ -217,7 +217,7 @@ def test_a_replay_at_the_same_storefront_never_reaches_the_witness(system, parti
         shop.serve(payload)
     assert shop.events == []
     assert _witness_state(witness) == before
-    assert len(shop.merchant.accepted) == 1
+    assert len(shop.merchant.pending_deposits()) == 1
 
 
 def test_a_forged_request_is_cancelled_and_never_accepted(system, parties):
@@ -243,7 +243,7 @@ def test_a_forged_request_is_cancelled_and_never_accepted(system, parties):
         handler.send(None)
     assert shop.events == ["witness/sign"]
     assert shop.answers[0].cancelled
-    assert not shop.merchant.accepted and not shop.merchant.pending_deposits()
+    assert not shop.merchant._seen_bare_coins and not shop.merchant.pending_deposits()
 
 
 def test_table1_payment_rows_through_the_handler(system, parties):

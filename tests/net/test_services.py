@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro import obs
 from repro.core.exceptions import DoubleSpendError, RenewalRefusedError, ServiceUnavailableError
 from repro.core.system import EcashSystem
 from repro.net.costmodel import instant_profile
+from repro.net.node import metered
 from repro.net.services import NetworkDeployment
 from repro.net.sim import SimTimeoutError
+from repro.obs.tracer import _CURRENT
 
 
 @pytest.fixture()
@@ -132,3 +135,40 @@ def test_client_bytes_accounting(deployment):
     assert receipt.client_bytes_sent == node.meter.sent_bytes - before
     # Two client-sent messages: commitment request + payment.
     assert node.meter.messages_sent >= 4  # 2 withdrawal + 2 payment
+
+
+def test_interleaved_payments_do_not_parent_each_others_spans(params):
+    """A process's span is current only while one of its steps runs, so a
+    payment that starts while another is suspended is not its child, and
+    no span is left current once both are done."""
+    system = EcashSystem(params=params, seed=17)
+    dep = NetworkDeployment(system, cost_model=instant_profile(), seed=17)
+    payments = []
+    for name in ("client-0", "client-1"):
+        dep.add_client(name)
+        stored = dep.run(
+            dep.withdrawal_process(name, system.standard_info(25, now=dep.now()))
+        )
+        merchant_id = next(m for m in system.merchant_ids if m != stored.coin.witness_id)
+        payments.append(dep.payment_process(name, stored, merchant_id))
+    obs.reset()
+    with obs.enabled():
+        futures = [
+            dep.sim.spawn(metered(payment, dep.network.cost_model, dep.network.rng))
+            for payment in payments
+        ]
+        dep.sim.run()
+    assert all(future.result().amount == 25 for future in futures)
+    spans = {record.span_id: record for record in obs.tracer().finished}
+    obs.reset()
+    paid = [record for record in spans.values() if record.name == "net.payment"]
+    assert len(paid) == 2
+
+    def ancestors(record):
+        while record.parent_id is not None:
+            record = spans[record.parent_id]
+            yield record.span_id
+
+    for one, other in (paid, paid[::-1]):
+        assert other.span_id not in set(ancestors(one))
+    assert _CURRENT.get() is None

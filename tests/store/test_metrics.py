@@ -1,11 +1,9 @@
-"""The store's obs instrumentation: fsyncs, WAL bytes, replay, retries."""
-
-import random
+"""The store's obs instrumentation: fsyncs, WAL bytes, replay."""
 
 import pytest
 
 from repro import obs
-from repro.store import RetryPolicy, Shard, StoreIOError, with_retries
+from repro.store import Store
 
 
 @pytest.fixture(autouse=True)
@@ -18,23 +16,22 @@ def metrics():
 
 
 def test_fsync_and_wal_bytes_metrics(tmp_path, metrics):
-    shard = Shard(tmp_path, backend="memory", sleep=lambda _d: None)
-    shard.put("deposits", "00ab", {"amount": 25})
-    shard.ack()
-    shard.close()
+    store = Store(tmp_path, backend="memory", shards=1)
+    store.put("deposits", "00ab", {"amount": 25})
+    store.close()
     assert metrics.counter_value("store_fsyncs_total") >= 1
     assert metrics.gauge("store_wal_bytes").value > 0
 
 
 def test_replay_metrics_cover_records_and_torn_bytes(tmp_path, metrics):
-    shard = Shard(tmp_path, backend="memory", sleep=lambda _d: None)
-    shard.put("deposits", "00ab", {"amount": 25})
-    shard.put("deposits", "ffcd", {"amount": 50})
-    shard.close()
-    with (tmp_path / "wal.log").open("ab") as handle:
+    store = Store(tmp_path, backend="memory", shards=1)
+    store.put("deposits", "00ab", {"amount": 25})
+    store.put("deposits", "ffcd", {"amount": 50})
+    store.close()
+    with (tmp_path / "shard-00" / "wal.log").open("ab") as handle:
         handle.write(b"\x00\x01")  # torn header
 
-    reopened = Shard(tmp_path, backend="memory", sleep=lambda _d: None)
+    reopened = Store(tmp_path, backend="memory", shards=1)
     reopened.recover()
     reopened.close()
     assert metrics.counter_value("store_replayed_records_total") == 2.0
@@ -42,20 +39,3 @@ def test_replay_metrics_cover_records_and_torn_bytes(tmp_path, metrics):
     summary = metrics.histogram("store_replay_ms").summary()
     assert summary["count"] == 1
 
-
-def test_io_retries_are_counted(metrics):
-    attempts = {"count": 0}
-
-    def flaky():
-        attempts["count"] += 1
-        raise OSError("hiccup")
-
-    with pytest.raises(StoreIOError):
-        with_retries(
-            flaky,
-            policy=RetryPolicy(attempts=3),
-            rng=random.Random(5),
-            describe="flaky op",
-            sleep=lambda _delay: None,
-        )
-    assert metrics.counter_value("store_io_retries_total") == 3.0

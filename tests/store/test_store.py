@@ -1,4 +1,4 @@
-"""Tests for shards and the sharded store: recovery, routing, digests."""
+"""Tests for the sharded store: recovery, routing, digests."""
 
 import json
 
@@ -7,15 +7,12 @@ import pytest
 from repro.store import (
     BACKENDS,
     MAGIC,
-    Shard,
     Store,
     StoreCorruptError,
     make_backend,
     open_store,
     shard_index,
 )
-
-NO_SLEEP = {"sleep": lambda _delay: None}
 
 
 def seed_ops(target):
@@ -27,22 +24,30 @@ def seed_ops(target):
     target.put("deposits", "00ab12", {"amount": 30})  # upsert
     target.delete("renewals", "1a2b3c")
     target.put("merchants", "alice-books", {"balance": 55})
-    target.ack()
+
+
+def read(store, space, key):
+    """The value at ``(space, key)`` in the store's logical state, or ``None``."""
+    return store.dump().get(space, {}).get(key)
+
+
+def one_shard(directory, backend="memory"):
+    return Store(directory, backend=backend, shards=1)
 
 
 # ----------------------------------------------------------------------
-# Shard
+# One shard: recovery, compaction, corruption
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_shard_recover_rebuilds_the_same_state(tmp_path, backend):
-    shard = Shard(tmp_path, backend=backend, **NO_SLEEP)
-    seed_ops(shard)
-    expected = shard.dump()
-    digest = shard.state_digest()
-    shard.close()
+    store = one_shard(tmp_path, backend)
+    seed_ops(store)
+    expected = store.dump()
+    digest = store.state_digest()
+    store.close()
 
-    reopened = Shard(tmp_path, backend=backend, **NO_SLEEP)
+    reopened = one_shard(tmp_path, backend)
     stats = reopened.recover()
     assert reopened.dump() == expected
     assert reopened.state_digest() == digest
@@ -54,15 +59,19 @@ def test_shard_recover_rebuilds_the_same_state(tmp_path, backend):
 
 def test_recovery_is_identical_across_backends_for_one_journal(tmp_path):
     """The same WAL + snapshot materializes the same state everywhere."""
-    shard = Shard(tmp_path, backend="memory", **NO_SLEEP)
-    seed_ops(shard)
-    shard.compact()
-    shard.put("deposits", "9f9f9f", {"amount": 75})  # journal past the snapshot
-    shard.close()
+    store = one_shard(tmp_path / "source")
+    seed_ops(store)
+    store.compact()
+    store.put("deposits", "9f9f9f", {"amount": 75})  # journal past the snapshot
+    store.close()
 
     digests = {}
     for backend in BACKENDS:
-        reopened = Shard(tmp_path, backend=backend, **NO_SLEEP)
+        one_shard(tmp_path / backend, backend).close()
+        for name in ("wal.log", "snapshot.json"):
+            source = tmp_path / "source" / "shard-00" / name
+            (tmp_path / backend / "shard-00" / name).write_bytes(source.read_bytes())
+        reopened = one_shard(tmp_path / backend, backend)
         reopened.recover()
         digests[backend] = reopened.state_digest()
         reopened.close()
@@ -72,20 +81,21 @@ def test_recovery_is_identical_across_backends_for_one_journal(tmp_path):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_duplicate_replay_is_idempotent(tmp_path, backend):
     """Stale snapshot + a WAL the snapshot already contains: no change."""
-    shard = Shard(tmp_path, backend=backend, **NO_SLEEP)
-    seed_ops(shard)
-    wal_bytes = shard.wal.path.read_bytes()
-    shard.compact()  # snapshot now holds everything, WAL reset
-    shard.close()
+    store = one_shard(tmp_path, backend)
+    seed_ops(store)
+    wal_path = store.shards[0].wal.path
+    wal_bytes = wal_path.read_bytes()
+    store.compact()  # snapshot now holds everything, WAL reset
+    store.close()
     # Simulate a crash between snapshot replace and WAL reset: the old
     # journal (every op the snapshot already has) is still in place.
-    (tmp_path / "wal.log").write_bytes(wal_bytes)
+    wal_path.write_bytes(wal_bytes)
 
-    reopened = Shard(tmp_path, backend=backend, **NO_SLEEP)
+    reopened = one_shard(tmp_path, backend)
     before = reopened.recover()
     digest = reopened.state_digest()
     reopened.close()
-    again = Shard(tmp_path, backend=backend, **NO_SLEEP)
+    again = one_shard(tmp_path, backend)
     again.recover()
     assert again.state_digest() == digest
     assert before.replayed_records == 7  # the stale journal really replayed
@@ -93,18 +103,18 @@ def test_duplicate_replay_is_idempotent(tmp_path, backend):
 
 
 def test_compact_preserves_state_and_empties_the_wal(tmp_path):
-    shard = Shard(tmp_path, backend="memory", **NO_SLEEP)
-    seed_ops(shard)
-    digest = shard.state_digest()
-    shard.compact()
-    assert shard.state_digest() == digest
-    assert shard.wal.path.read_bytes() == MAGIC
+    store = one_shard(tmp_path)
+    seed_ops(store)
+    digest = store.state_digest()
+    store.compact()
+    assert store.state_digest() == digest
+    assert store.shards[0].wal.path.read_bytes() == MAGIC
     # Compacting twice is harmless.
-    shard.compact()
-    assert shard.state_digest() == digest
-    shard.close()
+    store.compact()
+    assert store.state_digest() == digest
+    store.close()
 
-    reopened = Shard(tmp_path, backend="memory", **NO_SLEEP)
+    reopened = one_shard(tmp_path)
     stats = reopened.recover()
     assert stats.snapshot_records == 4
     assert stats.replayed_records == 0
@@ -113,35 +123,35 @@ def test_compact_preserves_state_and_empties_the_wal(tmp_path):
 
 
 def test_snapshot_garbage_is_corruption(tmp_path):
-    shard = Shard(tmp_path, backend="memory", **NO_SLEEP)
-    seed_ops(shard)
-    shard.compact()
-    shard.close()
-    (tmp_path / "snapshot.json").write_text("{not json", "utf-8")
+    store = one_shard(tmp_path)
+    seed_ops(store)
+    store.compact()
+    store.close()
+    (tmp_path / "shard-00" / "snapshot.json").write_text("{not json", "utf-8")
     with pytest.raises(StoreCorruptError, match="not valid JSON"):
-        Shard(tmp_path, backend="memory", **NO_SLEEP).recover()
+        one_shard(tmp_path).recover()
 
 
 def test_snapshot_version_mismatch_is_corruption(tmp_path):
-    shard = Shard(tmp_path, backend="memory", **NO_SLEEP)
-    seed_ops(shard)
-    shard.compact()
-    shard.close()
-    (tmp_path / "snapshot.json").write_text(
+    store = one_shard(tmp_path)
+    seed_ops(store)
+    store.compact()
+    store.close()
+    (tmp_path / "shard-00" / "snapshot.json").write_text(
         json.dumps({"version": 999, "spaces": {}}), "utf-8"
     )
     with pytest.raises(StoreCorruptError, match="version 999"):
-        Shard(tmp_path, backend="memory", **NO_SLEEP).recover()
+        one_shard(tmp_path).recover()
 
 
 def test_unknown_journal_operation_is_corruption(tmp_path):
-    shard = Shard(tmp_path, backend="memory", **NO_SLEEP)
-    shard.wal.append(
+    store = one_shard(tmp_path)
+    store.shards[0].wal.append(
         json.dumps({"op": "increment", "space": "x", "key": "y"}).encode()
     )
-    shard.close()
+    store.close()
     with pytest.raises(StoreCorruptError, match="unknown journal operation"):
-        Shard(tmp_path, backend="memory", **NO_SLEEP).recover()
+        one_shard(tmp_path).recover()
 
 
 # ----------------------------------------------------------------------
@@ -156,16 +166,23 @@ def test_shard_index_routes_hex_prefixes_and_falls_back():
 
 
 def test_sharded_spaces_route_by_key_singletons_pin_to_shard_zero(tmp_path):
-    store = Store(tmp_path, backend="memory", shards=4, **NO_SLEEP)
+    store = Store(tmp_path, backend="memory", shards=4)
     seed_ops(store)
-    assert store.shard_for("meta", "state") is store.shards[0]
-    assert store.shard_for("merchants", "zzz") is store.shards[0]
-    expected = store.shards[shard_index("ffcd34", 4)]
-    assert store.shard_for("deposits", "ffcd34") is expected
+    store.put("merchants", "00ab12", {"balance": 0})
     # Qualified spaces route on the base name before the colon.
-    assert (
-        store.shard_for("commitments:alice-books", "ffcd34") is expected
-    )
+    store.put("commitments:alice-books", "00ab12", {"amount": 30})
+    expected = shard_index("00ab12", 4)
+    assert expected != 0
+    owners = {
+        (space, key): index
+        for index, shard in enumerate(store.shards)
+        for space, table in shard.dump().items()
+        for key in table
+    }
+    assert owners[("meta", "state")] == 0
+    assert owners[("merchants", "00ab12")] == 0
+    assert owners[("deposits", "00ab12")] == expected
+    assert owners[("commitments:alice-books", "00ab12")] == expected
     store.close()
 
 
@@ -174,7 +191,7 @@ def test_store_digest_is_invariant_under_shard_count_and_backend(tmp_path):
     for backend in BACKENDS:
         for shards in (1, 2, 4):
             directory = tmp_path / f"{backend}-{shards}"
-            store = Store(directory, backend=backend, shards=shards, **NO_SLEEP)
+            store = Store(directory, backend=backend, shards=shards)
             seed_ops(store)
             digests.add(store.state_digest())
             store.close()
@@ -183,7 +200,7 @@ def test_store_digest_is_invariant_under_shard_count_and_backend(tmp_path):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_store_recovers_after_abrupt_close_with_torn_tail(tmp_path, backend):
-    store = Store(tmp_path, backend=backend, shards=4, **NO_SLEEP)
+    store = Store(tmp_path, backend=backend, shards=4)
     seed_ops(store)
     expected = store.dump()
     digest = store.state_digest()
@@ -191,7 +208,7 @@ def test_store_recovers_after_abrupt_close_with_torn_tail(tmp_path, backend):
     with (tmp_path / "shard-00" / "wal.log").open("ab") as handle:
         handle.write(b"\x00\x00\x00")  # power died mid-header
 
-    reopened = Store(tmp_path, backend=backend, shards=4, **NO_SLEEP)
+    reopened = Store(tmp_path, backend=backend, shards=4)
     stats = reopened.recover()
     assert stats.truncated_bytes == 3
     assert reopened.dump() == expected
@@ -202,17 +219,17 @@ def test_store_recovers_after_abrupt_close_with_torn_tail(tmp_path, backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_operation_commits_atomically_across_shards(tmp_path, backend):
     """One operation spanning two shards survives recovery as a whole."""
-    store = Store(tmp_path, backend=backend, shards=4, **NO_SLEEP)
+    store = Store(tmp_path, backend=backend, shards=4)
     with store.operation():
         store.put("ledger", "merchant/acme", {"balance": 25})  # shard 0
         store.put("deposits", "00000001", {"amount": 25})  # shard 1
     store.close()
 
-    reopened = Store(tmp_path, backend=backend, shards=4, **NO_SLEEP)
+    reopened = Store(tmp_path, backend=backend, shards=4)
     stats = reopened.recover()
     assert stats.discarded_records == 0
-    assert reopened.get("ledger", "merchant/acme") == {"balance": 25}
-    assert reopened.get("deposits", "00000001") == {"amount": 25}
+    assert read(reopened, "ledger", "merchant/acme") == {"balance": 25}
+    assert read(reopened, "deposits", "00000001") == {"amount": 25}
     reopened.close()
 
 
@@ -224,91 +241,93 @@ def test_uncommitted_operation_is_discarded_whole_on_recovery(tmp_path, backend)
     without it, a ledger credit could survive a crash that lost the
     deposit record journaled to a different shard's WAL.
     """
-    store = Store(tmp_path, backend=backend, shards=4, **NO_SLEEP)
+    store = Store(tmp_path, backend=backend, shards=4)
     store.put("merchants", "acme", {"registered": True})
-    store.ack()
     store.begin()
     store.put("ledger", "merchant/acme", {"balance": 25})
     store.put("deposits", "00000001", {"amount": 25})
     store.close()  # fsyncs the records but never writes the marker
 
-    reopened = Store(tmp_path, backend=backend, shards=4, **NO_SLEEP)
+    reopened = Store(tmp_path, backend=backend, shards=4)
     stats = reopened.recover()
     assert stats.discarded_records == 2
-    assert reopened.get("ledger", "merchant/acme") is None
-    assert reopened.get("deposits", "00000001") is None
-    assert reopened.get("merchants", "acme") == {"registered": True}
+    assert read(reopened, "ledger", "merchant/acme") is None
+    assert read(reopened, "deposits", "00000001") is None
+    assert read(reopened, "merchants", "acme") == {"registered": True}
     reopened.close()
 
 
 def test_operation_scope_aborts_on_exception(tmp_path):
-    store = Store(tmp_path, backend="memory", shards=2, **NO_SLEEP)
+    store = Store(tmp_path, backend="memory", shards=2)
     with pytest.raises(RuntimeError, match="request failed"):
         with store.operation():
             store.put("deposits", "00000001", {"amount": 25})
             raise RuntimeError("request failed")
-    assert not store.in_operation
+    store.begin()  # the aborted scope is closed
+    store.abort()
     store.close()
 
-    reopened = Store(tmp_path, backend="memory", shards=2, **NO_SLEEP)
+    reopened = Store(tmp_path, backend="memory", shards=2)
     reopened.recover()
-    assert reopened.get("deposits", "00000001") is None
+    assert read(reopened, "deposits", "00000001") is None
     reopened.close()
 
 
 def test_nested_operation_scopes_join_into_one_commit(tmp_path):
-    store = Store(tmp_path, backend="memory", shards=2, **NO_SLEEP)
+    store = Store(tmp_path, backend="memory", shards=2)
     with store.operation():
         with store.operation():
             store.put("deposits", "00000001", {"amount": 25})
         # Still open: the inner scope must not have committed.
-        assert store.in_operation
+        with pytest.raises(RuntimeError, match="already open"):
+            store.begin()
         store.put("ledger", "merchant/acme", {"balance": 25})
-    assert not store.in_operation
+    store.begin()  # the outer scope committed and closed
+    store.abort()
     store.close()
 
-    reopened = Store(tmp_path, backend="memory", shards=2, **NO_SLEEP)
+    reopened = Store(tmp_path, backend="memory", shards=2)
     assert reopened.recover().discarded_records == 0
-    assert reopened.get("deposits", "00000001") == {"amount": 25}
-    assert reopened.get("ledger", "merchant/acme") == {"balance": 25}
+    assert read(reopened, "deposits", "00000001") == {"amount": 25}
+    assert read(reopened, "ledger", "merchant/acme") == {"balance": 25}
     reopened.close()
 
 
 def test_txn_ids_never_collide_after_reopen_without_recover(tmp_path):
     """A fresh store over old WALs must not reissue a committed txn id."""
-    store = Store(tmp_path, backend="memory", shards=1, **NO_SLEEP)
+    store = Store(tmp_path, backend="memory", shards=1)
     with store.operation():
         store.put("deposits", "00000001", {"amount": 25})
     store.close()
 
     # Attach without recover(), run a new operation, crash before commit.
-    attached = Store(tmp_path, backend="memory", shards=1, **NO_SLEEP)
+    attached = Store(tmp_path, backend="memory", shards=1)
     attached.begin()
     attached.put("deposits", "00000002", {"amount": 50})
     attached.close()
 
-    reopened = Store(tmp_path, backend="memory", shards=1, **NO_SLEEP)
+    reopened = Store(tmp_path, backend="memory", shards=1)
     stats = reopened.recover()
     assert stats.discarded_records == 1  # only the uncommitted put
-    assert reopened.get("deposits", "00000001") == {"amount": 25}
-    assert reopened.get("deposits", "00000002") is None
+    assert read(reopened, "deposits", "00000001") == {"amount": 25}
+    assert read(reopened, "deposits", "00000002") is None
     reopened.close()
 
 
 def test_manifest_pins_the_shard_count(tmp_path):
-    Store(tmp_path, backend="memory", shards=4, **NO_SLEEP).close()
+    Store(tmp_path, backend="memory", shards=4).close()
     with pytest.raises(StoreCorruptError, match="explicit migration"):
-        Store(tmp_path, backend="memory", shards=8, **NO_SLEEP)
+        Store(tmp_path, backend="memory", shards=8)
 
 
 def test_manifest_pins_the_backend(tmp_path):
-    Store(tmp_path, backend="sqlite", shards=2, **NO_SLEEP).close()
+    Store(tmp_path, backend="sqlite", shards=2).close()
     with pytest.raises(StoreCorruptError, match="use open_store"):
-        Store(tmp_path, backend="memory", shards=2, **NO_SLEEP)
+        Store(tmp_path, backend="memory", shards=2)
 
 
 def test_manifest_is_written_atomically(tmp_path):
-    store = Store(tmp_path, backend="memory", shards=2, **NO_SLEEP)
+    store = Store(tmp_path, backend="memory", shards=2)
     assert not list(tmp_path.glob("*.tmp"))  # no temp file left behind
     manifest = json.loads(store.manifest_path.read_text("utf-8"))
     assert manifest["backend"] == "memory"
@@ -316,12 +335,12 @@ def test_manifest_is_written_atomically(tmp_path):
 
 
 def test_open_store_reuses_the_recorded_layout(tmp_path):
-    store = Store(tmp_path, backend="sqlite", shards=2, **NO_SLEEP)
+    store = Store(tmp_path, backend="sqlite", shards=2)
     seed_ops(store)
     digest = store.state_digest()
     store.close()
 
-    reopened = open_store(tmp_path, **NO_SLEEP)
+    reopened = open_store(tmp_path)
     assert reopened.backend_kind == "sqlite"
     assert reopened.shard_count == 2
     reopened.recover()
@@ -335,12 +354,12 @@ def test_open_store_without_a_manifest_is_corruption(tmp_path):
 
 
 def test_verify_prefixes_problems_with_the_shard(tmp_path):
-    store = Store(tmp_path, backend="memory", shards=2, **NO_SLEEP)
+    store = Store(tmp_path, backend="memory", shards=2)
     seed_ops(store)
     store.close()
     with (tmp_path / "shard-01" / "wal.log").open("ab") as handle:
         handle.write(b"\xff")
-    problems = Store(tmp_path, backend="memory", shards=2, **NO_SLEEP).verify()
+    problems = Store(tmp_path, backend="memory", shards=2).verify()
     assert any(problem.startswith("shard-01/") for problem in problems)
     assert not any(problem.startswith("shard-00/") for problem in problems)
 
@@ -352,4 +371,4 @@ def test_unknown_backend_is_rejected(tmp_path):
 
 def test_store_requires_at_least_one_shard(tmp_path):
     with pytest.raises(ValueError, match="at least one shard"):
-        Store(tmp_path, shards=0, **NO_SLEEP)
+        Store(tmp_path, shards=0)

@@ -1,22 +1,14 @@
-"""Tests for the write-ahead log: framing, group commit, torn tails."""
+"""Tests for the write-ahead log: framing, torn tails, recovery reads."""
 
 import os
 
 import pytest
 
-from repro.store import (
-    MAGIC,
-    RetryPolicy,
-    StoreCorruptError,
-    StoreIOError,
-    WriteAheadLog,
-    scan_wal_bytes,
-)
+from repro.store import MAGIC, StoreCorruptError, WriteAheadLog, scan_wal_bytes
 
 
-def make_wal(tmp_path, **kwargs):
-    kwargs.setdefault("sleep", lambda _delay: None)
-    return WriteAheadLog(tmp_path / "wal.log", **kwargs)
+def make_wal(tmp_path):
+    return WriteAheadLog(tmp_path / "wal.log")
 
 
 def test_round_trip_preserves_payloads_in_order(tmp_path):
@@ -31,18 +23,6 @@ def test_round_trip_preserves_payloads_in_order(tmp_path):
 def test_empty_log_replays_to_nothing(tmp_path):
     wal = make_wal(tmp_path)
     assert wal.replay() == []
-
-
-def test_fsync_every_batches_group_commit(tmp_path):
-    wal = make_wal(tmp_path, fsync_every=3)
-    for index in range(7):
-        wal.append(b"record-%d" % index)
-    # 7 appends at width 3: fsync after records 3 and 6 only.
-    assert wal.fsync_count == 2
-    wal.flush()
-    assert wal.fsync_count == 3
-    wal.close()
-    assert make_wal(tmp_path).replay() == [b"record-%d" % i for i in range(7)]
 
 
 def test_torn_header_at_tail_is_truncated_not_fatal(tmp_path):
@@ -170,57 +150,6 @@ def test_open_heals_a_torn_creation(tmp_path):
     wal.append(b"first")
     wal.close()
     assert make_wal(tmp_path).replay() == [b"first"]
-
-
-class FlakyFile:
-    """Wraps a real file handle; the next ``fail`` writes are cut short."""
-
-    def __init__(self, inner, fail=1):
-        self.inner = inner
-        self.fail = fail
-
-    def write(self, data):
-        if self.fail:
-            self.fail -= 1
-            self.inner.write(data[: len(data) // 2])  # partial write, then error
-            raise OSError("disk hiccup")
-        return self.inner.write(data)
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
-
-
-def scan_clean(tmp_path):
-    scanned = scan_wal_bytes((tmp_path / "wal.log").read_bytes())
-    return scanned.problem is None and scanned.torn_bytes == 0
-
-
-def test_append_retries_overwrite_partial_writes(tmp_path):
-    """A failed write retried at the same offset must not double a record."""
-    wal = make_wal(tmp_path)
-    wal.append(b"steady")
-    wal._file = FlakyFile(wal._file)
-    wal.append(b"retried-once")
-    wal.close()
-    assert scan_clean(tmp_path)  # before replay, which would heal a torn tail
-    assert make_wal(tmp_path).replay() == [b"steady", b"retried-once"]
-
-
-def test_append_after_exhausted_retries_overwrites_the_partial_write(tmp_path):
-    """An append that ran out of retries leaves half a record behind;
-    the next append, a fresh call, must still start by erasing it."""
-    wal = make_wal(tmp_path, retry=RetryPolicy(attempts=2))
-    wal.append(b"steady")
-    real = wal._file
-    wal._file = FlakyFile(real, fail=2)
-    with pytest.raises(StoreIOError):
-        wal.append(b"never-lands")
-    wal._file = real
-    wal.append(b"next")
-    wal.append(b"and-one-more")  # the clean tail is appended to, not rewound over
-    wal.close()
-    assert scan_clean(tmp_path)
-    assert make_wal(tmp_path).replay() == [b"steady", b"next", b"and-one-more"]
 
 
 def test_the_first_append_after_replay_does_not_rescan_the_log(tmp_path, monkeypatch):
