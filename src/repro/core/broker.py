@@ -19,7 +19,7 @@ import enum
 import itertools
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, ContextManager, Mapping
+from typing import TYPE_CHECKING, ContextManager, Iterable, Mapping, Sequence
 
 from repro import obs, perf
 from repro.core.bank import Ledger
@@ -45,7 +45,14 @@ from repro.core.witness_ranges import WitnessAssignmentTable, build_table
 from repro.crypto.blind import PartiallyBlindSigner, SignerChallenge, SignerResponse, SignerSession
 from repro.crypto.representation import RepresentationResponse, extract_representations
 from repro.crypto.schnorr import SchnorrKeyPair
-from repro.crypto.serialize import WireFields, as_int, as_text, pack_batch, split_batch
+from repro.crypto.serialize import (
+    WireFields,
+    as_int,
+    as_text,
+    encode_flat,
+    pack_batch,
+    split_batch,
+)
 
 if TYPE_CHECKING:
     from repro.core.persistence import BrokerJournal
@@ -120,6 +127,16 @@ class _DepositRecord:
     def to_record(self) -> dict[str, object]:
         """The deposit as stored at rest: ``signed.*`` is the wire form."""
         return {"signed": self.signed.to_wire(), "deposited_at": self.deposited_at}
+
+    @staticmethod
+    def text_from_wire(signed: WireFields, deposited_at: int) -> str:
+        """``encode(to_record())`` of the deposit of a transcript whose wire
+        fields are ``signed``, as a deposit request carried them (the keys
+        of :attr:`SignedTranscript.WIRE_KEYS`, each value the canonical
+        text ``from_wire`` accepted or an in-process integer): the same
+        bytes, built from that text rather than from objects."""
+        fields = {"signed." + key: value for key, value in signed.items()}
+        return encode_flat({**fields, "deposited_at": deposited_at})
 
     @classmethod
     def from_record(cls, fields: WireFields, prefix: str = "") -> "_DepositRecord":
@@ -514,7 +531,13 @@ class Broker:
     # ------------------------------------------------------------------
     # Deposit (Algorithm 3)
     # ------------------------------------------------------------------
-    def deposit(self, merchant_id: str, signed: SignedTranscript, now: int) -> DepositResult:
+    def deposit(
+        self,
+        merchant_id: str,
+        signed: SignedTranscript,
+        now: int,
+        received: WireFields | None = None,
+    ) -> DepositResult:
         """Clear a witness-signed payment transcript.
 
         Happy path costs 6 ``Exp`` + 4 ``Hash`` + 1 ``Ver`` (Table 1):
@@ -522,21 +545,31 @@ class Broker:
         digest (1 ``Hash``), transcript signature (1 ``Ver``), challenge
         (1 ``Hash``) and the representation check (3 ``Exp``).
 
+        ``received`` is ``signed``'s wire fields as the deposit request
+        carried them, when there was one: the journal builds the deposit
+        record from that text rather than from ``signed``.
+
         Raises:
             UnknownMerchantError: depositor or witness not registered.
             InvalidCoinError / ExpiredCoinError / WrongWitnessError /
             InvalidPaymentError: failed verification (step 1).
             DoubleDepositError: the same merchant re-deposited the coin,
                 whichever account its first deposit was paid from.
+            InsufficientFundsError: the account the coin is paid from
+                cannot cover it; nothing of the deposit is kept.
         """
         self._verify_deposit(merchant_id, signed, now)
-        return self._settle_deposit(merchant_id, signed, now)
+        with self._journal_scope():
+            result = self._settle_deposit(merchant_id, signed, now, received)
+            self._journal_accounts((signed.transcript.coin.witness_id,))
+        return result
 
     def deposit_batch(
         self,
         merchant_id: str,
         items: list[SignedTranscript],
         now: int,
+        received: Sequence[WireFields] | None = None,
     ) -> list[DepositResult | EcashError]:
         """Clear many transcripts from one merchant as one durability unit.
 
@@ -546,7 +579,8 @@ class Broker:
         in-batch repeat of a coin behaves as two separate deposits would.
         What the batch shares is the journal: all settlements sit inside
         one :meth:`_journal_scope`, which costs one fsync per touched
-        shard and one commit marker however many items it holds. A crash
+        shard and one commit marker however many items it holds, and
+        journals each witness's account once. A crash
         before that marker is durable makes recovery discard the whole
         batch; the caller has seen no result by then and retries it.
 
@@ -555,6 +589,9 @@ class Broker:
         two subgroup-membership exponentiations per coin where the plain
         check needs one exponentiation, and measured slower end to end.
 
+        ``received``, when given, holds each item's wire fields as the
+        request carried them (see :meth:`deposit`).
+
         Returns:
             Per item, in order: a :class:`DepositResult`, or the
             :class:`~repro.core.exceptions.EcashError` that item raised.
@@ -562,13 +599,18 @@ class Broker:
         items = list(items)
         obs.observe("perf_batch_deposit_size", len(items))
         results: list[DepositResult | EcashError] = []
+        witnesses: dict[str, None] = {}
+        texts = [None] * len(items) if received is None else received
         with self._journal_scope():
-            for signed in items:
+            for signed, text in zip(items, texts, strict=True):
                 try:
                     self._verify_deposit(merchant_id, signed, now)
-                    results.append(self._settle_deposit(merchant_id, signed, now))
+                    results.append(self._settle_deposit(merchant_id, signed, now, text))
                 except EcashError as exc:
                     results.append(exc)
+                else:
+                    witnesses[signed.transcript.coin.witness_id] = None
+            self._journal_accounts(witnesses)
         return results
 
     def _verify_deposit(self, merchant_id: str, signed: SignedTranscript, now: int) -> None:
@@ -595,72 +637,76 @@ class Broker:
         verify_payment_response(self.params, transcript)
 
     def _settle_deposit(
-        self, merchant_id: str, signed: SignedTranscript, now: int
+        self,
+        merchant_id: str,
+        signed: SignedTranscript,
+        now: int,
+        received: WireFields | None,
     ) -> DepositResult:
         """Algorithm 3 step 2: dedup against the transcript database and pay.
 
-        The whole settlement is one :meth:`_journal_scope`: the ledger
+        Runs inside the caller's :meth:`_journal_scope`: the ledger
         credit, the deposit (or fault) record and the witness counters
         share one commit marker, so a crash at any instant recovers to
         either the full settlement or none of it — never a credited
         merchant account with no memory of the coin (the state a
-        retrying merchant could turn into a double credit).
+        retrying merchant could turn into a double credit). The caller
+        journals the witness's account. Every step that can refuse — the
+        double-deposit check and the credit — runs before any record is
+        written, so a refused deposit leaves no trace in memory or on disk.
         """
         coin = signed.transcript.coin
         witness = self._require_merchant(coin.witness_id)
         previous = self._deposits.get(coin.bare)
-        with self._journal_scope():
-            if previous is None:
-                record = _DepositRecord(signed=signed, deposited_at=now)
-                self._deposits[coin.bare] = record
-                witness.coins_witnessed += 1
-                self._credit(merchant_id, coin.denomination, source=self.account)
-                if self.journal is not None:
-                    self.journal.record_deposit(coin.bare, record)
-                    self.journal.record_merchant(witness)
-                obs.counter_inc(
-                    "broker_deposits_total", outcome=DepositOutcome.CREDITED.value
-                )
-                return DepositResult(
-                    outcome=DepositOutcome.CREDITED, amount=coin.denomination
-                )
-            # Credited already: from the float (the first record) or from
-            # the witness's escrow (a fault entry). The fault log is the
-            # only memory of the latter, so recovery restores this refusal
-            # with it; it is read only for a coin deposited before.
-            if previous.signed.transcript.merchant_id == merchant_id or any(
-                paid.transcript.merchant_id == merchant_id
-                and paid.transcript.coin.bare == coin.bare
-                for _, _, paid in self.witness_fault_log
-            ):
-                obs.counter_inc("broker_double_deposits_refused_total")
-                raise DoubleDepositError(
-                    f"merchant {merchant_id!r} already deposited this coin"
-                )
-            # Case 2-b: another merchant deposits the same coin — both hold
-            # witness signatures, so the witness signed twice. This merchant
-            # is still paid, once, from the witness's security deposit.
-            witness.incidents += 1
-            obs.counter_inc("witness_faults_detected_total")
-            obs.counter_inc(
-                "broker_deposits_total",
-                outcome=DepositOutcome.CREDITED_FROM_WITNESS_DEPOSIT.value,
-            )
-            proof = (previous.signed, signed)
-            self.witness_fault_log.append((coin.witness_id, *proof))
-            self._credit(
-                merchant_id, coin.denomination, source=self._escrow_account(coin.witness_id)
-            )
+        if previous is None:
+            self._credit(merchant_id, coin.denomination, source=self.account)
+            record = _DepositRecord(signed=signed, deposited_at=now)
+            self._deposits[coin.bare] = record
+            witness.coins_witnessed += 1
             if self.journal is not None:
-                self.journal.record_merchant(witness)
-                self.journal.record_fault(
-                    len(self.witness_fault_log) - 1, self.witness_fault_log[-1]
-                )
-            return DepositResult(
-                outcome=DepositOutcome.CREDITED_FROM_WITNESS_DEPOSIT,
-                amount=coin.denomination,
-                witness_fault_proof=proof,
+                self.journal.record_deposit(coin.bare, record, received)
+            obs.counter_inc("broker_deposits_total", outcome=DepositOutcome.CREDITED.value)
+            return DepositResult(outcome=DepositOutcome.CREDITED, amount=coin.denomination)
+        # Credited already: from the float (the first record) or from
+        # the witness's escrow (a fault entry). The fault log is the
+        # only memory of the latter, so recovery restores this refusal
+        # with it; it is read only for a coin deposited before.
+        if previous.signed.transcript.merchant_id == merchant_id or any(
+            paid.transcript.merchant_id == merchant_id
+            and paid.transcript.coin.bare == coin.bare
+            for _, _, paid in self.witness_fault_log
+        ):
+            obs.counter_inc("broker_double_deposits_refused_total")
+            raise DoubleDepositError(f"merchant {merchant_id!r} already deposited this coin")
+        # Case 2-b: another merchant deposits the same coin — both hold
+        # witness signatures, so the witness signed twice. This merchant
+        # is still paid, once, from the witness's security deposit.
+        self._credit(
+            merchant_id, coin.denomination, source=self._escrow_account(coin.witness_id)
+        )
+        witness.incidents += 1
+        obs.counter_inc("witness_faults_detected_total")
+        obs.counter_inc(
+            "broker_deposits_total",
+            outcome=DepositOutcome.CREDITED_FROM_WITNESS_DEPOSIT.value,
+        )
+        proof = (previous.signed, signed)
+        self.witness_fault_log.append((coin.witness_id, *proof))
+        if self.journal is not None:
+            self.journal.record_fault(
+                len(self.witness_fault_log) - 1, self.witness_fault_log[-1]
             )
+        return DepositResult(
+            outcome=DepositOutcome.CREDITED_FROM_WITNESS_DEPOSIT,
+            amount=coin.denomination,
+            witness_fault_proof=proof,
+        )
+
+    def _journal_accounts(self, merchant_ids: Iterable[str]) -> None:
+        """Journal the accounts of witnesses whose counters a deposit moved."""
+        if self.journal is not None:
+            for merchant_id in merchant_ids:
+                self.journal.record_merchant(self.merchants[merchant_id])
 
     # ------------------------------------------------------------------
     # Renewal (Algorithm 4, broker side)

@@ -63,7 +63,6 @@ class Merchant:
     broker_sign_public: int
     witness_keys: dict[str, int] = field(default_factory=dict)
     rng: random.Random | None = None
-    refused_double_spends: list[DoubleSpendProof] = field(default_factory=list)
     _seen_bare_coins: set[object] = field(default_factory=set)
     #: Accepted-but-undeposited transcripts, in acceptance order (a dict
     #: used as an ordered set: membership by hash, not by list scan).
@@ -166,7 +165,6 @@ class Merchant:
         """
         if not proof.verify(self.params, coin):
             raise InvalidPaymentError("witness returned an invalid double-spend proof")
-        self.refused_double_spends.append(proof)
         obs.counter_inc("merchant_double_spend_refusals_total")
         raise DoubleSpendError(proof)
 

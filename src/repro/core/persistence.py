@@ -12,9 +12,11 @@ keeps it there: :func:`attach_broker_store` / :func:`attach_witness_store`
 recover a store, restore the party from it (or write the party's state
 into an empty one) and hook the party to it, so every mutation is
 appended to the write-ahead log *before* the mutating method returns
-(journal-before-acknowledge). :func:`broker_spaces` /
-:func:`restore_broker` are the whole state in one piece — what a
-journaled store holds, and how it is read back.
+(journal-before-acknowledge). The hooks stage their writes in the
+party step's store operation, which writes them at its commit (the last
+write of a key wins) or drops them if the step fails.
+:func:`broker_spaces` / :func:`restore_broker` are the whole state in
+one piece — what a journaled store holds, and how it is read back.
 
 There is one record format, and it is the wire codec's. A stored value
 is the string ``serialize.encode(record.to_record())``, where each
@@ -24,10 +26,13 @@ and is composed from the ``to_wire`` / ``from_wire`` of the transcripts
 and coins inside it; reading is ``X.from_record(serialize.decode(value))``.
 So the ``signed.*`` fields of a stored deposit are byte-identical to the
 ``signed.*`` fields of the ``deposit`` request that carried it, and this
-module holds hooks, not encoders. A value that is not such a string — a
-state directory written when records were nested JSON objects — is
-refused with :class:`~repro.store.StoreCorruptError` before any of the
-broker is touched. The store contains the broker's SECRET keys; a
+module holds hooks, not encoders (a deposit that came over the wire is
+stored from the fields it was received in, by
+:meth:`_DepositRecord.text_from_wire`, to the same bytes). A value
+that is not such a string — a state directory written when records were
+nested JSON objects — is refused with
+:class:`~repro.store.StoreCorruptError` before any of the broker is
+touched. The store contains the broker's SECRET keys; a
 deployment would encrypt it at rest — key management is out of scope
 here, as it is in the paper.
 
@@ -82,7 +87,7 @@ from repro.core.witness_ranges import WitnessAssignmentTable
 from repro.crypto import counters
 from repro.crypto.blind import PartiallyBlindSigner
 from repro.crypto.schnorr import SchnorrKeyPair
-from repro.crypto.serialize import as_int, decode, encode
+from repro.crypto.serialize import WireFields, as_int, decode, encode
 from repro.store import RecoveryStats, Store, StoreCorruptError
 
 #: What a store hands back: ``{space: {key: value}}``. The values this
@@ -386,9 +391,10 @@ class BrokerJournal:
     """Mirrors every broker mutation into a :class:`~repro.store.Store`.
 
     Hook methods are invoked by :class:`Broker` after each in-memory
-    mutation and *before* the mutating method returns. Each hook runs
-    inside a :meth:`Store.operation` scope, whose commit (WAL fsync plus
-    commit marker) is the durability point — journal-before-acknowledge.
+    mutation and *before* the mutating method returns. Each hook stages
+    its writes in a :meth:`Store.operation` scope, whose commit (WAL
+    write and fsync plus commit marker) is the durability point —
+    journal-before-acknowledge.
     When the broker opens an :meth:`operation` scope around a whole
     protocol step, the hooks it fires *join* that scope, so everything
     the step journals — ledger movements included — commits atomically:
@@ -439,12 +445,23 @@ class BrokerJournal:
         with self.store.operation():
             self.store.delete("batches", str(ticket_id))
 
-    def record_deposit(self, bare: BareCoin, record: _DepositRecord) -> None:
-        """Journal a cleared deposit before the merchant is told."""
+    def record_deposit(
+        self, bare: BareCoin, record: _DepositRecord, received: WireFields | None = None
+    ) -> None:
+        """Journal a cleared deposit before the merchant is told.
+
+        ``received`` is the transcript's wire fields as the deposit
+        request carried them: the record is then built from that text
+        (:meth:`_DepositRecord.text_from_wire`), not re-encoded from
+        objects.
+        """
+        value = (
+            encode(record.to_record())
+            if received is None
+            else _DepositRecord.text_from_wire(received, record.deposited_at)
+        )
         with self.store.operation():
-            self.store.put(
-                "deposits", _bare_key(bare, self.broker.params), encode(record.to_record())
-            )
+            self.store.put("deposits", _bare_key(bare, self.broker.params), value)
 
     def record_renewal(self, record: _RenewalRecord) -> None:
         """Journal a renewal transcript before the response is sent."""

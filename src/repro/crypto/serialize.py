@@ -330,6 +330,18 @@ def encode(mapping: Mapping[str, object]) -> str:
     """
     flat: WireMapping = {}
     _walk(mapping, "", flat)
+    return encode_flat(flat)
+
+
+def encode_flat(flat: Mapping[str, WireValue]) -> str:
+    """:func:`encode` of a mapping that is flat already: dotted keys to
+    ``int`` or ``str`` leaves, as :func:`flatten` returns and a received
+    body decodes to.
+
+    ``encode_flat(flatten(mapping)) == encode(mapping)``. The keys are
+    trusted to be legal (a key first learned here is still checked by
+    :func:`abbreviate_key`); the leaves are not checked for ``bool``.
+    """
     pairs: list[str] = []
     for key in sorted(flat):
         value = flat[key]
@@ -489,6 +501,7 @@ __all__ = [
     "as_text",
     "decode",
     "encode",
+    "encode_flat",
     "expand_key",
     "flatten",
     "int_to_text",

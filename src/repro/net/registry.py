@@ -413,7 +413,9 @@ def broker_dispatch(broker: Broker, clock: Clock) -> dict[str, Handler]:
 
     def deposit(flat: dict[str, Any]) -> dict[str, Any]:
         signed = SignedTranscript.from_wire(flat, "signed.")
-        result = broker.deposit(str(flat["merchant_id"]), signed, clock())
+        result = broker.deposit(
+            str(flat["merchant_id"]), signed, clock(), strip_prefix(flat, "signed.")
+        )
         return {"outcome": result.outcome.value, "amount": result.amount}
 
     def deposit_batch(flat: dict[str, Any], batch: Batch) -> dict[str, Any]:
@@ -422,10 +424,12 @@ def broker_dispatch(broker: Broker, clock: Clock) -> dict[str, Handler]:
                 f"deposit/batch carries {len(batch)} transcripts; "
                 f"the limit is {DEPOSIT_BATCH_SIZE}"
             )
+        received = [fields for _, fields in batch]
         results = broker.deposit_batch(
             str(flat["merchant_id"]),
-            [SignedTranscript.from_wire(fields) for _, fields in batch],
+            [SignedTranscript.from_wire(fields) for fields in received],
             clock(),
+            received,
         )
         out: dict[str, Any] = {}
         for (index, _), result in zip(batch, results):

@@ -16,7 +16,10 @@ provides that memory as three small layers:
   journal alone;
 * :class:`~repro.store.store.Store` — a fixed set of shards routed by
   coin-hash prefix, aligned with the witness ranges that already
-  partition ``[0, 2^k)``; recovery and compaction run here only.
+  partition ``[0, 2^k)``; an atomic operation stages its writes here
+  (the last write per key wins) until its commit writes them, one
+  buffered write per shard, and an abort drops them; recovery and
+  compaction run here only.
 
 The store fails stop: the first failed write, fsync, truncate or
 replace raises :class:`~repro.store.errors.StoreIOError`, and every later

@@ -1,12 +1,17 @@
 """One shard: a write-ahead log + snapshot + materialized backend.
 
-Every mutation follows the same discipline:
+Every mutation follows the same discipline, driven by the store at the
+commit of the operation it belongs to (a put outside any operation is
+its own commit):
 
-1. encode the operation as JSON and :meth:`append <WriteAheadLog.append>`
-   it to the shard's WAL (fsynced at once, or at the commit point of the
-   store operation it belongs to — the caller only acknowledges *after*
-   the journal is durable);
-2. apply it to the backend.
+1. encode each operation as JSON (:func:`journal_record`) and
+   :meth:`append <WriteAheadLog.append>` the shard's share of them to its
+   WAL in one write, fsynced before the call returns — the caller only
+   acknowledges *after* the journal is durable;
+2. apply them to the backend (:meth:`Shard.apply`).
+
+Until then nothing of an operation is in the WAL or the backend, so an
+aborted operation leaves no trace in either.
 
 Recovery inverts that: clear the backend, load the last snapshot (an
 atomically-replaced JSON file), then replay the WAL front to back. Both
@@ -99,6 +104,37 @@ def committed_txns(
     return committed, highest
 
 
+#: The staged value of a deletion (``None`` is a value a key may hold).
+DELETE = object()
+
+
+#: Spells a journal record as ``json.dumps(record, sort_keys=True)`` does,
+#: without building an encoder per record.
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def journal_record(space: str, key: str, value: object, txn: int | None) -> bytes:
+    """One journal operation as the WAL stores it: a put, or a delete when
+    ``value`` is :data:`DELETE`, tagged with ``txn`` when it is set.
+
+    Raises:
+        TypeError: ``value`` is not JSON-encodable (nothing was written).
+    """
+    record: dict[str, object]
+    if value is DELETE:
+        record = {"op": "delete", "space": space, "key": key}
+    else:
+        record = {"op": "put", "space": space, "key": key, "value": value}
+    if txn is not None:
+        record["txn"] = txn
+    return _ENCODER.encode(record).encode()
+
+
+def commit_record(txn: int) -> bytes:
+    """The commit marker of operation ``txn``."""
+    return _ENCODER.encode({"op": "commit", "txn": txn}).encode()
+
+
 class Shard:
     """One journaled partition of a store.
 
@@ -121,49 +157,21 @@ class Shard:
         return self.directory / "snapshot.json"
 
     # ------------------------------------------------------------------
-    # Mutation (journal first, then apply)
+    # Mutation (the store journals first, then applies)
     # ------------------------------------------------------------------
-    def put(
-        self, space: str, key: str, value: object, txn: int | None = None
-    ) -> None:
-        """Journal and apply an upsert of a JSON-encodable value.
+    def apply(self, ops: list[tuple[str, str, object]]) -> None:
+        """Apply ``(space, key, value)`` upserts — :data:`DELETE` removes —
+        to the backend, once the store has journaled them.
 
-        With ``txn`` set, the record is tagged as part of logical
-        operation ``txn`` (effective on recovery only once its commit
-        marker lands) and its fsync is deferred to the commit point. The
-        memory backend keeps ``value`` itself, so the caller must not
+        The memory backend keeps ``value`` itself, so the caller must not
         mutate it afterwards (the parties journal immutable strings).
         """
-        record: dict[str, object] = {"op": "put", "space": space, "key": key, "value": value}
-        if txn is not None:
-            record["txn"] = txn
-        self.wal.append(
-            json.dumps(record, sort_keys=True).encode("utf-8"), defer=txn is not None
-        )
-        self.backend.put(space, key, value)
-
-    def delete(self, space: str, key: str, txn: int | None = None) -> None:
-        """Journal and apply a deletion (idempotent on replay)."""
-        record: dict[str, object] = {"op": "delete", "space": space, "key": key}
-        if txn is not None:
-            record["txn"] = txn
-        self.wal.append(
-            json.dumps(record, sort_keys=True).encode("utf-8"), defer=txn is not None
-        )
-        self.backend.delete(space, key)
-
-    def append_commit(self, txn: int) -> None:
-        """Append (without fsyncing) the commit marker for operation ``txn``.
-
-        The caller — :meth:`repro.store.store.Store.commit` — fsyncs every
-        shard holding the operation's records *before* this marker is
-        appended, then fsyncs this shard, so a durable marker implies
-        durable records.
-        """
-        self.wal.append(
-            json.dumps({"op": "commit", "txn": txn}, sort_keys=True).encode("utf-8"),
-            defer=True,
-        )
+        backend = self.backend
+        for space, key, value in ops:
+            if value is DELETE:
+                backend.delete(space, key)
+            else:
+                backend.put(space, key, value)
 
     def dump(self) -> dict[str, dict[str, object]]:
         """The shard's whole logical state: ``{space: {key: value}}``."""
@@ -289,4 +297,13 @@ class Shard:
             raise StoreCorruptError(f"unknown journal operation {op!r}")
 
 
-__all__ = ["RecoveryStats", "SNAPSHOT_VERSION", "Shard", "committed_txns", "write_atomically"]
+__all__ = [
+    "DELETE",
+    "RecoveryStats",
+    "SNAPSHOT_VERSION",
+    "Shard",
+    "commit_record",
+    "committed_txns",
+    "journal_record",
+    "write_atomically",
+]

@@ -17,6 +17,13 @@ on reopen — resharding is a migration, not an accident.
 ``dump``/``state_digest`` merge all shards into one logical state, so
 the digest is invariant under both shard count and backend choice.
 
+A store operation (:meth:`Store.operation`) stages its puts and deletes
+in memory, the last write per ``(space, key)`` winning, and writes them
+at commit: one buffered write per touched shard, the shards without the
+commit marker fsynced before the marker's shard. Nothing of an operation
+reaches a WAL or a backend before its commit, so an abort only drops the
+stage, and a failed write surfaces at commit, not at the ``put``.
+
 The store fails stop: the first :class:`~repro.store.errors.StoreIOError`
 of any shard poisons the whole store, and every later ``begin``, ``put``,
 ``delete``, ``commit``, ``flush`` or ``compact`` raises it. The memory of
@@ -37,7 +44,15 @@ from typing import Iterator
 
 from repro import obs
 from repro.store.errors import StoreCorruptError, StoreIOError
-from repro.store.shard import RecoveryStats, Shard, committed_txns, write_atomically
+from repro.store.shard import (
+    DELETE,
+    RecoveryStats,
+    Shard,
+    commit_record,
+    committed_txns,
+    journal_record,
+    write_atomically,
+)
 from repro.store.wal import scan_wal_bytes
 
 #: Base space names routed by key; every other space pins to shard 0.
@@ -45,6 +60,9 @@ SHARDED_SPACES = frozenset({"deposits", "renewals", "commitments", "spent"})
 
 #: Manifest format version, checked on reopen.
 MANIFEST_VERSION = 1
+
+#: What an inner :meth:`Store.operation` scope is: it joins the open one.
+_JOINED = contextlib.nullcontext()
 
 
 def shard_index(key: str, shards: int) -> int:
@@ -91,7 +109,9 @@ class Store:
         #: The first IO failure of any shard; once set, every write raises it.
         self.failure: StoreIOError | None = None
         self._active_txn: int | None = None
-        self._txn_touched: set[int] = set()
+        #: The open operation's writes by ``(space, key)``; :data:`DELETE`
+        #: stages a deletion.
+        self._stage: dict[tuple[str, str], object] = {}
         self._txn_counter: itertools.count[int] | None = None
         self.shards = [
             Shard(self.directory / f"shard-{index:02d}", backend=backend)
@@ -113,23 +133,52 @@ class Store:
         return 0
 
     # ------------------------------------------------------------------
-    # Mutation (delegate to the owning shard)
+    # Mutation (staged in the open operation, written at its commit)
     # ------------------------------------------------------------------
     def put(self, space: str, key: str, value: object) -> None:
-        """Journal and apply an upsert on the owning shard."""
-        index = self._route(space, key)
-        with self._fail_stop():
-            self.shards[index].put(space, key, value, txn=self._active_txn)
-        if self._active_txn is not None:
-            self._txn_touched.add(index)
+        """Upsert a JSON-encodable value: staged in the open operation, or
+        journaled and applied at once outside any."""
+        self._stage_or_write(space, key, value)
 
     def delete(self, space: str, key: str) -> None:
-        """Journal and apply a deletion on the owning shard."""
-        index = self._route(space, key)
+        """Delete a key: staged in the open operation, or journaled and
+        applied at once outside any."""
+        self._stage_or_write(space, key, DELETE)
+
+    def _stage_or_write(self, space: str, key: str, value: object) -> None:
+        if self.failure is not None:
+            raise self.failure
+        if self._active_txn is None:
+            self._write({(space, key): value}, None)
+        else:
+            self._stage[(space, key)] = value  # the last write wins
+
+    def _write(self, ops: dict[tuple[str, str], object], txn: int | None) -> None:
+        """Journal ``ops`` (with ``txn``'s commit marker when it is set), then
+        apply them.
+
+        Every record is encoded before a byte is written, so a value the
+        journal cannot encode fails the call and nothing else. Each shard
+        gets one write: the shards without the marker are fsynced first,
+        then the marker's shard (the lowest touched) with its own records,
+        so a durable marker implies durable records.
+        """
+        by_shard: dict[int, list[tuple[str, str, object]]] = {}
+        for (space, key), value in ops.items():
+            by_shard.setdefault(self._route(space, key), []).append((space, key, value))
+        order = sorted(by_shard)
+        payloads = {
+            index: [journal_record(space, key, value, txn) for space, key, value in ops_of]
+            for index, ops_of in by_shard.items()
+        }
+        if txn is not None:
+            payloads[order[0]].append(commit_record(txn))
+            order.append(order.pop(0))
         with self._fail_stop():
-            self.shards[index].delete(space, key, txn=self._active_txn)
-        if self._active_txn is not None:
-            self._txn_touched.add(index)
+            for index in order:
+                self.shards[index].wal.append(*payloads[index])
+        for index in order:
+            self.shards[index].apply(by_shard[index])
 
     @contextlib.contextmanager
     def _fail_stop(self) -> Iterator[None]:
@@ -145,21 +194,26 @@ class Store:
     # ------------------------------------------------------------------
     # Atomic logical operations
     # ------------------------------------------------------------------
-    @contextlib.contextmanager
-    def operation(self) -> Iterator[None]:
+    def operation(self) -> contextlib.AbstractContextManager[None]:
         """Scope one atomic logical operation (re-entrant: inner scopes join).
 
-        Every ``put``/``delete`` inside the scope is journaled tagged
-        with one transaction id and becomes effective-on-recovery only
-        when the commit marker written at scope exit is durable — so a
-        crash anywhere inside the scope discards the *whole* operation
-        on replay, never a prefix of it. This is what makes a deposit's
-        ledger credit and its transcript record a single durability
-        unit even though they land in different shards' WALs.
+        Every ``put``/``delete`` inside the scope is staged in memory, the
+        last write per ``(space, key)`` winning; scope exit journals the
+        staged writes tagged with one transaction id, then a commit
+        marker, and only then applies them to the backends. A crash
+        before the marker is durable discards the *whole* operation on
+        replay, never a prefix of it; an exception inside the scope
+        aborts it, and nothing of it reaches the WAL or a backend. This
+        is what makes a deposit's ledger credit and its transcript record
+        a single durability unit even though they land in different
+        shards' WALs.
         """
         if self._active_txn is not None:
-            yield  # join the enclosing operation
-            return
+            return _JOINED
+        return self._scope()
+
+    @contextlib.contextmanager
+    def _scope(self) -> Iterator[None]:
         self.begin()
         try:
             yield
@@ -183,46 +237,37 @@ class Store:
         if self._txn_counter is None:
             self._txn_counter = itertools.count(self._scan_highest_txn() + 1)
         self._active_txn = next(self._txn_counter)
-        self._txn_touched = set()
+        self._stage = {}
 
     def commit(self) -> None:
-        """Make the open operation durable: fsync records, then the marker.
+        """Make the open operation durable: its records, then the marker.
 
-        Ordering is the invariant: every shard holding the operation's
-        records is fsynced *before* the commit marker is appended and
-        fsynced, so a durable marker implies durable records — and an
-        absent marker means recovery discards the half-written operation.
+        The staged writes are journaled (:meth:`_write`): every shard
+        holding the operation's records is fsynced *before* the commit
+        marker's shard is, so a durable marker implies durable records —
+        and an absent marker means recovery discards the half-written
+        operation. A failed write or fsync of any of them surfaces here.
 
         Raises:
             StoreIOError: the store has failed, now or earlier.
+            TypeError: a staged value is not JSON-encodable (the
+                operation is dropped, and nothing was written).
             RuntimeError: no operation is open.
         """
-        with self._fail_stop():
-            if self._active_txn is None:
-                raise RuntimeError("no store operation is open")
-            txn = self._active_txn
-            touched = sorted(self._txn_touched)
-            self._active_txn = None
-            self._txn_touched = set()
-            if not touched:
-                return
-            marker = touched[0]
-            for index in touched:
-                if index != marker:
-                    self.shards[index].wal.flush()
-            self.shards[marker].append_commit(txn)
-            self.shards[marker].wal.flush()
+        if self.failure is not None:
+            raise self.failure
+        if self._active_txn is None:
+            raise RuntimeError("no store operation is open")
+        txn, staged = self._active_txn, self._stage
+        self._active_txn, self._stage = None, {}
+        if staged:
+            self._write(staged, txn)
 
     def abort(self) -> None:
-        """Close the open operation without committing it.
-
-        Its journal records (flushed or not) carry no commit marker, so
-        recovery discards them; the in-memory backends may still hold the
-        aborted writes, which is why callers abort only on errors that
-        fail the whole enclosing request.
-        """
+        """Close the open operation without committing it: its staged
+        writes are dropped, and none of them reached the WAL or a backend."""
         self._active_txn = None
-        self._txn_touched = set()
+        self._stage = {}
 
     def _scan_highest_txn(self) -> int:
         """Highest transaction id in the on-disk WALs (0 when none).

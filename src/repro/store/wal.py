@@ -15,9 +15,9 @@ offset  size  field
 +8      N     payload bytes      (UTF-8 JSON operation)
 ```
 
-An ``append`` is flushed and fsynced at once, unless it is deferred to
-the commit point of a multi-record operation, which issues one
-:meth:`flush` before any acknowledgement. The first :class:`OSError`
+An ``append`` writes its records (all of one store operation's records
+on this shard, at the operation's commit) in one buffered write and
+fsyncs them before it returns. The first :class:`OSError`
 raises :class:`~repro.store.errors.StoreIOError` and fails the log:
 every later write raises the same error, and nothing is retried (a
 failed fsync may have dropped the dirty pages it was to write). A *torn
@@ -128,26 +128,24 @@ class WriteAheadLog:
             return self.path.stat().st_size
         return self._size if self._file is not None else 0
 
-    def append(self, payload: bytes, *, defer: bool = False) -> None:
-        """Append one checksummed record, then flush and fsync it.
+    def append(self, *payloads: bytes) -> None:
+        """Append checksummed records in one buffered write, then fsync them.
 
-        Args:
-            payload: the record body.
-            defer: skip the flush — the caller is inside a multi-record
-                logical operation and will issue one :meth:`flush` at its
-                commit point.
+        A store operation hands each shard all of its records at commit,
+        so the records of one operation reach a log in one write.
 
         Raises:
             StoreIOError: the write failed, now or earlier.
         """
-        record = _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+        records = b"".join(
+            _HEADER.pack(len(payload), zlib.crc32(payload)) + payload for payload in payloads
+        )
         with self._io("append to"):
-            self._open().write(record)
-        self._size += len(record)
-        self._pending += 1
-        self.appended_records += 1
-        if not defer:
-            self.flush()
+            self._open().write(records)
+        self._size += len(records)
+        self._pending += len(payloads)
+        self.appended_records += len(payloads)
+        self.flush()
 
     def flush(self) -> None:
         """Flush buffered records and fsync — the commit barrier.

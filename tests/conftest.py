@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import shutil
+import tempfile
 from collections.abc import Callable, Iterator
 from pathlib import Path
 
@@ -11,7 +13,13 @@ from hypothesis import settings
 
 from repro.core.broker import Broker
 from repro.core.params import SystemParams, test_params
-from repro.core.persistence import attach_broker_store, broker_spaces
+from repro.core.persistence import (
+    BrokerJournal,
+    WitnessJournal,
+    attach_broker_store,
+    broker_spaces,
+    witness_spaces,
+)
 from repro.core.protocols import run_withdrawal
 from repro.core.system import EcashSystem
 from repro.crypto import backend, counters
@@ -81,6 +89,86 @@ def funded_client(system: EcashSystem):
     client = system.new_client()
     stored = run_withdrawal(client, system.broker, system.standard_info(25, now=0))
     return client, stored
+
+
+def _recovered_dump(store: Store) -> dict[str, dict[str, object]]:
+    """What a restart would read: a recovery of a copy of the state dir."""
+    with tempfile.TemporaryDirectory() as scratch:
+        copy = Path(scratch) / "state"
+        shutil.copytree(store.directory, copy)
+        recovered = Store(copy, backend=store.backend_kind, shards=store.shard_count)
+        try:
+            recovered.recover()
+            return recovered.dump()
+        finally:
+            recovered.close()
+
+
+def journal_divergence(party: object, store: Store) -> str | None:
+    """Where ``party``'s live spaces differ from ``store``'s backends or from
+    a recovery of its state dir (``None``: they all agree)."""
+    if isinstance(party, Broker):
+        spaces, names = broker_spaces(party), None  # the store is the broker's alone
+    else:
+        spaces = witness_spaces(party)  # type: ignore[arg-type]
+        names = set(spaces)
+    live = {space: dict(table) for space, table in spaces.items() if table}
+    for source, dump in (("store", store.dump()), ("recovery", _recovered_dump(store))):
+        held = {space: table for space, table in dump.items() if names is None or space in names}
+        if held != live:
+            differing = sorted(
+                space for space in set(held) | set(live) if held.get(space) != live.get(space)
+            )
+            return f"{type(party).__name__} memory differs from its {source} in {differing}"
+    return None
+
+
+@pytest.fixture(autouse=True)
+def journaled_parties_match_their_recovery(
+    monkeypatch: pytest.MonkeyPatch,
+) -> Iterator[None]:
+    """A failed step leaves no trace, in memory or on disk.
+
+    For every broker or witness a test attaches to a store, after each
+    operation the store commits or aborts, the party's live spaces must
+    equal its store's backends and a recovery of a copy of its state
+    dir. A failed store is skipped: its party's memory may hold what the
+    disk refused, which is why that party stops. A divergence fails the
+    test at teardown (raising inside the store would reach the code
+    under test).
+    """
+    parties: dict[Store, object] = {}
+    divergences: list[str] = []
+
+    def watching(journal_class: type) -> None:
+        attach = journal_class.__init__
+
+        def init(journal, party, store) -> None:
+            attach(journal, party, store)
+            parties[store] = party  # a store journals one party
+
+        monkeypatch.setattr(journal_class, "__init__", init)
+
+    def checked(method_name: str) -> None:
+        method = getattr(Store, method_name)
+
+        def run(store: Store) -> None:
+            method(store)
+            party = parties.get(store)
+            if party is not None and store.failure is None:
+                found = journal_divergence(party, store)
+                if found is not None:
+                    divergences.append(f"after {method_name}: {found}")
+
+        monkeypatch.setattr(Store, method_name, run)
+
+    watching(BrokerJournal)
+    watching(WitnessJournal)
+    checked("commit")
+    checked("abort")
+    yield
+    if divergences:
+        pytest.fail(divergences[0], pytrace=False)
 
 
 def save_broker_state(broker: Broker, state_dir: Path) -> None:

@@ -29,7 +29,7 @@ from repro.core.system import EcashSystem
 from repro.core.transcripts import SignedTranscript
 from repro.crypto.serialize import pack_batch
 from repro.net import registry
-from repro.store import Store, StoreIOError
+from repro.store import Store, StoreIOError, shard_index
 from repro.store import wal as wal_module
 
 WITNESS = "alice-books"
@@ -94,16 +94,22 @@ def test_batch_without_its_marker_is_discarded_whole_and_safe_to_retry(
     before = store.dump()
     records_before = _wal_records(store)
 
-    def crash_before_marker():
+    def crash_before_marker(*payloads):
         raise PowerLoss()
 
-    store.commit = crash_before_marker  # the marker never reaches disk
+    # Shard 0 holds the ledger, so the marker: its write never happens,
+    # after the other shards have fsynced their share of the batch.
+    store.shards[0].wal.append = crash_before_marker
     with pytest.raises(PowerLoss):
         system.broker.deposit_batch(MERCHANT, items, NOW)
     batch_records = _wal_records(store) - records_before
-    # A deposit record, a ledger entry and the witness's account per coin.
-    assert batch_records >= 3 * BATCH
-    store.close()  # flushes the orphaned records; still no marker
+    # The deposit records routed off shard 0 reached their WALs.
+    off_marker = sum(
+        shard_index(f"{signed.transcript.coin.bare.digest(params):x}", SHARDS) != 0
+        for signed in items
+    )
+    assert batch_records == off_marker > 0
+    store.close()  # the orphaned records stay; still no marker
 
     reopened = _open_store(tmp_path, backend)
     stats = attach_broker_store(system.broker, reopened)

@@ -233,6 +233,23 @@ def test_operation_commits_atomically_across_shards(tmp_path, backend):
     reopened.close()
 
 
+class PowerLoss(Exception):
+    """Simulated crash inside a commit."""
+
+
+def crash_at_the_marker(store):
+    """Commit the open operation up to its commit marker: the shards without
+    the marker write and fsync their records, then power fails before the
+    marker's shard (shard 0, the lowest touched) writes anything."""
+
+    def lose_power(*payloads):
+        raise PowerLoss()
+
+    store.shards[0].wal.append = lose_power
+    with pytest.raises(PowerLoss):
+        store.commit()
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_uncommitted_operation_is_discarded_whole_on_recovery(tmp_path, backend):
     """A crash before the commit marker lands erases the whole operation.
@@ -244,16 +261,74 @@ def test_uncommitted_operation_is_discarded_whole_on_recovery(tmp_path, backend)
     store = Store(tmp_path, backend=backend, shards=4)
     store.put("merchants", "acme", {"registered": True})
     store.begin()
-    store.put("ledger", "merchant/acme", {"balance": 25})
-    store.put("deposits", "00000001", {"amount": 25})
-    store.close()  # fsyncs the records but never writes the marker
+    store.put("ledger", "merchant/acme", {"balance": 25})  # shard 0: the marker's
+    store.put("deposits", "00000001", {"amount": 25})  # shard 1
+    crash_at_the_marker(store)
+    store.close()
 
     reopened = Store(tmp_path, backend=backend, shards=4)
     stats = reopened.recover()
-    assert stats.discarded_records == 2
+    assert stats.discarded_records == 1  # the deposit reached shard 1's WAL
     assert read(reopened, "ledger", "merchant/acme") is None
     assert read(reopened, "deposits", "00000001") is None
     assert read(reopened, "merchants", "acme") == {"registered": True}
+    reopened.close()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_an_open_operation_writes_nothing_before_its_commit(tmp_path, backend):
+    store = Store(tmp_path, backend=backend, shards=4)
+    store.put("merchants", "acme", {"registered": True})
+    wal_bytes = store.wal_bytes()
+    store.begin()
+    store.put("ledger", "merchant/acme", {"balance": 25})
+    store.put("deposits", "00000001", {"amount": 25})
+    assert store.wal_bytes() == wal_bytes
+    assert read(store, "deposits", "00000001") is None  # nor in a backend
+    store.close()  # the process dies with the operation open
+
+    reopened = Store(tmp_path, backend=backend, shards=4)
+    stats = reopened.recover()
+    assert stats.discarded_records == 0
+    assert reopened.dump() == {"merchants": {"acme": {"registered": True}}}
+    reopened.close()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_an_aborted_operation_stays_out_of_a_later_compaction(tmp_path, backend):
+    """Compaction snapshots the backends, so an aborted write must never
+    have reached one."""
+    store = one_shard(tmp_path, backend)
+    store.begin()
+    store.put("deposits", "00000001", {"amount": 25})
+    store.abort()
+    store.compact()
+    store.close()
+
+    reopened = one_shard(tmp_path, backend)
+    reopened.recover()
+    assert reopened.dump() == {}
+    reopened.close()
+
+
+def test_an_operation_journals_the_last_write_of_each_key(tmp_path):
+    store = Store(tmp_path, backend="memory", shards=2)
+    with store.operation():
+        store.put("merchants", "acme", {"coins": 1})
+        store.put("merchants", "acme", {"coins": 2})
+        store.put("deposits", "00000001", {"amount": 25})
+        store.delete("deposits", "00000001")
+        store.delete("renewals", "00000003")
+        store.put("renewals", "00000003", {"amount": 5})
+    expected = {"merchants": {"acme": {"coins": 2}}, "renewals": {"00000003": {"amount": 5}}}
+    assert store.dump() == expected
+    # One record per key, and the marker.
+    assert sum(shard.wal.appended_records for shard in store.shards) == 4
+    store.close()
+
+    reopened = Store(tmp_path, backend="memory", shards=2)
+    reopened.recover()
+    assert reopened.dump() == expected
     reopened.close()
 
 
@@ -295,22 +370,25 @@ def test_nested_operation_scopes_join_into_one_commit(tmp_path):
 
 def test_txn_ids_never_collide_after_reopen_without_recover(tmp_path):
     """A fresh store over old WALs must not reissue a committed txn id."""
-    store = Store(tmp_path, backend="memory", shards=1)
+    store = Store(tmp_path, backend="memory", shards=2)
     with store.operation():
         store.put("deposits", "00000001", {"amount": 25})
     store.close()
 
-    # Attach without recover(), run a new operation, crash before commit.
-    attached = Store(tmp_path, backend="memory", shards=1)
+    # Attach without recover(), run a new operation, crash before its
+    # marker: the record on shard 1 lands, the marker on shard 0 does not.
+    attached = Store(tmp_path, backend="memory", shards=2)
     attached.begin()
-    attached.put("deposits", "00000002", {"amount": 50})
+    attached.put("ledger", "merchant/acme", {"balance": 50})
+    attached.put("deposits", "00000003", {"amount": 50})
+    crash_at_the_marker(attached)
     attached.close()
 
-    reopened = Store(tmp_path, backend="memory", shards=1)
+    reopened = Store(tmp_path, backend="memory", shards=2)
     stats = reopened.recover()
     assert stats.discarded_records == 1  # only the uncommitted put
     assert read(reopened, "deposits", "00000001") == {"amount": 25}
-    assert read(reopened, "deposits", "00000002") is None
+    assert read(reopened, "deposits", "00000003") is None
     reopened.close()
 
 
